@@ -10,27 +10,32 @@
 //!
 //! 1. `cargo build --release --workspace`
 //! 2. `cargo test --workspace -q` (superset of the tier-1 `cargo test -q`)
-//! 3. `cargo fmt --check`
-//! 4. `cargo clippy --workspace --all-targets -- -D warnings`
-//! 5. `RUSTDOCFLAGS="-D warnings" cargo doc --no-deps` (the public API
+//! 3. `cargo test -q --manifest-path benchmark/Cargo.toml` (the benchmark
+//!    harness in `--quick` mode: all five `BENCHMARK.json` workloads at
+//!    smoke size, every job checked bit for bit against its raw reference —
+//!    a protocol change that hangs or diverges under the benchmark fails
+//!    here instead of timing the pipeline out)
+//! 4. `cargo fmt --check`
+//! 5. `cargo clippy --workspace --all-targets -- -D warnings`
+//! 6. `RUSTDOCFLAGS="-D warnings" cargo doc --no-deps` (the public API
 //!    documentation must build warning-free: broken intra-doc links and
 //!    undocumented public items gate here)
-//! 6. `chaos_soak --seeds 32 --quick` (deterministic fault-injection
+//! 7. `chaos_soak --seeds 32 --quick` (deterministic fault-injection
 //!    smoke; writes `BENCH_recovery.json` under `--out-dir`)
-//! 7. `message_path` (fresh run under `--out-dir`, for the ratchet below)
-//! 8. `scaling --smoke` (weak-scaling smoke: cg at 256 ranks under the
+//! 8. `message_path` (fresh run under `--out-dir`, for the ratchet below)
+//! 9. `scaling --smoke` (weak-scaling smoke: cg at 256 ranks under the
 //!    event scheduler; writes `BENCH_scaling.json` under `--out-dir`)
-//! 9. BENCH hygiene: the fresh and the committed `BENCH_recovery.json` /
-//!    `BENCH_message_path.json` / `BENCH_scaling.json` parse and carry the
-//!    expected schema keys — for the recovery file that includes the
-//!    per-mode `ckpt_mode` and `ckpt_bytes` fields the volume comparison
-//!    reads
-//! 10. message-path ratchet: each fresh `ns_per_op` must stay within a
+//! 10. BENCH hygiene: the fresh and the committed `BENCH_recovery.json` /
+//!     `BENCH_message_path.json` / `BENCH_scaling.json` parse and carry the
+//!     expected schema keys — for the recovery file that includes the
+//!     per-mode `ckpt_mode` and `ckpt_bytes` fields the volume comparison
+//!     reads
+//! 11. message-path ratchet: each fresh `ns_per_op` must stay within a
 //!     per-entry tolerance factor of the committed baseline (2× for the
 //!     stable µs-scale scenarios, 3× for the noise-prone ns-scale ones;
 //!     `C3_PERF_RATCHET_FACTOR` overrides all of them), and every committed
 //!     scenario must be present in the fresh run
-//! 11. `recovery_trend` — restart-cost percentiles and checkpoint volumes
+//! 12. `recovery_trend` — restart-cost percentiles and checkpoint volumes
 //!     vs the copy committed at `HEAD` (informational report; parse
 //!     failures gate, noise does not)
 //!
@@ -273,6 +278,11 @@ fn main() {
         );
     }
     run("cargo test --workspace -q", cargo(&["test", "--workspace", "-q"]), &mut results);
+    run(
+        "cargo test -q --manifest-path benchmark/Cargo.toml",
+        cargo(&["test", "-q", "--manifest-path", "benchmark/Cargo.toml"]),
+        &mut results,
+    );
     run("cargo fmt --check", cargo(&["fmt", "--check"]), &mut results);
     run(
         "cargo clippy -D warnings",

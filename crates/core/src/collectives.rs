@@ -14,82 +14,148 @@
 //! Stream topologies (the logical data-flow of each operation):
 //!
 //! * `bcast`, `scatter`: root → every other rank;
-//! * `gather`, `reduce`: every other rank → root (reduce is "first send all
-//!   data to the root using an independent gather and then perform the
-//!   actual reduction" — the paper's exact treatment of `MPI_Reduce`);
-//! * `allgather`, `allreduce`, `barrier`, `alltoall`: all ↔ all;
+//! * `gather`, `reduce`: every other rank → root;
+//! * `allgather`, `allreduce`, `barrier`: a gather to local rank 0, then a
+//!   bcast of the result — 2(n−1) streams per call. This is the paper's
+//!   exact treatment of `MPI_Reduce` ("first send all data to the root
+//!   using an independent gather and then perform the actual reduction")
+//!   applied to every reduction; each hop is still one protocol-wrapped
+//!   stream, so the composite inherits logging, suppression and replay;
+//! * `alltoall`: all ↔ all (every pair carries distinct data);
 //! * `scan`: every rank j → every rank i > j (the prefix dependency chain).
 //!
-//! Deterministic rank-order folding makes reduction results reproducible
-//! across re-execution, which the replay correctness argument requires.
+//! The rooted operations are written once over a `Group` (members, wire id,
+//! call number) and serve the world and derived communicators
+//! ([`crate::comms`]) alike. The root folds in local-rank order, so
+//! reduction results are reproducible across re-execution, which the replay
+//! correctness argument requires.
 
-use crate::api::C3Ctx;
+use crate::api::{C3Ctx, C3Error};
+use crate::comms::COMM_WORLD_HANDLE;
 use crate::registries::StreamKind;
 use crate::Result;
 use mpisim::{fold_into, BasicType, Payload, ReduceOp, COMM_WORLD};
+use statesave::codec::{Decoder, Encoder};
+
+/// One collective instance: the communicator's members (world ranks, in
+/// local-rank order), its wire id, and the instance's call number.
+pub(crate) struct Group {
+    pub(crate) members: Vec<usize>,
+    pub(crate) wire: u32,
+    pub(crate) call: u64,
+}
+
+/// Fold `parts` left to right, seeded by ownership transfer of the first.
+fn fold_in_order(parts: Vec<Vec<u8>>, ty: BasicType, op: &ReduceOp) -> Result<Vec<u8>> {
+    let mut parts = parts.into_iter();
+    let mut acc = parts.next().expect("a gather at its root is nonempty");
+    for p in parts {
+        fold_into(op, &mut acc, &p, ty).map_err(C3Error::Mpi)?;
+    }
+    Ok(acc)
+}
 
 impl<'a> C3Ctx<'a> {
     /// Take the next deterministic collective-instance number on the world
     /// communicator.
-    fn next_call(&mut self) -> u64 {
+    pub(crate) fn next_call(&mut self) -> u64 {
         let c = self.coll_calls;
         self.coll_calls += 1;
         c
     }
 
-    /// One pooled copy of `bytes`, shared by reference across a fan-out.
-    pub(crate) fn shared_payload(&self, bytes: &[u8]) -> Payload {
-        self.mpi.network().pool().payload_from(bytes)
+    // ------------------------------------------------------------------
+    // The rooted collectives, once, over a `Group` (`root` is a world rank).
+    // ------------------------------------------------------------------
+
+    /// Root → every other member. The fan-out shares a single buffer.
+    pub(crate) fn bcast_in(&mut self, g: &Group, root: usize, data: &mut Vec<u8>) -> Result<()> {
+        if self.rank() != root {
+            *data = self.stream_recv_coll(root, g.wire, g.call)?;
+            return Ok(());
+        }
+        // Ownership transfer into a shared payload: no copy, one buffer for
+        // all n-1 envelopes; the root's copy is restored from the same buffer
+        // afterwards (in place when nothing is still in flight).
+        let payload = Payload::from_vec(std::mem::take(data));
+        for &dst in g.members.iter().filter(|&&m| m != root) {
+            let kind = StreamKind::Coll { call: g.call };
+            self.stream_send_payload(dst, g.wire, kind, payload.clone())?;
+        }
+        *data = payload.into_vec();
+        Ok(())
     }
 
-    /// Broadcast `data` from `root` to every rank. The root's fan-out shares
-    /// a single buffer across all destinations.
-    pub fn bcast(&mut self, root: usize, data: &mut Vec<u8>) -> Result<()> {
-        let call = self.next_call();
-        let me = self.rank();
-        let n = self.nranks();
-        if me == root {
-            // Ownership transfer into a shared payload: no copy, one buffer
-            // for all n-1 envelopes; the root's copy is restored from the
-            // same buffer afterwards (in place when nothing is still in
-            // flight).
-            let payload = Payload::from_vec(std::mem::take(data));
-            for dst in 0..n {
-                if dst != root {
-                    self.stream_send_payload(
-                        dst,
-                        COMM_WORLD.0,
-                        StreamKind::Coll { call },
-                        payload.clone(),
-                    )?;
-                }
-            }
-            *data = payload.into_vec();
-        } else {
-            *data = self.stream_recv_coll(root, COMM_WORLD.0, call)?;
+    /// Every other member → root; the root gets the parts in member order.
+    pub(crate) fn gather_in(
+        &mut self,
+        g: &Group,
+        root: usize,
+        mine: &[u8],
+    ) -> Result<Option<Vec<Vec<u8>>>> {
+        if self.rank() != root {
+            self.stream_send(root, g.wire, StreamKind::Coll { call: g.call }, mine)?;
+            return Ok(None);
         }
-        Ok(())
+        let mut out = Vec::with_capacity(g.members.len());
+        for &src in &g.members {
+            out.push(if src == root {
+                mine.to_vec()
+            } else {
+                self.stream_recv_coll(src, g.wire, g.call)?
+            });
+        }
+        Ok(Some(out))
+    }
+
+    /// Gather to the first member, which frames the parts and broadcasts
+    /// them. Both phases share the call number: their streams run in
+    /// opposite directions, so no signature repeats.
+    pub(crate) fn allgather_in(&mut self, g: &Group, mine: &[u8]) -> Result<Vec<Vec<u8>>> {
+        let root = g.members[0];
+        let gathered = self.gather_in(g, root, mine)?;
+        let mut framed = Encoder::new();
+        gathered.iter().flatten().for_each(|p| framed.bytes(p));
+        let mut framed = framed.finish();
+        self.bcast_in(g, root, &mut framed)?;
+        if let Some(parts) = gathered {
+            return Ok(parts); // the root keeps what it gathered
+        }
+        let mut d = Decoder::new(&framed);
+        (0..g.members.len()).map(|_| Ok(d.bytes()?)).collect()
+    }
+
+    /// Gather to the first member, which folds in member order and
+    /// broadcasts the result (see [`C3Ctx::reduce`]).
+    pub(crate) fn allreduce_in(
+        &mut self,
+        g: &Group,
+        data: &[u8],
+        ty: BasicType,
+        op: &ReduceOp,
+    ) -> Result<Vec<u8>> {
+        let root = g.members[0];
+        let mut acc = match self.gather_in(g, root, data)? {
+            Some(parts) => fold_in_order(parts, ty, op)?,
+            None => Vec::new(),
+        };
+        self.bcast_in(g, root, &mut acc)?;
+        Ok(acc)
+    }
+
+    // ------------------------------------------------------------------
+    // World-communicator operations.
+    // ------------------------------------------------------------------
+
+    /// Broadcast `data` from `root` to every rank.
+    pub fn bcast(&mut self, root: usize, data: &mut Vec<u8>) -> Result<()> {
+        self.bcast_on(COMM_WORLD_HANDLE, root, data)
     }
 
     /// Gather every rank's buffer at `root` (rank-ordered; sizes may vary).
     pub fn gather(&mut self, root: usize, mine: &[u8]) -> Result<Option<Vec<Vec<u8>>>> {
-        let call = self.next_call();
-        let me = self.rank();
-        let n = self.nranks();
-        if me == root {
-            let mut out = Vec::with_capacity(n);
-            for src in 0..n {
-                if src == me {
-                    out.push(mine.to_vec());
-                } else {
-                    out.push(self.stream_recv_coll(src, COMM_WORLD.0, call)?);
-                }
-            }
-            Ok(Some(out))
-        } else {
-            self.stream_send(root, COMM_WORLD.0, StreamKind::Coll { call }, mine)?;
-            Ok(None)
-        }
+        let g = self.coll_group(COMM_WORLD_HANDLE)?;
+        self.gather_in(&g, root, mine)
     }
 
     /// Scatter per-rank buffers from `root`.
@@ -98,11 +164,10 @@ impl<'a> C3Ctx<'a> {
         let me = self.rank();
         let n = self.nranks();
         if me == root {
-            let parts = parts.ok_or_else(|| {
-                crate::api::C3Error::Protocol("scatter root must supply parts".into())
-            })?;
+            let parts =
+                parts.ok_or_else(|| C3Error::Protocol("scatter root must supply parts".into()))?;
             if parts.len() != n {
-                return Err(crate::api::C3Error::Protocol(format!(
+                return Err(C3Error::Protocol(format!(
                     "scatter needs {n} parts, got {}",
                     parts.len()
                 )));
@@ -119,45 +184,21 @@ impl<'a> C3Ctx<'a> {
     }
 
     /// All-gather: every rank receives every rank's buffer (rank-ordered).
-    /// The contribution is copied once into a shared payload; the fan-out
-    /// and the self-slot all reference that one buffer.
     pub fn allgather(&mut self, mine: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let call = self.next_call();
-        let me = self.rank();
-        let n = self.nranks();
-        let payload = self.shared_payload(mine);
-        for dst in 0..n {
-            if dst != me {
-                self.stream_send_payload(
-                    dst,
-                    COMM_WORLD.0,
-                    StreamKind::Coll { call },
-                    payload.clone(),
-                )?;
-            }
-        }
-        let mut out = Vec::with_capacity(n);
-        for src in 0..n {
-            if src == me {
-                out.push(payload.clone().into_vec());
-            } else {
-                out.push(self.stream_recv_coll(src, COMM_WORLD.0, call)?);
-            }
-        }
-        Ok(out)
+        self.allgather_on(COMM_WORLD_HANDLE, mine)
     }
 
     /// Barrier: an all-gather of empty payloads; returns when every rank has
     /// entered.
     pub fn barrier(&mut self) -> Result<()> {
-        self.allgather(&[]).map(|_| ())
+        self.barrier_on(COMM_WORLD_HANDLE)
     }
 
     /// All-to-all personalized exchange: `parts[i]` goes to rank `i`.
     pub fn alltoall(&mut self, parts: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
         let n = self.nranks();
         if parts.len() != n {
-            return Err(crate::api::C3Error::Protocol(format!(
+            return Err(C3Error::Protocol(format!(
                 "alltoall needs {n} parts, got {}",
                 parts.len()
             )));
@@ -192,29 +233,13 @@ impl<'a> C3Ctx<'a> {
         ty: BasicType,
         op: &ReduceOp,
     ) -> Result<Option<Vec<u8>>> {
-        match self.gather(root, data)? {
-            None => Ok(None),
-            Some(parts) => {
-                let mut parts = parts.into_iter();
-                let mut acc = parts.next().expect("gather at root is nonempty");
-                for p in parts {
-                    fold_into(op, &mut acc, &p, ty).map_err(crate::api::C3Error::Mpi)?;
-                }
-                Ok(Some(acc))
-            }
-        }
+        self.gather(root, data)?.map(|parts| fold_in_order(parts, ty, op)).transpose()
     }
 
-    /// All-reduce: all-to-all streams, every rank folds in rank order. The
-    /// fold is seeded by ownership transfer of the first contribution — no
-    /// clone.
+    /// All-reduce: [`C3Ctx::reduce`] to rank 0, then a broadcast of the
+    /// result, so every rank holds the bit-identical rank-order fold.
     pub fn allreduce(&mut self, data: &[u8], ty: BasicType, op: &ReduceOp) -> Result<Vec<u8>> {
-        let mut parts = self.allgather(data)?.into_iter();
-        let mut acc = parts.next().expect("allgather is nonempty");
-        for p in parts {
-            fold_into(op, &mut acc, &p, ty).map_err(crate::api::C3Error::Mpi)?;
-        }
-        Ok(acc)
+        self.allreduce_on(COMM_WORLD_HANDLE, data, ty, op)
     }
 
     /// Typed all-reduce convenience for one `f64`.
@@ -237,7 +262,8 @@ impl<'a> C3Ctx<'a> {
         let call = self.next_call();
         let me = self.rank();
         let n = self.nranks();
-        let payload = self.shared_payload(data);
+        // One pooled copy, shared by reference across the fan-out.
+        let payload = self.mpi.network().pool().payload_from(data);
         for dst in me + 1..n {
             self.stream_send_payload(
                 dst,
@@ -251,13 +277,13 @@ impl<'a> C3Ctx<'a> {
             let part = self.stream_recv_coll(src, COMM_WORLD.0, call)?;
             match &mut acc {
                 None => acc = Some(part),
-                Some(a) => fold_into(op, a, &part, ty).map_err(crate::api::C3Error::Mpi)?,
+                Some(a) => fold_into(op, a, &part, ty).map_err(C3Error::Mpi)?,
             }
         }
         match acc {
             None => Ok(data.to_vec()),
             Some(mut a) => {
-                fold_into(op, &mut a, data, ty).map_err(crate::api::C3Error::Mpi)?;
+                fold_into(op, &mut a, data, ty).map_err(C3Error::Mpi)?;
                 Ok(a)
             }
         }

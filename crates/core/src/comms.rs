@@ -23,9 +23,10 @@
 //! derived communicators with no additional protocol machinery.
 
 use crate::api::{C3Ctx, C3Error};
+use crate::collectives::Group;
 use crate::registries::StreamKind;
 use crate::Result;
-use mpisim::{fold_into, BasicType, ReduceOp, Status};
+use mpisim::{BasicType, ReduceOp, Status};
 use statesave::codec::{CodecError, Decoder, Encoder};
 use std::collections::BTreeMap;
 
@@ -259,9 +260,7 @@ impl<'a> C3Ctx<'a> {
     /// `allgather_on(world)`) must see one consistent numbering.
     fn comm_next_call(&mut self, c: C3Comm) -> Result<u64> {
         if c == COMM_WORLD_HANDLE {
-            let call = self.coll_calls;
-            self.coll_calls += 1;
-            return Ok(call);
+            return Ok(self.next_call());
         }
         let e = self
             .comms
@@ -416,33 +415,21 @@ impl<'a> C3Ctx<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Collectives on a derived communicator (local-rank ordered).
+    // Collectives on a communicator (local-rank ordered): thin wrappers
+    // over the single implementation in `crate::collectives`.
     // ------------------------------------------------------------------
 
-    /// All-gather over `c` (local-rank order). The contribution is copied
-    /// once into a shared pooled payload: the per-member fan-out and the
-    /// self-slot all reference that single buffer (previously every send
-    /// copied and the self-slot was a separate `to_vec`).
-    pub fn allgather_on(&mut self, c: C3Comm, mine: &[u8]) -> Result<Vec<Vec<u8>>> {
+    /// Members and wire id of `c`, with its next collective-call number.
+    pub(crate) fn coll_group(&mut self, c: C3Comm) -> Result<Group> {
         let members = self.comm_members(c)?;
         let wire = self.comm_entry(c)?.wire;
-        let call = self.comm_next_call(c)?;
-        let me_world = self.rank();
-        let payload = self.shared_payload(mine);
-        for &dst in &members {
-            if dst != me_world {
-                self.stream_send_payload(dst, wire, StreamKind::Coll { call }, payload.clone())?;
-            }
-        }
-        let mut out = Vec::with_capacity(members.len());
-        for &src in &members {
-            if src == me_world {
-                out.push(payload.clone().into_vec());
-            } else {
-                out.push(self.stream_recv_coll(src, wire, call)?);
-            }
-        }
-        Ok(out)
+        Ok(Group { members, wire, call: self.comm_next_call(c)? })
+    }
+
+    /// All-gather over `c` (local-rank order).
+    pub fn allgather_on(&mut self, c: C3Comm, mine: &[u8]) -> Result<Vec<Vec<u8>>> {
+        let g = self.coll_group(c)?;
+        self.allgather_in(&g, mine)
     }
 
     /// Barrier over `c`.
@@ -452,36 +439,15 @@ impl<'a> C3Ctx<'a> {
 
     /// Broadcast over `c` from local rank `root`.
     pub fn bcast_on(&mut self, c: C3Comm, root: usize, data: &mut Vec<u8>) -> Result<()> {
-        let members = self.comm_members(c)?;
-        let wire = self.comm_entry(c)?.wire;
-        let call = self.comm_next_call(c)?;
-        let me_world = self.rank();
-        let root_world = *members
+        let g = self.coll_group(c)?;
+        let root = *g
+            .members
             .get(root)
             .ok_or_else(|| C3Error::Protocol(format!("no local rank {root} in {c:?}")))?;
-        if me_world == root_world {
-            // Ownership transfer into one shared buffer for the whole
-            // fan-out; restored to the caller afterwards.
-            let payload = mpisim::Payload::from_vec(std::mem::take(data));
-            for &dst in &members {
-                if dst != me_world {
-                    self.stream_send_payload(
-                        dst,
-                        wire,
-                        StreamKind::Coll { call },
-                        payload.clone(),
-                    )?;
-                }
-            }
-            *data = payload.into_vec();
-        } else {
-            *data = self.stream_recv_coll(root_world, wire, call)?;
-        }
-        Ok(())
+        self.bcast_in(&g, root, data)
     }
 
-    /// All-reduce over `c` (fold in local-rank order). The fold is seeded by
-    /// ownership transfer of the first contribution instead of a clone.
+    /// All-reduce over `c` (fold in local-rank order).
     pub fn allreduce_on(
         &mut self,
         c: C3Comm,
@@ -489,12 +455,8 @@ impl<'a> C3Ctx<'a> {
         ty: BasicType,
         op: &ReduceOp,
     ) -> Result<Vec<u8>> {
-        let mut parts = self.allgather_on(c, data)?.into_iter();
-        let mut acc = parts.next().expect("allgather includes self");
-        for p in parts {
-            fold_into(op, &mut acc, &p, ty).map_err(C3Error::Mpi)?;
-        }
-        Ok(acc)
+        let g = self.coll_group(c)?;
+        self.allreduce_in(&g, data, ty, op)
     }
 }
 

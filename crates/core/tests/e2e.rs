@@ -680,3 +680,52 @@ fn wildcard_order_echo_is_globally_consistent() {
     // recovered wildcard order was consistent everywhere.
     assert!(rec.handle.results.iter().all(|r| *r > 0));
 }
+
+/// `allreduce`, `allgather` and `barrier` are a gather to the first member
+/// plus a bcast: each call costs the job exactly 2(m−1) protocol messages
+/// on a communicator of m ranks — linear, not the m(m−1) of all ↔ all.
+#[test]
+fn rooted_collectives_send_two_streams_per_leaf() {
+    use mpisim::{BasicType, ReduceOp};
+    for n in [2usize, 5, 8] {
+        let store = tmp_store(&format!("stream-count-{n}"));
+        let out = Job::new(n, C3Config::passive(store.path()))
+            .run(|ctx| {
+                let world = ctx.comm_world();
+                let color = (ctx.rank() % 2) as i64;
+                let half = ctx.comm_split(world, Some(color), 0)?.expect("member");
+                // This rank's sends per call: three on the world, three on
+                // its half, then the three world wrappers together.
+                let mut sent = Vec::new();
+                let mut at = ctx.stats().msgs_sent;
+                let mut lap = |ctx: &C3Ctx<'_>| {
+                    let now = ctx.stats().msgs_sent;
+                    sent.push(now - std::mem::replace(&mut at, now));
+                };
+                for c in [world, half] {
+                    ctx.allreduce_on(c, &1u64.to_le_bytes(), BasicType::U64, &ReduceOp::Sum)?;
+                    lap(ctx);
+                    ctx.allgather_on(c, &[ctx.rank() as u8])?;
+                    lap(ctx);
+                    ctx.barrier_on(c)?;
+                    lap(ctx);
+                }
+                ctx.allreduce_u64(1, &ReduceOp::Sum)?;
+                ctx.allgather(&[0])?;
+                ctx.barrier()?;
+                lap(ctx);
+                Ok(sent)
+            })
+            .unwrap();
+        let total = |ranks: &dyn Fn(usize) -> bool, call: usize| -> u64 {
+            out.results.iter().enumerate().filter(|(r, _)| ranks(*r)).map(|(_, s)| s[call]).sum()
+        };
+        let streams = |m: usize| 2 * (m as u64 - 1);
+        for call in 0..3 {
+            assert_eq!(total(&|_| true, call), streams(n), "n={n} world call {call}");
+            assert_eq!(total(&|r| r % 2 == 0, 3 + call), streams(n.div_ceil(2)), "n={n} evens");
+            assert_eq!(total(&|r| r % 2 == 1, 3 + call), streams(n / 2), "n={n} odds");
+        }
+        assert_eq!(total(&|_| true, 6), 3 * streams(n), "n={n} world wrappers");
+    }
+}

@@ -937,9 +937,10 @@ impl Network {
     /// Thread mode: a [`PARK_POLL`] timed wait on the mailbox condvar plus
     /// a nudge — the original polling scheme, byte-for-byte. Event mode:
     /// flush envelopes the fault/reorder models withhold for this rank
-    /// first (withheld envelopes produce no wake; if the flush delivers
-    /// anything the rank's own epoch moves and the park aborts), then park
-    /// until a delivery, credit event, or poison wakes the rank. A park
+    /// first (if the flush delivers anything the rank's own epoch moves
+    /// and the park aborts), then park until a delivery, a withhold (whose
+    /// envelope the next attempt's flush then delivers), a credit event, or
+    /// poison wakes the rank. A park
     /// that would leave every live rank blocked runs the deadlock detective
     /// instead of sleeping.
     pub(crate) fn block_on_mailbox(&self, rank: Rank, seen: u64) {
@@ -992,6 +993,11 @@ impl Network {
         for e in copies.into_iter().flatten() {
             if blocked || dropping {
                 fs.delayed.push_back((e, now + RETRANSMIT_AFTER));
+                // A withhold wakes the destination: were it already parked
+                // on its mailbox, only later traffic to it or global
+                // quiescence would release the envelope. Its next blocking
+                // attempt nudges first and so delivers it.
+                self.sched.wake(dst);
             } else {
                 self.reorder_inject(e);
             }
@@ -1077,6 +1083,7 @@ impl Network {
                 };
                 if hold {
                     st.held.push(env);
+                    self.sched.wake(dst); // as for a retransmit, see `inject`
                 } else {
                     out.push(env);
                     // Flush each held envelope with probability 1/2.
@@ -1508,6 +1515,53 @@ mod tests {
             net.poison("rank 1 killed by fault injector");
             assert_eq!(parked.join().unwrap(), Err(MpiError::Aborted));
         });
+    }
+
+    /// An envelope withheld *after* its receiver parked must not wait for
+    /// later traffic or global quiescence: rank 2 stays runnable throughout,
+    /// so only the withhold's own wake can release rank 0's message to the
+    /// parked rank 1 (and rank 1's ack to the parked rank 0).
+    fn withheld_message_reaches_a_parked_receiver(model: NetModel) {
+        use crate::{launch, JobSpec, SchedMode};
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let received = AtomicBool::new(false);
+        let spec = JobSpec::new(3).net(model).sched(SchedMode::EventDriven { workers: 3 });
+        let out = launch(&spec, |ctx| match ctx.rank() {
+            0 => {
+                let sched = ctx.network().sched();
+                while sched.is_event() && !sched.is_parked(1) {
+                    std::thread::yield_now();
+                }
+                ctx.send_bytes(1, 5, COMM_WORLD, 0, b"data")?;
+                ctx.recv_bytes(1, 6, COMM_WORLD).map(|_| true)
+            }
+            1 => {
+                ctx.recv_bytes(0, 5, COMM_WORLD)?;
+                received.store(true, Ordering::SeqCst);
+                ctx.send_bytes(0, 6, COMM_WORLD, 0, b"ack").map(|_| true)
+            }
+            _ => {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !received.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                Ok(received.load(Ordering::SeqCst))
+            }
+        })
+        .unwrap();
+        assert!(out.results[2], "the message was released only when rank 2 stopped running");
+    }
+
+    #[test]
+    fn reorder_hold_wakes_the_parked_receiver() {
+        let hold_all = ReorderModel::Random { hold_permille: 1000, max_held: 4 };
+        withheld_message_reaches_a_parked_receiver(NetModel::reliable().with_reorder(hold_all));
+    }
+
+    #[test]
+    fn dropped_message_wakes_the_parked_receiver() {
+        withheld_message_reaches_a_parked_receiver(NetModel::reliable().drop_rate(1000));
     }
 
     #[test]

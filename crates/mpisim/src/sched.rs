@@ -288,6 +288,13 @@ impl Sched {
         out
     }
 
+    /// Is `rank` committed-blocked in a park? Tests wait on this to force
+    /// the interleaving they check.
+    #[cfg(test)]
+    pub(crate) fn is_parked(&self, rank: Rank) -> bool {
+        self.ev.as_ref().is_some_and(|ev| ev.parkers[rank].st.lock().committed)
+    }
+
     /// Take a worker slot (carrier-thread entry; no-op in thread mode).
     pub(crate) fn enter(&self) {
         if let Some(ev) = &self.ev {
@@ -449,7 +456,7 @@ mod tests {
             // the park.)
             let s2 = Arc::clone(&s);
             s2.enter();
-            while !s2.ev.as_ref().unwrap().parkers[0].st.lock().committed {
+            while !s2.is_parked(0) {
                 std::thread::yield_now();
             }
             let seen = s2.epoch(1);
@@ -476,7 +483,7 @@ mod tests {
             // flag that everyone left alive is blocked. (Parking rank 1 to
             // detect this would commit rank 1 forever if it won the race,
             // so watch the committed flag directly.)
-            while !s.ev.as_ref().unwrap().parkers[0].st.lock().committed {
+            while !s.is_parked(0) {
                 std::thread::yield_now();
             }
             assert!(s.rank_exit(), "rank 0 is blocked; exiting rank 1 must report quiescence");

@@ -273,3 +273,45 @@ fn cart_topology_halo_exchange_recovers() {
     assert!(rec.restarts >= 1);
     assert_eq!(rec.handle.results, baseline.results);
 }
+
+/// Replay depends on reductions folding strictly left to right in
+/// local-rank order: a recomputed result must equal the logged one bit for
+/// bit. The inputs make every other association (pairwise tree, right
+/// fold) differ from the left fold in the last bit, on the world and on a
+/// split whose keys reverse the world order.
+#[test]
+fn allreduce_is_the_sequential_rank_order_fold() {
+    // 1e16 + 1.0 rounds back to 1e16, so where the ±1e16 pair cancels
+    // decides which of the 1.0s survive.
+    let input = |local: usize| -> f64 { [1e16, 1.0, -1e16, 1.0][local % 4] };
+    let left_fold = |m: usize| (1..m).fold(input(0), |acc, i| acc + input(i)).to_bits();
+    assert_ne!(left_fold(4), ((input(0) + input(1)) + (input(2) + input(3))).to_bits());
+
+    for n in [1usize, 2, 3, 5, 8] {
+        let store = TempStore::new(&format!("fold-order-{n}"));
+        let out = c3::Job::new(n, C3Config::passive(store.path()))
+            .run(|ctx| {
+                let world = ctx.comm_world();
+                let color = (ctx.rank() % 2) as i64;
+                let half = ctx.comm_split(world, Some(color), -(ctx.rank() as i64))?.unwrap();
+                let mut bits = Vec::new();
+                for c in [world, half] {
+                    let local = ctx.comm_rank(c)?.expect("member");
+                    let sum = ctx.allreduce_on(
+                        c,
+                        &input(local).to_le_bytes(),
+                        mpisim::BasicType::F64,
+                        &ReduceOp::Sum,
+                    )?;
+                    bits.push(u64::from_le_bytes(sum[..8].try_into().unwrap()));
+                }
+                Ok(bits)
+            })
+            .unwrap();
+        for (rank, bits) in out.results.iter().enumerate() {
+            let half_size = if rank % 2 == 0 { n.div_ceil(2) } else { n / 2 };
+            assert_eq!(bits[0], left_fold(n), "n={n} rank {rank} world");
+            assert_eq!(bits[1], left_fold(half_size), "n={n} rank {rank} half");
+        }
+    }
+}
