@@ -35,7 +35,10 @@
 //!     stable µs-scale scenarios, 3× for the noise-prone ns-scale ones;
 //!     `C3_PERF_RATCHET_FACTOR` overrides all of them), and every committed
 //!     scenario must be present in the fresh run
-//! 12. `recovery_trend` — restart-cost percentiles and checkpoint volumes
+//! 12. scaling ratchet: the fresh `scaling --smoke` cg@256 `wall_ms` must
+//!     stay within the ns-scale tolerance (3×, same override) of the
+//!     committed `BENCH_scaling.json` entry; a missing entry fails
+//! 13. `recovery_trend` — restart-cost percentiles and checkpoint volumes
 //!     vs the copy committed at `HEAD` (informational report; parse
 //!     failures gate, noise does not)
 //!
@@ -156,12 +159,9 @@ fn parse_message_path(body: &str) -> Vec<(String, f64)> {
         let name_start = "{\"name\": \"".len();
         let Some(name_end) = obj[name_start..].find('"') else { break };
         let name = obj[name_start..name_start + name_end].to_string();
-        let ns =
-            obj.find("\"ns_per_op\": ").map(|at| at + "\"ns_per_op\": ".len()).and_then(|start| {
-                let num: String =
-                    obj[start..].chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
-                num.parse::<f64>().ok()
-            });
+        let ns = obj
+            .find("\"ns_per_op\": ")
+            .and_then(|at| leading_number(&obj[at + "\"ns_per_op\": ".len()..]));
         if let Some(ns) = ns {
             rows.push((name, ns));
         }
@@ -181,8 +181,23 @@ fn parse_message_path(body: &str) -> Vec<(String, f64)> {
 fn ratchet_factor_for(name: &str) -> f64 {
     match name {
         "ping_pong/copying" | "ping_pong/zero_copy" | "fan_out/copy_per_destination" => 2.0,
-        _ => 3.0,
+        _ => NOISY_FACTOR,
     }
+}
+
+/// Tolerance of the noise-prone ratchet entries: the ns-scale message-path
+/// scenarios and the tens-of-ms scaling smoke.
+const NOISY_FACTOR: f64 = 3.0;
+
+/// `C3_PERF_RATCHET_FACTOR`, the escape hatch over every ratchet factor.
+fn ratchet_override() -> Option<f64> {
+    std::env::var("C3_PERF_RATCHET_FACTOR").ok().and_then(|v| v.parse::<f64>().ok())
+}
+
+/// The leading decimal number of `s`, if any.
+fn leading_number(s: &str) -> Option<f64> {
+    let num: String = s.chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
+    num.parse().ok()
 }
 
 /// The message-path perf ratchet: every scenario in the committed
@@ -196,8 +211,7 @@ fn ratchet_factor_for(name: &str) -> f64 {
 /// silently dropped benchmark is a regression in coverage, not noise.
 fn check_message_path_ratchet(out_dir: &std::path::Path, results: &mut Vec<Step>) {
     println!("\n=== ci_gate: message_path ratchet ===");
-    let global_override =
-        std::env::var("C3_PERF_RATCHET_FACTOR").ok().and_then(|v| v.parse::<f64>().ok());
+    let global_override = ratchet_override();
     let fresh_path = out_dir.join("BENCH_message_path.json");
     let mut ok = true;
     match (std::fs::read_to_string("BENCH_message_path.json"), std::fs::read_to_string(&fresh_path))
@@ -242,6 +256,46 @@ fn check_message_path_ratchet(out_dir: &std::path::Path, results: &mut Vec<Step>
     }
     println!("=== ci_gate: message_path ratchet: {} ===", if ok { "PASS" } else { "FAIL" });
     results.push(Step { name: "message_path ratchet", ok });
+}
+
+/// `wall_ms` of the `kernel` row at `nranks` in a `BENCH_scaling.json` body.
+fn scaling_wall_ms(body: &str, kernel: &str, nranks: usize) -> Option<f64> {
+    let key = format!("{{\"kernel\": \"{kernel}\", \"nranks\": {nranks}, \"wall_ms\": ");
+    body.find(&key).and_then(|at| leading_number(&body[at + key.len()..]))
+}
+
+/// The scaling ratchet: the fresh `scaling --smoke` cg@256 wall time must
+/// stay within [`NOISY_FACTOR`] (or `C3_PERF_RATCHET_FACTOR`) of the
+/// committed `BENCH_scaling.json` entry; a missing entry on either side
+/// fails the gate.
+fn check_scaling_ratchet(out_dir: &std::path::Path, results: &mut Vec<Step>) {
+    println!("\n=== ci_gate: scaling ratchet ===");
+    let factor = ratchet_override().unwrap_or(NOISY_FACTOR);
+    let cg256 = |path: &std::path::Path| {
+        std::fs::read_to_string(path).ok().and_then(|body| scaling_wall_ms(&body, "cg", 256))
+    };
+    let fresh_path = out_dir.join("BENCH_scaling.json");
+    let ok = match (cg256(std::path::Path::new("BENCH_scaling.json")), cg256(&fresh_path)) {
+        (Some(base), Some(cur)) => {
+            let ratio = cur / base;
+            let ok = ratio <= factor;
+            println!(
+                "ci_gate: scaling cg@256: {base:.1} -> {cur:.1} ms ({ratio:.2}x, limit \
+                 {factor:.1}x): {}",
+                if ok { "ok" } else { "REGRESSED" }
+            );
+            ok
+        }
+        (base, cur) => {
+            eprintln!(
+                "ci_gate: scaling cg@256 entry missing (committed {base:?}, fresh {cur:?} in {})",
+                fresh_path.display()
+            );
+            false
+        }
+    };
+    println!("=== ci_gate: scaling ratchet: {} ===", if ok { "PASS" } else { "FAIL" });
+    results.push(Step { name: "scaling ratchet", ok });
 }
 
 fn main() {
@@ -334,6 +388,7 @@ fn main() {
     let out_dir_path = std::path::Path::new(&out_dir);
     check_bench_schemas(out_dir_path, &mut results);
     check_message_path_ratchet(out_dir_path, &mut results);
+    check_scaling_ratchet(out_dir_path, &mut results);
     run(
         "recovery_trend vs HEAD",
         cargo(&[

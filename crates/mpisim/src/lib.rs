@@ -3,8 +3,10 @@
 //! This crate is the *substrate* of the C³ reproduction: it stands in for the
 //! native MPI library of the paper ("Implementation and Evaluation of a
 //! Scalable Application-level Checkpoint-Recovery Scheme for MPI Programs",
-//! SC 2004). Ranks are OS threads inside one process; each rank owns a mailbox
-//! and communicates through a shared [`network::Network`].
+//! SC 2004). Ranks run inside one process — as stackful coroutines on a small
+//! worker-thread pool by default, or one OS thread each under the
+//! thread-per-rank oracle ([`SchedMode`]); each rank owns a mailbox and
+//! communicates through a shared [`network::Network`].
 //!
 //! What matters for the checkpointing protocol built on top is not the wire
 //! transport but MPI's *matching semantics*, which this crate reproduces
@@ -33,6 +35,7 @@
 //! as the paper's co-ordination layer wraps an unmodified MPI library.
 
 pub mod collective;
+mod coro;
 pub mod ctx;
 pub mod datatype;
 pub mod envelope;

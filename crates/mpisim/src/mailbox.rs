@@ -39,7 +39,7 @@
 //!
 //! The producer side of a lane is single-writer by construction: a
 //! signature names its source rank, and on the reliable path only that
-//! rank's carrier thread delivers it; on the fault/reorder paths all
+//! rank (its thread or coroutine) delivers it; on the fault/reorder paths all
 //! deliveries to a destination serialize under the per-destination
 //! fault/reorder stage locks. The lane's own mutex makes the structure safe
 //! even if a caller outside the network breaks that discipline.

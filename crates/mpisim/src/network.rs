@@ -44,7 +44,7 @@ const PARK_POLL: Duration = Duration::from_micros(200);
 const PARK_STALL_BASE: Duration = Duration::from_secs(5);
 
 /// Extra stall allowance per rank: a loaded CI host timeslices every
-/// carrier thread of the oracle scheduler, so legitimate zero-progress
+/// rank thread of the oracle scheduler, so legitimate zero-progress
 /// gaps grow with the thread count. A fixed 5 s window misfired as
 /// `BACKPRESSURE_DEADLOCK` on large thread-mode jobs; the default now
 /// scales with rank count.
@@ -920,7 +920,7 @@ impl Network {
         }
     }
 
-    /// The job's scheduler (worker-gate entry/exit for rank carriers).
+    /// The job's scheduler (runs event-mode ranks as coroutines).
     pub(crate) fn sched(&self) -> &Sched {
         &self.sched
     }

@@ -1,5 +1,5 @@
 //! The rank scheduler: thread-per-rank (the determinism oracle) or
-//! event-driven resumable rank tasks on a fixed worker pool.
+//! event-driven rank coroutines on a fixed worker pool.
 //!
 //! # The parking-points invariant
 //!
@@ -16,42 +16,35 @@
 //!
 //! # How event mode works
 //!
-//! Each rank still owns a (small-stack) carrier thread — its resumable
-//! task's stack — but at most `workers` of them are runnable at once (the
-//! `Gate`); the rest are parked on per-rank epoch `Parker`s and consume
-//! no CPU. Parking replaces the old 200 µs progress polling: a blocked rank
-//! sleeps until an event that can change its condition *wakes* it (a mailbox
-//! delivery, a credit grant, rank completion, poison). At 4096 ranks the
-//! polling scheme degenerates into ~20 M wakeups/s of pure overhead; the
-//! event scheduler does work proportional to messages, which is what makes
-//! the weak-scaling bench (`bench/src/bin/scaling.rs`) possible.
+//! Each rank is a stackful coroutine (`coro.rs`) on a pooled 1 MiB
+//! stack; `workers` OS threads, scoped to the launch, pop runnable ranks
+//! from one FIFO ready queue and switch into them. A blocked rank *parks*:
+//! it switches back to its worker, which picks the next runnable rank. A
+//! parked rank costs no CPU and no OS thread until an event that can change
+//! its condition *wakes* it (a mailbox delivery, a withhold, a credit grant,
+//! rank completion, poison) and puts it back on the queue. The scheduler
+//! does work proportional to messages, which is what makes the
+//! weak-scaling bench (`bench/src/bin/scaling.rs`) possible.
 //!
 //! The wake protocol is lost-wakeup-free by construction: a waiter samples
 //! its epoch *before* re-checking its condition and commits to waiting only
 //! if the epoch is unchanged; every waker makes the condition true before
-//! bumping the epoch.
+//! bumping the epoch. Racing wakes coalesce: however many land while a rank
+//! is runnable, they cost it one epoch observation.
 //!
-//! # Wakeup coalescing and the spin-then-park fast path
-//!
-//! The epoch is the natural coalescing point: a sender flushing a batch of
-//! envelopes bumps the destination's epoch once, and however many wakes race
-//! in while a rank is runnable collapse into one epoch observation — the
-//! `committed` flag guarantees at most one condvar notify per actual sleep.
-//!
-//! A futex round trip costs ~2.5 µs of thread handoff on the bench host;
-//! a `yield_now` handoff costs ~0.6 µs. Small jobs (≤ `SPIN_RANK_CAP`
-//! ranks, override with `C3_PARK_SPIN`; `0` disables) therefore spin-yield
-//! a bounded number of times — watching the epoch atomic, *after* yielding
-//! their worker slot — before committing to a condvar sleep. Tight
-//! request/reply loops then run futex-free. The spin changes only where
-//! time goes, never where a rank blocks: a spinning rank is still runnable,
-//! and after the bound it falls into the exact committed-park path, so
-//! quiescence detection and op clocks are untouched.
+//! A rank's state (`Running | Parking | Parked | Woken | Done`) lives under
+//! its own mutex. `park` commits (`Running → Parking`) and switches out;
+//! only once the switch has completed does the worker turn `Parking →
+//! Parked`. A wake that arrives during the switch marks the rank `Woken`
+//! and the *worker* re-queues it after the switch — so no two workers ever
+//! enter one stack. An idle worker spin-yields a bounded number of times on
+//! the queue length before it sleeps, which keeps tight request/reply
+//! handoffs futex-free.
 //!
 //! # Exact quiescence detection
 //!
 //! Committed-blocked ranks are counted; the rank whose park would make
-//! *every* live rank blocked does not wait — the scheduler reports global
+//! *every* live rank blocked does not park — the scheduler reports global
 //! quiescence instead and the network runs a deterministic deadlock
 //! detective (flush withheld envelopes, re-check, then prove a send cycle or
 //! poison with a diagnosable verdict). No wall-clock window is involved, so
@@ -59,20 +52,16 @@
 //! load — the event-mode replacement for the thread-mode oracle's
 //! `C3_STALL_MS` fallback.
 
+use crate::coro::{self, Sp, Stack};
 use crate::Rank;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::cell::UnsafeCell;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-/// Jobs with at most this many ranks spin-yield before a condvar park.
-const SPIN_RANK_CAP: usize = 8;
-/// Bounded spin iterations (each one `yield_now` + an epoch load).
-const DEFAULT_PARK_SPIN: u32 = 64;
-
-fn park_spin_override() -> Option<u32> {
-    static SPIN: OnceLock<Option<u32>> = OnceLock::new();
-    *SPIN.get_or_init(|| std::env::var("C3_PARK_SPIN").ok().and_then(|v| v.parse().ok()))
-}
+/// Bounded idle spin of a worker (each one `yield_now` + a queue-length
+/// load) before it sleeps on the ready-queue condvar.
+const IDLE_SPIN: u32 = 64;
 
 /// How ranks of a job are scheduled onto OS threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,11 +70,11 @@ pub enum SchedMode {
     /// original scheduler, kept as the determinism oracle
     /// (`C3_SCHED=threads` forces it globally).
     ThreadPerRank,
-    /// Ranks are resumable tasks on a fixed worker pool: at most `workers`
-    /// ranks are runnable at once and blocked ranks park until an event
-    /// wakes them. `workers: 0` means one worker per available CPU.
+    /// Ranks are stackful coroutines on `workers` OS threads: blocked ranks
+    /// park until an event wakes them. `workers: 0` means one worker per
+    /// available CPU.
     EventDriven {
-        /// Maximum concurrently-runnable ranks (0 = number of CPUs).
+        /// Worker threads running rank coroutines (0 = number of CPUs).
         workers: usize,
     },
 }
@@ -107,31 +96,50 @@ pub(crate) enum Parked {
     Quiescent,
 }
 
-/// Per-rank epoch parker. The epoch (an atomic, so sampling it on the hot
-/// path is lock-free) counts wakes; `committed` is true while the owning
-/// rank is inside `cv.wait` (it is the quiescence-accounting truth: a rank
-/// with a pending, not-yet-processed wake is *not* counted blocked, because
-/// `wake` clears the flag synchronously). Epoch bumps happen under the
-/// `committed` lock so the re-check inside the committed park is atomic.
-struct Parker {
+/// Where a rank coroutine is in its life. `Parking` and `Parked` are the
+/// committed-blocked states counted in [`Counts::blocked`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum State {
+    /// On a worker.
+    Running,
+    /// Committed to a park, still switching out of its worker.
+    Parking,
+    /// Switched out; a wake must queue it.
+    Parked,
+    /// Runnable and queued (or about to be re-queued by the worker that is
+    /// finishing its switch out).
+    Woken,
+    /// Returned from its body; its stack is recycled.
+    Done,
+}
+
+/// One rank coroutine. The epoch (an atomic, so sampling it on the hot path
+/// is lock-free) counts wakes; epoch bumps happen under `st` so the
+/// re-check inside a committing park is atomic.
+struct Task {
     epoch: AtomicU64,
-    st: Mutex<ParkerState>,
-    cv: Condvar,
+    st: Mutex<State>,
+    /// Set while a worker runs this rank: entering a stack twice panics,
+    /// and parking off the rank's own coroutine is refused.
+    on_cpu: AtomicBool,
+    /// The suspended coroutine's stack pointer.
+    sp: UnsafeCell<Sp>,
+    /// The save slot of the worker running this rank.
+    home: UnsafeCell<*mut Sp>,
+    /// Mapped at first resume, recycled at `Done`.
+    stack: UnsafeCell<Option<Stack>>,
 }
 
-struct ParkerState {
-    committed: bool,
-}
-
-impl Parker {
-    fn new() -> Self {
-        Parker {
-            epoch: AtomicU64::new(0),
-            st: Mutex::new(ParkerState { committed: false }),
-            cv: Condvar::new(),
-        }
-    }
-}
+// SAFETY: the `UnsafeCell` fields are touched only by the worker that owns
+// the rank's execution — between popping it (`Woken → Running` under `st`)
+// and observing its switch out (under `st` again) — and by the coroutine
+// itself while it runs on that worker. The `st` transitions and the ready
+// queue mutex order every hand-off between workers; `on_cpu` checks it.
+// The raw pointers name a stack and a worker slot, neither tied to the
+// thread that created the `Task`.
+unsafe impl Sync for Task {}
+// SAFETY: as for `Sync`.
+unsafe impl Send for Task {}
 
 /// Blocked/live accounting for quiescence detection. One mutex makes the
 /// "last unblocked rank" determination exact: two ranks can never both
@@ -141,60 +149,31 @@ struct Counts {
     live: usize,
 }
 
-/// Admission gate: at most `workers` rank tasks are runnable at once.
-/// Elided entirely (`None` in [`EventSched`]) when the worker pool covers
-/// every rank, since the gate can then never block. The waiter count lets
-/// `release` skip the condvar syscall when nobody is asleep — the common
-/// case once parks spin-yield.
-struct Gate {
-    st: Mutex<GateState>,
+/// The FIFO of runnable ranks. `len` mirrors the deque so idle workers can
+/// spin without the lock; `sleepers` lets `push` skip the notify syscall.
+struct Ready {
+    q: Mutex<ReadyQ>,
     cv: Condvar,
+    len: AtomicUsize,
+    /// Ranks not yet `Done`; workers exit when it reaches zero.
+    remaining: AtomicUsize,
 }
 
-struct GateState {
-    free: usize,
-    waiters: usize,
-}
-
-impl Gate {
-    fn acquire(&self, spin: u32) {
-        for _ in 0..spin {
-            if let Some(mut st) = self.st.try_lock() {
-                if st.free > 0 {
-                    st.free -= 1;
-                    return;
-                }
-            }
-            std::thread::yield_now();
-        }
-        let mut st = self.st.lock();
-        while st.free == 0 {
-            st.waiters += 1;
-            self.cv.wait(&mut st);
-            st.waiters -= 1;
-        }
-        st.free -= 1;
-    }
-
-    fn release(&self) {
-        let mut st = self.st.lock();
-        st.free += 1;
-        if st.waiters > 0 {
-            self.cv.notify_one();
-        }
-    }
+struct ReadyQ {
+    ranks: VecDeque<Rank>,
+    sleepers: usize,
 }
 
 struct EventSched {
-    parkers: Vec<Parker>,
+    workers: usize,
+    tasks: Vec<Task>,
     counts: Mutex<Counts>,
-    gate: Option<Gate>,
-    spin: u32,
+    ready: Ready,
 }
 
 /// The job's scheduler. In thread-per-rank mode every method is a cheap
-/// no-op; in event mode it owns the parkers, the worker gate, and the
-/// quiescence accounting.
+/// no-op; in event mode it owns the rank coroutines, the ready queue, and
+/// the quiescence accounting.
 pub(crate) struct Sched {
     ev: Option<EventSched>,
 }
@@ -209,19 +188,25 @@ impl Sched {
                 } else {
                     workers
                 };
-                let spin = park_spin_override().unwrap_or(if nranks <= SPIN_RANK_CAP {
-                    DEFAULT_PARK_SPIN
-                } else {
-                    0
-                });
                 Some(EventSched {
-                    parkers: (0..nranks).map(|_| Parker::new()).collect(),
+                    workers,
+                    tasks: (0..nranks)
+                        .map(|_| Task {
+                            epoch: AtomicU64::new(0),
+                            st: Mutex::new(State::Woken),
+                            on_cpu: AtomicBool::new(false),
+                            sp: UnsafeCell::new(std::ptr::null_mut()),
+                            home: UnsafeCell::new(std::ptr::null_mut()),
+                            stack: UnsafeCell::new(None),
+                        })
+                        .collect(),
                     counts: Mutex::new(Counts { blocked: 0, live: nranks }),
-                    gate: (workers < nranks).then(|| Gate {
-                        st: Mutex::new(GateState { free: workers, waiters: 0 }),
+                    ready: Ready {
+                        q: Mutex::new(ReadyQ { ranks: (0..nranks).collect(), sleepers: 0 }),
                         cv: Condvar::new(),
-                    }),
-                    spin,
+                        len: AtomicUsize::new(nranks),
+                        remaining: AtomicUsize::new(nranks),
+                    },
                 })
             }
         };
@@ -234,17 +219,31 @@ impl Sched {
         self.ev.is_some()
     }
 
+    /// Run `body(rank)` for every rank as coroutines on the worker pool and
+    /// return when all have finished. `body` must not unwind (see
+    /// [`crate::coro`]). Event mode only; call once per scheduler.
+    pub(crate) fn run_tasks(&self, body: &(dyn Fn(Rank) + Sync)) {
+        let ev = self.ev.as_ref().expect("run_tasks needs the event scheduler");
+        let boots: Vec<Boot> = (0..ev.tasks.len()).map(|rank| Boot { ev, body, rank }).collect();
+        std::thread::scope(|s| {
+            for _ in 1..ev.workers.min(ev.tasks.len()) {
+                s.spawn(|| ev.work(&boots));
+            }
+            ev.work(&boots);
+        });
+    }
+
     /// The rank's current wake epoch (0 in thread mode). Sample this
     /// *before* checking the blocking condition; pass it to [`Sched::park`].
     #[inline]
     pub(crate) fn epoch(&self, rank: Rank) -> u64 {
         match &self.ev {
-            Some(ev) => ev.parkers[rank].epoch.load(Ordering::Acquire),
+            Some(ev) => ev.tasks[rank].epoch.load(Ordering::Acquire),
             None => 0,
         }
     }
 
-    /// Wake `rank`: bump its epoch and release it if committed-blocked.
+    /// Wake `rank`: bump its epoch and queue it if committed-blocked.
     /// Callers must make the rank's wake condition true *before* calling.
     pub(crate) fn wake(&self, rank: Rank) {
         if let Some(ev) = &self.ev {
@@ -255,58 +254,58 @@ impl Sched {
     /// Wake every rank (poison propagation).
     pub(crate) fn wake_all(&self) {
         if let Some(ev) = &self.ev {
-            for rank in 0..ev.parkers.len() {
+            for rank in 0..ev.tasks.len() {
                 ev.wake(rank);
             }
         }
     }
 
-    /// Park `rank` until its epoch moves past `seen`, yielding its worker
-    /// slot while blocked. Returns [`Parked::Quiescent`] instead of sleeping
-    /// when this park would leave no live rank runnable.
+    /// Park `rank` — from its own coroutine — until its epoch moves past
+    /// `seen`, handing its worker to the next runnable rank. Returns
+    /// [`Parked::Quiescent`] instead of parking when this park would leave
+    /// no live rank runnable.
     pub(crate) fn park(&self, rank: Rank, seen: u64) -> Parked {
         let Some(ev) = &self.ev else {
             return Parked::Ran;
         };
-        let p = &ev.parkers[rank];
-        if p.epoch.load(Ordering::Acquire) != seen {
+        let t = &ev.tasks[rank];
+        if t.epoch.load(Ordering::Acquire) != seen {
             return Parked::Ran; // a wake raced the condition check
         }
-        ev.gate_release();
-        // Fast path: spin-yield watching the epoch before paying a futex
-        // sleep. The worker slot is already yielded, so a peer can run.
-        let mut out = None;
-        for _ in 0..ev.spin {
-            std::thread::yield_now();
-            if p.epoch.load(Ordering::Acquire) != seen {
-                out = Some(Parked::Ran);
-                break;
+        assert!(t.on_cpu.load(Ordering::Relaxed), "rank {rank} parked off its own coroutine");
+        {
+            let mut st = t.st.lock();
+            if t.epoch.load(Ordering::Acquire) != seen {
+                return Parked::Ran;
             }
+            let mut c = ev.counts.lock();
+            c.blocked += 1;
+            if c.blocked == c.live {
+                c.blocked -= 1;
+                return Parked::Quiescent;
+            }
+            drop(c);
+            // Commit: from here a waker bumps the epoch and un-counts the
+            // rank under `st`; the worker re-queues it once we are off the
+            // stack (`Woken`) or a later wake queues it (`Parked`).
+            *st = State::Parking;
         }
-        let out = out.unwrap_or_else(|| ev.park(rank, seen));
-        ev.gate_acquire();
-        out
+        // SAFETY: we run on this rank's coroutine (`on_cpu`), holding no
+        // lock; `home` is the save slot of the worker that resumed us, which
+        // stays suspended in `work` until we switch back. Our own context is
+        // resumed only after that worker has seen `Parking` turn into a
+        // queue entry.
+        unsafe { coro::switch(t.sp.get(), **t.home.get()) };
+        Parked::Ran
     }
 
     /// Is `rank` committed-blocked in a park? Tests wait on this to force
     /// the interleaving they check.
     #[cfg(test)]
     pub(crate) fn is_parked(&self, rank: Rank) -> bool {
-        self.ev.as_ref().is_some_and(|ev| ev.parkers[rank].st.lock().committed)
-    }
-
-    /// Take a worker slot (carrier-thread entry; no-op in thread mode).
-    pub(crate) fn enter(&self) {
-        if let Some(ev) = &self.ev {
-            ev.gate_acquire();
-        }
-    }
-
-    /// Return the worker slot (carrier-thread exit; no-op in thread mode).
-    pub(crate) fn leave(&self) {
-        if let Some(ev) = &self.ev {
-            ev.gate_release();
-        }
+        self.ev
+            .as_ref()
+            .is_some_and(|ev| matches!(*ev.tasks[rank].st.lock(), State::Parking | State::Parked))
     }
 
     /// Mark a rank's task finished. Returns true when the remaining live
@@ -324,51 +323,124 @@ impl Sched {
     }
 }
 
+/// A coroutine's entry argument: everything its first resume needs.
+struct Boot<'a> {
+    ev: &'a EventSched,
+    body: &'a (dyn Fn(Rank) + Sync),
+    rank: Rank,
+}
+
+extern "C" fn rank_main(arg: *mut u8) -> ! {
+    // SAFETY: `arg` is this rank's `Boot`, which `run_tasks` keeps alive
+    // until every worker has returned, i.e. until every rank is `Done`.
+    let boot = unsafe { &*(arg as *const Boot<'_>) };
+    (boot.body)(boot.rank);
+    let t = &boot.ev.tasks[boot.rank];
+    *t.st.lock() = State::Done;
+    // SAFETY: as in `park`; a `Done` context is never resumed, and its
+    // stack is recycled only after this switch completed.
+    unsafe { coro::switch(t.sp.get(), **t.home.get()) };
+    unreachable!("a finished rank coroutine was resumed");
+}
+
 impl EventSched {
-    fn gate_acquire(&self) {
-        if let Some(g) = &self.gate {
-            g.acquire(self.spin);
+    fn wake(&self, rank: Rank) {
+        let t = &self.tasks[rank];
+        let mut st = t.st.lock();
+        t.epoch.fetch_add(1, Ordering::Release);
+        let prev = *st;
+        if matches!(prev, State::Parking | State::Parked) {
+            *st = State::Woken;
+            self.counts.lock().blocked -= 1;
+        }
+        drop(st);
+        if prev == State::Parked {
+            self.ready.push(rank);
         }
     }
 
-    fn gate_release(&self) {
-        if let Some(g) = &self.gate {
-            g.release();
-        }
-    }
-
-    fn park(&self, rank: Rank, seen: u64) -> Parked {
-        let p = &self.parkers[rank];
-        let mut st = p.st.lock();
-        if p.epoch.load(Ordering::Acquire) != seen {
-            return Parked::Ran; // woken while yielding the gate slot
-        }
-        {
-            let mut c = self.counts.lock();
-            c.blocked += 1;
-            if c.blocked == c.live {
-                c.blocked -= 1;
-                return Parked::Quiescent;
+    /// A worker: resume runnable ranks until every rank is `Done`.
+    fn work(&self, boots: &[Boot<'_>]) {
+        let mut saved: Sp = std::ptr::null_mut();
+        let slot: *mut Sp = &mut saved;
+        while let Some(rank) = self.ready.pop() {
+            let t = &self.tasks[rank];
+            *t.st.lock() = State::Running;
+            assert!(!t.on_cpu.swap(true, Ordering::Acquire), "rank {rank}'s stack entered twice");
+            // SAFETY: popping the rank made this worker the owner of its
+            // cells (see `Task`); its stack is either fresh or holds a context
+            // suspended by `switch`, entered by no one else (`on_cpu`).
+            unsafe {
+                let stack = &mut *t.stack.get();
+                if stack.is_none() {
+                    let boot = &boots[rank] as *const Boot<'_> as *mut u8;
+                    *t.sp.get() = stack.insert(Stack::take()).prepare(rank_main, boot);
+                }
+                *t.home.get() = slot;
+                coro::switch(slot, *t.sp.get());
+            }
+            t.on_cpu.store(false, Ordering::Release);
+            let mut st = t.st.lock();
+            match *st {
+                State::Parking => *st = State::Parked,
+                State::Woken => {
+                    drop(st);
+                    self.ready.push(rank);
+                }
+                State::Done => {
+                    drop(st);
+                    // SAFETY: the coroutine is `Done` and off its stack.
+                    if let Some(stack) = unsafe { (*t.stack.get()).take() } {
+                        stack.recycle();
+                    }
+                    self.ready.finish_one();
+                }
+                s @ (State::Running | State::Parked) => {
+                    unreachable!("rank {rank} switched out in state {s:?}")
+                }
             }
         }
-        // Commit: from here a waker both bumps the epoch and clears the
-        // flag (decrementing `blocked`), all under the parker lock we hold
-        // until the wait releases it — no lost wakeup, no stale accounting.
-        st.committed = true;
-        while st.committed {
-            p.cv.wait(&mut st);
+    }
+}
+
+impl Ready {
+    fn push(&self, rank: Rank) {
+        let mut q = self.q.lock();
+        q.ranks.push_back(rank);
+        self.len.fetch_add(1, Ordering::Release);
+        if q.sleepers > 0 {
+            self.cv.notify_one();
         }
-        Parked::Ran
     }
 
-    fn wake(&self, rank: Rank) {
-        let p = &self.parkers[rank];
-        let mut st = p.st.lock();
-        p.epoch.fetch_add(1, Ordering::Release);
-        if st.committed {
-            st.committed = false;
-            self.counts.lock().blocked -= 1;
-            p.cv.notify_all();
+    /// The next runnable rank, or `None` once every rank is `Done`.
+    fn pop(&self) -> Option<Rank> {
+        for _ in 0..IDLE_SPIN {
+            if self.len.load(Ordering::Acquire) > 0 || self.remaining.load(Ordering::Acquire) == 0 {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        let mut q = self.q.lock();
+        loop {
+            if let Some(rank) = q.ranks.pop_front() {
+                self.len.fetch_sub(1, Ordering::Relaxed);
+                return Some(rank);
+            }
+            if self.remaining.load(Ordering::Acquire) == 0 {
+                return None;
+            }
+            q.sleepers += 1;
+            self.cv.wait(&mut q);
+            q.sleepers -= 1;
+        }
+    }
+
+    /// A rank reached `Done`; the last one releases every idle worker.
+    fn finish_one(&self) {
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let _q = self.q.lock();
+            self.cv.notify_all();
         }
     }
 }
@@ -376,8 +448,7 @@ impl EventSched {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn thread_mode_is_inert() {
@@ -413,113 +484,89 @@ mod tests {
     }
 
     #[test]
-    fn park_sleeps_until_woken() {
-        let s = Arc::new(Sched::new(SchedMode::EventDriven { workers: 2 }, 2));
-        let turns = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            let (s1, t1) = (Arc::clone(&s), Arc::clone(&turns));
-            scope.spawn(move || {
-                s1.enter();
-                let seen = s1.epoch(0);
-                assert_eq!(s1.park(0, seen), Parked::Ran);
-                t1.fetch_add(1, Ordering::SeqCst);
-                s1.leave();
-            });
-            let (s2, t2) = (Arc::clone(&s), Arc::clone(&turns));
-            scope.spawn(move || {
-                s2.enter();
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                assert_eq!(t2.load(Ordering::SeqCst), 0, "rank 0 must stay parked");
-                s2.wake(0);
-                s2.leave();
-            });
-        });
-        assert_eq!(turns.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
     fn last_unblocked_rank_observes_quiescence() {
-        let s = Arc::new(Sched::new(SchedMode::EventDriven { workers: 2 }, 2));
-        std::thread::scope(|scope| {
-            let s1 = Arc::clone(&s);
-            let h = scope.spawn(move || {
-                s1.enter();
-                let seen = s1.epoch(0);
-                let out = s1.park(0, seen);
-                s1.leave();
-                out
-            });
-            // Wait until rank 0 is committed-blocked, then rank 1's park
-            // must not sleep: it is the last runnable rank. (Parking before
-            // rank 0 commits would itself commit — and nothing ever wakes
-            // rank 1 — so the wait must watch the committed flag, not race
-            // the park.)
-            let s2 = Arc::clone(&s);
-            s2.enter();
-            while !s2.is_parked(0) {
-                std::thread::yield_now();
+        // One worker serializes the ranks: rank 0 runs first and parks,
+        // then rank 1 — the last runnable rank — must not park.
+        let s = Sched::new(SchedMode::EventDriven { workers: 1 }, 2);
+        let outs = [AtomicU64::new(9), AtomicU64::new(9)];
+        s.run_tasks(&|rank| {
+            let seen = s.epoch(rank);
+            if rank == 0 {
+                let out = s.park(0, seen);
+                outs[0].store((out == Parked::Quiescent) as u64, Ordering::SeqCst);
+            } else {
+                let out = s.park(1, seen);
+                outs[1].store((out == Parked::Quiescent) as u64, Ordering::SeqCst);
+                s.wake(0);
             }
-            let seen = s2.epoch(1);
-            assert_eq!(s2.park(1, seen), Parked::Quiescent);
-            s2.wake(0);
-            s2.leave();
-            assert_eq!(h.join().unwrap(), Parked::Ran);
+            s.rank_exit();
         });
+        assert_eq!(outs[0].load(Ordering::SeqCst), 0, "rank 0 parked and was woken");
+        assert_eq!(outs[1].load(Ordering::SeqCst), 1, "rank 1 must observe quiescence");
     }
 
     #[test]
     fn rank_exit_reports_quiescence_of_the_remainder() {
-        let s = Arc::new(Sched::new(SchedMode::EventDriven { workers: 2 }, 2));
-        std::thread::scope(|scope| {
-            let s1 = Arc::clone(&s);
-            let h = scope.spawn(move || {
-                s1.enter();
-                let seen = s1.epoch(0);
-                let out = s1.park(0, seen);
-                s1.leave();
-                out
-            });
-            // Wait until rank 0 commits, then "exit" rank 1: the exit must
-            // flag that everyone left alive is blocked. (Parking rank 1 to
-            // detect this would commit rank 1 forever if it won the race,
-            // so watch the committed flag directly.)
-            while !s.is_parked(0) {
+        let s = Sched::new(SchedMode::EventDriven { workers: 1 }, 2);
+        let reported = AtomicBool::new(false);
+        s.run_tasks(&|rank| {
+            if rank == 0 {
+                let seen = s.epoch(0);
+                assert_eq!(s.park(0, seen), Parked::Ran);
+            } else {
+                // Rank 0 is parked: exiting rank 1 leaves only blocked ranks.
+                reported.store(s.rank_exit(), Ordering::SeqCst);
+                s.wake(0);
+                return;
+            }
+            s.rank_exit();
+        });
+        assert!(reported.load(Ordering::SeqCst), "exiting rank 1 must report quiescence");
+    }
+
+    #[test]
+    fn at_most_workers_ranks_run_at_once() {
+        let s = Sched::new(SchedMode::EventDriven { workers: 2 }, 6);
+        let (inside, peak) = (AtomicU64::new(0), AtomicU64::new(0));
+        s.run_tasks(&|_| {
+            let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            for _ in 0..100 {
                 std::thread::yield_now();
             }
-            assert!(s.rank_exit(), "rank 0 is blocked; exiting rank 1 must report quiescence");
-            s.wake(0);
-            assert_eq!(h.join().unwrap(), Parked::Ran);
+            inside.fetch_sub(1, Ordering::SeqCst);
+            s.rank_exit();
         });
+        assert!(peak.load(Ordering::SeqCst) <= 2, "two workers ran more than two ranks");
     }
 
+    /// The wake-during-switch-out race: two ranks hand a token back and
+    /// forth on two workers, so wakes routinely land while the waker's peer
+    /// is still switching out. `on_cpu` panics if a stack is ever entered
+    /// by two workers at once.
     #[test]
-    fn gate_admits_at_most_workers() {
-        let s = Arc::new(Sched::new(SchedMode::EventDriven { workers: 1 }, 3));
-        let inside = Arc::new(AtomicU64::new(0));
-        let peak = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let (s, inside, peak) = (Arc::clone(&s), Arc::clone(&inside), Arc::clone(&peak));
-                scope.spawn(move || {
-                    s.enter();
-                    let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                    inside.fetch_sub(1, Ordering::SeqCst);
-                    s.leave();
-                });
+    fn ping_pong_handoffs_never_enter_a_stack_twice() {
+        const HANDOFFS: u64 = 100_000;
+        let s = Sched::new(SchedMode::EventDriven { workers: 2 }, 2);
+        let turn = AtomicU64::new(0);
+        s.run_tasks(&|rank| {
+            let peer = 1 - rank;
+            loop {
+                let seen = s.epoch(rank);
+                let t = turn.load(Ordering::SeqCst);
+                if t >= HANDOFFS {
+                    break;
+                }
+                if t % 2 == rank as u64 {
+                    turn.store(t + 1, Ordering::SeqCst);
+                    s.wake(peer);
+                } else {
+                    assert_eq!(s.park(rank, seen), Parked::Ran, "the peer always wakes us");
+                }
             }
+            s.rank_exit();
+            s.wake(peer);
         });
-        assert_eq!(peak.load(Ordering::SeqCst), 1, "one worker slot must serialize the tasks");
-    }
-
-    #[test]
-    fn gate_is_elided_when_workers_cover_ranks() {
-        let s = Sched::new(SchedMode::EventDriven { workers: 4 }, 3);
-        let ev = s.ev.as_ref().unwrap();
-        assert!(ev.gate.is_none(), "a gate that can never block must not exist");
-        // enter/leave must still be callable no-ops.
-        s.enter();
-        s.leave();
+        assert_eq!(turn.load(Ordering::SeqCst), HANDOFFS);
     }
 }

@@ -6,6 +6,7 @@ use crate::error::MpiError;
 use crate::network::{ClusterModel, NetModel, Network, ReorderModel};
 use crate::sched::SchedMode;
 use crate::Rank;
+use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -101,20 +102,6 @@ fn sched_override() -> Option<SchedMode> {
     })
 }
 
-/// Carrier-thread stack size for event-mode rank tasks
-/// (`C3_RANK_STACK_KB`, default 1 MiB): thousands of rank tasks must
-/// coexist, so their stacks are kept far below the OS default.
-fn rank_stack_bytes() -> usize {
-    static KB: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *KB.get_or_init(|| {
-        std::env::var("C3_RANK_STACK_KB")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|kb| *kb >= 64)
-            .unwrap_or(1024)
-    }) * 1024
-}
-
 /// Why a job did not complete.
 #[derive(Debug, Clone)]
 pub enum JobError {
@@ -190,12 +177,11 @@ where
         Panic,
     }
 
-    // One carrier thread per rank under either scheduler; in event mode the
-    // carrier is small-stack and at most `workers` of them are runnable at
-    // once (the rest park, consuming no CPU).
-    let run_rank = |rank: Rank, net: Arc<Network>| {
-        net.sched().enter();
-        let mut ctx = RankCtx::new(rank, net.clone());
+    // Thread mode: one OS thread per rank. Event mode: one coroutine per
+    // rank on the scheduler's worker pool; the `catch_unwind` below keeps
+    // every panic on the rank's own stack (see `coro.rs`).
+    let run_rank = |rank: Rank| {
+        let mut ctx = RankCtx::new(rank, Arc::clone(&net));
         let outcome = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
             Ok(Ok(v)) => Outcome::Ok(v, ctx.vtime()),
             Ok(Err(e)) => {
@@ -213,27 +199,23 @@ where
         // parked on it, and let the scheduler account the exit (the last
         // runnable rank leaving must trigger the deadlock detective).
         net.rank_done(rank);
-        net.sched().leave();
         outcome
     };
     let run_rank = &run_rank;
 
-    let outcomes: Vec<Outcome<T>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..spec.nranks)
-            .map(|rank| {
-                let net = Arc::clone(&net);
-                match mode {
-                    SchedMode::ThreadPerRank => s.spawn(move || run_rank(rank, net)),
-                    SchedMode::EventDriven { .. } => std::thread::Builder::new()
-                        .name(format!("rank{rank}"))
-                        .stack_size(rank_stack_bytes())
-                        .spawn_scoped(s, move || run_rank(rank, net))
-                        .expect("spawn rank carrier"),
-                }
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank thread joins")).collect()
-    });
+    let outcomes: Vec<Outcome<T>> = match mode {
+        SchedMode::ThreadPerRank => std::thread::scope(|s| {
+            let handles: Vec<_> =
+                (0..spec.nranks).map(|rank| s.spawn(move || run_rank(rank))).collect();
+            handles.into_iter().map(|h| h.join().expect("rank thread joins")).collect()
+        }),
+        SchedMode::EventDriven { .. } => {
+            let slots: Vec<Mutex<Option<Outcome<T>>>> =
+                (0..spec.nranks).map(|_| Mutex::new(None)).collect();
+            net.sched().run_tasks(&|rank| *slots[rank].lock() = Some(run_rank(rank)));
+            slots.iter().map(|s| s.lock().take().expect("every rank ran to completion")).collect()
+        }
+    };
 
     // Classify: panics dominate, then non-abort errors, then abort.
     for (rank, o) in outcomes.iter().enumerate() {
@@ -501,6 +483,78 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out.results, vec![3, 0, 1, 2]);
+    }
+
+    /// The process's current OS thread count.
+    fn os_threads() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+        let line = status.lines().find(|l| l.starts_with("Threads:")).expect("Threads: line");
+        line["Threads:".len()..].trim().parse().expect("thread count")
+    }
+
+    #[test]
+    fn a_4096_rank_ring_runs_on_a_few_worker_threads() {
+        if matches!(sched_override(), Some(SchedMode::ThreadPerRank)) {
+            return; // the forced oracle is one OS thread per rank by design
+        }
+        // Concurrent tests in this binary own threads too; 4096 ranks as
+        // OS threads would exceed this slack by two orders of magnitude.
+        const SLACK: usize = 32;
+        for workers in [1, 2] {
+            let spec = JobSpec::new(4096).sched(SchedMode::EventDriven { workers });
+            let peak = std::sync::atomic::AtomicUsize::new(0);
+            let out = launch(&spec, |ctx| {
+                let (me, n) = (ctx.rank(), ctx.nranks());
+                ctx.send((me + 1) % n, 1, &[me as u64])?;
+                if me % 512 == 0 {
+                    peak.fetch_max(os_threads(), Ordering::Relaxed);
+                }
+                let (vals, _) = ctx.recv::<u64>(((me + n - 1) % n) as i32, 1)?;
+                Ok(vals[0])
+            })
+            .unwrap();
+            assert!(out.results.iter().enumerate().all(|(r, v)| *v as usize == (r + 4095) % 4096));
+            let peak = peak.load(Ordering::Relaxed);
+            assert!(peak <= workers + SLACK, "{peak} OS threads with {workers} worker(s)");
+        }
+    }
+
+    #[test]
+    fn a_rank_panic_leaves_the_stack_pool_usable() {
+        if matches!(sched_override(), Some(SchedMode::ThreadPerRank)) {
+            return; // the stack pool belongs to the event scheduler
+        }
+        let spec = JobSpec::new(3).sched(SchedMode::EventDriven { workers: 2 });
+        let err = launch(&spec, |ctx| {
+            if ctx.rank() == 1 {
+                panic!("boom");
+            }
+            ctx.recv::<u64>(ANY_SOURCE, ANY_TAG).map(|_| ())
+        })
+        .unwrap_err();
+        assert!(matches!(err, JobError::Panicked { rank: 1 }), "got {err:?}");
+        let out = launch(&spec, |ctx| Ok(ctx.rank())).unwrap();
+        assert_eq!(out.results, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn half_a_mebibyte_of_recursion_fits_a_rank_stack() {
+        const DEPTH: usize = 512 << 10;
+        /// Recurse until `DEPTH` bytes of stack lie below `top`; returns
+        /// the number of frames it took.
+        fn deep(top: usize) -> usize {
+            let frame = std::hint::black_box([1u8; 1024]);
+            if top - frame.as_ptr() as usize >= DEPTH {
+                return frame[0] as usize;
+            }
+            deep(top) + frame[1023] as usize
+        }
+        let out = launch(&JobSpec::new(2), |_| {
+            let top = std::hint::black_box(0u8);
+            Ok(deep(&top as *const u8 as usize))
+        })
+        .unwrap();
+        assert!(out.results.iter().all(|frames| *frames > 1), "{:?}", out.results);
     }
 
     #[test]
