@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §5, paper §4.5): the new protocol separates
+//! Ablation (paper §4.5): the new protocol separates
 //! non-deterministic-event logging (NonDet-Log) from late-message recording
 //! (RecvOnly-Log); the old protocol of [5, 6] kept one combined phase in
 //! which *both* kinds of logging ran for the whole checkpoint interval.

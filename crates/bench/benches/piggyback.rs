@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §5): the paper's 3-bit piggyback (§3.2) vs
+//! Ablation: the paper's 3-bit piggyback (§3.2) vs
 //! piggybacking the full epoch integer + mode. The economical encoding is
 //! both smaller on the wire (3 bits vs 9 bytes) and cheaper to process.
 

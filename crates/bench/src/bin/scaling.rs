@@ -1,9 +1,8 @@
-//! `scaling` — the weak-scaling bench behind the event-driven scheduler.
+//! `scaling` — the weak-scaling bench behind the rank scheduler.
 //!
-//! The paper's platform (§6) runs up to thousands of MPI processes; with
-//! thread-per-rank the substrate tops out at a few hundred ranks of OS
-//! scheduler thrash. The event-driven scheduler turns ranks into resumable
-//! tasks on a fixed worker pool, so one process can simulate 4096 ranks.
+//! The paper's platform (§6) runs up to thousands of MPI processes. The
+//! scheduler runs ranks as coroutines on a fixed worker pool, not one OS
+//! thread each, so one process can simulate 4096 ranks.
 //! This bench pins that claim: NPB kernels at weak-scaling problem sizes
 //! (per-rank work constant) from 64 to 4096 ranks on the Lemieux cluster
 //! model, emitting `BENCH_scaling.json` (working directory, or under
@@ -16,10 +15,10 @@
 //! * `ep` — embarrassingly parallel, one block per rank: pure compute with
 //!   three final allreduces — the synchronization-floor shape.
 //!
-//! At the smallest scale the checksums are cross-checked against the
-//! thread-per-rank oracle (the determinism anchor: results and op clocks
-//! are scheduler-independent), so the numbers recorded here are provably
-//! measurements of the same computation.
+//! At the smallest scale the default worker pool is cross-checked against
+//! the serial `workers: 1` schedule (the determinism anchor: results,
+//! makespans and message counts are schedule-independent), so the numbers
+//! recorded here are provably measurements of the same computation.
 //!
 //! Flags: `--smoke` runs only cg at 256 ranks (the ci_gate configuration);
 //! `--max-ranks N` caps the sweep.
@@ -29,10 +28,9 @@ use mpisim::{ClusterModel, JobSpec, SchedMode};
 use std::time::Instant;
 
 const RANKS: [usize; 4] = [64, 256, 1024, 4096];
-/// Largest scale at which the thread-per-rank oracle is also run for the
-/// bit-equality cross-check (beyond this, one OS thread per rank is the
-/// bottleneck the event scheduler exists to remove).
-const ORACLE_RANKS: usize = 64;
+/// Scale at which the serial schedule is also run for the bit-equality
+/// cross-check.
+const SERIAL_RANKS: usize = 64;
 
 struct Row {
     kernel: &'static str,
@@ -85,7 +83,7 @@ fn main() {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(usize::MAX);
 
-    let event = SchedMode::default();
+    let pool = SchedMode::default();
     let plan: Vec<(&str, usize)> = if smoke {
         vec![("cg", 256)]
     } else {
@@ -97,24 +95,25 @@ fn main() {
         p
     };
 
-    // Determinism anchor: at the smallest scale of the sweep, the event
-    // scheduler must reproduce the thread oracle bit for bit.
+    // Determinism anchor: at the smallest scale of the sweep, the worker
+    // pool must reproduce the serial schedule bit for bit.
     if !smoke {
+        let serial = SchedMode::EventDriven { workers: 1 };
         for kernel in ["cg", "ep"] {
-            let ev = run_kernel(kernel, ORACLE_RANKS, event);
-            let th = run_kernel(kernel, ORACLE_RANKS, SchedMode::ThreadPerRank);
+            let [a, b] = [pool, serial].map(|s| run_kernel(kernel, SERIAL_RANKS, s));
             assert_eq!(
-                ev.checksum, th.checksum,
-                "{kernel} at {ORACLE_RANKS} ranks: event scheduler diverged from thread oracle"
+                (a.checksum, a.makespan_ms, a.msgs_sent),
+                (b.checksum, b.makespan_ms, b.msgs_sent),
+                "{kernel} at {SERIAL_RANKS} ranks: the worker pool diverged from workers: 1"
             );
         }
-        eprintln!("oracle cross-check at {ORACLE_RANKS} ranks: bit-identical");
+        eprintln!("serial cross-check at {SERIAL_RANKS} ranks: bit-identical");
     }
 
-    let rows: Vec<Row> = plan.iter().map(|&(k, n)| run_kernel(k, n, event)).collect();
+    let rows: Vec<Row> = plan.iter().map(|&(k, n)| run_kernel(k, n, pool)).collect();
 
     let mut t = Table::new(
-        "weak scaling — event-driven scheduler, Lemieux cluster model",
+        "weak scaling — rank coroutines on a worker pool, Lemieux cluster model",
         &[
             ("kernel", Align::Left),
             ("ranks", Align::Right),

@@ -3,7 +3,7 @@
 //!
 //! Measured side: one rank runs each benchmark, takes one real checkpoint to
 //! disk, and we read the bytes back from the store. Two modeled quantities
-//! make the comparison meaningful at laptop scale (documented in DESIGN.md):
+//! make the comparison meaningful at laptop scale:
 //!
 //! * **SLC image** = live state × an arena-slack factor (allocator
 //!   fragmentation the SLC must dump) + stack + static + text segments
@@ -97,7 +97,7 @@ fn main() {
     t.print();
     println!(
         "\nModel constants: SLC arena slack x{ARENA_SLACK}, image segments {} MB, \
-         C3 runtime arena {} MB (see DESIGN.md).",
+         C3 runtime arena {} MB.",
         mb(IMAGE_SEGMENTS),
         mb(C3_ARENA)
     );

@@ -18,8 +18,7 @@
 //!
 //! Each binary prints our measured rows next to the paper's reported rows.
 //! Criterion microbenchmarks under `benches/` cover the design-choice
-//! ablations called out in DESIGN.md §5 (piggyback encoding, logging phase
-//! split, registry operations, codec throughput, checkpoint writing,
+//! ablations (piggyback encoding, logging phase split, registry operations, codec throughput, checkpoint writing,
 //! end-to-end per-operation protocol overhead).
 
 pub mod paper;

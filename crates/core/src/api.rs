@@ -3,7 +3,7 @@
 //! [`C3Ctx`] is what an instrumented application sees instead of "MPI": the
 //! same communication operations, plus the checkpoint pragma. The paper's
 //! precompiler emits code against exactly this kind of interface; here the
-//! application calls it directly (see DESIGN.md on the substitution).
+//! application calls it directly.
 
 use crate::control::CiTracker;
 use crate::counters::Counters;

@@ -17,14 +17,12 @@
 //! * [`NetFault`] — a plan's network-fault component: seed-derived message
 //!   drop/duplication rates and optional random reordering, merged into the
 //!   job's `NetModel` by the driver so [`shrink_plan`] minimizes over the
-//!   network faults together with the fail-stop schedule;
-//! * the four legacy `run_job*` drivers, now one-line deprecated shims over
-//!   the unified [`crate::Job`] builder (which owns the restart/chaos
-//!   orchestration — see [`crate::job`]).
+//!   network faults together with the fail-stop schedule.
+//!
+//! The [`crate::Job`] builder owns the restart/chaos orchestration that
+//! runs these plans (see [`crate::job`]).
 
-use crate::api::{C3Config, C3Ctx, C3Error};
-use crate::job::{Job, RecoveredJob};
-use mpisim::{JobError, JobHandle, JobSpec, NetModel, ReorderModel};
+use mpisim::{NetModel, ReorderModel};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// When a planned failure fires.
@@ -418,60 +416,6 @@ fn simpler(f: &FailurePlan) -> Vec<FailurePlan> {
     }
     out.extend(whens.into_iter().map(|when| FailurePlan { rank: f.rank, when }));
     out
-}
-
-/// Deprecated shim: run under the protocol with no fault injection.
-#[deprecated(note = "use `c3::Job::new(n, cfg).run(app)`")]
-pub fn run_job<T, F>(spec: &JobSpec, cfg: &C3Config, app: F) -> Result<JobHandle<T>, JobError>
-where
-    T: Send,
-    F: Fn(&mut C3Ctx<'_>) -> Result<T, C3Error> + Sync,
-{
-    Job::from_spec(spec, cfg.clone()).run(app).map(|r| r.handle)
-}
-
-/// Deprecated shim: resume from the last committed recovery line (§6.5).
-#[deprecated(note = "use `c3::Job::new(n, cfg).restore().run(app)`")]
-pub fn run_job_restored<T, F>(
-    spec: &JobSpec,
-    cfg: &C3Config,
-    app: F,
-) -> Result<JobHandle<T>, JobError>
-where
-    T: Send,
-    F: Fn(&mut C3Ctx<'_>) -> Result<T, C3Error> + Sync,
-{
-    Job::from_spec(spec, cfg.clone()).restore().run(app).map(|r| r.handle)
-}
-
-/// Deprecated shim: run with an ordered chaos plan.
-#[deprecated(note = "use `c3::Job::new(n, cfg).chaos(plan).run(app)`")]
-pub fn run_job_with_chaos<T, F>(
-    spec: &JobSpec,
-    cfg: &C3Config,
-    plan: &ChaosPlan,
-    app: F,
-) -> Result<RecoveredJob<T>, JobError>
-where
-    T: Send,
-    F: Fn(&mut C3Ctx<'_>) -> Result<T, C3Error> + Sync,
-{
-    Job::from_spec(spec, cfg.clone()).chaos(plan.clone()).run(app)
-}
-
-/// Deprecated shim: run with a single planned fail-stop fault.
-#[deprecated(note = "use `c3::Job::new(n, cfg).failure(plan).run(app)`")]
-pub fn run_job_with_failure<T, F>(
-    spec: &JobSpec,
-    cfg: &C3Config,
-    plan: FailurePlan,
-    app: F,
-) -> Result<RecoveredJob<T>, JobError>
-where
-    T: Send,
-    F: Fn(&mut C3Ctx<'_>) -> Result<T, C3Error> + Sync,
-{
-    Job::from_spec(spec, cfg.clone()).failure(plan).run(app)
 }
 
 #[cfg(test)]

@@ -17,9 +17,7 @@
 //! ```
 //!
 //! A plain run is a `Job` with no chaos plan; a restart-cost run is
-//! [`Job::restore`]; a single fail-stop fault is [`Job::failure`]. The four
-//! legacy `run_job*` free functions are one-line deprecated shims over this
-//! builder (see [`crate::failure`]).
+//! [`Job::restore`]; a single fail-stop fault is [`Job::failure`].
 //!
 //! The builder owns the restart/chaos orchestration: it arms the plan's
 //! faults one incarnation at a time, restarts from the last committed
@@ -91,8 +89,8 @@ impl Job {
     }
 
     /// Build from an existing substrate [`JobSpec`] (topology + cluster +
-    /// network model + scheduler). Used by the legacy shims and by harnesses
-    /// that share one spec between raw-substrate baselines and protocol runs.
+    /// network model + scheduler). Used by harnesses that share one spec
+    /// between raw-substrate baselines and protocol runs.
     pub fn from_spec(spec: &JobSpec, cfg: C3Config) -> Self {
         Job {
             nranks: spec.nranks,
@@ -131,8 +129,9 @@ impl Job {
         self
     }
 
-    /// Select the rank scheduler (event-driven by default; the
-    /// thread-per-rank oracle pins determinism in equivalence suites).
+    /// Select the rank scheduler's worker-pool width (one worker per CPU by
+    /// default; `workers: 1` is the serial reference schedule the
+    /// equivalence suites compare against).
     pub fn sched(mut self, s: SchedMode) -> Self {
         self.sched = s;
         self

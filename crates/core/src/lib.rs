@@ -52,11 +52,7 @@ pub mod topo;
 
 pub use api::{C3Config, C3Ctx, C3Error, C3Stats, CkptMode, CkptPolicy, Clock};
 pub use comms::{C3Comm, COMM_WORLD_HANDLE};
-#[allow(deprecated)]
-pub use failure::{
-    run_job, run_job_restored, run_job_with_chaos, run_job_with_failure, shrink_plan, ChaosPlan,
-    ChaosSpace, FailAt, FailurePlan, NetFault,
-};
+pub use failure::{shrink_plan, ChaosPlan, ChaosSpace, FailAt, FailurePlan, NetFault};
 pub use job::{Job, RecoveredJob};
 pub use mode::Mode;
 pub use piggyback::{MsgClass, PigData};

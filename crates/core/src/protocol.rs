@@ -25,7 +25,7 @@ use std::time::Instant;
 /// Parse the `C3_CKPT_MODE` env knob: `full`, or `incr:<N>` /
 /// `incremental:<N>` for [`crate::CkptMode::Incremental`] with
 /// `every_n = N`. Unset or unparseable values leave the configured mode in
-/// force (mirrors how `C3_SCHED` overrides the spec's scheduler).
+/// force.
 fn ckpt_mode_from_env() -> Option<crate::api::CkptMode> {
     let v = std::env::var("C3_CKPT_MODE").ok()?;
     let v = v.trim().to_ascii_lowercase();

@@ -1,4 +1,4 @@
-//! Stackful coroutines: the execution vehicle of event-mode ranks.
+//! Stackful coroutines: the execution vehicle of ranks.
 //!
 //! A rank runs on its own pooled, guard-paged `mmap` stack and is resumed
 //! by whichever worker thread pops it from the ready queue; parking is one
@@ -24,7 +24,7 @@
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 compile_error!(
-    "mpisim's event scheduler runs ranks as stackful coroutines and supports only \
+    "mpisim's scheduler runs ranks as stackful coroutines and supports only \
      x86_64 Linux (coro.rs has no context switch for this platform)"
 );
 

@@ -506,11 +506,10 @@ impl RankCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{ClusterModel, NetModel};
-    use crate::{ANY_SOURCE, ANY_TAG};
+    use crate::{JobSpec, ANY_SOURCE, ANY_TAG};
 
     fn pair() -> (RankCtx, RankCtx) {
-        let net = Arc::new(Network::new(2, ClusterModel::ideal(), NetModel::reliable()));
+        let net = Arc::new(Network::new(&JobSpec::new(2)));
         (RankCtx::new(0, Arc::clone(&net)), RankCtx::new(1, net))
     }
 
@@ -534,7 +533,7 @@ mod tests {
     #[test]
     fn fan_out_shares_one_buffer_across_destinations() {
         let n = 8;
-        let net = Arc::new(Network::new(n, ClusterModel::ideal(), NetModel::reliable()));
+        let net = Arc::new(Network::new(&JobSpec::new(n)));
         let mut tx = RankCtx::new(0, Arc::clone(&net));
         let payload = net.pool().payload_from(&[7u8; 4096]);
         let ptr = payload.ptr();
@@ -601,7 +600,7 @@ mod tests {
 
     #[test]
     fn collectives_tick_the_op_clock_at_entry() {
-        let net = Arc::new(Network::new(1, ClusterModel::ideal(), NetModel::reliable()));
+        let net = Arc::new(Network::new(&JobSpec::new(1)));
         let mut solo = RankCtx::new(0, net);
         // Single-rank bcast takes the early-return path but still ticks.
         let mut data = vec![1u8];

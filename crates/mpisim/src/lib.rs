@@ -3,10 +3,9 @@
 //! This crate is the *substrate* of the C³ reproduction: it stands in for the
 //! native MPI library of the paper ("Implementation and Evaluation of a
 //! Scalable Application-level Checkpoint-Recovery Scheme for MPI Programs",
-//! SC 2004). Ranks run inside one process — as stackful coroutines on a small
-//! worker-thread pool by default, or one OS thread each under the
-//! thread-per-rank oracle ([`SchedMode`]); each rank owns a mailbox and
-//! communicates through a shared [`network::Network`].
+//! SC 2004). Ranks run inside one process as stackful coroutines on a small
+//! worker-thread pool ([`SchedMode`] sets its width); each rank owns a
+//! mailbox and communicates through a shared [`network::Network`].
 //!
 //! What matters for the checkpointing protocol built on top is not the wire
 //! transport but MPI's *matching semantics*, which this crate reproduces
@@ -80,16 +79,16 @@ pub const INJECTED_FAULT_MARKER: &str = "injected fail-stop";
 /// Prefix of the poison reason produced when the bounded-mailbox watchdog
 /// proves a send cycle among parked ranks (`NetModel::mailbox_capacity`):
 /// every rank in the cycle is blocked sending to the next rank's full
-/// mailbox, so no mailbox can ever drain. The job is poisoned with a
+/// mailbox, so no mailbox can ever drain — or finds the job quiescent with
+/// a sender still parked on credits. The job is poisoned with a
 /// diagnosable reason instead of hanging.
 pub const BACKPRESSURE_DEADLOCK_MARKER: &str = "BACKPRESSURE_DEADLOCK";
 
-/// Prefix of the poison reason produced when the event-driven scheduler
-/// proves the job is wedged for a reason *other* than mailbox backpressure:
-/// every live rank is committed-blocked, no withheld envelope remains to
-/// flush, and no rank is parked on credits — i.e. some receive waits for a
-/// message that is never sent. Only the event scheduler can prove this
-/// exactly (thread-per-rank has no global blocked-rank accounting).
+/// Prefix of the poison reason produced when the scheduler proves the job
+/// is wedged for a reason *other* than mailbox backpressure: every live rank
+/// is committed-blocked, no withheld envelope remains to flush, and no rank
+/// is parked on credits — i.e. some receive waits for a message that is
+/// never sent.
 pub const SCHED_DEADLOCK_MARKER: &str = "SCHED_DEADLOCK";
 
 /// A message tag. Non-negative in applications; negative values are reserved

@@ -55,11 +55,10 @@
 use crate::envelope::{Envelope, Signature};
 use crate::network::Backpressure;
 use crate::{CommId, Rank, Tag, ANY_SOURCE, ANY_TAG};
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Consecutive exact claims of one signature before it gets a lane.
 pub const PROMOTE_AFTER: u32 = 8;
@@ -233,7 +232,6 @@ impl Shelves {
 /// A rank's incoming-message queue.
 pub struct Mailbox {
     inner: Mutex<Shelves>,
-    cv: Condvar,
     /// Mailbox-global arrival counter, shared by the shelf and lane paths
     /// (total ordering of deliveries).
     next_arrival: AtomicU64,
@@ -245,10 +243,6 @@ pub struct Mailbox {
     /// Exact-claim streak that promotes a signature ([`LANES_OFF`] disables
     /// lanes entirely).
     promote_after: u32,
-    /// True while thread-mode (polling) waiters may exist; when false the
-    /// delivery paths skip the condvar notify (the event scheduler wakes
-    /// receivers through its parkers instead).
-    polled: AtomicBool,
     /// Under bounded-mailbox backpressure: the job's credit ledger and this
     /// mailbox's rank, so claiming an application envelope returns its
     /// delivery credit and wakes parked senders.
@@ -259,12 +253,10 @@ impl Default for Mailbox {
     fn default() -> Self {
         Mailbox {
             inner: Mutex::new(Shelves::default()),
-            cv: Condvar::new(),
             next_arrival: AtomicU64::new(0),
             total: AtomicUsize::new(0),
             lanes: RwLock::new(Vec::new()),
             promote_after: PROMOTE_AFTER,
-            polled: AtomicBool::new(true),
             credit: None,
         }
     }
@@ -300,12 +292,6 @@ impl Mailbox {
         Mailbox { credit: Some((bp, rank)), promote_after: promote_after.max(1), ..Self::default() }
     }
 
-    /// Declare that no thread-mode waiter will ever poll this mailbox's
-    /// condvar (event-scheduler jobs), letting delivery skip the notify.
-    pub(crate) fn set_unpolled(&self) {
-        self.polled.store(false, Ordering::Relaxed);
-    }
-
     /// Return the delivery credit of a claimed application envelope.
     fn release_credit(&self, env: &Envelope) {
         if let Some((bp, rank)) = &self.credit {
@@ -339,15 +325,11 @@ impl Mailbox {
                 sh.push(arrival, env);
             }
         }
-        if self.polled.load(Ordering::Relaxed) {
-            self.cv.notify_all();
-        }
     }
 
     /// Deliver a batch of envelopes to this mailbox, taking each internal
-    /// lock at most once and issuing at most one waiter notify — the
-    /// delivery half of wakeup coalescing (the scheduler wake is the
-    /// caller's, also once per batch).
+    /// lock at most once — the delivery half of wakeup coalescing (the
+    /// scheduler wake is the caller's, also once per batch).
     pub fn deliver_batch(&self, envs: Vec<Envelope>) {
         if envs.is_empty() {
             return;
@@ -364,10 +346,6 @@ impl Mailbox {
                     sh.push(arrival, env);
                 }
             }
-        }
-        drop(sh);
-        if self.polled.load(Ordering::Relaxed) {
-            self.cv.notify_all();
         }
     }
 
@@ -532,23 +510,6 @@ impl Mailbox {
         // matching queue's lock is (re)taken.
         let ceiling = self.next_arrival.load(Ordering::Acquire);
         MailboxGuard { inner, owner: self, ceiling }
-    }
-
-    /// Block until the mailbox might have changed, or `timeout` elapses.
-    /// Callers loop: check condition, then `wait`, re-check. The timeout
-    /// bounds the latency of job-poison detection (and of lane deliveries,
-    /// which notify without the shelf lock).
-    pub fn wait(&self, timeout: Duration) {
-        let mut q = self.inner.lock();
-        // The queue may already contain a match the caller raced with; the
-        // caller re-checks after wait either way, so a timed wait is enough.
-        let _ = self.cv.wait_for(&mut q, timeout);
-    }
-
-    /// Wake all waiters (used when poisoning the job so blocked ranks
-    /// re-check promptly).
-    pub fn interrupt(&self) {
-        self.cv.notify_all();
     }
 
     /// Number of undelivered envelopes (diagnostics / tests).

@@ -5,75 +5,15 @@ use crate::envelope::Envelope;
 use crate::error::MpiError;
 use crate::mailbox::Mailbox;
 use crate::payload::BufferPool;
-use crate::sched::{Parked, Sched, SchedMode};
+use crate::sched::{Parked, Sched};
+use crate::world::JobSpec;
 use crate::Rank;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// How long a **thread-mode** blocked rank sleeps between re-checks
-/// (mailbox waits and credit re-checks alike). Bounds the latency of
-/// poison detection and deadlock discovery in the oracle scheduler; the
-/// event scheduler has no poll interval at all — blocked ranks park until
-/// an event wakes them.
-const PARK_POLL: Duration = Duration::from_micros(200);
-
-/// How long a **thread-mode** parked sender tolerates zero network
-/// progress (no delivery, no claim, no credit grant anywhere in the job)
-/// before declaring the job wedged. The send-cycle walk proves the common
-/// deadlock shape exactly, but a bounded buffer can also wedge a program
-/// with no cycle at all — e.g. a rank blocked in a receive whose matching
-/// message is parked behind a mailbox full of messages it is not
-/// receiving. Those shapes are undecidable from the wait-for graph alone
-/// (wildcard receives), so the thread-mode fallback is observational:
-/// while anyone is parked, *some* envelope must move within this window or
-/// the job is poisoned with a diagnosable reason instead of hanging CI
-/// forever.
-///
-/// The event scheduler (the default) does not use this window: its global
-/// blocked-rank accounting detects the no-progress condition *exactly*
-/// ([`Network::on_quiescent`]), so deadlock verdicts are deterministic in
-/// chaos runs regardless of wall-clock load. The window survives only as
-/// the thread-per-rank oracle's fallback; such a job whose receivers
-/// legitimately compute for longer while a sender is parked can widen it
-/// via `C3_STALL_MS` (or the legacy `C3_BACKPRESSURE_STALL_SECS`).
-const PARK_STALL_BASE: Duration = Duration::from_secs(5);
-
-/// Extra stall allowance per rank: a loaded CI host timeslices every
-/// rank thread of the oracle scheduler, so legitimate zero-progress
-/// gaps grow with the thread count. A fixed 5 s window misfired as
-/// `BACKPRESSURE_DEADLOCK` on large thread-mode jobs; the default now
-/// scales with rank count.
-const PARK_STALL_PER_RANK: Duration = Duration::from_millis(10);
-
-/// The thread-mode stall window for a job of `nranks`, honoring the
-/// `C3_STALL_MS` override (milliseconds; wins) and the legacy
-/// `C3_BACKPRESSURE_STALL_SECS` (seconds). Environment is read once per
-/// process; the rank scaling applies only to the built-in default.
-fn park_stall_timeout(nranks: usize) -> Duration {
-    static MS: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    static LEGACY_SECS: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    let ms = *MS.get_or_init(|| {
-        std::env::var("C3_STALL_MS").ok().and_then(|v| v.parse().ok()).filter(|m| *m > 0)
-    });
-    if let Some(ms) = ms {
-        return Duration::from_millis(ms);
-    }
-    let legacy = *LEGACY_SECS.get_or_init(|| {
-        std::env::var("C3_BACKPRESSURE_STALL_SECS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|s| *s > 0)
-    });
-    if let Some(secs) = legacy {
-        return Duration::from_secs(secs);
-    }
-    PARK_STALL_BASE + PARK_STALL_PER_RANK * nranks as u32
-}
 
 /// Virtual-time cost model of an interconnect, in the style of the paper's
 /// evaluation platforms (§6). Costs feed the per-rank virtual clocks, not
@@ -369,13 +309,9 @@ struct FaultState {
 ///   envelope from its mailbox ([`Backpressure::release`]).
 /// * Parked senders are granted credits strictly in ticket (FIFO) order,
 ///   so wake order — and therefore delivery order — is reproducible. Wakes
-///   are *targeted*: a freed credit notifies exactly the sender at the
-///   queue front (per-sender condvars; a rank parks on at most one
-///   destination at a time), never the whole waitlist — the old
-///   `notify_all` thundering herd woke every parked sender to race for one
-///   credit, and on a loaded host the losers' re-check stampede could
-///   reorder grant *observations* even though grants themselves were
-///   ticket-ordered.
+///   are *targeted*: a freed credit wakes exactly the sender at the queue
+///   front (a rank parks on at most one destination at a time), never the
+///   whole waitlist.
 /// * `done` (per shard) marks a rank whose application function has
 ///   returned; sends to it complete without credits (nothing will ever
 ///   drain that mailbox again, and unbounded fire-and-forget sends at job
@@ -387,20 +323,11 @@ pub(crate) struct Backpressure {
     capacity: usize,
     /// Per-destination credit shards.
     shards: Vec<Mutex<BpShard>>,
-    /// Per-**sender** condvars for thread-mode parked senders. A rank is
-    /// single-threaded and parks on at most one destination at a time, so
-    /// each condvar has at most one waiter, always paired with the shard
-    /// mutex of the destination currently parked on.
-    sender_cvs: Vec<Condvar>,
     /// `parked[s] = Some(d)` while rank `s` is parked sending to `d`.
     parked: Vec<Mutex<Option<Rank>>>,
     /// Global ticket counter (FIFO grant order within each shard queue).
     next_ticket: AtomicU64,
-    /// Bumped on every claim and credit grant in the job; a thread-mode
-    /// parked sender watching this (plus the network's delivery counter)
-    /// stand still for [`PARK_STALL_TIMEOUT`] has proof the job is wedged.
-    progress: AtomicU64,
-    /// Wakes event-mode parked senders (inert in thread mode).
+    /// Wakes parked senders.
     sched: Arc<Sched>,
 }
 
@@ -421,10 +348,8 @@ impl Backpressure {
                     Mutex::new(BpShard { outstanding: 0, queue: VecDeque::new(), done: false })
                 })
                 .collect(),
-            sender_cvs: (0..nranks).map(|_| Condvar::new()).collect(),
             parked: (0..nranks).map(|_| Mutex::new(None)).collect(),
             next_ticket: AtomicU64::new(0),
-            progress: AtomicU64::new(0),
             sched,
         }
     }
@@ -433,11 +358,9 @@ impl Backpressure {
     /// the parked sender at the queue front (FIFO grant order). Only the
     /// front can take the freed credit, so only the front is woken.
     pub(crate) fn release(&self, dst: Rank) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
         let sh = &mut *self.shards[dst].lock();
         sh.outstanding = sh.outstanding.saturating_sub(1);
         if let Some(&(_, front_src)) = sh.queue.front() {
-            self.sender_cvs[front_src].notify_one();
             self.sched.wake(front_src);
         }
     }
@@ -461,10 +384,8 @@ impl Backpressure {
         if !sh.done {
             sh.outstanding += 1;
         }
-        self.progress.fetch_add(1, Ordering::Relaxed);
         // The next parked ticket may now be at the front; wake it alone.
         if let Some(&(_, next_src)) = sh.queue.front() {
-            self.sender_cvs[next_src].notify_one();
             self.sched.wake(next_src);
         }
         true
@@ -476,7 +397,6 @@ impl Backpressure {
         sh.queue.retain(|(t, _)| *t != ticket);
         *self.parked[src].lock() = None;
         if let Some(&(_, next_src)) = sh.queue.front() {
-            self.sender_cvs[next_src].notify_one();
             self.sched.wake(next_src);
         }
     }
@@ -562,15 +482,10 @@ pub struct Network {
     dedup_state: Option<Vec<Mutex<Vec<DedupWindow>>>>,
     /// Bounded-mailbox flow control (`NetModel::mailbox_capacity`).
     backpressure: Option<Arc<Backpressure>>,
-    /// The job's rank scheduler: parks and wakes blocked ranks in event
-    /// mode, inert in thread-per-rank mode.
+    /// The job's rank scheduler: parks and wakes blocked ranks.
     sched: Arc<Sched>,
-    /// Thread-mode stall watchdog window (rank-scaled default, `C3_STALL_MS`
-    /// override; see [`park_stall_timeout`]).
-    stall_window: Duration,
-    /// Bumped on every actual mailbox delivery; together with
-    /// `Backpressure::progress` it answers "did anything move?" for both
-    /// deadlock watchdogs.
+    /// Bumped on every actual mailbox delivery; the deadlock detective
+    /// compares it across its flush to answer "did anything move?".
     progress: AtomicU64,
     poisoned: AtomicBool,
     poison_reason: Mutex<Option<String>>,
@@ -592,22 +507,12 @@ pub struct Network {
 }
 
 impl Network {
-    /// Create a network for `nranks` ranks with the inert thread-per-rank
-    /// scheduler (blocking ranks poll). [`crate::world::launch`] uses
-    /// [`Network::new_with_sched`] to honor the job's scheduler choice.
-    pub fn new(nranks: usize, cluster: ClusterModel, model: NetModel) -> Self {
-        Network::new_with_sched(nranks, cluster, model, SchedMode::ThreadPerRank)
-    }
-
-    /// Create a network whose blocking points are managed by `mode`'s
+    /// Create the network of a job: `spec`'s ranks, cluster and
+    /// fault-and-delivery model, with blocking points managed by `spec`'s
     /// scheduler.
-    pub fn new_with_sched(
-        nranks: usize,
-        cluster: ClusterModel,
-        model: NetModel,
-        mode: SchedMode,
-    ) -> Self {
-        let sched = Arc::new(Sched::new(mode, nranks));
+    pub fn new(spec: &JobSpec) -> Self {
+        let (nranks, cluster, model) = (spec.nranks, spec.cluster, spec.net);
+        let sched = Arc::new(Sched::new(spec.sched, nranks));
         let reorder_state = (0..nranks)
             .map(|dst| {
                 Mutex::new(ReorderState {
@@ -637,14 +542,6 @@ impl Network {
                 None => Mailbox::with_promote_after(promote_after),
             })
             .collect();
-        if sched.is_event() {
-            // No rank will ever do a timed condvar wait on its mailbox in
-            // event mode (blocked ranks park on the scheduler), so delivery
-            // can skip the notify.
-            for mb in &mailboxes {
-                mb.set_unpolled();
-            }
-        }
         Network {
             mailboxes,
             cluster,
@@ -654,7 +551,6 @@ impl Network {
             dedup_state,
             backpressure,
             sched,
-            stall_window: park_stall_timeout(nranks),
             progress: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             poison_reason: Mutex::new(None),
@@ -729,75 +625,15 @@ impl Network {
             ticket
         };
         self.sends_parked.fetch_add(1, Ordering::Relaxed);
-        if self.sched.is_event() {
-            self.acquire_parked_event(bp, src, dst, ticket)
-        } else {
-            self.acquire_parked_threads(bp, src, dst, ticket)
-        }
+        self.acquire_parked(bp, src, dst, ticket)
     }
 
-    /// Thread-mode slow path: poll-with-timeout on the destination shard's
-    /// condvar. The oracle scheduler has no global blocked-rank accounting,
-    /// so its stall signal is wall-clock: poison after
-    /// [`PARK_STALL_TIMEOUT`] of zero network progress, or as soon as the
-    /// cycle walk proves a send cycle.
-    fn acquire_parked_threads(
-        &self,
-        bp: &Backpressure,
-        src: Rank,
-        dst: Rank,
-        ticket: u64,
-    ) -> Result<(), MpiError> {
-        let mut last_progress = self.total_progress();
-        let mut stall_since = std::time::Instant::now();
-        loop {
-            {
-                let mut sh = bp.shards[dst].lock();
-                if self.is_poisoned() {
-                    bp.abandon(&mut sh, src, ticket);
-                    return Err(MpiError::Aborted);
-                }
-                if bp.try_grant(&mut sh, src, ticket) {
-                    return Ok(());
-                }
-            }
-            // Watchdogs run with no shard lock held (the cycle proof takes
-            // shard locks itself).
-            let progress = self.total_progress();
-            if progress != last_progress {
-                last_progress = progress;
-                stall_since = std::time::Instant::now();
-            } else if stall_since.elapsed() >= self.stall_window {
-                self.poison(&format!(
-                    "{}: rank {src} parked sending to rank {dst} while no message moved \
-                     anywhere in the job for {:?} — a receive is most likely blocked on a \
-                     message parked behind a full mailbox (no send cycle to prove); the \
-                     application (or protocol) relies on more buffering than mailbox \
-                     capacity {} provides (C3_STALL_MS widens the window)",
-                    crate::BACKPRESSURE_DEADLOCK_MARKER,
-                    self.stall_window,
-                    bp.capacity
-                ));
-                continue;
-            }
-            if let Some(cycle) = bp.find_cycle(src) {
-                self.poison_cycle(&cycle, bp.capacity);
-                continue;
-            }
-            // Park on this sender's own condvar, paired with the shard
-            // mutex of the destination being waited on — at most one waiter
-            // per condvar, woken only when this sender's ticket can move.
-            let mut sh = bp.shards[dst].lock();
-            bp.sender_cvs[src].wait_for(&mut sh, PARK_POLL);
-        }
-    }
-
-    /// Event-mode slow path: park on the scheduler instead of polling.
-    /// Every event that could grant this ticket — a credit release on the
+    /// Slow path: park on the scheduler until the ticket can move. Every
+    /// event that could grant this ticket — a credit release on the
     /// destination, a done mark, poison — wakes `src`; a park that would
     /// leave every live rank blocked runs the deadlock detective instead
     /// ([`Network::on_quiescent`]), so verdicts need no wall-clock window.
-    fn acquire_parked_event(
+    fn acquire_parked(
         &self,
         bp: &Backpressure,
         src: Rank,
@@ -822,7 +658,7 @@ impl Network {
         }
     }
 
-    /// Poison with the send-cycle verdict (both watchdogs share the text).
+    /// Poison with the send-cycle verdict.
     fn poison_cycle(&self, cycle: &[Rank], capacity: usize) {
         let path = cycle
             .iter()
@@ -839,14 +675,6 @@ impl Network {
         ));
     }
 
-    /// Sum of every progress signal in the job: mailbox deliveries plus
-    /// credit claims/grants. Both deadlock watchdogs compare snapshots of
-    /// this to answer "did anything move?".
-    fn total_progress(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
-            + self.backpressure.as_ref().map_or(0, |bp| bp.progress.load(Ordering::Relaxed))
-    }
-
     /// The deadlock detective, run at proven global quiescence: every live
     /// rank is committed-blocked and the caller's park (or rank exit) was
     /// the last runnable step. In a closed world the only remaining message
@@ -860,9 +688,9 @@ impl Network {
         if self.is_poisoned() {
             return; // the poison wake is already propagating
         }
-        let before = self.total_progress();
+        let before = self.progress.load(Ordering::Relaxed);
         self.flush_reorder();
-        if self.total_progress() != before {
+        if self.progress.load(Ordering::Relaxed) != before {
             return; // something was in flight after all; its wakes resume the job
         }
         if let Some(bp) = &self.backpressure {
@@ -896,10 +724,10 @@ impl Network {
     /// Mark `rank`'s application function as returned: its mailbox will
     /// never be drained again, so pending and future sends toward it
     /// complete without credits (matching unbounded fire-and-forget
-    /// semantics during job wind-down). In event mode the exit also hands
-    /// the scheduler its live-rank accounting — if every remaining rank is
-    /// blocked, the exiting rank was their last possible waker and the
-    /// deadlock detective must run now.
+    /// semantics during job wind-down). The exit also hands the scheduler
+    /// its live-rank accounting — if every remaining rank is blocked, the
+    /// exiting rank was their last possible waker and the deadlock
+    /// detective must run now.
     pub fn rank_done(&self, rank: Rank) {
         if let Some(bp) = &self.backpressure {
             let waiters: Vec<Rank> = {
@@ -908,10 +736,8 @@ impl Network {
                 sh.queue.iter().map(|(_, s)| *s).collect()
             };
             // Done-rank bypass admits *every* queued ticket, not just the
-            // front, so this is the one case where all waiters are woken —
-            // each through its own condvar.
+            // front, so this is the one case where all waiters are woken.
             for s in waiters {
-                bp.sender_cvs[s].notify_one();
                 self.sched.wake(s);
             }
         }
@@ -920,40 +746,32 @@ impl Network {
         }
     }
 
-    /// The job's scheduler (runs event-mode ranks as coroutines).
+    /// The job's scheduler (runs the ranks as coroutines).
     pub(crate) fn sched(&self) -> &Sched {
         &self.sched
     }
 
     /// The calling rank's wake epoch: sample *before* re-checking a
     /// blocking condition, then pass to [`Network::block_on_mailbox`]
-    /// (the lost-wakeup guard in event mode; always 0 in thread mode).
+    /// (the lost-wakeup guard).
     pub(crate) fn park_epoch(&self, rank: Rank) -> u64 {
         self.sched.epoch(rank)
     }
 
     /// Block `rank` until new mailbox activity is possible.
     ///
-    /// Thread mode: a [`PARK_POLL`] timed wait on the mailbox condvar plus
-    /// a nudge — the original polling scheme, byte-for-byte. Event mode:
-    /// flush envelopes the fault/reorder models withhold for this rank
-    /// first (if the flush delivers anything the rank's own epoch moves
-    /// and the park aborts), then park until a delivery, a withhold (whose
+    /// Flush envelopes the fault/reorder models withhold for this rank
+    /// first (if the flush delivers anything the rank's own epoch moves and
+    /// the park aborts), then park until a delivery, a withhold (whose
     /// envelope the next attempt's flush then delivers), a credit event, or
-    /// poison wakes the rank. A park
-    /// that would leave every live rank blocked runs the deadlock detective
-    /// instead of sleeping.
+    /// poison wakes the rank. A park that would leave every live rank
+    /// blocked runs the deadlock detective instead of sleeping.
     pub(crate) fn block_on_mailbox(&self, rank: Rank, seen: u64) {
-        if self.sched.is_event() {
-            if self.model.has_faults() || !matches!(self.model.reorder, ReorderModel::None) {
-                self.nudge(rank);
-            }
-            if let Parked::Quiescent = self.sched.park(rank, seen) {
-                self.on_quiescent();
-            }
-        } else {
-            self.mailboxes[rank].wait(PARK_POLL);
+        if self.model.has_faults() || !matches!(self.model.reorder, ReorderModel::None) {
             self.nudge(rank);
+        }
+        if let Parked::Quiescent = self.sched.park(rank, seen) {
+            self.on_quiescent();
         }
     }
 
@@ -1105,9 +923,6 @@ impl Network {
     /// Final delivery into the destination mailbox, suppressing duplicate
     /// copies by `(source, seq)` when the duplication fault is active.
     fn final_deliver(&self, env: Envelope) {
-        if let Some(bp) = &self.backpressure {
-            bp.progress.fetch_add(1, Ordering::Relaxed);
-        }
         if let Some(dedup) = &self.dedup_state {
             let mut windows = dedup[env.dst].lock();
             if windows[env.src].seen_before(env.seq) {
@@ -1134,9 +949,6 @@ impl Network {
                 self.final_deliver(env);
             }
             return;
-        }
-        if let Some(bp) = &self.backpressure {
-            bp.progress.fetch_add(envs.len() as u64, Ordering::Relaxed);
         }
         let envs = match &self.dedup_state {
             Some(dedup) => {
@@ -1201,16 +1013,7 @@ impl Network {
         if !self.poisoned.swap(true, Ordering::SeqCst) {
             *self.poison_reason.lock() = Some(reason.to_string());
         }
-        for mb in &self.mailboxes {
-            mb.interrupt();
-        }
-        // Parked senders and parked (event-mode) ranks re-check the poison
-        // flag on wake.
-        if let Some(bp) = &self.backpressure {
-            for cv in &bp.sender_cvs {
-                cv.notify_all();
-            }
-        }
+        // Parked ranks re-check the poison flag on wake.
         self.sched.wake_all();
     }
 
@@ -1229,7 +1032,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Tag, COMM_WORLD};
+    use crate::{launch, JobError, SchedMode, Tag, COMM_WORLD};
 
     fn env(src: Rank, dst: Rank, tag: Tag, seq: u64) -> Envelope {
         Envelope {
@@ -1244,9 +1047,14 @@ mod tests {
         }
     }
 
+    /// A network driven directly by the test thread (no ranks launched).
+    fn test_net(nranks: usize, model: NetModel) -> Network {
+        Network::new(&JobSpec::new(nranks).net(model))
+    }
+
     #[test]
     fn plain_delivery() {
-        let net = Network::new(2, ClusterModel::ideal(), NetModel::reliable());
+        let net = test_net(2, NetModel::reliable());
         net.send(env(0, 1, 3, 0)).unwrap();
         assert_eq!(net.mailbox(1).len(), 1);
         assert_eq!(net.mailbox(0).len(), 0);
@@ -1254,9 +1062,8 @@ mod tests {
 
     #[test]
     fn reorder_preserves_per_signature_fifo() {
-        let net = Network::new(
+        let net = test_net(
             2,
-            ClusterModel::ideal(),
             NetModel::reorder(42)
                 .with_reorder(ReorderModel::Random { hold_permille: 500, max_held: 8 }),
         );
@@ -1277,9 +1084,8 @@ mod tests {
 
     #[test]
     fn reorder_actually_reorders_across_signatures() {
-        let net = Network::new(
+        let net = test_net(
             2,
-            ClusterModel::ideal(),
             NetModel::reorder(7)
                 .with_reorder(ReorderModel::Random { hold_permille: 700, max_held: 8 }),
         );
@@ -1301,8 +1107,7 @@ mod tests {
 
     #[test]
     fn drop_faults_retransmit_and_preserve_per_signature_fifo() {
-        let net =
-            Network::new(2, ClusterModel::ideal(), NetModel::reliable().drop_rate(300).seed(11));
+        let net = test_net(2, NetModel::reliable().drop_rate(300).seed(11));
         for seq in 0..300 {
             net.send(env(0, 1, 7, seq)).unwrap();
         }
@@ -1326,11 +1131,7 @@ mod tests {
 
     #[test]
     fn duplicate_faults_are_suppressed_exactly_once() {
-        let net = Network::new(
-            2,
-            ClusterModel::ideal(),
-            NetModel::reliable().duplicate_rate(400).seed(3),
-        );
+        let net = test_net(2, NetModel::reliable().duplicate_rate(400).seed(3));
         for seq in 0..200 {
             net.send(env(0, 1, 9, seq)).unwrap();
         }
@@ -1352,11 +1153,7 @@ mod tests {
     #[test]
     fn fault_fate_is_a_pure_function_of_seed_and_signature() {
         let drops = |seed: u64| {
-            let net = Network::new(
-                2,
-                ClusterModel::ideal(),
-                NetModel::reliable().drop_rate(250).seed(seed),
-            );
+            let net = test_net(2, NetModel::reliable().drop_rate(250).seed(seed));
             let mut dropped = Vec::new();
             for seq in 0..100 {
                 let before = net.msgs_dropped.load(Ordering::Relaxed);
@@ -1373,11 +1170,7 @@ mod tests {
 
     #[test]
     fn combined_faults_with_reordering_stay_reliable() {
-        let net = Network::new(
-            2,
-            ClusterModel::ideal(),
-            NetModel::reorder(99).drop_rate(150).duplicate_rate(150),
-        );
+        let net = test_net(2, NetModel::reorder(99).drop_rate(150).duplicate_rate(150));
         // Two interleaved signatures under drop + dup + reorder. As in the
         // real substrate, `seq` is unique per (src, dst) across tags.
         for i in 0..400u64 {
@@ -1399,7 +1192,7 @@ mod tests {
 
     #[test]
     fn poison_is_sticky_and_carries_reason() {
-        let net = Network::new(1, ClusterModel::ideal(), NetModel::reliable());
+        let net = test_net(1, NetModel::reliable());
         assert!(!net.is_poisoned());
         net.poison("rank 0 killed by fault injector");
         net.poison("second reason ignored");
@@ -1407,44 +1200,36 @@ mod tests {
         assert_eq!(net.poison_reason().unwrap(), "rank 0 killed by fault injector");
     }
 
-    /// Claim with retry: bounded-mailbox tests race the sender thread.
-    fn claim_blocking(net: &Network, dst: Rank, src: Rank, tag: Tag) -> Envelope {
-        loop {
-            if let Some(e) = net.mailbox(dst).try_claim(src as i32, tag, COMM_WORLD) {
-                return e;
-            }
-            std::thread::yield_now();
-        }
-    }
-
     #[test]
     fn bounded_mailbox_parks_senders_and_preserves_order() {
-        let net = Network::new(2, ClusterModel::ideal(), NetModel::reliable().mailbox_capacity(2));
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for seq in 0..6 {
-                    net.send(env(0, 1, 7, seq)).unwrap();
+        let spec = JobSpec::new(2).mailbox_capacity(2).sched(SchedMode::EventDriven { workers: 2 });
+        let out = launch(&spec, |ctx| {
+            if ctx.rank() == 0 {
+                for seq in 0..6u64 {
+                    ctx.send(1, 7, &[seq])?;
                 }
-            });
-            // Drain slowly; each claim releases a credit and wakes the
-            // parked sender FIFO.
-            for want in 0..6 {
-                let e = claim_blocking(&net, 1, 0, 7);
-                assert_eq!(e.seq, want, "bounded delivery must stay per-signature FIFO");
+                return Ok(ctx.network().sends_parked.load(Ordering::Relaxed));
             }
-        });
-        assert!(
-            net.sends_parked.load(Ordering::Relaxed) > 0,
-            "6 sends against capacity 2 with a slow receiver never parked"
-        );
-        // The capacity bound held: at no point could more than 2 credits be
-        // outstanding, so nothing is left queued.
-        assert!(net.mailbox(1).is_empty());
+            // Drain once the sender is parked; each claim releases a credit
+            // and wakes the parked sender FIFO.
+            while !ctx.network().sched().is_parked(0) {
+                std::thread::yield_now();
+            }
+            for want in 0..6u64 {
+                let (v, _) = ctx.recv::<u64>(0, 7)?;
+                assert_eq!(v[0], want, "bounded delivery must stay per-signature FIFO");
+            }
+            // The capacity bound held: nothing is left queued.
+            assert!(ctx.network().mailbox(1).is_empty());
+            Ok(0)
+        })
+        .unwrap();
+        assert!(out.results[0] > 0, "6 sends against capacity 2 never parked");
     }
 
     #[test]
     fn internal_traffic_bypasses_the_mailbox_bound() {
-        let net = Network::new(2, ClusterModel::ideal(), NetModel::reliable().mailbox_capacity(1));
+        let net = test_net(2, NetModel::reliable().mailbox_capacity(1));
         for seq in 0..5 {
             let mut e = env(0, 1, 3, seq);
             e.comm = crate::COMM_CTRL;
@@ -1461,7 +1246,7 @@ mod tests {
 
     #[test]
     fn sends_to_a_finished_rank_complete_without_credits() {
-        let net = Network::new(2, ClusterModel::ideal(), NetModel::reliable().mailbox_capacity(1));
+        let net = test_net(2, NetModel::reliable().mailbox_capacity(1));
         net.send(env(0, 1, 3, 0)).unwrap(); // takes the only credit
         net.rank_done(1);
         for seq in 1..5 {
@@ -1471,50 +1256,38 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_watchdog_poisons_a_two_rank_send_cycle() {
-        let net = Network::new(2, ClusterModel::ideal(), NetModel::reliable().mailbox_capacity(1));
-        let errs: Vec<_> = std::thread::scope(|s| {
-            let h0 = s.spawn(|| {
-                net.send(env(0, 1, 7, 0))?; // credit granted
-                net.send(env(0, 1, 7, 1)) // parks: rank 1's box is full
-            });
-            let h1 = s.spawn(|| {
-                net.send(env(1, 0, 7, 0))?;
-                net.send(env(1, 0, 7, 1))
-            });
-            [h0, h1].into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // Neither mailbox can drain (both owners are blocked in send), so
-        // the watchdog must prove the cycle and poison both senders out.
-        assert!(errs.iter().all(|e| *e == Err(MpiError::Aborted)), "got {errs:?}");
-        let reason = net.poison_reason().unwrap();
-        assert!(reason.starts_with(crate::BACKPRESSURE_DEADLOCK_MARKER), "reason: {reason}");
-        assert!(reason.contains("rank 0") && reason.contains("rank 1"), "reason: {reason}");
-        assert!(reason.contains("capacity 1"), "reason: {reason}");
-    }
-
-    #[test]
     fn deadlock_watchdog_catches_a_self_send_cycle() {
-        let net = Network::new(1, ClusterModel::ideal(), NetModel::reliable().mailbox_capacity(1));
-        net.send(env(0, 0, 2, 0)).unwrap();
-        let err = net.send(env(0, 0, 2, 1));
-        assert_eq!(err, Err(MpiError::Aborted));
-        let reason = net.poison_reason().unwrap();
+        let err = launch(&JobSpec::new(1).mailbox_capacity(1), |ctx| {
+            ctx.send(0, 2, &[0u64])?;
+            let second = ctx.send(0, 2, &[1u64]);
+            assert_eq!(second, Err(MpiError::Aborted));
+            second
+        })
+        .unwrap_err();
+        let JobError::Aborted { reason } = err else { panic!("expected abort, got {err:?}") };
         assert!(reason.starts_with(crate::BACKPRESSURE_DEADLOCK_MARKER), "reason: {reason}");
+        assert!(reason.contains("send cycle rank 0 -> rank 0"), "reason: {reason}");
     }
 
     #[test]
     fn poison_releases_parked_senders() {
-        let net = Network::new(2, ClusterModel::ideal(), NetModel::reliable().mailbox_capacity(1));
-        net.send(env(0, 1, 7, 0)).unwrap();
-        std::thread::scope(|s| {
-            let parked = s.spawn(|| net.send(env(0, 1, 7, 1)));
-            while net.sends_parked.load(Ordering::Relaxed) == 0 {
+        let spec = JobSpec::new(2).mailbox_capacity(1).sched(SchedMode::EventDriven { workers: 2 });
+        let err = launch(&spec, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 7, &[0u64])?;
+                let parked = ctx.send(1, 7, &[1u64]);
+                assert_eq!(parked, Err(MpiError::Aborted));
+                return parked;
+            }
+            while !ctx.network().sched().is_parked(0) {
                 std::thread::yield_now();
             }
-            net.poison("rank 1 killed by fault injector");
-            assert_eq!(parked.join().unwrap(), Err(MpiError::Aborted));
-        });
+            ctx.network().poison("rank 1 killed by fault injector");
+            Ok(())
+        })
+        .unwrap_err();
+        let JobError::Aborted { reason } = err else { panic!("expected abort, got {err:?}") };
+        assert_eq!(reason, "rank 1 killed by fault injector");
     }
 
     /// An envelope withheld *after* its receiver parked must not wait for
@@ -1522,7 +1295,6 @@ mod tests {
     /// so only the withhold's own wake can release rank 0's message to the
     /// parked rank 1 (and rank 1's ack to the parked rank 0).
     fn withheld_message_reaches_a_parked_receiver(model: NetModel) {
-        use crate::{launch, JobSpec, SchedMode};
         use std::sync::atomic::AtomicBool;
         use std::time::{Duration, Instant};
         let received = AtomicBool::new(false);
@@ -1530,7 +1302,7 @@ mod tests {
         let out = launch(&spec, |ctx| match ctx.rank() {
             0 => {
                 let sched = ctx.network().sched();
-                while sched.is_event() && !sched.is_parked(1) {
+                while !sched.is_parked(1) {
                     std::thread::yield_now();
                 }
                 ctx.send_bytes(1, 5, COMM_WORLD, 0, b"data")?;

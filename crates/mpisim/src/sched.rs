@@ -1,5 +1,4 @@
-//! The rank scheduler: thread-per-rank (the determinism oracle) or
-//! event-driven rank coroutines on a fixed worker pool.
+//! The rank scheduler: rank coroutines on a fixed worker pool.
 //!
 //! # The parking-points invariant
 //!
@@ -8,13 +7,13 @@
 //! blocking receives and collectives that lower to them) and credit
 //! acquisition under a bounded mailbox. Because the op clock is a pure
 //! function of the application's call sequence — polling calls do not tick —
-//! moving *when* a rank runs (thread preemption vs. event-driven resumption)
-//! cannot move *where* it blocks, so every `ChaosPlan` trace, every
-//! piggyback stamp, and every committed recovery line is bit-for-bit
-//! identical under both schedulers. `tests/sched_equivalence.rs` pins this
-//! across a chaos seed sweep.
+//! moving *when* a rank runs cannot move *where* it blocks. `workers: 1` is
+//! the reference schedule (one OS thread resuming ranks in ready-queue
+//! order); `workers: nranks` runs every rank at once on preempted OS threads.
+//! `tests/sched_equivalence.rs` pins failure-free results and op clocks as
+//! bit-identical between the two across a chaos seed sweep.
 //!
-//! # How event mode works
+//! # Parking and waking
 //!
 //! Each rank is a stackful coroutine (`coro.rs`) on a pooled 1 MiB
 //! stack; `workers` OS threads, scoped to the launch, pop runnable ranks
@@ -48,9 +47,7 @@
 //! quiescence instead and the network runs a deterministic deadlock
 //! detective (flush withheld envelopes, re-check, then prove a send cycle or
 //! poison with a diagnosable verdict). No wall-clock window is involved, so
-//! deadlock verdicts are reproducible in chaos runs regardless of machine
-//! load — the event-mode replacement for the thread-mode oracle's
-//! `C3_STALL_MS` fallback.
+//! deadlock verdicts do not depend on machine load.
 
 use crate::coro::{self, Sp, Stack};
 use crate::Rank;
@@ -66,13 +63,9 @@ const IDLE_SPIN: u32 = 64;
 /// How ranks of a job are scheduled onto OS threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedMode {
-    /// One full OS thread per rank, blocking ops poll every 200 µs. The
-    /// original scheduler, kept as the determinism oracle
-    /// (`C3_SCHED=threads` forces it globally).
-    ThreadPerRank,
     /// Ranks are stackful coroutines on `workers` OS threads: blocked ranks
     /// park until an event wakes them. `workers: 0` means one worker per
-    /// available CPU.
+    /// available CPU; `workers: 1` is the serial reference schedule.
     EventDriven {
         /// Worker threads running rank coroutines (0 = number of CPUs).
         workers: usize,
@@ -164,99 +157,87 @@ struct ReadyQ {
     sleepers: usize,
 }
 
-struct EventSched {
+/// The job's scheduler: the rank coroutines, the ready queue, and the
+/// quiescence accounting.
+pub(crate) struct Sched {
     workers: usize,
     tasks: Vec<Task>,
     counts: Mutex<Counts>,
     ready: Ready,
 }
 
-/// The job's scheduler. In thread-per-rank mode every method is a cheap
-/// no-op; in event mode it owns the rank coroutines, the ready queue, and
-/// the quiescence accounting.
-pub(crate) struct Sched {
-    ev: Option<EventSched>,
-}
-
 impl Sched {
     pub(crate) fn new(mode: SchedMode, nranks: usize) -> Self {
-        let ev = match mode {
-            SchedMode::ThreadPerRank => None,
-            SchedMode::EventDriven { workers } => {
-                let workers = if workers == 0 {
-                    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-                } else {
-                    workers
-                };
-                Some(EventSched {
-                    workers,
-                    tasks: (0..nranks)
-                        .map(|_| Task {
-                            epoch: AtomicU64::new(0),
-                            st: Mutex::new(State::Woken),
-                            on_cpu: AtomicBool::new(false),
-                            sp: UnsafeCell::new(std::ptr::null_mut()),
-                            home: UnsafeCell::new(std::ptr::null_mut()),
-                            stack: UnsafeCell::new(None),
-                        })
-                        .collect(),
-                    counts: Mutex::new(Counts { blocked: 0, live: nranks }),
-                    ready: Ready {
-                        q: Mutex::new(ReadyQ { ranks: (0..nranks).collect(), sleepers: 0 }),
-                        cv: Condvar::new(),
-                        len: AtomicUsize::new(nranks),
-                        remaining: AtomicUsize::new(nranks),
-                    },
-                })
-            }
+        let SchedMode::EventDriven { workers } = mode;
+        let workers = if workers == 0 {
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        } else {
+            workers
         };
-        Sched { ev }
-    }
-
-    /// Is the event-driven scheduler active?
-    #[inline]
-    pub(crate) fn is_event(&self) -> bool {
-        self.ev.is_some()
+        Sched {
+            workers,
+            tasks: (0..nranks)
+                .map(|_| Task {
+                    epoch: AtomicU64::new(0),
+                    st: Mutex::new(State::Woken),
+                    on_cpu: AtomicBool::new(false),
+                    sp: UnsafeCell::new(std::ptr::null_mut()),
+                    home: UnsafeCell::new(std::ptr::null_mut()),
+                    stack: UnsafeCell::new(None),
+                })
+                .collect(),
+            counts: Mutex::new(Counts { blocked: 0, live: nranks }),
+            ready: Ready {
+                q: Mutex::new(ReadyQ { ranks: (0..nranks).collect(), sleepers: 0 }),
+                cv: Condvar::new(),
+                len: AtomicUsize::new(nranks),
+                remaining: AtomicUsize::new(nranks),
+            },
+        }
     }
 
     /// Run `body(rank)` for every rank as coroutines on the worker pool and
     /// return when all have finished. `body` must not unwind (see
-    /// [`crate::coro`]). Event mode only; call once per scheduler.
+    /// [`crate::coro`]). Call once per scheduler.
     pub(crate) fn run_tasks(&self, body: &(dyn Fn(Rank) + Sync)) {
-        let ev = self.ev.as_ref().expect("run_tasks needs the event scheduler");
-        let boots: Vec<Boot> = (0..ev.tasks.len()).map(|rank| Boot { ev, body, rank }).collect();
+        let boots: Vec<Boot> =
+            (0..self.tasks.len()).map(|rank| Boot { sched: self, body, rank }).collect();
         std::thread::scope(|s| {
-            for _ in 1..ev.workers.min(ev.tasks.len()) {
-                s.spawn(|| ev.work(&boots));
+            for _ in 1..self.workers.min(self.tasks.len()) {
+                s.spawn(|| self.work(&boots));
             }
-            ev.work(&boots);
+            self.work(&boots);
         });
     }
 
-    /// The rank's current wake epoch (0 in thread mode). Sample this
-    /// *before* checking the blocking condition; pass it to [`Sched::park`].
+    /// The rank's current wake epoch. Sample this *before* checking the
+    /// blocking condition; pass it to [`Sched::park`].
     #[inline]
     pub(crate) fn epoch(&self, rank: Rank) -> u64 {
-        match &self.ev {
-            Some(ev) => ev.tasks[rank].epoch.load(Ordering::Acquire),
-            None => 0,
-        }
+        self.tasks[rank].epoch.load(Ordering::Acquire)
     }
 
     /// Wake `rank`: bump its epoch and queue it if committed-blocked.
     /// Callers must make the rank's wake condition true *before* calling.
     pub(crate) fn wake(&self, rank: Rank) {
-        if let Some(ev) = &self.ev {
-            ev.wake(rank);
+        let t = &self.tasks[rank];
+        let mut st = t.st.lock();
+        t.epoch.fetch_add(1, Ordering::Release);
+        let prev = *st;
+        if matches!(prev, State::Parking | State::Parked) {
+            *st = State::Woken;
+            self.counts.lock().blocked -= 1;
+        }
+        drop(st);
+        if prev == State::Parked {
+            self.ready.push(rank);
         }
     }
 
     /// Wake every rank (poison propagation).
     pub(crate) fn wake_all(&self) {
-        if let Some(ev) = &self.ev {
-            for rank in 0..ev.tasks.len() {
-                ev.wake(rank);
-            }
+        for rank in 0..self.tasks.len() {
+            self.wake(rank);
         }
     }
 
@@ -265,10 +246,7 @@ impl Sched {
     /// [`Parked::Quiescent`] instead of parking when this park would leave
     /// no live rank runnable.
     pub(crate) fn park(&self, rank: Rank, seen: u64) -> Parked {
-        let Some(ev) = &self.ev else {
-            return Parked::Ran;
-        };
-        let t = &ev.tasks[rank];
+        let t = &self.tasks[rank];
         if t.epoch.load(Ordering::Acquire) != seen {
             return Parked::Ran; // a wake raced the condition check
         }
@@ -278,7 +256,7 @@ impl Sched {
             if t.epoch.load(Ordering::Acquire) != seen {
                 return Parked::Ran;
             }
-            let mut c = ev.counts.lock();
+            let mut c = self.counts.lock();
             c.blocked += 1;
             if c.blocked == c.live {
                 c.blocked -= 1;
@@ -303,60 +281,16 @@ impl Sched {
     /// the interleaving they check.
     #[cfg(test)]
     pub(crate) fn is_parked(&self, rank: Rank) -> bool {
-        self.ev
-            .as_ref()
-            .is_some_and(|ev| matches!(*ev.tasks[rank].st.lock(), State::Parking | State::Parked))
+        matches!(*self.tasks[rank].st.lock(), State::Parking | State::Parked)
     }
 
     /// Mark a rank's task finished. Returns true when the remaining live
     /// ranks are all committed-blocked — the exiting rank was their last
     /// possible waker, so the caller must run the deadlock detective.
     pub(crate) fn rank_exit(&self) -> bool {
-        match &self.ev {
-            Some(ev) => {
-                let mut c = ev.counts.lock();
-                c.live -= 1;
-                c.live > 0 && c.blocked == c.live
-            }
-            None => false,
-        }
-    }
-}
-
-/// A coroutine's entry argument: everything its first resume needs.
-struct Boot<'a> {
-    ev: &'a EventSched,
-    body: &'a (dyn Fn(Rank) + Sync),
-    rank: Rank,
-}
-
-extern "C" fn rank_main(arg: *mut u8) -> ! {
-    // SAFETY: `arg` is this rank's `Boot`, which `run_tasks` keeps alive
-    // until every worker has returned, i.e. until every rank is `Done`.
-    let boot = unsafe { &*(arg as *const Boot<'_>) };
-    (boot.body)(boot.rank);
-    let t = &boot.ev.tasks[boot.rank];
-    *t.st.lock() = State::Done;
-    // SAFETY: as in `park`; a `Done` context is never resumed, and its
-    // stack is recycled only after this switch completed.
-    unsafe { coro::switch(t.sp.get(), **t.home.get()) };
-    unreachable!("a finished rank coroutine was resumed");
-}
-
-impl EventSched {
-    fn wake(&self, rank: Rank) {
-        let t = &self.tasks[rank];
-        let mut st = t.st.lock();
-        t.epoch.fetch_add(1, Ordering::Release);
-        let prev = *st;
-        if matches!(prev, State::Parking | State::Parked) {
-            *st = State::Woken;
-            self.counts.lock().blocked -= 1;
-        }
-        drop(st);
-        if prev == State::Parked {
-            self.ready.push(rank);
-        }
+        let mut c = self.counts.lock();
+        c.live -= 1;
+        c.live > 0 && c.blocked == c.live
     }
 
     /// A worker: resume runnable ranks until every rank is `Done`.
@@ -401,6 +335,26 @@ impl EventSched {
             }
         }
     }
+}
+
+/// A coroutine's entry argument: everything its first resume needs.
+struct Boot<'a> {
+    sched: &'a Sched,
+    body: &'a (dyn Fn(Rank) + Sync),
+    rank: Rank,
+}
+
+extern "C" fn rank_main(arg: *mut u8) -> ! {
+    // SAFETY: `arg` is this rank's `Boot`, which `run_tasks` keeps alive
+    // until every worker has returned, i.e. until every rank is `Done`.
+    let boot = unsafe { &*(arg as *const Boot<'_>) };
+    (boot.body)(boot.rank);
+    let t = &boot.sched.tasks[boot.rank];
+    *t.st.lock() = State::Done;
+    // SAFETY: as in `park`; a `Done` context is never resumed, and its
+    // stack is recycled only after this switch completed.
+    unsafe { coro::switch(t.sp.get(), **t.home.get()) };
+    unreachable!("a finished rank coroutine was resumed");
 }
 
 impl Ready {
@@ -449,15 +403,6 @@ impl Ready {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn thread_mode_is_inert() {
-        let s = Sched::new(SchedMode::ThreadPerRank, 4);
-        assert!(!s.is_event());
-        assert_eq!(s.epoch(0), 0);
-        assert_eq!(s.park(0, 0), Parked::Ran);
-        assert!(!s.rank_exit());
-    }
 
     #[test]
     fn wake_before_park_is_not_lost() {

@@ -1,4 +1,4 @@
-//! Job launch: rank tasks under the selected scheduler, fail-stop
+//! Job launch: rank coroutines on the job's worker pool, fail-stop
 //! propagation, result collection.
 
 use crate::ctx::RankCtx;
@@ -20,9 +20,7 @@ pub struct JobSpec {
     pub cluster: ClusterModel,
     /// Fault-and-delivery model: reordering, drop, duplication, seed.
     pub net: NetModel,
-    /// Rank scheduler: event-driven by default, thread-per-rank as the
-    /// determinism oracle. The `C3_SCHED` environment variable
-    /// (`threads`/`event`) overrides every job in the process.
+    /// Rank scheduler: the worker-pool width.
     pub sched: SchedMode,
 }
 
@@ -81,25 +79,6 @@ impl JobSpec {
         self.sched = s;
         self
     }
-
-    /// Force the thread-per-rank oracle scheduler.
-    pub fn threads(mut self) -> Self {
-        self.sched = SchedMode::ThreadPerRank;
-        self
-    }
-}
-
-/// The process-wide scheduler override: `C3_SCHED=threads` forces the
-/// thread-per-rank oracle, `C3_SCHED=event` the event scheduler, for every
-/// job regardless of its spec (read once per process — the switch exists to
-/// A/B whole test suites and benches against the oracle).
-fn sched_override() -> Option<SchedMode> {
-    static MODE: std::sync::OnceLock<Option<SchedMode>> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("C3_SCHED").ok().as_deref() {
-        Some("threads") | Some("thread") => Some(SchedMode::ThreadPerRank),
-        Some("event") => Some(SchedMode::EventDriven { workers: 0 }),
-        _ => None,
-    })
 }
 
 /// Why a job did not complete.
@@ -167,8 +146,7 @@ where
     F: Fn(&mut RankCtx) -> Result<T, MpiError> + Sync,
 {
     assert!(spec.nranks > 0, "job needs at least one rank");
-    let mode = sched_override().unwrap_or(spec.sched);
-    let net = Arc::new(Network::new_with_sched(spec.nranks, spec.cluster, spec.net, mode));
+    let net = Arc::new(Network::new(spec));
     let f = &f;
 
     enum Outcome<T> {
@@ -177,9 +155,9 @@ where
         Panic,
     }
 
-    // Thread mode: one OS thread per rank. Event mode: one coroutine per
-    // rank on the scheduler's worker pool; the `catch_unwind` below keeps
-    // every panic on the rank's own stack (see `coro.rs`).
+    // One coroutine per rank on the scheduler's worker pool; the
+    // `catch_unwind` below keeps every panic on the rank's own stack (see
+    // `coro.rs`).
     let run_rank = |rank: Rank| {
         let mut ctx = RankCtx::new(rank, Arc::clone(&net));
         let outcome = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
@@ -201,21 +179,12 @@ where
         net.rank_done(rank);
         outcome
     };
-    let run_rank = &run_rank;
 
-    let outcomes: Vec<Outcome<T>> = match mode {
-        SchedMode::ThreadPerRank => std::thread::scope(|s| {
-            let handles: Vec<_> =
-                (0..spec.nranks).map(|rank| s.spawn(move || run_rank(rank))).collect();
-            handles.into_iter().map(|h| h.join().expect("rank thread joins")).collect()
-        }),
-        SchedMode::EventDriven { .. } => {
-            let slots: Vec<Mutex<Option<Outcome<T>>>> =
-                (0..spec.nranks).map(|_| Mutex::new(None)).collect();
-            net.sched().run_tasks(&|rank| *slots[rank].lock() = Some(run_rank(rank)));
-            slots.iter().map(|s| s.lock().take().expect("every rank ran to completion")).collect()
-        }
-    };
+    let slots: Vec<Mutex<Option<Outcome<T>>>> =
+        (0..spec.nranks).map(|_| Mutex::new(None)).collect();
+    net.sched().run_tasks(&|rank| *slots[rank].lock() = Some(run_rank(rank)));
+    let outcomes: Vec<Outcome<T>> =
+        slots.iter().map(|s| s.lock().take().expect("every rank ran to completion")).collect();
 
     // Classify: panics dominate, then non-abort errors, then abort.
     for (rank, o) in outcomes.iter().enumerate() {
@@ -494,9 +463,6 @@ mod tests {
 
     #[test]
     fn a_4096_rank_ring_runs_on_a_few_worker_threads() {
-        if matches!(sched_override(), Some(SchedMode::ThreadPerRank)) {
-            return; // the forced oracle is one OS thread per rank by design
-        }
         // Concurrent tests in this binary own threads too; 4096 ranks as
         // OS threads would exceed this slack by two orders of magnitude.
         const SLACK: usize = 32;
@@ -521,9 +487,6 @@ mod tests {
 
     #[test]
     fn a_rank_panic_leaves_the_stack_pool_usable() {
-        if matches!(sched_override(), Some(SchedMode::ThreadPerRank)) {
-            return; // the stack pool belongs to the event scheduler
-        }
         let spec = JobSpec::new(3).sched(SchedMode::EventDriven { workers: 2 });
         let err = launch(&spec, |ctx| {
             if ctx.rank() == 1 {
@@ -558,17 +521,10 @@ mod tests {
     }
 
     #[test]
-    fn event_scheduler_detects_a_missing_send_deadlock() {
+    fn scheduler_detects_a_missing_send_deadlock() {
         // Rank 0 receives a message no one sends; rank 1 exits immediately.
-        // The event scheduler proves quiescence and poisons with the generic
-        // deadlock verdict instead of hanging (thread mode would hang here —
-        // it has no global blocked-rank accounting without backpressure).
-        // `C3_SCHED=threads` overrides the spec below by design, which would
-        // turn this test into that very hang — skip under a forced oracle.
-        if matches!(sched_override(), Some(SchedMode::ThreadPerRank)) {
-            eprintln!("skipped: C3_SCHED forces the thread oracle");
-            return;
-        }
+        // The scheduler proves quiescence and poisons with the generic
+        // deadlock verdict instead of hanging.
         let spec = JobSpec::new(2).sched(SchedMode::EventDriven { workers: 2 });
         let err = launch(&spec, |ctx| {
             if ctx.rank() == 0 {

@@ -69,8 +69,11 @@ enum Phase {
     /// Inside the preconditioner V-cycle of iteration `iter` (`lvl` carries
     /// the descent position; `vf`/`vu` hold the per-level data).
     SolveInVcycle,
-    /// After the solve (two pragmas in `main`).
+    /// After the solve, before the norm reduction (pragma #6 in `main`).
     PostSolve,
+    /// After the norm reduction (pragma #7 in `main`); `rho` holds the
+    /// reduced ‖x‖².
+    Finished,
 }
 
 impl Phase {
@@ -81,6 +84,7 @@ impl Phase {
             Phase::Solve => 2,
             Phase::SolveInVcycle => 3,
             Phase::PostSolve => 4,
+            Phase::Finished => 5,
         }
     }
     fn from_code(c: u8) -> Result<Self, MpiError> {
@@ -90,6 +94,7 @@ impl Phase {
             2 => Phase::Solve,
             3 => Phase::SolveInVcycle,
             4 => Phase::PostSolve,
+            5 => Phase::Finished,
             other => return Err(MpiError::Internal(format!("bad SMG phase {other}"))),
         })
     }
@@ -317,7 +322,8 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &SmgConfig) -> Result<f64, MpiError> {
     }
 
     // --- hypre_PCGSolve (pragmas #4 at loop top, #5 inside the V-cycle) ---
-    loop {
+    // A state restored after the solve skips it.
+    while matches!(st.phase, Phase::Solve | Phase::SolveInVcycle) {
         // A restored in-V-cycle state re-enters here first: resume the
         // preconditioner from the saved descent position. A further
         // checkpoint inside the resumed V-cycle is again possible.
@@ -326,7 +332,6 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &SmgConfig) -> Result<f64, MpiError> {
             finish_iteration(comm, &mut st, z)?;
             continue;
         }
-        debug_assert_eq!(st.phase, Phase::Solve);
         if st.iter >= cfg.iters {
             st.phase = Phase::PostSolve;
             break;
@@ -358,11 +363,16 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &SmgConfig) -> Result<f64, MpiError> {
     }
 
     // --- main, pragmas #6 and #7: after the solve ---
+    if st.phase == Phase::PostSolve {
+        comm.pragma(&mut |e| st.save(e))?;
+        let local: f64 = st.x.iter().map(|v| v * v).sum();
+        // The PCG scalar is dead after the solve; its slot carries the norm
+        // to pragma #7, so the saved layout stays the same at every site.
+        st.rho = comm.allreduce_f64(local, Op::Sum)?;
+        st.phase = Phase::Finished;
+    }
     comm.pragma(&mut |e| st.save(e))?;
-    let local: f64 = st.x.iter().map(|v| v * v).sum();
-    let norm = comm.allreduce_f64(local, Op::Sum)?;
-    comm.pragma(&mut |e| st.save(e))?;
-    Ok((norm / n as f64).sqrt())
+    Ok((st.rho / n as f64).sqrt())
 }
 
 /// Borrow split so the V-cycle pragma can encode the full state (scalars +

@@ -1,6 +1,7 @@
 //! Verification support: reference results and tolerance comparison.
 //!
-//! The reproduction's core correctness invariant (DESIGN.md §7) is that a
+//! The reproduction's core correctness invariant (`docs/ARCHITECTURE.md`
+//! §5) is that a
 //! run which fails and recovers from a checkpoint produces *the same result*
 //! as a failure-free run. This module computes the failure-free reference on
 //! the raw substrate backend (no C³ layer at all, so the reference cannot be

@@ -4,7 +4,7 @@
 //! description of their own state (variables in scope, heap objects) and can
 //! write it to a checkpoint file and rebuild it on restart (§5). This crate
 //! is the runtime side of that mechanism, with the precompiler replaced by
-//! explicit registration — the substitution is documented in `DESIGN.md`:
+//! explicit registration (`docs/ARCHITECTURE.md` §4):
 //!
 //! * [`codec`] — a self-describing binary format ("C³ saves all data as
 //!   binary, irrespective of the data's type") with a [`codec::Saveable`]

@@ -14,9 +14,9 @@
 //!   checkpoint store, SLC baseline, incremental checkpointing);
 //! * [`npb`] — the benchmark applications of the paper's evaluation.
 //!
-//! Start with `examples/quickstart.rs`, `README.md` for the architecture,
-//! `DESIGN.md` for the system inventory and substitutions, and
-//! `EXPERIMENTS.md` for the paper-vs-measured results.
+//! Start with `examples/quickstart.rs`, `README.md` for the overview, and
+//! `docs/ARCHITECTURE.md` for one page per layer and the cross-layer
+//! invariants.
 
 pub use c3;
 pub use mpisim;

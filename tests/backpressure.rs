@@ -238,15 +238,14 @@ fn parked_send_across_a_checkpoint_pragma_is_logged_late() {
 /// network has observed the predecessor's ticket via `sends_parked`), so
 /// every claim at the receiver must grant the earlier ticket first and the
 /// wildcard drain must observe sources 1, 2, 3 — deterministically, every
-/// round. Under the old `notify_all` broadcast this order was still
-/// enforced by the ticket check, but the wakeup itself was a thundering
-/// herd; this pins the observable contract the targeted
-/// `notify_one`-to-the-head implementation must keep.
+/// round. This pins the observable contract of the targeted wake to the
+/// ticket head. Rank 0 spin-waits on the network, so every rank gets its
+/// own worker.
 #[test]
 fn credit_return_wakes_the_ticket_head_in_fifo_order() {
     use std::sync::atomic::Ordering;
     for round in 0..8 {
-        let spec = JobSpec::new(4).mailbox_capacity(1).sched(SchedMode::ThreadPerRank);
+        let spec = JobSpec::new(4).mailbox_capacity(1).sched(SchedMode::EventDriven { workers: 4 });
         let out = mpisim::launch(&spec, |ctx| {
             let (go, payload) = (9, 5);
             if ctx.rank() == 0 {

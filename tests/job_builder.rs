@@ -1,124 +1,13 @@
-//! Builder round-trip: every legacy `run_job*` call has an equivalent
-//! `c3::Job` spelling that produces the same results. The legacy functions
-//! are deprecated one-line shims over the builder; these tests pin the
-//! migration table in the README (and keep the shims honest) by running
-//! both spellings of each driver side by side on a deterministic workload.
-
-#![allow(deprecated)]
+//! `c3::Job` builder: the substrate spec a job launches with reflects the
+//! chaos plan's network faults merged into the builder's network model.
 
 mod util;
 
-use c3::{C3Config, C3Ctx, C3Error, ChaosPlan, FailAt, FailurePlan, Job};
-use mpisim::{JobSpec, NetModel};
-use statesave::codec::{Decoder, Encoder};
+use c3::{C3Config, ChaosPlan, FailAt, FailurePlan, Job};
+use mpisim::NetModel;
 use util::TempStore;
 
 const NRANKS: usize = 3;
-const ITERS: u64 = 10;
-
-/// Deterministic ring with a pragma per iteration.
-fn ring(ctx: &mut C3Ctx<'_>, iters: u64) -> Result<u64, C3Error> {
-    let (mut iter, mut acc) = match ctx.take_restored_state() {
-        Some(b) => {
-            let mut d = Decoder::new(&b);
-            (d.u64()?, d.u64()?)
-        }
-        None => (0, 0),
-    };
-    let me = ctx.rank();
-    let n = ctx.nranks();
-    while iter < iters {
-        ctx.pragma(|e: &mut Encoder| {
-            e.u64(iter);
-            e.u64(acc);
-        })?;
-        ctx.send((me + 1) % n, 2, &[iter * 17 + me as u64])?;
-        let (v, _) = ctx.recv::<u64>(((me + n - 1) % n) as i32, 2)?;
-        acc = acc.wrapping_mul(0x100000001b3).wrapping_add(v[0]);
-        iter += 1;
-    }
-    Ok(acc)
-}
-
-#[test]
-fn run_job_equals_job_run() {
-    let store_a = TempStore::new("rt-plain-a");
-    let store_b = TempStore::new("rt-plain-b");
-    let legacy = c3::run_job(&JobSpec::new(NRANKS), &C3Config::passive(store_a.path()), |ctx| {
-        ring(ctx, ITERS)
-    })
-    .unwrap();
-    let builder =
-        Job::new(NRANKS, C3Config::passive(store_b.path())).run(|ctx| ring(ctx, ITERS)).unwrap();
-    assert_eq!(builder.restarts, 0);
-    assert_eq!(legacy.results, builder.handle.results);
-}
-
-#[test]
-fn run_job_restored_equals_job_restore() {
-    // Prime two identical stores with a committed mid-run line each, then
-    // resume from them with both spellings.
-    let prime = |store: &TempStore| {
-        let cfg = C3Config::at_pragmas(store.path(), vec![4]);
-        Job::new(NRANKS, cfg.clone()).run(|ctx| ring(ctx, ITERS)).unwrap();
-        cfg
-    };
-    let store_a = TempStore::new("rt-restore-a");
-    let store_b = TempStore::new("rt-restore-b");
-    let cfg_a = prime(&store_a);
-    let cfg_b = prime(&store_b);
-
-    let legacy =
-        c3::run_job_restored(&JobSpec::new(NRANKS), &cfg_a, |ctx| ring(ctx, ITERS)).unwrap();
-    let builder = Job::new(NRANKS, cfg_b).restore().run(|ctx| ring(ctx, ITERS)).unwrap();
-    assert_eq!(legacy.results, builder.handle.results);
-}
-
-#[test]
-fn run_job_with_failure_equals_job_failure() {
-    let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 6 } };
-    let store_a = TempStore::new("rt-fail-a");
-    let store_b = TempStore::new("rt-fail-b");
-    let legacy = c3::run_job_with_failure(
-        &JobSpec::new(NRANKS),
-        &C3Config::at_pragmas(store_a.path(), vec![3]),
-        plan,
-        |ctx| ring(ctx, ITERS),
-    )
-    .unwrap();
-    let builder = Job::new(NRANKS, C3Config::at_pragmas(store_b.path(), vec![3]))
-        .failure(plan)
-        .run(|ctx| ring(ctx, ITERS))
-        .unwrap();
-    assert_eq!(legacy.restarts, 1);
-    assert_eq!(builder.restarts, 1);
-    assert_eq!(legacy.handle.results, builder.handle.results);
-    assert_eq!(legacy.lines, builder.lines);
-}
-
-#[test]
-fn run_job_with_chaos_equals_job_chaos() {
-    let plan = ChaosPlan::new(vec![
-        FailurePlan { rank: 2, when: FailAt::AfterCommits { commits: 1, pragma: 5 } },
-        FailurePlan { rank: 0, when: FailAt::Pragma(3) },
-    ]);
-    let store_a = TempStore::new("rt-chaos-a");
-    let store_b = TempStore::new("rt-chaos-b");
-    let legacy = c3::run_job_with_chaos(
-        &JobSpec::new(NRANKS),
-        &C3Config::at_pragmas(store_a.path(), vec![3]),
-        &plan,
-        |ctx| ring(ctx, ITERS),
-    )
-    .unwrap();
-    let builder = Job::new(NRANKS, C3Config::at_pragmas(store_b.path(), vec![3]))
-        .chaos(plan.clone())
-        .run(|ctx| ring(ctx, ITERS))
-        .unwrap();
-    assert_eq!(legacy.restarts, builder.restarts);
-    assert_eq!(legacy.faults_fired, builder.faults_fired);
-    assert_eq!(legacy.handle.results, builder.handle.results);
-}
 
 #[test]
 fn spec_reflects_merged_network_faults() {

@@ -1,5 +1,5 @@
-//! Property-based tests (DESIGN.md §7) on the protocol's data structures
-//! and invariants, spanning the `c3` and `statesave` crates.
+//! Property-based tests on the protocol's data structures and invariants,
+//! spanning the `c3` and `statesave` crates.
 
 mod util;
 

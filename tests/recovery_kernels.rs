@@ -1,7 +1,8 @@
-//! The reproduction's central invariant (DESIGN.md §7): for every benchmark
-//! kernel, a run that checkpoints, suffers a fail-stop failure, and recovers
-//! from the last committed recovery line produces **exactly the same result**
-//! as a failure-free run on the raw substrate (no C³ layer at all).
+//! The reproduction's central invariant (`docs/ARCHITECTURE.md` §5): for
+//! every benchmark kernel, a run that checkpoints, suffers a fail-stop
+//! failure, and recovers from the last committed recovery line produces
+//! **exactly the same result** as a failure-free run on the raw substrate
+//! (no C³ layer at all).
 //!
 //! Every kernel exercises a different slice of the protocol: CG (allreduce +
 //! halo p2p), LU/SP/BT (pipelined wavefronts), MG (barriers + gather/bcast),
@@ -72,6 +73,21 @@ check!(
 
 check!(smg_recovers, 4, 1, 4, 9, smg, npb::smg::SmgConfig { log2_n: 8, iters: 6, smooth: 2 });
 check!(hpl_recovers, 4, 3, 10, 20, hpl, npb::hpl::HplConfig { n: 40 });
+
+// SMG runs 35 pragmas at this size: three in setup, five per PCG iteration
+// (loop top plus one per V-cycle level), then #6 and #7 after the solve.
+// The line is taken at #6 and the rank dies at #7, so the restored state
+// resumes after the solve. One rank commits at once (no peer CIs to wait
+// for); on more ranks nothing after #6 drives the commit before #7.
+check!(
+    smg_recovers_from_a_post_solve_checkpoint,
+    1,
+    0,
+    34,
+    35,
+    smg,
+    npb::smg::SmgConfig { log2_n: 8, iters: 6, smooth: 2 }
+);
 
 /// EP has no communication inside its block loop, so at several ranks the
 /// timing of checkpoint coordination relative to the (very fast) loop is

@@ -1,34 +1,30 @@
-//! Scheduler equivalence: the event-driven rank scheduler must be
-//! observationally identical to the thread-per-rank oracle.
+//! Scheduler equivalence: a job's observable behaviour must not depend on
+//! how its ranks are scheduled onto worker threads. `workers: 1` is the
+//! serial reference schedule (one OS thread resuming ranks in ready-queue
+//! order); `workers: NRANKS` runs every rank at once on preempted OS
+//! threads, the most concurrent schedule the pool allows.
 //!
 //! The per-rank op clock ticks at exactly the points where a rank can block
 //! (send, posted receive, wait, collective entry) and never on polling, so
-//! it is a pure function of the rank's call sequence — scheduler choice
-//! must not move it. These suites pin that invariant end to end, 32 seeds
-//! per network model (reliable, reorder+drop+dup, tight bounded mailboxes),
+//! it is a pure function of the rank's call sequence — the schedule must
+//! not move it. These suites pin that invariant end to end, 32 seeds per
+//! network model (reliable, reorder+drop+dup, tight bounded mailboxes),
 //! protocol layer included:
 //!
 //! * **failure-free runs** (checkpoint rounds active, no fail-stop): the
 //!   per-rank results *and* final op clocks are bit-identical between the
-//!   thread oracle and the event scheduler — the call sequence is fully
-//!   application-determined, so any scheduler-induced drift would surface
-//!   here as a clock divergence;
+//!   two schedules — the call sequence is fully application-determined, so
+//!   any schedule-induced drift would surface here as a clock divergence;
 //! * **fail-stop chaos runs** (seeded multi-fault [`ChaosPlan`]s): both
-//!   schedulers recover to results bit-identical to each other and to the
-//!   failure-free baseline. Final op clocks and committed-line
-//!   progressions are *not* compared across chaos runs: which round has
-//!   committed when an asynchronous fault tears the job down — and hence
-//!   how many receives the restarted incarnation serves from the replay
-//!   log without posting a substrate op — is interleaving-dependent under
-//!   *both* schedulers (the thread oracle itself produces different line
-//!   progressions across identical invocations), so the recovered result
-//!   is the strongest chaos-side observable that is deterministic at all;
+//!   schedules recover to the failure-free result bit for bit. Final op
+//!   clocks and committed-line progressions are *not* compared across
+//!   chaos runs: which round has committed when an asynchronous fault
+//!   tears the job down — and hence how many receives the restarted
+//!   incarnation serves from the replay log without posting a substrate op
+//!   — depends on the interleaving, so the recovered result is the
+//!   strongest chaos-side observable that is deterministic at all;
 //! * raw substrate: an NPB kernel's results and op clocks are bit-identical
-//!   across the oracle and event scheduling at several worker counts.
-//!
-//! The sweeps compare explicit `.sched(...)` selections, so they assume
-//! `C3_SCHED` is unset (the env override deliberately wins over the spec;
-//! CI never sets it).
+//!   between the serial schedule and several worker-pool widths.
 
 mod util;
 
@@ -40,7 +36,8 @@ use util::TempStore;
 const NRANKS: usize = 3;
 const ITERS: u64 = 10;
 const SEEDS: u64 = 32;
-const EVENT: SchedMode = SchedMode::EventDriven { workers: 0 };
+const SERIAL: SchedMode = SchedMode::EventDriven { workers: 1 };
+const CONCURRENT: SchedMode = SchedMode::EventDriven { workers: NRANKS };
 
 /// The chaos ring workload (the `chaos_soak` smoke workload): checkpoint
 /// every third pragma, pass a token around the ring, fold into a checksum.
@@ -100,24 +97,24 @@ fn run_ring(
 }
 
 /// The full sweep for one network family: per seed, (a) failure-free runs
-/// must match bit-for-bit *including op clocks* across schedulers, and
-/// (b) seeded chaos runs under both schedulers must recover to that same
+/// must match bit-for-bit *including op clocks* across both schedules, and
+/// (b) seeded chaos runs under both schedules must recover to that same
 /// failure-free result.
 fn sweep(tag: &str, net_for_seed: impl Fn(u64) -> NetModel) {
     let space = ChaosSpace { nranks: NRANKS, max_pragma: ITERS, max_op: 80 };
     let mut divergences = 0u32;
     for seed in 0..SEEDS {
         let net = net_for_seed(seed);
-        let oracle = run_ring(seed, net, SchedMode::ThreadPerRank, None, tag);
-        let event = run_ring(seed, net, EVENT, None, tag);
-        if event != oracle {
+        let serial = run_ring(seed, net, SERIAL, None, tag);
+        let concurrent = run_ring(seed, net, CONCURRENT, None, tag);
+        if concurrent != serial {
             eprintln!("seed {seed} ({tag}): failure-free op-clock trace diverged");
-            eprintln!("  threads: {oracle:?}\n  event:   {event:?}");
+            eprintln!("  workers 1: {serial:?}\n  workers {NRANKS}: {concurrent:?}");
             divergences += 1;
         }
         let plan = ChaosPlan::from_seed(seed, &space);
-        let baseline: Vec<u64> = oracle.iter().map(|(acc, _)| *acc).collect();
-        for sched in [SchedMode::ThreadPerRank, EVENT] {
+        let baseline: Vec<u64> = serial.iter().map(|(acc, _)| *acc).collect();
+        for sched in [SERIAL, CONCURRENT] {
             let got: Vec<u64> = run_ring(seed, net, sched, Some(plan.clone()), tag)
                 .iter()
                 .map(|(acc, _)| *acc)
@@ -149,7 +146,7 @@ fn sweep_tight_mailboxes() {
 /// Lane-enabled hot path: with the promotion threshold forced to 1, every
 /// repeated exact claim runs through an SPSC lane (and every wildcard claim
 /// demotes one), so this sweep drives the lane/shelf split-queue machinery
-/// under both schedulers. Op clocks must stay bit-identical — lane routing
+/// under both schedules. Op clocks must stay bit-identical — lane routing
 /// is a pure function of the claim sequence, never of timing.
 #[test]
 fn sweep_aggressive_lane_promotion() {
@@ -166,8 +163,8 @@ fn sweep_lane_promotion_under_faults() {
 }
 
 /// Raw substrate (no protocol layer): an NPB CG solve's results and final
-/// op clocks are bit-identical across the thread oracle and the event
-/// scheduler at several worker-pool widths.
+/// op clocks are bit-identical between the serial schedule and several
+/// worker-pool widths.
 #[test]
 fn raw_substrate_op_clocks_match_across_schedulers_and_worker_counts() {
     let run = |sched: SchedMode| -> Vec<(u64, u64)> {
@@ -180,9 +177,9 @@ fn raw_substrate_op_clocks_match_across_schedulers_and_worker_counts() {
         .unwrap_or_else(|e| panic!("cg under {sched:?}: {e}"));
         out.results
     };
-    let oracle = run(SchedMode::ThreadPerRank);
-    for workers in [0, 1, 2, 4] {
+    let serial = run(SERIAL);
+    for workers in [0, 2, 4] {
         let got = run(SchedMode::EventDriven { workers });
-        assert_eq!(got, oracle, "event scheduler with {workers} workers diverged on cg");
+        assert_eq!(got, serial, "{workers} workers diverged from workers: 1 on cg");
     }
 }
