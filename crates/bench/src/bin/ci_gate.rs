@@ -41,6 +41,10 @@
 //! 13. `recovery_trend` — restart-cost percentiles and checkpoint volumes
 //!     vs the copy committed at `HEAD` (informational report; parse
 //!     failures gate, noise does not)
+//! 14. non-test line count — prints `[ARTIFACT][c3-loc] nontest_lines=N`
+//!     over `src/` and `crates/*/src` minus `crates/compat`, each file cut
+//!     at its `#[cfg(test)] mod tests` (informational: no threshold; fails
+//!     only if a source file cannot be read)
 //!
 //! ```text
 //! ci_gate [--skip-build] [--out-dir DIR]
@@ -52,6 +56,7 @@
 //! self-contained). `--out-dir` defaults to `target/ci` so the gate never
 //! clobbers the committed benchmark baselines.
 
+use std::path::Path;
 use std::process::Command;
 
 struct Step {
@@ -298,6 +303,59 @@ fn check_scaling_ratchet(out_dir: &std::path::Path, results: &mut Vec<Step>) {
     results.push(Step { name: "scaling ratchet", ok });
 }
 
+/// Lines of `src` before its `#[cfg(test)]` + `mod tests` pair (all of
+/// them if it has none).
+fn nontest_lines_of(src: &str) -> usize {
+    let lines: Vec<&str> = src.lines().collect();
+    lines
+        .windows(2)
+        .position(|w| w[0] == "#[cfg(test)]" && w[1].starts_with("mod tests"))
+        .unwrap_or(lines.len())
+}
+
+/// Sum of [`nontest_lines_of`] over every `.rs` file under `dir`.
+fn nontest_lines_under(dir: &Path) -> std::io::Result<usize> {
+    let mut n = 0;
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            n += nontest_lines_under(&path)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            n += nontest_lines_of(&std::fs::read_to_string(&path)?);
+        }
+    }
+    Ok(n)
+}
+
+/// The non-test line count of the workspace's own code (`src/` and
+/// `crates/*/src`, minus the vendored shims in `crates/compat`), printed as
+/// an artifact line. Informational: it fails only on an unreadable file.
+fn count_nontest_lines(results: &mut Vec<Step>) {
+    println!("\n=== ci_gate: non-test line count ===");
+    let count = || -> std::io::Result<usize> {
+        let mut n = nontest_lines_under(Path::new("src"))?;
+        for krate in std::fs::read_dir("crates")? {
+            let krate = krate?.path();
+            if krate.file_name().is_some_and(|f| f != "compat") && krate.join("src").is_dir() {
+                n += nontest_lines_under(&krate.join("src"))?;
+            }
+        }
+        Ok(n)
+    };
+    let ok = match count() {
+        Ok(n) => {
+            println!("[ARTIFACT][c3-loc] nontest_lines={n}");
+            true
+        }
+        Err(e) => {
+            eprintln!("ci_gate: cannot count source lines: {e}");
+            false
+        }
+    };
+    println!("=== ci_gate: non-test line count: {} ===", if ok { "PASS" } else { "FAIL" });
+    results.push(Step { name: "non-test line count", ok });
+}
+
 fn main() {
     let mut skip_build = false;
     let mut out_dir = "target/ci".to_string();
@@ -405,6 +463,7 @@ fn main() {
         ]),
         &mut results,
     );
+    count_nontest_lines(&mut results);
 
     println!("\n=== ci_gate summary ===");
     let mut failed = 0;
@@ -419,4 +478,18 @@ fn main() {
         std::process::exit(1);
     }
     println!("all {} steps passed", results.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nontest_lines_stop_at_the_test_module() {
+        assert_eq!(nontest_lines_of("a\nb\n"), 2);
+        assert_eq!(
+            nontest_lines_of("a\n#[cfg(test)]\nfn f() {}\n#[cfg(test)]\nmod tests {\n}\n"),
+            3
+        );
+    }
 }

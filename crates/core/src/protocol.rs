@@ -115,12 +115,11 @@ impl<'a> C3Ctx<'a> {
     ) -> Result<Self> {
         let mut ctx = Self::fresh(mpi, cfg, failure)?;
         let local = ctx.store.last_committed(ctx.mpi.rank()).unwrap_or(0);
-        let (reduced, _) = ctx.mpi.allreduce(
+        let reduced = ctx.mpi.allreduce(
             COMM_CTRL,
             bytes_of(&[local]),
             mpisim::BasicType::U64,
             &mpisim::ReduceOp::Min,
-            0,
         )?;
         let line: u64 = vec_from_bytes::<u64>(&reduced)[0];
         if line == 0 {
@@ -130,7 +129,7 @@ impl<'a> C3Ctx<'a> {
         if ctx.mpi.rank() == 0 {
             ctx.store.prune(line, false)?;
         }
-        ctx.mpi.barrier(COMM_CTRL, 0)?;
+        ctx.mpi.barrier(COMM_CTRL)?;
         ckpt::restore_line(&mut ctx, line)?;
         ctx.exchange_early_registries()?;
         ctx.mode = Mode::Restore;
@@ -150,8 +149,8 @@ impl<'a> C3Ctx<'a> {
             e.save(&sigs);
             parts.push(e.finish());
         }
-        let replies = self.mpi.alltoall(COMM_CTRL, &parts, 0)?;
-        for (_cp, bytes) in replies {
+        let replies = self.mpi.alltoall(COMM_CTRL, &parts)?;
+        for bytes in replies {
             let mut d = statesave::Decoder::new(&bytes);
             let sigs: Vec<StreamSig> = d.load()?;
             for s in sigs {

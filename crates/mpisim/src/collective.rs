@@ -6,13 +6,6 @@
 //! hidden shadow communicator, so they never interfere with application
 //! matching.
 //!
-//! Every collective takes the caller's *piggyback byte* and returns the
-//! piggyback bytes of the logical communication streams the caller received.
-//! This is the hook the paper's protocol layer needs (§4.3): it applies the
-//! send/receive protocol to the start and end points of each individual
-//! stream within a collective "without affecting the actual data transfer
-//! mechanisms". A plain application passes 0 and ignores the results.
-//!
 //! Reductions are folded in rank order, making results deterministic for a
 //! fixed rank count — a property the protocol layer's replay relies on.
 
@@ -22,53 +15,27 @@ use crate::error::{MpiError, Result};
 use crate::op::{apply_op, ReduceOp};
 use crate::{CommId, Rank, Tag};
 
-/// Gathered pieces at a collective root: one `(piggyback, payload)` per
-/// contributing rank, rank-ordered.
-pub type GatheredParts = Vec<(CollPig, Vec<u8>)>;
-
-/// The piggyback byte observed on one logical stream of a collective.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CollPig {
-    /// World rank of the stream's sender.
-    pub src: Rank,
-    /// That sender's piggyback byte at the time of its call.
-    pub pig: u8,
-}
-
-fn encode_streams(items: &[(CollPig, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + items.iter().map(|(_, d)| d.len() + 9).sum::<usize>());
-    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-    for (cp, data) in items {
-        out.extend_from_slice(&(cp.src as u32).to_le_bytes());
-        out.push(cp.pig);
-        out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        out.extend_from_slice(data);
+/// Frame rank-ordered parts into one buffer: each part behind its `u32`
+/// length.
+fn frame(parts: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(parts.iter().map(|p| 4 + p.len()).sum());
+    for p in parts {
+        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        out.extend_from_slice(p);
     }
     out
 }
 
-fn decode_streams(b: &[u8]) -> Result<Vec<(CollPig, Vec<u8>)>> {
-    let bad = || MpiError::Internal("malformed collective bundle".into());
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-        if *pos + n > b.len() {
-            return Err(bad());
-        }
-        let s = &b[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    };
-    let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let src = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as Rank;
-        let pig = take(&mut pos, 1)?[0];
-        let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let data = take(&mut pos, len)?.to_vec();
-        out.push((CollPig { src, pig }, data));
-    }
-    if pos != b.len() {
-        return Err(bad());
+/// Inverse of [`frame`]; a malformed buffer is an internal error.
+fn unframe(mut b: &[u8]) -> Result<Vec<Vec<u8>>> {
+    let bad = || MpiError::Internal("malformed allgather bundle".into());
+    let mut out = Vec::new();
+    while !b.is_empty() {
+        let (len, rest) = b.split_first_chunk::<4>().ok_or_else(bad)?;
+        let len = u32::from_le_bytes(*len) as usize;
+        let (part, rest) = rest.split_at_checked(len).ok_or_else(bad)?;
+        out.push(part.to_vec());
+        b = rest;
     }
     Ok(out)
 }
@@ -78,6 +45,16 @@ pub fn fold_into(op: &ReduceOp, acc: &mut [u8], next: &[u8], ty: BasicType) -> R
     let prev = acc.to_vec();
     acc.copy_from_slice(next);
     apply_op(op, &prev, acc, ty)
+}
+
+/// Left-to-right fold of a root's rank-ordered gather.
+fn fold_in_rank_order(parts: Vec<Vec<u8>>, ty: BasicType, op: &ReduceOp) -> Result<Vec<u8>> {
+    let mut parts = parts.into_iter();
+    let mut acc = parts.next().expect("gather at root is nonempty");
+    for p in parts {
+        fold_into(op, &mut acc, &p, ty)?;
+    }
+    Ok(acc)
 }
 
 impl RankCtx {
@@ -107,57 +84,44 @@ impl RankCtx {
         self.coll_seq.insert(comm, n);
     }
 
-    /// Broadcast `data` from `root`. Binomial tree; the root's piggyback
-    /// byte travels with the payload and is returned to every receiver.
-    pub fn bcast(
-        &mut self,
-        comm: CommId,
-        root: Rank,
-        data: &mut Vec<u8>,
-        my_pig: u8,
-    ) -> Result<u8> {
+    /// Broadcast `data` from `root` down a binomial tree.
+    pub fn bcast(&mut self, comm: CommId, root: Rank, data: &mut Vec<u8>) -> Result<()> {
         let n = self.nranks();
         let me = self.rank();
         let tag = self.coll_tag(comm)?;
         let shadow = comm.collective_shadow();
         if n == 1 {
-            return Ok(my_pig);
+            return Ok(());
         }
         let relrank = (me + n - root) % n;
-        let mut root_pig = my_pig;
+        let mut received = None;
         // Receive phase.
         let mut mask = 1usize;
         while mask < n {
             if relrank & mask != 0 {
                 let src = (relrank - mask + root) % n;
-                let (payload, _st) = self.recv_payload(src as i32, tag, shadow)?;
-                root_pig = payload[0];
-                // Slice the framing byte off as a view; materializing it is
-                // an in-place compaction (no allocation) when this rank
-                // holds the last reference.
-                *data = payload.view(1, payload.len() - 1).into_vec();
+                received = Some(self.recv_payload(src as i32, tag, shadow)?.0);
                 break;
             }
             mask <<= 1;
         }
-        // Send phase: one pooled buffer, shared by reference across every
-        // child — the fan-out allocates the payload once, not once per
-        // destination.
-        let payload = {
-            let mut lease = self.network().pool().lease(1 + data.len());
-            lease.push(root_pig);
-            lease.extend_from_slice(data);
-            lease.freeze()
-        };
+        // Send phase: one buffer — the root's pooled copy, or the payload
+        // this rank received — shared by reference across every child, so
+        // the fan-out never copies per destination.
+        let is_root = received.is_none();
+        let payload = received.unwrap_or_else(|| self.network().pool().payload_from(data));
         mask >>= 1;
         while mask > 0 {
             if relrank + mask < n {
                 let dst = (relrank + mask + root) % n;
-                self.send_payload(dst, tag, shadow, root_pig, payload.clone())?;
+                self.send_payload(dst, tag, shadow, 0, payload.clone())?;
             }
             mask >>= 1;
         }
-        Ok(root_pig)
+        if !is_root {
+            *data = payload.into_vec();
+        }
+        Ok(())
     }
 
     /// Gather every rank's buffer at `root`. Streams go directly to the
@@ -169,96 +133,73 @@ impl RankCtx {
         comm: CommId,
         root: Rank,
         mine: &[u8],
-        my_pig: u8,
-    ) -> Result<Option<GatheredParts>> {
+    ) -> Result<Option<Vec<Vec<u8>>>> {
         let n = self.nranks();
         let me = self.rank();
         let tag = self.coll_tag(comm)?;
         let shadow = comm.collective_shadow();
         if me != root {
-            self.send_bytes(root, tag, shadow, my_pig, mine)?;
+            self.send_bytes(root, tag, shadow, 0, mine)?;
             return Ok(None);
         }
-        let mut out: Vec<(CollPig, Vec<u8>)> = Vec::with_capacity(n);
-        out.push((CollPig { src: me, pig: my_pig }, mine.to_vec()));
+        let mut out = Vec::with_capacity(n);
         for src in 0..n {
-            if src == me {
-                continue;
-            }
-            let (bytes, st) = self.recv_bytes(src as i32, tag, shadow)?;
-            out.push((CollPig { src, pig: st.piggyback }, bytes));
+            out.push(if src == me {
+                mine.to_vec()
+            } else {
+                self.recv_bytes(src as i32, tag, shadow)?.0
+            });
         }
-        out.sort_by_key(|(cp, _)| cp.src);
         Ok(Some(out))
     }
 
-    /// Scatter per-rank buffers from `root`; each rank receives its part and
-    /// the root's piggyback byte. Subsumes `MPI_Scatterv`.
+    /// Scatter per-rank buffers from `root`; each rank receives its part.
+    /// Subsumes `MPI_Scatterv`.
     pub fn scatter(
         &mut self,
         comm: CommId,
         root: Rank,
         parts: Option<&[Vec<u8>]>,
-        my_pig: u8,
-    ) -> Result<(Vec<u8>, u8)> {
+    ) -> Result<Vec<u8>> {
         let n = self.nranks();
         let me = self.rank();
         let tag = self.coll_tag(comm)?;
         let shadow = comm.collective_shadow();
-        if me == root {
-            let parts =
-                parts.ok_or_else(|| MpiError::InvalidArg("root must supply parts".into()))?;
-            if parts.len() != n {
-                return Err(MpiError::InvalidArg(format!(
-                    "scatter needs {n} parts, got {}",
-                    parts.len()
-                )));
-            }
-            for (dst, part) in parts.iter().enumerate() {
-                if dst != me {
-                    self.send_bytes(dst, tag, shadow, my_pig, part)?;
-                }
-            }
-            Ok((parts[me].clone(), my_pig))
-        } else {
-            let (bytes, st) = self.recv_bytes(root as i32, tag, shadow)?;
-            Ok((bytes, st.piggyback))
+        if me != root {
+            return Ok(self.recv_bytes(root as i32, tag, shadow)?.0);
         }
+        let parts = parts.ok_or_else(|| MpiError::InvalidArg("root must supply parts".into()))?;
+        if parts.len() != n {
+            return Err(MpiError::InvalidArg(format!(
+                "scatter needs {n} parts, got {}",
+                parts.len()
+            )));
+        }
+        for (dst, part) in parts.iter().enumerate() {
+            if dst != me {
+                self.send_bytes(dst, tag, shadow, 0, part)?;
+            }
+        }
+        Ok(parts[me].clone())
     }
 
-    /// All-gather: every rank receives every rank's buffer, with piggyback
-    /// bytes for all logical streams. Implemented as gather-at-0 + bcast.
-    pub fn allgather(
-        &mut self,
-        comm: CommId,
-        mine: &[u8],
-        my_pig: u8,
-    ) -> Result<Vec<(CollPig, Vec<u8>)>> {
-        let gathered = self.gather(comm, 0, mine, my_pig)?;
-        let mut bundle = match gathered {
-            Some(items) => encode_streams(&items),
-            None => Vec::new(),
-        };
-        self.bcast(comm, 0, &mut bundle, my_pig)?;
-        decode_streams(&bundle)
+    /// All-gather: every rank receives every rank's buffer, indexed by
+    /// rank. Implemented as gather-at-0 + bcast.
+    pub fn allgather(&mut self, comm: CommId, mine: &[u8]) -> Result<Vec<Vec<u8>>> {
+        let mut bundle = self.gather(comm, 0, mine)?.map_or_else(Vec::new, |parts| frame(&parts));
+        self.bcast(comm, 0, &mut bundle)?;
+        unframe(&bundle)
     }
 
-    /// Barrier: implemented as an allgather of empty payloads. Returns the
-    /// piggyback bytes of all participants (the barrier's logical streams
-    /// are all-to-all).
-    pub fn barrier(&mut self, comm: CommId, my_pig: u8) -> Result<Vec<CollPig>> {
-        let items = self.allgather(comm, &[], my_pig)?;
-        Ok(items.into_iter().map(|(cp, _)| cp).collect())
+    /// Barrier: an empty gather at 0 followed by an empty bcast.
+    pub fn barrier(&mut self, comm: CommId) -> Result<()> {
+        self.gather(comm, 0, &[])?;
+        self.bcast(comm, 0, &mut Vec::new())
     }
 
     /// All-to-all personalized exchange: `parts[i]` goes to rank `i`; the
     /// result is indexed by source rank. Subsumes `MPI_Alltoallv`.
-    pub fn alltoall(
-        &mut self,
-        comm: CommId,
-        parts: &[Vec<u8>],
-        my_pig: u8,
-    ) -> Result<Vec<(CollPig, Vec<u8>)>> {
+    pub fn alltoall(&mut self, comm: CommId, parts: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
         let n = self.nranks();
         let me = self.rank();
         if parts.len() != n {
@@ -269,18 +210,17 @@ impl RankCtx {
         }
         let tag = self.coll_tag(comm)?;
         let shadow = comm.collective_shadow();
-        let mut out: Vec<Option<(CollPig, Vec<u8>)>> = (0..n).map(|_| None).collect();
-        out[me] = Some((CollPig { src: me, pig: my_pig }, parts[me].clone()));
+        let mut out = vec![Vec::new(); n];
+        out[me] = parts[me].clone();
         // Pairwise rounds; sends are buffered so send-then-recv cannot
         // deadlock.
         for k in 1..n {
             let dst = (me + k) % n;
             let src = (me + n - k) % n;
-            self.send_bytes(dst, tag, shadow, my_pig, &parts[dst])?;
-            let (bytes, st) = self.recv_bytes(src as i32, tag, shadow)?;
-            out[src] = Some((CollPig { src, pig: st.piggyback }, bytes));
+            self.send_bytes(dst, tag, shadow, 0, &parts[dst])?;
+            out[src] = self.recv_bytes(src as i32, tag, shadow)?.0;
         }
-        Ok(out.into_iter().map(|o| o.expect("all slots filled")).collect())
+        Ok(out)
     }
 
     /// Reduce to `root` with deterministic rank-order folding. Returns the
@@ -292,143 +232,65 @@ impl RankCtx {
         data: &[u8],
         ty: BasicType,
         op: &ReduceOp,
-        my_pig: u8,
     ) -> Result<Option<Vec<u8>>> {
-        let gathered = self.gather(comm, root, data, my_pig)?;
-        match gathered {
-            None => Ok(None),
-            Some(items) => {
-                // Seed the fold with the first contribution by ownership
-                // transfer — no clone.
-                let mut iter = items.into_iter();
-                let (_, mut acc) = iter.next().expect("gather at root is nonempty");
-                for (_, d) in iter {
-                    fold_into(op, &mut acc, &d, ty)?;
-                }
-                Ok(Some(acc))
-            }
-        }
+        self.gather(comm, root, data)?.map(|parts| fold_in_rank_order(parts, ty, op)).transpose()
     }
 
-    /// All-reduce with deterministic rank-order folding. Every rank receives
-    /// the result *and* the piggyback bytes of all participants — the
-    /// protocol layer needs the latter to classify the call's logical
-    /// streams and decide whether to log the result (§4.3).
+    /// All-reduce with deterministic rank-order folding: gather at 0, fold
+    /// left to right, bcast the result.
     pub fn allreduce(
         &mut self,
         comm: CommId,
         data: &[u8],
         ty: BasicType,
         op: &ReduceOp,
-        my_pig: u8,
-    ) -> Result<(Vec<u8>, Vec<CollPig>)> {
-        let gathered = self.gather(comm, 0, data, my_pig)?;
-        let mut bundle = match gathered {
-            Some(items) => {
-                let pigs: Vec<(CollPig, Vec<u8>)> =
-                    items.iter().map(|(cp, _)| (*cp, Vec::new())).collect();
-                let mut iter = items.into_iter();
-                let (_, mut acc) = iter.next().expect("gather at root is nonempty");
-                for (_, d) in iter {
-                    fold_into(op, &mut acc, &d, ty)?;
-                }
-                let mut b = encode_streams(&pigs);
-                b.extend_from_slice(&(acc.len() as u32).to_le_bytes());
-                b.extend_from_slice(&acc);
-                b
-            }
+    ) -> Result<Vec<u8>> {
+        let mut acc = match self.gather(comm, 0, data)? {
+            Some(parts) => fold_in_rank_order(parts, ty, op)?,
             None => Vec::new(),
         };
-        self.bcast(comm, 0, &mut bundle, my_pig)?;
-        // Decode: stream list then result.
-        let items_end = {
-            // Re-decode prefix length by parsing.
-            let streams = decode_prefix_streams(&bundle)?;
-            streams
-        };
-        let (streams, rest) = items_end;
-        let len = u32::from_le_bytes(
-            rest.get(0..4)
-                .ok_or_else(|| MpiError::Internal("allreduce bundle truncated".into()))?
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        let result = rest
-            .get(4..4 + len)
-            .ok_or_else(|| MpiError::Internal("allreduce bundle truncated".into()))?
-            .to_vec();
-        Ok((result, streams))
+        self.bcast(comm, 0, &mut acc)?;
+        Ok(acc)
     }
 
     /// Inclusive prefix scan with rank-order folding along the chain
-    /// (rank `i` receives the prefix of ranks `0..i`). Returns this rank's
-    /// result and the piggyback bytes of its predecessors plus itself —
-    /// exactly the logical streams the paper's dependency-chain argument
-    /// covers (§4.3).
+    /// (rank `i` receives the prefix of ranks `0..i`).
     pub fn scan(
         &mut self,
         comm: CommId,
         data: &[u8],
         ty: BasicType,
         op: &ReduceOp,
-        my_pig: u8,
-    ) -> Result<(Vec<u8>, Vec<CollPig>)> {
+    ) -> Result<Vec<u8>> {
         let n = self.nranks();
         let me = self.rank();
         let tag = self.coll_tag(comm)?;
         let shadow = comm.collective_shadow();
         let mut result = data.to_vec();
-        let mut pigs: Vec<CollPig> = Vec::with_capacity(me + 1);
         if me > 0 {
-            let (bytes, _st) = self.recv_bytes((me - 1) as i32, tag, shadow)?;
-            let items = decode_streams(&bytes)?;
-            // Last item is the accumulated prefix; the rest are predecessor
-            // pigs with empty payloads.
-            let mut iter = items.into_iter();
-            let mut prefix = Vec::new();
-            for (cp, d) in iter.by_ref() {
-                if cp.src == me - 1 {
-                    // predecessor entry carries the accumulated prefix
-                    pigs.push(cp);
-                    prefix = d;
-                } else {
-                    pigs.push(cp);
-                }
-            }
-            let mut acc = prefix;
+            let (mut acc, _) = self.recv_bytes((me - 1) as i32, tag, shadow)?;
             fold_into(op, &mut acc, data, ty)?;
             result = acc;
         }
-        pigs.push(CollPig { src: me, pig: my_pig });
         if me + 1 < n {
-            let mut items: Vec<(CollPig, Vec<u8>)> =
-                pigs.iter().map(|cp| (*cp, Vec::new())).collect();
-            // The own entry (last) carries the accumulated prefix.
-            items.last_mut().expect("nonempty").1 = result.clone();
-            let bundle = encode_streams(&items);
-            self.send_bytes(me + 1, tag, shadow, my_pig, &bundle)?;
+            self.send_bytes(me + 1, tag, shadow, 0, &result)?;
         }
-        Ok((result, pigs))
+        Ok(result)
     }
 }
 
-fn decode_prefix_streams(b: &[u8]) -> Result<(Vec<CollPig>, &[u8])> {
-    let bad = || MpiError::Internal("malformed collective bundle".into());
-    if b.len() < 4 {
-        return Err(bad());
-    }
-    let count = u32::from_le_bytes(b[0..4].try_into().unwrap()) as usize;
-    let mut pos = 4usize;
-    let mut pigs = Vec::with_capacity(count);
-    for _ in 0..count {
-        if pos + 9 > b.len() {
-            return Err(bad());
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frame_roundtrips_and_rejects_truncation() {
+        let parts = vec![vec![1u8, 2, 3], Vec::new(), vec![9]];
+        let b = frame(&parts);
+        assert_eq!(unframe(&b).unwrap(), parts);
+        assert!(unframe(&[]).unwrap().is_empty());
+        for cut in [1, 5, b.len() - 1] {
+            assert!(matches!(unframe(&b[..cut]), Err(MpiError::Internal(_))), "cut at {cut}");
         }
-        let src = u32::from_le_bytes(b[pos..pos + 4].try_into().unwrap()) as Rank;
-        let pig = b[pos + 4];
-        let len = u32::from_le_bytes(b[pos + 5..pos + 9].try_into().unwrap()) as usize;
-        pos += 9 + len;
-        pigs.push(CollPig { src, pig });
     }
-    Ok((pigs, &b[pos..]))
 }

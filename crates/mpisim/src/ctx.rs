@@ -604,10 +604,10 @@ mod tests {
         let mut solo = RankCtx::new(0, net);
         // Single-rank bcast takes the early-return path but still ticks.
         let mut data = vec![1u8];
-        solo.bcast(COMM_WORLD, 0, &mut data, 0).unwrap();
+        solo.bcast(COMM_WORLD, 0, &mut data).unwrap();
         assert_eq!(solo.op_clock(), 1);
         solo.set_fail_at_op(Some(2));
-        assert_eq!(solo.bcast(COMM_WORLD, 0, &mut data, 0).unwrap_err(), MpiError::Aborted);
+        assert_eq!(solo.bcast(COMM_WORLD, 0, &mut data).unwrap_err(), MpiError::Aborted);
     }
 
     #[test]

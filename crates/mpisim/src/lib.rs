@@ -21,10 +21,7 @@
 //!   hierarchical construction and pack/unpack of non-contiguous buffers;
 //! * collective operations (barrier, bcast, gather(v), scatter(v),
 //!   allgather, alltoall(v), reduce, allreduce, scan) that, like MPI's, do
-//!   **not** synchronize participants (other than barrier), and that carry a
-//!   small per-stream *piggyback* byte so a protocol layer can observe the
-//!   sender-side state of every logical communication stream — the hook the
-//!   paper's protocol layer needs (§3.2, §4.3);
+//!   **not** synchronize participants (other than barrier);
 //! * a virtual-time network model (latency/bandwidth/per-message CPU cost)
 //!   with presets for the paper's evaluation platforms.
 //!
@@ -48,7 +45,7 @@ pub mod request;
 pub mod sched;
 pub mod world;
 
-pub use collective::{fold_into, CollPig};
+pub use collective::fold_into;
 pub use ctx::RankCtx;
 pub use datatype::{
     BasicType, Datatype, DatatypeHandle, TypeTable, DT_F32, DT_F64, DT_I32, DT_I64, DT_U64, DT_U8,

@@ -133,12 +133,6 @@ pub struct NetModel {
     /// bound. A send cycle among parked ranks poisons the job with a
     /// [`crate::BACKPRESSURE_DEADLOCK_MARKER`] reason instead of hanging.
     pub mailbox_capacity: Option<usize>,
-    /// Mailbox lane-promotion threshold: a signature claimed exactly (no
-    /// wildcards) this many consecutive times gets a dedicated SPSC lane
-    /// (see [`crate::mailbox`]). `None` uses the default
-    /// ([`crate::mailbox::PROMOTE_AFTER`]); `Some(0)` disables lanes. The
-    /// `C3_LANES=0` environment kill switch disables them globally.
-    pub lane_promote: Option<u32>,
 }
 
 impl NetModel {
@@ -150,7 +144,6 @@ impl NetModel {
             dup_permille: 0,
             seed: 1,
             mailbox_capacity: None,
-            lane_promote: None,
         }
     }
 
@@ -163,7 +156,6 @@ impl NetModel {
             dup_permille: 0,
             seed,
             mailbox_capacity: None,
-            lane_promote: None,
         }
     }
 
@@ -201,14 +193,6 @@ impl NetModel {
     /// Remove the mailbox bound (back to idealized buffered sends).
     pub fn unbounded(mut self) -> Self {
         self.mailbox_capacity = None;
-        self
-    }
-
-    /// Set the mailbox lane-promotion threshold (`0` disables lanes; `1`
-    /// promotes on the first exact claim — the aggressive setting the
-    /// equivalence tests use to exercise the lane machinery).
-    pub fn lane_promote(mut self, after: u32) -> Self {
-        self.lane_promote = Some(after);
         self
     }
 
@@ -444,20 +428,6 @@ impl Backpressure {
     }
 }
 
-/// The effective lane-promotion threshold for a job: the model's knob,
-/// then the `C3_LANES=0` global kill switch (read once per process).
-fn lane_promote_after(model: &NetModel) -> u32 {
-    static KILLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    if *KILLED.get_or_init(|| std::env::var("C3_LANES").is_ok_and(|v| v == "0")) {
-        return crate::mailbox::LANES_OFF;
-    }
-    match model.lane_promote {
-        Some(0) => crate::mailbox::LANES_OFF,
-        Some(n) => n,
-        None => crate::mailbox::PROMOTE_AFTER,
-    }
-}
-
 /// SplitMix64 finalizer: the avalanche mixer behind the fate hash.
 #[inline]
 fn mix64(mut x: u64) -> u64 {
@@ -535,11 +505,10 @@ impl Network {
         let backpressure = model
             .mailbox_capacity
             .map(|cap| Arc::new(Backpressure::new(nranks, cap, Arc::clone(&sched))));
-        let promote_after = lane_promote_after(&model);
         let mailboxes: Vec<Mailbox> = (0..nranks)
             .map(|dst| match &backpressure {
-                Some(bp) => Mailbox::with_credit(Arc::clone(bp), dst, promote_after),
-                None => Mailbox::with_promote_after(promote_after),
+                Some(bp) => Mailbox::with_credit(Arc::clone(bp), dst),
+                None => Mailbox::new(),
             })
             .collect();
         Network {

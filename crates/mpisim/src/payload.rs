@@ -39,9 +39,9 @@
 //! PR 6 fan-out regression: ~16 minor faults per 64 KiB send. Overflow and
 //! teardown therefore *donate* buffers to a process-global, byte-bounded
 //! arena instead of freeing them, and `lease` falls back to the arena on a
-//! local miss. The bound defaults to 128 MiB; `C3_POOL_ARENA_MB` overrides
-//! it (`0` disables the arena). The arena affects only where buffer memory
-//! comes from — never message semantics or op clocks.
+//! local miss. The arena holds at most 128 MiB of buffer capacity. It
+//! affects only where buffer memory comes from — never message semantics
+//! or op clocks.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -55,37 +55,26 @@ const SHELVES: usize = 21;
 const SHELF_DEPTH: usize = 32;
 /// Maximum retired backing shells kept per pool for header reuse.
 const SHELL_DEPTH: usize = 64;
-/// Default process-global arena bound (MiB).
-const DEFAULT_ARENA_MB: usize = 128;
+/// Bound of the process-global arena, in buffer capacity bytes (128 MiB).
+const ARENA_BYTES: usize = 128 << 20;
 
 /// The process-global warm-buffer store: per-class stacks of retired
 /// buffers, bounded by total capacity bytes.
 struct GlobalArena {
     shelves: Vec<Mutex<Vec<Vec<u8>>>>,
     bytes: AtomicUsize,
-    cap_bytes: usize,
 }
 
 fn arena() -> &'static GlobalArena {
     static ARENA: OnceLock<GlobalArena> = OnceLock::new();
-    ARENA.get_or_init(|| {
-        let mb = std::env::var("C3_POOL_ARENA_MB")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_ARENA_MB);
-        GlobalArena {
-            shelves: (0..SHELVES).map(|_| Mutex::new(Vec::new())).collect(),
-            bytes: AtomicUsize::new(0),
-            cap_bytes: mb * (1 << 20),
-        }
+    ARENA.get_or_init(|| GlobalArena {
+        shelves: (0..SHELVES).map(|_| Mutex::new(Vec::new())).collect(),
+        bytes: AtomicUsize::new(0),
     })
 }
 
 impl GlobalArena {
     fn take(&self, shelf: usize) -> Option<Vec<u8>> {
-        if self.cap_bytes == 0 {
-            return None;
-        }
         let v = self.shelves[shelf].lock().unwrap_or_else(|e| e.into_inner()).pop()?;
         self.bytes.fetch_sub(v.capacity(), Ordering::Relaxed);
         Some(v)
@@ -93,13 +82,13 @@ impl GlobalArena {
 
     fn put(&self, mut vec: Vec<u8>) {
         let cap = vec.capacity();
-        if cap == 0 || self.cap_bytes == 0 {
-            return; // nothing to keep (or arena disabled)
+        if cap == 0 {
+            return; // nothing to keep
         }
         // Reserve the bytes atomically — optimistic add, undo on overshoot —
         // so concurrent puts cannot collectively exceed the cap the way a
         // separate load-then-add would.
-        if self.bytes.fetch_add(cap, Ordering::Relaxed) + cap > self.cap_bytes {
+        if self.bytes.fetch_add(cap, Ordering::Relaxed) + cap > ARENA_BYTES {
             self.bytes.fetch_sub(cap, Ordering::Relaxed);
             return; // full: let the allocator have it
         }

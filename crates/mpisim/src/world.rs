@@ -66,14 +66,6 @@ impl JobSpec {
         self
     }
 
-    /// Set the mailbox lane-promotion threshold (`0` disables SPSC lanes,
-    /// `1` promotes a signature on its first exact claim; the default is
-    /// [`crate::mailbox::PROMOTE_AFTER`]).
-    pub fn lane_promote(mut self, after: u32) -> Self {
-        self.net = self.net.lane_promote(after);
-        self
-    }
-
     /// Select the rank scheduler.
     pub fn sched(mut self, s: SchedMode) -> Self {
         self.sched = s;
@@ -295,53 +287,40 @@ mod tests {
         let out = launch(&JobSpec::new(5), |ctx| {
             let me = ctx.rank() as i64;
             // allreduce sum
-            let (res, pigs) =
-                ctx.allreduce(COMM_WORLD, bytes_of(&[me]), BasicType::I64, &ReduceOp::Sum, 7)?;
+            let res = ctx.allreduce(COMM_WORLD, bytes_of(&[me]), BasicType::I64, &ReduceOp::Sum)?;
             let sum: Vec<i64> = vec_from_bytes(&res);
             assert_eq!(sum[0], 1 + 2 + 3 + 4);
-            assert_eq!(pigs.len(), 5);
-            assert!(pigs.iter().all(|p| p.pig == 7));
             // scan
-            let (res, pigs) =
-                ctx.scan(COMM_WORLD, bytes_of(&[me]), BasicType::I64, &ReduceOp::Sum, 3)?;
+            let res = ctx.scan(COMM_WORLD, bytes_of(&[me]), BasicType::I64, &ReduceOp::Sum)?;
             let pre: Vec<i64> = vec_from_bytes(&res);
             assert_eq!(pre[0], (0..=me).sum::<i64>());
-            assert_eq!(pigs.len(), ctx.rank() + 1);
             // bcast
             let mut data = if ctx.rank() == 2 { vec![9u8, 9, 9] } else { Vec::new() };
-            let rp = ctx.bcast(COMM_WORLD, 2, &mut data, ctx.rank() as u8)?;
-            assert_eq!(rp, 2);
+            ctx.bcast(COMM_WORLD, 2, &mut data)?;
             assert_eq!(data, vec![9, 9, 9]);
             // gather (variable sizes)
             let mine = vec![ctx.rank() as u8; ctx.rank() + 1];
-            let g = ctx.gather(COMM_WORLD, 1, &mine, 0)?;
+            let g = ctx.gather(COMM_WORLD, 1, &mine)?;
             if ctx.rank() == 1 {
                 let g = g.unwrap();
                 assert_eq!(g.len(), 5);
-                for (cp, d) in &g {
-                    assert_eq!(d.len(), cp.src + 1);
+                for (src, d) in g.iter().enumerate() {
+                    assert_eq!(d, &vec![src as u8; src + 1]);
                 }
             } else {
                 assert!(g.is_none());
             }
             // alltoall
             let parts: Vec<Vec<u8>> = (0..5).map(|d| vec![(ctx.rank() * 10 + d) as u8]).collect();
-            let recvd = ctx.alltoall(COMM_WORLD, &parts, 0)?;
-            for (cp, d) in &recvd {
-                assert_eq!(d[0] as usize, cp.src * 10 + ctx.rank());
+            let recvd = ctx.alltoall(COMM_WORLD, &parts)?;
+            for (src, d) in recvd.iter().enumerate() {
+                assert_eq!(d[0] as usize, src * 10 + ctx.rank());
             }
             // barrier
-            let pigs = ctx.barrier(COMM_WORLD, 1)?;
-            assert_eq!(pigs.len(), 5);
+            ctx.barrier(COMM_WORLD)?;
             // reduce
-            let r = ctx.reduce(
-                COMM_WORLD,
-                0,
-                bytes_of(&[me as f64]),
-                BasicType::F64,
-                &ReduceOp::Max,
-                0,
-            )?;
+            let r =
+                ctx.reduce(COMM_WORLD, 0, bytes_of(&[me as f64]), BasicType::F64, &ReduceOp::Max)?;
             if ctx.rank() == 0 {
                 let v: Vec<f64> = vec_from_bytes(&r.unwrap());
                 assert_eq!(v[0], 4.0);
@@ -356,12 +335,8 @@ mod tests {
     fn allgather_returns_everyones_data() {
         launch(&JobSpec::new(3), |ctx| {
             let mine = vec![ctx.rank() as u8 + 100];
-            let all = ctx.allgather(COMM_WORLD, &mine, ctx.rank() as u8)?;
-            assert_eq!(all.len(), 3);
-            for (cp, d) in &all {
-                assert_eq!(d[0] as usize, cp.src + 100);
-                assert_eq!(cp.pig as usize, cp.src);
-            }
+            let all = ctx.allgather(COMM_WORLD, &mine)?;
+            assert_eq!(all, vec![vec![100], vec![101], vec![102]]);
             Ok(())
         })
         .unwrap();

@@ -110,61 +110,56 @@ impl Comm for RankCtx {
         RankCtx::recv_bytes(self, src, tag, COMM_WORLD)
     }
     fn allreduce_f64(&mut self, x: f64, op: Op) -> Result<f64, MpiError> {
-        let (out, _) = RankCtx::allreduce(
+        let out = RankCtx::allreduce(
             self,
             COMM_WORLD,
             &x.to_le_bytes(),
             BasicType::F64,
             &op.to_reduce(),
-            0,
         )?;
         Ok(f64::from_le_bytes(out[..8].try_into().unwrap()))
     }
     fn allreduce_u64(&mut self, x: u64, op: Op) -> Result<u64, MpiError> {
-        let (out, _) = RankCtx::allreduce(
+        let out = RankCtx::allreduce(
             self,
             COMM_WORLD,
             &x.to_le_bytes(),
             BasicType::U64,
             &op.to_reduce(),
-            0,
         )?;
         Ok(u64::from_le_bytes(out[..8].try_into().unwrap()))
     }
     fn allreduce_f64_vec(&mut self, xs: &[f64], op: Op) -> Result<Vec<f64>, MpiError> {
-        let (out, _) = RankCtx::allreduce(
+        let out = RankCtx::allreduce(
             self,
             COMM_WORLD,
             mpisim::bytes_of(xs),
             BasicType::F64,
             &op.to_reduce(),
-            0,
         )?;
         Ok(mpisim::vec_from_bytes(&out))
     }
     fn allreduce_u64_vec(&mut self, xs: &[u64], op: Op) -> Result<Vec<u64>, MpiError> {
-        let (out, _) = RankCtx::allreduce(
+        let out = RankCtx::allreduce(
             self,
             COMM_WORLD,
             mpisim::bytes_of(xs),
             BasicType::U64,
             &op.to_reduce(),
-            0,
         )?;
         Ok(mpisim::vec_from_bytes(&out))
     }
     fn bcast_bytes(&mut self, root: usize, data: &mut Vec<u8>) -> Result<(), MpiError> {
-        RankCtx::bcast(self, COMM_WORLD, root, data, 0).map(|_| ())
+        RankCtx::bcast(self, COMM_WORLD, root, data)
     }
     fn gather_bytes(&mut self, root: usize, mine: &[u8]) -> Result<Option<Vec<Vec<u8>>>, MpiError> {
-        Ok(RankCtx::gather(self, COMM_WORLD, root, mine, 0)?
-            .map(|items| items.into_iter().map(|(_, d)| d).collect()))
+        RankCtx::gather(self, COMM_WORLD, root, mine)
     }
     fn alltoall_bytes(&mut self, parts: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, MpiError> {
-        Ok(RankCtx::alltoall(self, COMM_WORLD, parts, 0)?.into_iter().map(|(_, d)| d).collect())
+        RankCtx::alltoall(self, COMM_WORLD, parts)
     }
     fn barrier(&mut self) -> Result<(), MpiError> {
-        RankCtx::barrier(self, COMM_WORLD, 0).map(|_| ())
+        RankCtx::barrier(self, COMM_WORLD)
     }
     fn pragma(&mut self, _save: &mut dyn FnMut(&mut Encoder)) -> Result<bool, MpiError> {
         Ok(false) // compiled without the precompiler: pragmas are comments

@@ -364,15 +364,17 @@ mod mailbox_model {
         }
     }
 
-    /// One generated step: deliver (src, tag), or claim with independently
-    /// wildcarded source and tag.
-    type Op = (bool, usize, i32, bool, bool);
-
     proptest! {
+        /// One generated step is `(kind, src, tag, wild_src, wild_tag,
+        /// batch_len)`: kind 0 delivers `(src, tag)`, kind 1 delivers a
+        /// batch of `batch_len` mixed-source envelopes, and any other kind
+        /// claims with independently wildcarded source and tag. Batches
+        /// enter the reference in vec order, which is the determinism
+        /// contract for `deliver_batch`.
         #[test]
         fn indexed_mailbox_matches_linear_scan_reference(
             ops in proptest::collection::vec(
-                (any::<bool>(), 0usize..4, 0i32..3, any::<bool>(), any::<bool>()),
+                (0u8..3, 0usize..4, 0i32..3, any::<bool>(), any::<bool>(), 1usize..5),
                 1..200,
             ),
         ) {
@@ -381,90 +383,17 @@ mod mailbox_model {
             // back — the seed implementation's exact semantics.
             let mut reference: Vec<Envelope> = Vec::new();
             let mut label = 0u64;
-            for (deliver, src, tag, wild_src, wild_tag) in ops {
-                let op: Op = (deliver, src, tag, wild_src, wild_tag);
-                let (deliver, src, tag, wild_src, wild_tag) = op;
-                if deliver {
-                    let e = mk_env(src, tag, label);
-                    label += 1;
-                    mb.deliver(e.clone());
-                    reference.push(e);
-                } else {
-                    let qsrc = if wild_src { ANY_SOURCE } else { src as i32 };
-                    let qtag = if wild_tag { ANY_TAG } else { tag };
-                    // Probe must agree with the model *before* the claim.
-                    let expect_probe = reference
-                        .iter()
-                        .find(|e| e.matches(qsrc, qtag, COMM_WORLD))
-                        .map(|e| (e.src, e.tag, e.payload.len()));
-                    prop_assert_eq!(mb.probe(qsrc, qtag, COMM_WORLD), expect_probe);
-                    let expected = reference
-                        .iter()
-                        .position(|e| e.matches(qsrc, qtag, COMM_WORLD))
-                        .map(|i| reference.remove(i));
-                    let got = mb.try_claim(qsrc, qtag, COMM_WORLD);
-                    match (&expected, &got) {
-                        (None, None) => {}
-                        (Some(e), Some(g)) => {
-                            prop_assert_eq!(
-                                (e.src, e.tag, e.seq),
-                                (g.src, g.tag, g.seq),
-                                "claim (src {qsrc}, tag {qtag}) diverged from the reference"
-                            );
-                        }
-                        _ => prop_assert!(
-                            false,
-                            "claim presence diverged: reference {:?}, mailbox {:?}",
-                            expected.map(|e| (e.src, e.tag, e.seq)),
-                            got.map(|g| (g.src, g.tag, g.seq))
-                        ),
-                    }
-                    prop_assert_eq!(mb.len(), reference.len());
-                }
-            }
-            // Full-wildcard drain must replay the remaining envelopes in
-            // exact global arrival order, whatever mix of signatures is
-            // left.
-            for e in reference {
-                let g = mb.try_claim(ANY_SOURCE, ANY_TAG, COMM_WORLD).unwrap();
-                prop_assert_eq!((e.src, e.tag, e.seq), (g.src, g.tag, g.seq));
-            }
-            prop_assert!(mb.is_empty());
-        }
-
-        /// The SPSC-lane layer must be invisible to observers: with an
-        /// aggressive promotion threshold (every exact claim streak of 1–3
-        /// promotes a lane, and wildcards demote them again), any
-        /// interleaving of single deliveries, batched deliveries, exact
-        /// claims, and wildcard claims still matches the linear-scan
-        /// reference envelope-for-envelope. Batches enter the reference in
-        /// vec order, which is the determinism contract for
-        /// `deliver_batch`.
-        #[test]
-        fn lane_promotion_and_demotion_match_linear_scan_reference(
-            promote_after in 1u32..4,
-            ops in proptest::collection::vec(
-                (0u8..3, 0usize..4, 0i32..3, any::<bool>(), any::<bool>(), 1usize..5),
-                1..250,
-            ),
-        ) {
-            let mb = Mailbox::with_promote_after(promote_after);
-            let mut reference: Vec<Envelope> = Vec::new();
-            let mut label = 0u64;
-            for (kind, src, tag, wild_src, wild_tag, blen) in ops {
+            for (kind, src, tag, wild_src, wild_tag, batch_len) in ops {
                 match kind {
                     0 => {
-                        // Single delivery.
                         let e = mk_env(src, tag, label);
                         label += 1;
                         mb.deliver(e.clone());
                         reference.push(e);
                     }
                     1 => {
-                        // Batched delivery: same destination, mixed
-                        // signatures; arrival stamps must follow vec order.
-                        let mut batch = Vec::with_capacity(blen);
-                        for i in 0..blen {
+                        let mut batch = Vec::with_capacity(batch_len);
+                        for i in 0..batch_len {
                             let e = mk_env((src + i) % 4, tag, label);
                             label += 1;
                             reference.push(e.clone());
@@ -475,6 +404,7 @@ mod mailbox_model {
                     _ => {
                         let qsrc = if wild_src { ANY_SOURCE } else { src as i32 };
                         let qtag = if wild_tag { ANY_TAG } else { tag };
+                        // Probe must agree with the model *before* the claim.
                         let expect_probe = reference
                             .iter()
                             .find(|e| e.matches(qsrc, qtag, COMM_WORLD))
@@ -488,7 +418,7 @@ mod mailbox_model {
                         prop_assert_eq!(
                             expected.as_ref().map(|e| (e.src, e.tag, e.seq)),
                             got.as_ref().map(|g| (g.src, g.tag, g.seq)),
-                            "lane-enabled claim (src {}, tag {}) diverged",
+                            "claim (src {}, tag {}) diverged from the reference",
                             qsrc,
                             qtag
                         );
@@ -496,8 +426,9 @@ mod mailbox_model {
                     }
                 }
             }
-            // Wildcard drain sees global arrival order even when part of a
-            // signature's queue lives in a lane and part on the shelf.
+            // Full-wildcard drain must replay the remaining envelopes in
+            // exact global arrival order, whatever mix of signatures is
+            // left.
             for e in reference {
                 let g = mb.try_claim(ANY_SOURCE, ANY_TAG, COMM_WORLD).unwrap();
                 prop_assert_eq!((e.src, e.tag, e.seq), (g.src, g.tag, g.seq));

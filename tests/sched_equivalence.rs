@@ -143,25 +143,6 @@ fn sweep_tight_mailboxes() {
     sweep("tight", |seed| NetModel::reliable().seed(seed).mailbox_capacity(2 * NRANKS));
 }
 
-/// Lane-enabled hot path: with the promotion threshold forced to 1, every
-/// repeated exact claim runs through an SPSC lane (and every wildcard claim
-/// demotes one), so this sweep drives the lane/shelf split-queue machinery
-/// under both schedules. Op clocks must stay bit-identical — lane routing
-/// is a pure function of the claim sequence, never of timing.
-#[test]
-fn sweep_aggressive_lane_promotion() {
-    sweep("lanes", |seed| NetModel::reliable().seed(seed).lane_promote(1));
-}
-
-/// Lanes under reordering faults: retransmits and duplicate suppression
-/// must not perturb lane promotion or arrival-order visibility.
-#[test]
-fn sweep_lane_promotion_under_faults() {
-    sweep("lanes-fault", |seed| {
-        NetModel::reorder(seed).drop_rate(15).duplicate_rate(10).lane_promote(1)
-    });
-}
-
 /// Raw substrate (no protocol layer): an NPB CG solve's results and final
 /// op clocks are bit-identical between the serial schedule and several
 /// worker-pool widths.
