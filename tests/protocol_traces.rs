@@ -335,3 +335,219 @@ fn second_failure_during_replay_converges() {
         "triple-incarnation run diverged from the failure-free baseline"
     );
 }
+
+/// §4.1 under recovery, on a task farm: the master posts one `irecv` per
+/// busy worker, takes the first completion with `wait_any`, a batch with
+/// `wait_some`, and the stragglers with a bounded `test` spin before
+/// `wait`. Which index completes first is timing-dependent; everything the
+/// application computes is not (each round collects every busy worker and
+/// refills in worker order), so every recovery must reproduce the
+/// failure-free result bit for bit.
+mod farm {
+    use super::TempStore;
+    use c3::requests::C3Req;
+    use c3::{C3Config, C3Ctx, C3Error, ChaosPlan, FailAt, FailurePlan, Mode, RecoveredJob};
+    use mpisim::SchedMode;
+    use statesave::codec::{Decoder, Encoder};
+
+    pub const WORKERS: usize = 3;
+    const TASKS: u64 = 30;
+
+    /// Per rank: the checksum, and the per-incarnation indices of the
+    /// pragmas it entered in NonDet-Log (where a `Pragma` fault fires).
+    pub type Out = (u64, Vec<u64>);
+
+    fn crunch(task: u64) -> u64 {
+        let mut x = task.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        for _ in 0..200 + (task % 5) * 150 {
+            x ^= x >> 33;
+            x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        }
+        x
+    }
+
+    fn pragma(
+        ctx: &mut C3Ctx<'_>,
+        count: &mut u64,
+        nondet: &mut Vec<u64>,
+        save: impl FnOnce(&mut Encoder),
+    ) -> Result<(), C3Error> {
+        *count += 1;
+        if ctx.mode() == Mode::NonDetLog {
+            nondet.push(*count);
+        }
+        ctx.pragma(save).map(|_| ())
+    }
+
+    /// Every worker holds up to two assigned tasks (one buffered), so a
+    /// worker finishing a task reaches its next pragma without parking —
+    /// before its peers have seen the initiator's CI.
+    fn master(ctx: &mut C3Ctx<'_>) -> Result<Out, C3Error> {
+        let (mut next, mut acc, mut owed, mut stopped) = match ctx.take_restored_state() {
+            Some(b) => {
+                let mut d = Decoder::new(&b);
+                (d.u64()?, d.u64()?, d.u64_vec()?, d.u64_vec()?)
+            }
+            None => {
+                let mut next = 0;
+                for _ in 0..2 {
+                    for w in 1..=WORKERS {
+                        ctx.send(w, 1, &[next])?;
+                        next += 1;
+                    }
+                }
+                (next, 0, vec![2; WORKERS], vec![0; WORKERS])
+            }
+        };
+        let (mut pragmas, mut nondet) = (0, Vec::new());
+        while owed.iter().any(|o| *o > 0) {
+            pragma(ctx, &mut pragmas, &mut nondet, |e| {
+                e.u64(next);
+                e.u64(acc);
+                e.u64_slice(&owed);
+                e.u64_slice(&stopped);
+            })?;
+            let busy: Vec<usize> = (1..=WORKERS).filter(|w| owed[w - 1] > 0).collect();
+            let reqs: Vec<C3Req> =
+                busy.iter().map(|w| ctx.irecv(*w as i32, 2)).collect::<Result<_, _>>()?;
+            let (first, _, data) = ctx.wait_any(&reqs)?;
+            let mut got = vec![data];
+            let mut rest: Vec<C3Req> =
+                reqs.iter().enumerate().filter(|(i, _)| *i != first).map(|(_, r)| *r).collect();
+            if !rest.is_empty() {
+                let some = ctx.wait_some(&rest)?;
+                let done: Vec<usize> = some.iter().map(|(i, _, _)| *i).collect();
+                got.extend(some.into_iter().map(|(_, _, d)| d));
+                rest = rest
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(i, _)| !done.contains(i))
+                    .map(|(_, r)| r)
+                    .collect();
+            }
+            for r in rest {
+                let mut hit = None;
+                for _ in 0..3 {
+                    if let Some((_, d)) = ctx.test(r)? {
+                        hit = Some(d);
+                        break;
+                    }
+                }
+                got.push(match hit {
+                    Some(d) => d,
+                    None => ctx.wait(r)?.1,
+                });
+            }
+            // [worker, task, result] per completion, folded and refilled in
+            // worker order, so the schedule never reaches the result.
+            let mut rows: Vec<Vec<u64>> = got.iter().map(|d| mpisim::vec_from_bytes(d)).collect();
+            rows.sort_unstable();
+            for row in rows {
+                let (w, task, result) = (row[0] as usize, row[1], row[2]);
+                assert_eq!(result, crunch(task), "worker {w} returned a wrong result");
+                acc = acc.wrapping_mul(0x100_0000_01b3).wrapping_add(task ^ result);
+                owed[w - 1] -= 1;
+                if next < TASKS {
+                    ctx.send(w, 1, &[next])?;
+                    owed[w - 1] += 1;
+                    next += 1;
+                } else if stopped[w - 1] == 0 {
+                    ctx.send(w, 1, &[u64::MAX])?;
+                    stopped[w - 1] = 1;
+                }
+            }
+        }
+        Ok((acc, nondet))
+    }
+
+    fn worker(ctx: &mut C3Ctx<'_>) -> Result<Out, C3Error> {
+        let mut tally = match ctx.take_restored_state() {
+            Some(b) => Decoder::new(&b).u64()?,
+            None => 0,
+        };
+        let (mut pragmas, mut nondet) = (0, Vec::new());
+        loop {
+            pragma(ctx, &mut pragmas, &mut nondet, |e| e.u64(tally))?;
+            let (t, _) = ctx.recv::<u64>(0, 1)?;
+            if t[0] == u64::MAX {
+                return Ok((tally, nondet));
+            }
+            tally = tally.wrapping_mul(31).wrapping_add(t[0] + 1);
+            ctx.send(0, 2, &[ctx.rank() as u64, t[0], crunch(t[0])])?;
+        }
+    }
+
+    pub fn app(ctx: &mut C3Ctx<'_>) -> Result<Out, C3Error> {
+        if ctx.rank() == 0 {
+            master(ctx)
+        } else {
+            worker(ctx)
+        }
+    }
+
+    pub fn checksums(results: &[Out]) -> Vec<u64> {
+        results.iter().map(|(c, _)| *c).collect()
+    }
+
+    pub const SERIAL: SchedMode = SchedMode::EventDriven { workers: 1 };
+
+    /// The master initiates at its 2nd and 5th pragmas.
+    fn cfg(store: &TempStore) -> C3Config {
+        C3Config::at_pragmas(store.path(), vec![2, 5])
+    }
+
+    /// Run every plan of the sweep on `sched` and check each recovery
+    /// against the failure-free run: a pragma the serial reference run
+    /// spends inside NonDet-Log, substrate op counts on the master and on
+    /// a worker (each after a line has committed), and a death at the first
+    /// receive replayed after a restart. Returns each plan's recovery.
+    pub fn sweep(sched: SchedMode) -> Vec<(ChaosPlan, RecoveredJob<Out>)> {
+        let n = WORKERS + 1;
+        let base_store = TempStore::new("farm-base");
+        let baseline = c3::Job::new(n, C3Config::passive(base_store.path())).run(app).unwrap();
+        let baseline = checksums(&baseline.results);
+
+        let ref_store = TempStore::new("farm-ref");
+        let reference = c3::Job::new(n, cfg(&ref_store)).sched(SERIAL).run(app).unwrap();
+        assert_eq!(checksums(&reference.results), baseline, "checkpointing changed the result");
+        let (rank, nondet_pragma) = reference
+            .results
+            .iter()
+            .enumerate()
+            .filter_map(|(r, (_, p))| p.last().map(|p| (r, *p)))
+            .max_by_key(|(_, p)| *p)
+            .expect("the serial reference run never reaches a pragma inside NonDet-Log");
+
+        let plans = [
+            ChaosPlan::single(FailurePlan { rank, when: FailAt::Pragma(nondet_pragma) }),
+            ChaosPlan::single(FailurePlan { rank: 0, when: FailAt::Op(60) }),
+            ChaosPlan::single(FailurePlan { rank: 0, when: FailAt::Op(80) }),
+            ChaosPlan::single(FailurePlan { rank: 2, when: FailAt::Op(22) }),
+            ChaosPlan::new(vec![
+                FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 8 } },
+                FailurePlan { rank: 0, when: FailAt::DuringRestore { nth_replay: 1 } },
+            ]),
+        ];
+        plans
+            .into_iter()
+            .map(|plan| {
+                let store = TempStore::new("farm-chaos");
+                let rec = c3::Job::new(n, cfg(&store)).sched(sched).chaos(plan.clone()).run(app);
+                let rec = rec.unwrap_or_else(|e| panic!("{plan:?} on {sched:?}: {e}"));
+                assert_eq!(
+                    checksums(&rec.handle.results),
+                    baseline,
+                    "{plan:?} on {sched:?} diverged from the failure-free run"
+                );
+                (plan, rec)
+            })
+            .collect()
+    }
+}
+
+/// The task farm's fault sweep on the fully concurrent schedule.
+#[test]
+fn task_farm_nonblocking_completions_recover_bit_identically() {
+    let workers = farm::WORKERS + 1;
+    farm::sweep(mpisim::SchedMode::EventDriven { workers });
+}
