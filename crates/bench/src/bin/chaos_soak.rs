@@ -91,8 +91,8 @@ impl NetMode {
 enum ModeAxis {
     /// Every commit writes the full line sections (the seed's behavior).
     Full,
-    /// Base-plus-delta chains of length 4 with plane-compressed payloads —
-    /// the configuration the incremental-checkpointing claims are made on.
+    /// Base-plus-delta chains of length 4 — the configuration the
+    /// incremental-checkpointing claims are made on.
     Incr4,
 }
 
@@ -102,9 +102,7 @@ impl ModeAxis {
     fn apply(self, cfg: C3Config) -> C3Config {
         match self {
             ModeAxis::Full => cfg,
-            ModeAxis::Incr4 => {
-                cfg.ckpt_mode(c3::CkptMode::Incremental { every_n: 4 }).compress_deltas()
-            }
+            ModeAxis::Incr4 => cfg.ckpt_mode(c3::CkptMode::Incremental { every_n: 4 }),
         }
     }
 
@@ -292,7 +290,6 @@ fn chaos_cfg(store: &TempStore, mode: ModeAxis, every: u64) -> C3Config {
         initiator: None,
         clock: Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
-        delta_compress: false,
     })
 }
 

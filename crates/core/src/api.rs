@@ -166,9 +166,6 @@ pub struct C3Config {
     pub clock: Clock,
     /// Full or base-plus-delta checkpoint representation.
     pub ckpt_mode: CkptMode,
-    /// Run-length-compress delta payloads (scratch-pool buffers, no steady
-    /// state allocation). Only read in [`CkptMode::Incremental`].
-    pub delta_compress: bool,
 }
 
 impl C3Config {
@@ -181,7 +178,6 @@ impl C3Config {
             initiator: None,
             clock: Clock::Wall,
             ckpt_mode: CkptMode::Full,
-            delta_compress: false,
         }
     }
 
@@ -194,7 +190,6 @@ impl C3Config {
             initiator: Some(0),
             clock: Clock::Wall,
             ckpt_mode: CkptMode::Full,
-            delta_compress: false,
         }
     }
 
@@ -213,12 +208,6 @@ impl C3Config {
     /// Select the checkpoint representation ([`CkptMode`]).
     pub fn ckpt_mode(mut self, m: CkptMode) -> Self {
         self.ckpt_mode = m;
-        self
-    }
-
-    /// Run-length-compress delta payloads (incremental mode only).
-    pub fn compress_deltas(mut self) -> Self {
-        self.delta_compress = true;
         self
     }
 }

@@ -150,8 +150,8 @@ pub(crate) fn write_line_sections(
 }
 
 /// Write one incremental line: advance the chain (base every `every_n`
-/// commits, delta otherwise), encode the [`Delta`], optionally RLE-compress
-/// it, and store it as the single `delta` section.
+/// commits, delta otherwise), and store the encoded [`Delta`] behind its
+/// chain's base version as the single `delta` section.
 fn write_delta_line(ctx: &mut C3Ctx<'_>, version: u64, sections: &[(&str, &[u8])]) -> Result<()> {
     let incr = ctx.incr.as_mut().expect("write_delta_line requires incremental mode");
     let is_base = incr.chain_len == 0 || incr.chain_len >= incr.every_n;
@@ -170,20 +170,9 @@ fn write_delta_line(ctx: &mut C3Ctx<'_>, version: u64, sections: &[(&str, &[u8])
         ctx.stats.ckpt_deltas += 1;
     }
 
-    let mut body = Encoder::pooled();
-    delta.save(&mut body);
     let mut e = Encoder::pooled();
     e.u64(base_version);
-    e.bool(ctx.cfg.delta_compress);
-    if ctx.cfg.delta_compress {
-        let mut packed = statesave::scratch().lease();
-        statesave::plane_compress(body.as_bytes(), &mut packed);
-        e.bytes(&packed);
-        statesave::scratch().give_back(packed);
-    } else {
-        e.bytes(body.as_bytes());
-    }
-    body.recycle();
+    delta.save(&mut e);
     ctx.stats.ckpt_line_bytes += e.as_bytes().len() as u64;
     put_pooled(ctx, version, DELTA_SECTION, e)
 }
@@ -195,14 +184,7 @@ fn read_delta(ctx: &C3Ctx<'_>, version: u64) -> Result<(u64, Delta)> {
     let raw = ctx.store.read_section(version, rank, DELTA_SECTION).map_err(C3Error::Io)?;
     let mut d = Decoder::new(&raw);
     let base = d.u64()?;
-    let compressed = d.bool()?;
-    let payload = d.bytes()?;
-    let delta = if compressed {
-        let bytes = statesave::plane_decompress(&payload)?;
-        Delta::load(&mut Decoder::new(&bytes))?
-    } else {
-        Delta::load(&mut Decoder::new(&payload))?
-    };
+    let delta = Delta::load(&mut d)?;
     Ok((base, delta))
 }
 
@@ -322,7 +304,7 @@ pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
     ctx.replay = ReplayLog::load(&mut d)?;
     let (reqs, _repost) = C3ReqTable::load(&mut d, ctx.epoch)?;
     // Receives are re-posted lazily at completion time (see
-    // `protocol::ensure_posted`), so the repost list is informational.
+    // `C3Ctx::posted` in `protocol.rs`), so the repost list is informational.
     ctx.reqs = reqs;
 
     debug_assert_eq!(ctx.epoch, version, "checkpoint version equals its epoch");

@@ -15,10 +15,14 @@
 //! * each process moves through the modes **Run → NonDet-Log →
 //!   RecvOnly-Log → Run** ([`mode`], Fig. 3), logging late-message data and
 //!   non-deterministic events (wild-card receive signatures, unsuccessful
-//!   `test` counts, `wait_any` indices) in its registries ([`registries`],
-//!   [`requests`]);
+//!   `test` counts, `wait_any`/`wait_some` indices) in its registries
+//!   ([`registries`], [`requests`]);
 //! * **early** messages are recorded by signature and *suppressed* on
 //!   recovery via a `Was-Early-Registry` exchanged at restart;
+//! * recovery (`Restore` mode) is a replay *source*, not a second engine:
+//!   every receive completion in [`protocol`] asks the replay log first —
+//!   late data, forced wild-card sources, logged `test`/`wait_any`
+//!   outcomes — and then completes live exactly as in the other modes;
 //! * commit is **local**: a process commits its checkpoint when it has a
 //!   `Checkpoint-Initiated` control message from every peer and has received
 //!   every late message the peers' sent-counts promise ([`counters`]) — no

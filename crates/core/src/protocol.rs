@@ -336,50 +336,12 @@ impl<'a> C3Ctx<'a> {
         comm: u32,
     ) -> Result<(Vec<u8>, Status)> {
         self.drain_control()?;
-        if self.mode == Mode::Restore {
-            if let Some(entry) = self.replay.take_p2p_match(src, tag, comm) {
-                match entry.data {
-                    Some(data) => {
-                        // Late message: "the data for that receive is
-                        // received from this registry".
-                        self.note_replayed()?;
-                        let st = synth_status(&entry.sig, data.len());
-                        self.check_restore_done();
-                        return Ok((data, st));
-                    }
-                    None => {
-                        // Intra-epoch wild-card signature: "fill in any
-                        // wild-cards to force intra-epoch messages to be
-                        // received in the order they were received prior to
-                        // failure".
-                        let ctag = match entry.sig.kind {
-                            StreamKind::P2p { tag } => tag,
-                            StreamKind::Coll { .. } => unreachable!("p2p match returned coll"),
-                        };
-                        let (bytes, st) =
-                            self.mpi.recv_bytes(entry.sig.src as i32, ctag, CommId(comm))?;
-                        self.counters.received[st.src] += 1;
-                        self.check_restore_done();
-                        return Ok((bytes, st));
-                    }
-                }
-            }
-            // No registry match: live receive (all traffic during recovery
-            // is intra-epoch).
-            let (bytes, st) = self.mpi.recv_bytes(src, tag, CommId(comm))?;
-            self.counters.received[st.src] += 1;
-            return Ok((bytes, st));
+        if let Some(done) = self.replayed(src, tag, comm)? {
+            return Ok(done);
         }
-        let wildcard = src == ANY_SOURCE || tag == ANY_TAG;
         let (bytes, st) = self.mpi.recv_bytes(src, tag, CommId(comm))?;
-        let (class, logging) = self.classify(st.piggyback);
-        let sig = StreamSig {
-            src: st.src,
-            dst: self.mpi.rank(),
-            comm,
-            kind: StreamKind::P2p { tag: st.tag },
-        };
-        self.apply_arrival(class, logging, sig, wildcard, &bytes)?;
+        let wildcard = src == ANY_SOURCE || tag == ANY_TAG;
+        self.arrived(self.p2p_sig(&st, comm), st.piggyback, wildcard, &bytes, None)?;
         Ok((bytes, st))
     }
 
@@ -387,24 +349,93 @@ impl<'a> C3Ctx<'a> {
     /// instance `call`).
     pub(crate) fn stream_recv_coll(&mut self, src: usize, comm: u32, call: u64) -> Result<Vec<u8>> {
         self.drain_control()?;
-        let kind = StreamKind::Coll { call };
         if self.mode == Mode::Restore {
             if let Some(data) = self.replay.take_coll_match(comm, call, src) {
                 self.note_replayed()?;
-                self.check_restore_done();
                 return Ok(data);
             }
-            let (mcomm, mtag) = transport(comm, kind);
-            let (bytes, _st) = self.mpi.recv_bytes(src as i32, mtag, mcomm)?;
-            self.counters.received[src] += 1;
-            return Ok(bytes);
         }
+        let kind = StreamKind::Coll { call };
         let (mcomm, mtag) = transport(comm, kind);
         let (bytes, st) = self.mpi.recv_bytes(src as i32, mtag, mcomm)?;
-        let (class, logging) = self.classify(st.piggyback);
         let sig = StreamSig { src, dst: self.mpi.rank(), comm, kind };
-        self.apply_arrival(class, logging, sig, false, &bytes)?;
+        self.arrived(sig, st.piggyback, false, &bytes, None)?;
         Ok(bytes)
+    }
+
+    /// The replay source of a p2p receive: in `Restore`, consume the first
+    /// replay-log entry matching `(src, tag, comm)`. Late data completes the
+    /// receive from the log ("the data for that receive is received from
+    /// this registry"); an intra-epoch wild-card signature forces the
+    /// receive onto the logged source ("fill in any wild-cards to force
+    /// intra-epoch messages to be received in the order they were received
+    /// prior to failure"), which blocks until that source re-sends. `None`
+    /// outside `Restore` or without a match: the receive goes live.
+    fn replayed(&mut self, src: i32, tag: i32, comm: u32) -> Result<Option<(Vec<u8>, Status)>> {
+        if self.mode != Mode::Restore {
+            return Ok(None);
+        }
+        let Some(entry) = self.replay.take_p2p_match(src, tag, comm) else {
+            return Ok(None);
+        };
+        let StreamKind::P2p { tag: forced_tag } = entry.sig.kind else {
+            unreachable!("p2p match returned a collective stream")
+        };
+        match entry.data {
+            Some(data) => {
+                self.note_replayed()?;
+                // Intra-epoch by construction on the restored run.
+                let st =
+                    Status { src: entry.sig.src, tag: forced_tag, bytes: data.len(), piggyback: 0 };
+                Ok(Some((data, st)))
+            }
+            None => {
+                let (bytes, st) =
+                    self.mpi.recv_bytes(entry.sig.src as i32, forced_tag, CommId(comm))?;
+                self.arrived(self.p2p_sig(&st, comm), st.piggyback, false, &bytes, None)?;
+                Ok(Some((bytes, st)))
+            }
+        }
+    }
+
+    /// Account one live arrival. In `Restore` every message is intra-epoch,
+    /// so it is only counted. The Restore → Run condition (no late data
+    /// left, no early send left to suppress) cannot change here — it is
+    /// checked where it can, when log data is consumed or a send
+    /// suppressed. Otherwise the arrival is classified by its piggyback
+    /// and its protocol effects applied; `req`, the request it completes,
+    /// is marked first, because a commit those effects trigger saves the
+    /// request table.
+    fn arrived(
+        &mut self,
+        sig: StreamSig,
+        piggyback: u8,
+        wildcard: bool,
+        data: &[u8],
+        req: Option<C3Req>,
+    ) -> Result<()> {
+        if self.mode == Mode::Restore {
+            self.counters.received[sig.src] += 1;
+            debug_assert!(
+                self.replay.has_data() || !self.was_early.is_empty(),
+                "Restore outlived its exit condition"
+            );
+            return Ok(());
+        }
+        let (class, logging) = self.classify(piggyback);
+        if let Some(r) = req {
+            let during_nondet = self.mode == Mode::NonDetLog;
+            let e = self.reqs.get_mut(r).expect("completing a known request");
+            e.completed = true;
+            e.completed_class = Some(class);
+            e.completed_during_log = during_nondet;
+        }
+        self.apply_arrival(class, logging, sig, wildcard, data)
+    }
+
+    /// The stream signature of a received p2p message.
+    fn p2p_sig(&self, st: &Status, comm: u32) -> StreamSig {
+        StreamSig { src: st.src, dst: self.mpi.rank(), comm, kind: StreamKind::P2p { tag: st.tag } }
     }
 
     // ==================================================================
@@ -536,62 +567,34 @@ impl<'a> C3Ctx<'a> {
     /// successful test substituted by a wait (§4.1).
     pub fn test(&mut self, r: C3Req) -> Result<Option<(Status, Vec<u8>)>> {
         self.drain_control()?;
-        if self.mode == Mode::Restore {
-            return self.test_restore(r);
-        }
-        let entry =
-            self.reqs.get(r).ok_or_else(|| C3Error::Protocol(format!("unknown request {r:?}")))?;
-        match entry.kind {
-            C3ReqKind::Send => {
-                let st = Status { src: entry.src as usize, tag: entry.tag, bytes: 0, piggyback: 0 };
-                self.reqs.release(r, self.mode.is_logging());
-                Ok(Some((st, Vec::new())))
+        let block = if self.mode == Mode::Restore {
+            match self.replay_test(r) {
+                // "If the counter is not zero, the counter is decremented and
+                // the call returns without attempting to complete the
+                // request."
+                None => return Ok(None),
+                // "If the original call was successful, the call is
+                // substituted with a corresponding Wait operation", which
+                // cannot deadlock: the matching message is in the log or
+                // guaranteed to arrive.
+                Some(succeeded) => succeeded,
             }
-            C3ReqKind::Recv => {
-                // A request restored across the line may not have its
-                // substrate receive posted yet (lazy posting): post it now.
-                self.ensure_posted(r)?;
-                let mreq = self.reqs.get(r).and_then(|e| e.mpi).expect("posted above");
-                match self.mpi.test(mreq).map_err(C3Error::Mpi)? {
-                    None => {
-                        if self.mode == Mode::NonDetLog {
-                            if let Some(e) = self.reqs.get_mut(r) {
-                                e.test_fails += 1;
-                            }
-                        }
-                        Ok(None)
-                    }
-                    Some((st, payload)) => {
-                        let payload = payload.unwrap_or_default();
-                        self.complete_recv(r, st, payload).map(Some)
-                    }
-                }
+        } else {
+            false
+        };
+        let done = self.complete(r, block)?;
+        if done.is_none() && self.mode == Mode::NonDetLog {
+            if let Some(e) = self.reqs.get_mut(r) {
+                e.test_fails += 1;
             }
         }
+        Ok(done)
     }
 
     /// Block until a request completes; consume it.
     pub fn wait(&mut self, r: C3Req) -> Result<(Status, Vec<u8>)> {
         self.drain_control()?;
-        if self.mode == Mode::Restore {
-            return self.wait_restore(r);
-        }
-        let entry =
-            self.reqs.get(r).ok_or_else(|| C3Error::Protocol(format!("unknown request {r:?}")))?;
-        match entry.kind {
-            C3ReqKind::Send => {
-                let st = Status { src: entry.src as usize, tag: entry.tag, bytes: 0, piggyback: 0 };
-                self.reqs.release(r, self.mode.is_logging());
-                Ok((st, Vec::new()))
-            }
-            C3ReqKind::Recv => {
-                self.ensure_posted(r)?;
-                let mreq = self.reqs.get(r).and_then(|e| e.mpi).expect("posted above");
-                let (st, payload) = self.mpi.wait_payload(mreq).map_err(C3Error::Mpi)?;
-                let payload = payload.unwrap_or_default();
-                self.complete_recv(r, st, payload)
-            }
-        }
+        Ok(self.complete(r, true)?.expect("a blocking completion completes"))
     }
 
     /// Block until any of the requests completes; returns its index.
@@ -599,141 +602,44 @@ impl<'a> C3Ctx<'a> {
     /// recovery (§4.1 "log the index or indices of MPI_Wait_any").
     pub fn wait_any(&mut self, list: &[C3Req]) -> Result<(usize, Status, Vec<u8>)> {
         self.drain_control()?;
-        if list.is_empty() {
-            return Err(C3Error::Protocol("wait_any on empty request list".into()));
-        }
-        if self.mode == Mode::Restore {
-            if let Some(NondetEvent::WaitAny(i)) = self.reqs.nondet_events.front().cloned() {
-                self.reqs.nondet_events.pop_front();
-                let i = i as usize;
-                if i < list.len() {
-                    let (st, data) = self.wait_restore(list[i])?;
-                    return Ok((i, st, data));
-                }
-            }
-            // No logged event: serve any request whose data waits in the
-            // replay log, then fall back to live completion.
-            for (i, r) in list.iter().enumerate() {
-                let matches_log = {
-                    let e = self.reqs.get(*r);
-                    match e {
-                        Some(e) if e.kind == C3ReqKind::Recv && !e.completed => self
-                            .replay
-                            .take_p2p_match(e.src, e.tag, e.comm)
-                            .map(|en| (e.src, e.tag, e.comm, en)),
-                        Some(e) if e.kind == C3ReqKind::Send => {
-                            let (st, data) = self.wait_restore(*r)?;
-                            return Ok((i, st, data));
-                        }
-                        _ => None,
-                    }
-                };
-                if let Some((_, _, _, entry)) = matches_log {
-                    // Put it back and let wait_restore consume it in order.
-                    match entry.data {
-                        Some(d) => {
-                            self.note_replayed()?;
-                            let st = synth_status(&entry.sig, d.len());
-                            self.reqs.release(*r, false);
-                            self.check_restore_done();
-                            return Ok((i, st, d));
-                        }
-                        None => {
-                            let ctag = match entry.sig.kind {
-                                StreamKind::P2p { tag } => tag,
-                                _ => unreachable!(),
-                            };
-                            let comm = entry.sig.comm;
-                            let (bytes, st) =
-                                self.mpi.recv_bytes(entry.sig.src as i32, ctag, CommId(comm))?;
-                            self.counters.received[st.src] += 1;
-                            self.reqs.release(*r, false);
-                            self.check_restore_done();
-                            return Ok((i, st, bytes));
-                        }
-                    }
-                }
-            }
-            // Live: ensure all posted, then wait on the substrate.
-            let mut mpi_ids = Vec::with_capacity(list.len());
-            for r in list {
-                self.ensure_posted(*r)?;
-                mpi_ids.push(self.reqs.get(*r).and_then(|e| e.mpi));
-            }
-            let live: Vec<(usize, mpisim::ReqId)> =
-                mpi_ids.iter().enumerate().filter_map(|(i, m)| m.map(|m| (i, m))).collect();
-            if live.is_empty() {
-                return Err(C3Error::Protocol("wait_any: no waitable requests".into()));
-            }
-            let ids: Vec<mpisim::ReqId> = live.iter().map(|(_, m)| *m).collect();
-            let (k, st, payload) = self.mpi.wait_any(&ids).map_err(C3Error::Mpi)?;
-            let i = live[k].0;
-            self.counters.received[st.src] += 1;
-            self.reqs.release(list[i], false);
-            self.check_restore_done();
-            return Ok((i, st, payload.unwrap_or_default()));
-        }
-        // Normal modes: sends (and anything already complete) win first, in
-        // index order, mirroring the substrate's scan.
-        for (i, r) in list.iter().enumerate() {
-            let is_send = self.reqs.get(*r).map(|e| e.kind == C3ReqKind::Send).unwrap_or(false);
-            if is_send {
-                let (st, data) = self.wait(*r)?;
-                self.log_waitany(i);
-                return Ok((i, st, data));
-            }
-        }
-        let mpi_ids: Vec<mpisim::ReqId> = list
-            .iter()
-            .map(|r| {
-                self.reqs
-                    .get(*r)
-                    .and_then(|e| e.mpi)
-                    .ok_or_else(|| C3Error::Protocol("wait_any on collected request".into()))
-            })
-            .collect::<Result<_>>()?;
-        let (i, st, payload) = self.mpi.wait_any(&mpi_ids).map_err(C3Error::Mpi)?;
-        self.log_waitany(i);
-        let payload = payload.unwrap_or_default();
-        let (st, payload) = self.complete_recv(list[i], st, payload)?;
-        Ok((i, st, payload))
+        let log = self.mode == Mode::NonDetLog;
+        self.complete_any(list, log)
     }
 
     /// Block until at least one request completes; consume and return all
     /// completed `(index, status, payload)` triples.
     pub fn wait_some(&mut self, list: &[C3Req]) -> Result<Vec<(usize, Status, Vec<u8>)>> {
         self.drain_control()?;
-        if self.mode == Mode::Restore {
+        let restoring = self.mode == Mode::Restore;
+        if restoring {
             if let Some(NondetEvent::WaitSome(indices)) = self.reqs.nondet_events.front().cloned() {
                 self.reqs.nondet_events.pop_front();
                 let mut out = Vec::with_capacity(indices.len());
-                for i in indices {
-                    let i = i as usize;
-                    if i < list.len() {
-                        let (st, data) = self.wait_restore(list[i])?;
-                        out.push((i, st, data));
-                    }
+                for i in indices.into_iter().map(|i| i as usize).filter(|i| *i < list.len()) {
+                    let (st, data) = self.complete(list[i], true)?.expect("blocking");
+                    out.push((i, st, data));
                 }
                 if !out.is_empty() {
                     return Ok(out);
                 }
             }
-            let (i, st, data) = self.wait_any(list)?;
-            return Ok(vec![(i, st, data)]);
         }
-        // Normal path: block via wait_any, then sweep for other completions.
-        let (first, st, data) = self.wait_any_no_log(list)?;
-        let mut out = vec![(first, st, data)];
-        for (i, r) in list.iter().enumerate() {
-            if i == first {
-                continue;
-            }
-            if self.reqs.get(*r).map(|e| e.mpi.is_some()).unwrap_or(false) {
-                if let Some((st, data)) = self.test_no_count(*r)? {
+        // Block for one, then (outside recovery) sweep the other posted
+        // receives without counting tests: the paper's counter covers the
+        // application's `test` calls, not this sweep.
+        let mut out = vec![self.complete_any(list, false)?];
+        if !restoring {
+            for (i, r) in list.iter().enumerate() {
+                if i == out[0].0 || self.reqs.get(*r).is_none_or(|e| e.mpi.is_none()) {
+                    continue;
+                }
+                if let Some((st, data)) = self.complete(*r, false)? {
                     out.push((i, st, data));
                 }
             }
         }
+        // Unlike `wait_any`'s single index, the set is known only after its
+        // arrivals took effect, so it is logged if logging outlived them.
         if self.mode == Mode::NonDetLog {
             self.reqs
                 .nondet_events
@@ -751,214 +657,132 @@ impl<'a> C3Ctx<'a> {
         Ok(out)
     }
 
-    fn log_waitany(&mut self, i: usize) {
-        if self.mode == Mode::NonDetLog {
-            self.reqs.nondet_events.push_back(NondetEvent::WaitAny(i as u32));
+    /// Complete one request of `list`: in `Restore` the logged index first;
+    /// then, in index order, a send or a receive the replay log serves;
+    /// then whichever posted receive the substrate completes first. With
+    /// `log`, the index is logged before the arrival's effects, which may
+    /// commit the checkpoint that saves the log.
+    fn complete_any(&mut self, list: &[C3Req], log: bool) -> Result<(usize, Status, Vec<u8>)> {
+        if list.is_empty() {
+            return Err(C3Error::Protocol("wait_any on empty request list".into()));
         }
-    }
-
-    /// wait_any without event logging (used inside wait_some, which logs the
-    /// whole index set instead).
-    fn wait_any_no_log(&mut self, list: &[C3Req]) -> Result<(usize, Status, Vec<u8>)> {
+        if self.mode == Mode::Restore {
+            if let Some(&NondetEvent::WaitAny(i)) = self.reqs.nondet_events.front() {
+                self.reqs.nondet_events.pop_front();
+                let i = i as usize;
+                if i < list.len() {
+                    let (st, data) = self.complete(list[i], true)?.expect("blocking");
+                    return Ok((i, st, data));
+                }
+            }
+        }
         for (i, r) in list.iter().enumerate() {
-            let is_send = self.reqs.get(*r).map(|e| e.kind == C3ReqKind::Send).unwrap_or(false);
-            if is_send {
-                let (st, data) = self.wait(*r)?;
+            if let Some((st, data)) = self.complete_now(*r)? {
+                if log {
+                    self.reqs.nondet_events.push_back(NondetEvent::WaitAny(i as u32));
+                }
                 return Ok((i, st, data));
             }
         }
-        let mpi_ids: Vec<mpisim::ReqId> = list
-            .iter()
-            .map(|r| {
-                self.reqs
-                    .get(*r)
-                    .and_then(|e| e.mpi)
-                    .ok_or_else(|| C3Error::Protocol("wait_some on collected request".into()))
-            })
-            .collect::<Result<_>>()?;
-        let (i, st, payload) = self.mpi.wait_any(&mpi_ids).map_err(C3Error::Mpi)?;
-        let payload = payload.unwrap_or_default();
-        let (st, payload) = self.complete_recv(list[i], st, payload)?;
-        Ok((i, st, payload))
+        let ids = list.iter().map(|r| self.posted(*r)).collect::<Result<Vec<_>>>()?;
+        let (i, st, payload) = self.mpi.wait_any(&ids).map_err(C3Error::Mpi)?;
+        if log {
+            self.reqs.nondet_events.push_back(NondetEvent::WaitAny(i as u32));
+        }
+        let (st, data) = self.finish_live(list[i], st, payload.unwrap_or_default())?;
+        Ok((i, st, data))
     }
 
-    /// Non-counting test used by wait_some's sweep (the paper's counter
-    /// covers Test calls the application issues, not internal sweeps).
-    fn test_no_count(&mut self, r: C3Req) -> Result<Option<(Status, Vec<u8>)>> {
-        let entry = match self.reqs.get(r) {
-            Some(e) => e,
-            None => return Ok(None),
-        };
-        if entry.kind != C3ReqKind::Recv {
-            return Ok(None);
+    /// Complete a request, blocking or not — the one completion path
+    /// behind `test`, `wait`, `wait_any` and `wait_some` in every mode:
+    /// first what needs no substrate (sends, replay-log data), then the
+    /// live receive.
+    fn complete(&mut self, r: C3Req, block: bool) -> Result<Option<(Status, Vec<u8>)>> {
+        if let Some(done) = self.complete_now(r)? {
+            return Ok(Some(done));
         }
-        let mreq = match entry.mpi {
-            Some(m) => m,
-            None => return Ok(None),
+        let mreq = self.posted(r)?;
+        let done = if block {
+            Some(self.mpi.wait_payload(mreq).map_err(C3Error::Mpi)?)
+        } else {
+            self.mpi.test(mreq).map_err(C3Error::Mpi)?
         };
-        match self.mpi.test(mreq).map_err(C3Error::Mpi)? {
+        match done {
+            Some((st, payload)) => self.finish_live(r, st, payload.unwrap_or_default()).map(Some),
             None => Ok(None),
-            Some((st, payload)) => self.complete_recv(r, st, payload.unwrap_or_default()).map(Some),
         }
     }
 
-    /// Common completion path for receives in normal modes: classify, mark
-    /// the entry, apply protocol effects, release.
-    fn complete_recv(
-        &mut self,
-        r: C3Req,
-        st: Status,
-        payload: Vec<u8>,
-    ) -> Result<(Status, Vec<u8>)> {
-        let (class, logging) = self.classify(st.piggyback);
-        let during_nondet = self.mode == Mode::NonDetLog;
-        let (wildcard, comm) = {
-            let e = self.reqs.get_mut(r).expect("completing known request");
-            e.completed = true;
-            e.completed_class = Some(class);
-            e.completed_during_log = during_nondet;
-            (e.src == ANY_SOURCE || e.tag == ANY_TAG, e.comm)
+    /// Complete `r` without the substrate, if possible: a send (buffered,
+    /// complete at initiation) or, in `Restore`, a receive the replay log
+    /// serves.
+    fn complete_now(&mut self, r: C3Req) -> Result<Option<(Status, Vec<u8>)>> {
+        let e =
+            self.reqs.get(r).ok_or_else(|| C3Error::Protocol(format!("unknown request {r:?}")))?;
+        let (kind, src, tag, comm) = (e.kind, e.src, e.tag, e.comm);
+        let done = match kind {
+            C3ReqKind::Send => {
+                Some((Status { src: src as usize, tag, bytes: 0, piggyback: 0 }, Vec::new()))
+            }
+            C3ReqKind::Recv => self.replayed(src, tag, comm)?.map(|(data, st)| (st, data)),
         };
-        let sig = StreamSig {
-            src: st.src,
-            dst: self.mpi.rank(),
-            comm,
-            kind: StreamKind::P2p { tag: st.tag },
-        };
-        self.apply_arrival(class, logging, sig, wildcard, &payload)?;
+        if done.is_some() {
+            // Replay serves a request before anything posts it live: the
+            // log is consulted first on every path and never grows in
+            // `Restore`.
+            debug_assert!(
+                kind == C3ReqKind::Send || self.reqs.get(r).is_some_and(|e| e.mpi.is_none())
+            );
+            self.reqs.release(r, self.mode.is_logging());
+        }
+        Ok(done)
+    }
+
+    /// Account a receive the substrate completed for `r`, and release it.
+    fn finish_live(&mut self, r: C3Req, st: Status, payload: Vec<u8>) -> Result<(Status, Vec<u8>)> {
+        let e = self.reqs.get(r).expect("completing a known request");
+        let (wildcard, comm) = (e.src == ANY_SOURCE || e.tag == ANY_TAG, e.comm);
+        self.arrived(self.p2p_sig(&st, comm), st.piggyback, wildcard, &payload, Some(r))?;
         self.reqs.release(r, self.mode.is_logging());
         Ok((st, payload))
     }
 
-    // ------------------------------------------------------------------
-    // Recovery paths for requests
-    // ------------------------------------------------------------------
+    /// The substrate receive behind `r`, posted now if it is not yet:
+    /// requests restored across the line or created during recovery post
+    /// lazily, so replayed-from-log messages never leave a stale posted
+    /// receive behind.
+    fn posted(&mut self, r: C3Req) -> Result<mpisim::ReqId> {
+        let e =
+            self.reqs.get(r).ok_or_else(|| C3Error::Protocol(format!("unknown request {r:?}")))?;
+        if let Some(m) = e.mpi {
+            return Ok(m);
+        }
+        if e.kind != C3ReqKind::Recv || e.completed {
+            return Err(C3Error::Protocol(format!("request {r:?} was already collected")));
+        }
+        let m = self.mpi.irecv_bytes(e.src, e.tag, CommId(e.comm)).map_err(C3Error::Mpi)?;
+        self.reqs.get_mut(r).expect("known request").mpi = Some(m);
+        Ok(m)
+    }
 
-    /// Lazily post the substrate receive for a request restored or created
-    /// during recovery.
-    fn ensure_posted(&mut self, r: C3Req) -> Result<()> {
-        let (needs, src, tag, comm) = match self.reqs.get(r) {
-            Some(e) if e.kind == C3ReqKind::Recv && e.mpi.is_none() && !e.completed => {
-                (true, e.src, e.tag, e.comm)
-            }
-            _ => (false, 0, 0, 0),
+    /// `Restore`: replay a request's logged `test` outcome, kept in the
+    /// table for pre-line requests and in the replay map for post-line
+    /// re-allocations. `None`: a logged unsuccessful test is consumed.
+    /// `Some(succeeded)`: whether the original test succeeded while logging
+    /// (never, for a send, which completes at its first test).
+    fn replay_test(&mut self, r: C3Req) -> Option<bool> {
+        let (fails, succeeded) = match self.reqs.replay.get_mut(&r.0) {
+            Some(m) => (&mut m.test_fails, m.completed_during_log),
+            None => match self.reqs.get_mut(r) {
+                Some(e) => (&mut e.test_fails, e.completed_during_log),
+                None => return Some(false),
+            },
         };
-        if needs {
-            let m = self.mpi.irecv_bytes(src, tag, CommId(comm)).map_err(C3Error::Mpi)?;
-            if let Some(e) = self.reqs.get_mut(r) {
-                e.mpi = Some(m);
-            }
+        if *fails > 0 {
+            *fails -= 1;
+            return None;
         }
-        Ok(())
-    }
-
-    /// Replay metadata for a request during recovery: pre-line entries carry
-    /// it in the table, post-line re-allocations in the replay map.
-    fn replay_meta(&mut self, r: C3Req) -> (u64, bool) {
-        if let Some(meta) = self.reqs.replay.get(&r.0) {
-            (meta.test_fails, meta.completed_during_log)
-        } else if let Some(e) = self.reqs.get(r) {
-            (e.test_fails, e.completed_during_log)
-        } else {
-            (0, false)
-        }
-    }
-
-    fn decrement_replay_fails(&mut self, r: C3Req) {
-        if let Some(meta) = self.reqs.replay.get_mut(&r.0) {
-            if meta.test_fails > 0 {
-                meta.test_fails -= 1;
-                return;
-            }
-        }
-        if let Some(e) = self.reqs.get_mut(r) {
-            if e.test_fails > 0 {
-                e.test_fails -= 1;
-            }
-        }
-    }
-
-    fn test_restore(&mut self, r: C3Req) -> Result<Option<(Status, Vec<u8>)>> {
-        let kind = self
-            .reqs
-            .get(r)
-            .map(|e| e.kind)
-            .ok_or_else(|| C3Error::Protocol(format!("unknown request {r:?}")))?;
-        if kind == C3ReqKind::Send {
-            let st = Status { src: self.mpi.rank(), tag: 0, bytes: 0, piggyback: 0 };
-            self.reqs.release(r, false);
-            return Ok(Some((st, Vec::new())));
-        }
-        let (fails, completed_during_log) = self.replay_meta(r);
-        if fails > 0 {
-            // "If the counter is not zero, the counter is decremented and
-            // the call returns without attempting to complete the request."
-            self.decrement_replay_fails(r);
-            return Ok(None);
-        }
-        if completed_during_log {
-            // "If the original call was successful, the call is substituted
-            // with a corresponding Wait operation", which cannot deadlock —
-            // the matching message is in the log or guaranteed to arrive.
-            return self.wait_restore(r).map(Some);
-        }
-        // Beyond the logged period: live test.
-        self.ensure_posted(r)?;
-        let mreq = self.reqs.get(r).and_then(|e| e.mpi).expect("posted above");
-        match self.mpi.test(mreq).map_err(C3Error::Mpi)? {
-            None => Ok(None),
-            Some((st, payload)) => {
-                self.counters.received[st.src] += 1;
-                self.reqs.release(r, false);
-                self.check_restore_done();
-                Ok(Some((st, payload.unwrap_or_default())))
-            }
-        }
-    }
-
-    fn wait_restore(&mut self, r: C3Req) -> Result<(Status, Vec<u8>)> {
-        let (kind, src, tag, comm) = {
-            let e = self
-                .reqs
-                .get(r)
-                .ok_or_else(|| C3Error::Protocol(format!("unknown request {r:?}")))?;
-            (e.kind, e.src, e.tag, e.comm)
-        };
-        if kind == C3ReqKind::Send {
-            let st = Status { src: self.mpi.rank(), tag, bytes: 0, piggyback: 0 };
-            self.reqs.release(r, false);
-            return Ok((st, Vec::new()));
-        }
-        if let Some(entry) = self.replay.take_p2p_match(src, tag, comm) {
-            match entry.data {
-                Some(data) => {
-                    self.note_replayed()?;
-                    let st = synth_status(&entry.sig, data.len());
-                    self.reqs.release(r, false);
-                    self.check_restore_done();
-                    return Ok((st, data));
-                }
-                None => {
-                    let ctag = match entry.sig.kind {
-                        StreamKind::P2p { tag } => tag,
-                        _ => unreachable!(),
-                    };
-                    let (bytes, st) =
-                        self.mpi.recv_bytes(entry.sig.src as i32, ctag, CommId(comm))?;
-                    self.counters.received[st.src] += 1;
-                    self.reqs.release(r, false);
-                    self.check_restore_done();
-                    return Ok((st, bytes));
-                }
-            }
-        }
-        self.ensure_posted(r)?;
-        let mreq = self.reqs.get(r).and_then(|e| e.mpi).expect("posted above");
-        let (st, payload) = self.mpi.wait_payload(mreq).map_err(C3Error::Mpi)?;
-        self.counters.received[st.src] += 1;
-        self.reqs.release(r, false);
-        self.check_restore_done();
-        Ok((st, payload.unwrap_or_default()))
+        Some(succeeded)
     }
 
     // ==================================================================
@@ -996,9 +820,10 @@ impl<'a> C3Ctx<'a> {
         Ok(())
     }
 
-    /// Count one receive served from the replay log; a `DuringRestore`
-    /// fault kills the rank at its n-th replayed receive — mid-recovery,
-    /// while peers may themselves still be replaying.
+    /// Count one receive served from the replay log and leave `Restore` if
+    /// that was the last late data; a `DuringRestore` fault kills the rank
+    /// at its n-th replayed receive — mid-recovery, while peers may
+    /// themselves still be replaying.
     fn note_replayed(&mut self) -> Result<()> {
         self.stats.replayed_recvs += 1;
         if let Some(f) = self.armed_failure() {
@@ -1011,6 +836,7 @@ impl<'a> C3Ctx<'a> {
                 }
             }
         }
+        self.check_restore_done();
         Ok(())
     }
 
@@ -1104,19 +930,5 @@ impl<'a> C3Ctx<'a> {
         self.stats.last_commit_wall_ns = self.now_ns();
         self.mode = Mode::Run;
         Ok(())
-    }
-}
-
-/// Status for a receive served from the replay log: the message is
-/// intra-epoch by construction on the restored run.
-fn synth_status(sig: &StreamSig, len: usize) -> Status {
-    Status {
-        src: sig.src,
-        tag: match sig.kind {
-            StreamKind::P2p { tag } => tag,
-            StreamKind::Coll { .. } => 0,
-        },
-        bytes: len,
-        piggyback: 0,
     }
 }

@@ -194,6 +194,81 @@ fn cross_line_stats_show_late_and_early() {
     assert!(total_early >= 1, "expected at least one early message, got {total_early}");
 }
 
+/// `cross_app` with the reply split into two non-blocking sends that rank 0
+/// collects with `test` and `wait` and whose statuses it folds into its
+/// checksum. On recovery rank 0 makes both calls in `Restore` (the late
+/// tag-9 message still waits in its replay log), so a completed send must
+/// report the same `Status` there as in a failure-free run.
+fn send_status_app(ctx: &mut C3Ctx<'_>, iters: u64) -> Result<u64, C3Error> {
+    let me = ctx.rank();
+    if me != 0 {
+        let mut st = LoopState::restore_or_new(ctx)?;
+        while st.iter < iters {
+            ctx.send(0, 9, &[st.iter * 10 + 1])?;
+            ctx.send(0, 8, &[st.iter * 10 + 2])?;
+            for tag in [7, 6] {
+                let (v, _) = ctx.recv::<u64>(0, tag)?;
+                st.absorb(v[0]);
+            }
+            st.iter += 1;
+            ctx.pragma(|e| st.save(e))?;
+        }
+        return Ok(st.checksum);
+    }
+    let (mut st, mut phase) = match ctx.take_restored_state() {
+        Some(b) => {
+            let mut d = Decoder::new(&b);
+            (LoopState { iter: d.u64()?, checksum: d.u64()? }, d.u64()?)
+        }
+        None => (LoopState::default(), 0),
+    };
+    while st.iter < iters {
+        if phase == 0 {
+            let (s, _) = ctx.recv::<u64>(1, 8)?;
+            st.absorb(s[0]);
+            phase = 1;
+        }
+        ctx.pragma(|e| {
+            st.save(e);
+            e.u64(phase);
+        })?;
+        let tested = ctx.isend(1, 7, &[st.iter * 10])?;
+        let waited = ctx.isend(1, 6, &[st.iter * 10 + 5])?;
+        let (s7, _) = ctx.test(tested)?.expect("a buffered send completes at its first test");
+        let (s6, _) = ctx.wait(waited)?;
+        for s in [s7, s6] {
+            st.absorb(s.src as u64 * 100 + s.tag as u64);
+        }
+        let (v, _) = ctx.recv::<u64>(1, 9)?;
+        st.absorb(v[0]);
+        st.iter += 1;
+        phase = 0;
+    }
+    Ok(st.checksum)
+}
+
+#[test]
+fn completed_send_status_is_the_same_after_recovery() {
+    let st_base = tmp_store("send-status-base");
+    let baseline =
+        Job::new(2, C3Config::passive(st_base.path())).run(|ctx| send_status_app(ctx, 8)).unwrap();
+    let st_fail = tmp_store("send-status-fail");
+    let cfg = C3Config::at_pragmas(st_fail.path(), vec![3]);
+    let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 5 } };
+    let rec = Job::new(2, cfg)
+        .failure(plan)
+        .run(|ctx| {
+            let r = send_status_app(ctx, 8)?;
+            Ok((r, ctx.stats().replayed_recvs, ctx.stats().suppressed_sends))
+        })
+        .unwrap();
+    assert_eq!(rec.restarts, 1);
+    let (_, replayed, suppressed) = rec.handle.results[0];
+    assert!(replayed >= 1 && suppressed >= 1, "rank 0 never completed a send in Restore");
+    let results: Vec<u64> = rec.handle.results.iter().map(|(r, _, _)| *r).collect();
+    assert_eq!(results, baseline.results, "a completed send's status changed in recovery");
+}
+
 /// Wild-card receives with nondeterministic arrival order: the logged
 /// signatures must force the same order on recovery.
 fn wildcard_app(ctx: &mut C3Ctx<'_>, iters: u64) -> Result<u64, C3Error> {
@@ -491,7 +566,6 @@ fn timer_policy_triggers_and_idles() {
         initiator: Some(0),
         clock: Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
-        delta_compress: false,
     };
     let out = Job::new(2, cfg_idle)
         .run(|ctx| {
@@ -511,7 +585,6 @@ fn timer_policy_triggers_and_idles() {
         initiator: Some(0),
         clock: Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
-        delta_compress: false,
     };
     let st_timer_base_24 = tmp_store("timer-base");
     let baseline = Job::new(2, C3Config::passive(st_timer_base_24.path()))
@@ -573,7 +646,6 @@ fn virtual_time_timer_trace_is_bit_for_bit_reproducible() {
             initiator: Some(0),
             clock: Clock::Virtual,
             ckpt_mode: c3::CkptMode::Full,
-            delta_compress: false,
         };
         Job::new(3, cfg).clock(Clock::Virtual).run(|ctx| token_app(ctx, 24)).unwrap()
     };

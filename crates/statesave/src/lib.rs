@@ -34,8 +34,7 @@ pub mod store;
 
 pub use codec::{Decoder, Encoder, Saveable};
 pub use incremental::{
-    plane_compress, plane_decompress, rle_compress, rle_decompress, Delta, DirtyTracker,
-    IncrementalSaver, DEFAULT_CHUNK_SIZE,
+    rle_compress, rle_decompress, Delta, DirtyTracker, IncrementalSaver, DEFAULT_CHUNK_SIZE,
 };
 pub use memmgr::{scratch, CkptHeap, ObjId, ScratchPool};
 pub use registry::{TypeCode, VarDesc, VariableRegistry};

@@ -127,7 +127,6 @@ fn main() {
         initiator: Some(0),
         clock: c3::Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
-        delta_compress: false,
     };
     let plan = FailurePlan { rank: 3, when: FailAt::AfterCommits { commits: 1, pragma: 25 } };
     let rec = c3::Job::new(4, cfg).failure(plan).run(heat_app).unwrap();

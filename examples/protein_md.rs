@@ -162,7 +162,6 @@ fn main() {
         initiator: Some(0),
         clock: c3::Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
-        delta_compress: false,
     };
     let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 35 } };
     let rec = c3::Job::new(4, cfg).failure(plan).run(md_app).unwrap();

@@ -166,7 +166,6 @@ fn rank1_initiates(store: &TempStore) -> C3Config {
         initiator: Some(1),
         clock: Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
-        delta_compress: false,
     }
 }
 
@@ -450,7 +449,6 @@ fn chaos_plans_under_tight_mailboxes_stay_bit_identical() {
             initiator: None,
             clock: Clock::Wall,
             ckpt_mode: c3::CkptMode::Full,
-            delta_compress: false,
         }
     }
     let base_store = TempStore::new("bp-chaos-base");

@@ -81,7 +81,6 @@ fn chaos_sweep_ring_32_seeds_times_3_networks() {
                 initiator: None, // concurrent initiators: more interleavings
                 clock: Clock::Wall,
                 ckpt_mode: c3::CkptMode::Full,
-                delta_compress: false,
             };
             let rec = Job::new(NRANKS, cfg)
                 .network(net)

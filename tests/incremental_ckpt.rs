@@ -17,7 +17,7 @@ use statesave::{DirtyTracker, IncrementalSaver};
 use std::collections::BTreeMap;
 use util::TempStore;
 
-fn incr_cfg(store: &TempStore, nth: u64, every_n: u32, compress: bool) -> C3Config {
+fn incr_cfg(store: &TempStore, nth: u64, every_n: u32) -> C3Config {
     C3Config {
         store_root: store.path().to_path_buf(),
         write_disk: true,
@@ -25,7 +25,6 @@ fn incr_cfg(store: &TempStore, nth: u64, every_n: u32, compress: bool) -> C3Conf
         initiator: Some(0),
         clock: c3::Clock::Wall,
         ckpt_mode: CkptMode::Incremental { every_n },
-        delta_compress: compress,
     }
 }
 
@@ -37,7 +36,6 @@ fn full_cfg(store: &TempStore, nth: u64) -> C3Config {
         initiator: Some(0),
         clock: c3::Clock::Wall,
         ckpt_mode: CkptMode::Full,
-        delta_compress: false,
     }
 }
 
@@ -122,22 +120,19 @@ proptest! {
 // End-to-end: kernels recover identically in every mode
 // ====================================================================
 
-/// MG under a mid-run failure: full-mode recovery, incremental recovery,
-/// and compressed-incremental recovery all reproduce the failure-free
-/// raw-substrate result bit-for-bit, for every chain length in the
-/// satellite's `every_n` set.
+/// MG under a mid-run failure: incremental recovery reproduces the
+/// failure-free raw-substrate result bit-for-bit, for every chain length
+/// in the `every_n` set.
 #[test]
 fn mg_incremental_recovery_matches_full() {
     let spec = JobSpec::new(4);
     let cfg = npb::mg::MgConfig { log2_n: 8, cycles: 6, smooth: 2 };
     let baseline = mpisim::launch(&spec, move |ctx| npb::mg::run(ctx, &cfg)).unwrap();
 
-    for (tag, every_n, compress) in
-        [("e1", 1u32, false), ("e2", 2, false), ("e4", 4, false), ("e4z", 4, true)]
-    {
+    for (tag, every_n) in [("e1", 1u32), ("e2", 2), ("e4", 4)] {
         let store = TempStore::new(&format!("mg-incr-{tag}"));
         let plan = FailurePlan { rank: 2, when: FailAt::AfterCommits { commits: 1, pragma: 5 } };
-        let rec = Job::from_spec(&spec, incr_cfg(&store, 3, every_n, compress))
+        let rec = Job::from_spec(&spec, incr_cfg(&store, 3, every_n))
             .failure(plan)
             .run(move |ctx| npb::mg::run(ctx, &cfg).map_err(C3Error::Mpi))
             .unwrap_or_else(|e| panic!("mg incr {tag} failed to recover: {e}"));
@@ -149,7 +144,7 @@ fn mg_incremental_recovery_matches_full() {
     }
 }
 
-/// CG (allreduce + halo traffic) through a delta chain with compression.
+/// CG (allreduce + halo traffic) through a delta chain.
 #[test]
 fn cg_incremental_recovery_matches_full() {
     let spec = JobSpec::new(4);
@@ -158,7 +153,7 @@ fn cg_incremental_recovery_matches_full() {
 
     let store = TempStore::new("cg-incr");
     let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 5 } };
-    let rec = Job::from_spec(&spec, incr_cfg(&store, 3, 4, true))
+    let rec = Job::from_spec(&spec, incr_cfg(&store, 3, 4))
         .failure(plan)
         .run(move |ctx| npb::cg::run(ctx, &cfg).map_err(C3Error::Mpi))
         .unwrap();
@@ -214,7 +209,7 @@ fn torn_delta_chain_falls_back_to_last_complete_prefix() {
         ],
         net: None,
     };
-    let rec = Job::new(3, incr_cfg(&store, 1, 4, false)).chaos(plan).run(app).unwrap();
+    let rec = Job::new(3, incr_cfg(&store, 1, 4)).chaos(plan).run(app).unwrap();
     assert_eq!(rec.restarts, 2, "both faults must fire");
     assert_eq!(rec.handle.results, baseline.results);
     // Both restarts recovered from a committed line inside the delta chain
@@ -251,7 +246,7 @@ fn mode_switch_across_restart_restores_cleanly() {
     // store now holds a committed delta chain.
     let store = TempStore::new("switch");
     let plan = FailurePlan { rank: 0, when: FailAt::AfterCommits { commits: 3, pragma: 4 } };
-    let rec = Job::new(3, incr_cfg(&store, 1, 4, false)).failure(plan).run(app).unwrap();
+    let rec = Job::new(3, incr_cfg(&store, 1, 4)).failure(plan).run(app).unwrap();
     assert!(rec.restarts >= 1);
     assert_eq!(rec.handle.results, baseline.results);
 
@@ -299,7 +294,7 @@ fn mg_deltas_write_fewer_bytes_than_full() {
 
     let incr_store = TempStore::new("mg-bytes-incr");
     let (incr_res, incr_bytes, incr_line, incr_bases, incr_deltas) =
-        run(incr_cfg(&incr_store, 1, 4, true));
+        run(incr_cfg(&incr_store, 1, 4));
     eprintln!(
         "mg ckpt bytes full={full_bytes} (line {full_line}) \
          incr={incr_bytes} (line {incr_line})"
@@ -314,8 +309,10 @@ fn mg_deltas_write_fewer_bytes_than_full() {
         incr_bytes < full_bytes,
         "incremental mode wrote no fewer bytes: {incr_bytes} vs {full_bytes}"
     );
+    // Plain deltas (bases every 4th commit, XOR patches for changed chunks)
+    // measure about 51 % of full-mode line bytes here.
     assert!(
-        incr_line * 2 < full_line,
-        "incremental line bytes not under half of full: {incr_line} vs {full_line}"
+        incr_line * 5 < full_line * 3,
+        "incremental line bytes not under 60 % of full: {incr_line} vs {full_line}"
     );
 }

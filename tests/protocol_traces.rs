@@ -188,7 +188,6 @@ fn concurrent_initiators_commit_and_recover() {
         initiator: None, // every rank initiates
         clock: c3::Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
-        delta_compress: false,
     };
     let sanity = c3::Job::new(4, cfg)
         .run(|ctx| {
@@ -211,7 +210,6 @@ fn concurrent_initiators_commit_and_recover() {
         initiator: None,
         clock: c3::Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
-        delta_compress: false,
     };
     let plan = FailurePlan { rank: 3, when: FailAt::AfterCommits { commits: 2, pragma: 14 } };
     let rec = c3::Job::new(4, cfg2).failure(plan).run(app).unwrap();
@@ -550,4 +548,22 @@ mod farm {
 fn task_farm_nonblocking_completions_recover_bit_identically() {
     let workers = farm::WORKERS + 1;
     farm::sweep(mpisim::SchedMode::EventDriven { workers });
+}
+
+/// The same sweep on the serial schedule, where every instant is
+/// deterministic: each fault fires and recovery starts from a committed
+/// line, so the restored master replays `wait_any`/`wait_some`/`test`
+/// completions against its replay log. Two ways this once went wrong: a
+/// `test` beyond the logged period posted its receive live while the
+/// request's late data still sat in the log, so the later `wait` served the
+/// log and left the posted receive to swallow an uncounted message (the
+/// next commit then waited forever for it); and a receive posted during
+/// `Restore` — posted lazily — reached a normal-mode `wait_any` after
+/// recovery ended with no substrate request behind it.
+#[test]
+fn task_farm_recovers_from_committed_lines_on_the_serial_schedule() {
+    for (plan, rec) in farm::sweep(farm::SERIAL) {
+        assert_eq!(rec.faults_fired as usize, plan.len(), "{plan:?}: a fault never fired");
+        assert!(rec.lines[0] >= 1, "{plan:?}: restarted without a committed line: {:?}", rec.lines);
+    }
 }

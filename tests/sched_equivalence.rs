@@ -6,15 +6,20 @@
 //!
 //! The per-rank op clock ticks at exactly the points where a rank can block
 //! (send, posted receive, wait, collective entry) and never on polling, so
-//! it is a pure function of the rank's call sequence — the schedule must
-//! not move it. These suites pin that invariant end to end, 32 seeds per
-//! network model (reliable, reorder+drop+dup, tight bounded mailboxes),
-//! protocol layer included:
+//! on the raw substrate it is a pure function of the rank's call sequence —
+//! the schedule must not move it. The protocol layer polls its control
+//! plane, so *when* a rank sees a Checkpoint-Initiated message, and hence
+//! where its own rounds start, can follow the schedule. These suites run 32
+//! seeds per network model (reliable, reorder+drop+dup, tight bounded
+//! mailboxes), protocol layer included:
 //!
 //! * **failure-free runs** (checkpoint rounds active, no fail-stop): the
-//!   per-rank results *and* final op clocks are bit-identical between the
-//!   two schedules — the call sequence is fully application-determined, so
-//!   any schedule-induced drift would surface here as a clock divergence;
+//!   per-rank results are bit-identical between the two schedules; on the
+//!   reliable and tight-mailbox networks the final op clocks are too. On
+//!   the reordering, dropping, duplicating network only the results are
+//!   compared: there the release point of withheld traffic, and with it a
+//!   Checkpoint-Initiated fan-out, is not a function of the receiver's op
+//!   sequence;
 //! * **fail-stop chaos runs** (seeded multi-fault [`ChaosPlan`]s): both
 //!   schedules recover to the failure-free result bit for bit. Final op
 //!   clocks and committed-line progressions are *not* compared across
@@ -73,7 +78,6 @@ fn chaos_cfg(store: &TempStore) -> C3Config {
         initiator: None,
         clock: Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
-        delta_compress: false,
     }
 }
 
@@ -97,18 +101,23 @@ fn run_ring(
 }
 
 /// The full sweep for one network family: per seed, (a) failure-free runs
-/// must match bit-for-bit *including op clocks* across both schedules, and
-/// (b) seeded chaos runs under both schedules must recover to that same
-/// failure-free result.
-fn sweep(tag: &str, net_for_seed: impl Fn(u64) -> NetModel) {
+/// must match bit-for-bit across both schedules — including op clocks if
+/// `clocks` — and (b) seeded chaos runs under both schedules must recover
+/// to that same failure-free result.
+fn sweep(tag: &str, clocks: bool, net_for_seed: impl Fn(u64) -> NetModel) {
     let space = ChaosSpace { nranks: NRANKS, max_pragma: ITERS, max_op: 80 };
     let mut divergences = 0u32;
     for seed in 0..SEEDS {
         let net = net_for_seed(seed);
         let serial = run_ring(seed, net, SERIAL, None, tag);
         let concurrent = run_ring(seed, net, CONCURRENT, None, tag);
-        if concurrent != serial {
-            eprintln!("seed {seed} ({tag}): failure-free op-clock trace diverged");
+        let same = if clocks {
+            concurrent == serial
+        } else {
+            concurrent.iter().map(|(acc, _)| acc).eq(serial.iter().map(|(acc, _)| acc))
+        };
+        if !same {
+            eprintln!("seed {seed} ({tag}): failure-free run diverged");
             eprintln!("  workers 1: {serial:?}\n  workers {NRANKS}: {concurrent:?}");
             divergences += 1;
         }
@@ -130,17 +139,17 @@ fn sweep(tag: &str, net_for_seed: impl Fn(u64) -> NetModel) {
 
 #[test]
 fn sweep_reliable_network() {
-    sweep("rel", |seed| NetModel::reliable().seed(seed));
+    sweep("rel", true, |seed| NetModel::reliable().seed(seed));
 }
 
 #[test]
 fn sweep_reorder_drop_duplicate() {
-    sweep("fault", |seed| NetModel::reorder(seed).drop_rate(15).duplicate_rate(10));
+    sweep("fault", false, |seed| NetModel::reorder(seed).drop_rate(15).duplicate_rate(10));
 }
 
 #[test]
 fn sweep_tight_mailboxes() {
-    sweep("tight", |seed| NetModel::reliable().seed(seed).mailbox_capacity(2 * NRANKS));
+    sweep("tight", true, |seed| NetModel::reliable().seed(seed).mailbox_capacity(2 * NRANKS));
 }
 
 /// Raw substrate (no protocol layer): an NPB CG solve's results and final
