@@ -91,8 +91,8 @@ impl NetMode {
 enum ModeAxis {
     /// Every commit writes the full line sections (the seed's behavior).
     Full,
-    /// Base-plus-delta chains of length 4 — the configuration the
-    /// incremental-checkpointing claims are made on.
+    /// Base-plus-delta chains of length 4 with plane-compressed payloads —
+    /// the configuration the incremental-checkpointing claims are made on.
     Incr4,
 }
 

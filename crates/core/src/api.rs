@@ -126,9 +126,10 @@ impl CkptPolicy {
 /// checkpoint". [`CkptMode::Incremental`] implements it on the live commit
 /// path via [`statesave::DirtyTracker`]: every `every_n`-th commit writes a
 /// self-contained *base*, the commits between write chunk-granular deltas,
-/// and a restore replays the base-plus-delta chain. The commit marker and
-/// the late-message log are unaffected — only the line sections change
-/// representation, so recovery semantics are bit-for-bit identical.
+/// and a restore replays the base-plus-delta chain. Every delta-line
+/// payload is plane-compressed (`statesave::plane_compress`). The commit
+/// marker and the late-message log are unaffected — only the line sections
+/// change representation, so recovery semantics are bit-for-bit identical.
 ///
 /// The `C3_CKPT_MODE` env knob (`full` or `incr:<N>`) overrides the
 /// configured mode at context creation (see `docs/KNOBS.md`).

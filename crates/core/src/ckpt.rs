@@ -150,8 +150,9 @@ pub(crate) fn write_line_sections(
 }
 
 /// Write one incremental line: advance the chain (base every `every_n`
-/// commits, delta otherwise), and store the encoded [`Delta`] behind its
-/// chain's base version as the single `delta` section.
+/// commits, delta otherwise), encode the [`Delta`], plane-compress it
+/// through a scratch-pool buffer, and store it behind its chain's base
+/// version as the single `delta` section.
 fn write_delta_line(ctx: &mut C3Ctx<'_>, version: u64, sections: &[(&str, &[u8])]) -> Result<()> {
     let incr = ctx.incr.as_mut().expect("write_delta_line requires incremental mode");
     let is_base = incr.chain_len == 0 || incr.chain_len >= incr.every_n;
@@ -170,9 +171,15 @@ fn write_delta_line(ctx: &mut C3Ctx<'_>, version: u64, sections: &[(&str, &[u8])
         ctx.stats.ckpt_deltas += 1;
     }
 
+    let mut body = Encoder::pooled();
+    delta.save(&mut body);
+    let mut packed = statesave::scratch().lease();
+    statesave::plane_compress(body.as_bytes(), &mut packed);
+    body.recycle();
     let mut e = Encoder::pooled();
     e.u64(base_version);
-    delta.save(&mut e);
+    e.bytes(&packed);
+    statesave::scratch().give_back(packed);
     ctx.stats.ckpt_line_bytes += e.as_bytes().len() as u64;
     put_pooled(ctx, version, DELTA_SECTION, e)
 }
@@ -184,7 +191,8 @@ fn read_delta(ctx: &C3Ctx<'_>, version: u64) -> Result<(u64, Delta)> {
     let raw = ctx.store.read_section(version, rank, DELTA_SECTION).map_err(C3Error::Io)?;
     let mut d = Decoder::new(&raw);
     let base = d.u64()?;
-    let delta = Delta::load(&mut d)?;
+    let bytes = statesave::plane_decompress(&d.bytes()?)?;
+    let delta = Delta::load(&mut Decoder::new(&bytes))?;
     Ok((base, delta))
 }
 

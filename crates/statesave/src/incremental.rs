@@ -404,6 +404,24 @@ pub fn rle_compress(src: &[u8], dst: &mut Vec<u8>) {
     flush_literals(dst, &src[lit_start..]);
 }
 
+/// Byte-plane compression for whole delta payloads: transpose into
+/// `SHUFFLE_STRIDE` byte planes, then `rle_compress`. On encoded
+/// checkpoint state — dominated by raw `f64` chunks in base links — the
+/// transpose gathers the slowly-varying sign/exponent bytes into long runs
+/// that plain RLE cannot see through the 8-byte interleave. Appends to
+/// `dst`.
+pub fn plane_compress(src: &[u8], dst: &mut Vec<u8>) {
+    let mut shuffled = Vec::with_capacity(src.len());
+    byte_shuffle(src, SHUFFLE_STRIDE, &mut shuffled);
+    rle_compress(&shuffled, dst);
+}
+
+/// Inverse of [`plane_compress`].
+pub fn plane_decompress(src: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let shuffled = rle_decompress(src)?;
+    Ok(byte_unshuffle(&shuffled, SHUFFLE_STRIDE))
+}
+
 /// Inverse of [`rle_compress`]. Errors on a truncated token stream.
 pub fn rle_decompress(src: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::with_capacity(src.len() * 2);

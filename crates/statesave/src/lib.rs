@@ -34,7 +34,8 @@ pub mod store;
 
 pub use codec::{Decoder, Encoder, Saveable};
 pub use incremental::{
-    rle_compress, rle_decompress, Delta, DirtyTracker, IncrementalSaver, DEFAULT_CHUNK_SIZE,
+    plane_compress, plane_decompress, rle_compress, rle_decompress, Delta, DirtyTracker,
+    IncrementalSaver, DEFAULT_CHUNK_SIZE,
 };
 pub use memmgr::{scratch, CkptHeap, ObjId, ScratchPool};
 pub use registry::{TypeCode, VarDesc, VariableRegistry};
