@@ -1159,6 +1159,59 @@ mod tests {
         assert_eq!(n, 400, "lost or double-delivered messages under combined faults");
     }
 
+    /// FNV-1a digest of the arrival order at ranks 2 and 3 after a fixed
+    /// traffic pattern: sources 0–2 send 1 200 messages over 4 tags, with
+    /// `seq` unique per (src, dst), a `nudge(dst)` every 97th send and a
+    /// final flush.
+    fn arrival_digest(model: NetModel) -> u64 {
+        let net = test_net(4, model);
+        let mut next_seq = [[0u64; 4]; 3];
+        for i in 0..1200usize {
+            let (src, dst, tag) = (i % 3, 2 + (i / 3) % 2, ((i / 7) % 4) as Tag);
+            let seq = next_seq[src][dst];
+            next_seq[src][dst] += 1;
+            net.send(env(src, dst, tag, seq)).unwrap();
+            if i % 97 == 96 {
+                net.nudge(dst);
+            }
+        }
+        net.flush_reorder();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for d in [2, 3] {
+            for e in net.mailbox(d).lock().snapshot_arrival_order() {
+                for x in [e.src as u64, e.tag as u64, e.seq] {
+                    for b in x.to_le_bytes() {
+                        h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    /// Pins every RNG draw, fate and arrival stamp of the delivery
+    /// pipeline: any change to stage order or batching moves a digest.
+    #[test]
+    fn arrival_order_is_pinned_per_network_model() {
+        let digests = [
+            arrival_digest(NetModel::reliable()),
+            arrival_digest(NetModel::reorder(5)),
+            arrival_digest(NetModel::reliable().drop_rate(200)),
+            arrival_digest(NetModel::reliable().duplicate_rate(200)),
+            arrival_digest(NetModel::reorder(8).drop_rate(150).duplicate_rate(100)),
+        ];
+        assert_eq!(
+            digests,
+            [
+                13_373_766_197_472_281_637,
+                805_918_405_169_784_325,
+                8_528_088_831_168_406_629,
+                13_373_766_197_472_281_637,
+                15_204_555_462_558_279_685,
+            ]
+        );
+    }
+
     #[test]
     fn poison_is_sticky_and_carries_reason() {
         let net = test_net(1, NetModel::reliable());
@@ -1236,6 +1289,28 @@ mod tests {
         let JobError::Aborted { reason } = err else { panic!("expected abort, got {err:?}") };
         assert!(reason.starts_with(crate::BACKPRESSURE_DEADLOCK_MARKER), "reason: {reason}");
         assert!(reason.contains("send cycle rank 0 -> rank 0"), "reason: {reason}");
+    }
+
+    /// Rank 0 is parked on rank 1 but is not part of the cycle: the walk
+    /// from rank 0 must report only the cycle it leads into.
+    #[test]
+    fn deadlock_watchdog_reports_the_cycle_past_a_bystander() {
+        let err = launch(&JobSpec::new(4).mailbox_capacity(1), |ctx| {
+            let dst = match ctx.rank() {
+                0 | 3 => 1,
+                r => r + 1,
+            };
+            ctx.send(dst, 2, &[0u64])?;
+            ctx.send(dst, 2, &[1u64])?;
+            ctx.recv::<u64>(crate::ANY_SOURCE, 2).map(|_| ())
+        })
+        .unwrap_err();
+        let JobError::Aborted { reason } = err else { panic!("expected abort, got {err:?}") };
+        assert!(reason.starts_with(crate::BACKPRESSURE_DEADLOCK_MARKER), "reason: {reason}");
+        assert!(
+            reason.contains("send cycle rank 1 -> rank 2 -> rank 3 -> rank 1 with"),
+            "reason: {reason}"
+        );
     }
 
     #[test]
