@@ -40,8 +40,8 @@
 //! ```
 
 use c3::{
-    shrink_plan, C3Config, C3Error, ChaosPlan, ChaosSpace, CkptPolicy, Clock, FailAt, FailurePlan,
-    Job, NetFault,
+    shrink_plan, C3Config, C3Error, ChaosPlan, ChaosSpace, CkptPolicy, FailAt, FailurePlan, Job,
+    NetFault,
 };
 use c3_bench::{Align, Table};
 use mpisim::{JobSpec, NetModel};
@@ -288,7 +288,6 @@ fn chaos_cfg(store: &TempStore, mode: ModeAxis, every: u64) -> C3Config {
         // the §4.5 "any process may initiate" interleavings under fire.
         policy: CkptPolicy::EveryNth(every),
         initiator: None,
-        clock: Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
     })
 }
@@ -575,13 +574,18 @@ fn main() {
             Err(e) => format!("error: {e}"),
         };
         println!(
-            "FAIL {} [{}/{}] seed {}: plan {} shrank to minimal reproduction {} ({why})",
+            "FAIL {} [{}/{}] seed {}: plan {} shrank to minimal reproduction {} ({why}) — \
+             rerun: cargo run --release -q -p c3-bench --bin chaos_soak -- --base-seed {} \
+             --seeds 1 --kernels {}{}",
             k.name,
             r.net.name(),
             r.mode.name(),
             r.seed,
             r.plan,
-            min
+            min,
+            r.seed,
+            k.name,
+            if args.quick { " --quick" } else { "" },
         );
         shrunk_json.push(format!(
             "    {{\"kernel\": \"{}\", \"network\": \"{}\", \"ckpt_mode\": \"{}\", \"seed\": {}, \

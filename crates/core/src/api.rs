@@ -72,23 +72,6 @@ impl C3Error {
     }
 }
 
-/// Which clock drives the time-based parts of the protocol: the
-/// [`CkptPolicy::Timer`] initiation policy and the restart-cost stamp
-/// [`C3Stats::last_commit_wall_ns`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Clock {
-    /// Real wall-clock time (`std::time::Instant`), measured from context
-    /// creation. Matches the paper's measurements, but makes timer-initiated
-    /// rounds depend on scheduler timing — unusable for deterministic
-    /// replay or chaos sweeps.
-    #[default]
-    Wall,
-    /// The substrate's virtual compute clock (`RankCtx::vtime`): a pure
-    /// function of the rank's call sequence and the cluster model, so
-    /// timer-initiated rounds become bit-for-bit reproducible and fuzzable.
-    Virtual,
-}
-
 /// When does a process *initiate* a checkpoint at a `ccc_checkpoint` pragma?
 ///
 /// Regardless of policy, every process also starts a checkpoint at its next
@@ -103,8 +86,10 @@ pub enum CkptPolicy {
     AtPragmas(Vec<u64>),
     /// Force every `n`-th pragma.
     EveryNth(u64),
-    /// Force when this much time — on the job's [`Clock`] — has passed
-    /// since the last checkpoint (the paper's "timer expired" trigger).
+    /// Force when this much virtual time (`RankCtx::vtime`, a pure
+    /// function of the rank's call sequence and the cluster model) has
+    /// passed since the last checkpoint — the paper's "timer expired"
+    /// trigger, reproducible bit for bit.
     Timer(Duration),
 }
 
@@ -130,9 +115,6 @@ impl CkptPolicy {
 /// payload is plane-compressed (`statesave::plane_compress`). The commit
 /// marker and the late-message log are unaffected — only the line sections
 /// change representation, so recovery semantics are bit-for-bit identical.
-///
-/// The `C3_CKPT_MODE` env knob (`full` or `incr:<N>`) overrides the
-/// configured mode at context creation (see `docs/KNOBS.md`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CkptMode {
     /// Every checkpoint is self-contained: each line section is written
@@ -163,8 +145,6 @@ pub struct C3Config {
     /// any process *may* initiate in the protocol, this just makes
     /// experiments deterministic). `None`: every rank applies the policy.
     pub initiator: Option<usize>,
-    /// Clock backing the timer policy and restart-cost stamps.
-    pub clock: Clock,
     /// Full or base-plus-delta checkpoint representation.
     pub ckpt_mode: CkptMode,
 }
@@ -177,7 +157,6 @@ impl C3Config {
             write_disk: true,
             policy: CkptPolicy::Never,
             initiator: None,
-            clock: Clock::Wall,
             ckpt_mode: CkptMode::Full,
         }
     }
@@ -189,7 +168,6 @@ impl C3Config {
             write_disk: true,
             policy: CkptPolicy::AtPragmas(pragmas),
             initiator: Some(0),
-            clock: Clock::Wall,
             ckpt_mode: CkptMode::Full,
         }
     }
@@ -197,12 +175,6 @@ impl C3Config {
     /// Disable disk writes (configuration #2).
     pub fn no_disk(mut self) -> Self {
         self.write_disk = false;
-        self
-    }
-
-    /// Select the clock backing the timer policy and restart-cost stamps.
-    pub fn clock(mut self, c: Clock) -> Self {
-        self.clock = c;
         self
     }
 
@@ -252,12 +224,10 @@ pub struct C3Stats {
     pub ckpt_deltas: u64,
     /// Receives served from the replay log during recovery.
     pub replayed_recvs: u64,
-    /// Nanoseconds — on the job's [`Clock`] — from context creation to the
-    /// most recent checkpoint commit (the paper's §6.5 restart-cost
-    /// measurement needs "elapsed time from when the last checkpoint is
-    /// finished to the end"). Under [`Clock::Wall`] this is wall time as
-    /// the name says; under [`Clock::Virtual`] it is virtual time and
-    /// deterministic.
+    /// Wall-clock nanoseconds from context creation to the most recent
+    /// checkpoint commit (the paper's §6.5 restart-cost measurement needs
+    /// "elapsed time from when the last checkpoint is finished to the
+    /// end").
     pub last_commit_wall_ns: u64,
 }
 
@@ -324,11 +294,10 @@ pub struct C3Ctx<'a> {
     pub(crate) restored_app_state: Option<Vec<u8>>,
     /// Request-id watermark at the current recovery line.
     pub(crate) line_next_req: u64,
-    /// Collective call counter on the world communicator (protocol-level).
-    pub(crate) coll_calls: u64,
-    /// Clock reading (ns) at the last checkpoint (for the timer policy).
+    /// Virtual time (ns) at the last checkpoint (for the timer policy).
     pub(crate) last_ckpt_ns: u64,
-    /// Wall-clock origin: context creation (backs [`Clock::Wall`]).
+    /// Wall-clock origin: context creation (for
+    /// [`C3Stats::last_commit_wall_ns`]).
     pub(crate) wall_origin: Instant,
     /// Attached buffer size (MPI_Buffer_attach state, saved/restored).
     pub(crate) attached_buffer: Option<usize>,
@@ -385,15 +354,6 @@ impl<'a> C3Ctx<'a> {
     /// Advance the virtual compute clock (forwarded to the substrate).
     pub fn compute(&mut self, ns: u64) {
         self.mpi.compute(ns);
-    }
-
-    /// The job clock's current reading in nanoseconds since context
-    /// creation (wall or virtual, per [`C3Config::clock`]).
-    pub fn now_ns(&self) -> u64 {
-        match self.cfg.clock {
-            Clock::Wall => self.wall_origin.elapsed().as_nanos() as u64,
-            Clock::Virtual => self.mpi.vtime(),
-        }
     }
 
     /// The state restored from the last committed checkpoint, if this run is

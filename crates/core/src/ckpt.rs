@@ -8,7 +8,7 @@
 //! | `app`    | application state from the pragma's save closure            |
 //! | `heap`   | the checkpointable heap (live objects only)                 |
 //! | `vars`   | the variable-description registry                           |
-//! | `mpi`    | rank, nranks, epoch, collective counters, attached buffers, |
+//! | `mpi`    | rank, nranks, epoch, attached buffers,                      |
 //! |          | message counters                                            |
 //! | `tables` | datatype recipes + reduction-op names                       |
 //! | `comms`  | communicator recipes, members, wires, call counters (§4.4)  |
@@ -113,7 +113,6 @@ pub(crate) fn write_line_sections(
     mpi_e.u64(ctx.rank() as u64);
     mpi_e.u64(ctx.nranks() as u64);
     mpi_e.u64(ctx.epoch);
-    mpi_e.u64(ctx.coll_calls);
     mpi_e.save(&ctx.attached_buffer.map(|b| b as u64));
     ctx.counters.save(&mut mpi_e);
     let mut tables_e = Encoder::pooled();
@@ -293,7 +292,6 @@ pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
         )));
     }
     ctx.epoch = d.u64()?;
-    ctx.coll_calls = d.u64()?;
     let attached: Option<u64> = d.load()?;
     ctx.attached_buffer = attached.map(|b| b as usize);
     ctx.counters = crate::counters::Counters::load(&mut d)?;

@@ -56,14 +56,6 @@ fn fold_in_order(parts: Vec<Vec<u8>>, ty: BasicType, op: &ReduceOp) -> Result<Ve
 }
 
 impl<'a> C3Ctx<'a> {
-    /// Take the next deterministic collective-instance number on the world
-    /// communicator.
-    pub(crate) fn next_call(&mut self) -> u64 {
-        let c = self.coll_calls;
-        self.coll_calls += 1;
-        c
-    }
-
     // ------------------------------------------------------------------
     // The rooted collectives, once, over a `Group` (`root` is a world rank).
     // ------------------------------------------------------------------
@@ -160,7 +152,7 @@ impl<'a> C3Ctx<'a> {
 
     /// Scatter per-rank buffers from `root`.
     pub fn scatter(&mut self, root: usize, parts: Option<&[Vec<u8>]>) -> Result<Vec<u8>> {
-        let call = self.next_call();
+        let call = self.comm_next_call(COMM_WORLD_HANDLE)?;
         let me = self.rank();
         let n = self.nranks();
         if me == root {
@@ -203,7 +195,7 @@ impl<'a> C3Ctx<'a> {
                 parts.len()
             )));
         }
-        let call = self.next_call();
+        let call = self.comm_next_call(COMM_WORLD_HANDLE)?;
         let me = self.rank();
         for (dst, part) in parts.iter().enumerate() {
             if dst != me {
@@ -259,7 +251,7 @@ impl<'a> C3Ctx<'a> {
     /// sends to `i`), so "any result of MPI_Scan is either stored in the log
     /// or is computed after the logging... along this dependency chain".
     pub fn scan(&mut self, data: &[u8], ty: BasicType, op: &ReduceOp) -> Result<Vec<u8>> {
-        let call = self.next_call();
+        let call = self.comm_next_call(COMM_WORLD_HANDLE)?;
         let me = self.rank();
         let n = self.nranks();
         // One pooled copy, shared by reference across the fan-out.

@@ -253,15 +253,11 @@ impl<'a> C3Ctx<'a> {
         Ok(self.comm_members(c)?.len())
     }
 
-    /// Take the next deterministic collective-call number on `c`. The world
-    /// handle shares the counter used by the plain [`crate::collectives`]
-    /// operations — both families of calls number the same stream space on
-    /// the world shadow, so a mixed sequence (`allreduce` then
-    /// `allgather_on(world)`) must see one consistent numbering.
-    fn comm_next_call(&mut self, c: C3Comm) -> Result<u64> {
-        if c == COMM_WORLD_HANDLE {
-            return Ok(self.next_call());
-        }
+    /// Take the next deterministic collective-call number on `c` from its
+    /// table entry — the world communicator's too, so every world
+    /// collective, whichever entry point it came through, numbers one
+    /// stream space.
+    pub(crate) fn comm_next_call(&mut self, c: C3Comm) -> Result<u64> {
         let e = self
             .comms
             .get_mut(c)

@@ -5,13 +5,12 @@
 //! duplicate. [`Job`] composes all of those axes behind a single builder:
 //!
 //! ```ignore
-//! use c3::{ChaosPlan, Clock, Job};
+//! use c3::{ChaosPlan, Job};
 //! use mpisim::NetModel;
 //!
 //! let rec = Job::new(4, cfg)
 //!     .network(NetModel::reorder(seed).drop_rate(20).duplicate_rate(10))
 //!     .chaos(ChaosPlan::from_seed(seed, &space))
-//!     .clock(Clock::Virtual)
 //!     .run(app)?;
 //! assert_eq!(rec.results, baseline);
 //! ```
@@ -29,7 +28,7 @@
 //! fail-stop schedule together — and [`crate::failure::shrink_plan`]
 //! minimizes over both.
 
-use crate::api::{C3Config, C3Ctx, C3Error, Clock, FailureTrigger};
+use crate::api::{C3Config, C3Ctx, C3Error, FailureTrigger};
 use crate::failure::{ChaosPlan, FailurePlan};
 use mpisim::{
     ClusterModel, JobError, JobHandle, JobSpec, NetModel, SchedMode, INJECTED_FAULT_MARKER,
@@ -61,7 +60,7 @@ impl<T> std::ops::Deref for RecoveredJob<T> {
 }
 
 /// Builder for one protocol-instrumented job: topology, network model,
-/// clock, restore mode, and fault plan. See the [module docs](self).
+/// restore mode, and fault plan. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct Job {
     nranks: usize,
@@ -113,12 +112,6 @@ impl Job {
     /// duplication, seed).
     pub fn network(mut self, n: NetModel) -> Self {
         self.net = n;
-        self
-    }
-
-    /// Select the clock backing the timer policy and restart-cost stamps.
-    pub fn clock(mut self, c: Clock) -> Self {
-        self.cfg.clock = c;
         self
     }
 

@@ -54,7 +54,7 @@ pub mod requests;
 pub mod tables;
 pub mod topo;
 
-pub use api::{C3Config, C3Ctx, C3Error, C3Stats, CkptMode, CkptPolicy, Clock};
+pub use api::{C3Config, C3Ctx, C3Error, C3Stats, CkptMode, CkptPolicy};
 pub use comms::{C3Comm, COMM_WORLD_HANDLE};
 pub use failure::{shrink_plan, ChaosPlan, ChaosSpace, FailAt, FailurePlan, NetFault};
 pub use job::{Job, RecoveredJob};

@@ -22,20 +22,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Parse the `C3_CKPT_MODE` env knob: `full`, or `incr:<N>` /
-/// `incremental:<N>` for [`crate::CkptMode::Incremental`] with
-/// `every_n = N`. Unset or unparseable values leave the configured mode in
-/// force.
-fn ckpt_mode_from_env() -> Option<crate::api::CkptMode> {
-    let v = std::env::var("C3_CKPT_MODE").ok()?;
-    let v = v.trim().to_ascii_lowercase();
-    if v == "full" {
-        return Some(crate::api::CkptMode::Full);
-    }
-    let n = v.strip_prefix("incr:").or_else(|| v.strip_prefix("incremental:"))?;
-    n.parse::<u32>().ok().map(|every_n| crate::api::CkptMode::Incremental { every_n })
-}
-
 /// Transport mapping of a logical stream: p2p streams use the application
 /// communicator and tag; collective streams travel on the communicator's
 /// shadow with a tag derived from the deterministic call number.
@@ -50,7 +36,7 @@ impl<'a> C3Ctx<'a> {
     /// Build a fresh (epoch-0) co-ordination layer around a rank.
     pub fn fresh(
         mpi: &'a mut RankCtx,
-        mut cfg: C3Config,
+        cfg: C3Config,
         failure: Option<Arc<FailureTrigger>>,
     ) -> Result<Self> {
         // Op-indexed faults are delegated to the substrate's watchdog so
@@ -62,9 +48,6 @@ impl<'a> C3Ctx<'a> {
                     mpi.set_fail_at_op(Some(n));
                 }
             }
-        }
-        if let Some(mode) = ckpt_mode_from_env() {
-            cfg.ckpt_mode = mode;
         }
         let incr = match cfg.ckpt_mode {
             crate::api::CkptMode::Incremental { every_n } => {
@@ -94,7 +77,6 @@ impl<'a> C3Ctx<'a> {
             commit_count: 0,
             restored_app_state: None,
             line_next_req: 0,
-            coll_calls: 0,
             last_ckpt_ns: 0,
             wall_origin: Instant::now(),
             attached_buffer: None,
@@ -871,7 +853,7 @@ impl<'a> C3Ctx<'a> {
             return Ok(false);
         }
         let policy_applies = self.cfg.initiator.is_none_or(|r| r == self.mpi.rank());
-        let since_last = self.now_ns().saturating_sub(self.last_ckpt_ns);
+        let since_last = self.mpi.vtime().saturating_sub(self.last_ckpt_ns);
         let force = policy_applies && self.cfg.policy.wants(self.pragma_count, since_last);
         if force || self.ci.any(self.epoch + 1) {
             // Pooled: the buffer is returned to the scratch pool after the
@@ -914,7 +896,7 @@ impl<'a> C3Ctx<'a> {
             self.counters.set_expected(peer, count);
         }
         self.mode = Mode::NonDetLog;
-        self.last_ckpt_ns = self.now_ns();
+        self.last_ckpt_ns = self.mpi.vtime();
         self.maybe_advance()
     }
 
@@ -927,7 +909,7 @@ impl<'a> C3Ctx<'a> {
         self.reqs.purge_deferred();
         self.commit_count += 1;
         self.stats.ckpts_committed += 1;
-        self.stats.last_commit_wall_ns = self.now_ns();
+        self.stats.last_commit_wall_ns = self.wall_origin.elapsed().as_nanos() as u64;
         self.mode = Mode::Run;
         Ok(())
     }

@@ -554,7 +554,7 @@ fn cross_ringish(ctx: &mut C3Ctx<'_>, iters: u64) -> Result<u64, C3Error> {
 /// accumulate; with a long timer none fire.
 #[test]
 fn timer_policy_triggers_and_idles() {
-    use c3::{CkptPolicy, Clock};
+    use c3::CkptPolicy;
     use std::time::Duration;
 
     // Long timer: no checkpoint ever starts.
@@ -564,7 +564,6 @@ fn timer_policy_triggers_and_idles() {
         write_disk: true,
         policy: CkptPolicy::Timer(Duration::from_secs(3600)),
         initiator: Some(0),
-        clock: Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
     };
     let out = Job::new(2, cfg_idle)
@@ -583,7 +582,6 @@ fn timer_policy_triggers_and_idles() {
         write_disk: true,
         policy: CkptPolicy::Timer(Duration::ZERO),
         initiator: Some(0),
-        clock: Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
     };
     let st_timer_base_24 = tmp_store("timer-base");
@@ -604,20 +602,18 @@ fn timer_policy_triggers_and_idles() {
     );
 }
 
-/// The virtual-time timer policy (ROADMAP "timer-policy chaos"): with
-/// `Clock::Virtual` the timer reads the substrate's virtual compute clock,
-/// a pure function of the call sequence — so timer-initiated rounds are
-/// bit-for-bit reproducible. The app is a fully serialized token ring (one
-/// token circulating means every send/receive/pragma is totally ordered),
-/// so even the Checkpoint-Initiated arrival points are deterministic and
-/// the whole commit trace — counts *and* virtual commit stamps — must be
-/// identical across runs.
+/// The timer policy reads the substrate's virtual compute clock, a pure
+/// function of the call sequence — so timer-initiated rounds are bit-for-bit
+/// reproducible. The app is a fully serialized token ring (one token
+/// circulating means every send/receive/pragma is totally ordered), so even
+/// the Checkpoint-Initiated arrival points are deterministic and the whole
+/// commit trace must be identical across runs.
 #[test]
 fn virtual_time_timer_trace_is_bit_for_bit_reproducible() {
-    use c3::{CkptPolicy, Clock};
+    use c3::CkptPolicy;
     use std::time::Duration;
 
-    fn token_app(ctx: &mut C3Ctx<'_>, rounds: u64) -> Result<(u64, u64, u64), C3Error> {
+    fn token_app(ctx: &mut C3Ctx<'_>, rounds: u64) -> Result<(u64, u64), C3Error> {
         let mut st = LoopState::restore_or_new(ctx)?;
         let me = ctx.rank();
         let n = ctx.nranks();
@@ -634,7 +630,7 @@ fn virtual_time_timer_trace_is_bit_for_bit_reproducible() {
                 ctx.send((me + 1) % n, 4, &[st.checksum ^ st.iter])?;
             }
         }
-        Ok((st.checksum, ctx.commits(), ctx.stats().last_commit_wall_ns))
+        Ok((st.checksum, ctx.commits()))
     }
 
     let run = |tag: &str| {
@@ -644,23 +640,14 @@ fn virtual_time_timer_trace_is_bit_for_bit_reproducible() {
             write_disk: true,
             policy: CkptPolicy::Timer(Duration::from_millis(1)),
             initiator: Some(0),
-            clock: Clock::Virtual,
             ckpt_mode: c3::CkptMode::Full,
         };
-        Job::new(3, cfg).clock(Clock::Virtual).run(|ctx| token_app(ctx, 24)).unwrap()
+        Job::new(3, cfg).run(|ctx| token_app(ctx, 24)).unwrap()
     };
     let a = run("vtimer-a");
     let b = run("vtimer-b");
     assert_eq!(a.results, b.results, "virtual-time timer trace diverged across identical runs");
     assert!(a.results[0].1 >= 2, "1ms virtual timer fired fewer than 2 rounds over 24 holds");
-    assert!(
-        a.results.iter().all(|(_, commits, ns)| *commits == 0 || *ns > 0),
-        "committed ranks must carry a virtual commit stamp"
-    );
-    // The virtual stamp is virtual time, not wall time: far below the
-    // nanoseconds this test takes on a real clock, and an exact function
-    // of the per-rank op sequence.
-    assert!(a.results.iter().all(|(_, _, ns)| *ns < 50_000_000), "stamps look like wall time");
 }
 
 /// Strong wildcard-replay consistency: a coordinator matches worker

@@ -71,19 +71,6 @@ impl RankCtx {
         Ok(t)
     }
 
-    /// Number of collective calls issued so far on `comm`. The protocol
-    /// layer uses this as the deterministic collective-instance id in stream
-    /// signatures.
-    pub fn coll_calls(&self, comm: CommId) -> u64 {
-        self.coll_seq.get(&comm).copied().unwrap_or(0)
-    }
-
-    /// Restore the collective call counter on recovery so that replayed
-    /// collective instances reuse the original tags.
-    pub fn set_coll_calls(&mut self, comm: CommId, n: u64) {
-        self.coll_seq.insert(comm, n);
-    }
-
     /// Broadcast `data` from `root` down a binomial tree.
     pub fn bcast(&mut self, comm: CommId, root: Rank, data: &mut Vec<u8>) -> Result<()> {
         let n = self.nranks();

@@ -176,15 +176,15 @@ impl Mailbox {
 
     /// Deliver a batch of envelopes to this mailbox under one lock
     /// acquisition — the delivery half of wakeup coalescing (the scheduler
-    /// wake is the caller's, also once per batch).
-    pub fn deliver_batch(&self, envs: Vec<Envelope>) {
-        if envs.is_empty() {
-            return;
-        }
+    /// wake is the caller's, also once per batch). Returns how many were
+    /// delivered.
+    pub fn deliver_batch(&self, envs: impl IntoIterator<Item = Envelope>) -> usize {
         let mut sh = self.inner.lock();
+        let before = sh.len;
         for env in envs {
             sh.push(env);
         }
+        sh.len - before
     }
 
     /// Claim the first arrived envelope matching `(src, tag, comm)`, if any.

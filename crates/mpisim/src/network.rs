@@ -1,5 +1,14 @@
-//! The shared network: delivery, cluster timing models, reordering,
-//! bounded-mailbox backpressure, and job poisoning (fail-stop propagation).
+//! The shared network: cluster timing models, the fault-and-delivery
+//! models, bounded-mailbox backpressure, and job poisoning (fail-stop
+//! propagation).
+//!
+//! Delivery is one pipeline. Each stage hands the next an ordered batch of
+//! envelopes for one destination: [`Network::send`] takes a credit, then
+//! `inject` (due retransmissions, fate) → `reorder` (a pass-through without
+//! a reordering model) → `deliver`, the only caller of
+//! [`Mailbox::deliver_batch`] (duplicate filter, one mailbox lock, one
+//! wake). [`Network::nudge`] drains withheld envelopes through the same
+//! stages. The credit ledger of a bounded mailbox is one lock for the job.
 
 use crate::envelope::Envelope;
 use crate::error::MpiError;
@@ -209,10 +218,11 @@ impl Default for NetModel {
     }
 }
 
-#[derive(Default)]
+/// One destination's reordering stage (allocated only under
+/// [`ReorderModel::Random`]).
 struct ReorderState {
     held: Vec<Envelope>,
-    rng: Option<SmallRng>,
+    rng: SmallRng,
 }
 
 /// How many subsequent deliveries to a destination a "dropped" envelope
@@ -266,60 +276,53 @@ struct FaultState {
     /// due. Same-signature successors queue here too (head-of-line), so
     /// per-signature FIFO survives the drop. Strictly FIFO: push back, pop
     /// front.
-    delayed: std::collections::VecDeque<(Envelope, u64)>,
+    delayed: VecDeque<(Envelope, u64)>,
     /// Monotone count of injections towards this destination.
     ticks: u64,
 }
 
-/// Credit-based flow control for bounded mailboxes (one per job).
-///
-/// State is **sharded per destination rank**: a shard holds that
-/// destination's outstanding-credit count, its FIFO queue of parked sender
-/// tickets, and its done flag — so senders to different destinations never
-/// contend on a shared lock (the old single global mutex serialized every
-/// bounded send in the job, which is what capped the rank counts the
-/// simulator could reach). The park table the deadlock walk reads is
-/// per-source and is written only while holding the shard of the
-/// destination being parked on; the cycle proof re-verifies its candidate
-/// under every member shard held at once, which restores the exact-snapshot
-/// property the single lock used to give for free.
+/// Credit-based flow control for bounded mailboxes (one per job): the
+/// whole credit ledger sits under **one** lock, so every verdict — a grant,
+/// a release, the deadlock walk — reads one consistent state.
 ///
 /// Invariants:
-/// * `outstanding` (per shard `d`) counts application envelopes granted a
-///   credit toward destination `d` and not yet claimed by `d` (queued in
-///   the mailbox *or* withheld in the fault/reorder stages — in-flight
-///   buffer space either way).
+/// * `outstanding` (per destination `d`) counts application envelopes
+///   granted a credit toward `d` and not yet claimed by `d` (queued in the
+///   mailbox *or* withheld in the fault/reorder stages — in-flight buffer
+///   space either way).
 /// * A credit is released exactly once, when the owning rank claims the
 ///   envelope from its mailbox ([`Backpressure::release`]).
-/// * Parked senders are granted credits strictly in ticket (FIFO) order,
-///   so wake order — and therefore delivery order — is reproducible. Wakes
-///   are *targeted*: a freed credit wakes exactly the sender at the queue
-///   front (a rank parks on at most one destination at a time), never the
-///   whole waitlist.
-/// * `done` (per shard) marks a rank whose application function has
-///   returned; sends to it complete without credits (nothing will ever
-///   drain that mailbox again, and unbounded fire-and-forget sends at job
-///   end must keep working identically).
-/// * `parked[s] = Some(d)` exactly while rank `s` is on shard `d`'s queue;
-///   both transitions happen under `shards[d]`. Each `parked` entry is a
-///   leaf lock, never held while acquiring any other lock.
+/// * Parked senders are granted credits strictly in `waiting` (FIFO)
+///   order, so wake order — and therefore delivery order — is
+///   reproducible. Wakes are *targeted*: a freed credit wakes exactly the
+///   sender at the queue front, never the whole waitlist.
+/// * `done` marks a rank whose application function has returned; sends
+///   to it complete without credits (nothing will ever drain that mailbox
+///   again, and unbounded fire-and-forget sends at job end must keep
+///   working identically).
+/// * `parked[s] = Some(d)` exactly while rank `s` is on `d`'s `waiting`
+///   queue. A rank parks on at most one destination, so its rank number
+///   identifies its queue entry.
 pub(crate) struct Backpressure {
     capacity: usize,
-    /// Per-destination credit shards.
-    shards: Vec<Mutex<BpShard>>,
-    /// `parked[s] = Some(d)` while rank `s` is parked sending to `d`.
-    parked: Vec<Mutex<Option<Rank>>>,
-    /// Global ticket counter (FIFO grant order within each shard queue).
-    next_ticket: AtomicU64,
+    ledger: Mutex<Ledger>,
     /// Wakes parked senders.
     sched: Arc<Sched>,
 }
 
-/// One destination's slice of the credit state.
-struct BpShard {
+/// The credit state under [`Backpressure`]'s lock.
+struct Ledger {
+    dests: Vec<Credits>,
+    /// `parked[s] = Some(d)` while rank `s` is parked sending to `d`.
+    parked: Vec<Option<Rank>>,
+}
+
+/// One destination's credits.
+#[derive(Default)]
+struct Credits {
     outstanding: usize,
-    /// FIFO of parked senders: `(ticket, source rank)`.
-    queue: VecDeque<(u64, Rank)>,
+    /// FIFO of parked sender ranks.
+    waiting: VecDeque<Rank>,
     done: bool,
 }
 
@@ -327,13 +330,10 @@ impl Backpressure {
     fn new(nranks: usize, capacity: usize, sched: Arc<Sched>) -> Self {
         Backpressure {
             capacity: capacity.max(1),
-            shards: (0..nranks)
-                .map(|_| {
-                    Mutex::new(BpShard { outstanding: 0, queue: VecDeque::new(), done: false })
-                })
-                .collect(),
-            parked: (0..nranks).map(|_| Mutex::new(None)).collect(),
-            next_ticket: AtomicU64::new(0),
+            ledger: Mutex::new(Ledger {
+                dests: (0..nranks).map(|_| Credits::default()).collect(),
+                parked: vec![None; nranks],
+            }),
             sched,
         }
     }
@@ -342,89 +342,101 @@ impl Backpressure {
     /// the parked sender at the queue front (FIFO grant order). Only the
     /// front can take the freed credit, so only the front is woken.
     pub(crate) fn release(&self, dst: Rank) {
-        let sh = &mut *self.shards[dst].lock();
-        sh.outstanding = sh.outstanding.saturating_sub(1);
-        if let Some(&(_, front_src)) = sh.queue.front() {
-            self.sched.wake(front_src);
+        let l = &mut *self.ledger.lock();
+        let d = &mut l.dests[dst];
+        d.outstanding = d.outstanding.saturating_sub(1);
+        if let Some(&front) = d.waiting.front() {
+            self.sched.wake(front);
         }
     }
 
-    /// Under the held shard lock of the destination: try to grant `ticket`
-    /// to `src` (queue-front capacity grant or done-rank bypass). On a
-    /// grant the park entry is cleared and the next queued sender is woken.
-    fn try_grant(&self, sh: &mut BpShard, src: Rank, ticket: u64) -> bool {
-        let at_front = sh.queue.front().map(|(t, _)| *t) == Some(ticket);
-        if !(sh.done || (at_front && sh.outstanding < self.capacity)) {
+    /// Under the held ledger: grant `src` a credit toward `dst` if it may
+    /// take one — the done-rank bypass, or a free slot with `src` at the
+    /// queue front (an empty queue counts as `src`'s turn). A parked sender
+    /// leaves the queue and the next one is woken.
+    fn try_grant(&self, l: &mut Ledger, src: Rank, dst: Rank) -> bool {
+        let d = &mut l.dests[dst];
+        let turn = d.waiting.front().is_none_or(|&s| s == src);
+        if !(d.done || (turn && d.outstanding < self.capacity)) {
             return false;
         }
-        *self.parked[src].lock() = None;
-        // Strict FIFO: a capacity grant only ever goes to the queue front;
-        // only the done-rank bypass can pull a mid-queue ticket.
-        if at_front {
-            sh.queue.pop_front();
-        } else {
-            sh.queue.retain(|(t, _)| *t != ticket);
+        if !d.done {
+            d.outstanding += 1;
         }
-        if !sh.done {
-            sh.outstanding += 1;
-        }
-        // The next parked ticket may now be at the front; wake it alone.
-        if let Some(&(_, next_src)) = sh.queue.front() {
-            self.sched.wake(next_src);
-        }
+        self.leave(l, src);
         true
     }
 
-    /// Under the held shard lock of the destination: abandon `ticket`
-    /// (poison unwind), handing the queue front to the next sender.
-    fn abandon(&self, sh: &mut BpShard, src: Rank, ticket: u64) {
-        sh.queue.retain(|(t, _)| *t != ticket);
-        *self.parked[src].lock() = None;
-        if let Some(&(_, next_src)) = sh.queue.front() {
-            self.sched.wake(next_src);
+    /// Under the held ledger: take `src` off the queue it is parked on (if
+    /// any) and wake the sender now at that queue's front.
+    fn leave(&self, l: &mut Ledger, src: Rank) {
+        let Some(dst) = l.parked[src].take() else { return };
+        let waiting = &mut l.dests[dst].waiting;
+        // Strict FIFO: a capacity grant only ever goes to the queue front;
+        // only the done-rank bypass or poison can pull a mid-queue entry.
+        if waiting.front() == Some(&src) {
+            waiting.pop_front();
+        } else {
+            waiting.retain(|&s| s != src);
+        }
+        if let Some(&next) = waiting.front() {
+            self.sched.wake(next);
         }
     }
 
-    /// A wait-for cycle through `start`'s park chain, if one provably
-    /// exists. Phase 1 walks the park table optimistically, taking each
-    /// shard lock only momentarily; phase 2 re-verifies the candidate with
-    /// **every member shard held at once** (ascending rank order, so
-    /// concurrent proofs cannot deadlock each other). The proof is sound
-    /// because a rank only transitions its `parked` entry while holding the
-    /// shard it parks on: with all member shards held the snapshot is
-    /// consistent, so every member is truly blocked sending to the next
-    /// member's full, unfinished mailbox — a cycle that can never drain
-    /// (credits are only released by the owner claiming, and every owner in
-    /// the cycle is blocked in a send). Callers must hold no shard lock.
-    fn find_cycle(&self, start: Rank) -> Option<Vec<Rank>> {
+    /// Why the job is wedged, read from one consistent snapshot of the
+    /// ledger: a proven send cycle (each member parked sending to the next
+    /// member's full, unfinished mailbox — credits are only released by the
+    /// owner claiming, and every owner in the cycle is blocked in a send),
+    /// else a sender parked with nothing in flight, else `None`.
+    fn stall_reason(&self) -> Option<String> {
+        let l = self.ledger.lock();
+        let parked: Vec<(Rank, Rank)> =
+            l.parked.iter().enumerate().filter_map(|(s, d)| d.map(|d| (s, d))).collect();
+        if let Some(cycle) = parked.iter().find_map(|&(s, _)| self.find_cycle(&l, s)) {
+            let path = cycle
+                .iter()
+                .chain(cycle.first())
+                .map(|r| format!("rank {r}"))
+                .collect::<Vec<_>>()
+                .join(" -> ");
+            return Some(format!(
+                "{}: send cycle {path} with every mailbox at capacity {} — \
+                 each rank is blocked sending to the next, so no mailbox can drain; \
+                 the application (or protocol) relies on more buffering than the \
+                 configured bound provides",
+                crate::BACKPRESSURE_DEADLOCK_MARKER,
+                self.capacity,
+            ));
+        }
+        let &(src, dst) = parked.first()?;
+        Some(format!(
+            "{}: job quiescent with rank {src} parked sending to rank {dst} and \
+             no message in flight — a receive is blocked on a message that can \
+             never arrive; the application (or protocol) relies on more buffering \
+             than mailbox capacity {} provides",
+            crate::BACKPRESSURE_DEADLOCK_MARKER,
+            self.capacity
+        ))
+    }
+
+    /// The wait-for cycle `start`'s park chain leads into, if every hop
+    /// targets a full, unfinished mailbox.
+    fn find_cycle(&self, l: &Ledger, start: Rank) -> Option<Vec<Rank>> {
         let mut chain = vec![start];
         let mut cur = start;
-        let cycle = loop {
-            let dst = (*self.parked[cur].lock())?;
-            {
-                let sh = self.shards[dst].lock();
-                if sh.outstanding < self.capacity || sh.done {
-                    // That destination will grant a credit shortly; no cycle.
-                    return None;
-                }
+        loop {
+            let dst = l.parked[cur]?;
+            let d = &l.dests[dst];
+            if d.outstanding < self.capacity || d.done {
+                return None; // that destination will grant a credit shortly
             }
-            if let Some(pos) = chain.iter().position(|r| *r == dst) {
-                break chain.split_off(pos);
+            if let Some(pos) = chain.iter().position(|&r| r == dst) {
+                return Some(chain.split_off(pos));
             }
             chain.push(dst);
             cur = dst;
-        };
-        let mut members = cycle.clone();
-        members.sort_unstable();
-        members.dedup();
-        let guards: Vec<_> = members.iter().map(|r| self.shards[*r].lock()).collect();
-        let confirmed = cycle.iter().enumerate().all(|(i, &src)| {
-            let dst = cycle[(i + 1) % cycle.len()];
-            let sh = &guards[members.binary_search(&dst).expect("cycle member")];
-            sh.outstanding >= self.capacity && !sh.done && *self.parked[src].lock() == Some(dst)
-        });
-        drop(guards);
-        confirmed.then_some(cycle)
+        }
     }
 }
 
@@ -442,13 +454,14 @@ pub struct Network {
     mailboxes: Vec<Mailbox>,
     cluster: ClusterModel,
     model: NetModel,
+    /// Per-destination reordering stages; empty under [`ReorderModel::None`].
     reorder_state: Vec<Mutex<ReorderState>>,
     fault_state: Vec<Mutex<FaultState>>,
-    /// Per-destination duplicate filters, indexed by source rank. A separate
-    /// lock, acquired strictly after `fault_state`/`reorder_state`, because
-    /// final delivery runs nested inside both stages. Allocated only when
-    /// the duplication fault is active: the table is O(nranks²) and would
-    /// dominate memory at 4096 ranks for jobs that never duplicate.
+    /// Per-destination duplicate filters, indexed by source rank. Taken
+    /// inside the fault and reorder locks and held across the mailbox
+    /// insert. Allocated only when the duplication fault is active: the
+    /// table is O(nranks²) and would dominate memory at 4096 ranks for jobs
+    /// that never duplicate.
     dedup_state: Option<Vec<Mutex<Vec<DedupWindow>>>>,
     /// Bounded-mailbox flow control (`NetModel::mailbox_capacity`).
     backpressure: Option<Arc<Backpressure>>,
@@ -483,19 +496,19 @@ impl Network {
     pub fn new(spec: &JobSpec) -> Self {
         let (nranks, cluster, model) = (spec.nranks, spec.cluster, spec.net);
         let sched = Arc::new(Sched::new(spec.sched, nranks));
-        let reorder_state = (0..nranks)
-            .map(|dst| {
-                Mutex::new(ReorderState {
-                    held: Vec::new(),
-                    rng: match model.reorder {
-                        ReorderModel::None => None,
-                        ReorderModel::Random { .. } => Some(SmallRng::seed_from_u64(
+        let reorder_state = match model.reorder {
+            ReorderModel::None => Vec::new(),
+            ReorderModel::Random { .. } => (0..nranks)
+                .map(|dst| {
+                    Mutex::new(ReorderState {
+                        held: Vec::new(),
+                        rng: SmallRng::seed_from_u64(
                             model.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(dst as u64 + 1)),
-                        )),
-                    },
+                        ),
+                    })
                 })
-            })
-            .collect();
+                .collect(),
+        };
         let fault_state = (0..nranks).map(|_| Mutex::new(FaultState::default())).collect();
         let dedup_state = (model.dup_permille > 0).then(|| {
             (0..nranks)
@@ -558,13 +571,12 @@ impl Network {
         &self.pool
     }
 
-    /// Inject an envelope. Under a bounded mailbox
-    /// (`NetModel::mailbox_capacity`) this first acquires a delivery credit
-    /// for application traffic — parking the calling rank on the
-    /// destination's FIFO waitlist when the mailbox is full — then applies
-    /// the drop/duplication fault model, the reordering model, and delivers
-    /// to the destination mailbox. Returns `Err(MpiError::Aborted)` only if
-    /// the job was poisoned while the sender was parked.
+    /// Send an envelope through the pipeline `inject → reorder → deliver`.
+    /// Under a bounded mailbox (`NetModel::mailbox_capacity`) application
+    /// traffic first acquires a delivery credit, parking the calling rank
+    /// on the destination's FIFO waitlist while the mailbox is full.
+    /// Returns `Err(MpiError::Aborted)` only if the job was poisoned while
+    /// the sender was parked.
     pub fn send(&self, env: Envelope) -> Result<(), MpiError> {
         if let Some(bp) = &self.backpressure {
             if !env.comm.is_internal() {
@@ -575,73 +587,39 @@ impl Network {
         Ok(())
     }
 
-    /// Block until `dst` has a free application-message slot (credit-based
-    /// flow control; see [`Backpressure`]). FIFO: a parked sender is granted
-    /// the next freed slot strictly in park order.
-    fn acquire_credit(&self, bp: &Backpressure, src: Rank, dst: Rank) -> Result<(), MpiError> {
-        let ticket = {
-            let mut sh = bp.shards[dst].lock();
-            if sh.done {
-                return Ok(());
-            }
-            if sh.queue.is_empty() && sh.outstanding < bp.capacity {
-                sh.outstanding += 1;
-                return Ok(());
-            }
-            let ticket = bp.next_ticket.fetch_add(1, Ordering::Relaxed);
-            sh.queue.push_back((ticket, src));
-            *bp.parked[src].lock() = Some(dst);
-            ticket
-        };
-        self.sends_parked.fetch_add(1, Ordering::Relaxed);
-        self.acquire_parked(bp, src, dst, ticket)
-    }
-
-    /// Slow path: park on the scheduler until the ticket can move. Every
-    /// event that could grant this ticket — a credit release on the
-    /// destination, a done mark, poison — wakes `src`; a park that would
-    /// leave every live rank blocked runs the deadlock detective instead
+    /// Block until `dst` has a free application-message slot for `src`
+    /// (see [`Backpressure`]): granted at once if the queue is empty and a
+    /// slot is free, otherwise `src` joins the FIFO waitlist and parks on
+    /// the scheduler. Every event that could grant the credit — a release
+    /// on `dst`, a done mark, poison — wakes `src`; a park that would leave
+    /// every live rank blocked runs the deadlock detective instead
     /// ([`Network::on_quiescent`]), so verdicts need no wall-clock window.
-    fn acquire_parked(
-        &self,
-        bp: &Backpressure,
-        src: Rank,
-        dst: Rank,
-        ticket: u64,
-    ) -> Result<(), MpiError> {
+    fn acquire_credit(&self, bp: &Backpressure, src: Rank, dst: Rank) -> Result<(), MpiError> {
+        let mut queued = false;
         loop {
             let seen = self.sched.epoch(src);
             {
-                let mut sh = bp.shards[dst].lock();
+                let l = &mut *bp.ledger.lock();
+                // A parked sender woken by poison aborts even if a credit
+                // is free.
+                if !(queued && self.is_poisoned()) && bp.try_grant(l, src, dst) {
+                    return Ok(());
+                }
                 if self.is_poisoned() {
-                    bp.abandon(&mut sh, src, ticket);
+                    bp.leave(l, src);
                     return Err(MpiError::Aborted);
                 }
-                if bp.try_grant(&mut sh, src, ticket) {
-                    return Ok(());
+                if !queued {
+                    l.dests[dst].waiting.push_back(src);
+                    l.parked[src] = Some(dst);
+                    queued = true;
+                    self.sends_parked.fetch_add(1, Ordering::Relaxed);
                 }
             }
             if let Parked::Quiescent = self.sched.park(src, seen) {
                 self.on_quiescent();
             }
         }
-    }
-
-    /// Poison with the send-cycle verdict.
-    fn poison_cycle(&self, cycle: &[Rank], capacity: usize) {
-        let path = cycle
-            .iter()
-            .chain(cycle.first())
-            .map(|r| format!("rank {r}"))
-            .collect::<Vec<_>>()
-            .join(" -> ");
-        self.poison(&format!(
-            "{}: send cycle {path} with every mailbox at capacity {capacity} — \
-             each rank is blocked sending to the next, so no mailbox can drain; \
-             the application (or protocol) relies on more buffering than the \
-             configured bound provides",
-            crate::BACKPRESSURE_DEADLOCK_MARKER,
-        ));
     }
 
     /// The deadlock detective, run at proven global quiescence: every live
@@ -662,32 +640,14 @@ impl Network {
         if self.progress.load(Ordering::Relaxed) != before {
             return; // something was in flight after all; its wakes resume the job
         }
-        if let Some(bp) = &self.backpressure {
-            let parked: Vec<(Rank, Rank)> =
-                (0..self.nranks()).filter_map(|r| bp.parked[r].lock().map(|d| (r, d))).collect();
-            for &(src, _) in &parked {
-                if let Some(cycle) = bp.find_cycle(src) {
-                    self.poison_cycle(&cycle, bp.capacity);
-                    return;
-                }
-            }
-            if let Some(&(src, dst)) = parked.first() {
-                self.poison(&format!(
-                    "{}: job quiescent with rank {src} parked sending to rank {dst} and \
-                     no message in flight — a receive is blocked on a message that can \
-                     never arrive; the application (or protocol) relies on more buffering \
-                     than mailbox capacity {} provides",
-                    crate::BACKPRESSURE_DEADLOCK_MARKER,
-                    bp.capacity
-                ));
-                return;
-            }
-        }
-        self.poison(&format!(
-            "{}: every live rank is blocked with no message in flight and no sender \
-             parked on credits — some receive waits for a message that is never sent",
-            crate::SCHED_DEADLOCK_MARKER
-        ));
+        let reason = self.backpressure.as_ref().and_then(|bp| bp.stall_reason());
+        self.poison(&reason.unwrap_or_else(|| {
+            format!(
+                "{}: every live rank is blocked with no message in flight and no sender \
+                 parked on credits — some receive waits for a message that is never sent",
+                crate::SCHED_DEADLOCK_MARKER
+            )
+        }));
     }
 
     /// Mark `rank`'s application function as returned: its mailbox will
@@ -699,14 +659,12 @@ impl Network {
     /// detective must run now.
     pub fn rank_done(&self, rank: Rank) {
         if let Some(bp) = &self.backpressure {
-            let waiters: Vec<Rank> = {
-                let mut sh = bp.shards[rank].lock();
-                sh.done = true;
-                sh.queue.iter().map(|(_, s)| *s).collect()
-            };
-            // Done-rank bypass admits *every* queued ticket, not just the
+            let l = &mut *bp.ledger.lock();
+            let d = &mut l.dests[rank];
+            d.done = true;
+            // Done-rank bypass admits *every* queued sender, not just the
             // front, so this is the one case where all waiters are woken.
-            for s in waiters {
+            for &s in &d.waiting {
                 self.sched.wake(s);
             }
         }
@@ -736,37 +694,43 @@ impl Network {
     /// poison wakes the rank. A park that would leave every live rank
     /// blocked runs the deadlock detective instead of sleeping.
     pub(crate) fn block_on_mailbox(&self, rank: Rank, seen: u64) {
-        if self.model.has_faults() || !matches!(self.model.reorder, ReorderModel::None) {
-            self.nudge(rank);
-        }
+        self.nudge(rank);
         if let Parked::Quiescent = self.sched.park(rank, seen) {
             self.on_quiescent();
         }
     }
 
-    /// Fault- and reorder-stage injection (after any credit acquisition).
+    /// Fault stage: draw the envelope's fate, withhold it (drop, or queued
+    /// head-of-line behind a withheld same-signature predecessor) or pass
+    /// it on — after the retransmissions that came due with this injection.
     fn inject(&self, env: Envelope) {
         self.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.bytes_sent.fetch_add(env.payload.len() as u64, Ordering::Relaxed);
+        let dst = env.dst;
         if !self.model.has_faults() {
-            self.reorder_inject(env);
+            self.reorder(dst, std::iter::once(env));
             return;
         }
-        let dst = env.dst;
-        // The fault lock is held across the whole injection (including any
-        // nested reorder-stage delivery) so a concurrent sender cannot
-        // overtake an envelope between the retransmit queue and the mailbox.
+        // The fault lock is held across the later stages so a concurrent
+        // sender cannot overtake an envelope between the retransmit queue
+        // and the mailbox.
         let mut fs = self.fault_state[dst].lock();
         fs.ticks += 1;
         let now = fs.ticks;
-        self.retransmit_due(&mut fs, now);
+        // Due retransmissions leave strictly from the queue head: entries
+        // behind a not-yet-due head wait with it, as releasing out of queue
+        // order could break per-signature FIFO.
+        let mut due = Vec::new();
+        while fs.delayed.front().is_some_and(|(_, at)| *at <= now) {
+            due.extend(fs.delayed.pop_front().map(|(e, _)| e));
+        }
         // Head-of-line: while a same-signature predecessor awaits
         // retransmission, successors must queue behind it (a reliable
         // transport cannot deliver segment n+1 before redelivering n).
         let sig = env.signature();
         let blocked = fs.delayed.iter().any(|(e, _)| e.signature() == sig);
         let fate = self.fate(&env);
-        let copies: [Option<Envelope>; 2] = match fate {
+        let mut copies = match fate {
             Fate::Duplicate => {
                 self.msgs_duplicated.fetch_add(1, Ordering::Relaxed);
                 [Some(env.clone()), Some(env)]
@@ -777,18 +741,16 @@ impl Network {
         if dropping {
             self.msgs_dropped.fetch_add(1, Ordering::Relaxed);
         }
-        for e in copies.into_iter().flatten() {
-            if blocked || dropping {
-                fs.delayed.push_back((e, now + RETRANSMIT_AFTER));
-                // A withhold wakes the destination: were it already parked
-                // on its mailbox, only later traffic to it or global
-                // quiescence would release the envelope. Its next blocking
-                // attempt nudges first and so delivers it.
-                self.sched.wake(dst);
-            } else {
-                self.reorder_inject(e);
-            }
+        if blocked || dropping {
+            let due_at = now + RETRANSMIT_AFTER;
+            fs.delayed.extend(copies.iter_mut().filter_map(Option::take).map(|e| (e, due_at)));
+            // A withhold wakes the destination: were it already parked on
+            // its mailbox, only later traffic to it or global quiescence
+            // would release the envelope. Its next blocking attempt nudges
+            // first and so delivers it.
+            self.sched.wake(dst);
         }
+        self.reorder(dst, due.into_iter().chain(copies.into_iter().flatten()));
     }
 
     /// Seed-deterministic fate of one message: a pure function of
@@ -810,162 +772,88 @@ impl Network {
         }
     }
 
-    /// Re-inject delayed envelopes that have come due, strictly from the
-    /// queue head (through the reorder stage so held same-signature
-    /// messages keep FIFO). Entries behind a not-yet-due head wait with it;
-    /// releasing out of queue order could break per-signature FIFO. With no
-    /// reordering model the whole due run is delivered as one batch (one
-    /// mailbox lock, one wake).
-    fn retransmit_due(&self, fs: &mut FaultState, now: u64) {
-        if fs.delayed.front().is_none_or(|(_, due)| *due > now) {
+    /// Reorder stage: for each envelope in turn, flush held same-signature
+    /// predecessors, then hold it or pass it on together with a random half
+    /// of the held ones. A pass-through when the network has no reordering
+    /// model.
+    fn reorder(&self, dst: Rank, batch: impl IntoIterator<Item = Envelope>) {
+        let ReorderModel::Random { hold_permille, max_held } = self.model.reorder else {
+            self.deliver(dst, batch);
             return;
-        }
-        let mut due_run = Vec::new();
-        while fs.delayed.front().is_some_and(|(_, due)| *due <= now) {
-            let (e, _) = fs.delayed.pop_front().expect("front checked");
-            due_run.push(e);
-        }
-        if matches!(self.model.reorder, ReorderModel::None) {
-            let dst = due_run[0].dst;
-            self.final_deliver_batch(dst, due_run);
-        } else {
-            for e in due_run {
-                self.reorder_inject(e);
-            }
-        }
-    }
-
-    /// The reordering stage: holds/flushes envelopes per destination, then
-    /// hands them to final (dedup-checked) delivery. Everything this call
-    /// decides to deliver goes out as **one batch**, in exactly the order
-    /// the linear flush produced it — one mailbox lock, one wake, identical
-    /// arrival stamps.
-    fn reorder_inject(&self, env: Envelope) {
-        let dst = env.dst;
-        match self.model.reorder {
-            ReorderModel::None => self.final_deliver(env),
-            ReorderModel::Random { hold_permille, max_held } => {
-                // Deliveries happen while the per-destination reorder lock
-                // is held: releasing first would let a concurrent sender
-                // overtake an envelope already removed from `held` but not
-                // yet in the mailbox, breaking per-signature FIFO.
-                let mut st = self.reorder_state[dst].lock();
-                let mut out = Vec::new();
-                let sig = env.signature();
-                // Per-signature FIFO: flush any held envelope with the
-                // same signature before this one may be delivered or
-                // held.
-                let mut i = 0;
-                while i < st.held.len() {
-                    if st.held[i].signature() == sig {
-                        out.push(st.held.remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-                let hold = {
-                    let room = st.held.len() < max_held;
-                    let rng = st.rng.as_mut().expect("rng present for Random model");
-                    room && rng.gen_range(0..1000) < hold_permille
-                };
-                if hold {
-                    st.held.push(env);
-                    self.sched.wake(dst); // as for a retransmit, see `inject`
-                } else {
-                    out.push(env);
-                    // Flush each held envelope with probability 1/2.
-                    let mut i = 0;
-                    while i < st.held.len() {
-                        let flush = st.rng.as_mut().unwrap().gen_bool(0.5);
-                        if flush {
-                            out.push(st.held.remove(i));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-                self.final_deliver_batch(dst, out);
-            }
-        }
-    }
-
-    /// Final delivery into the destination mailbox, suppressing duplicate
-    /// copies by `(source, seq)` when the duplication fault is active.
-    fn final_deliver(&self, env: Envelope) {
-        if let Some(dedup) = &self.dedup_state {
-            let mut windows = dedup[env.dst].lock();
-            if windows[env.src].seen_before(env.seq) {
-                self.dups_suppressed.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        let dst = env.dst;
-        self.mailboxes[dst].deliver(env);
-        // Progress before wake: a woken rank must observe both the message
-        // and the moved counter.
-        self.progress.fetch_add(1, Ordering::Relaxed);
-        self.sched.wake(dst);
-    }
-
-    /// Batched final delivery: `envs` (all destined for `dst`, already in
-    /// delivery order) enter the mailbox under one lock acquisition and the
-    /// destination is woken **once** — the wakeup-coalescing half of the
-    /// hot path. Arrival stamps are assigned in vector order, so the result
-    /// is bit-identical to delivering one at a time.
-    fn final_deliver_batch(&self, dst: Rank, envs: Vec<Envelope>) {
-        if envs.len() <= 1 {
-            if let Some(env) = envs.into_iter().next() {
-                self.final_deliver(env);
-            }
-            return;
-        }
-        let envs = match &self.dedup_state {
-            Some(dedup) => {
-                let mut windows = dedup[dst].lock();
-                let mut kept = Vec::with_capacity(envs.len());
-                for env in envs {
-                    if windows[env.src].seen_before(env.seq) {
-                        self.dups_suppressed.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        kept.push(env);
-                    }
-                }
-                kept
-            }
-            None => envs,
         };
-        if envs.is_empty() {
+        // Deliveries happen while the reorder lock is held: releasing first
+        // would let a concurrent sender overtake an envelope already removed
+        // from `held` but not yet in the mailbox, breaking per-signature FIFO.
+        let st = &mut *self.reorder_state[dst].lock();
+        let mut out = Vec::new();
+        for env in batch {
+            let sig = env.signature();
+            let mut i = 0;
+            while i < st.held.len() {
+                if st.held[i].signature() == sig {
+                    out.push(st.held.remove(i));
+                } else {
+                    i += 1;
+                }
+            }
+            if st.held.len() < max_held && st.rng.gen_range(0..1000) < hold_permille {
+                st.held.push(env);
+                self.sched.wake(dst); // as for a retransmit, see `inject`
+                continue;
+            }
+            out.push(env);
+            let mut i = 0;
+            while i < st.held.len() {
+                if st.rng.gen_bool(0.5) {
+                    out.push(st.held.remove(i));
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        self.deliver(dst, out);
+    }
+
+    /// Delivery: `batch` (already in delivery order) enters `dst`'s mailbox
+    /// under one lock acquisition, minus duplicate copies by
+    /// `(source, seq)` when the duplication fault is active, and `dst` is
+    /// woken **once**. Arrival stamps follow batch order, so the result is
+    /// bit-identical to delivering one at a time.
+    fn deliver(&self, dst: Rank, batch: impl IntoIterator<Item = Envelope>) {
+        let mut batch = batch.into_iter().peekable();
+        if batch.peek().is_none() {
             return;
         }
-        let delivered = envs.len() as u64;
-        self.mailboxes[dst].deliver_batch(envs);
-        // Progress before wake, as in the single path.
-        self.progress.fetch_add(delivered, Ordering::Relaxed);
-        self.sched.wake(dst);
+        let mut windows = self.dedup_state.as_ref().map(|d| d[dst].lock());
+        let delivered = self.mailboxes[dst].deliver_batch(batch.filter(|env| {
+            let dup = windows.as_mut().is_some_and(|w| w[env.src].seen_before(env.seq));
+            if dup {
+                self.dups_suppressed.fetch_add(1, Ordering::Relaxed);
+            }
+            !dup
+        }));
+        drop(windows);
+        if delivered > 0 {
+            // Progress before wake: a woken rank must observe both the
+            // message and the moved counter.
+            self.progress.fetch_add(delivered as u64, Ordering::Relaxed);
+            self.sched.wake(dst);
+        }
     }
 
     /// Flush envelopes withheld by the fault and reordering models for
-    /// `dst`. Called by a rank's blocked wait loops so that withheld
-    /// messages are eventually delivered even if no further traffic arrives
-    /// (models "in flight, but not lost").
+    /// `dst`: the retransmit queue through the reorder stage, then
+    /// everything held there. Called by a rank's blocked wait loops so that
+    /// withheld messages are eventually delivered even if no further
+    /// traffic arrives (models "in flight, but not lost").
     pub fn nudge(&self, dst: Rank) {
         if self.model.has_faults() {
             let mut fs = self.fault_state[dst].lock();
-            let delayed: Vec<_> = fs.delayed.drain(..).collect();
-            if matches!(self.model.reorder, ReorderModel::None) {
-                self.final_deliver_batch(dst, delayed.into_iter().map(|(e, _)| e).collect());
-            } else {
-                for (e, _) in delayed {
-                    self.reorder_inject(e);
-                }
-            }
+            self.reorder(dst, fs.delayed.drain(..).map(|(e, _)| e));
         }
-        if matches!(self.model.reorder, ReorderModel::None) {
-            return;
+        if let Some(st) = self.reorder_state.get(dst) {
+            self.deliver(dst, st.lock().held.drain(..));
         }
-        let mut st = self.reorder_state[dst].lock();
-        let held: Vec<_> = st.held.drain(..).collect();
-        self.final_deliver_batch(dst, held);
     }
 
     /// Flush every withheld envelope (used at teardown / quiescence points

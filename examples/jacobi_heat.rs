@@ -125,7 +125,6 @@ fn main() {
         write_disk: true,
         policy: CkptPolicy::EveryNth(10),
         initiator: Some(0),
-        clock: c3::Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
     };
     let plan = FailurePlan { rank: 3, when: FailAt::AfterCommits { commits: 1, pragma: 25 } };

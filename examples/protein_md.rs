@@ -160,7 +160,6 @@ fn main() {
         write_disk: true,
         policy: CkptPolicy::EveryNth(15),
         initiator: Some(0),
-        clock: c3::Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
     };
     let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 35 } };

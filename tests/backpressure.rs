@@ -9,7 +9,7 @@
 
 mod util;
 
-use c3::{C3Config, C3Ctx, C3Error, ChaosPlan, CkptPolicy, Clock, FailAt, FailurePlan, Job};
+use c3::{C3Config, C3Ctx, C3Error, ChaosPlan, CkptPolicy, FailAt, FailurePlan, Job};
 use mpisim::{
     JobError, JobSpec, NetModel, SchedMode, ANY_SOURCE, BACKPRESSURE_DEADLOCK_MARKER, COMM_WORLD,
 };
@@ -164,7 +164,6 @@ fn rank1_initiates(store: &TempStore) -> C3Config {
         write_disk: true,
         policy: CkptPolicy::EveryNth(1),
         initiator: Some(1),
-        clock: Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
     }
 }
@@ -447,7 +446,6 @@ fn chaos_plans_under_tight_mailboxes_stay_bit_identical() {
             write_disk: true,
             policy: CkptPolicy::EveryNth(3),
             initiator: None,
-            clock: Clock::Wall,
             ckpt_mode: c3::CkptMode::Full,
         }
     }

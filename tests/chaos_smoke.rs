@@ -11,7 +11,7 @@
 
 mod util;
 
-use c3::{C3Config, C3Ctx, C3Error, ChaosPlan, ChaosSpace, CkptPolicy, Clock, Job};
+use c3::{C3Config, C3Ctx, C3Error, ChaosPlan, ChaosSpace, CkptPolicy, Job};
 use mpisim::{JobSpec, NetModel};
 use statesave::codec::{Decoder, Encoder};
 use util::TempStore;
@@ -79,7 +79,6 @@ fn chaos_sweep_ring_32_seeds_times_3_networks() {
                 write_disk: true,
                 policy: CkptPolicy::EveryNth(3),
                 initiator: None, // concurrent initiators: more interleavings
-                clock: Clock::Wall,
                 ckpt_mode: c3::CkptMode::Full,
             };
             let rec = Job::new(NRANKS, cfg)

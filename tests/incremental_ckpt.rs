@@ -23,7 +23,6 @@ fn incr_cfg(store: &TempStore, nth: u64, every_n: u32) -> C3Config {
         write_disk: true,
         policy: CkptPolicy::EveryNth(nth),
         initiator: Some(0),
-        clock: c3::Clock::Wall,
         ckpt_mode: CkptMode::Incremental { every_n },
     }
 }
@@ -34,7 +33,6 @@ fn full_cfg(store: &TempStore, nth: u64) -> C3Config {
         write_disk: true,
         policy: CkptPolicy::EveryNth(nth),
         initiator: Some(0),
-        clock: c3::Clock::Wall,
         ckpt_mode: CkptMode::Full,
     }
 }

@@ -186,7 +186,6 @@ fn concurrent_initiators_commit_and_recover() {
         write_disk: true,
         policy: CkptPolicy::EveryNth(5),
         initiator: None, // every rank initiates
-        clock: c3::Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
     };
     let sanity = c3::Job::new(4, cfg)
@@ -208,7 +207,6 @@ fn concurrent_initiators_commit_and_recover() {
         write_disk: true,
         policy: CkptPolicy::EveryNth(5),
         initiator: None,
-        clock: c3::Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
     };
     let plan = FailurePlan { rank: 3, when: FailAt::AfterCommits { commits: 2, pragma: 14 } };

@@ -33,7 +33,7 @@
 
 mod util;
 
-use c3::{C3Config, C3Ctx, C3Error, ChaosPlan, ChaosSpace, CkptPolicy, Clock, Job};
+use c3::{C3Config, C3Ctx, C3Error, ChaosPlan, ChaosSpace, CkptPolicy, Job};
 use mpisim::{JobSpec, NetModel, SchedMode};
 use statesave::codec::{Decoder, Encoder};
 use util::TempStore;
@@ -76,7 +76,6 @@ fn chaos_cfg(store: &TempStore) -> C3Config {
         write_disk: true,
         policy: CkptPolicy::EveryNth(3),
         initiator: None,
-        clock: Clock::Wall,
         ckpt_mode: c3::CkptMode::Full,
     }
 }
