@@ -600,12 +600,13 @@ impl Network {
             let seen = self.sched.epoch(src);
             {
                 let l = &mut *bp.ledger.lock();
+                let poisoned = self.is_poisoned();
                 // A parked sender woken by poison aborts even if a credit
                 // is free.
-                if !(queued && self.is_poisoned()) && bp.try_grant(l, src, dst) {
+                if !(queued && poisoned) && bp.try_grant(l, src, dst) {
                     return Ok(());
                 }
-                if self.is_poisoned() {
+                if poisoned {
                     bp.leave(l, src);
                     return Err(MpiError::Aborted);
                 }
@@ -720,10 +721,8 @@ impl Network {
         // Due retransmissions leave strictly from the queue head: entries
         // behind a not-yet-due head wait with it, as releasing out of queue
         // order could break per-signature FIFO.
-        let mut due = Vec::new();
-        while fs.delayed.front().is_some_and(|(_, at)| *at <= now) {
-            due.extend(fs.delayed.pop_front().map(|(e, _)| e));
-        }
+        let n_due = fs.delayed.iter().take_while(|(_, at)| *at <= now).count();
+        let due: Vec<Envelope> = fs.delayed.drain(..n_due).map(|(e, _)| e).collect();
         // Head-of-line: while a same-signature predecessor awaits
         // retransmission, successors must queue behind it (a reliable
         // transport cannot deliver segment n+1 before redelivering n).
