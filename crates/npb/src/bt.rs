@@ -5,8 +5,17 @@
 //! block tridiagonal system with 3×3 blocks (NPB BT uses 5×5 blocks; three
 //! components preserve the block structure and the communication volume
 //! ratio at laptop scale). The x-direction solves are rank-local; the
-//! y-direction solves run a pipelined block Thomas algorithm across ranks —
-//! point-to-point only, no barriers.
+//! y-direction solves run a pipelined block Thomas algorithm across ranks,
+//! cut into [`crate::wave_tiles`] column tiles exactly as in SP: forward
+//! elimination flows down the ranks one tile at a time, carrying a 3×3
+//! `C'` block and a 3-vector `d'` per column, so rank `r + 1` works on tile
+//! `t` while rank `r` computes tile `t + 1`; back-substitution then flows
+//! up tile by tile. Columns are independent, so any tile order gives the
+//! same bits. Point-to-point only, no barriers.
+//!
+//! Ranks at or past `n` own no rows: the pipeline runs over ranks
+//! `0..min(p, n)`, and the others skip the solves but still reach every
+//! pragma and the final all-reduce.
 
 use crate::backend::{Comm, Op};
 use mpisim::MpiError;
@@ -37,13 +46,6 @@ impl BtConfig {
             crate::Class::A => BtConfig { n: 200, steps: 12, lambda: 0.35, kappa: 0.1 },
         }
     }
-}
-
-fn rows_of(n: usize, rank: usize, p: usize) -> (usize, usize) {
-    let base = n / p;
-    let extra = n % p;
-    let lo = rank * base + rank.min(extra);
-    (lo, lo + base + usize::from(rank < extra))
 }
 
 /// A 3×3 matrix in row-major order.
@@ -220,9 +222,8 @@ impl BtState {
     }
 }
 
-/// Pipelined block Thomas elimination down the ranks for all `n` columns at
-/// once, then back-substitution up. Per column the pipeline carries a 3×3
-/// `C'` block and a 3-vector `d'`.
+/// Pipelined block Thomas elimination down the ranks, then
+/// back-substitution up, one column tile at a time (see the module docs).
 fn y_solve<C: Comm>(
     comm: &mut C,
     u: &mut [f64],
@@ -231,94 +232,100 @@ fn y_solve<C: Comm>(
     kappa: f64,
 ) -> Result<(), MpiError> {
     let me = comm.rank();
-    let p = comm.nranks();
     let rows = u.len() / (n * NB);
+    if rows == 0 {
+        return Ok(());
+    }
+    let active = comm.nranks().min(n);
+    let tiles = crate::wave_tiles(n);
     let bdiag = diag_block(lambda, kappa);
     let a = off_block(lambda);
+    // Doubles per column in a forward message: the (C', d') pair.
+    const PAIR: usize = NB * NB + NB;
 
-    // Forward elimination: receive the previous rank's last (C', d') pair per
-    // column — n * (9 + 3) doubles.
-    let prev: Vec<f64> =
-        if me > 0 { comm.recv_f64((me - 1) as i32, 70)? } else { vec![0.0; n * (NB * NB + NB)] };
+    // Forward elimination: per tile, receive the previous rank's last
+    // (C', d') pair per column.
     let mut cp = vec![blk_zero(); rows * n];
-    for r in 0..rows {
-        for j in 0..n {
-            let (cprev, dprev): (Blk, [f64; NB]) = if r == 0 {
-                let base = j * (NB * NB + NB);
-                let mut cb = blk_zero();
-                cb.copy_from_slice(&prev[base..base + NB * NB]);
-                let mut db = [0.0; NB];
-                db.copy_from_slice(&prev[base + NB * NB..base + NB * NB + NB]);
-                (cb, db)
-            } else {
-                let mut db = [0.0; NB];
-                db.copy_from_slice(&u[((r - 1) * n + j) * NB..((r - 1) * n + j + 1) * NB]);
-                (cp[(r - 1) * n + j], db)
-            };
-            let first_global = me == 0 && r == 0;
-            let m = if first_global { bdiag } else { blk_sub(&bdiag, &blk_mul(&a, &cprev)) };
-            let minv = blk_inv(&m);
-            cp[r * n + j] = blk_mul(&minv, &a);
-            let idx = (r * n + j) * NB;
-            let mut rhs = [0.0; NB];
-            rhs.copy_from_slice(&u[idx..idx + NB]);
-            if !first_global {
-                let av = blk_vec(&a, &dprev);
-                for i in 0..NB {
-                    rhs[i] -= av[i];
+    for t in 0..tiles {
+        let cols = crate::split(n, t, tiles);
+        let prev: Vec<f64> =
+            if me > 0 { comm.recv_f64(me as i32 - 1, 70)? } else { vec![0.0; cols.len() * PAIR] };
+        for r in 0..rows {
+            for (k, j) in cols.clone().enumerate() {
+                let (cprev, dprev): (Blk, [f64; NB]) = if r == 0 {
+                    let base = k * PAIR;
+                    let mut cb = blk_zero();
+                    cb.copy_from_slice(&prev[base..base + NB * NB]);
+                    let mut db = [0.0; NB];
+                    db.copy_from_slice(&prev[base + NB * NB..base + PAIR]);
+                    (cb, db)
+                } else {
+                    let mut db = [0.0; NB];
+                    db.copy_from_slice(&u[((r - 1) * n + j) * NB..((r - 1) * n + j + 1) * NB]);
+                    (cp[(r - 1) * n + j], db)
+                };
+                let first_global = me == 0 && r == 0;
+                let m = if first_global { bdiag } else { blk_sub(&bdiag, &blk_mul(&a, &cprev)) };
+                let minv = blk_inv(&m);
+                cp[r * n + j] = blk_mul(&minv, &a);
+                let idx = (r * n + j) * NB;
+                let mut rhs = [0.0; NB];
+                rhs.copy_from_slice(&u[idx..idx + NB]);
+                if !first_global {
+                    let av = blk_vec(&a, &dprev);
+                    for i in 0..NB {
+                        rhs[i] -= av[i];
+                    }
                 }
+                let sol = blk_vec(&minv, &rhs);
+                u[idx..idx + NB].copy_from_slice(&sol);
             }
-            let sol = blk_vec(&minv, &rhs);
-            u[idx..idx + NB].copy_from_slice(&sol);
         }
-    }
-    if me + 1 < p {
-        let mut send = Vec::with_capacity(n * (NB * NB + NB));
-        for j in 0..n {
-            send.extend_from_slice(&cp[(rows - 1) * n + j]);
-            send.extend_from_slice(&u[((rows - 1) * n + j) * NB..((rows - 1) * n + j + 1) * NB]);
+        if me + 1 < active {
+            let mut send = Vec::with_capacity(cols.len() * PAIR);
+            for j in cols {
+                let last = (rows - 1) * n + j;
+                send.extend_from_slice(&cp[last]);
+                send.extend_from_slice(&u[last * NB..(last + 1) * NB]);
+            }
+            comm.send_f64(me + 1, 70, &send)?;
         }
-        comm.send_f64(me + 1, 70, &send)?;
     }
 
-    // Back-substitution: receive the next rank's first solution row.
-    let below: Vec<f64> =
-        if me + 1 < p { comm.recv_f64((me + 1) as i32, 71)? } else { vec![0.0; n * NB] };
-    for r in (0..rows).rev() {
-        for j in 0..n {
-            let nxt: [f64; NB] = if r + 1 == rows {
-                if me + 1 < p {
-                    let mut v = [0.0; NB];
-                    v.copy_from_slice(&below[j * NB..(j + 1) * NB]);
-                    v
+    // Back-substitution: per tile, receive the next rank's first solution
+    // row. On the last rank the last row is already the solution.
+    for t in 0..tiles {
+        let cols = crate::split(n, t, tiles);
+        let below = if me + 1 < active { Some(comm.recv_f64(me as i32 + 1, 71)?) } else { None };
+        for r in (0..rows).rev() {
+            for (k, j) in cols.clone().enumerate() {
+                let mut nxt = [0.0; NB];
+                if r + 1 < rows {
+                    nxt.copy_from_slice(&u[((r + 1) * n + j) * NB..((r + 1) * n + j + 1) * NB]);
+                } else if let Some(below) = &below {
+                    nxt.copy_from_slice(&below[k * NB..(k + 1) * NB]);
                 } else {
-                    continue; // last global row: already the solution
+                    continue;
                 }
-            } else {
-                let mut v = [0.0; NB];
-                v.copy_from_slice(&u[((r + 1) * n + j) * NB..((r + 1) * n + j + 1) * NB]);
-                v
-            };
-            let cv = blk_vec(&cp[r * n + j], &nxt);
-            let idx = (r * n + j) * NB;
-            for i in 0..NB {
-                u[idx + i] -= cv[i];
+                let cv = blk_vec(&cp[r * n + j], &nxt);
+                let idx = (r * n + j) * NB;
+                for i in 0..NB {
+                    u[idx + i] -= cv[i];
+                }
             }
         }
-    }
-    if me > 0 {
-        comm.send_f64(me - 1, 71, &u[..n * NB])?;
+        if me > 0 {
+            comm.send_f64(me - 1, 71, &u[cols.start * NB..cols.end * NB])?;
+        }
     }
     Ok(())
 }
 
 /// Run BT; returns the RMS field norm after the final step.
 pub fn run<C: Comm>(comm: &mut C, cfg: &BtConfig) -> Result<f64, MpiError> {
-    let me = comm.rank();
-    let p = comm.nranks();
     let n = cfg.n;
-    let (lo, hi) = rows_of(n, me, p);
-    let rows = hi - lo;
+    let mine = crate::split(n, comm.rank(), comm.nranks());
+    let (lo, rows) = (mine.start, mine.len());
 
     let mut st = match comm.take_restored_state() {
         Some(b) => BtState::load(&b)?,

@@ -75,15 +75,6 @@ impl CgState {
     }
 }
 
-/// Local rows `[lo, hi)` for a rank.
-fn partition(n: usize, rank: usize, nranks: usize) -> (usize, usize) {
-    let base = n / nranks;
-    let extra = n % nranks;
-    let lo = rank * base + rank.min(extra);
-    let hi = lo + base + usize::from(rank < extra);
-    (lo, hi)
-}
-
 /// Halo-exchange mat-vec: `out = A * v` on the local rows, pulling two
 /// boundary entries from each neighbour.
 fn matvec<C: Comm>(
@@ -155,16 +146,15 @@ fn matvec<C: Comm>(
 
 /// Run CG; returns the solution norm as the verification value.
 pub fn run<C: Comm>(comm: &mut C, cfg: &CgConfig) -> Result<f64, MpiError> {
-    let (lo, hi) = partition(cfg.n, comm.rank(), comm.nranks());
-    let nl = hi - lo;
+    let rows = crate::split(cfg.n, comm.rank(), comm.nranks());
+    let (lo, nl) = (rows.start, rows.len());
 
     let mut st = match comm.take_restored_state() {
         Some(b) => CgState::load(&b)?,
         None => {
             // b_i = deterministic in (0,1]; x0 = 0 => r = b, p = b.
-            let b: Vec<f64> = (lo..hi)
-                .map(|i| ((i.wrapping_mul(0x9e3779b9) % 1000) as f64 + 1.0) / 1000.0)
-                .collect();
+            let b: Vec<f64> =
+                rows.map(|i| ((i.wrapping_mul(0x9e3779b9) % 1000) as f64 + 1.0) / 1000.0).collect();
             let local_dot: f64 = b.iter().map(|x| x * x).sum();
             CgState { iter: 0, x: vec![0.0; nl], r: b.clone(), p: b, rho: local_dot }
         }
@@ -204,23 +194,6 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &CgConfig) -> Result<f64, MpiError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_covers_everything() {
-        for n in [10usize, 17, 64] {
-            for p in [1usize, 3, 4, 7] {
-                let mut total = 0;
-                let mut prev_hi = 0;
-                for r in 0..p {
-                    let (lo, hi) = partition(n, r, p);
-                    assert_eq!(lo, prev_hi);
-                    total += hi - lo;
-                    prev_hi = hi;
-                }
-                assert_eq!(total, n);
-            }
-        }
-    }
 
     #[test]
     fn operator_is_symmetric_and_dominant() {

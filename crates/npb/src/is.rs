@@ -85,14 +85,6 @@ fn mix(key: u64, pos: u64) -> u64 {
     x ^ (x >> 29)
 }
 
-/// Global key-index range `[lo, hi)` generated by `rank`.
-fn key_range(total: usize, rank: usize, p: usize) -> (usize, usize) {
-    let base = total / p;
-    let extra = total % p;
-    let lo = rank * base + rank.min(extra);
-    (lo, lo + base + usize::from(rank < extra))
-}
-
 /// Run IS; returns a digest over the globally sorted key ranks (exact in
 /// f64: only the low 52 bits of the digest are kept).
 pub fn run<C: Comm>(comm: &mut C, cfg: &IsConfig) -> Result<f64, MpiError> {
@@ -108,8 +100,8 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &IsConfig) -> Result<f64, MpiError> {
 
     while st.iter < cfg.iters {
         // Generate this rank's slice of the global key sequence.
-        let (klo, khi) = key_range(total, me, p);
-        let keys: Vec<u64> = (klo..khi).map(|g| keygen(st.iter, g as u64, cfg.max_key)).collect();
+        let keys: Vec<u64> =
+            crate::split(total, me, p).map(|g| keygen(st.iter, g as u64, cfg.max_key)).collect();
 
         // Global histogram over p coarse buckets (keys are near-uniform, so
         // equal key-ranges balance; NPB IS splits by histogram mass — the
@@ -203,21 +195,6 @@ mod tests {
         }
         for h in hist {
             assert!(h > 700 && h < 1300, "bucket count {h} far from uniform");
-        }
-    }
-
-    #[test]
-    fn key_ranges_partition() {
-        for total in [100usize, 127, 4096] {
-            for p in [1usize, 3, 4, 7] {
-                let mut prev = 0;
-                for r in 0..p {
-                    let (lo, hi) = key_range(total, r, p);
-                    assert_eq!(lo, prev);
-                    prev = hi;
-                }
-                assert_eq!(prev, total);
-            }
         }
     }
 

@@ -40,6 +40,34 @@ pub mod verify;
 
 pub use backend::Comm;
 
+use std::ops::Range;
+
+/// The balanced split of `0..n` into `parts` contiguous ranges, returning
+/// part `i`: every part gets `n / parts` items and the first `n % parts`
+/// parts one more.
+///
+/// Every row-partitioned kernel gives rank `i` of `parts` its rows with it,
+/// and the wavefront kernels (LU, SP, BT) cut their columns into
+/// [`wave_tiles`] pipeline tiles with it. A part is empty exactly when
+/// `i >= n`: a job with more ranks than rows leaves ranks `n..` without
+/// rows, and the wavefronts run over ranks `0..min(parts, n)` only.
+pub fn split(n: usize, i: usize, parts: usize) -> Range<usize> {
+    let base = n / parts;
+    let extra = n % parts;
+    let lo = i * base + i.min(extra);
+    lo..lo + base + usize::from(i < extra)
+}
+
+/// Column tiles per wavefront sweep on an `n`-column grid: `min(8, n)`.
+///
+/// LU, SP and BT sweep their rows in a rank pipeline. Each rank receives,
+/// updates and forwards one tile of columns at a time, so rank `r + 1`
+/// works on tile `t` while rank `r` computes tile `t + 1`, instead of
+/// waiting for rank `r`'s whole block.
+pub fn wave_tiles(n: usize) -> usize {
+    n.min(8)
+}
+
 /// Problem classes, loosely following NPB naming: `S` (tiny smoke test),
 /// `W` (workstation), `A` (the largest we run in-process).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -142,6 +170,28 @@ impl Kernel {
             Kernel::EP => ep::run(comm, &ep::EpConfig::class(class)),
             Kernel::SMG => smg::run(comm, &smg::SmgConfig::class(class)),
             Kernel::HPL => hpl::run(comm, &hpl::HplConfig::class(class)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn split_covers_everything_in_order() {
+        for n in [0usize, 4, 10, 17, 64] {
+            for parts in [1usize, 3, 4, 7, 9] {
+                let mut next = 0;
+                for i in 0..parts {
+                    let r = split(n, i, parts);
+                    assert_eq!(r.start, next);
+                    assert!(r.len() == n / parts || r.len() == n / parts + 1);
+                    assert_eq!(r.is_empty(), i >= n, "n={n} part {i}/{parts}");
+                    next = r.end;
+                }
+                assert_eq!(next, n);
+            }
         }
     }
 }

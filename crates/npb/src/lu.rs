@@ -1,12 +1,23 @@
 //! LU — SSOR wavefront sweeps (the NPB LU communication skeleton).
 //!
-//! A 2D grid is partitioned in block rows. Each SSOR iteration makes a
-//! forward sweep (data dependence on the row above and the column to the
-//! left) and a backward sweep (below/right): rank `r` receives its
-//! neighbour's boundary row, updates its block, and forwards its own
-//! boundary — a software pipeline with point-to-point messages only, no
-//! barriers. The checkpoint location is "the bottom of the `istep` loop in
-//! `ssor`" (§6.3).
+//! A 2D grid is partitioned in block rows ([`crate::split`]). Each SSOR
+//! iteration makes a forward sweep (data dependence on the row above and
+//! the column to the left) and a backward sweep (below/right), pipelined
+//! across the ranks as NPB LU pipelines its planes: the columns are cut
+//! into [`crate::wave_tiles`] tiles, and for each tile in ascending order
+//! rank `r` receives that tile of its upper neighbour's boundary row,
+//! updates the tile in all its rows and forwards the tile of its own last
+//! row. Rank `r + 1` thus works on tile `t` while rank `r` computes tile
+//! `t + 1`. The backward sweep runs the same pipeline upwards in
+//! descending tile order. Every point gets the same arithmetic from the
+//! same neighbour values whatever the tile and rank counts, so results
+//! depend on them only through the final all-reduce. Point-to-point
+//! messages only, no barriers.
+//!
+//! Ranks at or past `n` own no rows: the pipeline runs over ranks
+//! `0..min(p, n)`, and the others skip the sweeps but still reach every
+//! pragma and the final all-reduce. The checkpoint location is "the bottom
+//! of the `istep` loop in `ssor`" (§6.3).
 
 use crate::backend::{Comm, Op};
 use mpisim::MpiError;
@@ -51,20 +62,23 @@ impl LuState {
     }
 }
 
-fn rows_of(n: usize, rank: usize, p: usize) -> (usize, usize) {
-    let base = n / p;
-    let extra = n % p;
-    let lo = rank * base + rank.min(extra);
-    (lo, lo + base + usize::from(rank < extra))
+/// One SSOR point update: `x` relaxed toward the mean of `near` (the
+/// neighbour in the row the sweep came from) and `prev` (the neighbour the
+/// sweep updated just before it in the same row).
+fn relax(x: f64, near: f64, prev: f64, omega: f64) -> f64 {
+    let rhs = 0.25 * (near + prev) + 0.5 * x;
+    (1.0 - omega) * x + omega * rhs
 }
 
 /// Run LU-SSOR; returns the grid norm after the final iteration.
 pub fn run<C: Comm>(comm: &mut C, cfg: &LuConfig) -> Result<f64, MpiError> {
     let me = comm.rank();
-    let p = comm.nranks();
     let n = cfg.n;
-    let (lo, hi) = rows_of(n, me, p);
-    let rows = hi - lo;
+    let mine = crate::split(n, me, comm.nranks());
+    let (lo, rows) = (mine.start, mine.len());
+    // Only ranks `0..active` own rows (see the module docs).
+    let active = comm.nranks().min(n);
+    let tiles = crate::wave_tiles(n);
     let omega = cfg.omega;
 
     let mut st = match comm.take_restored_state() {
@@ -82,38 +96,50 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &LuConfig) -> Result<f64, MpiError> {
     };
 
     while st.istep < cfg.isteps {
-        // -------- forward sweep (dependences: north, west) --------
-        let mut north: Vec<f64> =
-            if me > 0 { comm.recv_f64((me - 1) as i32, 40)? } else { vec![0.0; n] };
-        for r in 0..rows {
-            for j in 0..n {
-                let up = if r == 0 { north[j] } else { st.u[(r - 1) * n + j] };
-                let left = if j == 0 { 0.0 } else { st.u[r * n + j - 1] };
-                let idx = r * n + j;
-                let rhs = 0.25 * (up + left) + 0.5 * st.u[idx];
-                st.u[idx] = (1.0 - omega) * st.u[idx] + omega * rhs;
+        if rows > 0 {
+            // -------- forward sweep (dependences: north, west) --------
+            for t in 0..tiles {
+                let cols = crate::split(n, t, tiles);
+                let north =
+                    if me > 0 { comm.recv_f64(me as i32 - 1, 40)? } else { vec![0.0; cols.len()] };
+                for r in 0..rows {
+                    let (done, rest) = st.u.split_at_mut(r * n);
+                    let near = if r == 0 { &north[..] } else { &done[(r - 1) * n..][cols.clone()] };
+                    let row = &mut rest[..n];
+                    let mut left = if cols.start == 0 { 0.0 } else { row[cols.start - 1] };
+                    for (x, &up) in row[cols.clone()].iter_mut().zip(near) {
+                        *x = relax(*x, up, left, omega);
+                        left = *x;
+                    }
+                }
+                if me + 1 < active {
+                    comm.send_f64(me + 1, 40, &st.u[(rows - 1) * n..][cols])?;
+                }
             }
-        }
-        if me + 1 < p {
-            comm.send_f64(me + 1, 40, &st.u[(rows - 1) * n..])?;
-        }
 
-        // -------- backward sweep (dependences: south, east) --------
-        let south: Vec<f64> =
-            if me + 1 < p { comm.recv_f64((me + 1) as i32, 41)? } else { vec![0.0; n] };
-        for r in (0..rows).rev() {
-            for j in (0..n).rev() {
-                let down = if r + 1 == rows { south[j] } else { st.u[(r + 1) * n + j] };
-                let right = if j + 1 == n { 0.0 } else { st.u[r * n + j + 1] };
-                let idx = r * n + j;
-                let rhs = 0.25 * (down + right) + 0.5 * st.u[idx];
-                st.u[idx] = (1.0 - omega) * st.u[idx] + omega * rhs;
+            // -------- backward sweep (dependences: south, east) --------
+            for t in (0..tiles).rev() {
+                let cols = crate::split(n, t, tiles);
+                let south = if me + 1 < active {
+                    comm.recv_f64(me as i32 + 1, 41)?
+                } else {
+                    vec![0.0; cols.len()]
+                };
+                for r in (0..rows).rev() {
+                    let (upto, below) = st.u.split_at_mut((r + 1) * n);
+                    let near = if r + 1 == rows { &south[..] } else { &below[..n][cols.clone()] };
+                    let row = &mut upto[r * n..];
+                    let mut right = if cols.end == n { 0.0 } else { row[cols.end] };
+                    for (x, &down) in row[cols.clone()].iter_mut().zip(near).rev() {
+                        *x = relax(*x, down, right, omega);
+                        right = *x;
+                    }
+                }
+                if me > 0 {
+                    comm.send_f64(me - 1, 41, &st.u[cols])?;
+                }
             }
         }
-        if me > 0 {
-            comm.send_f64(me - 1, 41, &st.u[..n])?;
-        }
-        north.clear();
 
         st.istep += 1;
         // §6.3: checkpoint at the bottom of the istep loop.

@@ -1,11 +1,21 @@
 //! SP — ADI with scalar tridiagonal line solves (the NPB SP skeleton).
 //!
 //! Alternating-direction implicit time stepping on an `n x n` grid
-//! partitioned in block rows: the x-direction solves are rank-local; the
-//! y-direction solves run a *pipelined Thomas algorithm* across ranks —
-//! forward elimination flows down the rank pipeline, back-substitution flows
-//! up, all with point-to-point messages and no barriers. The checkpoint
-//! location is "the bottom of the `step` loop" (§6.3).
+//! partitioned in block rows ([`crate::split`]): the x-direction solves are
+//! rank-local; the y-direction solves run a *pipelined Thomas algorithm*
+//! across ranks. The columns are cut into [`crate::wave_tiles`] tiles.
+//! Forward elimination flows down the rank pipeline one tile at a time —
+//! rank `r` receives the upper neighbour's last `(c', d')` pair for a tile,
+//! eliminates the tile in all its rows and forwards its own last pair — so
+//! rank `r + 1` works on tile `t` while rank `r` computes tile `t + 1`.
+//! Back-substitution then flows up the pipeline, again tile by tile. Each
+//! column's recurrence is independent of the others, so any tile order
+//! gives the same bits. Point-to-point messages only, no barriers.
+//!
+//! Ranks at or past `n` own no rows: the pipeline runs over ranks
+//! `0..min(p, n)`, and the others skip the solves but still reach every
+//! pragma and the final all-reduce. The checkpoint location is "the bottom
+//! of the `step` loop" (§6.3).
 
 use crate::backend::{Comm, Op};
 use mpisim::MpiError;
@@ -31,13 +41,6 @@ impl SpConfig {
             crate::Class::A => SpConfig { n: 360, steps: 16, lambda: 0.4 },
         }
     }
-}
-
-fn rows_of(n: usize, rank: usize, p: usize) -> (usize, usize) {
-    let base = n / p;
-    let extra = n % p;
-    let lo = rank * base + rank.min(extra);
-    (lo, lo + base + usize::from(rank < extra))
 }
 
 /// Local tridiagonal solve (Thomas) of `(1+2λ) x_i - λ x_{i±1} = d_i` along
@@ -76,76 +79,79 @@ impl SpState {
     }
 }
 
-/// Pipelined Thomas elimination down the ranks for all `n` columns at once,
-/// then back-substitution up.
+/// Pipelined Thomas elimination down the ranks, then back-substitution
+/// up, one column tile at a time (see the module docs).
 fn y_solve<C: Comm>(comm: &mut C, u: &mut [f64], n: usize, lambda: f64) -> Result<(), MpiError> {
     let me = comm.rank();
-    let p = comm.nranks();
     let rows = u.len() / n;
+    if rows == 0 {
+        return Ok(());
+    }
+    let active = comm.nranks().min(n);
+    let tiles = crate::wave_tiles(n);
     let b = 1.0 + 2.0 * lambda;
     let a = -lambda;
 
-    // Forward elimination: receive the previous rank's last (c', d') pair
-    // per column.
-    let (mut cp_prev, mut dp_prev) = if me > 0 {
-        let v = comm.recv_f64((me - 1) as i32, 60)?;
-        (v[..n].to_vec(), v[n..].to_vec())
-    } else {
-        (vec![0.0; n], vec![0.0; n])
-    };
+    // Forward elimination: per tile, receive the previous rank's last
+    // (c', d') pair per column.
     let mut cp = vec![0.0; rows * n];
-    for r in 0..rows {
-        for j in 0..n {
-            let (cprev, dprev) = if r == 0 {
-                (cp_prev[j], dp_prev[j])
-            } else {
-                (cp[(r - 1) * n + j], u[(r - 1) * n + j])
-            };
-            let first_global = me == 0 && r == 0;
-            let m = if first_global { b } else { b - a * cprev };
-            cp[r * n + j] = a / m;
-            let dval = if first_global { u[r * n + j] } else { u[r * n + j] - a * dprev };
-            u[r * n + j] = dval / m;
-        }
-    }
-    if me + 1 < p {
-        let mut send = Vec::with_capacity(2 * n);
-        send.extend_from_slice(&cp[(rows - 1) * n..]);
-        send.extend_from_slice(&u[(rows - 1) * n..]);
-        comm.send_f64(me + 1, 60, &send)?;
-    }
-    cp_prev.clear();
-    dp_prev.clear();
-
-    // Back-substitution: receive the next rank's first solution row.
-    let below = if me + 1 < p { comm.recv_f64((me + 1) as i32, 61)? } else { vec![0.0; n] };
-    for r in (0..rows).rev() {
-        for j in 0..n {
-            let next = if r + 1 == rows {
-                if me + 1 < p {
-                    below[j]
+    for t in 0..tiles {
+        let cols = crate::split(n, t, tiles);
+        let w = cols.len();
+        let carry = if me > 0 { comm.recv_f64(me as i32 - 1, 60)? } else { vec![0.0; 2 * w] };
+        let (cp_prev, dp_prev) = carry.split_at(w);
+        for r in 0..rows {
+            for (k, j) in cols.clone().enumerate() {
+                let (cprev, dprev) = if r == 0 {
+                    (cp_prev[k], dp_prev[k])
                 } else {
-                    continue; // last global row: d is already the solution
-                }
-            } else {
-                u[(r + 1) * n + j]
-            };
-            u[r * n + j] -= cp[r * n + j] * next;
+                    (cp[(r - 1) * n + j], u[(r - 1) * n + j])
+                };
+                let first_global = me == 0 && r == 0;
+                let m = if first_global { b } else { b - a * cprev };
+                cp[r * n + j] = a / m;
+                let dval = if first_global { u[r * n + j] } else { u[r * n + j] - a * dprev };
+                u[r * n + j] = dval / m;
+            }
+        }
+        if me + 1 < active {
+            let last = (rows - 1) * n;
+            let mut send = Vec::with_capacity(2 * w);
+            send.extend_from_slice(&cp[last..][cols.clone()]);
+            send.extend_from_slice(&u[last..][cols]);
+            comm.send_f64(me + 1, 60, &send)?;
         }
     }
-    if me > 0 {
-        comm.send_f64(me - 1, 61, &u[..n])?;
+
+    // Back-substitution: per tile, receive the next rank's first solution
+    // row. On the last rank the last row is already the solution.
+    for t in 0..tiles {
+        let cols = crate::split(n, t, tiles);
+        let below = if me + 1 < active { Some(comm.recv_f64(me as i32 + 1, 61)?) } else { None };
+        for r in (0..rows).rev() {
+            for (k, j) in cols.clone().enumerate() {
+                let next = if r + 1 < rows {
+                    u[(r + 1) * n + j]
+                } else if let Some(below) = &below {
+                    below[k]
+                } else {
+                    continue;
+                };
+                u[r * n + j] -= cp[r * n + j] * next;
+            }
+        }
+        if me > 0 {
+            comm.send_f64(me - 1, 61, &u[cols])?;
+        }
     }
     Ok(())
 }
 
 /// Run SP; returns the field norm after the final step.
 pub fn run<C: Comm>(comm: &mut C, cfg: &SpConfig) -> Result<f64, MpiError> {
-    let me = comm.rank();
-    let p = comm.nranks();
     let n = cfg.n;
-    let (lo, hi) = rows_of(n, me, p);
-    let rows = hi - lo;
+    let mine = crate::split(n, comm.rank(), comm.nranks());
+    let (lo, rows) = (mine.start, mine.len());
 
     let mut st = match comm.take_restored_state() {
         Some(b) => SpState::load(&b)?,

@@ -28,8 +28,9 @@
 //!   incarnation serves from the replay log without posting a substrate op
 //!   — depends on the interleaving, so the recovered result is the
 //!   strongest chaos-side observable that is deterministic at all;
-//! * raw substrate: an NPB kernel's results and op clocks are bit-identical
-//!   between the serial schedule and several worker-pool widths.
+//! * raw substrate: the results and op clocks of NPB CG, LU and BT are
+//!   bit-identical between the serial schedule and several worker-pool
+//!   widths.
 
 mod util;
 
@@ -151,24 +152,31 @@ fn sweep_tight_mailboxes() {
     sweep("tight", true, |seed| NetModel::reliable().seed(seed).mailbox_capacity(2 * NRANKS));
 }
 
-/// Raw substrate (no protocol layer): an NPB CG solve's results and final
+/// Raw substrate (no protocol layer): NPB CG, LU and BT results and final
 /// op clocks are bit-identical between the serial schedule and several
-/// worker-pool widths.
+/// worker-pool widths. LU and BT pipeline their sweeps in column tiles, so
+/// they hand off between ranks the most per step.
 #[test]
 fn raw_substrate_op_clocks_match_across_schedulers_and_worker_counts() {
-    let run = |sched: SchedMode| -> Vec<(u64, u64)> {
-        let spec = JobSpec::new(4).sched(sched);
-        let cfg = npb::cg::CgConfig { n: 64, iters: 6 };
-        let out = mpisim::launch(&spec, |ctx| {
-            let r = npb::cg::run(ctx, &cfg)?;
-            Ok((r.to_bits(), ctx.op_clock()))
-        })
-        .unwrap_or_else(|e| panic!("cg under {sched:?}: {e}"));
-        out.results
-    };
-    let serial = run(SERIAL);
-    for workers in [0, 2, 4] {
-        let got = run(SchedMode::EventDriven { workers });
-        assert_eq!(got, serial, "{workers} workers diverged from workers: 1 on cg");
+    type Kernel = fn(&mut mpisim::RankCtx) -> Result<f64, mpisim::MpiError>;
+    let kernels: [(&str, Kernel); 3] = [
+        ("cg", |ctx| npb::cg::run(ctx, &npb::cg::CgConfig { n: 64, iters: 6 })),
+        ("lu", |ctx| npb::lu::run(ctx, &npb::lu::LuConfig { n: 37, isteps: 4, omega: 1.2 })),
+        ("bt", |ctx| {
+            npb::bt::run(ctx, &npb::bt::BtConfig { n: 30, steps: 3, lambda: 0.35, kappa: 0.1 })
+        }),
+    ];
+    for (name, kernel) in kernels {
+        let run = |sched: SchedMode| -> Vec<(u64, u64)> {
+            let spec = JobSpec::new(4).sched(sched);
+            let out = mpisim::launch(&spec, |ctx| Ok((kernel(ctx)?.to_bits(), ctx.op_clock())))
+                .unwrap_or_else(|e| panic!("{name} under {sched:?}: {e}"));
+            out.results
+        };
+        let serial = run(SERIAL);
+        for workers in [0, 2, 4] {
+            let got = run(SchedMode::EventDriven { workers });
+            assert_eq!(got, serial, "{workers} workers diverged from workers: 1 on {name}");
+        }
     }
 }

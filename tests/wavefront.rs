@@ -160,3 +160,35 @@ fn results_are_pinned_bit_for_bit() {
     }
     assert!(bad.is_empty(), "{}\nall results:\n{table}", bad.join("\n"));
 }
+
+/// The sweeps are pipelined in column tiles: one outer iteration sends one
+/// message per tile per sweep direction between each pair of neighbouring
+/// active ranks. A regression to one boundary message per sweep (`2·(p−1)`
+/// per iteration) fails this.
+#[test]
+fn each_iteration_sends_one_message_per_tile_and_direction() {
+    let p = 4;
+    let kernels: [fn(usize, u64) -> Wave; 3] = [lu, sp, bt];
+    for kernel in kernels {
+        for n in [37, 6, 3] {
+            let (_, before) = kernel(n, 2).run(p);
+            let (_, after) = kernel(n, 3).run(p);
+            let want = 2 * (p.min(n) as u64 - 1) * n.min(8) as u64;
+            assert_eq!(after - before, want, "{:?}: messages per iteration", kernel(n, 3));
+        }
+    }
+}
+
+/// A rank past the last grid row owns no rows: it skips the sweeps but
+/// still joins every pragma and the final all-reduce, and the active
+/// ranks' pipeline does not wait for it. Adding such ranks does not change
+/// a bit of the result.
+#[test]
+fn ranks_without_rows_leave_the_result_unchanged() {
+    for wave in [lu(4, 3), sp(4, 3), bt(4, 3)] {
+        let (want, _) = wave.run(4);
+        for p in [6, 9] {
+            assert_eq!(wave.run(p).0, want, "{wave:?} on {p} ranks");
+        }
+    }
+}
