@@ -48,13 +48,6 @@ impl Field {
     }
 }
 
-fn rows_of(rank: usize, p: usize) -> (usize, usize) {
-    let base = N / p;
-    let extra = N % p;
-    let lo = rank * base + rank.min(extra);
-    (lo, lo + base + usize::from(rank < extra))
-}
-
 fn jacobi_step(ctx: &mut C3Ctx<'_>, f: &mut Field, rows: usize) -> Result<(), C3Error> {
     let me = ctx.rank();
     let p = ctx.nranks();
@@ -84,8 +77,8 @@ fn jacobi_step(ctx: &mut C3Ctx<'_>, f: &mut Field, rows: usize) -> Result<(), C3
 }
 
 fn heat_app(ctx: &mut C3Ctx<'_>) -> Result<f64, C3Error> {
-    let (lo, hi) = rows_of(ctx.rank(), ctx.nranks());
-    let rows = hi - lo;
+    let mine = npb::split(N, ctx.rank(), ctx.nranks());
+    let (lo, rows) = (mine.start, mine.len());
     let mut f = match ctx.take_restored_state() {
         Some(b) => {
             let f = Field::load(&b)?;
