@@ -5,10 +5,24 @@
 //! communication skeleton (no barriers anywhere in the iteration). The
 //! checkpoint location is "the bottom of the main loop in `conj_grad`"
 //! (§6.3).
+//!
+//! Each incarnation builds its rows of the operator once, as a `Band`
+//! stored diagonal by diagonal, so the mat-vec is packed multiplies and adds
+//! over an extended vector `[2 halo | local | 2 halo]`. The band comes from
+//! the config and is not checkpointed. The halo rows are taken from their
+//! owners: ranks `me ± 1`, and also `me ± 2` when a neighbour owns a single
+//! row.
+//!
+//! Dot products take two passes: the products go to a scratch buffer, then
+//! are summed left to right, so the bits equal a one-pass sum. Once the
+//! residual has converged the products are subnormal, and a scalar multiply
+//! with a subnormal result takes a microcode assist each; the packed
+//! multiplies of the first pass take one per vector.
 
 use crate::backend::{Comm, Op};
 use mpisim::MpiError;
 use statesave::codec::{Decoder, Encoder};
+use std::ops::Range;
 
 /// CG problem parameters.
 #[derive(Clone, Copy, Debug)]
@@ -75,79 +89,103 @@ impl CgState {
     }
 }
 
-/// Halo-exchange mat-vec: `out = A * v` on the local rows, pulling two
-/// boundary entries from each neighbour.
+/// The local rows of the operator, built once from [`coeff`]: `diag[k][i]`
+/// multiplies global column `lo + i + k - 2`, and is 0.0 where that column
+/// lies outside the grid.
+struct Band {
+    diag: [Vec<f64>; 5],
+}
+
+impl Band {
+    fn new(n: usize, rows: Range<usize>) -> Self {
+        let diag = std::array::from_fn(|k| {
+            rows.clone()
+                .map(|i| match (i + k).checked_sub(2) {
+                    Some(j) if j < n => coeff(i, j),
+                    _ => 0.0,
+                })
+                .collect()
+        });
+        Band { diag }
+    }
+
+    /// `q = A v` on the local rows, reading `ext = [2 halo | v | 2 halo]`.
+    /// Each row adds its products onto 0.0 in column order. A column outside
+    /// the grid adds 0.0 · 0.0, which changes no bit: a sum that starts at
+    /// +0.0 is never -0.0, so the global edge rows come out as the sum of
+    /// their in-grid terms alone.
+    fn apply(&self, ext: &[f64], q: &mut [f64]) {
+        let nl = q.len();
+        let [d0, d1, d2, d3, d4] = self.diag.each_ref().map(|d| &d[..nl]);
+        let [e0, e1, e2, e3, e4] = std::array::from_fn(|k| &ext[k..k + nl]);
+        for i in 0..nl {
+            q[i] =
+                0.0 + d0[i] * e0[i] + d1[i] * e1[i] + d2[i] * e2[i] + d3[i] * e3[i] + d4[i] * e4[i];
+        }
+    }
+}
+
+/// Halo-exchange mat-vec: `q = A v` on this rank's rows, whose entries `v` holds.
+///
+/// The two rows on each side belong to ranks `me ± 1`, or to `me ± 2` as
+/// well when a neighbour owns a single row. Each rank sends every
+/// neighbour the part of `v` in that neighbour's halo, then receives its
+/// own halo rows into `ext`; a rank without rows trades nothing. A message
+/// travelling left carries `tagbase`, one travelling right `tagbase + 1`.
 fn matvec<C: Comm>(
     comm: &mut C,
-    v: &[f64],
-    lo: usize,
+    band: &Band,
     n: usize,
+    v: &[f64],
+    ext: &mut [f64],
+    q: &mut [f64],
     tagbase: i32,
-) -> Result<Vec<f64>, MpiError> {
-    let me = comm.rank();
-    let p = comm.nranks();
-    let nl = v.len();
-    // Exchange two boundary values with each existing neighbour.
-    let mut left_halo: Vec<f64> = Vec::new();
-    let mut right_halo: Vec<f64> = Vec::new();
-    if me > 0 {
-        let cnt = nl.min(2);
-        comm.send_f64(me - 1, tagbase, &v[..cnt])?;
-    }
-    if me + 1 < p {
-        let s = nl.saturating_sub(2);
-        comm.send_f64(me + 1, tagbase + 1, &v[s..])?;
-    }
-    if me > 0 {
-        left_halo = comm.recv_f64((me - 1) as i32, tagbase + 1)?;
-    }
-    if me + 1 < p {
-        right_halo = comm.recv_f64((me + 1) as i32, tagbase)?;
-    }
-    let fetch = |g: i64| -> f64 {
-        if g < 0 || g as usize >= n {
-            return 0.0;
+) -> Result<(), MpiError> {
+    let (me, p) = (comm.rank(), comm.nranks());
+    let mine = crate::split(n, me, p);
+    let lo = mine.start;
+    let halo = |rows: &Range<usize>| {
+        if rows.is_empty() {
+            return [0..0, 0..0];
         }
-        let g = g as usize;
-        if g >= lo && g < lo + nl {
-            v[g - lo]
-        } else if g < lo {
-            // From the left halo (the neighbour's last entries).
-            let off = lo - g; // 1 or 2
-            let lh = left_halo.len();
-            if off <= lh {
-                left_halo[lh - off]
-            } else {
-                0.0
-            }
-        } else {
-            let off = g - (lo + nl); // 0 or 1
-            if off < right_halo.len() {
-                right_halo[off]
-            } else {
-                0.0
-            }
-        }
+        [rows.start.saturating_sub(2)..rows.start, rows.end..n.min(rows.end + 2)]
     };
-    let mut out = vec![0.0; nl];
-    for (li, o) in out.iter_mut().enumerate() {
-        let gi = lo + li;
-        let mut acc = 0.0;
-        for gj in gi.saturating_sub(2)..=(gi + 2).min(n - 1) {
-            let c = coeff(gi, gj);
-            if c != 0.0 {
-                acc += c * fetch(gj as i64);
-            }
+    let meet = |a: &Range<usize>, b: &Range<usize>| a.start.max(b.start)..a.end.min(b.end);
+    let tag = |from: usize, to: usize| tagbase + i32::from(from < to);
+    let near = [me.wrapping_sub(1), me.wrapping_sub(2), me + 1, me + 2];
+    let near = near.into_iter().filter(|&r| r < p).map(|r| (r, crate::split(n, r, p)));
+    for (r, theirs) in near.clone() {
+        for s in halo(&theirs).iter().map(|h| meet(h, &mine)).filter(|s| !s.is_empty()) {
+            comm.send_f64(r, tag(me, r), &v[s.start - lo..s.end - lo])?;
         }
-        *o = acc;
     }
-    Ok(out)
+    for (r, theirs) in near {
+        for s in halo(&mine).iter().map(|h| meet(h, &theirs)).filter(|s| !s.is_empty()) {
+            let got = comm.recv_f64(r as i32, tag(r, me))?;
+            ext[s.start + 2 - lo..s.end + 2 - lo].copy_from_slice(&got);
+        }
+    }
+    ext[2..2 + v.len()].copy_from_slice(v);
+    band.apply(ext, q);
+    Ok(())
+}
+
+/// `Σ a_i · b_i` in index order, in two passes through `prod`: the
+/// products first, which compile to packed multiplies, then their sum left
+/// to right, which has the bits of a one-pass `map(|(a, b)| a * b).sum()`.
+fn dot(a: &[f64], b: &[f64], prod: &mut [f64]) -> f64 {
+    for ((o, x), y) in prod.iter_mut().zip(a).zip(b) {
+        *o = x * y;
+    }
+    prod.iter().sum()
 }
 
 /// Run CG; returns the solution norm as the verification value.
 pub fn run<C: Comm>(comm: &mut C, cfg: &CgConfig) -> Result<f64, MpiError> {
     let rows = crate::split(cfg.n, comm.rank(), comm.nranks());
-    let (lo, nl) = (rows.start, rows.len());
+    let nl = rows.len();
+    let band = Band::new(cfg.n, rows.clone());
+    let (mut ext, mut q, mut prod) = (vec![0.0; nl + 4], vec![0.0; nl], vec![0.0; nl]);
 
     let mut st = match comm.take_restored_state() {
         Some(b) => CgState::load(&b)?,
@@ -155,28 +193,26 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &CgConfig) -> Result<f64, MpiError> {
             // b_i = deterministic in (0,1]; x0 = 0 => r = b, p = b.
             let b: Vec<f64> =
                 rows.map(|i| ((i.wrapping_mul(0x9e3779b9) % 1000) as f64 + 1.0) / 1000.0).collect();
-            let local_dot: f64 = b.iter().map(|x| x * x).sum();
-            CgState { iter: 0, x: vec![0.0; nl], r: b.clone(), p: b, rho: local_dot }
+            CgState { iter: 0, x: vec![0.0; nl], r: b.clone(), p: b, rho: 0.0 }
         }
     };
     if st.iter == 0 {
         // rho starts as the *global* <r, r>.
-        let local: f64 = st.r.iter().map(|x| x * x).sum();
-        st.rho = comm.allreduce_f64(local, Op::Sum)?;
+        st.rho = comm.allreduce_f64(dot(&st.r, &st.r, &mut prod), Op::Sum)?;
     }
 
     while st.iter < cfg.iters {
-        let q = matvec(comm, &st.p, lo, cfg.n, 100)?;
-        let local_pq: f64 = st.p.iter().zip(&q).map(|(a, b)| a * b).sum();
-        let pq = comm.allreduce_f64(local_pq, Op::Sum)?;
-        let alpha = st.rho / pq;
+        matvec(comm, &band, cfg.n, &st.p, &mut ext, &mut q, 100)?;
+        let pq = comm.allreduce_f64(dot(&st.p, &q, &mut prod), Op::Sum)?;
+        // Once the residual's products underflow, `pq` and then `rho` are
+        // 0: step by 0 instead of dividing by it, so x stays finite.
+        let alpha = if pq == 0.0 { 0.0 } else { st.rho / pq };
         for i in 0..nl {
             st.x[i] += alpha * st.p[i];
             st.r[i] -= alpha * q[i];
         }
-        let local_rr: f64 = st.r.iter().map(|x| x * x).sum();
-        let rho_new = comm.allreduce_f64(local_rr, Op::Sum)?;
-        let beta = rho_new / st.rho;
+        let rho_new = comm.allreduce_f64(dot(&st.r, &st.r, &mut prod), Op::Sum)?;
+        let beta = if st.rho == 0.0 { 0.0 } else { rho_new / st.rho };
         for i in 0..nl {
             st.p[i] = st.r[i] + beta * st.p[i];
         }
@@ -186,8 +222,7 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &CgConfig) -> Result<f64, MpiError> {
         comm.pragma(&mut |e| st.save(e))?;
     }
 
-    let local_norm: f64 = st.x.iter().map(|x| x * x).sum();
-    let norm = comm.allreduce_f64(local_norm, Op::Sum)?;
+    let norm = comm.allreduce_f64(dot(&st.x, &st.x, &mut prod), Op::Sum)?;
     Ok(norm.sqrt())
 }
 
@@ -218,18 +253,37 @@ mod tests {
         assert!(out.results[0] > 0.0);
     }
 
+    fn solve(cfg: CgConfig, p: usize) -> f64 {
+        mpisim::launch(&mpisim::JobSpec::new(p), |ctx| run(ctx, &cfg)).unwrap().results[0]
+    }
+
+    /// Includes rank counts past n / 2, where some ranks own a single row
+    /// and the halo spans two ranks on a side.
     #[test]
     fn parallel_matches_serial() {
-        let cfg = CgConfig { n: 192, iters: 12 };
-        let serial =
-            mpisim::launch(&mpisim::JobSpec::new(1), |ctx| run(ctx, &cfg)).unwrap().results[0];
-        for p in [2usize, 3, 4] {
-            let par =
-                mpisim::launch(&mpisim::JobSpec::new(p), |ctx| run(ctx, &cfg)).unwrap().results[0];
-            assert!(
-                (serial - par).abs() < 1e-9 * serial.abs().max(1.0),
-                "p={p}: serial {serial} vs parallel {par}"
-            );
+        let cases: [(usize, &[usize]); 3] =
+            [(192, &[2, 3, 4]), (10, &[6, 7, 10, 12]), (37, &[20, 30])];
+        for (n, ranks) in cases {
+            let cfg = CgConfig { n, iters: 12 };
+            let serial = solve(cfg, 1);
+            for &p in ranks {
+                let par = solve(cfg, p);
+                assert!(
+                    (serial - par).abs() < 1e-12 * serial.abs().max(1.0),
+                    "n={n} p={p}: serial {serial} vs parallel {par}"
+                );
+            }
+        }
+    }
+
+    /// Small systems reach an exactly zero residual; the iterate then stays
+    /// where it is instead of turning NaN.
+    #[test]
+    fn zero_residual_keeps_the_solution() {
+        for n in [64, 1024] {
+            let done = solve(CgConfig { n, iters: 150 }, 1);
+            assert!(done.is_finite(), "n={n}: {done}");
+            assert_eq!(solve(CgConfig { n, iters: 400 }, 1).to_bits(), done.to_bits(), "n={n}");
         }
     }
 }

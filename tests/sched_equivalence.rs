@@ -155,12 +155,14 @@ fn sweep_tight_mailboxes() {
 /// Raw substrate (no protocol layer): NPB CG, LU and BT results and final
 /// op clocks are bit-identical between the serial schedule and several
 /// worker-pool widths. LU and BT pipeline their sweeps in column tiles, so
-/// they hand off between ranks the most per step.
+/// they hand off between ranks the most per step. CG on 6 rows splits them
+/// 2/2/1/1, so its halo comes from ranks two away as well.
 #[test]
 fn raw_substrate_op_clocks_match_across_schedulers_and_worker_counts() {
     type Kernel = fn(&mut mpisim::RankCtx) -> Result<f64, mpisim::MpiError>;
-    let kernels: [(&str, Kernel); 3] = [
+    let kernels: [(&str, Kernel); 4] = [
         ("cg", |ctx| npb::cg::run(ctx, &npb::cg::CgConfig { n: 64, iters: 6 })),
+        ("cg thin", |ctx| npb::cg::run(ctx, &npb::cg::CgConfig { n: 6, iters: 6 })),
         ("lu", |ctx| npb::lu::run(ctx, &npb::lu::LuConfig { n: 37, isteps: 4, omega: 1.2 })),
         ("bt", |ctx| {
             npb::bt::run(ctx, &npb::bt::BtConfig { n: 30, steps: 3, lambda: 0.35, kappa: 0.1 })
