@@ -104,14 +104,16 @@ impl<'a> C3Ctx<'a> {
             &mpisim::ReduceOp::Min,
         )?;
         let line: u64 = vec_from_bytes::<u64>(&reduced)[0];
-        if line == 0 {
-            return Ok(ctx); // nothing committed anywhere: restart from scratch
-        }
-        // Discard newer, uncommitted lines; one rank prunes, all wait.
+        // Discard newer versions even when no line survives: a dead
+        // incarnation's commit marker would vouch for this one's rewrite of
+        // its version, mixing two incarnations. One rank prunes, all wait.
         if ctx.mpi.rank() == 0 {
             ctx.store.prune(line, false)?;
         }
         ctx.mpi.barrier(COMM_CTRL)?;
+        if line == 0 {
+            return Ok(ctx); // nothing committed anywhere: restart from scratch
+        }
         ckpt::restore_line(&mut ctx, line)?;
         ctx.exchange_early_registries()?;
         ctx.mode = Mode::Restore;

@@ -216,6 +216,54 @@ fn torn_delta_chain_falls_back_to_last_complete_prefix() {
     assert!(rec.lines[1] >= rec.lines[0], "line regressed across the torn commit");
 }
 
+/// A restart that finds no line committed on every rank starts from
+/// scratch, and must still discard the versions the dead incarnation left
+/// behind: a commit marker surviving from it would vouch for that version
+/// once the new incarnation rewrites part of it, so a later restart could
+/// restore a line mixing two incarnations (seen as HPL chaos plans ending
+/// in `SCHED_DEADLOCK`).
+#[test]
+fn restart_from_scratch_discards_the_dead_incarnations_versions() {
+    fn app(ctx: &mut C3Ctx<'_>) -> Result<u64, C3Error> {
+        let mut iter = match ctx.take_restored_state() {
+            Some(b) => Decoder::new(&b).u64()?,
+            None => 0,
+        };
+        let (me, n) = (ctx.rank(), ctx.nranks());
+        let mut acc = 0u64;
+        while iter < 6 {
+            ctx.pragma(|e: &mut Encoder| e.u64(iter))?;
+            ctx.send((me + 1) % n, 1, &[iter * 7 + me as u64])?;
+            let (v, _) = ctx.recv::<u64>(((me + n - 1) % n) as i32, 1)?;
+            acc = acc.wrapping_mul(31).wrapping_add(v[0]);
+            iter += 1;
+        }
+        Ok(acc)
+    }
+
+    // A finished job commits v1 on both ranks; removing rank 1's marker
+    // leaves the store as a death in rank 1's torn-commit window would.
+    let store = TempStore::new("stale-after-scratch");
+    let cfg = C3Config::at_pragmas(store.path(), vec![2]);
+    let first = Job::new(2, cfg.clone()).run(app).unwrap();
+    std::fs::remove_file(store.path().join("ckpt_v1/rank_1/COMMIT")).unwrap();
+
+    // The restart agrees on line 0. Each rank looks for v1 before its first
+    // send, so before any rank of this incarnation can write v1 again.
+    let v1 = store.path().join("ckpt_v1");
+    let rec = Job::new(2, cfg)
+        .restore()
+        .run(|ctx| {
+            let stale = v1.exists();
+            Ok((stale, app(ctx)?))
+        })
+        .unwrap();
+    for (rank, (stale, acc)) in rec.handle.results.iter().enumerate() {
+        assert!(!stale, "rank {rank} started next to the dead incarnation's v1");
+        assert_eq!(*acc, first.handle.results[rank]);
+    }
+}
+
 /// The store — not the config — decides how a line is restored: a job may
 /// write a delta chain, die, and be restarted under `CkptMode::Full` (or
 /// vice versa) and recovery still works. This is what makes the env-knob
