@@ -1,10 +1,10 @@
 //! `message_path` — records the message-substrate perf trajectory.
 //!
-//! Runs the same scenario families as `benches/message_path.rs` with plain
-//! wall-clock timing, prints a comparison table, and emits
-//! `BENCH_message_path.json` (in the working directory, or under
+//! Times the substrate's hot scenarios (ping-pong, fan-out, mailbox claims
+//! at depth) with plain wall-clock timing, prints a comparison table, and
+//! emits `BENCH_message_path.json` (in the working directory, or under
 //! `$BENCH_OUT_DIR`) so successive PRs accumulate a perf record for the
-//! hottest path in the system.
+//! hottest path in the system. `ci_gate` ratchets a fresh run against it.
 
 use c3_bench::{Align, Table};
 use mpisim::{launch, Envelope, JobSpec, Mailbox, Payload, ANY_SOURCE, ANY_TAG, COMM_WORLD};

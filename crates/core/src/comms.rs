@@ -23,10 +23,9 @@
 //! derived communicators with no additional protocol machinery.
 
 use crate::api::{C3Ctx, C3Error};
-use crate::collectives::Group;
 use crate::registries::StreamKind;
 use crate::Result;
-use mpisim::{BasicType, ReduceOp, Status};
+use mpisim::Status;
 use statesave::codec::{CodecError, Decoder, Encoder};
 use std::collections::BTreeMap;
 
@@ -225,13 +224,13 @@ impl<'a> C3Ctx<'a> {
         COMM_WORLD_HANDLE
     }
 
-    fn comm_entry(&self, c: C3Comm) -> Result<&CommEntry> {
+    pub(crate) fn comm_entry(&self, c: C3Comm) -> Result<&CommEntry> {
         self.comms
             .get(c)
             .ok_or_else(|| C3Error::Protocol(format!("unknown communicator handle {c:?}")))
     }
 
-    fn comm_members(&self, c: C3Comm) -> Result<Vec<usize>> {
+    pub(crate) fn comm_members(&self, c: C3Comm) -> Result<Vec<usize>> {
         let e = self.comm_entry(c)?;
         if e.freed {
             return Err(C3Error::Protocol(format!("communicator {c:?} was freed")));
@@ -277,9 +276,6 @@ impl<'a> C3Ctx<'a> {
         key: i64,
     ) -> Result<Option<C3Comm>> {
         let members = self.comm_members(c)?;
-        let my_local = self
-            .comm_rank(c)?
-            .ok_or_else(|| C3Error::Protocol("split caller must be a member".into()))?;
 
         // Exchange (color, key) across the parent (an allgather on c).
         let mut msg = Encoder::new();
@@ -332,7 +328,6 @@ impl<'a> C3Ctx<'a> {
             children: 0,
             freed: false,
         });
-        let _ = my_local;
         Ok(my_members.map(|_| handle))
     }
 
@@ -408,51 +403,6 @@ impl<'a> C3Ctx<'a> {
             .position(|r| *r == st.src)
             .ok_or_else(|| C3Error::Protocol("message from non-member".into()))?;
         Ok((bytes, st))
-    }
-
-    // ------------------------------------------------------------------
-    // Collectives on a communicator (local-rank ordered): thin wrappers
-    // over the single implementation in `crate::collectives`.
-    // ------------------------------------------------------------------
-
-    /// Members and wire id of `c`, with its next collective-call number.
-    pub(crate) fn coll_group(&mut self, c: C3Comm) -> Result<Group> {
-        let members = self.comm_members(c)?;
-        let wire = self.comm_entry(c)?.wire;
-        Ok(Group { members, wire, call: self.comm_next_call(c)? })
-    }
-
-    /// All-gather over `c` (local-rank order).
-    pub fn allgather_on(&mut self, c: C3Comm, mine: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let g = self.coll_group(c)?;
-        self.allgather_in(&g, mine)
-    }
-
-    /// Barrier over `c`.
-    pub fn barrier_on(&mut self, c: C3Comm) -> Result<()> {
-        self.allgather_on(c, &[]).map(|_| ())
-    }
-
-    /// Broadcast over `c` from local rank `root`.
-    pub fn bcast_on(&mut self, c: C3Comm, root: usize, data: &mut Vec<u8>) -> Result<()> {
-        let g = self.coll_group(c)?;
-        let root = *g
-            .members
-            .get(root)
-            .ok_or_else(|| C3Error::Protocol(format!("no local rank {root} in {c:?}")))?;
-        self.bcast_in(&g, root, data)
-    }
-
-    /// All-reduce over `c` (fold in local-rank order).
-    pub fn allreduce_on(
-        &mut self,
-        c: C3Comm,
-        data: &[u8],
-        ty: BasicType,
-        op: &ReduceOp,
-    ) -> Result<Vec<u8>> {
-        let g = self.coll_group(c)?;
-        self.allreduce_in(&g, data, ty, op)
     }
 }
 

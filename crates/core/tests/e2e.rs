@@ -390,44 +390,76 @@ fn nonblocking_requests_survive_failure() {
     assert_eq!(rec.handle.results, baseline.results);
 }
 
-/// Collectives crossing the recovery line: allreduce + bcast + gather.
-fn collective_app(ctx: &mut C3Ctx<'_>, iters: u64) -> Result<u64, C3Error> {
+/// Collectives crossing the recovery line: allreduce + bcast + gather +
+/// scan, the bcast root rotating. Returns the checksum and this
+/// incarnation's op clock at the top of each iteration it ran.
+fn collective_app(ctx: &mut C3Ctx<'_>, iters: u64) -> Result<(u64, Vec<u64>), C3Error> {
     let mut st = LoopState::restore_or_new(ctx)?;
-    let me = ctx.rank();
+    let (me, n) = (ctx.rank(), ctx.nranks());
+    let mut clocks = Vec::new();
     while st.iter < iters {
+        clocks.push(ctx.mpi().op_clock());
         if me == 0 {
             ctx.pragma(|e| st.save(e))?;
         }
         let sum = ctx.allreduce_u64(st.iter * 3 + me as u64, &mpisim::ReduceOp::Sum)?;
         st.absorb(sum);
-        let mut blob = if me == 1 { (st.iter * 11).to_le_bytes().to_vec() } else { Vec::new() };
-        ctx.bcast(1, &mut blob)?;
+        let root = st.iter as usize % n;
+        let mut blob = if me == root { (st.iter * 11).to_le_bytes().to_vec() } else { Vec::new() };
+        ctx.bcast(root, &mut blob)?;
         st.absorb(u64::from_le_bytes(blob[..8].try_into().unwrap()));
         if let Some(parts) = ctx.gather(0, &[(me as u8) + 1])? {
             for p in parts {
                 st.absorb(p[0] as u64);
             }
         }
+        let x = (st.iter + 1) * (me as u64 + 1);
+        let s = ctx.scan(&x.to_le_bytes(), mpisim::BasicType::U64, &mpisim::ReduceOp::Sum)?;
+        st.absorb(u64::from_le_bytes(s[..8].try_into().unwrap()));
         st.iter += 1;
         if me != 0 {
             ctx.pragma(|e| st.save(e))?;
         }
     }
-    Ok(st.checksum)
+    Ok((st.checksum, clocks))
 }
 
+fn checksums(results: &[(u64, Vec<u64>)]) -> Vec<u64> {
+    results.iter().map(|r| r.0).collect()
+}
+
+/// Five ranks, so the bcast tree is not a power of two. Rank 2 relays every
+/// allreduce's bcast from rank 0 on to rank 3; killing it at each of its
+/// ops through the line-crossing iteration and the next must recover bit
+/// for bit.
 #[test]
 fn collectives_survive_failure_across_line() {
     let st_coll_base_13 = tmp_store("coll-base");
-    let baseline = Job::new(4, C3Config::passive(st_coll_base_13.path()))
+    let baseline = Job::new(5, C3Config::passive(st_coll_base_13.path()))
         .run(|ctx| collective_app(ctx, 8))
         .unwrap();
-    let st_coll_fail_14 = tmp_store("coll-fail");
-    let cfg = C3Config::at_pragmas(st_coll_fail_14.path(), vec![4]);
-    let plan = FailurePlan { rank: 2, when: FailAt::AfterCommits { commits: 1, pragma: 6 } };
-    let rec = Job::new(4, cfg).failure(plan).run(|ctx| collective_app(ctx, 8)).unwrap();
+    let expect = checksums(&baseline.results);
+    let run = |name: &str, when: Option<FailAt>| {
+        let store = tmp_store(name);
+        let job = Job::new(5, C3Config::at_pragmas(store.path(), vec![4]));
+        let job = match when {
+            Some(when) => job.failure(FailurePlan { rank: 2, when }),
+            None => job,
+        };
+        job.run(|ctx| collective_app(ctx, 8)).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let rec = run("coll-fail", Some(FailAt::AfterCommits { commits: 1, pragma: 6 }));
     assert_eq!(rec.restarts, 1);
-    assert_eq!(rec.handle.results, baseline.results);
+    assert_eq!(checksums(&rec.handle.results), expect);
+
+    // Rank 0 initiates at its 4th pragma, the top of iteration 3.
+    let clean = run("coll-clean", None);
+    let clocks = &clean.handle.results[2].1;
+    for k in clocks[3] + 1..=clocks[5] {
+        let rec = run(&format!("coll-op-{k}"), Some(FailAt::Op(k)));
+        assert_eq!(rec.restarts, 1, "op({k})");
+        assert_eq!(checksums(&rec.handle.results), expect, "op({k})");
+    }
 }
 
 #[test]

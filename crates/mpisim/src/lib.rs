@@ -45,7 +45,6 @@ pub mod request;
 pub mod sched;
 pub mod world;
 
-pub use collective::fold_into;
 pub use ctx::RankCtx;
 pub use datatype::{
     BasicType, Datatype, DatatypeHandle, TypeTable, DT_F32, DT_F64, DT_I32, DT_I64, DT_U64, DT_U8,

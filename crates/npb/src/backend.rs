@@ -64,10 +64,14 @@ pub trait Comm {
         Ok(mpisim::vec_from_bytes(&b))
     }
 
-    /// Scalar f64 all-reduce.
-    fn allreduce_f64(&mut self, x: f64, op: Op) -> Result<f64, MpiError>;
-    /// Scalar u64 all-reduce.
-    fn allreduce_u64(&mut self, x: u64, op: Op) -> Result<u64, MpiError>;
+    /// Scalar f64 all-reduce: the one-element vector all-reduce.
+    fn allreduce_f64(&mut self, x: f64, op: Op) -> Result<f64, MpiError> {
+        Ok(self.allreduce_f64_vec(&[x], op)?[0])
+    }
+    /// Scalar u64 all-reduce: the one-element vector all-reduce.
+    fn allreduce_u64(&mut self, x: u64, op: Op) -> Result<u64, MpiError> {
+        Ok(self.allreduce_u64_vec(&[x], op)?[0])
+    }
     /// Vector f64 all-reduce (elementwise).
     fn allreduce_f64_vec(&mut self, xs: &[f64], op: Op) -> Result<Vec<f64>, MpiError>;
     /// Vector u64 all-reduce (elementwise).
@@ -109,44 +113,14 @@ impl Comm for RankCtx {
     fn recv_bytes(&mut self, src: i32, tag: i32) -> Result<(Vec<u8>, Status), MpiError> {
         RankCtx::recv_bytes(self, src, tag, COMM_WORLD)
     }
-    fn allreduce_f64(&mut self, x: f64, op: Op) -> Result<f64, MpiError> {
-        let out = RankCtx::allreduce(
-            self,
-            COMM_WORLD,
-            &x.to_le_bytes(),
-            BasicType::F64,
-            &op.to_reduce(),
-        )?;
-        Ok(f64::from_le_bytes(out[..8].try_into().unwrap()))
-    }
-    fn allreduce_u64(&mut self, x: u64, op: Op) -> Result<u64, MpiError> {
-        let out = RankCtx::allreduce(
-            self,
-            COMM_WORLD,
-            &x.to_le_bytes(),
-            BasicType::U64,
-            &op.to_reduce(),
-        )?;
-        Ok(u64::from_le_bytes(out[..8].try_into().unwrap()))
-    }
     fn allreduce_f64_vec(&mut self, xs: &[f64], op: Op) -> Result<Vec<f64>, MpiError> {
-        let out = RankCtx::allreduce(
-            self,
-            COMM_WORLD,
-            mpisim::bytes_of(xs),
-            BasicType::F64,
-            &op.to_reduce(),
-        )?;
+        let out =
+            self.allreduce(COMM_WORLD, mpisim::bytes_of(xs), BasicType::F64, &op.to_reduce())?;
         Ok(mpisim::vec_from_bytes(&out))
     }
     fn allreduce_u64_vec(&mut self, xs: &[u64], op: Op) -> Result<Vec<u64>, MpiError> {
-        let out = RankCtx::allreduce(
-            self,
-            COMM_WORLD,
-            mpisim::bytes_of(xs),
-            BasicType::U64,
-            &op.to_reduce(),
-        )?;
+        let out =
+            self.allreduce(COMM_WORLD, mpisim::bytes_of(xs), BasicType::U64, &op.to_reduce())?;
         Ok(mpisim::vec_from_bytes(&out))
     }
     fn bcast_bytes(&mut self, root: usize, data: &mut Vec<u8>) -> Result<(), MpiError> {
@@ -184,12 +158,6 @@ impl<'a> Comm for c3::C3Ctx<'a> {
     }
     fn recv_bytes(&mut self, src: i32, tag: i32) -> Result<(Vec<u8>, Status), MpiError> {
         c3::C3Ctx::recv_bytes(self, src, tag).map_err(|e| e.into_mpi())
-    }
-    fn allreduce_f64(&mut self, x: f64, op: Op) -> Result<f64, MpiError> {
-        c3::C3Ctx::allreduce_f64(self, x, &op.to_reduce()).map_err(|e| e.into_mpi())
-    }
-    fn allreduce_u64(&mut self, x: u64, op: Op) -> Result<u64, MpiError> {
-        c3::C3Ctx::allreduce_u64(self, x, &op.to_reduce()).map_err(|e| e.into_mpi())
     }
     fn allreduce_f64_vec(&mut self, xs: &[f64], op: Op) -> Result<Vec<f64>, MpiError> {
         let out = c3::C3Ctx::allreduce(self, mpisim::bytes_of(xs), BasicType::F64, &op.to_reduce())

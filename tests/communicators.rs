@@ -315,3 +315,76 @@ fn allreduce_is_the_sequential_rank_order_fold() {
         }
     }
 }
+
+/// The protocol bcast is the substrate's binomial relay tree: from a
+/// non-zero root, the root sends ⌈log₂ m⌉ streams and the job m−1, on the
+/// world and on a split that reverses the world order. A scan is a chain of
+/// n−1 streams.
+#[test]
+fn bcast_is_a_relay_tree_and_scan_a_chain() {
+    for m in [2usize, 5, 8] {
+        let store = TempStore::new(&format!("relay-tree-{m}"));
+        let out = c3::Job::new(m, C3Config::passive(store.path()))
+            .run(|ctx| {
+                let world = ctx.comm_world();
+                let rev = ctx.comm_split(world, Some(0), -(ctx.rank() as i64))?.expect("member");
+                // (local rank, streams sent) per bcast, then the scan's.
+                let mut sent = Vec::new();
+                for c in [world, rev] {
+                    let local = ctx.comm_rank(c)?.expect("member");
+                    let mut data = if local == 1 { vec![7u8; 3] } else { Vec::new() };
+                    let at = ctx.stats().msgs_sent;
+                    ctx.bcast_on(c, 1, &mut data)?;
+                    sent.push((local, ctx.stats().msgs_sent - at));
+                    assert_eq!(data, vec![7u8; 3]);
+                }
+                let at = ctx.stats().msgs_sent;
+                ctx.scan(&1u64.to_le_bytes(), mpisim::BasicType::U64, &ReduceOp::Sum)?;
+                sent.push((ctx.rank(), ctx.stats().msgs_sent - at));
+                Ok(sent)
+            })
+            .unwrap();
+        let depth = m.next_power_of_two().trailing_zeros() as u64;
+        for (call, what) in ["world bcast", "split bcast", "scan"].iter().enumerate() {
+            let total: u64 = out.results.iter().map(|s| s[call].1).sum();
+            assert_eq!(total, m as u64 - 1, "m={m} {what} total");
+        }
+        for call in 0..2 {
+            let root = out.results.iter().find(|s| s[call].0 == 1).expect("a root");
+            assert_eq!(root[call].1, depth, "m={m} call {call} root");
+        }
+    }
+}
+
+/// A root outside the group is an argument error on both layers, raised
+/// before any stream moves — not an arithmetic panic inside the tree.
+#[test]
+fn rooted_collectives_reject_a_root_past_the_group() {
+    use mpisim::{BasicType, MpiError, COMM_WORLD};
+    let bad = |r: Result<(), MpiError>| matches!(r, Err(MpiError::InvalidArg(_)));
+    let raw = mpisim::launch(&mpisim::JobSpec::new(2), |ctx| {
+        let n = ctx.nranks();
+        Ok([
+            bad(ctx.bcast(COMM_WORLD, n, &mut vec![1])),
+            bad(ctx.gather(COMM_WORLD, n, &[1]).map(drop)),
+            bad(ctx.scatter(COMM_WORLD, n, None).map(drop)),
+            bad(ctx.reduce(COMM_WORLD, n, &[1], BasicType::U8, &ReduceOp::Sum).map(drop)),
+        ])
+    })
+    .unwrap();
+    assert!(raw.results.iter().flatten().all(|ok| *ok), "raw: {:?}", raw.results);
+
+    let store = TempStore::new("root-past-group");
+    let c3 = c3::Job::new(4, C3Config::passive(store.path()))
+        .run(|ctx| {
+            let world = ctx.comm_world();
+            let half = ctx.comm_split(world, Some((ctx.rank() % 2) as i64), 0)?.expect("member");
+            let on_half = ctx.bcast_on(half, 2, &mut vec![1]);
+            let on_world = ctx.bcast(4, &mut vec![1]);
+            // The group still works afterwards: nothing was consumed.
+            ctx.barrier_on(half)?;
+            Ok([on_half, on_world].map(|r| bad(r.map_err(C3Error::into_mpi))))
+        })
+        .unwrap();
+    assert!(c3.results.iter().flatten().all(|ok| *ok), "c3: {:?}", c3.results);
+}
