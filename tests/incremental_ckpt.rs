@@ -10,10 +10,10 @@
 mod util;
 
 use c3::{C3Config, C3Ctx, C3Error, CkptMode, CkptPolicy, FailAt, FailurePlan, Job};
-use mpisim::JobSpec;
+use mpisim::{JobSpec, SchedMode};
 use proptest::prelude::*;
 use statesave::codec::{Decoder, Encoder};
-use statesave::{DirtyTracker, IncrementalSaver};
+use statesave::{CkptStore, DirtyTracker, IncrementalSaver};
 use std::collections::BTreeMap;
 use util::TempStore;
 
@@ -359,4 +359,72 @@ fn mg_deltas_write_fewer_bytes_than_full() {
         incr_line * 2 < full_line,
         "incremental line bytes not under half of full: {incr_line} vs {full_line}"
     );
+}
+
+// ====================================================================
+// The bytes themselves: pinned per version, rank and section
+// ====================================================================
+
+/// Every section a version can hold: the seven line sections of a full
+/// checkpoint, the single `delta` section of an incremental one, and the
+/// commit-time `late` log.
+const SECTIONS: [&str; 9] =
+    ["app", "heap", "vars", "mpi", "tables", "comms", "early", "delta", "late"];
+
+/// Run CG on 4 ranks on one worker, checkpointing every 3rd pragma, and
+/// return an FNV-1a digest over (version, rank, section, bytes) of every
+/// committed section left in the store, the number of those sections, and
+/// the job's total `ckpt_line_bytes`.
+fn cg_ckpt_digest(tag: &str, mode: CkptMode) -> (u64, usize, u64) {
+    let spec = JobSpec::new(4).sched(SchedMode::EventDriven { workers: 1 });
+    let cfg = npb::cg::CgConfig { n: 96, iters: 8 };
+    let store = TempStore::new(tag);
+    let c3cfg = C3Config { ckpt_mode: mode, ..full_cfg(&store, 3) };
+    let rec = Job::from_spec(&spec, c3cfg)
+        .run(move |ctx| {
+            npb::cg::run(ctx, &cfg).map_err(C3Error::Mpi)?;
+            Ok(ctx.stats().ckpt_line_bytes)
+        })
+        .unwrap();
+    let line_bytes = rec.handle.results.iter().sum();
+
+    let ckpts = CkptStore::new(store.path()).unwrap();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut sections = 0;
+    for v in ckpts.versions() {
+        for rank in 0..4 {
+            if !ckpts.is_committed(v, rank) {
+                continue;
+            }
+            for name in SECTIONS {
+                if !ckpts.has_section(v, rank, name) {
+                    continue;
+                }
+                let bytes = ckpts.read_section(v, rank, name).unwrap();
+                feed(&v.to_le_bytes());
+                feed(&(rank as u64).to_le_bytes());
+                feed(name.as_bytes());
+                feed(&(bytes.len() as u64).to_le_bytes());
+                feed(&bytes);
+                sections += 1;
+            }
+        }
+    }
+    (h, sections, line_bytes)
+}
+
+/// The checkpoint bytes of a serial-schedule CG job, full and incremental,
+/// are pinned: a change to how sections are encoded or buffered must write
+/// exactly the same files.
+#[test]
+fn cg_checkpoint_bytes_are_pinned() {
+    let full = cg_ckpt_digest("pin-full", CkptMode::Full);
+    let incr = cg_ckpt_digest("pin-incr", CkptMode::Incremental { every_n: 2 });
+    assert_eq!(full, (13_811_892_749_072_345_069, 64, 7296));
+    assert_eq!(incr, (918_188_839_604_230_842, 16, 6967));
 }
