@@ -17,9 +17,8 @@
 //! |          | plan shrinking and `BENCH_recovery.json` restart stats    |
 //!
 //! Each binary prints our measured rows next to the paper's reported rows.
-//! Criterion microbenchmarks under `benches/` cover the design-choice
-//! ablations (piggyback encoding, logging phase split, registry operations, codec throughput, checkpoint writing,
-//! end-to-end per-operation protocol overhead).
+//! `message_path` times the substrate and protocol hot paths per operation,
+//! and `ci_gate` runs the repository's full check.
 
 pub mod paper;
 pub mod report;

@@ -85,17 +85,7 @@ fn put_line(ctx: &mut C3Ctx<'_>, version: u64, name: &str, bytes: &[u8]) -> Resu
     put(ctx, version, name, bytes)
 }
 
-/// Write one section from a pooled encoder and return its buffer to the
-/// scratch pool — the steady-state checkpoint path allocates nothing once
-/// the first checkpoint has sized the pool's buffers.
-fn put_pooled(ctx: &mut C3Ctx<'_>, version: u64, name: &str, e: Encoder) -> Result<()> {
-    put(ctx, version, name, e.as_bytes())?;
-    e.recycle();
-    Ok(())
-}
-
-/// Write the recovery-line sections. Every section encodes into a buffer
-/// leased from `statesave::memmgr`'s scratch pool.
+/// Write the recovery-line sections.
 ///
 /// In [`crate::CkptMode::Full`] each section is its own store file; in
 /// incremental mode the sections are fed through the dirty tracker and a
@@ -105,25 +95,25 @@ pub(crate) fn write_line_sections(
     version: u64,
     app_state: Vec<u8>,
 ) -> Result<()> {
-    let mut heap_e = Encoder::pooled();
+    let mut heap_e = Encoder::new();
     ctx.heap.save(&mut heap_e);
-    let mut vars_e = Encoder::pooled();
+    let mut vars_e = Encoder::new();
     ctx.vars.save(&mut vars_e);
-    let mut mpi_e = Encoder::pooled();
+    let mut mpi_e = Encoder::new();
     mpi_e.u64(ctx.rank() as u64);
     mpi_e.u64(ctx.nranks() as u64);
     mpi_e.u64(ctx.epoch);
     mpi_e.save(&ctx.attached_buffer.map(|b| b as u64));
     ctx.counters.save(&mut mpi_e);
-    let mut tables_e = Encoder::pooled();
+    let mut tables_e = Encoder::new();
     ctx.tables.save(&mut tables_e);
-    let mut comms_e = Encoder::pooled();
+    let mut comms_e = Encoder::new();
     ctx.comms.save(&mut comms_e);
-    let mut early_e = Encoder::pooled();
+    let mut early_e = Encoder::new();
     ctx.early.save(&mut early_e);
 
     let encs = [heap_e, vars_e, mpi_e, tables_e, comms_e, early_e];
-    let res = if ctx.incr.is_some() {
+    if ctx.incr.is_some() {
         let mut sections: Vec<(&str, &[u8])> = Vec::with_capacity(LINE_SECTIONS.len());
         sections.push((LINE_SECTIONS[0], &app_state));
         for (name, e) in LINE_SECTIONS[1..].iter().zip(&encs) {
@@ -132,26 +122,17 @@ pub(crate) fn write_line_sections(
         write_delta_line(ctx, version, &sections)
     } else {
         ctx.stats.ckpt_bases += 1;
-        put_line(ctx, version, LINE_SECTIONS[0], &app_state).and_then(|()| {
-            for (name, e) in LINE_SECTIONS[1..].iter().zip(&encs) {
-                let bytes = e.as_bytes();
-                ctx.stats.ckpt_line_bytes += bytes.len() as u64;
-                put(ctx, version, name, bytes)?;
-            }
-            Ok(())
-        })
-    };
-    statesave::scratch().give_back(app_state);
-    for e in encs {
-        e.recycle();
+        put_line(ctx, version, LINE_SECTIONS[0], &app_state)?;
+        for (name, e) in LINE_SECTIONS[1..].iter().zip(&encs) {
+            put_line(ctx, version, name, e.as_bytes())?;
+        }
+        Ok(())
     }
-    res
 }
 
 /// Write one incremental line: advance the chain (base every `every_n`
-/// commits, delta otherwise), encode the [`Delta`], plane-compress it
-/// through a scratch-pool buffer, and store it behind its chain's base
-/// version as the single `delta` section.
+/// commits, delta otherwise), encode the [`Delta`], plane-compress it, and
+/// store it behind its chain's base version as the single `delta` section.
 fn write_delta_line(ctx: &mut C3Ctx<'_>, version: u64, sections: &[(&str, &[u8])]) -> Result<()> {
     let incr = ctx.incr.as_mut().expect("write_delta_line requires incremental mode");
     let is_base = incr.chain_len == 0 || incr.chain_len >= incr.every_n;
@@ -170,17 +151,15 @@ fn write_delta_line(ctx: &mut C3Ctx<'_>, version: u64, sections: &[(&str, &[u8])
         ctx.stats.ckpt_deltas += 1;
     }
 
-    let mut body = Encoder::pooled();
+    let mut body = Encoder::new();
     delta.save(&mut body);
-    let mut packed = statesave::scratch().lease();
+    let mut packed = Vec::new();
     statesave::plane_compress(body.as_bytes(), &mut packed);
-    body.recycle();
-    let mut e = Encoder::pooled();
+    let mut e = Encoder::new();
     e.u64(base_version);
     e.bytes(&packed);
-    statesave::scratch().give_back(packed);
     ctx.stats.ckpt_line_bytes += e.as_bytes().len() as u64;
-    put_pooled(ctx, version, DELTA_SECTION, e)
+    put(ctx, version, DELTA_SECTION, e.as_bytes())
 }
 
 /// Read and decode the `delta` section of one version: (base version of
@@ -230,10 +209,10 @@ fn restore_delta_sections(ctx: &mut C3Ctx<'_>, version: u64) -> Result<BTreeMap<
 
 /// Write the commit sections and the commit marker.
 pub(crate) fn write_commit_sections(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
-    let mut e = Encoder::pooled();
+    let mut e = Encoder::new();
     ctx.replay.save(&mut e);
     ctx.reqs.save(ctx.line_next_req, &mut e);
-    put_pooled(ctx, version, "late", e)?;
+    put(ctx, version, "late", e.as_bytes())?;
     // The torn-commit crash window: the late log is on disk, the commit
     // marker is not. A `DuringCommit` fault kills the rank exactly here;
     // recovery must then come from the previous fully committed line.

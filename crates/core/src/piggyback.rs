@@ -85,20 +85,6 @@ pub fn sender_epoch(receiver_epoch: u64, sender_color: u8) -> u64 {
     }
 }
 
-/// The naive full encoding (epoch as u64 + mode byte) used by the
-/// `piggyback` ablation benchmark: 9 bytes instead of 3 bits.
-pub fn encode_full(pig: PigData) -> [u8; 9] {
-    let mut out = [0u8; 9];
-    out[..8].copy_from_slice(&pig.epoch.to_le_bytes());
-    out[8] = pig.logging as u8;
-    out
-}
-
-/// Decode the full encoding.
-pub fn decode_full(b: &[u8; 9]) -> PigData {
-    PigData { epoch: u64::from_le_bytes(b[..8].try_into().unwrap()), logging: b[8] != 0 }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,12 +127,6 @@ mod tests {
         let p2 = PigData { epoch: 7, logging: false };
         let (_, l2) = decode(encode(p2));
         assert!(!l2);
-    }
-
-    #[test]
-    fn full_encoding_roundtrip() {
-        let p = PigData { epoch: u64::MAX - 5, logging: true };
-        assert_eq!(decode_full(&encode_full(p)), p);
     }
 
     #[test]

@@ -265,7 +265,7 @@ impl<'a> C3Ctx<'a> {
     // ==================================================================
 
     /// Protocol-wrapped send of one logical stream (`chkpt_MPI_Send`).
-    /// Copies `payload` once into a pool-leased buffer; use
+    /// Copies `payload` once into a fresh buffer; use
     /// [`C3Ctx::stream_send_payload`] (or build the payload once and clone
     /// it) when the same bytes fan out to several destinations.
     pub(crate) fn stream_send(
@@ -275,8 +275,7 @@ impl<'a> C3Ctx<'a> {
         kind: StreamKind,
         payload: &[u8],
     ) -> Result<()> {
-        let p = self.mpi.network().pool().payload_from(payload);
-        self.stream_send_payload(dst, comm, kind, p)
+        self.stream_send_payload(dst, comm, kind, Payload::from(payload))
     }
 
     /// Protocol-wrapped zero-copy send of one logical stream: the payload
@@ -858,9 +857,7 @@ impl<'a> C3Ctx<'a> {
         let since_last = self.mpi.vtime().saturating_sub(self.last_ckpt_ns);
         let force = policy_applies && self.cfg.policy.wants(self.pragma_count, since_last);
         if force || self.ci.any(self.epoch + 1) {
-            // Pooled: the buffer is returned to the scratch pool after the
-            // `app` section is written (see `ckpt::write_line_sections`).
-            let mut enc = Encoder::pooled();
+            let mut enc = Encoder::new();
             save(&mut enc);
             self.start_checkpoint(enc.finish())?;
             return Ok(true);

@@ -1,7 +1,7 @@
 //! The per-rank handle to the substrate: point-to-point operations,
 //! request management, datatype/op tables, virtual time.
 
-use crate::datatype::{DatatypeHandle, TypeTable};
+use crate::datatype::TypeTable;
 use crate::envelope::Envelope;
 use crate::error::{MpiError, Result};
 use crate::network::Network;
@@ -150,7 +150,7 @@ impl RankCtx {
     /// Send raw bytes to `dst` with full control over communicator and the
     /// protocol piggyback byte. Standard-mode buffered: completes locally.
     ///
-    /// Copies `payload` once into a pool-leased buffer (the caller keeps its
+    /// Copies `payload` once into a fresh buffer (the caller keeps its
     /// slice). For copy-free sends, use [`RankCtx::send_owned`] or
     /// [`RankCtx::send_payload`].
     pub fn send_bytes(
@@ -161,15 +161,12 @@ impl RankCtx {
         piggyback: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let p = self.net.pool().payload_from(payload);
-        self.send_payload(dst, tag, comm, piggyback, p)
+        self.send_payload(dst, tag, comm, piggyback, Payload::from(payload))
     }
 
     /// Send an owned buffer: ownership transfers into the substrate with
-    /// zero copies. The buffer is attached to the world's pool (it recycles
-    /// when the last reference drops) and the payload header comes from the
-    /// pool's shell freelist, so a steady-state `send_owned`/`recv_bytes`
-    /// loop touches the allocator not at all.
+    /// zero copies, and a sole receiver takes the same allocation back out
+    /// through [`RankCtx::recv_bytes`].
     pub fn send_owned(
         &mut self,
         dst: Rank,
@@ -178,8 +175,7 @@ impl RankCtx {
         piggyback: u8,
         payload: Vec<u8>,
     ) -> Result<()> {
-        let p = self.net.pool().payload_from_vec(payload);
-        self.send_payload(dst, tag, comm, piggyback, p)
+        self.send_payload(dst, tag, comm, piggyback, Payload::from_vec(payload))
     }
 
     /// Send a [`Payload`] view: the zero-copy primitive every other send
@@ -224,34 +220,6 @@ impl RankCtx {
         self.send_bytes(dst, tag, COMM_WORLD, 0, pod::bytes_of(data))
     }
 
-    /// Send `count` elements of derived datatype `dt` gathered from `buf`.
-    ///
-    /// Datatypes whose layout is identical to the raw buffer (contiguous,
-    /// hole-free, in-order) skip `pack()` entirely: the user buffer is
-    /// borrowed directly into the pooled send path, avoiding the
-    /// intermediate packed vector.
-    #[allow(clippy::too_many_arguments)] // mirrors MPI_Send's argument list
-    pub fn send_dt(
-        &mut self,
-        dst: Rank,
-        tag: Tag,
-        comm: CommId,
-        piggyback: u8,
-        buf: &[u8],
-        count: usize,
-        dt: DatatypeHandle,
-    ) -> Result<()> {
-        if let Some(extent) = self.types.identity_span(dt)? {
-            let need = count * extent;
-            if need > buf.len() {
-                return Err(MpiError::Truncated { expected: buf.len(), got: need });
-            }
-            return self.send_bytes(dst, tag, comm, piggyback, &buf[..need]);
-        }
-        let packed = self.types.pack(buf, count, dt)?;
-        self.send_owned(dst, tag, comm, piggyback, packed)
-    }
-
     /// Blocking receive of raw bytes matching `(src, tag, comm)` (wildcards
     /// allowed). Returns the payload and status (which carries the sender's
     /// piggyback byte). Zero-copy when this rank holds the only reference to
@@ -273,22 +241,6 @@ impl RankCtx {
     pub fn recv<T: Pod>(&mut self, src: i32, tag: Tag) -> Result<(Vec<T>, Status)> {
         let (bytes, st) = self.recv_bytes(src, tag, COMM_WORLD)?;
         Ok((pod::vec_from_bytes(&bytes), st))
-    }
-
-    /// Blocking receive scattering `count` elements of datatype `dt` into
-    /// `buf`.
-    pub fn recv_dt(
-        &mut self,
-        src: i32,
-        tag: Tag,
-        comm: CommId,
-        buf: &mut [u8],
-        count: usize,
-        dt: DatatypeHandle,
-    ) -> Result<Status> {
-        let (bytes, st) = self.recv_bytes(src, tag, comm)?;
-        self.types.unpack(&bytes, buf, count, dt)?;
-        Ok(st)
     }
 
     /// Non-blocking claim: receive a matching message only if one has
@@ -472,16 +424,6 @@ impl RankCtx {
         Ok(out)
     }
 
-    /// Cancel a pending receive request (recovery-time rollback, §4.1).
-    pub fn cancel(&mut self, req: ReqId) -> bool {
-        self.reqs.cancel(req)
-    }
-
-    /// Number of live (uncollected) requests — diagnostics.
-    pub fn live_requests(&self) -> usize {
-        self.reqs.live()
-    }
-
     fn finish(&mut self, st: Status, env: Option<Envelope>) -> (Status, Option<Vec<u8>>) {
         let (st, payload) = self.finish_view(st, env);
         (st, payload.map(Payload::into_vec))
@@ -535,7 +477,7 @@ mod tests {
         let n = 8;
         let net = Arc::new(Network::new(&JobSpec::new(n)));
         let mut tx = RankCtx::new(0, Arc::clone(&net));
-        let payload = net.pool().payload_from(&[7u8; 4096]);
+        let payload = Payload::from_vec(vec![7u8; 4096]);
         let ptr = payload.ptr();
         for dst in 1..n {
             tx.send_payload(dst, 1, COMM_WORLD, 0, payload.clone()).unwrap();
@@ -549,20 +491,6 @@ mod tests {
         }
         // All mailbox references released; the sole handle remains.
         assert_eq!(payload.ref_count(), 1);
-    }
-
-    #[test]
-    fn pooled_send_buffers_are_recycled() {
-        let (mut tx, mut rx) = pair();
-        for i in 0..16 {
-            tx.send_bytes(1, 1, COMM_WORLD, 0, &[i as u8; 2000]).unwrap();
-            // Receive as a view and drop it: the pooled buffer returns.
-            let (p, _) = rx.recv_payload(ANY_SOURCE, 1, COMM_WORLD).unwrap();
-            assert_eq!(p[0], i as u8);
-        }
-        let (hits, misses, recycled) = tx.network().pool().stats();
-        assert!(hits >= 15, "expected lease reuse, got hits={hits} misses={misses}");
-        assert!(recycled >= 15);
     }
 
     #[test]
@@ -608,33 +536,5 @@ mod tests {
         assert_eq!(solo.op_clock(), 1);
         solo.set_fail_at_op(Some(2));
         assert_eq!(solo.bcast(COMM_WORLD, 0, &mut data).unwrap_err(), MpiError::Aborted);
-    }
-
-    #[test]
-    fn contiguous_datatype_send_skips_pack() {
-        let (mut tx, mut rx) = pair();
-        let c = tx
-            .types
-            .commit(crate::Datatype::Contiguous { count: 4, child: crate::DT_F64 })
-            .unwrap();
-        assert_eq!(tx.types.identity_span(c).unwrap(), Some(32));
-        let data: Vec<f64> = (0..8).map(|x| x as f64).collect();
-        tx.send_dt(1, 2, COMM_WORLD, 0, pod::bytes_of(&data), 2, c).unwrap();
-        let (bytes, _) = rx.recv_bytes(0, 2, COMM_WORLD).unwrap();
-        assert_eq!(pod::vec_from_bytes::<f64>(&bytes), data);
-        // A strided (non-identity) type still packs correctly.
-        let v = tx
-            .types
-            .commit(crate::Datatype::Vector {
-                count: 2,
-                blocklen: 1,
-                stride: 2,
-                child: crate::DT_F64,
-            })
-            .unwrap();
-        assert_eq!(tx.types.identity_span(v).unwrap(), None);
-        tx.send_dt(1, 2, COMM_WORLD, 0, pod::bytes_of(&data), 1, v).unwrap();
-        let (bytes, _) = rx.recv_bytes(0, 2, COMM_WORLD).unwrap();
-        assert_eq!(pod::vec_from_bytes::<f64>(&bytes), vec![0.0, 2.0]);
     }
 }

@@ -271,60 +271,6 @@ impl TypeTable {
         })
     }
 
-    /// If packing one element of `h` is the identity transformation — the
-    /// traversal copies bytes `base..base+extent` in order, with no holes
-    /// and no permutation — return that extent. Such types need no `pack()`
-    /// at all: the send path borrows the user buffer directly.
-    ///
-    /// Conservative: returns `Ok(None)` for any layout it cannot prove
-    /// dense-and-in-order (those go through the regular pack path).
-    pub fn identity_span(&self, h: DatatypeHandle) -> Result<Option<usize>> {
-        self.get(h)?; // user-facing: freed handles are invalid
-        self.identity_span_inner(h)
-    }
-
-    fn identity_span_inner(&self, h: DatatypeHandle) -> Result<Option<usize>> {
-        Ok(match self.get_internal(h)? {
-            Datatype::Basic(b) => Some(b.size()),
-            Datatype::Contiguous { count, child } => {
-                self.identity_span_inner(*child)?.map(|s| count * s)
-            }
-            Datatype::Vector { count, blocklen, stride, child } => {
-                match self.identity_span_inner(*child)? {
-                    Some(s) if *count <= 1 || *stride == *blocklen => Some(count * blocklen * s),
-                    _ => None,
-                }
-            }
-            Datatype::Indexed { blocks, child } => {
-                let Some(s) = self.identity_span_inner(*child)? else { return Ok(None) };
-                let mut expected = 0usize;
-                for (disp, blocklen) in blocks {
-                    if *disp != expected {
-                        return Ok(None);
-                    }
-                    expected += blocklen;
-                }
-                Some(expected * s)
-            }
-            Datatype::Struct { fields, extent } => {
-                let extent = *extent;
-                let mut expected = 0usize;
-                for (off, count, child) in fields {
-                    let Some(s) = self.identity_span_inner(*child)? else { return Ok(None) };
-                    // The field's pack placement uses the child *extent*; an
-                    // identity child has extent == span, so in-order tiling
-                    // means each field starts exactly where the previous
-                    // ended.
-                    if *off != expected {
-                        return Ok(None);
-                    }
-                    expected += count * s;
-                }
-                (expected == extent).then_some(extent)
-            }
-        })
-    }
-
     /// Gather `count` elements of type `h` from `buf` into a dense byte
     /// string. Used by sends with non-contiguous layouts and by the protocol
     /// layer's message logging (§4.2: "the datatype hierarchy is recursively

@@ -57,7 +57,7 @@ pub use op::{
     apply_op, lookup_named_op, register_named_op, OpHandle, OpTable, ReduceOp, UserOpFn, OP_MAX,
     OP_MIN, OP_PROD, OP_SUM,
 };
-pub use payload::{BufferPool, Lease, Payload};
+pub use payload::Payload;
 pub use pod::{bytes_of, bytes_of_mut, copy_to_slice, vec_from_bytes, Pod};
 pub use request::{ReqId, Status};
 pub use sched::SchedMode;

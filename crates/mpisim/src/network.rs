@@ -13,7 +13,6 @@
 use crate::envelope::Envelope;
 use crate::error::MpiError;
 use crate::mailbox::Mailbox;
-use crate::payload::BufferPool;
 use crate::sched::{Parked, Sched};
 use crate::world::JobSpec;
 use crate::Rank;
@@ -472,8 +471,6 @@ pub struct Network {
     progress: AtomicU64,
     poisoned: AtomicBool,
     poison_reason: Mutex<Option<String>>,
-    /// The world's shared send-buffer pool (see [`BufferPool`]).
-    pool: Arc<BufferPool>,
     /// Total application messages injected (diagnostics).
     pub msgs_sent: AtomicU64,
     /// Total application bytes injected (diagnostics).
@@ -536,7 +533,6 @@ impl Network {
             progress: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             poison_reason: Mutex::new(None),
-            pool: BufferPool::new(),
             msgs_sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
             msgs_dropped: AtomicU64::new(0),
@@ -564,11 +560,6 @@ impl Network {
     /// The mailbox of `rank`.
     pub fn mailbox(&self, rank: Rank) -> &Mailbox {
         &self.mailboxes[rank]
-    }
-
-    /// The world's shared send-buffer pool.
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
     }
 
     /// Send an envelope through the pipeline `inject → reorder → deliver`.
@@ -1034,8 +1025,7 @@ mod tests {
         }
         net.flush_reorder();
         let (mut last0, mut last1, mut n) = (None, None, 0);
-        loop {
-            let Some(e) = net.mailbox(1).try_claim(0, crate::ANY_TAG, COMM_WORLD) else { break };
+        while let Some(e) = net.mailbox(1).try_claim(0, crate::ANY_TAG, COMM_WORLD) {
             let last = if e.tag == 0 { &mut last0 } else { &mut last1 };
             if let Some(prev) = *last {
                 assert!(e.seq > prev, "tag {} FIFO violated: {} after {prev}", e.tag, e.seq);

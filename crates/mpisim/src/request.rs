@@ -85,7 +85,7 @@ impl RequestTable {
         self.posted.retain(|id| {
             let (src, tag, comm) = match self.slots.get(id) {
                 Some(ReqState::RecvPending { src, tag, comm }) => (*src, *tag, *comm),
-                _ => return false, // cancelled/overwritten: drop from queue
+                _ => return false, // no longer pending: drop from queue
             };
             if guard.is_empty() {
                 return true;
@@ -131,25 +131,6 @@ impl RequestTable {
                 }
             }
         }
-    }
-
-    /// Cancel a pending receive (drops it). Completed requests cannot be
-    /// cancelled. Used by the protocol layer on recovery when rolling the
-    /// request table back to the recovery line.
-    pub fn cancel(&mut self, id: ReqId) -> bool {
-        match self.slots.get(&id.0) {
-            Some(ReqState::RecvPending { .. }) => {
-                self.slots.remove(&id.0);
-                // posted queue entry is lazily dropped in progress()
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Number of live (uncollected) requests.
-    pub fn live(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -203,19 +184,6 @@ mod tests {
         let (st, env) = rt.take(r).unwrap();
         assert_eq!(st.bytes, 64);
         assert!(env.is_none());
-    }
-
-    #[test]
-    fn cancel_pending_only() {
-        let mb = Mailbox::new();
-        let mut rt = RequestTable::new();
-        let r = rt.add_recv(0, 1, COMM_WORLD);
-        assert!(rt.cancel(r));
-        assert!(rt.is_done(r).is_none());
-        // A message that would have matched stays in the mailbox.
-        mb.deliver(env(0, 1, 0));
-        rt.progress(&mb);
-        assert_eq!(mb.len(), 1);
     }
 
     #[test]

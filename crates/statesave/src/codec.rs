@@ -26,9 +26,8 @@ impl std::error::Error for CodecError {}
 /// Decode result alias.
 pub type Result<T> = std::result::Result<T, CodecError>;
 
-/// Binary encoder. Append values, then [`Encoder::finish`] (or, on the
-/// checkpoint hot path, [`Encoder::as_bytes`] + [`Encoder::recycle`] to
-/// return the buffer to the scratch pool).
+/// Binary encoder. Append values, then [`Encoder::finish`] (or borrow the
+/// bytes with [`Encoder::as_bytes`]).
 #[derive(Default, Debug)]
 pub struct Encoder {
     buf: Vec<u8>,
@@ -40,22 +39,9 @@ impl Encoder {
         Self::default()
     }
 
-    /// An encoder writing into a buffer leased from the process-wide
-    /// checkpoint scratch pool ([`crate::memmgr::scratch`]). Pair with
-    /// [`Encoder::recycle`] so the steady-state checkpoint path stops
-    /// allocating.
-    pub fn pooled() -> Self {
-        Encoder { buf: crate::memmgr::scratch().lease() }
-    }
-
     /// The encoded bytes so far, without consuming the encoder.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
-    }
-
-    /// Return the buffer to the scratch pool for the next checkpoint.
-    pub fn recycle(self) {
-        crate::memmgr::scratch().give_back(self.buf);
     }
 
     /// Bytes written so far.

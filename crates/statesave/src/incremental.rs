@@ -374,8 +374,7 @@ impl DirtyTracker {
 /// bytes; `c >= 0x80` repeats the next byte `c - 0x80 + 3` times (runs of
 /// 3–130). Worst-case expansion is 1/128; zero-heavy grid state (the common
 /// checkpoint payload) compresses by an order of magnitude. Output is
-/// appended to `dst` so callers can lease the buffer from
-/// [`crate::memmgr::scratch`].
+/// appended to `dst`.
 pub fn rle_compress(src: &[u8], dst: &mut Vec<u8>) {
     let mut i = 0;
     let mut lit_start = 0;

@@ -37,7 +37,7 @@ pub use incremental::{
     plane_compress, plane_decompress, rle_compress, rle_decompress, Delta, DirtyTracker,
     IncrementalSaver, DEFAULT_CHUNK_SIZE,
 };
-pub use memmgr::{scratch, CkptHeap, ObjId, ScratchPool};
+pub use memmgr::{CkptHeap, ObjId};
 pub use registry::{TypeCode, VarDesc, VariableRegistry};
 pub use slc::SlcCheckpointer;
 pub use store::{CkptStore, TempStore};

@@ -15,57 +15,6 @@
 
 use crate::codec::{CodecError, Decoder, Encoder};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
-
-/// A bounded pool of reusable scratch buffers for checkpoint encoding.
-///
-/// Checkpoints are periodic and bursty: every recovery line encodes several
-/// sections (heap, vars, tables, comms, registries) back to back, and under
-/// the paper's configuration #2 the bytes are assembled but never leave the
-/// process. Growing a fresh `Vec` per section per checkpoint puts the
-/// allocator on the critical path; leasing from this pool makes the steady
-/// state allocation-free once the first checkpoint has sized the buffers.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    stack: Mutex<Vec<Vec<u8>>>,
-}
-
-/// Maximum buffers the scratch pool retains.
-const SCRATCH_DEPTH: usize = 16;
-
-impl ScratchPool {
-    /// Lease a cleared buffer (LIFO: reuses the most recently returned one,
-    /// which in the steady checkpoint cycle is the same section's buffer
-    /// from the previous round, already sized right).
-    pub fn lease(&self) -> Vec<u8> {
-        let mut v = self.stack.lock().unwrap_or_else(|e| e.into_inner()).pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// Return a buffer to the pool (dropped if the pool is full).
-    pub fn give_back(&self, buf: Vec<u8>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let mut s = self.stack.lock().unwrap_or_else(|e| e.into_inner());
-        if s.len() < SCRATCH_DEPTH {
-            s.push(buf);
-        }
-    }
-
-    /// Number of buffers currently retained (tests / diagnostics).
-    pub fn retained(&self) -> usize {
-        self.stack.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-}
-
-/// The process-wide checkpoint scratch pool ([`Encoder::pooled`] leases from
-/// here).
-pub fn scratch() -> &'static ScratchPool {
-    static POOL: OnceLock<ScratchPool> = OnceLock::new();
-    POOL.get_or_init(ScratchPool::default)
-}
 
 /// Stable identifier of a heap object (the address stand-in).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -191,40 +140,6 @@ impl CkptHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pooled_encoder_reuses_scratch_buffers() {
-        // Local pool (the global one is shared across tests).
-        let pool = ScratchPool::default();
-        let mut a = pool.lease();
-        a.extend_from_slice(&[1, 2, 3]);
-        let cap = a.capacity();
-        let ptr = a.as_ptr();
-        pool.give_back(a);
-        assert_eq!(pool.retained(), 1);
-        let b = pool.lease();
-        assert!(b.is_empty(), "leased buffer must be cleared");
-        assert_eq!(b.as_ptr(), ptr, "lease must reuse the returned buffer");
-        assert_eq!(b.capacity(), cap);
-        assert_eq!(pool.retained(), 0);
-    }
-
-    #[test]
-    fn global_pooled_encoder_roundtrip() {
-        let mut e = Encoder::pooled();
-        e.u64(7);
-        e.bytes(b"hello");
-        let snapshot = e.as_bytes().to_vec();
-        e.recycle();
-        let mut d = Decoder::new(&snapshot);
-        assert_eq!(d.u64().unwrap(), 7);
-        assert_eq!(d.bytes().unwrap(), b"hello");
-        // The next pooled encoder starts empty even though the buffer may be
-        // the recycled one.
-        let e2 = Encoder::pooled();
-        assert!(e2.is_empty());
-        e2.recycle();
-    }
 
     #[test]
     fn alloc_free_accounting() {
