@@ -279,7 +279,7 @@ impl<'a> C3Ctx<'a> {
     }
 
     /// Protocol-wrapped zero-copy send of one logical stream: the payload
-    /// view transfers (or shares) its buffer without copying. All protocol
+    /// transfers (or shares) its buffer without copying. All protocol
     /// bookkeeping — suppression during restore, piggyback stamping,
     /// counters — is identical to [`C3Ctx::stream_send`].
     pub(crate) fn stream_send_payload(

@@ -178,7 +178,7 @@ impl RankCtx {
         self.send_payload(dst, tag, comm, piggyback, Payload::from_vec(payload))
     }
 
-    /// Send a [`Payload`] view: the zero-copy primitive every other send
+    /// Send a [`Payload`]: the zero-copy primitive every other send
     /// path lowers to. Cloning the payload before the call lets one buffer
     /// fan out to many destinations (bcast, allgather).
     pub fn send_payload(
@@ -229,8 +229,8 @@ impl RankCtx {
         Ok((payload.into_vec(), st))
     }
 
-    /// Blocking receive returning the shared [`Payload`] view directly —
-    /// lets callers slice framing bytes off without materializing a vector.
+    /// Blocking receive returning the shared [`Payload`] directly, without
+    /// materializing a vector.
     pub fn recv_payload(&mut self, src: i32, tag: Tag, comm: CommId) -> Result<(Payload, Status)> {
         let req = self.irecv_bytes(src, tag, comm)?;
         let (st, payload) = self.wait_payload_view(req)?;
@@ -345,7 +345,7 @@ impl RankCtx {
     }
 
     /// Block until a request completes; consume it, returning the shared
-    /// payload view for receives.
+    /// payload for receives.
     pub fn wait_payload_view(&mut self, req: ReqId) -> Result<(Status, Option<Payload>)> {
         self.tick_op()?;
         loop {

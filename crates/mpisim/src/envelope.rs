@@ -33,7 +33,7 @@ impl Signature {
 
 /// A message in flight or in a mailbox.
 ///
-/// Cloning an envelope is cheap: the payload is a ref-counted view, so a
+/// Cloning an envelope is cheap: the payload is a ref-counted buffer, so a
 /// broadcast fan-out shares one buffer across every destination's envelope.
 #[derive(Clone, Debug)]
 pub struct Envelope {
@@ -56,7 +56,7 @@ pub struct Envelope {
     pub piggyback: u8,
     /// Virtual departure time (ns) under the cluster model.
     pub depart_vt: u64,
-    /// The (packed) message payload — a shared, zero-copy view.
+    /// The (packed) message payload — a shared, zero-copy buffer.
     pub payload: Payload,
 }
 

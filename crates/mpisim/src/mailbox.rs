@@ -260,7 +260,7 @@ impl MailboxGuard<'_> {
     }
 
     /// All queued envelopes in global arrival order (diagnostics / tests).
-    /// Envelope clones are cheap: payloads are ref-counted views.
+    /// Envelope clones are cheap: payloads are ref-counted buffers.
     pub fn snapshot_arrival_order(&self) -> Vec<Envelope> {
         let mut all: Vec<&Stamped> = self.inner.queues.values().flatten().collect();
         all.sort_by_key(|s| s.arrival);
