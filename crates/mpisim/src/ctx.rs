@@ -349,10 +349,11 @@ impl RankCtx {
     pub fn wait_payload_view(&mut self, req: ReqId) -> Result<(Status, Option<Payload>)> {
         self.tick_op()?;
         loop {
-            self.check_abort()?;
-            // Epoch before progress: a delivery that lands after the check
-            // bumps the epoch and aborts the park (lost-wakeup guard).
+            // Epoch before the poison check and progress: a poison or a
+            // delivery that lands after either check bumps the epoch and
+            // aborts the park (lost-wakeup guard).
             let seen = self.net.park_epoch(self.rank);
+            self.check_abort()?;
             self.reqs.progress(self.net.mailbox(self.rank));
             match self.reqs.is_done(req) {
                 None => return Err(MpiError::InvalidArg(format!("unknown request {req:?}"))),
@@ -375,8 +376,8 @@ impl RankCtx {
         }
         self.tick_op()?;
         loop {
-            self.check_abort()?;
             let seen = self.net.park_epoch(self.rank);
+            self.check_abort()?;
             self.reqs.progress(self.net.mailbox(self.rank));
             for (i, r) in reqs.iter().enumerate() {
                 if self.reqs.is_done(*r) == Some(true) {
@@ -397,8 +398,8 @@ impl RankCtx {
         }
         self.tick_op()?;
         loop {
-            self.check_abort()?;
             let seen = self.net.park_epoch(self.rank);
+            self.check_abort()?;
             self.reqs.progress(self.net.mailbox(self.rank));
             let mut out = Vec::new();
             for (i, r) in reqs.iter().enumerate() {
