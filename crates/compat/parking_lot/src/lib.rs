@@ -2,16 +2,14 @@
 //!
 //! The build environment has no route to a crates registry, so the workspace
 //! pins `parking_lot` to this shim, which implements exactly the surface the
-//! codebase uses — `Mutex`, `RwLock`, `Condvar::wait`/`wait_for` — over
-//! `std::sync`.
+//! codebase uses — `Mutex` and `Condvar::wait` — over `std::sync`.
 //! Differences from std that matter here and are reproduced faithfully:
 //! no lock poisoning (a panic while holding a lock does not wedge other
 //! threads), `const fn new` for use in statics, and guard types usable with
-//! `Condvar::wait_for` by `&mut` reference.
+//! `Condvar::wait` by `&mut` reference.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::time::Duration;
 
 /// Mutual exclusion primitive (std-backed, poisoning ignored).
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
@@ -55,9 +53,9 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 
 /// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    // Option so Condvar::wait_for can temporarily take the std guard out
-    // while re-blocking, then put it back — parking_lot's wait_for takes the
-    // guard by &mut, std's wait_timeout by value.
+    // Option so Condvar::wait can temporarily take the std guard out while
+    // re-blocking, then put it back — parking_lot's wait takes the guard by
+    // &mut, std's by value.
     inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
@@ -71,17 +69,6 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.inner.as_mut().expect("guard present")
-    }
-}
-
-/// Result of a timed condition-variable wait.
-#[derive(Clone, Copy, Debug)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// True if the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
     }
 }
 
@@ -110,21 +97,6 @@ impl Condvar {
         let inner = self.0.wait(inner).unwrap_or_else(|e| e.into_inner());
         guard.inner = Some(inner);
     }
-
-    /// Block on the condvar until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.inner.take().expect("guard present");
-        let (inner, res) = match self.0.wait_timeout(inner, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(e) => e.into_inner(),
-        };
-        guard.inner = Some(inner);
-        WaitTimeoutResult(res.timed_out())
-    }
 }
 
 impl Default for Condvar {
@@ -138,45 +110,6 @@ impl fmt::Debug for Condvar {
         f.write_str("Condvar")
     }
 }
-
-/// Reader-writer lock (std-backed, poisoning ignored).
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Create a new rwlock (usable in `static` initializers).
-    pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read lock.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquire an exclusive write lock.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-/// Shared read guard for [`RwLock`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-/// Exclusive write guard for [`RwLock`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
 
 #[cfg(test)]
 mod tests {
@@ -194,27 +127,10 @@ mod tests {
         });
         let mut g = m.lock();
         while *g != 7 {
-            let _ = cv.wait_for(&mut g, Duration::from_millis(50));
+            cv.wait(&mut g);
         }
         assert_eq!(*g, 7);
         drop(g);
         t.join().unwrap();
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let r = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(r.timed_out());
-    }
-
-    #[test]
-    fn rwlock_read_write() {
-        static CELL: RwLock<Option<u32>> = RwLock::new(None);
-        assert!(CELL.read().is_none());
-        *CELL.write() = Some(3);
-        assert_eq!(*CELL.read(), Some(3));
     }
 }

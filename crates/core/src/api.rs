@@ -10,7 +10,6 @@ use crate::counters::Counters;
 use crate::mode::Mode;
 use crate::registries::{EarlyRegistry, ReplayLog, WasEarlyRegistry};
 use crate::requests::C3ReqTable;
-use crate::tables::HandleTables;
 use mpisim::{MpiError, RankCtx};
 use statesave::{CkptHeap, CkptStore, VariableRegistry};
 use std::path::PathBuf;
@@ -276,8 +275,6 @@ pub struct C3Ctx<'a> {
     pub(crate) was_early: WasEarlyRegistry,
     /// Request indirection table.
     pub(crate) reqs: C3ReqTable,
-    /// Datatype/op handle tables.
-    pub(crate) tables: HandleTables,
     /// Communicator indirection table (§4.4 extension).
     pub(crate) comms: crate::comms::CommTable,
     /// Checkpoint store.
@@ -346,7 +343,10 @@ impl<'a> C3Ctx<'a> {
         &self.stats
     }
 
-    /// Direct access to the substrate (virtual time, compute accounting).
+    /// Direct access to the substrate (virtual time, compute accounting,
+    /// the datatype table). Every derived type committed in `types`, for
+    /// example an `Indexed` or `Struct` one, is checkpointed with each line
+    /// and recreated at its handle on recovery (§4.2).
     pub fn mpi(&mut self) -> &mut RankCtx {
         self.mpi
     }

@@ -10,7 +10,7 @@
 //! | `vars`   | the variable-description registry                           |
 //! | `mpi`    | rank, nranks, epoch, attached buffers,                      |
 //! |          | message counters                                            |
-//! | `tables` | datatype recipes + reduction-op names                       |
+//! | `tables` | derived datatypes: handle, definition, freed flag           |
 //! | `comms`  | communicator recipes, members, wires, call counters (§4.4)  |
 //! | `early`  | the Early-Message-Registry                                  |
 //!
@@ -27,9 +27,9 @@
 use crate::api::{C3Ctx, C3Error};
 use crate::registries::{EarlyRegistry, ReplayLog};
 use crate::requests::C3ReqTable;
-use crate::tables::HandleTables;
 use crate::Result;
-use statesave::codec::{Decoder, Encoder};
+use mpisim::{Datatype, DatatypeHandle, TypeTable};
+use statesave::codec::{CodecError, Decoder, Encoder};
 use statesave::incremental::Delta;
 use statesave::{CkptHeap, DirtyTracker, IncrementalSaver, VariableRegistry};
 use std::collections::BTreeMap;
@@ -106,7 +106,7 @@ pub(crate) fn write_line_sections(
     mpi_e.save(&ctx.attached_buffer.map(|b| b as u64));
     ctx.counters.save(&mut mpi_e);
     let mut tables_e = Encoder::new();
-    ctx.tables.save(&mut tables_e);
+    save_types(&ctx.mpi.types, &mut tables_e);
     let mut comms_e = Encoder::new();
     ctx.comms.save(&mut comms_e);
     let mut early_e = Encoder::new();
@@ -276,7 +276,7 @@ pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
     ctx.counters = crate::counters::Counters::load(&mut d)?;
 
     let tables = sec("tables")?;
-    ctx.tables = HandleTables::load(&mut Decoder::new(&tables), ctx.mpi)?;
+    load_types(&mut Decoder::new(&tables), &mut ctx.mpi.types)?;
 
     let comms = sec("comms")?;
     ctx.comms = crate::comms::CommTable::load(&mut Decoder::new(&comms))?;
@@ -294,4 +294,111 @@ pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
 
     debug_assert_eq!(ctx.epoch, version, "checkpoint version equals its epoch");
     Ok(())
+}
+
+/// Write the `tables` section (§4.2, Fig. 5): every retained derived type
+/// of the substrate's table, in ascending handle order, as handle,
+/// definition and freed flag. Definitions use discriminants 0–3 in
+/// [`Datatype`]'s variant order after `Basic`, which is never derived.
+fn save_types(types: &TypeTable, e: &mut Encoder) {
+    let derived: Vec<_> = types.derived().collect();
+    e.u64(derived.len() as u64);
+    for (h, dt, freed) in derived {
+        e.u32(h.0);
+        match dt {
+            Datatype::Basic(_) => unreachable!("basic datatypes are predefined"),
+            Datatype::Contiguous { count, child } => {
+                e.u8(0);
+                e.usize(*count);
+                e.u32(child.0);
+            }
+            Datatype::Vector { count, blocklen, stride, child } => {
+                e.u8(1);
+                e.usize(*count);
+                e.usize(*blocklen);
+                e.usize(*stride);
+                e.u32(child.0);
+            }
+            Datatype::Indexed { blocks, child } => {
+                e.u8(2);
+                e.save(blocks);
+                e.u32(child.0);
+            }
+            Datatype::Struct { fields, extent } => {
+                e.u8(3);
+                e.u64(fields.len() as u64);
+                for (off, count, child) in fields {
+                    e.usize(*off);
+                    e.usize(*count);
+                    e.u32(child.0);
+                }
+                e.usize(*extent);
+            }
+        }
+        e.bool(freed);
+    }
+}
+
+/// Reload a `tables` section into a fresh substrate table: commit every
+/// entry at its handle (children precede parents), then free the freed
+/// ones again, each still referenced by a retained parent.
+fn load_types(d: &mut Decoder<'_>, types: &mut TypeTable) -> Result<()> {
+    let rebuild = |e: mpisim::MpiError| CodecError(format!("datatype rebuild failed: {e}"));
+    let n = d.u64()?;
+    let mut freed = Vec::new();
+    for _ in 0..n {
+        let h = DatatypeHandle(d.u32()?);
+        let dt = match d.u8()? {
+            0 => Datatype::Contiguous { count: d.usize()?, child: DatatypeHandle(d.u32()?) },
+            1 => Datatype::Vector {
+                count: d.usize()?,
+                blocklen: d.usize()?,
+                stride: d.usize()?,
+                child: DatatypeHandle(d.u32()?),
+            },
+            2 => Datatype::Indexed { blocks: d.load()?, child: DatatypeHandle(d.u32()?) },
+            3 => {
+                let nfields = d.u64()?;
+                let mut fields = Vec::new();
+                for _ in 0..nfields {
+                    fields.push((d.usize()?, d.usize()?, DatatypeHandle(d.u32()?)));
+                }
+                Datatype::Struct { fields, extent: d.usize()? }
+            }
+            k => return Err(CodecError(format!("bad datatype discriminant {k}")).into()),
+        };
+        if d.bool()? {
+            freed.push(h);
+        }
+        types.commit_at(h, dt).map_err(rebuild)?;
+    }
+    for h in freed {
+        types.free(h).map_err(rebuild)?;
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpisim::DT_F64;
+
+    #[test]
+    fn tables_section_recreates_handles_and_frees_again() {
+        let mut t = TypeTable::new();
+        let inner = t.commit(Datatype::Contiguous { count: 4, child: DT_F64 }).unwrap();
+        let outer = t.commit(Datatype::Struct { fields: vec![(0, 1, inner)], extent: 40 }).unwrap();
+        t.free(inner).unwrap();
+        let mut e = Encoder::new();
+        save_types(&t, &mut e);
+
+        let mut t2 = TypeTable::new();
+        load_types(&mut Decoder::new(e.as_bytes()), &mut t2).unwrap();
+        // Same handles, same layouts; the freed intermediate is freed again.
+        assert_eq!(t2.derived().count(), 2);
+        assert!(t2.get(inner).is_err());
+        assert_eq!(t2.type_size(outer).unwrap(), 32);
+        let again: Vec<_> = t2.derived().collect();
+        assert_eq!(again, t.derived().collect::<Vec<_>>());
+    }
 }

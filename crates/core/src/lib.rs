@@ -29,9 +29,11 @@
 //!   initiator, no barrier (§4.5);
 //! * advanced MPI features are covered: non-blocking requests through an
 //!   indirection table with test counters (§4.1), hierarchical datatypes
-//!   through a recipe table (§4.2), and collectives decomposed into logical
-//!   streams with the protocol applied per stream (§4.3) — `MPI_Reduce` is
-//!   performed as a gather plus root-side fold exactly as in the paper.
+//!   by checkpointing the substrate's type table (§4.2; reduction ops are
+//!   passed by value with every call, so there is no op table to save),
+//!   and collectives decomposed into logical streams with the protocol
+//!   applied per stream (§4.3) — `MPI_Reduce` is performed as a gather
+//!   plus root-side fold exactly as in the paper.
 //!
 //! State saving (paper §5) is delegated to the `statesave` crate; the
 //! fail-stop fault model and whole-job restart live in [`failure`].
@@ -51,7 +53,6 @@ pub mod piggyback;
 pub mod protocol;
 pub mod registries;
 pub mod requests;
-pub mod tables;
 pub mod topo;
 
 pub use api::{C3Config, C3Ctx, C3Error, C3Stats, CkptMode, CkptPolicy};

@@ -10,11 +10,10 @@ use crate::mode::Mode;
 use crate::piggyback::{self, MsgClass, PigData};
 use crate::registries::{EarlyRegistry, ReplayLog, StreamKind, StreamSig, WasEarlyRegistry};
 use crate::requests::{C3Req, C3ReqKind, C3ReqTable, NondetEvent};
-use crate::tables::HandleTables;
 use crate::Result;
 use mpisim::{
-    bytes_of, vec_from_bytes, CommId, DatatypeHandle, MpiError, Payload, Pod, RankCtx, Status,
-    ANY_SOURCE, ANY_TAG, COMM_CTRL, COMM_WORLD,
+    bytes_of, vec_from_bytes, CommId, Datatype, DatatypeHandle, MpiError, Payload, Pod, RankCtx,
+    Status, ANY_SOURCE, ANY_TAG, COMM_CTRL, COMM_WORLD,
 };
 use statesave::codec::Encoder;
 use statesave::{CkptHeap, CkptStore, VariableRegistry};
@@ -68,7 +67,6 @@ impl<'a> C3Ctx<'a> {
             early: EarlyRegistry::new(),
             was_early: WasEarlyRegistry::new(),
             reqs: C3ReqTable::new(),
-            tables: HandleTables::new(),
             comms: crate::comms::CommTable::new(n),
             store,
             heap: CkptHeap::new(),
@@ -461,20 +459,15 @@ impl<'a> C3Ctx<'a> {
         Ok((vec_from_bytes(&bytes), st))
     }
 
-    /// Create a contiguous derived datatype (§4.2). The recipe is recorded
-    /// in the handle table and recreated on recovery; the handle value is
-    /// stable across restarts.
+    /// Create a contiguous derived datatype (§4.2). The substrate's type
+    /// table is checkpointed with every line and recreated on recovery, so
+    /// the handle value is stable across restarts.
     pub fn type_contiguous(
         &mut self,
         count: usize,
         child: DatatypeHandle,
     ) -> Result<DatatypeHandle> {
-        self.tables
-            .create_datatype(
-                self.mpi,
-                crate::tables::DtRecipe::Contiguous { count, child: child.0 },
-            )
-            .map_err(C3Error::Mpi)
+        Ok(self.mpi.types.commit(Datatype::Contiguous { count, child })?)
     }
 
     /// Create a strided-vector derived datatype (§4.2).
@@ -485,21 +478,15 @@ impl<'a> C3Ctx<'a> {
         stride: usize,
         child: DatatypeHandle,
     ) -> Result<DatatypeHandle> {
-        self.tables
-            .create_datatype(
-                self.mpi,
-                crate::tables::DtRecipe::Vector { count, blocklen, stride, child: child.0 },
-            )
-            .map_err(C3Error::Mpi)
+        Ok(self.mpi.types.commit(Datatype::Vector { count, blocklen, stride, child })?)
     }
 
-    /// Free a derived datatype. The table entry is retained until every
-    /// dependent type is freed too, so recovery can rebuild the hierarchy;
-    /// the substrate type is released immediately (§4.2: "even though the
-    /// table entry is kept around, the actual MPI datatype is being
-    /// deleted").
+    /// Free a derived datatype. The handle is invalid at once; the
+    /// substrate keeps its definition, and checkpoints it, until every
+    /// type built from it is freed too, so recovery can rebuild the
+    /// hierarchy (§4.2).
     pub fn type_free(&mut self, dt: DatatypeHandle) -> Result<()> {
-        self.tables.free_datatype(self.mpi, dt).map_err(C3Error::Mpi)
+        Ok(self.mpi.types.free(dt)?)
     }
 
     /// Blocking receive scattering `count` elements of `dt` into `buf`.
@@ -876,8 +863,8 @@ impl<'a> C3Ctx<'a> {
         let ci_counts = self.counters.start_checkpoint();
         self.line_next_req = self.reqs.next_id();
         self.reqs.reset_period();
-        // Save application state, basic MPI state, handle tables, and the
-        // Early-Message-Registry.
+        // Save application state, basic MPI state, the datatype table, and
+        // the Early-Message-Registry.
         ckpt::write_line_sections(self, version, app_state)?;
         self.early.clear();
         // Send Checkpoint-Initiated to every node Q with Sent-Count[Q].

@@ -1,11 +1,10 @@
 //! The per-rank handle to the substrate: point-to-point operations,
-//! request management, datatype/op tables, virtual time.
+//! request management, the datatype table, virtual time.
 
 use crate::datatype::TypeTable;
 use crate::envelope::Envelope;
 use crate::error::{MpiError, Result};
 use crate::network::Network;
-use crate::op::OpTable;
 use crate::payload::Payload;
 use crate::pod::{self, Pod};
 use crate::request::{ReqId, RequestTable, Status};
@@ -22,8 +21,6 @@ pub struct RankCtx {
     pub(crate) reqs: RequestTable,
     /// Committed datatypes of this rank.
     pub types: TypeTable,
-    /// Reduction operations of this rank.
-    pub ops: OpTable,
     /// Per-destination send sequence numbers (FIFO bookkeeping).
     send_seq: Vec<u64>,
     /// Per-communicator collective call counters (collectives match by call
@@ -54,7 +51,6 @@ impl RankCtx {
             net,
             reqs: RequestTable::new(),
             types: TypeTable::new(),
-            ops: OpTable::new(),
             send_seq: vec![0; nranks],
             coll_seq: HashMap::new(),
             vclock: 0,

@@ -2,17 +2,18 @@
 //!
 //! Datatypes describe (possibly non-contiguous) memory layouts. They are
 //! built hierarchically — contiguous/vector/indexed/struct constructors take
-//! previously committed types — exactly the structure the paper's protocol
-//! layer must record and rebuild on recovery (§4.2). The substrate keeps a
-//! per-rank [`TypeTable`]; the protocol layer keeps its own indirection table
-//! with creation recipes on top of it.
+//! previously committed types. Each rank's [`TypeTable`] is the one record
+//! of its derived types: a protocol layer checkpoints its derived entries
+//! (handle, definition, freed flag) and recreates them on recovery at the
+//! same handles (paper §4.2), as `MPI_Type_get_envelope`/
+//! `MPI_Type_get_contents` let a layer over a real MPI read a type back.
 //!
 //! `pack` gathers the typed regions of a buffer into a dense byte string
 //! (used both for sending and for the protocol's message logging of
 //! non-contiguous payloads); `unpack` scatters a dense byte string back.
 
 use crate::error::{MpiError, Result};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// Primitive element types.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -34,31 +35,6 @@ impl BasicType {
             BasicType::I32 | BasicType::F32 => 4,
             BasicType::I64 | BasicType::U64 | BasicType::F64 => 8,
         }
-    }
-
-    /// Stable numeric id used by checkpoint encodings.
-    pub fn code(self) -> u8 {
-        match self {
-            BasicType::U8 => 0,
-            BasicType::I32 => 1,
-            BasicType::I64 => 2,
-            BasicType::U64 => 3,
-            BasicType::F32 => 4,
-            BasicType::F64 => 5,
-        }
-    }
-
-    /// Inverse of [`BasicType::code`].
-    pub fn from_code(c: u8) -> Option<BasicType> {
-        Some(match c {
-            0 => BasicType::U8,
-            1 => BasicType::I32,
-            2 => BasicType::I64,
-            3 => BasicType::U64,
-            4 => BasicType::F32,
-            5 => BasicType::F64,
-            _ => return None,
-        })
     }
 }
 
@@ -103,18 +79,38 @@ pub enum Datatype {
     Struct { fields: Vec<(usize, usize, DatatypeHandle)>, extent: usize },
 }
 
+impl Datatype {
+    /// The handles this definition is built from.
+    fn children(&self) -> Vec<DatatypeHandle> {
+        match self {
+            Datatype::Basic(_) => Vec::new(),
+            Datatype::Contiguous { child, .. }
+            | Datatype::Vector { child, .. }
+            | Datatype::Indexed { child, .. } => vec![*child],
+            Datatype::Struct { fields, .. } => fields.iter().map(|f| f.2).collect(),
+        }
+    }
+}
+
+/// A committed type and whether the user has freed its handle.
+#[derive(Debug)]
+struct Entry {
+    dt: Datatype,
+    freed: bool,
+}
+
 /// A rank-local table of committed datatypes.
 ///
 /// Handle values are assigned monotonically and never reused, so a restored
 /// protocol layer can rebuild the table with identical handles.
+///
+/// Retention (§4.2): as in MPI, a committed type is self-contained, so
+/// freeing a child must not break parents built from it. `free` invalidates
+/// the handle for user operations at once but keeps the definition while a
+/// retained definition references it; the last such free cascades it away.
 #[derive(Debug)]
 pub struct TypeTable {
-    entries: HashMap<u32, Datatype>,
-    /// Handles freed by the user. As in MPI, a committed type is
-    /// self-contained: freeing a child must not break parents built from it,
-    /// so definitions are retained internally; only the *handle* becomes
-    /// invalid for user operations.
-    freed: std::collections::HashSet<u32>,
+    entries: BTreeMap<u32, Entry>,
     next: u32,
 }
 
@@ -127,14 +123,19 @@ impl Default for TypeTable {
 impl TypeTable {
     /// Create a table pre-populated with the basic types.
     pub fn new() -> Self {
-        let mut entries = HashMap::new();
-        entries.insert(DT_U8.0, Datatype::Basic(BasicType::U8));
-        entries.insert(DT_I32.0, Datatype::Basic(BasicType::I32));
-        entries.insert(DT_I64.0, Datatype::Basic(BasicType::I64));
-        entries.insert(DT_U64.0, Datatype::Basic(BasicType::U64));
-        entries.insert(DT_F32.0, Datatype::Basic(BasicType::F32));
-        entries.insert(DT_F64.0, Datatype::Basic(BasicType::F64));
-        TypeTable { entries, freed: std::collections::HashSet::new(), next: NUM_BASIC }
+        let basics = [
+            BasicType::U8,
+            BasicType::I32,
+            BasicType::I64,
+            BasicType::U64,
+            BasicType::F32,
+            BasicType::F64,
+        ];
+        let entries = (0..)
+            .zip(basics)
+            .map(|(h, b)| (h, Entry { dt: Datatype::Basic(b), freed: false }))
+            .collect();
+        TypeTable { entries, next: NUM_BASIC }
     }
 
     /// Commit a new datatype, returning its handle.
@@ -142,7 +143,7 @@ impl TypeTable {
         self.validate(&dt)?;
         let h = DatatypeHandle(self.next);
         self.next += 1;
-        self.entries.insert(h.0, dt);
+        self.entries.insert(h.0, Entry { dt, freed: false });
         Ok(h)
     }
 
@@ -150,39 +151,46 @@ impl TypeTable {
     /// layer on recovery so that restored handles match the original run.
     pub fn commit_at(&mut self, h: DatatypeHandle, dt: Datatype) -> Result<()> {
         self.validate(&dt)?;
-        if self.entries.contains_key(&h.0) && !self.freed.contains(&h.0) {
+        if self.entries.contains_key(&h.0) {
             return Err(MpiError::InvalidArg(format!("handle {h:?} already committed")));
         }
-        self.freed.remove(&h.0);
-        self.entries.insert(h.0, dt);
+        self.entries.insert(h.0, Entry { dt, freed: false });
         self.next = self.next.max(h.0 + 1);
         Ok(())
     }
 
-    /// Free a datatype. Basic types cannot be freed. Note that, as in MPI,
-    /// freeing a parent type that other committed types reference is the
-    /// caller's responsibility to avoid; the protocol layer's indirection
-    /// table tracks dependents (§4.2) and only frees when safe.
+    /// Free a datatype. Basic types cannot be freed. The definition stays
+    /// while retained definitions reference it; definitions freed earlier
+    /// that nothing retained references any more are dropped too.
     pub fn free(&mut self, h: DatatypeHandle) -> Result<()> {
         if h.0 < NUM_BASIC {
             return Err(MpiError::InvalidArg("cannot free a basic datatype".into()));
         }
-        if !self.entries.contains_key(&h.0) || self.freed.contains(&h.0) {
-            return Err(MpiError::InvalidArg(format!("unknown datatype handle {h:?}")));
+        match self.entries.get_mut(&h.0) {
+            Some(e) if !e.freed => e.freed = true,
+            _ => return Err(MpiError::InvalidArg(format!("unknown datatype handle {h:?}"))),
         }
-        self.freed.insert(h.0);
-        Ok(())
+        loop {
+            let referenced: HashSet<DatatypeHandle> =
+                self.entries.values().flat_map(|e| e.dt.children()).collect();
+            let before = self.entries.len();
+            self.entries.retain(|h, e| !e.freed || referenced.contains(&DatatypeHandle(*h)));
+            if self.entries.len() == before {
+                return Ok(());
+            }
+        }
     }
 
     /// Look up a handle. Freed handles are invalid for user operations even
-    /// though their definitions are retained internally.
+    /// though their definitions may be retained.
     pub fn get(&self, h: DatatypeHandle) -> Result<&Datatype> {
-        if self.freed.contains(&h.0) {
-            return Err(MpiError::InvalidArg(format!("datatype handle {h:?} was freed")));
+        match self.entries.get(&h.0) {
+            Some(e) if e.freed => {
+                Err(MpiError::InvalidArg(format!("datatype handle {h:?} was freed")))
+            }
+            Some(e) => Ok(&e.dt),
+            None => Err(MpiError::InvalidArg(format!("unknown datatype handle {h:?}"))),
         }
-        self.entries
-            .get(&h.0)
-            .ok_or_else(|| MpiError::InvalidArg(format!("unknown datatype handle {h:?}")))
     }
 
     /// Internal lookup that resolves retained definitions of freed handles
@@ -190,38 +198,28 @@ impl TypeTable {
     fn get_internal(&self, h: DatatypeHandle) -> Result<&Datatype> {
         self.entries
             .get(&h.0)
+            .map(|e| &e.dt)
             .ok_or_else(|| MpiError::InvalidArg(format!("unknown datatype handle {h:?}")))
     }
 
-    /// Number of committed (non-freed) entries, including the basics.
-    pub fn len(&self) -> usize {
-        self.entries.len() - self.freed.len()
+    /// Every retained derived type in ascending handle order — children
+    /// before parents — as (handle, definition, freed flag): the record a
+    /// protocol layer checkpoints and replays with [`TypeTable::commit_at`]
+    /// then [`TypeTable::free`].
+    pub fn derived(&self) -> impl Iterator<Item = (DatatypeHandle, &Datatype, bool)> {
+        self.entries.range(NUM_BASIC..).map(|(h, e)| (DatatypeHandle(*h), &e.dt, e.freed))
     }
 
-    /// True if only the basic types are committed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == NUM_BASIC as usize
-    }
-
+    /// Basic types are predefined; a derived type's children must be
+    /// committed and not freed.
     fn validate(&self, dt: &Datatype) -> Result<()> {
-        let check = |h: &DatatypeHandle| -> Result<()> {
-            if self.entries.contains_key(&h.0) {
-                Ok(())
-            } else {
-                Err(MpiError::InvalidArg(format!("child handle {h:?} not committed")))
-            }
-        };
-        match dt {
-            Datatype::Basic(_) => Ok(()),
-            Datatype::Contiguous { child, .. } | Datatype::Vector { child, .. } => check(child),
-            Datatype::Indexed { child, .. } => check(child),
-            Datatype::Struct { fields, .. } => {
-                for (_, _, c) in fields {
-                    check(c)?;
-                }
-                Ok(())
-            }
+        if let Datatype::Basic(_) = dt {
+            return Err(MpiError::InvalidArg("basic datatypes are predefined".into()));
         }
+        for c in dt.children() {
+            self.get(c)?;
+        }
+        Ok(())
     }
 
     /// The number of bytes of *data* in one element of `h` (sum of all basic
@@ -278,60 +276,10 @@ impl TypeTable {
     pub fn pack(&self, buf: &[u8], count: usize, h: DatatypeHandle) -> Result<Vec<u8>> {
         self.get(h)?;
         let mut out = Vec::with_capacity(count * self.type_size(h)?);
-        let extent = self.type_extent(h)?;
-        for i in 0..count {
-            self.pack_one(buf, i * extent, h, &mut out)?;
-        }
+        self.for_each_piece(count, h, buf.len(), &mut |off, len| {
+            out.extend_from_slice(&buf[off..off + len])
+        })?;
         Ok(out)
-    }
-
-    fn pack_one(
-        &self,
-        buf: &[u8],
-        base: usize,
-        h: DatatypeHandle,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        match self.get_internal(h)?.clone() {
-            Datatype::Basic(b) => {
-                let end = base + b.size();
-                if end > buf.len() {
-                    return Err(MpiError::Truncated { expected: buf.len(), got: end });
-                }
-                out.extend_from_slice(&buf[base..end]);
-            }
-            Datatype::Contiguous { count, child } => {
-                let ce = self.type_extent(child)?;
-                for i in 0..count {
-                    self.pack_one(buf, base + i * ce, child, out)?;
-                }
-            }
-            Datatype::Vector { count, blocklen, stride, child } => {
-                let ce = self.type_extent(child)?;
-                for blk in 0..count {
-                    for j in 0..blocklen {
-                        self.pack_one(buf, base + (blk * stride + j) * ce, child, out)?;
-                    }
-                }
-            }
-            Datatype::Indexed { blocks, child } => {
-                let ce = self.type_extent(child)?;
-                for (disp, blocklen) in blocks {
-                    for j in 0..blocklen {
-                        self.pack_one(buf, base + (disp + j) * ce, child, out)?;
-                    }
-                }
-            }
-            Datatype::Struct { fields, .. } => {
-                for (off, count, child) in fields {
-                    let ce = self.type_extent(child)?;
-                    for j in 0..count {
-                        self.pack_one(buf, base + off + j * ce, child, out)?;
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Scatter a dense byte string produced by [`TypeTable::pack`] back into
@@ -348,61 +296,80 @@ impl TypeTable {
         if packed.len() != need {
             return Err(MpiError::Truncated { expected: need, got: packed.len() });
         }
+        let mut pos = 0;
+        let buf_len = buf.len();
+        self.for_each_piece(count, h, buf_len, &mut |off, len| {
+            buf[off..off + len].copy_from_slice(&packed[pos..pos + len]);
+            pos += len;
+        })
+    }
+
+    /// Visit the byte range `(offset, len)` of every basic element of
+    /// `count` elements of `h` in a buffer of `buf_len` bytes, in pack
+    /// order — the one traversal behind `pack` and `unpack`.
+    fn for_each_piece(
+        &self,
+        count: usize,
+        h: DatatypeHandle,
+        buf_len: usize,
+        visit: &mut impl FnMut(usize, usize),
+    ) -> Result<()> {
         let extent = self.type_extent(h)?;
-        let mut pos = 0usize;
         for i in 0..count {
-            self.unpack_one(packed, &mut pos, buf, i * extent, h)?;
+            self.walk(h, i * extent, buf_len, visit)?;
         }
         Ok(())
     }
 
-    fn unpack_one(
+    fn walk(
         &self,
-        packed: &[u8],
-        pos: &mut usize,
-        buf: &mut [u8],
-        base: usize,
         h: DatatypeHandle,
+        base: usize,
+        buf_len: usize,
+        visit: &mut impl FnMut(usize, usize),
     ) -> Result<()> {
-        match self.get_internal(h)?.clone() {
+        match self.get_internal(h)? {
             Datatype::Basic(b) => {
-                let sz = b.size();
-                let end = base + sz;
-                if end > buf.len() {
-                    return Err(MpiError::Truncated { expected: buf.len(), got: end });
+                let end = base + b.size();
+                if end > buf_len {
+                    return Err(MpiError::Truncated { expected: buf_len, got: end });
                 }
-                buf[base..end].copy_from_slice(&packed[*pos..*pos + sz]);
-                *pos += sz;
+                visit(base, b.size());
+                Ok(())
             }
             Datatype::Contiguous { count, child } => {
-                let ce = self.type_extent(child)?;
-                for i in 0..count {
-                    self.unpack_one(packed, pos, buf, base + i * ce, child)?;
-                }
+                self.walk_blocks(*child, base, [(0, *count)], buf_len, visit)
             }
             Datatype::Vector { count, blocklen, stride, child } => {
-                let ce = self.type_extent(child)?;
-                for blk in 0..count {
-                    for j in 0..blocklen {
-                        self.unpack_one(packed, pos, buf, base + (blk * stride + j) * ce, child)?;
-                    }
-                }
+                let blocks = (0..*count).map(|blk| (blk * stride, *blocklen));
+                self.walk_blocks(*child, base, blocks, buf_len, visit)
             }
             Datatype::Indexed { blocks, child } => {
-                let ce = self.type_extent(child)?;
-                for (disp, blocklen) in blocks {
-                    for j in 0..blocklen {
-                        self.unpack_one(packed, pos, buf, base + (disp + j) * ce, child)?;
-                    }
-                }
+                self.walk_blocks(*child, base, blocks.iter().copied(), buf_len, visit)
             }
             Datatype::Struct { fields, .. } => {
-                for (off, count, child) in fields {
-                    let ce = self.type_extent(child)?;
-                    for j in 0..count {
-                        self.unpack_one(packed, pos, buf, base + off + j * ce, child)?;
-                    }
+                for &(off, count, child) in fields {
+                    self.walk_blocks(child, base + off, [(0, count)], buf_len, visit)?;
                 }
+                Ok(())
+            }
+        }
+    }
+
+    /// Walk `blocklen` consecutive `child` elements at each
+    /// `(displacement, blocklen)`, displacements in child extents.
+    fn walk_blocks(
+        &self,
+        child: DatatypeHandle,
+        base: usize,
+        blocks: impl IntoIterator<Item = (usize, usize)>,
+        buf_len: usize,
+        visit: &mut impl FnMut(usize, usize),
+    ) -> Result<()> {
+        let ce = self.type_extent(child)?;
+        for (disp, blocklen) in blocks {
+            for j in 0..blocklen {
+                self.walk(child, base + (disp + j) * ce, buf_len, visit)?;
             }
         }
         Ok(())
@@ -505,7 +472,43 @@ mod tests {
         let c = t.commit(Datatype::Contiguous { count: 1, child: DT_U8 }).unwrap();
         t.free(c).unwrap();
         assert!(t.get(c).is_err());
+        assert!(t.free(c).is_err());
         assert!(t.free(DT_U8).is_err());
+        assert!(t.commit(Datatype::Basic(BasicType::U8)).is_err());
+    }
+
+    #[test]
+    fn freed_intermediate_is_retained_then_cascades_away() {
+        let mut t = TypeTable::new();
+        let inner = t.commit(Datatype::Contiguous { count: 4, child: DT_F64 }).unwrap();
+        let outer =
+            t.commit(Datatype::Vector { count: 2, blocklen: 1, stride: 3, child: inner }).unwrap();
+        assert_eq!(t.derived().count(), 2);
+        // Freeing the child retains its definition (outer depends on it)
+        // but invalidates the handle.
+        t.free(inner).unwrap();
+        assert_eq!(t.derived().count(), 2);
+        assert!(t.get(inner).is_err());
+        assert!(t.get(outer).is_ok());
+        // The outer type still resolves and packs.
+        assert_eq!(t.type_size(outer).unwrap(), 2 * 4 * 8);
+        let data: Vec<f64> = (0..28).map(f64::from).collect();
+        assert_eq!(t.pack(crate::pod::bytes_of(&data), 1, outer).unwrap().len(), 64);
+        // Freeing the parent cascades the child away.
+        t.free(outer).unwrap();
+        assert_eq!(t.derived().count(), 0);
+    }
+
+    #[test]
+    fn rejects_a_freed_child() {
+        let mut t = TypeTable::new();
+        let inner = t.commit(Datatype::Contiguous { count: 2, child: DT_F64 }).unwrap();
+        let outer = t.commit(Datatype::Contiguous { count: 2, child: inner }).unwrap();
+        t.free(inner).unwrap();
+        // Retained for `outer`, yet not a valid child for a new type.
+        assert!(t.commit(Datatype::Contiguous { count: 2, child: inner }).is_err());
+        t.free(outer).unwrap();
+        assert!(t.commit(Datatype::Contiguous { count: 2, child: inner }).is_err());
     }
 
     #[test]

@@ -53,10 +53,7 @@ pub use envelope::{Envelope, Signature};
 pub use error::MpiError;
 pub use mailbox::{Mailbox, MailboxGuard};
 pub use network::{ClusterModel, NetModel, Network, ReorderModel};
-pub use op::{
-    apply_op, lookup_named_op, register_named_op, OpHandle, OpTable, ReduceOp, UserOpFn, OP_MAX,
-    OP_MIN, OP_PROD, OP_SUM,
-};
+pub use op::{apply_op, ReduceOp, UserOpFn};
 pub use payload::Payload;
 pub use pod::{bytes_of, bytes_of_mut, copy_to_slice, vec_from_bytes, Pod};
 pub use request::{ReqId, Status};

@@ -1,38 +1,19 @@
 //! Reduction operations for `reduce` / `allreduce` / `scan`.
 //!
-//! Built-in ops cover the usual MPI set; user-defined ops are registered
-//! *by name* in a process-global registry so that a protocol layer can
-//! re-create a rank's op handle table on recovery (the paper's Fig. 5 saves
-//! and restores "handle tables — includes datatypes and reduction
-//! operations"): the checkpoint stores the name, recovery looks the function
-//! up again.
+//! Built-in ops cover the usual MPI set. A user-defined op is a function
+//! value the application passes with every call, like a built-in, so there
+//! is no op handle table: a restarted rank passes the same op again and a
+//! checkpoint has nothing to record for it.
 
 use crate::datatype::BasicType;
 use crate::error::{MpiError, Result};
-use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The signature of a user-defined reduction function: combine `a` into `b`
 /// elementwise (`b[i] = op(a[i], b[i])`) for elements of the given basic type.
 pub type UserOpFn = Arc<dyn Fn(&[u8], &mut [u8], BasicType) + Send + Sync>;
 
-/// Handle to a reduction operation in a rank's [`OpTable`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct OpHandle(pub u32);
-
-/// Built-in elementwise sum.
-pub const OP_SUM: OpHandle = OpHandle(0);
-/// Built-in elementwise product.
-pub const OP_PROD: OpHandle = OpHandle(1);
-/// Built-in elementwise minimum.
-pub const OP_MIN: OpHandle = OpHandle(2);
-/// Built-in elementwise maximum.
-pub const OP_MAX: OpHandle = OpHandle(3);
-
-const NUM_BUILTIN: u32 = 4;
-
-/// A reduction operation: either a built-in or a named user function.
+/// A reduction operation: either a built-in or a user function.
 #[derive(Clone)]
 pub enum ReduceOp {
     /// Elementwise sum.
@@ -43,7 +24,7 @@ pub enum ReduceOp {
     Min,
     /// Elementwise maximum.
     Max,
-    /// A user operation registered under `name` via [`register_named_op`].
+    /// A user operation; `name` only labels it in diagnostics.
     User { name: String, f: UserOpFn },
 }
 
@@ -56,104 +37,6 @@ impl std::fmt::Debug for ReduceOp {
             ReduceOp::Max => write!(f, "Max"),
             ReduceOp::User { name, .. } => write!(f, "User({name})"),
         }
-    }
-}
-
-static NAMED_OPS: RwLock<Option<HashMap<String, UserOpFn>>> = RwLock::new(None);
-
-/// Register a user reduction function under a process-global name.
-///
-/// Applications call this once at startup (before any restore), so that a
-/// recovering protocol layer can rebuild op handle tables from checkpointed
-/// names. Re-registering the same name replaces the function.
-pub fn register_named_op(name: &str, f: UserOpFn) {
-    let mut g = NAMED_OPS.write();
-    g.get_or_insert_with(HashMap::new).insert(name.to_string(), f);
-}
-
-/// Look up a user reduction function registered with [`register_named_op`].
-pub fn lookup_named_op(name: &str) -> Option<UserOpFn> {
-    NAMED_OPS.read().as_ref().and_then(|m| m.get(name).cloned())
-}
-
-/// A rank-local table of reduction operation handles.
-#[derive(Debug)]
-pub struct OpTable {
-    entries: HashMap<u32, ReduceOp>,
-    next: u32,
-}
-
-impl Default for OpTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OpTable {
-    /// Create a table pre-populated with the built-in operations.
-    pub fn new() -> Self {
-        let mut entries = HashMap::new();
-        entries.insert(OP_SUM.0, ReduceOp::Sum);
-        entries.insert(OP_PROD.0, ReduceOp::Prod);
-        entries.insert(OP_MIN.0, ReduceOp::Min);
-        entries.insert(OP_MAX.0, ReduceOp::Max);
-        OpTable { entries, next: NUM_BUILTIN }
-    }
-
-    /// Register a named user op, returning a fresh handle. The name must have
-    /// been registered globally via [`register_named_op`].
-    pub fn create_user(&mut self, name: &str) -> Result<OpHandle> {
-        let f = lookup_named_op(name)
-            .ok_or_else(|| MpiError::InvalidArg(format!("no registered op named '{name}'")))?;
-        let h = OpHandle(self.next);
-        self.next += 1;
-        self.entries.insert(h.0, ReduceOp::User { name: name.to_string(), f });
-        Ok(h)
-    }
-
-    /// Register a named user op at a *specific* handle (recovery path).
-    pub fn create_user_at(&mut self, h: OpHandle, name: &str) -> Result<()> {
-        let f = lookup_named_op(name)
-            .ok_or_else(|| MpiError::InvalidArg(format!("no registered op named '{name}'")))?;
-        if self.entries.contains_key(&h.0) {
-            return Err(MpiError::InvalidArg(format!("op handle {h:?} already in use")));
-        }
-        self.entries.insert(h.0, ReduceOp::User { name: name.to_string(), f });
-        self.next = self.next.max(h.0 + 1);
-        Ok(())
-    }
-
-    /// Free a user op handle.
-    pub fn free(&mut self, h: OpHandle) -> Result<()> {
-        if h.0 < NUM_BUILTIN {
-            return Err(MpiError::InvalidArg("cannot free a built-in op".into()));
-        }
-        self.entries
-            .remove(&h.0)
-            .map(|_| ())
-            .ok_or_else(|| MpiError::InvalidArg(format!("unknown op handle {h:?}")))
-    }
-
-    /// Look up an op.
-    pub fn get(&self, h: OpHandle) -> Result<&ReduceOp> {
-        self.entries
-            .get(&h.0)
-            .ok_or_else(|| MpiError::InvalidArg(format!("unknown op handle {h:?}")))
-    }
-
-    /// The names of all user ops currently registered, with their handles
-    /// (for checkpointing the handle table).
-    pub fn user_ops(&self) -> Vec<(OpHandle, String)> {
-        let mut v: Vec<_> = self
-            .entries
-            .iter()
-            .filter_map(|(k, v)| match v {
-                ReduceOp::User { name, .. } => Some((OpHandle(*k), name.clone())),
-                _ => None,
-            })
-            .collect();
-        v.sort_by_key(|(h, _)| h.0);
-        v
     }
 }
 
@@ -254,10 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn user_op_roundtrip_via_name() {
-        register_named_op(
-            "xor64",
-            Arc::new(|a, b, ty| {
+    fn user_op_applies_by_value() {
+        let xor = ReduceOp::User {
+            name: "xor64".into(),
+            f: Arc::new(|a, b, ty| {
                 assert_eq!(ty, BasicType::U64);
                 for (ca, cb) in a.chunks_exact(8).zip(b.chunks_exact_mut(8)) {
                     let x = u64::from_le_bytes(ca.try_into().unwrap());
@@ -265,26 +148,11 @@ mod tests {
                     cb.copy_from_slice(&(x ^ y).to_le_bytes());
                 }
             }),
-        );
-        let mut t = OpTable::new();
-        let h = t.create_user("xor64").unwrap();
-        let op = t.get(h).unwrap().clone();
+        };
         let a = [0b1010u64];
         let mut b = bytes_of(&[0b0110u64]).to_vec();
-        apply_op(&op, bytes_of(&a), &mut b, BasicType::U64).unwrap();
+        apply_op(&xor, bytes_of(&a), &mut b, BasicType::U64).unwrap();
         assert_eq!(vec_from_bytes::<u64>(&b), vec![0b1100]);
-        // The table reports it for checkpointing, and it can be rebuilt at
-        // the same handle.
-        assert_eq!(t.user_ops(), vec![(h, "xor64".to_string())]);
-        let mut t2 = OpTable::new();
-        t2.create_user_at(h, "xor64").unwrap();
-        assert!(t2.get(h).is_ok());
-    }
-
-    #[test]
-    fn unknown_named_op_rejected() {
-        let mut t = OpTable::new();
-        assert!(t.create_user("no-such-op").is_err());
     }
 
     #[test]

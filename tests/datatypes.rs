@@ -1,22 +1,38 @@
-//! Derived datatypes across recovery lines (§4.2): recipes are recorded in
-//! a hierarchy-aware handle table saved with every checkpoint; recovery
-//! recreates every type (including intermediate types of a hierarchy) with
-//! the same handle values, so restored application state holding a handle
-//! keeps working.
+//! Derived datatypes across recovery lines (§4.2): the substrate's type
+//! table, which retains freed types while dependents need them, is saved
+//! with every checkpoint; recovery recreates every type (including
+//! intermediate types of a hierarchy) with the same handle values, so
+//! restored application state holding a handle keeps working.
 
 mod util;
 
 use c3::{C3Config, C3Ctx, C3Error, FailAt, FailurePlan};
-use mpisim::DT_F64;
+use mpisim::{Datatype, ReduceOp, DT_F64, DT_I32};
 use statesave::codec::{Decoder, Encoder};
+use std::sync::Arc;
 use util::TempStore;
 
 /// Ranks exchange a strided column of an 8×8 row-major matrix every
 /// iteration using a vector-of-contiguous datatype hierarchy created once at
 /// startup. The handle is part of the saved state; after recovery the
 /// restored handle must address the recreated type.
+///
+/// Each iteration also folds in a user-op allreduce. The op is an
+/// order-sensitive chain (`b = 31·b + a`), built as a plain value and
+/// passed with the call like `ReduceOp::Sum`: nothing is registered, and a
+/// restarted rank simply builds it again.
 fn typed_app(ctx: &mut C3Ctx<'_>) -> Result<u64, C3Error> {
     const N: usize = 8;
+    let chain = ReduceOp::User {
+        name: "chain".into(),
+        f: Arc::new(|a, b, _| {
+            for (ca, cb) in a.chunks_exact(8).zip(b.chunks_exact_mut(8)) {
+                let x = u64::from_le_bytes(ca.try_into().unwrap());
+                let y = u64::from_le_bytes((&*cb).try_into().unwrap());
+                cb.copy_from_slice(&y.wrapping_mul(31).wrapping_add(x).to_le_bytes());
+            }
+        }),
+    };
     let (mut iter, mut acc, col_ty) = match ctx.take_restored_state() {
         Some(b) => {
             let mut d = Decoder::new(&b);
@@ -60,7 +76,7 @@ fn typed_app(ctx: &mut C3Ctx<'_>) -> Result<u64, C3Error> {
             }
         }
         // World coupling keeps checkpoint coordination inside the loop.
-        let _ = ctx.allreduce_u64(iter, &mpisim::ReduceOp::Max)?;
+        acc ^= ctx.allreduce_u64(acc, &chain)?;
         iter += 1;
     }
     Ok(acc)
@@ -135,6 +151,55 @@ fn freed_intermediate_type_still_recovers() {
     let cfg = C3Config::at_pragmas(store.path(), vec![2]);
     let plan = FailurePlan { rank: 0, when: FailAt::AfterCommits { commits: 1, pragma: 5 } };
     let rec = c3::Job::new(2, cfg).failure(plan).run(app).unwrap();
+    assert!(rec.restarts >= 1);
+    assert_eq!(rec.handle.results, baseline.results);
+}
+
+/// A type committed straight on the substrate — the only way to build an
+/// `Indexed` one — is checkpointed like the protocol layer's own: after
+/// recovery the handle restored from the application state addresses the
+/// same layout.
+#[test]
+fn substrate_committed_indexed_type_survives_recovery() {
+    fn app(ctx: &mut C3Ctx<'_>) -> Result<u64, C3Error> {
+        let (mut iter, mut acc, ix) = match ctx.take_restored_state() {
+            Some(b) => {
+                let mut d = Decoder::new(&b);
+                (d.u64()?, d.u64()?, mpisim::DatatypeHandle(d.u32()?))
+            }
+            None => {
+                let blocks = vec![(0, 2), (5, 1), (9, 3)];
+                let ix = ctx.mpi().types.commit(Datatype::Indexed { blocks, child: DT_I32 })?;
+                (0, 0, ix)
+            }
+        };
+        let me = ctx.rank();
+        let n = ctx.nranks();
+        while iter < 6 {
+            ctx.pragma(|e: &mut Encoder| {
+                e.u64(iter);
+                e.u64(acc);
+                e.u32(ix.0);
+            })?;
+            let data: Vec<i32> = (0..12).map(|k| (iter * 40 + me as u64 * 5) as i32 + k).collect();
+            ctx.send_typed((me + 1) % n, 4, mpisim::bytes_of(&data), 1, ix)?;
+            let mut got = vec![0i32; 12];
+            ctx.recv_typed(((me + n - 1) % n) as i32, 4, mpisim::bytes_of_mut(&mut got), 1, ix)?;
+            for v in &got {
+                acc = acc.wrapping_mul(31).wrapping_add(*v as u64);
+            }
+            let _ = ctx.allreduce_u64(iter, &ReduceOp::Max)?;
+            iter += 1;
+        }
+        Ok(acc)
+    }
+
+    let base_store = TempStore::new("dt-ix-base");
+    let baseline = c3::Job::new(3, C3Config::passive(base_store.path())).run(app).unwrap();
+    let store = TempStore::new("dt-ix-fail");
+    let cfg = C3Config::at_pragmas(store.path(), vec![2]);
+    let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 5 } };
+    let rec = c3::Job::new(3, cfg).failure(plan).run(app).unwrap();
     assert!(rec.restarts >= 1);
     assert_eq!(rec.handle.results, baseline.results);
 }

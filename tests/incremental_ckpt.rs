@@ -425,6 +425,6 @@ fn cg_ckpt_digest(tag: &str, mode: CkptMode) -> (u64, usize, u64) {
 fn cg_checkpoint_bytes_are_pinned() {
     let full = cg_ckpt_digest("pin-full", CkptMode::Full);
     let incr = cg_ckpt_digest("pin-incr", CkptMode::Incremental { every_n: 2 });
-    assert_eq!(full, (13_811_892_749_072_345_069, 64, 7296));
-    assert_eq!(incr, (918_188_839_604_230_842, 16, 6967));
+    assert_eq!(full, (8_300_252_587_676_529_885, 64, 7232));
+    assert_eq!(incr, (17_901_873_557_045_831_320, 16, 6963));
 }
