@@ -45,6 +45,7 @@ use c3::{
 };
 use c3_bench::{Align, Table};
 use mpisim::{JobSpec, NetModel};
+use npb::{bt, cg, ep, ft, hpl, is, lu, mg, smg, sp, Kernel};
 use statesave::TempStore;
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering;
@@ -129,106 +130,106 @@ struct RunOutcome {
     ckpt_bytes: u64,
 }
 
-/// The failure-free raw-substrate run of one kernel.
-type BaselineFn = Box<dyn Fn(&JobSpec) -> Vec<u64> + Send + Sync>;
-/// One protocol-instrumented chaos run of one kernel.
-type ChaosFn = Box<dyn Fn(&Job, &ChaosPlan) -> Result<RunOutcome, String> + Send + Sync>;
-
-/// A kernel wired for both the raw baseline and chaos runs.
-struct Kernel {
+/// One sweep row: a kernel with its soak name, rank count, commit cadence
+/// and fault space.
+struct Row {
     name: &'static str,
+    kernel: Kernel,
     nranks: usize,
     /// Commit cadence (`CkptPolicy::EveryNth`). Most kernels commit every
     /// third pragma; the state-carrying volume kernels (bt, smg) commit at
     /// every pragma so delta chains track pragma-to-pragma state drift.
     every: u64,
     space: ChaosSpace,
-    baseline: BaselineFn,
-    chaos: ChaosFn,
 }
 
-macro_rules! kernel {
-    ($name:literal, $module:ident, $nranks:expr, $every:expr, $cfg:expr, $max_pragma:expr, $max_op:expr) => {{
-        let cfg = $cfg;
-        Kernel {
-            name: $name,
-            nranks: $nranks,
-            every: $every,
-            space: ChaosSpace { nranks: $nranks, max_pragma: $max_pragma, max_op: $max_op },
-            baseline: Box::new(move |spec| {
-                let out = mpisim::launch(spec, move |ctx| npb::$module::run(ctx, &cfg))
-                    .unwrap_or_else(|e| panic!("{} baseline failed: {e}", $name));
-                out.results.iter().map(|r| r.to_bits()).collect()
-            }),
-            chaos: Box::new(move |job, plan| {
-                let rec = job
-                    .clone()
-                    .chaos(plan.clone())
-                    .run(move |ctx| {
-                        let r = npb::$module::run(ctx, &cfg).map_err(C3Error::Mpi)?;
-                        let s = ctx.stats();
-                        Ok((r, s.last_commit_wall_ns, s.ckpt_line_bytes))
-                    })
-                    .map_err(|e| e.to_string())?;
-                Ok(RunOutcome {
-                    bits: rec.handle.results.iter().map(|(r, _, _)| r.to_bits()).collect(),
-                    restarts: rec.restarts,
-                    fired: rec.faults_fired,
-                    wall_ns: rec.handle.results.iter().map(|(_, w, _)| *w).max().unwrap_or(0),
-                    ckpt_bytes: rec.handle.results.iter().map(|(_, _, b)| *b).sum(),
-                })
-            }),
-        }
-    }};
+fn row(
+    name: &'static str,
+    kernel: Kernel,
+    nranks: usize,
+    every: u64,
+    max_pragma: u64,
+    max_op: u64,
+) -> Row {
+    Row { name, kernel, nranks, every, space: ChaosSpace { nranks, max_pragma, max_op } }
+}
+
+impl Row {
+    /// The failure-free raw-substrate run, as per-rank result bits.
+    fn baseline(&self) -> Vec<u64> {
+        let kernel = self.kernel;
+        let out = mpisim::launch(&JobSpec::new(self.nranks), move |ctx| kernel.run(ctx))
+            .unwrap_or_else(|e| panic!("{} baseline failed: {e}", self.name));
+        out.results.iter().map(|r| r.to_bits()).collect()
+    }
+
+    /// One protocol-instrumented chaos run.
+    fn chaos(&self, job: &Job, plan: &ChaosPlan) -> Result<RunOutcome, String> {
+        let kernel = self.kernel;
+        let rec = job
+            .clone()
+            .chaos(plan.clone())
+            .run(move |ctx| {
+                let r = kernel.run(ctx).map_err(C3Error::Mpi)?;
+                let s = ctx.stats();
+                Ok((r, s.last_commit_wall_ns, s.ckpt_line_bytes))
+            })
+            .map_err(|e| e.to_string())?;
+        Ok(RunOutcome {
+            bits: rec.handle.results.iter().map(|(r, _, _)| r.to_bits()).collect(),
+            restarts: rec.restarts,
+            fired: rec.faults_fired,
+            wall_ns: rec.handle.results.iter().map(|(_, w, _)| *w).max().unwrap_or(0),
+            ckpt_bytes: rec.handle.results.iter().map(|(_, _, b)| *b).sum(),
+        })
+    }
 }
 
 /// The paper's ten kernels. `quick` shrinks problem sizes for the tier-1
 /// smoke (`--seeds 32 --quick` finishes well under a minute); the default
 /// sizes match `tests/recovery_kernels.rs`. EP runs on one rank for the
 /// same scheduler-dependence reason documented there.
-fn kernels(quick: bool) -> Vec<Kernel> {
+fn kernels(quick: bool) -> Vec<Row> {
+    let lu_s = Kernel::Lu(lu::LuConfig { n: 64, isteps: 6, omega: 1.2 });
     if quick {
         vec![
-            kernel!("cg", cg, 3, 3, npb::cg::CgConfig { n: 48, iters: 6 }, 6, 150),
-            kernel!("lu", lu, 4, 3, npb::lu::LuConfig::class(npb::Class::S), 8, 150),
-            kernel!("sp", sp, 3, 3, npb::sp::SpConfig { n: 24, steps: 6, lambda: 0.4 }, 6, 150),
-            kernel!(
+            row("cg", Kernel::Cg(cg::CgConfig { n: 48, iters: 6 }), 3, 3, 6, 150),
+            row("lu", lu_s, 4, 3, 8, 150),
+            row("sp", Kernel::Sp(sp::SpConfig { n: 24, steps: 6, lambda: 0.4 }), 3, 3, 6, 150),
+            row(
                 "bt",
-                bt,
+                Kernel::Bt(bt::BtConfig { n: 15, steps: 4, lambda: 0.35, kappa: 0.1 }),
                 3,
                 1,
-                npb::bt::BtConfig { n: 15, steps: 4, lambda: 0.35, kappa: 0.1 },
                 4,
-                120
+                120,
             ),
-            kernel!("mg", mg, 4, 3, npb::mg::MgConfig { log2_n: 6, cycles: 4, smooth: 2 }, 4, 150),
-            kernel!("ft", ft, 4, 3, npb::ft::FtConfig { n: 16, steps: 4, alpha: 1e-4 }, 4, 120),
-            kernel!(
+            row("mg", Kernel::Mg(mg::MgConfig { log2_n: 6, cycles: 4, smooth: 2 }), 4, 3, 4, 150),
+            row("ft", Kernel::Ft(ft::FtConfig { n: 16, steps: 4, alpha: 1e-4 }), 4, 3, 4, 120),
+            row(
                 "is",
-                is,
+                Kernel::Is(is::IsConfig { total_keys: 1024, max_key: 2048, iters: 4 }),
                 4,
                 3,
-                npb::is::IsConfig { total_keys: 1024, max_key: 2048, iters: 4 },
                 4,
-                120
+                120,
             ),
-            kernel!("ep", ep, 1, 3, npb::ep::EpConfig { m_per_block: 10, blocks: 8 }, 8, 60),
-            kernel!(
+            row("ep", Kernel::Ep(ep::EpConfig { m_per_block: 10, blocks: 8 }), 1, 3, 8, 60),
+            row(
                 "smg",
-                smg,
+                Kernel::Smg(smg::SmgConfig { log2_n: 6, iters: 4, smooth: 2 }),
                 4,
                 1,
-                npb::smg::SmgConfig { log2_n: 6, iters: 4, smooth: 2 },
                 8,
-                150
+                150,
             ),
-            kernel!("hpl", hpl, 4, 3, npb::hpl::HplConfig { n: 24 }, 24, 150),
+            row("hpl", Kernel::Hpl(hpl::HplConfig { n: 24 }), 4, 3, 24, 150),
         ]
     } else {
         vec![
-            kernel!("cg", cg, 4, 3, npb::cg::CgConfig { n: 96, iters: 8 }, 8, 300),
-            kernel!("lu", lu, 4, 3, npb::lu::LuConfig::class(npb::Class::S), 10, 300),
-            kernel!("sp", sp, 4, 3, npb::sp::SpConfig { n: 32, steps: 8, lambda: 0.4 }, 8, 300),
+            row("cg", Kernel::Cg(cg::CgConfig { n: 96, iters: 8 }), 4, 3, 8, 300),
+            row("lu", lu_s, 4, 3, 10, 300),
+            row("sp", Kernel::Sp(sp::SpConfig { n: 32, steps: 8, lambda: 0.4 }), 4, 3, 8, 300),
             // bt/mg/smg carry real grid state and run long enough for the
             // incremental mode to build full base-plus-delta chains — the
             // configurations the checkpoint-volume comparison in
@@ -237,45 +238,41 @@ fn kernels(quick: bool) -> Vec<Kernel> {
             // third pragma (delta = one V-cycle of drift). bt's 64 steps let
             // the symmetrically-coupled field contract onto its forcing
             // steady state, where late-chain deltas collapse.
-            kernel!(
+            row(
                 "bt",
-                bt,
+                Kernel::Bt(bt::BtConfig { n: 21, steps: 64, lambda: 0.35, kappa: 0.7 }),
                 3,
                 1,
-                npb::bt::BtConfig { n: 21, steps: 64, lambda: 0.35, kappa: 0.7 },
                 12,
-                250
+                250,
             ),
-            kernel!(
+            row(
                 "mg",
-                mg,
+                Kernel::Mg(mg::MgConfig { log2_n: 12, cycles: 36, smooth: 2 }),
                 4,
                 3,
-                npb::mg::MgConfig { log2_n: 12, cycles: 36, smooth: 2 },
                 12,
-                300
+                300,
             ),
-            kernel!("ft", ft, 4, 3, npb::ft::FtConfig { n: 32, steps: 6, alpha: 1e-4 }, 6, 250),
-            kernel!(
+            row("ft", Kernel::Ft(ft::FtConfig { n: 32, steps: 6, alpha: 1e-4 }), 4, 3, 6, 250),
+            row(
                 "is",
-                is,
+                Kernel::Is(is::IsConfig { total_keys: 2048, max_key: 4096, iters: 6 }),
                 4,
                 3,
-                npb::is::IsConfig { total_keys: 2048, max_key: 4096, iters: 6 },
                 6,
-                250
+                250,
             ),
-            kernel!("ep", ep, 1, 3, npb::ep::EpConfig { m_per_block: 10, blocks: 12 }, 12, 80),
-            kernel!(
+            row("ep", Kernel::Ep(ep::EpConfig { m_per_block: 10, blocks: 12 }), 1, 3, 12, 80),
+            row(
                 "smg",
-                smg,
+                Kernel::Smg(smg::SmgConfig { log2_n: 8, iters: 24, smooth: 2 }),
                 4,
                 1,
-                npb::smg::SmgConfig { log2_n: 8, iters: 24, smooth: 2 },
                 10,
-                300
+                300,
             ),
-            kernel!("hpl", hpl, 4, 3, npb::hpl::HplConfig { n: 40 }, 40, 300),
+            row("hpl", Kernel::Hpl(hpl::HplConfig { n: 40 }), 4, 3, 40, 300),
         ]
     }
 }
@@ -390,8 +387,7 @@ fn main() {
     }
 
     // Failure-free baselines, once per kernel.
-    let baselines: Vec<Vec<u64>> =
-        kset.iter().map(|k| (k.baseline)(&JobSpec::new(k.nranks))).collect();
+    let baselines: Vec<Vec<u64>> = kset.iter().map(Row::baseline).collect();
 
     // The sweep: kernels × network modes × checkpoint modes × seeds,
     // claimed by a fixed-size worker pool.
@@ -416,7 +412,7 @@ fn main() {
                 let store = TempStore::new(k.name);
                 let job = Job::new(k.nranks, chaos_cfg(&store, mode, k.every))
                     .network(net.model(seed, k.nranks));
-                let outcome = (k.chaos)(&job, &plan).map(|run| {
+                let outcome = k.chaos(&job, &plan).map(|run| {
                     let ok = run.bits == baselines[kidx];
                     (run, ok)
                 });
@@ -563,7 +559,7 @@ fn main() {
             let store = TempStore::new("shrink");
             let job = Job::new(k.nranks, chaos_cfg(&store, r.mode, k.every))
                 .network(r.net.model(r.seed, k.nranks));
-            match (k.chaos)(&job, cand) {
+            match k.chaos(&job, cand) {
                 Ok(run) => run.bits != baselines[r.kernel],
                 Err(_) => true,
             }

@@ -43,8 +43,10 @@
 //!     failures gate, noise does not)
 //! 14. non-test line count — prints `[ARTIFACT][c3-loc] nontest_lines=N`
 //!     over `src/` and `crates/*/src` minus `crates/compat`, each file cut
-//!     at its `#[cfg(test)] mod tests` (informational: no threshold; fails
-//!     only if a source file cannot be read)
+//!     at its `#[cfg(test)] mod tests`, after one
+//!     `[ARTIFACT][c3-loc] crate=<package> nontest_lines=N` line per crate
+//!     (informational: no threshold; fails only if a source file cannot be
+//!     read)
 //!
 //! ```text
 //! ci_gate [--skip-build] [--out-dir DIR]
@@ -327,24 +329,43 @@ fn nontest_lines_under(dir: &Path) -> std::io::Result<usize> {
     Ok(n)
 }
 
-/// The non-test line count of the workspace's own code (`src/` and
-/// `crates/*/src`, minus the vendored shims in `crates/compat`), printed as
-/// an artifact line. Informational: it fails only on an unreadable file.
+/// The package name in the `Cargo.toml` of `dir`: its first `name = "…"`
+/// line.
+fn package_name(dir: &Path) -> std::io::Result<String> {
+    let manifest = std::fs::read_to_string(dir.join("Cargo.toml"))?;
+    Ok(manifest
+        .lines()
+        .find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+        .unwrap_or("?")
+        .to_string())
+}
+
+/// Non-test lines of the workspace's own code by package name: the root
+/// package (`src/`) and every `crates/*` crate but the vendored shims in
+/// `crates/compat`.
+fn nontest_lines_per_crate() -> std::io::Result<Vec<(String, usize)>> {
+    let mut crates = std::fs::read_dir("crates")?
+        .map(|e| e.map(|e| e.path()))
+        .collect::<std::io::Result<Vec<_>>>()?;
+    crates.retain(|k| k.file_name().is_some_and(|f| f != "compat") && k.join("src").is_dir());
+    crates.sort();
+    std::iter::once(Path::new(".").to_path_buf())
+        .chain(crates)
+        .map(|root| Ok((package_name(&root)?, nontest_lines_under(&root.join("src"))?)))
+        .collect()
+}
+
+/// The non-test line count, printed as one artifact line per crate and one
+/// for the total. Informational: it fails only on an unreadable file.
 fn count_nontest_lines(results: &mut Vec<Step>) {
     println!("\n=== ci_gate: non-test line count ===");
-    let count = || -> std::io::Result<usize> {
-        let mut n = nontest_lines_under(Path::new("src"))?;
-        for krate in std::fs::read_dir("crates")? {
-            let krate = krate?.path();
-            if krate.file_name().is_some_and(|f| f != "compat") && krate.join("src").is_dir() {
-                n += nontest_lines_under(&krate.join("src"))?;
+    let ok = match nontest_lines_per_crate() {
+        Ok(per_crate) => {
+            for (name, n) in &per_crate {
+                println!("[ARTIFACT][c3-loc] crate={name} nontest_lines={n}");
             }
-        }
-        Ok(n)
-    };
-    let ok = match count() {
-        Ok(n) => {
-            println!("[ARTIFACT][c3-loc] nontest_lines={n}");
+            let total: usize = per_crate.iter().map(|(_, n)| n).sum();
+            println!("[ARTIFACT][c3-loc] nontest_lines={total}");
             true
         }
         Err(e) => {
@@ -491,5 +512,11 @@ mod tests {
             nontest_lines_of("a\n#[cfg(test)]\nfn f() {}\n#[cfg(test)]\nmod tests {\n}\n"),
             3
         );
+    }
+
+    #[test]
+    fn package_name_reads_the_manifest() {
+        // Tests run in the package's own directory.
+        assert_eq!(package_name(Path::new(".")).unwrap(), "c3-bench");
     }
 }

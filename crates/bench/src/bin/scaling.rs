@@ -25,6 +25,9 @@
 
 use c3_bench::{Align, Table};
 use mpisim::{ClusterModel, JobSpec, SchedMode};
+use npb::cg::CgConfig;
+use npb::ep::EpConfig;
+use npb::Kernel;
 use std::time::Instant;
 
 const RANKS: [usize; 4] = [64, 256, 1024, 4096];
@@ -33,7 +36,7 @@ const RANKS: [usize; 4] = [64, 256, 1024, 4096];
 const SERIAL_RANKS: usize = 64;
 
 struct Row {
-    kernel: &'static str,
+    kernel: String,
     nranks: usize,
     wall_ms: f64,
     makespan_ms: f64,
@@ -41,35 +44,30 @@ struct Row {
     checksum: u64,
 }
 
+/// CG's weak-scaling problem: 32 rows per rank.
+fn cg(nranks: usize) -> Kernel {
+    Kernel::Cg(CgConfig { n: 32 * nranks, iters: 4 })
+}
+
+/// EP's weak-scaling problem: one block per rank.
+fn ep(nranks: usize) -> Kernel {
+    Kernel::Ep(EpConfig { m_per_block: 10, blocks: nranks as u64 })
+}
+
 /// One weak-scaling run: per-rank work is constant, the job grows.
-fn run_kernel(kernel: &str, nranks: usize, sched: SchedMode) -> Row {
+fn run_kernel(kernel: Kernel, nranks: usize, sched: SchedMode) -> Row {
     let spec = JobSpec::new(nranks).cluster(ClusterModel::lemieux()).sched(sched);
     let start = Instant::now();
-    let (out, checksum) = match kernel {
-        "cg" => {
-            let cfg = npb::cg::CgConfig { n: 32 * nranks, iters: 4 };
-            let out = mpisim::launch(&spec, |ctx| npb::cg::run(ctx, &cfg).map(|r| r.to_bits()))
-                .unwrap_or_else(|e| panic!("cg at {nranks} ranks: {e}"));
-            let sum = out.results.iter().fold(0u64, |a, b| a.wrapping_mul(31).wrapping_add(*b));
-            (out, sum)
-        }
-        "ep" => {
-            let cfg = npb::ep::EpConfig { m_per_block: 10, blocks: nranks as u64 };
-            let out = mpisim::launch(&spec, |ctx| npb::ep::run(ctx, &cfg).map(|r| r.to_bits()))
-                .unwrap_or_else(|e| panic!("ep at {nranks} ranks: {e}"));
-            let sum = out.results.iter().fold(0u64, |a, b| a.wrapping_mul(31).wrapping_add(*b));
-            (out, sum)
-        }
-        other => panic!("unknown kernel {other}"),
-    };
+    let out = mpisim::launch(&spec, |ctx| kernel.run(ctx).map(f64::to_bits))
+        .unwrap_or_else(|e| panic!("{} at {nranks} ranks: {e}", kernel.name()));
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     Row {
-        kernel: if kernel == "cg" { "cg" } else { "ep" },
+        kernel: kernel.name().to_lowercase(),
         nranks,
         wall_ms,
         makespan_ms: out.makespan_ns() as f64 / 1e6,
         msgs_sent: out.msgs_sent,
-        checksum,
+        checksum: out.results.iter().fold(0u64, |a, b| a.wrapping_mul(31).wrapping_add(*b)),
     }
 }
 
@@ -84,13 +82,13 @@ fn main() {
         .unwrap_or(usize::MAX);
 
     let pool = SchedMode::default();
-    let plan: Vec<(&str, usize)> = if smoke {
-        vec![("cg", 256)]
+    let plan: Vec<(Kernel, usize)> = if smoke {
+        vec![(cg(256), 256)]
     } else {
         let mut p = Vec::new();
         for &n in RANKS.iter().filter(|&&n| n <= max_ranks) {
-            p.push(("cg", n));
-            p.push(("ep", n));
+            p.push((cg(n), n));
+            p.push((ep(n), n));
         }
         p
     };
@@ -99,18 +97,19 @@ fn main() {
     // pool must reproduce the serial schedule bit for bit.
     if !smoke {
         let serial = SchedMode::EventDriven { workers: 1 };
-        for kernel in ["cg", "ep"] {
+        for kernel in [cg(SERIAL_RANKS), ep(SERIAL_RANKS)] {
             let [a, b] = [pool, serial].map(|s| run_kernel(kernel, SERIAL_RANKS, s));
             assert_eq!(
                 (a.checksum, a.makespan_ms, a.msgs_sent),
                 (b.checksum, b.makespan_ms, b.msgs_sent),
-                "{kernel} at {SERIAL_RANKS} ranks: the worker pool diverged from workers: 1"
+                "{} at {SERIAL_RANKS} ranks: the worker pool diverged from workers: 1",
+                a.kernel
             );
         }
         eprintln!("serial cross-check at {SERIAL_RANKS} ranks: bit-identical");
     }
 
-    let rows: Vec<Row> = plan.iter().map(|&(k, n)| run_kernel(k, n, pool)).collect();
+    let rows: Vec<Row> = plan.into_iter().map(|(k, n)| run_kernel(k, n, pool)).collect();
 
     let mut t = Table::new(
         "weak scaling — rank coroutines on a worker pool, Lemieux cluster model",
@@ -124,7 +123,7 @@ fn main() {
     );
     for r in &rows {
         t.row(vec![
-            r.kernel.to_string(),
+            r.kernel.clone(),
             r.nranks.to_string(),
             format!("{:.1}", r.wall_ms),
             format!("{:.3}", r.makespan_ms),

@@ -1,8 +1,8 @@
 //! Fixed-width table rendering for the paper-reproduction binaries.
 //!
-//! Every table binary prints rows in the same layout as the paper's table,
-//! with extra columns carrying the paper's reported value next to ours so
-//! the *shape* comparison (who wins, by roughly what factor) is one glance.
+//! Every table the `tables` binary prints has the paper's layout, with
+//! extra columns carrying the paper's reported value next to ours so the
+//! *shape* comparison (who wins, by roughly what factor) is one glance.
 
 /// Column alignment.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -78,6 +78,12 @@ impl Table {
             out.push('\n');
         }
         out
+    }
+
+    /// The data rows, without separators.
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[String]> {
+        self.rows.iter().filter(|r| !r.is_empty()).map(Vec::as_slice)
     }
 
     /// Print to stdout.

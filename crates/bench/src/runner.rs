@@ -1,4 +1,4 @@
-//! Shared measurement machinery for the table binaries.
+//! Shared measurement machinery for the table generators in [`crate::tables`].
 //!
 //! Every table compares the same application compiled two ways (§6): the
 //! "Original" run goes straight to the substrate (`mpisim::launch`), the
@@ -7,111 +7,11 @@
 //! real threads, exactly the overhead the paper measures.
 
 use c3::{C3Config, C3Error, C3Stats};
-use mpisim::{JobSpec, MpiError};
-use npb::backend::Comm;
-use npb::{bt, cg, ep, ft, hpl, is, lu, mg, smg, sp};
+use mpisim::JobSpec;
+use npb::Kernel;
 use statesave::CkptStore;
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// A benchmark workload: one of the paper's codes with explicit parameters.
-#[derive(Clone, Copy, Debug)]
-pub enum Bench {
-    /// Conjugate gradient.
-    Cg(cg::CgConfig),
-    /// SSOR wavefront.
-    Lu(lu::LuConfig),
-    /// Scalar-pentadiagonal ADI.
-    Sp(sp::SpConfig),
-    /// Block-tridiagonal ADI.
-    Bt(bt::BtConfig),
-    /// Multigrid V-cycles (barriers).
-    Mg(mg::MgConfig),
-    /// Spectral evolution (alltoall).
-    Ft(ft::FtConfig),
-    /// Integer sort.
-    Is(is::IsConfig),
-    /// Embarrassingly parallel tallies.
-    Ep(ep::EpConfig),
-    /// PCG + semicoarsening multigrid.
-    Smg(smg::SmgConfig),
-    /// Linpack LU with pivoting.
-    Hpl(hpl::HplConfig),
-}
-
-impl Bench {
-    /// Display name matching the paper's table rows.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Bench::Cg(_) => "CG",
-            Bench::Lu(_) => "LU",
-            Bench::Sp(_) => "SP",
-            Bench::Bt(_) => "BT",
-            Bench::Mg(_) => "MG",
-            Bench::Ft(_) => "FT",
-            Bench::Is(_) => "IS",
-            Bench::Ep(_) => "EP",
-            Bench::Smg(_) => "SMG2000",
-            Bench::Hpl(_) => "HPL",
-        }
-    }
-
-    /// Run on any backend.
-    pub fn run<C: Comm>(&self, c: &mut C) -> Result<f64, MpiError> {
-        match self {
-            Bench::Cg(cfg) => cg::run(c, cfg),
-            Bench::Lu(cfg) => lu::run(c, cfg),
-            Bench::Sp(cfg) => sp::run(c, cfg),
-            Bench::Bt(cfg) => bt::run(c, cfg),
-            Bench::Mg(cfg) => mg::run(c, cfg),
-            Bench::Ft(cfg) => ft::run(c, cfg),
-            Bench::Is(cfg) => is::run(c, cfg),
-            Bench::Ep(cfg) => ep::run(c, cfg),
-            Bench::Smg(cfg) => smg::run(c, cfg),
-            Bench::Hpl(cfg) => hpl::run(c, cfg),
-        }
-    }
-
-    /// The restart-table set (Tables 6/7): the same codes sized up so a
-    /// uniprocessor run takes on the order of a second — the paper's restart
-    /// costs are relative to runs of 13-1283 s, so the fixed restore cost
-    /// must be small against the run, not against a millisecond kernel.
-    pub fn restart_set() -> Vec<Bench> {
-        vec![
-            Bench::Cg(cg::CgConfig { n: 65_536, iters: 300 }),
-            Bench::Lu(lu::LuConfig { n: 480, isteps: 400, omega: 1.2 }),
-            Bench::Sp(sp::SpConfig { n: 512, steps: 250, lambda: 0.4 }),
-            Bench::Smg(smg::SmgConfig { log2_n: 20, iters: 12, smooth: 2 }),
-            Bench::Hpl(hpl::HplConfig { n: 1792 }),
-        ]
-    }
-
-    /// The overhead-table set (Tables 2-5): CG, LU, SP, SMG2000, HPL, with
-    /// sizes that run in fractions of a second per job at laptop scale.
-    pub fn overhead_set(procs: usize) -> Vec<Bench> {
-        // Problem sizes shrink mildly with rank count so per-cell wall time
-        // stays comparable (the paper's class D is likewise fixed per row).
-        let _ = procs;
-        vec![
-            Bench::Cg(cg::CgConfig { n: 65_536, iters: 300 }),
-            Bench::Lu(lu::LuConfig { n: 480, isteps: 80, omega: 1.2 }),
-            Bench::Sp(sp::SpConfig { n: 512, steps: 50, lambda: 0.4 }),
-            Bench::Smg(smg::SmgConfig { log2_n: 15, iters: 30, smooth: 2 }),
-            Bench::Hpl(hpl::HplConfig { n: 576 }),
-        ]
-    }
-}
-
-/// A fresh store directory under the system tmpdir.
-pub fn tmp_store(name: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!(
-        "c3-bench-{name}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-    ));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
 
 /// Outcome of one timed job.
 pub struct Timed {
@@ -126,23 +26,23 @@ pub struct Timed {
 }
 
 /// Run the original (un-instrumented) application.
-pub fn run_original(spec: &JobSpec, bench: Bench) -> Timed {
+pub fn run_original(spec: &JobSpec, kernel: Kernel) -> Timed {
     let t0 = Instant::now();
-    let h = mpisim::launch(spec, move |ctx| bench.run(ctx))
-        .unwrap_or_else(|e| panic!("original {} failed: {e}", bench.name()));
+    let h = mpisim::launch(spec, move |ctx| kernel.run(ctx))
+        .unwrap_or_else(|e| panic!("original {} failed: {e}", kernel.name()));
     let makespan_ns = h.makespan_ns();
     Timed { wall: t0.elapsed(), results: h.results, makespan_ns, stats: C3Stats::default() }
 }
 
 /// Run under the C³ layer with the given configuration.
-pub fn run_c3(spec: &JobSpec, cfg: &C3Config, bench: Bench) -> Timed {
+pub fn run_c3(spec: &JobSpec, cfg: &C3Config, kernel: Kernel) -> Timed {
     let t0 = Instant::now();
     let h = c3::Job::from_spec(spec, cfg.clone())
         .run(move |ctx| {
-            let r = bench.run(ctx).map_err(C3Error::Mpi)?;
+            let r = kernel.run(ctx).map_err(C3Error::Mpi)?;
             Ok((r, ctx.stats().clone()))
         })
-        .unwrap_or_else(|e| panic!("C³ {} failed: {e}", bench.name()));
+        .unwrap_or_else(|e| panic!("C³ {} failed: {e}", kernel.name()));
     let wall = t0.elapsed();
     let makespan_ns = h.makespan_ns();
     let mut agg = C3Stats::default();
@@ -179,7 +79,7 @@ pub fn best_of<F: FnMut() -> Timed>(reps: usize, mut f: F) -> Timed {
 }
 
 /// Per-rank checkpoint sizes of the newest committed version in a store.
-pub fn checkpoint_sizes(store_root: &PathBuf, nranks: usize) -> Vec<u64> {
+pub fn checkpoint_sizes(store_root: &Path, nranks: usize) -> Vec<u64> {
     let store = CkptStore::new(store_root).expect("open store");
     let version = store.versions().into_iter().max().unwrap_or(0);
     (0..nranks).map(|r| store.checkpoint_bytes(version, r).unwrap_or(0)).collect()
@@ -200,14 +100,16 @@ pub fn assert_same_results(name: &str, a: &[f64], b: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use statesave::TempStore;
 
     #[test]
     fn original_and_c3_agree_on_cg() {
         let spec = JobSpec::new(2);
-        let b = Bench::Cg(cg::CgConfig { n: 512, iters: 5 });
-        let orig = run_original(&spec, b);
-        let cfg = C3Config::passive(tmp_store("runner-cg"));
-        let c3r = run_c3(&spec, &cfg, b);
+        let k = Kernel::Cg(npb::cg::CgConfig { n: 512, iters: 5 });
+        let orig = run_original(&spec, k);
+        let store = TempStore::new("runner-cg");
+        let cfg = C3Config::passive(store.path());
+        let c3r = run_c3(&spec, &cfg, k);
         assert_same_results("cg", &orig.results, &c3r.results);
         assert_eq!(c3r.stats.ckpts_committed, 0);
         assert!(c3r.stats.msgs_sent > 0);
@@ -216,12 +118,12 @@ mod tests {
     #[test]
     fn checkpoint_sizes_read_back() {
         let spec = JobSpec::new(2);
-        let b = Bench::Sp(sp::SpConfig { n: 32, steps: 6, lambda: 0.4 });
-        let root = tmp_store("runner-sizes");
-        let cfg = C3Config::at_pragmas(&root, vec![2]);
-        let t = run_c3(&spec, &cfg, b);
+        let k = Kernel::Sp(npb::sp::SpConfig { n: 32, steps: 6, lambda: 0.4 });
+        let store = TempStore::new("runner-sizes");
+        let cfg = C3Config::at_pragmas(store.path(), vec![2]);
+        let t = run_c3(&spec, &cfg, k);
         assert_eq!(t.stats.ckpts_committed, 2);
-        let sizes = checkpoint_sizes(&root, 2);
+        let sizes = checkpoint_sizes(store.path(), 2);
         assert!(sizes.iter().all(|s| *s > 0), "sizes: {sizes:?}");
     }
 

@@ -1,43 +1,168 @@
-//! Generators for the paper's runtime tables (2-7) and the §6.4 scaling
-//! projection. Each returns a rendered [`Table`]; the `table*` binaries are
-//! thin wrappers.
+//! Generators for the paper's Tables 1–7 and the §6.4 scaling projection,
+//! and the kernel sets they run. Each returns a rendered [`Table`]; the
+//! `tables` binary prints them.
 
 use crate::paper;
-use crate::report::{pct, secs, Align, Table};
-use crate::runner::assert_same_results;
-use crate::runner::{best_of, checkpoint_sizes, run_c3, run_original, tmp_store, Bench};
+use crate::report::{mb, pct, secs, Align, Table};
+use crate::runner::{assert_same_results, best_of, checkpoint_sizes, run_c3, run_original, Timed};
 use c3::C3Config;
 use mpisim::{ClusterModel, JobSpec};
+use npb::{bt, cg, ep, ft, hpl, is, lu, mg, smg, sp, Kernel};
+use statesave::TempStore;
+use std::path::Path;
 
 /// Wall-time repetitions per cell (minimum is reported).
 const REPS: usize = 3;
 
-/// The checkpoint pragma that lands mid-run for each overhead-set workload.
-pub fn mid_pragma(bench: &Bench) -> u64 {
-    match bench {
-        Bench::Cg(c) => (c.iters / 2).max(1),
-        Bench::Lu(c) => (c.isteps / 2).max(1),
-        Bench::Sp(c) => (c.steps / 2).max(1),
-        Bench::Bt(c) => (c.steps / 2).max(1),
-        Bench::Mg(c) => (c.cycles / 2).max(1),
-        Bench::Ft(c) => (c.steps / 2).max(1),
-        Bench::Is(c) => (c.iters / 2).max(1),
-        Bench::Ep(c) => (c.blocks / 2).max(1),
+/// The Table 1 set: (paper row name, workload sized for a large live
+/// state, checkpoint pragma).
+pub const SIZE_SET: [(&str, Kernel, u64); 8] = [
+    ("BT (A)", Kernel::Bt(bt::BtConfig { n: 1200, steps: 2, lambda: 0.35, kappa: 0.1 }), 1),
+    ("CG (B)", Kernel::Cg(cg::CgConfig { n: 2_000_000, iters: 3 }), 1),
+    ("EP (A)", Kernel::Ep(ep::EpConfig { m_per_block: 16, blocks: 3 }), 1),
+    ("FT (A)", Kernel::Ft(ft::FtConfig { n: 1024, steps: 2, alpha: 1e-4 }), 1),
+    (
+        "IS (A)",
+        Kernel::Is(is::IsConfig { total_keys: 1 << 21, max_key: 1 << 19, iters: 3 }),
+        2, // after one iteration the ranked key array is live
+    ),
+    ("LU (A)", Kernel::Lu(lu::LuConfig { n: 2048, isteps: 2, omega: 1.2 }), 1),
+    ("MG (B)", Kernel::Mg(mg::MgConfig { log2_n: 21, cycles: 2, smooth: 2 }), 1),
+    ("SP (A)", Kernel::Sp(sp::SpConfig { n: 2048, steps: 2, lambda: 0.4 }), 1),
+];
+
+/// The overhead-table set (Tables 2-5 and the §6.4 projection): CG, LU,
+/// SP, SMG2000, HPL, with sizes that run in fractions of a second per job
+/// at laptop scale.
+pub const OVERHEAD_SET: [Kernel; 5] = [
+    Kernel::Cg(cg::CgConfig { n: 65_536, iters: 300 }),
+    Kernel::Lu(lu::LuConfig { n: 480, isteps: 80, omega: 1.2 }),
+    Kernel::Sp(sp::SpConfig { n: 512, steps: 50, lambda: 0.4 }),
+    Kernel::Smg(smg::SmgConfig { log2_n: 15, iters: 30, smooth: 2 }),
+    Kernel::Hpl(hpl::HplConfig { n: 576 }),
+];
+
+/// The restart-table set (Tables 6/7): the same codes sized up so a
+/// uniprocessor run takes on the order of a second — the paper's restart
+/// costs are relative to runs of 13-1283 s, so the fixed restore cost
+/// must be small against the run, not against a millisecond kernel.
+pub const RESTART_SET: [Kernel; 5] = [
+    Kernel::Cg(cg::CgConfig { n: 65_536, iters: 300 }),
+    Kernel::Lu(lu::LuConfig { n: 480, isteps: 400, omega: 1.2 }),
+    Kernel::Sp(sp::SpConfig { n: 512, steps: 250, lambda: 0.4 }),
+    Kernel::Smg(smg::SmgConfig { log2_n: 20, iters: 12, smooth: 2 }),
+    Kernel::Hpl(hpl::HplConfig { n: 1792 }),
+];
+
+/// Table 1's SLC model: slack the SLC image carries over live data (freed
+/// blocks, allocator padding): 2%, matching the paper's Condor-vs-C3
+/// deltas, which are a near-constant ~0.7 MB on top of the data for every
+/// code.
+pub const ARENA_SLACK: f64 = 1.02;
+/// Table 1's SLC model: non-heap process image segments (stack + static +
+/// text), bytes.
+pub const IMAGE_SEGMENTS: u64 = (64 << 10) + (512 << 10) + 1_740_000;
+/// Table 1's C³ model: the C³ runtime's own saved arena (memory manager +
+/// padded stack), bytes.
+pub const C3_ARENA: u64 = 1_000_000;
+
+/// The checkpoint pragma that lands mid-run for each workload.
+pub fn mid_pragma(kernel: &Kernel) -> u64 {
+    match kernel {
+        Kernel::Cg(c) => (c.iters / 2).max(1),
+        Kernel::Lu(c) => (c.isteps / 2).max(1),
+        Kernel::Sp(c) => (c.steps / 2).max(1),
+        Kernel::Bt(c) => (c.steps / 2).max(1),
+        Kernel::Mg(c) => (c.cycles / 2).max(1),
+        Kernel::Ft(c) => (c.steps / 2).max(1),
+        Kernel::Is(c) => (c.iters / 2).max(1),
+        Kernel::Ep(c) => (c.blocks / 2).max(1),
         // SMG has ~1 + ladder-depth pragmas per PCG iteration plus three in
         // main; aim at the middle iteration.
-        Bench::Smg(c) => {
+        Kernel::Smg(c) => {
             let levels = (c.log2_n as u64).saturating_sub(4).max(2);
             3 + (c.iters / 2) * (1 + levels)
         }
-        Bench::Hpl(c) => (c.n as u64 / 2).max(1),
+        Kernel::Hpl(c) => (c.n as u64 / 2).max(1),
     }
+}
+
+/// Best of [`REPS`] C³ runs of `kernel` under `cfg`, built over a fresh
+/// store that is deleted on return.
+fn best_c3(spec: &JobSpec, kernel: Kernel, cfg: impl FnOnce(&Path) -> C3Config) -> Timed {
+    let store = TempStore::new(kernel.name());
+    let cfg = cfg(store.path());
+    best_of(REPS, || run_c3(spec, &cfg, kernel))
+}
+
+/// Table 1: checkpoint sizes, C³ (application-level) vs a Condor-style
+/// system-level checkpointer, uniprocessor (§6.1).
+///
+/// Measured side: one rank runs each benchmark, takes one real checkpoint
+/// to disk, and the bytes are read back from the store. Two modeled
+/// quantities make the comparison meaningful at laptop scale:
+///
+/// * **SLC image** = live state × [`ARENA_SLACK`] (allocator fragmentation
+///   the SLC must dump) + [`IMAGE_SEGMENTS`] (Condor dumps the whole
+///   process image regardless of live data);
+/// * **C³ runtime arena** = [`C3_ARENA`] added to the measured bytes: the
+///   real C³ runtime's memory manager and padded stack are saved with every
+///   checkpoint, which is why the paper's C³ EP checkpoint is 1.00 MB even
+///   though EP's live state is a few hundred bytes.
+///
+/// The reproduced *shape*: for data-dominated codes the reduction is small
+/// (a fraction of a percent to a few percent); for EP — huge transient
+/// computation, tiny live state — ALC wins by tens of percent.
+pub fn sizes_table() -> Table {
+    let mut t = Table::new(
+        "Table 1 — checkpoint sizes in MB, uniprocessor (paper: Linux rows)",
+        &[
+            ("Code", Align::Left),
+            ("SLC 'Condor' (MB)", Align::Right),
+            ("C3 (MB)", Align::Right),
+            ("Reduction", Align::Right),
+            ("paper Condor", Align::Right),
+            ("paper C3", Align::Right),
+            ("paper Red.", Align::Right),
+        ],
+    );
+    for (name, kernel, pragma) in SIZE_SET {
+        let spec = JobSpec::new(1);
+        let store = TempStore::new("t1");
+        let cfg = C3Config::at_pragmas(store.path(), vec![pragma]);
+        let orig = run_original(&spec, kernel);
+        let c3r = run_c3(&spec, &cfg, kernel);
+        assert_same_results(name, &orig.results, &c3r.results);
+        assert!(c3r.stats.ckpts_committed >= 1, "{name}: no checkpoint committed");
+
+        let measured = checkpoint_sizes(store.path(), 1)[0];
+        let c3_mb_v = measured + C3_ARENA;
+        // The SLC dumps the live data in-place in the arena plus the fixed
+        // segments; the live data size is what C³ measured minus its own
+        // arena model (i.e. the raw bytes).
+        let slc = (measured as f64 * ARENA_SLACK) as u64 + IMAGE_SEGMENTS + C3_ARENA;
+        let red = (slc as f64 - c3_mb_v as f64) / slc as f64 * 100.0;
+
+        let p = paper::TABLE1_LINUX.iter().find(|r| r.code == name).unwrap();
+        t.row(vec![
+            name.to_string(),
+            mb(slc),
+            mb(c3_mb_v),
+            format!("{red:.2}%"),
+            format!("{:.2}", p.condor_mb),
+            format!("{:.2}", p.c3_mb),
+            format!("{:.2}%", p.reduction_pct),
+        ]);
+    }
+    t
 }
 
 /// Tables 2 and 3: runtime overhead *without* checkpoints across rank
 /// counts, on one platform model.
 pub fn overhead_table(
     title: &str,
-    cluster_of: impl Fn(&Bench) -> ClusterModel,
+    cluster_of: impl Fn(&Kernel) -> ClusterModel,
+    kernels: &[Kernel],
     procs: &[usize],
     paper_rows: &[paper::OverheadRow],
 ) -> Table {
@@ -52,21 +177,20 @@ pub fn overhead_table(
             ("paper overhead", Align::Right),
         ],
     );
-    for bench in Bench::overhead_set(procs[0]) {
+    for &kernel in kernels {
         let paper_oh = paper_rows
             .iter()
-            .find(|r| r.code.starts_with(bench.name()) || r.code == bench.name())
+            .find(|r| r.code.starts_with(kernel.name()) || r.code == kernel.name())
             .map(|r| format!("{:+.1}%", r.overhead_pct))
             .unwrap_or_else(|| "-".into());
         for (i, &p) in procs.iter().enumerate() {
-            let spec = JobSpec::new(p).cluster(cluster_of(&bench));
-            let orig = best_of(REPS, || run_original(&spec, bench));
-            let cfg = C3Config::passive(tmp_store(&format!("oh-{}-{p}", bench.name())));
-            let c3r = best_of(REPS, || run_c3(&spec, &cfg, bench));
-            assert_same_results(bench.name(), &orig.results, &c3r.results);
+            let spec = JobSpec::new(p).cluster(cluster_of(&kernel));
+            let orig = best_of(REPS, || run_original(&spec, kernel));
+            let c3r = best_c3(&spec, kernel, |p| C3Config::passive(p));
+            assert_same_results(kernel.name(), &orig.results, &c3r.results);
             let rel = (c3r.wall.as_secs_f64() - orig.wall.as_secs_f64()) / orig.wall.as_secs_f64();
             t.row(vec![
-                if i == 0 { bench.name().to_string() } else { String::new() },
+                if i == 0 { kernel.name().to_string() } else { String::new() },
                 p.to_string(),
                 secs(orig.wall),
                 secs(c3r.wall),
@@ -83,7 +207,8 @@ pub fn overhead_table(
 /// configurations of §6.4, plus per-process checkpoint size and cost.
 pub fn with_ckpt_table(
     title: &str,
-    cluster_of: impl Fn(&Bench) -> ClusterModel,
+    cluster_of: impl Fn(&Kernel) -> ClusterModel,
+    kernels: &[Kernel],
     procs: usize,
     paper_rows: &[paper::CkptRow],
 ) -> Table {
@@ -101,37 +226,34 @@ pub fn with_ckpt_table(
             ("paper cost", Align::Right),
         ],
     );
-    for bench in Bench::overhead_set(procs) {
-        let spec = JobSpec::new(procs).cluster(cluster_of(&bench));
-        let pragma = mid_pragma(&bench);
+    for &kernel in kernels {
+        let spec = JobSpec::new(procs).cluster(cluster_of(&kernel));
+        let pragma = mid_pragma(&kernel);
 
         // Configuration #1: protocol active, no checkpoints.
-        let cfg1 = C3Config::passive(tmp_store(&format!("c1-{}", bench.name())));
-        let r1 = best_of(REPS, || run_c3(&spec, &cfg1, bench));
+        let r1 = best_c3(&spec, kernel, |p| C3Config::passive(p));
 
         // Configuration #2: one checkpoint, nothing written to disk.
-        let cfg2 = C3Config::at_pragmas(tmp_store(&format!("c2-{}", bench.name())), vec![pragma])
-            .no_disk();
-        let r2 = best_of(REPS, || run_c3(&spec, &cfg2, bench));
-        assert!(r2.stats.ckpts_committed >= 1, "{}: cfg#2 never committed", bench.name());
+        let r2 = best_c3(&spec, kernel, |p| C3Config::at_pragmas(p, vec![pragma]).no_disk());
+        assert!(r2.stats.ckpts_committed >= 1, "{}: cfg#2 never committed", kernel.name());
 
         // Configuration #3: one checkpoint to local disk.
-        let root3 = tmp_store(&format!("c3-{}", bench.name()));
-        let cfg3 = C3Config::at_pragmas(&root3, vec![pragma]);
-        let r3 = best_of(REPS, || run_c3(&spec, &cfg3, bench));
-        assert!(r3.stats.ckpts_committed >= 1, "{}: cfg#3 never committed", bench.name());
-        assert_same_results(bench.name(), &r1.results, &r3.results);
+        let store3 = TempStore::new(kernel.name());
+        let cfg3 = C3Config::at_pragmas(store3.path(), vec![pragma]);
+        let r3 = best_of(REPS, || run_c3(&spec, &cfg3, kernel));
+        assert!(r3.stats.ckpts_committed >= 1, "{}: cfg#3 never committed", kernel.name());
+        assert_same_results(kernel.name(), &r1.results, &r3.results);
 
-        let sizes = checkpoint_sizes(&root3, procs);
+        let sizes = checkpoint_sizes(store3.path(), procs);
         let per_proc = sizes.iter().sum::<u64>() as f64 / procs as f64 / 1e6;
         let cost = r3.wall.as_secs_f64() - r1.wall.as_secs_f64();
         // CI control messages per checkpoint round: the §4.5 scalability
         // measure (grows linearly in P, no initiator bottleneck).
         let ci = r3.stats.ci_sent;
 
-        let p = paper_rows.iter().find(|r| r.code.starts_with(bench.name()));
+        let p = paper_rows.iter().find(|r| r.code.starts_with(kernel.name()));
         t.row(vec![
-            bench.name().to_string(),
+            kernel.name().to_string(),
             secs(r1.wall),
             secs(r2.wall),
             secs(r3.wall),
@@ -141,7 +263,6 @@ pub fn with_ckpt_table(
             p.map(|r| format!("{:.2}", r.size_mb)).unwrap_or_else(|| "-".into()),
             p.map(|r| format!("{:+.0}", r.cost_s)).unwrap_or_else(|| "-".into()),
         ]);
-        let _ = std::fs::remove_dir_all(&root3);
     }
     t
 }
@@ -153,6 +274,7 @@ pub fn with_ckpt_table(
 pub fn restart_table(
     title: &str,
     cluster: ClusterModel,
+    kernels: &[Kernel],
     paper_rows: &[paper::RestartRow],
 ) -> Table {
     let mut t = Table::new(
@@ -167,31 +289,31 @@ pub fn restart_table(
             ("paper rel.", Align::Right),
         ],
     );
-    for bench in Bench::restart_set() {
+    for &kernel in kernels {
         let spec = JobSpec::new(1).cluster(cluster);
-        let orig = best_of(REPS, || run_original(&spec, bench));
+        let orig = best_of(REPS, || run_original(&spec, kernel));
 
         // Run 1: checkpoint mid-run, note the wall time of the commit.
-        let root = tmp_store(&format!("rs-{}", bench.name()));
-        let cfg = C3Config::at_pragmas(&root, vec![mid_pragma(&bench)]);
-        let r1 = run_c3(&spec, &cfg, bench);
-        assert!(r1.stats.ckpts_committed >= 1, "{}: no commit", bench.name());
+        let store = TempStore::new(kernel.name());
+        let cfg = C3Config::at_pragmas(store.path(), vec![mid_pragma(&kernel)]);
+        let r1 = run_c3(&spec, &cfg, kernel);
+        assert!(r1.stats.ckpts_committed >= 1, "{}: no commit", kernel.name());
         let after_ckpt = r1.wall.as_secs_f64() - r1.stats.last_commit_wall_ns as f64 / 1e9;
 
         // Run 2: restart from the stored checkpoint, run to the end.
         let t0 = std::time::Instant::now();
         let h = c3::Job::from_spec(&spec, cfg.clone())
             .restore()
-            .run(move |ctx| bench.run(ctx).map_err(c3::C3Error::Mpi))
-            .unwrap_or_else(|e| panic!("{} restart failed: {e}", bench.name()));
+            .run(move |ctx| kernel.run(ctx).map_err(c3::C3Error::Mpi))
+            .unwrap_or_else(|e| panic!("{} restart failed: {e}", kernel.name()));
         let restarted = t0.elapsed().as_secs_f64();
-        assert_same_results(bench.name(), &r1.results, &h.results);
+        assert_same_results(kernel.name(), &r1.results, &h.results);
 
         let cost = restarted - after_ckpt;
         let rel = cost / orig.wall.as_secs_f64();
-        let p = paper_rows.iter().find(|r| r.code.starts_with(bench.name()));
+        let p = paper_rows.iter().find(|r| r.code.starts_with(kernel.name()));
         t.row(vec![
-            bench.name().to_string(),
+            kernel.name().to_string(),
             secs(orig.wall),
             format!("{after_ckpt:.3}"),
             format!("{restarted:.3}"),
@@ -199,14 +321,13 @@ pub fn restart_table(
             pct(rel),
             p.map(|r| format!("{:+.1}%", r.cost_pct)).unwrap_or_else(|| "-".into()),
         ]);
-        let _ = std::fs::remove_dir_all(&root);
     }
     t
 }
 
 /// §6.4's projection: with the measured per-checkpoint cost, what is the
 /// overhead of checkpointing hourly / daily?
-pub fn scaling_table(procs: usize) -> Table {
+pub fn scaling_table(kernels: &[Kernel], procs: usize) -> Table {
     let mut t = Table::new(
         "§6.4 scaling projection — overhead of periodic checkpointing (Lemieux model)",
         &[
@@ -218,41 +339,66 @@ pub fn scaling_table(procs: usize) -> Table {
     );
     let mut max_hourly: f64 = 0.0;
     let mut max_daily: f64 = 0.0;
-    for bench in Bench::overhead_set(procs) {
+    for &kernel in kernels {
         let spec = JobSpec::new(procs).cluster(ClusterModel::lemieux());
-        let cfg1 = C3Config::passive(tmp_store(&format!("sc1-{}", bench.name())));
-        let r1 = best_of(REPS, || run_c3(&spec, &cfg1, bench));
-        let root = tmp_store(&format!("sc3-{}", bench.name()));
-        let cfg3 = C3Config::at_pragmas(&root, vec![mid_pragma(&bench)]);
-        let r3 = best_of(REPS, || run_c3(&spec, &cfg3, bench));
+        let r1 = best_c3(&spec, kernel, |p| C3Config::passive(p));
+        let r3 = best_c3(&spec, kernel, |p| C3Config::at_pragmas(p, vec![mid_pragma(&kernel)]));
         let cost = (r3.wall.as_secs_f64() - r1.wall.as_secs_f64()).max(0.0);
         let hourly = cost / 3600.0;
         let daily = cost / 86_400.0;
         max_hourly = max_hourly.max(hourly);
         max_daily = max_daily.max(daily);
         t.row(vec![
-            bench.name().to_string(),
+            kernel.name().to_string(),
             format!("{cost:.3}"),
             format!("{:+.4}%", hourly * 100.0),
             format!("{:+.4}%", daily * 100.0),
         ]);
-        let _ = std::fs::remove_dir_all(&root);
     }
     t.separator();
     t.row(vec![
         format!(
             "max (paper: <{}% hourly, <{}% daily)",
-            crate::paper::SCALING_HOURLY_MAX_PCT,
-            crate::paper::SCALING_DAILY_MAX_PCT
+            paper::SCALING_HOURLY_MAX_PCT,
+            paper::SCALING_DAILY_MAX_PCT
         ),
         String::new(),
         format!("{:+.4}%", max_hourly * 100.0),
         format!("{:+.4}%", max_daily * 100.0),
     ]);
     assert!(
-        max_hourly * 100.0 < crate::paper::SCALING_HOURLY_MAX_PCT
-            && max_daily * 100.0 < crate::paper::SCALING_DAILY_MAX_PCT,
+        max_hourly * 100.0 < paper::SCALING_HOURLY_MAX_PCT
+            && max_daily * 100.0 < paper::SCALING_DAILY_MAX_PCT,
         "the paper's §6.4 scaling claim does not hold at this scale"
     );
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every table generator but Table 1's runs end to end on a tiny CG:
+    /// one row per kernel × procs, and the checkpointing tables commit (the
+    /// generators assert that themselves) and send their CI messages.
+    #[test]
+    fn generators_run_on_a_tiny_kernel() {
+        let tiny = [Kernel::Cg(cg::CgConfig { n: 64, iters: 4 })];
+        let ideal = |_: &Kernel| ClusterModel::ideal();
+
+        let t = overhead_table("overhead", ideal, &tiny, &[1, 2], &[]);
+        let procs: Vec<&str> = t.rows().map(|r| r[1].as_str()).collect();
+        assert_eq!(procs, ["1", "2"]);
+
+        let t = with_ckpt_table("with ckpt", ideal, &tiny, 2, &[]);
+        let rows: Vec<&[String]> = t.rows().collect();
+        assert_eq!(rows.len(), 1);
+        assert!(rows[0][6].parse::<u64>().unwrap() > 0, "no CI messages: {rows:?}");
+
+        let t = restart_table("restart", ClusterModel::ideal(), &tiny, &[]);
+        assert_eq!(t.rows().count(), 1);
+
+        // One row per kernel plus the max row.
+        assert_eq!(scaling_table(&tiny, 2).rows().count(), 2);
+    }
 }

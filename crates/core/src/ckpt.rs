@@ -287,10 +287,9 @@ pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
     let late = ctx.store.read_section(version, rank, "late").map_err(C3Error::Io)?;
     let mut d = Decoder::new(&late);
     ctx.replay = ReplayLog::load(&mut d)?;
-    let (reqs, _repost) = C3ReqTable::load(&mut d, ctx.epoch)?;
     // Receives are re-posted lazily at completion time (see
-    // `C3Ctx::posted` in `protocol.rs`), so the repost list is informational.
-    ctx.reqs = reqs;
+    // `C3Ctx::posted` in `protocol.rs`).
+    ctx.reqs = C3ReqTable::load(&mut d, ctx.epoch)?;
 
     debug_assert_eq!(ctx.epoch, version, "checkpoint version equals its epoch");
     Ok(())

@@ -76,20 +76,10 @@ impl CiTracker {
         self.count(epoch) > 0
     }
 
-    /// The sent-count from `peer` for round `epoch`, if its CI arrived.
-    pub fn sent_count(&self, epoch: u64, peer: usize) -> Option<u64> {
-        self.by_epoch.get(&epoch).and_then(|m| m.get(&peer)).copied()
-    }
-
     /// Drain the recorded CIs for a round (consumed when the local process
     /// takes its own checkpoint for that round).
     pub fn take_round(&mut self, epoch: u64) -> HashMap<usize, u64> {
         self.by_epoch.remove(&epoch).unwrap_or_default()
-    }
-
-    /// Discard rounds at or below `epoch` (already committed or aborted).
-    pub fn discard_through(&mut self, epoch: u64) {
-        self.by_epoch.retain(|e, _| *e > epoch);
     }
 }
 
@@ -114,13 +104,12 @@ mod tests {
         assert_eq!(t.count(3), 1);
         assert!(t.any(3));
         assert!(!t.any(4));
-        assert_eq!(t.sent_count(2, 1), Some(10));
-        assert_eq!(t.sent_count(2, 3), None);
         let round = t.take_round(2);
         assert_eq!(round.len(), 2);
+        assert_eq!(round.get(&1), Some(&10));
+        assert_eq!(round.get(&3), None);
         assert_eq!(t.count(2), 0);
-        t.discard_through(3);
-        assert!(!t.any(3));
+        assert_eq!(t.count(3), 1, "taking one round leaves the others");
     }
 
     #[test]

@@ -288,27 +288,17 @@ impl C3ReqTable {
     /// Rebuild from a checkpoint: the id counter is rolled back to the
     /// recovery line, pre-line entries become live again, and post-line
     /// entries become replay metadata for re-execution.
-    ///
-    /// Returns the pre-line entries that need their receives re-posted
-    /// (not completed by a late message), in ascending id order.
-    pub fn load(
-        d: &mut Decoder<'_>,
-        line_epoch: u64,
-    ) -> Result<(Self, Vec<(u64, SavedReqMeta)>), CodecError> {
+    pub fn load(d: &mut Decoder<'_>, line_epoch: u64) -> Result<Self, CodecError> {
         let line_next = d.u64()?;
         let n = d.u64()? as usize;
         let mut table = C3ReqTable { next: line_next, ..Default::default() };
-        let mut repost = Vec::new();
         for _ in 0..n {
             let id = d.u64()?;
             let meta = SavedReqMeta::load(d)?;
             if meta.epoch_allocated < line_epoch {
-                // Crossed the recovery line: live again. The receive is
-                // re-posted unless a late message completed it (then the
-                // data is served from the replay log).
-                if meta.kind == C3ReqKind::Recv && !meta.completed_by_late {
-                    repost.push((id, meta.clone()));
-                }
+                // Crossed the recovery line: live again, with no substrate
+                // request yet. A receive a late message completed is served
+                // from the replay log.
                 table.entries.insert(
                     id,
                     ReqEntry {
@@ -338,7 +328,7 @@ impl C3ReqTable {
         }
         let events: Vec<NondetEvent> = d.load()?;
         table.nondet_events = events.into();
-        Ok((table, repost))
+        Ok(table)
     }
 
     /// Purge entries whose deallocation was deferred for the table save
@@ -401,13 +391,13 @@ mod tests {
         let mut e = Encoder::new();
         t.save(line_next, &mut e);
         let buf = e.finish();
-        let (t2, repost) = C3ReqTable::load(&mut Decoder::new(&buf), 4).unwrap();
-        // Only b is re-posted (a was completed by late).
-        assert_eq!(repost.len(), 1);
-        assert_eq!(repost[0].0, b.0);
-        // a and b are live entries; c is replay metadata.
-        assert!(t2.get(a).is_some());
-        assert!(t2.get(b).is_some());
+        let t2 = C3ReqTable::load(&mut Decoder::new(&buf), 4).unwrap();
+        // a and b are live entries; a keeps its late completion, b is still
+        // open with no substrate request. c is replay metadata.
+        assert_eq!(t2.get(a).unwrap().completed_class, Some(MsgClass::Late));
+        let b2 = t2.get(b).unwrap();
+        assert_eq!(b2.completed_class, None);
+        assert!(b2.mpi.is_none());
         assert!(t2.get(c).is_none());
         assert_eq!(t2.replay.get(&c.0).unwrap().test_fails, 7);
         // The id counter resumed at the line: re-execution re-creates c with
@@ -426,7 +416,7 @@ mod tests {
         let mut e = Encoder::new();
         t.save(0, &mut e);
         let buf = e.finish();
-        let (t2, _) = C3ReqTable::load(&mut Decoder::new(&buf), 0).unwrap();
+        let t2 = C3ReqTable::load(&mut Decoder::new(&buf), 0).unwrap();
         assert_eq!(t2.nondet_events.len(), 2);
         assert_eq!(t2.nondet_events[0], NondetEvent::WaitAny(2));
     }

@@ -14,7 +14,7 @@ use statesave::TempStore;
 /// RAII store root: the checkpoint directory is removed when the guard
 /// drops, so green runs leave nothing behind in the system tmpdir. Bind the
 /// guard for the duration of the job(s) that use the store.
-fn tmp_store(name: &str) -> TempStore {
+fn e2e_store(name: &str) -> TempStore {
     TempStore::new(&format!("e2e-{name}"))
 }
 
@@ -121,11 +121,11 @@ fn cross_app(ctx: &mut C3Ctx<'_>, iters: u64) -> Result<u64, C3Error> {
 
 #[test]
 fn ring_no_checkpoints_matches_plain() {
-    let st_ring_plain_1 = tmp_store("ring-plain");
+    let st_ring_plain_1 = e2e_store("ring-plain");
     let cfg = C3Config::passive(st_ring_plain_1.path());
     let out = Job::new(4, cfg).run(|ctx| ring_app(ctx, 10)).unwrap();
     // Compare against the same app with checkpoints taken: results equal.
-    let st_ring_ckpt_2 = tmp_store("ring-ckpt");
+    let st_ring_ckpt_2 = e2e_store("ring-ckpt");
     let cfg2 = C3Config::at_pragmas(st_ring_ckpt_2.path(), vec![7]);
     let out2 = Job::new(4, cfg2).run(|ctx| ring_app(ctx, 10)).unwrap();
     assert_eq!(out.results, out2.results);
@@ -133,11 +133,11 @@ fn ring_no_checkpoints_matches_plain() {
 
 #[test]
 fn ring_survives_failure_after_commit() {
-    let st_ring_base_3 = tmp_store("ring-base");
+    let st_ring_base_3 = e2e_store("ring-base");
     let baseline =
         Job::new(4, C3Config::passive(st_ring_base_3.path())).run(|ctx| ring_app(ctx, 12)).unwrap();
 
-    let st_ring_fail_4 = tmp_store("ring-fail");
+    let st_ring_fail_4 = e2e_store("ring-fail");
     let cfg = C3Config::at_pragmas(st_ring_fail_4.path(), vec![9]);
     let plan = FailurePlan { rank: 2, when: FailAt::AfterCommits { commits: 1, pragma: 15 } };
     let rec = Job::new(4, cfg).failure(plan).run(|ctx| ring_app(ctx, 12)).unwrap();
@@ -147,11 +147,11 @@ fn ring_survives_failure_after_commit() {
 
 #[test]
 fn ring_failure_before_any_commit_restarts_from_scratch() {
-    let st_ring_base2_5 = tmp_store("ring-base2");
+    let st_ring_base2_5 = e2e_store("ring-base2");
     let baseline =
         Job::new(3, C3Config::passive(st_ring_base2_5.path())).run(|ctx| ring_app(ctx, 6)).unwrap();
     // Never checkpoint; fail mid-run: recovery = full restart.
-    let st_ring_nockpt_6 = tmp_store("ring-nockpt");
+    let st_ring_nockpt_6 = e2e_store("ring-nockpt");
     let cfg = C3Config::passive(st_ring_nockpt_6.path());
     let plan = FailurePlan { rank: 0, when: FailAt::Pragma(5) };
     let rec = Job::new(3, cfg).failure(plan).run(|ctx| ring_app(ctx, 6)).unwrap();
@@ -161,14 +161,14 @@ fn ring_failure_before_any_commit_restarts_from_scratch() {
 
 #[test]
 fn cross_line_late_and_early_messages_replayed() {
-    let st_cross_base_7 = tmp_store("cross-base");
+    let st_cross_base_7 = e2e_store("cross-base");
     let baseline = Job::new(2, C3Config::passive(st_cross_base_7.path()))
         .run(|ctx| cross_app(ctx, 8))
         .unwrap();
 
     // Checkpoint at rank 0's third pragma. Rank 1's in-flight send becomes
     // late; rank 0's post-checkpoint send becomes early at rank 1.
-    let st_cross_fail_8 = tmp_store("cross-fail");
+    let st_cross_fail_8 = e2e_store("cross-fail");
     let cfg = C3Config::at_pragmas(st_cross_fail_8.path(), vec![3]);
     let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 5 } };
     let rec = Job::new(2, cfg).failure(plan).run(|ctx| cross_app(ctx, 8)).unwrap();
@@ -180,7 +180,7 @@ fn cross_line_late_and_early_messages_replayed() {
 fn cross_line_stats_show_late_and_early() {
     // Verify the protocol actually classified messages as late and early in
     // the cross app (not that it merely survived).
-    let st_cross_stats_9 = tmp_store("cross-stats");
+    let st_cross_stats_9 = e2e_store("cross-stats");
     let cfg = C3Config::at_pragmas(st_cross_stats_9.path(), vec![3]);
     let out = Job::new(2, cfg)
         .run(|ctx| {
@@ -249,10 +249,10 @@ fn send_status_app(ctx: &mut C3Ctx<'_>, iters: u64) -> Result<u64, C3Error> {
 
 #[test]
 fn completed_send_status_is_the_same_after_recovery() {
-    let st_base = tmp_store("send-status-base");
+    let st_base = e2e_store("send-status-base");
     let baseline =
         Job::new(2, C3Config::passive(st_base.path())).run(|ctx| send_status_app(ctx, 8)).unwrap();
-    let st_fail = tmp_store("send-status-fail");
+    let st_fail = e2e_store("send-status-fail");
     let cfg = C3Config::at_pragmas(st_fail.path(), vec![3]);
     let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 5 } };
     let rec = Job::new(2, cfg)
@@ -307,7 +307,7 @@ fn wildcard_order_replayed_after_failure() {
     // agree with what the coordinator's committed state implies. We check
     // self-consistency by running the recovered job and verifying that all
     // worker checksums match a recomputation from rank 0's result trace.
-    let st_wild_10 = tmp_store("wild");
+    let st_wild_10 = e2e_store("wild");
     let cfg = C3Config::at_pragmas(st_wild_10.path(), vec![4]);
     let plan = FailurePlan { rank: 3, when: FailAt::AfterCommits { commits: 1, pragma: 6 } };
     let rec = Job::new(4, cfg).failure(plan).run(|ctx| wildcard_app(ctx, 8)).unwrap();
@@ -378,11 +378,11 @@ fn nonblocking_app(ctx: &mut C3Ctx<'_>, iters: u64) -> Result<u64, C3Error> {
 
 #[test]
 fn nonblocking_requests_survive_failure() {
-    let st_nb_base_11 = tmp_store("nb-base");
+    let st_nb_base_11 = e2e_store("nb-base");
     let baseline = Job::new(3, C3Config::passive(st_nb_base_11.path()))
         .run(|ctx| nonblocking_app(ctx, 10))
         .unwrap();
-    let st_nb_fail_12 = tmp_store("nb-fail");
+    let st_nb_fail_12 = e2e_store("nb-fail");
     let cfg = C3Config::at_pragmas(st_nb_fail_12.path(), vec![5]);
     let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 8 } };
     let rec = Job::new(3, cfg).failure(plan).run(|ctx| nonblocking_app(ctx, 10)).unwrap();
@@ -434,13 +434,13 @@ fn checksums(results: &[(u64, Vec<u64>)]) -> Vec<u64> {
 /// for bit.
 #[test]
 fn collectives_survive_failure_across_line() {
-    let st_coll_base_13 = tmp_store("coll-base");
+    let st_coll_base_13 = e2e_store("coll-base");
     let baseline = Job::new(5, C3Config::passive(st_coll_base_13.path()))
         .run(|ctx| collective_app(ctx, 8))
         .unwrap();
     let expect = checksums(&baseline.results);
     let run = |name: &str, when: Option<FailAt>| {
-        let store = tmp_store(name);
+        let store = e2e_store(name);
         let job = Job::new(5, C3Config::at_pragmas(store.path(), vec![4]));
         let job = match when {
             Some(when) => job.failure(FailurePlan { rank: 2, when }),
@@ -481,9 +481,9 @@ fn reduce_and_scan_survive_failure() {
         }
         Ok(st.checksum)
     };
-    let st_rs_base_15 = tmp_store("rs-base");
+    let st_rs_base_15 = e2e_store("rs-base");
     let baseline = Job::new(3, C3Config::passive(st_rs_base_15.path())).run(app).unwrap();
-    let st_rs_fail_16 = tmp_store("rs-fail");
+    let st_rs_fail_16 = e2e_store("rs-fail");
     let cfg = C3Config::at_pragmas(st_rs_fail_16.path(), vec![3]);
     let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 5 } };
     let rec = Job::new(3, cfg).failure(plan).run(app).unwrap();
@@ -493,7 +493,7 @@ fn reduce_and_scan_survive_failure() {
 
 #[test]
 fn heap_and_vars_restored() {
-    let st_heapvars_17 = tmp_store("heapvars");
+    let st_heapvars_17 = e2e_store("heapvars");
     let cfg = C3Config::at_pragmas(st_heapvars_17.path(), vec![2]);
     let plan = FailurePlan { rank: 0, when: FailAt::AfterCommits { commits: 1, pragma: 4 } };
     let rec = Job::new(2, cfg)
@@ -533,10 +533,10 @@ fn heap_and_vars_restored() {
 
 #[test]
 fn two_checkpoints_recover_from_latest() {
-    let st_two_base_18 = tmp_store("two-base");
+    let st_two_base_18 = e2e_store("two-base");
     let baseline =
         Job::new(3, C3Config::passive(st_two_base_18.path())).run(|ctx| ring_app(ctx, 14)).unwrap();
-    let st_two_fail_19 = tmp_store("two-fail");
+    let st_two_fail_19 = e2e_store("two-fail");
     let cfg = C3Config::at_pragmas(st_two_fail_19.path(), vec![5, 15]);
     let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 2, pragma: 20 } };
     let rec = Job::new(3, cfg).failure(plan).run(|ctx| ring_app(ctx, 14)).unwrap();
@@ -547,12 +547,12 @@ fn two_checkpoints_recover_from_latest() {
 #[test]
 fn reordered_network_still_recovers() {
     let net = NetModel::reorder(1234);
-    let st_re_base_20 = tmp_store("re-base");
+    let st_re_base_20 = e2e_store("re-base");
     let baseline = Job::new(3, C3Config::passive(st_re_base_20.path()))
         .network(net)
         .run(|ctx| cross_ringish(ctx, 10))
         .unwrap();
-    let st_re_fail_21 = tmp_store("re-fail");
+    let st_re_fail_21 = e2e_store("re-fail");
     let cfg = C3Config::at_pragmas(st_re_fail_21.path(), vec![6]);
     let plan = FailurePlan { rank: 2, when: FailAt::AfterCommits { commits: 1, pragma: 9 } };
     let rec =
@@ -590,7 +590,7 @@ fn timer_policy_triggers_and_idles() {
     use std::time::Duration;
 
     // Long timer: no checkpoint ever starts.
-    let st_timer_idle_22 = tmp_store("timer-idle");
+    let st_timer_idle_22 = e2e_store("timer-idle");
     let cfg_idle = C3Config {
         store_root: st_timer_idle_22.path().to_path_buf(),
         write_disk: true,
@@ -608,7 +608,7 @@ fn timer_policy_triggers_and_idles() {
 
     // Zero timer: rank 0 initiates at its first eligible pragma, and again
     // once the round commits; at least one round must complete.
-    let st_timer_hot_23 = tmp_store("timer-hot");
+    let st_timer_hot_23 = e2e_store("timer-hot");
     let cfg_hot = C3Config {
         store_root: st_timer_hot_23.path().to_path_buf(),
         write_disk: true,
@@ -616,7 +616,7 @@ fn timer_policy_triggers_and_idles() {
         initiator: Some(0),
         ckpt_mode: c3::CkptMode::Full,
     };
-    let st_timer_base_24 = tmp_store("timer-base");
+    let st_timer_base_24 = e2e_store("timer-base");
     let baseline = Job::new(2, C3Config::passive(st_timer_base_24.path()))
         .run(|ctx| ring_app(ctx, 6))
         .unwrap();
@@ -667,7 +667,7 @@ fn virtual_time_timer_trace_is_bit_for_bit_reproducible() {
     }
 
     let run = |tag: &str| {
-        let st_tag_25 = tmp_store(tag);
+        let st_tag_25 = e2e_store(tag);
         let cfg = C3Config {
             store_root: st_tag_25.path().to_path_buf(),
             write_disk: true,
@@ -772,7 +772,7 @@ fn wildcard_order_echo_is_globally_consistent() {
         }
     }
 
-    let st_wild_echo_26 = tmp_store("wild-echo");
+    let st_wild_echo_26 = e2e_store("wild-echo");
     let cfg = C3Config::at_pragmas(st_wild_echo_26.path(), vec![4]);
     let plan = FailurePlan { rank: 2, when: FailAt::AfterCommits { commits: 1, pragma: 6 } };
     let rec = Job::new(4, cfg).failure(plan).run(app).unwrap();
@@ -789,7 +789,7 @@ fn wildcard_order_echo_is_globally_consistent() {
 fn rooted_collectives_send_two_streams_per_leaf() {
     use mpisim::{BasicType, ReduceOp};
     for n in [2usize, 5, 8] {
-        let store = tmp_store(&format!("stream-count-{n}"));
+        let store = e2e_store(&format!("stream-count-{n}"));
         let out = Job::new(n, C3Config::passive(store.path()))
             .run(|ctx| {
                 let world = ctx.comm_world();

@@ -37,17 +37,6 @@ pub struct BtConfig {
     pub kappa: f64,
 }
 
-impl BtConfig {
-    /// Class presets.
-    pub fn class(c: crate::Class) -> Self {
-        match c {
-            crate::Class::S => BtConfig { n: 40, steps: 4, lambda: 0.35, kappa: 0.1 },
-            crate::Class::W => BtConfig { n: 96, steps: 8, lambda: 0.35, kappa: 0.1 },
-            crate::Class::A => BtConfig { n: 200, steps: 12, lambda: 0.35, kappa: 0.1 },
-        }
-    }
-}
-
 /// A 3×3 matrix in row-major order.
 type Blk = [f64; NB * NB];
 

@@ -33,17 +33,6 @@ pub struct CgConfig {
     pub iters: u64,
 }
 
-impl CgConfig {
-    /// Class presets.
-    pub fn class(c: crate::Class) -> Self {
-        match c {
-            crate::Class::S => CgConfig { n: 256, iters: 8 },
-            crate::Class::W => CgConfig { n: 4_096, iters: 25 },
-            crate::Class::A => CgConfig { n: 65_536, iters: 60 },
-        }
-    }
-}
-
 /// The banded SPD operator: pentadiagonal with deterministic pseudo-random
 /// off-diagonal weights, strongly diagonally dominant.
 fn coeff(i: usize, j: usize) -> f64 {

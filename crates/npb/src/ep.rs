@@ -21,17 +21,6 @@ pub struct EpConfig {
     pub blocks: u64,
 }
 
-impl EpConfig {
-    /// Class presets.
-    pub fn class(c: crate::Class) -> Self {
-        match c {
-            crate::Class::S => EpConfig { m_per_block: 10, blocks: 8 },
-            crate::Class::W => EpConfig { m_per_block: 14, blocks: 16 },
-            crate::Class::A => EpConfig { m_per_block: 17, blocks: 24 },
-        }
-    }
-}
-
 /// NPB's multiplicative LCG: x_{k+1} = a * x_k mod 2^46.
 struct Lcg {
     x: u64,

@@ -25,17 +25,6 @@ pub struct FtConfig {
     pub alpha: f64,
 }
 
-impl FtConfig {
-    /// Class presets.
-    pub fn class(c: crate::Class) -> Self {
-        match c {
-            crate::Class::S => FtConfig { n: 32, steps: 4, alpha: 1e-4 },
-            crate::Class::W => FtConfig { n: 64, steps: 6, alpha: 1e-4 },
-            crate::Class::A => FtConfig { n: 128, steps: 10, alpha: 1e-4 },
-        }
-    }
-}
-
 /// In-place iterative radix-2 FFT of interleaved complex data
 /// (`re0, im0, re1, im1, …`). `sign` is -1 for forward, +1 for inverse
 /// (unnormalized; the caller divides by `len` after an inverse transform).

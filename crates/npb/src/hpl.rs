@@ -21,17 +21,6 @@ pub struct HplConfig {
     pub n: usize,
 }
 
-impl HplConfig {
-    /// Class presets.
-    pub fn class(c: crate::Class) -> Self {
-        match c {
-            crate::Class::S => HplConfig { n: 48 },
-            crate::Class::W => HplConfig { n: 128 },
-            crate::Class::A => HplConfig { n: 256 },
-        }
-    }
-}
-
 /// Deterministic well-conditioned test matrix: diagonally dominant with
 /// pseudo-random off-diagonal entries in (-0.5, 0.5).
 fn a_entry(i: usize, j: usize, n: usize) -> f64 {

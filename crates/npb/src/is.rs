@@ -24,17 +24,6 @@ pub struct IsConfig {
     pub iters: u64,
 }
 
-impl IsConfig {
-    /// Class presets.
-    pub fn class(c: crate::Class) -> Self {
-        match c {
-            crate::Class::S => IsConfig { total_keys: 1 << 12, max_key: 1 << 11, iters: 4 },
-            crate::Class::W => IsConfig { total_keys: 1 << 16, max_key: 1 << 16, iters: 8 },
-            crate::Class::A => IsConfig { total_keys: 1 << 19, max_key: 1 << 19, iters: 10 },
-        }
-    }
-}
-
 struct IsState {
     iter: u64,
     digest: u64,

@@ -5,8 +5,10 @@
 //! IS and EP, the SMG2000-like PCG+multigrid solver, and an HPL-like LU
 //! factorization.
 //!
-//! Every kernel is written once against the [`Comm`] trait and runs on two
-//! backends:
+//! Every kernel is written once against the [`Comm`] trait, and [`Kernel`]
+//! names each one with its problem size; it is the one dispatch table the
+//! `tables` binary, the soak, the scaling sweep and [`verify`] share. Every
+//! kernel runs on two backends:
 //!
 //! * [`mpisim::RankCtx`] — the "Original" column of Tables 2–5: plain MPI,
 //!   pragmas compile to nothing;
@@ -68,108 +70,78 @@ pub fn wave_tiles(n: usize) -> usize {
     n.min(8)
 }
 
-/// Problem classes, loosely following NPB naming: `S` (tiny smoke test),
-/// `W` (workstation), `A` (the largest we run in-process).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Class {
-    /// Tiny: unit tests and smoke runs.
-    S,
-    /// Small: integration tests and fast table rows.
-    W,
-    /// Medium: the benchmark tables.
-    A,
-}
-
-impl Class {
-    /// Parse from a letter.
-    pub fn parse(s: &str) -> Option<Class> {
-        match s {
-            "S" | "s" => Some(Class::S),
-            "W" | "w" => Some(Class::W),
-            "A" | "a" => Some(Class::A),
-            _ => None,
-        }
-    }
-
-    /// Display letter.
-    pub fn letter(self) -> &'static str {
-        match self {
-            Class::S => "S",
-            Class::W => "W",
-            Class::A => "A",
-        }
-    }
-}
-
-/// The benchmark set of the paper's evaluation, for table harnesses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// One of the paper's codes with its problem size: the kernel table every
+/// harness (the paper tables, the soak, the scaling sweep, verification)
+/// dispatches through.
+#[derive(Clone, Copy, Debug)]
 pub enum Kernel {
     /// Conjugate gradient.
-    CG,
-    /// SSOR wavefront solver.
-    LU,
-    /// Scalar pentadiagonal ADI.
-    SP,
-    /// Block tridiagonal ADI.
-    BT,
+    Cg(cg::CgConfig),
+    /// SSOR wavefront.
+    Lu(lu::LuConfig),
+    /// Scalar-pentadiagonal ADI.
+    Sp(sp::SpConfig),
+    /// Block-tridiagonal ADI.
+    Bt(bt::BtConfig),
     /// Multigrid V-cycles (the only one with barriers).
-    MG,
-    /// FFT with all-to-all transpose.
-    FT,
-    /// Integer bucket sort.
-    IS,
-    /// Embarrassingly parallel random tallies.
-    EP,
-    /// SMG2000-like PCG with multigrid preconditioner.
-    SMG,
+    Mg(mg::MgConfig),
+    /// Spectral evolution (alltoall).
+    Ft(ft::FtConfig),
+    /// Integer sort.
+    Is(is::IsConfig),
+    /// Embarrassingly parallel tallies.
+    Ep(ep::EpConfig),
+    /// SMG2000-like PCG with a semicoarsening multigrid preconditioner.
+    Smg(smg::SmgConfig),
     /// HPL-like LU factorization with partial pivoting.
-    HPL,
+    Hpl(hpl::HplConfig),
 }
 
 impl Kernel {
-    /// All kernels.
-    pub const ALL: [Kernel; 10] = [
-        Kernel::CG,
-        Kernel::LU,
-        Kernel::SP,
-        Kernel::BT,
-        Kernel::MG,
-        Kernel::FT,
-        Kernel::IS,
-        Kernel::EP,
-        Kernel::SMG,
-        Kernel::HPL,
+    /// All ten kernels at the tiny size of NPB's class S: unit tests,
+    /// verification and smoke runs.
+    pub const CLASS_S: [Kernel; 10] = [
+        Kernel::Cg(cg::CgConfig { n: 256, iters: 8 }),
+        Kernel::Lu(lu::LuConfig { n: 64, isteps: 6, omega: 1.2 }),
+        Kernel::Sp(sp::SpConfig { n: 64, steps: 5, lambda: 0.4 }),
+        Kernel::Bt(bt::BtConfig { n: 40, steps: 4, lambda: 0.35, kappa: 0.1 }),
+        Kernel::Mg(mg::MgConfig { log2_n: 8, cycles: 4, smooth: 2 }),
+        Kernel::Ft(ft::FtConfig { n: 32, steps: 4, alpha: 1e-4 }),
+        Kernel::Is(is::IsConfig { total_keys: 1 << 12, max_key: 1 << 11, iters: 4 }),
+        Kernel::Ep(ep::EpConfig { m_per_block: 10, blocks: 8 }),
+        Kernel::Smg(smg::SmgConfig { log2_n: 8, iters: 4, smooth: 2 }),
+        Kernel::Hpl(hpl::HplConfig { n: 48 }),
     ];
 
-    /// Display name.
-    pub fn name(self) -> &'static str {
+    /// Display name, matching the paper's table rows.
+    pub fn name(&self) -> &'static str {
         match self {
-            Kernel::CG => "CG",
-            Kernel::LU => "LU",
-            Kernel::SP => "SP",
-            Kernel::BT => "BT",
-            Kernel::MG => "MG",
-            Kernel::FT => "FT",
-            Kernel::IS => "IS",
-            Kernel::EP => "EP",
-            Kernel::SMG => "SMG2000",
-            Kernel::HPL => "HPL",
+            Kernel::Cg(_) => "CG",
+            Kernel::Lu(_) => "LU",
+            Kernel::Sp(_) => "SP",
+            Kernel::Bt(_) => "BT",
+            Kernel::Mg(_) => "MG",
+            Kernel::Ft(_) => "FT",
+            Kernel::Is(_) => "IS",
+            Kernel::Ep(_) => "EP",
+            Kernel::Smg(_) => "SMG2000",
+            Kernel::Hpl(_) => "HPL",
         }
     }
 
-    /// Run this kernel on any backend at the given class.
-    pub fn run<C: Comm>(self, comm: &mut C, class: Class) -> Result<f64, mpisim::MpiError> {
+    /// Run this kernel on any backend.
+    pub fn run<C: Comm>(&self, comm: &mut C) -> Result<f64, mpisim::MpiError> {
         match self {
-            Kernel::CG => cg::run(comm, &cg::CgConfig::class(class)),
-            Kernel::LU => lu::run(comm, &lu::LuConfig::class(class)),
-            Kernel::SP => sp::run(comm, &sp::SpConfig::class(class)),
-            Kernel::BT => bt::run(comm, &bt::BtConfig::class(class)),
-            Kernel::MG => mg::run(comm, &mg::MgConfig::class(class)),
-            Kernel::FT => ft::run(comm, &ft::FtConfig::class(class)),
-            Kernel::IS => is::run(comm, &is::IsConfig::class(class)),
-            Kernel::EP => ep::run(comm, &ep::EpConfig::class(class)),
-            Kernel::SMG => smg::run(comm, &smg::SmgConfig::class(class)),
-            Kernel::HPL => hpl::run(comm, &hpl::HplConfig::class(class)),
+            Kernel::Cg(cfg) => cg::run(comm, cfg),
+            Kernel::Lu(cfg) => lu::run(comm, cfg),
+            Kernel::Sp(cfg) => sp::run(comm, cfg),
+            Kernel::Bt(cfg) => bt::run(comm, cfg),
+            Kernel::Mg(cfg) => mg::run(comm, cfg),
+            Kernel::Ft(cfg) => ft::run(comm, cfg),
+            Kernel::Is(cfg) => is::run(comm, cfg),
+            Kernel::Ep(cfg) => ep::run(comm, cfg),
+            Kernel::Smg(cfg) => smg::run(comm, cfg),
+            Kernel::Hpl(cfg) => hpl::run(comm, cfg),
         }
     }
 }

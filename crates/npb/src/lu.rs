@@ -34,17 +34,6 @@ pub struct LuConfig {
     pub omega: f64,
 }
 
-impl LuConfig {
-    /// Class presets.
-    pub fn class(c: crate::Class) -> Self {
-        match c {
-            crate::Class::S => LuConfig { n: 64, isteps: 6, omega: 1.2 },
-            crate::Class::W => LuConfig { n: 192, isteps: 12, omega: 1.2 },
-            crate::Class::A => LuConfig { n: 480, isteps: 20, omega: 1.2 },
-        }
-    }
-}
-
 struct LuState {
     istep: u64,
     u: Vec<f64>, // local block, row-major (rows x n)

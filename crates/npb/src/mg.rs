@@ -26,17 +26,6 @@ pub struct MgConfig {
     pub smooth: usize,
 }
 
-impl MgConfig {
-    /// Class presets.
-    pub fn class(c: crate::Class) -> Self {
-        match c {
-            crate::Class::S => MgConfig { log2_n: 8, cycles: 4, smooth: 2 },
-            crate::Class::W => MgConfig { log2_n: 12, cycles: 8, smooth: 2 },
-            crate::Class::A => MgConfig { log2_n: 16, cycles: 12, smooth: 3 },
-        }
-    }
-}
-
 /// A distributed level: each rank holds `n / p` points of an `n`-point
 /// ring (n a power of two, p dividing n at every level we descend to).
 struct Level {

@@ -41,17 +41,6 @@ pub struct SmgConfig {
     pub smooth: usize,
 }
 
-impl SmgConfig {
-    /// Class presets.
-    pub fn class(c: crate::Class) -> Self {
-        match c {
-            crate::Class::S => SmgConfig { log2_n: 8, iters: 4, smooth: 2 },
-            crate::Class::W => SmgConfig { log2_n: 11, iters: 8, smooth: 2 },
-            crate::Class::A => SmgConfig { log2_n: 14, iters: 12, smooth: 2 },
-        }
-    }
-}
-
 fn conv(e: CodecError) -> MpiError {
     MpiError::Internal(e.to_string())
 }

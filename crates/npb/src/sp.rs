@@ -32,17 +32,6 @@ pub struct SpConfig {
     pub lambda: f64,
 }
 
-impl SpConfig {
-    /// Class presets.
-    pub fn class(c: crate::Class) -> Self {
-        match c {
-            crate::Class::S => SpConfig { n: 64, steps: 5, lambda: 0.4 },
-            crate::Class::W => SpConfig { n: 160, steps: 10, lambda: 0.4 },
-            crate::Class::A => SpConfig { n: 360, steps: 16, lambda: 0.4 },
-        }
-    }
-}
-
 /// Local tridiagonal solve (Thomas) of `(1+2λ) x_i - λ x_{i±1} = d_i` along
 /// one row.
 fn solve_line(d: &mut [f64], lambda: f64) {

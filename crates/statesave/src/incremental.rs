@@ -115,25 +115,6 @@ impl IncrementalSaver {
         }
         Ok(state)
     }
-
-    /// Reconstruct from the longest *valid* prefix of the chain: apply
-    /// deltas in order and stop at the first one whose references do not
-    /// resolve (a torn or corrupted tail). Returns the state at the end of
-    /// the valid prefix together with the prefix length — the fallback
-    /// semantics a restore needs when a crash mid-commit leaves the last
-    /// link of a chain unusable.
-    pub fn reconstruct_prefix(chain: &[Delta]) -> (BTreeMap<String, Vec<u8>>, usize) {
-        let mut state: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-        for (i, delta) in chain.iter().enumerate() {
-            let mut next = state.clone();
-            if apply_delta(&mut next, delta).is_err() {
-                return (state, i);
-            }
-            state = next;
-        }
-        let n = chain.len();
-        (state, n)
-    }
 }
 
 /// Apply one delta to accumulated chunk state, validating every
@@ -502,22 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_reconstruct_stops_at_torn_link() {
-        let mut s = IncrementalSaver::new();
-        let d1 = s.checkpoint(&chunks(&[("a", b"x"), ("b", b"y")]));
-        let d2 = s.checkpoint(&chunks(&[("a", b"x"), ("b", b"z")]));
-        let mut d3 = s.checkpoint(&chunks(&[("a", b"x"), ("b", b"z")]));
-        // Tear the last link: its reference hash no longer resolves.
-        if let Some(h) = d3.unchanged.get_mut("b") {
-            *h ^= 1;
-        }
-        let want = IncrementalSaver::reconstruct(&[d1.clone(), d2.clone()]).unwrap();
-        let (state, len) = IncrementalSaver::reconstruct_prefix(&[d1, d2, d3]);
-        assert_eq!(len, 2);
-        assert_eq!(state, want);
-    }
-
-    #[test]
     fn dirty_tracker_chunks_sections() {
         let mut t = DirtyTracker::with_chunk_size(4);
         let big = [7u8; 20];
@@ -602,10 +567,9 @@ mod tests {
         if let Some((_, h)) = d1.patched.values_mut().next() {
             *h ^= 1;
         }
-        let err = IncrementalSaver::reconstruct(&[d0.clone(), d1.clone()]);
+        let err = IncrementalSaver::reconstruct(&[d0.clone(), d1]);
         assert!(err.is_err(), "tampered patch hash must fail the chain");
-        let (state, len) = IncrementalSaver::reconstruct_prefix(&[d0, d1]);
-        assert_eq!(len, 1, "prefix restore falls back before the torn patch");
+        let state = IncrementalSaver::reconstruct(&[d0]).unwrap();
         assert_eq!(DirtyTracker::assemble(&state).unwrap()["g"], b0);
     }
 

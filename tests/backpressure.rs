@@ -37,7 +37,7 @@ fn kernel_bits(kernel: usize, net: NetModel) -> Vec<u64> {
     }
     match kernel {
         0 => run(3, net, npb::cg::CgConfig { n: 48, iters: 6 }, npb::cg::run),
-        1 => run(4, net, npb::lu::LuConfig::class(npb::Class::S), npb::lu::run),
+        1 => run(4, net, npb::lu::LuConfig { n: 64, isteps: 6, omega: 1.2 }, npb::lu::run),
         2 => run(3, net, npb::sp::SpConfig { n: 24, steps: 6, lambda: 0.4 }, npb::sp::run),
         3 => run(
             3,

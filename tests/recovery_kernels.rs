@@ -48,7 +48,7 @@ macro_rules! check {
 }
 
 check!(cg_recovers, 4, 2, 3, 5, cg, npb::cg::CgConfig { n: 96, iters: 8 });
-check!(lu_recovers, 4, 1, 3, 5, lu, npb::lu::LuConfig::class(npb::Class::S));
+check!(lu_recovers, 4, 1, 3, 5, lu, npb::lu::LuConfig { n: 64, isteps: 6, omega: 1.2 });
 check!(sp_recovers, 4, 3, 3, 5, sp, npb::sp::SpConfig { n: 32, steps: 8, lambda: 0.4 });
 check!(
     bt_recovers,

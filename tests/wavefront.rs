@@ -50,7 +50,6 @@ fn bt(n: usize, steps: u64) -> Wave {
 /// each rank's whole boundary row in one message. Any other cut of the
 /// pipeline must reproduce them.
 fn pinned() -> Vec<(Wave, [u64; 5])> {
-    use npb::Class::S;
     vec![
         (
             lu(48, 3),
@@ -73,7 +72,7 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
             ],
         ),
         (
-            Wave::Lu(lu::LuConfig::class(S)),
+            lu(64, 6),
             [
                 0x3fec5170fc27ff93,
                 0x3fec5170fc27ff8b,
@@ -103,7 +102,7 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
             ],
         ),
         (
-            Wave::Sp(sp::SpConfig::class(S)),
+            sp(64, 5),
             [
                 0x3fde6bf42fe06bdb,
                 0x3fde6bf42fe06be0,
@@ -133,7 +132,7 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
             ],
         ),
         (
-            Wave::Bt(bt::BtConfig::class(S)),
+            bt(40, 4),
             [
                 0x3fbc380d266fa57f,
                 0x3fbc380d266fa576,
