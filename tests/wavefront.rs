@@ -6,7 +6,8 @@
 //! `parallel_matches_serial` unit tests compare within a tolerance; this
 //! suite pins the exact `f64` bits of every kernel at several rank counts
 //! and grid sizes, including sizes that the rank and column splits do not
-//! divide evenly.
+//! divide evenly, and the messages and bytes each job sends, so a change to
+//! the arithmetic around the pipeline cannot quietly change its traffic.
 
 use npb::{bt, lu, sp};
 
@@ -21,8 +22,8 @@ enum Wave {
 
 impl Wave {
     /// Run on `p` raw-substrate ranks; returns rank 0's result bits and the
-    /// number of messages the job injected.
-    fn run(self, p: usize) -> (u64, u64) {
+    /// messages and payload bytes the job injected.
+    fn run(self, p: usize) -> (u64, u64, u64) {
         let out = mpisim::launch(&mpisim::JobSpec::new(p), |ctx| match self {
             Wave::Lu(c) => lu::run(ctx, &c),
             Wave::Sp(c) => sp::run(ctx, &c),
@@ -30,7 +31,7 @@ impl Wave {
         })
         .unwrap_or_else(|e| panic!("{self:?} on {p} ranks: {e}"));
         assert!(out.results.iter().all(|r| r.to_bits() == out.results[0].to_bits()));
-        (out.results[0].to_bits(), out.msgs_sent)
+        (out.results[0].to_bits(), out.msgs_sent, out.bytes_sent)
     }
 }
 
@@ -46,10 +47,14 @@ fn bt(n: usize, steps: u64) -> Wave {
     Wave::Bt(bt::BtConfig { n, steps, lambda: 0.35, kappa: 0.1 })
 }
 
-/// `(kernel, bits at p = 1, 2, 3, 4, 7)`, recorded from sweeps that move
-/// each rank's whole boundary row in one message. Any other cut of the
-/// pipeline must reproduce them.
-fn pinned() -> Vec<(Wave, [u64; 5])> {
+/// `(kernel, bits at p = 1, 2, 3, 4, 7, (messages, bytes) at the same p)`.
+type Pin = (Wave, [u64; 5], [(u64, u64); 5]);
+
+/// The pinned cases. Any cut of the pipeline must reproduce the bits (all
+/// but the last case were recorded from sweeps that move each rank's whole
+/// boundary row in one message). The traffic is pinned too, so how a sweep
+/// computes its line factors cannot change what it sends.
+fn pinned() -> Vec<Pin> {
     vec![
         (
             lu(48, 3),
@@ -60,6 +65,7 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
                 0x3fece3022ba38623,
                 0x3fece3022ba38622,
             ],
+            [(0, 0), (50, 2320), (100, 4640), (150, 6960), (300, 13920)],
         ),
         (
             lu(37, 3),
@@ -70,6 +76,7 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
                 0x3febe5ac78e68bc7,
                 0x3febe5ac78e68bc4,
             ],
+            [(0, 0), (50, 1792), (100, 3584), (150, 5376), (300, 10752)],
         ),
         (
             lu(64, 6),
@@ -80,6 +87,7 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
                 0x3fec5170fc27ff8d,
                 0x3fec5170fc27ff8a,
             ],
+            [(0, 0), (98, 6160), (196, 12320), (294, 18480), (588, 36960)],
         ),
         (
             sp(48, 3),
@@ -90,6 +98,7 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
                 0x3fde5ef5e4058e84,
                 0x3fde5ef5e4058e84,
             ],
+            [(0, 0), (50, 3472), (100, 6944), (150, 10416), (300, 20832)],
         ),
         (
             sp(37, 3),
@@ -100,6 +109,7 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
                 0x3fddb1654bf24cef,
                 0x3fddb1654bf24cf1,
             ],
+            [(0, 0), (50, 2680), (100, 5360), (150, 8040), (300, 16080)],
         ),
         (
             sp(64, 5),
@@ -110,6 +120,7 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
                 0x3fde6bf42fe06be0,
                 0x3fde6bf42fe06be0,
             ],
+            [(0, 0), (82, 7696), (164, 15392), (246, 23088), (492, 46176)],
         ),
         (
             bt(24, 3),
@@ -120,6 +131,7 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
                 0x3fc3d79d60f61a8d,
                 0x3fc3d79d60f61a8d,
             ],
+            [(0, 0), (50, 8656), (100, 17312), (150, 25968), (300, 51936)],
         ),
         (
             bt(37, 2),
@@ -130,6 +142,7 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
                 0x3fce0e5be8149c02,
                 0x3fce0e5be8149c01,
             ],
+            [(0, 0), (34, 8896), (68, 17792), (102, 26688), (204, 53376)],
         ),
         (
             bt(40, 4),
@@ -140,6 +153,21 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
                 0x3fbc380d266fa579,
                 0x3fbc380d266fa577,
             ],
+            [(0, 0), (66, 19216), (132, 38432), (198, 57648), (396, 115296)],
+        ),
+        // The benchmark's BT grid (`recover_incr4` runs it on 4 ranks): the
+        // harness compares C³ with raw runs of the same build, so only this
+        // pin catches a change to the kernel's bits at that shape.
+        (
+            bt(200, 6),
+            [
+                0x3facf34e60a067d6,
+                0x3facf34e60a067d8,
+                0x3facf34e60a06800,
+                0x3facf34e60a067e0,
+                0x3facf34e60a067f3,
+            ],
+            [(0, 0), (98, 144016), (196, 288032), (294, 432048), (588, 864096)],
         ),
     ]
 }
@@ -148,12 +176,17 @@ fn pinned() -> Vec<(Wave, [u64; 5])> {
 fn results_are_pinned_bit_for_bit() {
     let mut bad = Vec::new();
     let mut table = String::new();
-    for (wave, want) in pinned() {
-        let got: Vec<u64> = RANKS.iter().map(|&p| wave.run(p).0).collect();
+    for (wave, want, want_traffic) in pinned() {
+        let got: Vec<(u64, u64, u64)> = RANKS.iter().map(|&p| wave.run(p)).collect();
         table.push_str(&format!("{wave:?} => {got:#x?}\n"));
-        for ((&p, g), w) in RANKS.iter().zip(&got).zip(want) {
-            if *g != w {
+        for ((&p, &(g, msgs, bytes)), (w, wt)) in
+            RANKS.iter().zip(&got).zip(want.into_iter().zip(want_traffic))
+        {
+            if g != w {
                 bad.push(format!("{wave:?} p={p}: {g:#x} != pinned {w:#x}"));
+            }
+            if (msgs, bytes) != wt {
+                bad.push(format!("{wave:?} p={p}: traffic {:?} != pinned {wt:?}", (msgs, bytes)));
             }
         }
     }
@@ -170,8 +203,8 @@ fn each_iteration_sends_one_message_per_tile_and_direction() {
     let kernels: [fn(usize, u64) -> Wave; 3] = [lu, sp, bt];
     for kernel in kernels {
         for n in [37, 6, 3] {
-            let (_, before) = kernel(n, 2).run(p);
-            let (_, after) = kernel(n, 3).run(p);
+            let (_, before, _) = kernel(n, 2).run(p);
+            let (_, after, _) = kernel(n, 3).run(p);
             let want = 2 * (p.min(n) as u64 - 1) * n.min(8) as u64;
             assert_eq!(after - before, want, "{:?}: messages per iteration", kernel(n, 3));
         }
@@ -185,7 +218,7 @@ fn each_iteration_sends_one_message_per_tile_and_direction() {
 #[test]
 fn ranks_without_rows_leave_the_result_unchanged() {
     for wave in [lu(4, 3), sp(4, 3), bt(4, 3)] {
-        let (want, _) = wave.run(4);
+        let (want, ..) = wave.run(4);
         for p in [6, 9] {
             assert_eq!(wave.run(p).0, want, "{wave:?} on {p} ranks");
         }
