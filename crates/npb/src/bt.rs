@@ -13,6 +13,14 @@
 //! up tile by tile. Columns are independent, so any tile order gives the
 //! same bits. Point-to-point only, no barriers.
 //!
+//! In NPB BT the blocks are Jacobians of the solution and are factored
+//! again at every step. Here they are constant, so the block Thomas factors
+//! depend only on the point's position along the line; each incarnation
+//! computes them once (`Factors`) and every x-line and y-pipeline reads
+//! the same table. The forward messages still carry each column's `C'`
+//! block, so the pipeline moves NPB's communication volume, although the
+//! receiver reads its own table entry.
+//!
 //! Ranks at or past `n` own no rows: the pipeline runs over ranks
 //! `0..min(p, n)`, and the others skip the solves but still reach every
 //! pragma and the final all-reduce.
@@ -144,39 +152,55 @@ fn blk_inv(a: &Blk) -> Blk {
     inv
 }
 
-/// Local block Thomas solve along one line of `len` points stored
-/// contiguously (`d[k*NB..]` is the RHS block at point `k`, overwritten with
-/// the solution).
-fn solve_block_line(d: &mut [f64], len: usize, lambda: f64, kappa: f64) {
-    let bdiag = diag_block(lambda, kappa);
-    let a = off_block(lambda);
-    let mut cp: Vec<Blk> = Vec::with_capacity(len);
+/// The block Thomas factors of a line: `minv[k] = M_k⁻¹` and
+/// `cp[k] = M_k⁻¹·A`, with `M_0 = B` and `M_k = B − A·cp[k−1]`. They depend
+/// only on `(λ, κ, k)`, never on the field, so each incarnation computes
+/// them once; they are derived data and are not checkpointed.
+struct Factors {
+    a: Blk,
+    minv: Vec<Blk>,
+    cp: Vec<Blk>,
+}
+
+impl Factors {
+    fn new(len: usize, lambda: f64, kappa: f64) -> Self {
+        let bdiag = diag_block(lambda, kappa);
+        let a = off_block(lambda);
+        let (mut minv, mut cp): (Vec<Blk>, Vec<Blk>) = (Vec::new(), Vec::new());
+        for k in 0..len {
+            let m = if k == 0 { bdiag } else { blk_sub(&bdiag, &blk_mul(&a, &cp[k - 1])) };
+            minv.push(blk_inv(&m));
+            cp.push(blk_mul(&minv[k], &a));
+        }
+        Factors { a, minv, cp }
+    }
+}
+
+/// Local block Thomas solve along one line stored contiguously
+/// (`d[k*NB..]` is the RHS block at point `k`, overwritten with the
+/// solution).
+fn solve_block_line(d: &mut [f64], f: &Factors) {
+    let len = d.len() / NB;
     // Forward elimination.
-    let mut prev_cp = blk_zero();
     for k in 0..len {
-        let m = if k == 0 { bdiag } else { blk_sub(&bdiag, &blk_mul(&a, &prev_cp)) };
-        let minv = blk_inv(&m);
-        let cpk = blk_mul(&minv, &a);
         let mut rhs = [0.0; NB];
         rhs.copy_from_slice(&d[k * NB..(k + 1) * NB]);
         if k > 0 {
             let mut prev = [0.0; NB];
             prev.copy_from_slice(&d[(k - 1) * NB..k * NB]);
-            let av = blk_vec(&a, &prev);
+            let av = blk_vec(&f.a, &prev);
             for i in 0..NB {
                 rhs[i] -= av[i];
             }
         }
-        let sol = blk_vec(&minv, &rhs);
+        let sol = blk_vec(&f.minv[k], &rhs);
         d[k * NB..(k + 1) * NB].copy_from_slice(&sol);
-        cp.push(cpk);
-        prev_cp = cpk;
     }
     // Back substitution.
     for k in (0..len - 1).rev() {
         let mut nxt = [0.0; NB];
         nxt.copy_from_slice(&d[(k + 1) * NB..(k + 2) * NB]);
-        let cv = blk_vec(&cp[k], &nxt);
+        let cv = blk_vec(&f.cp[k], &nxt);
         for i in 0..NB {
             d[k * NB + i] -= cv[i];
         }
@@ -213,69 +237,57 @@ impl BtState {
 
 /// Pipelined block Thomas elimination down the ranks, then
 /// back-substitution up, one column tile at a time (see the module docs).
-fn y_solve<C: Comm>(
-    comm: &mut C,
-    u: &mut [f64],
-    n: usize,
-    lambda: f64,
-    kappa: f64,
-) -> Result<(), MpiError> {
+/// Global row `g = lo + r` uses the factors of line point `g`.
+fn y_solve<C: Comm>(comm: &mut C, u: &mut [f64], n: usize, f: &Factors) -> Result<(), MpiError> {
     let me = comm.rank();
     let rows = u.len() / (n * NB);
     if rows == 0 {
         return Ok(());
     }
+    let lo = crate::split(n, me, comm.nranks()).start;
     let active = comm.nranks().min(n);
     let tiles = crate::wave_tiles(n);
-    let bdiag = diag_block(lambda, kappa);
-    let a = off_block(lambda);
     // Doubles per column in a forward message: the (C', d') pair.
     const PAIR: usize = NB * NB + NB;
 
     // Forward elimination: per tile, receive the previous rank's last
-    // (C', d') pair per column.
-    let mut cp = vec![blk_zero(); rows * n];
+    // (C', d') pair per column. `C'` equals this rank's `cp[lo - 1]`.
     for t in 0..tiles {
         let cols = crate::split(n, t, tiles);
         let prev: Vec<f64> =
             if me > 0 { comm.recv_f64(me as i32 - 1, 70)? } else { vec![0.0; cols.len() * PAIR] };
         for r in 0..rows {
             for (k, j) in cols.clone().enumerate() {
-                let (cprev, dprev): (Blk, [f64; NB]) = if r == 0 {
-                    let base = k * PAIR;
-                    let mut cb = blk_zero();
-                    cb.copy_from_slice(&prev[base..base + NB * NB]);
-                    let mut db = [0.0; NB];
-                    db.copy_from_slice(&prev[base + NB * NB..base + PAIR]);
-                    (cb, db)
-                } else {
-                    let mut db = [0.0; NB];
-                    db.copy_from_slice(&u[((r - 1) * n + j) * NB..((r - 1) * n + j + 1) * NB]);
-                    (cp[(r - 1) * n + j], db)
-                };
-                let first_global = me == 0 && r == 0;
-                let m = if first_global { bdiag } else { blk_sub(&bdiag, &blk_mul(&a, &cprev)) };
-                let minv = blk_inv(&m);
-                cp[r * n + j] = blk_mul(&minv, &a);
                 let idx = (r * n + j) * NB;
                 let mut rhs = [0.0; NB];
                 rhs.copy_from_slice(&u[idx..idx + NB]);
-                if !first_global {
-                    let av = blk_vec(&a, &dprev);
+                if lo + r > 0 {
+                    let mut dprev = [0.0; NB];
+                    if r == 0 {
+                        let pair = &prev[k * PAIR..(k + 1) * PAIR];
+                        debug_assert!(pair[..NB * NB]
+                            .iter()
+                            .zip(&f.cp[lo - 1])
+                            .all(|(x, y)| x.to_bits() == y.to_bits()));
+                        dprev.copy_from_slice(&pair[NB * NB..]);
+                    } else {
+                        dprev.copy_from_slice(&u[idx - n * NB..idx - n * NB + NB]);
+                    }
+                    let av = blk_vec(&f.a, &dprev);
                     for i in 0..NB {
                         rhs[i] -= av[i];
                     }
                 }
-                let sol = blk_vec(&minv, &rhs);
+                let sol = blk_vec(&f.minv[lo + r], &rhs);
                 u[idx..idx + NB].copy_from_slice(&sol);
             }
         }
         if me + 1 < active {
+            let last = rows - 1;
             let mut send = Vec::with_capacity(cols.len() * PAIR);
             for j in cols {
-                let last = (rows - 1) * n + j;
-                send.extend_from_slice(&cp[last]);
-                send.extend_from_slice(&u[last * NB..(last + 1) * NB]);
+                send.extend_from_slice(&f.cp[lo + last]);
+                send.extend_from_slice(&u[(last * n + j) * NB..(last * n + j + 1) * NB]);
             }
             comm.send_f64(me + 1, 70, &send)?;
         }
@@ -296,7 +308,7 @@ fn y_solve<C: Comm>(
                 } else {
                     continue;
                 }
-                let cv = blk_vec(&cp[r * n + j], &nxt);
+                let cv = blk_vec(&f.cp[lo + r], &nxt);
                 let idx = (r * n + j) * NB;
                 for i in 0..NB {
                     u[idx + i] -= cv[i];
@@ -333,13 +345,14 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &BtConfig) -> Result<f64, MpiError> {
         }
     };
 
+    let f = Factors::new(n, cfg.lambda, cfg.kappa);
     while st.step < cfg.steps {
         // x-direction block solves: rank-local, one line per grid row.
         for r in 0..rows {
-            solve_block_line(&mut st.u[r * n * NB..(r + 1) * n * NB], n, cfg.lambda, cfg.kappa);
+            solve_block_line(&mut st.u[r * n * NB..(r + 1) * n * NB], &f);
         }
         // y-direction block solves: pipelined across ranks.
-        y_solve(comm, &mut st.u, n, cfg.lambda, cfg.kappa)?;
+        y_solve(comm, &mut st.u, n, &f)?;
         for (v, f) in st.u.iter_mut().zip(&st.forcing) {
             *v += f;
         }
@@ -404,7 +417,7 @@ mod tests {
             }
             d[k * NB..(k + 1) * NB].copy_from_slice(&rhs);
         }
-        solve_block_line(&mut d, len, lambda, kappa);
+        solve_block_line(&mut d, &Factors::new(len, lambda, kappa));
         for k in 0..len {
             for c in 0..NB {
                 assert!(
