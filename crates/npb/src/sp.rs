@@ -12,6 +12,12 @@
 //! column's recurrence is independent of the others, so any tile order
 //! gives the same bits. Point-to-point messages only, no barriers.
 //!
+//! The coefficients are constant, so the Thomas factors `m` and `c'`
+//! depend only on the point's position along the line; each incarnation
+//! computes them once (`Factors`). The forward messages still carry the
+//! `c'` half of each pair, so the pipeline moves NPB's communication
+//! volume, although the receiver reads its own table entry.
+//!
 //! Ranks at or past `n` own no rows: the pipeline runs over ranks
 //! `0..min(p, n)`, and the others skip the solves but still reach every
 //! pragma and the final all-reduce. The checkpoint location is "the bottom
@@ -32,22 +38,38 @@ pub struct SpConfig {
     pub lambda: f64,
 }
 
-/// Local tridiagonal solve (Thomas) of `(1+2λ) x_i - λ x_{i±1} = d_i` along
-/// one row.
-fn solve_line(d: &mut [f64], lambda: f64) {
+/// The Thomas factors of a line of `(1+2λ) x_k - λ x_{k±1} = d_k`:
+/// `m[k]` (`m_0 = b`, `m_k = b − a·c'_{k−1}`) and `c'[k] = a / m[k]`. They
+/// depend only on `(λ, k)`, never on the field, so each incarnation computes
+/// them once; they are derived data and are not checkpointed.
+struct Factors {
+    a: f64,
+    m: Vec<f64>,
+    cp: Vec<f64>,
+}
+
+impl Factors {
+    fn new(len: usize, lambda: f64) -> Self {
+        let b = 1.0 + 2.0 * lambda;
+        let a = -lambda;
+        let (mut m, mut cp): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+        for k in 0..len {
+            m.push(if k == 0 { b } else { b - a * cp[k - 1] });
+            cp.push(a / m[k]);
+        }
+        Factors { a, m, cp }
+    }
+}
+
+/// Local tridiagonal solve (Thomas) along one row.
+fn solve_line(d: &mut [f64], f: &Factors) {
     let n = d.len();
-    let b = 1.0 + 2.0 * lambda;
-    let a = -lambda;
-    let mut cp = vec![0.0; n];
-    cp[0] = a / b;
-    d[0] /= b;
+    d[0] /= f.m[0];
     for i in 1..n {
-        let m = b - a * cp[i - 1];
-        cp[i] = a / m;
-        d[i] = (d[i] - a * d[i - 1]) / m;
+        d[i] = (d[i] - f.a * d[i - 1]) / f.m[i];
     }
     for i in (0..n - 1).rev() {
-        d[i] -= cp[i] * d[i + 1];
+        d[i] -= f.cp[i] * d[i + 1];
     }
 }
 
@@ -69,44 +91,36 @@ impl SpState {
 }
 
 /// Pipelined Thomas elimination down the ranks, then back-substitution
-/// up, one column tile at a time (see the module docs).
-fn y_solve<C: Comm>(comm: &mut C, u: &mut [f64], n: usize, lambda: f64) -> Result<(), MpiError> {
+/// up, one column tile at a time (see the module docs). Global row
+/// `g = lo + r` uses the factors of line point `g`.
+fn y_solve<C: Comm>(comm: &mut C, u: &mut [f64], n: usize, f: &Factors) -> Result<(), MpiError> {
     let me = comm.rank();
     let rows = u.len() / n;
     if rows == 0 {
         return Ok(());
     }
+    let lo = crate::split(n, me, comm.nranks()).start;
     let active = comm.nranks().min(n);
     let tiles = crate::wave_tiles(n);
-    let b = 1.0 + 2.0 * lambda;
-    let a = -lambda;
 
     // Forward elimination: per tile, receive the previous rank's last
-    // (c', d') pair per column.
-    let mut cp = vec![0.0; rows * n];
+    // (c', d') pair per column. `c'` equals this rank's `cp[lo - 1]`.
     for t in 0..tiles {
         let cols = crate::split(n, t, tiles);
         let w = cols.len();
         let carry = if me > 0 { comm.recv_f64(me as i32 - 1, 60)? } else { vec![0.0; 2 * w] };
         let (cp_prev, dp_prev) = carry.split_at(w);
+        debug_assert!(me == 0 || cp_prev.iter().all(|c| c.to_bits() == f.cp[lo - 1].to_bits()));
         for r in 0..rows {
             for (k, j) in cols.clone().enumerate() {
-                let (cprev, dprev) = if r == 0 {
-                    (cp_prev[k], dp_prev[k])
-                } else {
-                    (cp[(r - 1) * n + j], u[(r - 1) * n + j])
-                };
-                let first_global = me == 0 && r == 0;
-                let m = if first_global { b } else { b - a * cprev };
-                cp[r * n + j] = a / m;
-                let dval = if first_global { u[r * n + j] } else { u[r * n + j] - a * dprev };
-                u[r * n + j] = dval / m;
+                let dprev = if r == 0 { dp_prev[k] } else { u[(r - 1) * n + j] };
+                let dval = if lo + r == 0 { u[j] } else { u[r * n + j] - f.a * dprev };
+                u[r * n + j] = dval / f.m[lo + r];
             }
         }
         if me + 1 < active {
             let last = (rows - 1) * n;
-            let mut send = Vec::with_capacity(2 * w);
-            send.extend_from_slice(&cp[last..][cols.clone()]);
+            let mut send = vec![f.cp[lo + rows - 1]; w];
             send.extend_from_slice(&u[last..][cols]);
             comm.send_f64(me + 1, 60, &send)?;
         }
@@ -126,7 +140,7 @@ fn y_solve<C: Comm>(comm: &mut C, u: &mut [f64], n: usize, lambda: f64) -> Resul
                 } else {
                     continue;
                 };
-                u[r * n + j] -= cp[r * n + j] * next;
+                u[r * n + j] -= f.cp[lo + r] * next;
             }
         }
         if me > 0 {
@@ -155,13 +169,14 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &SpConfig) -> Result<f64, MpiError> {
         }
     };
 
+    let f = Factors::new(n, cfg.lambda);
     while st.step < cfg.steps {
         // x-direction implicit solve: local per row.
         for r in 0..rows {
-            solve_line(&mut st.u[r * n..(r + 1) * n], cfg.lambda);
+            solve_line(&mut st.u[r * n..(r + 1) * n], &f);
         }
         // y-direction implicit solve: pipelined across ranks.
-        y_solve(comm, &mut st.u, n, cfg.lambda)?;
+        y_solve(comm, &mut st.u, n, &f)?;
         // Mild forcing keeps the field from decaying to zero.
         for (k, v) in st.u.iter_mut().enumerate() {
             *v += 1e-3 * (((lo * n + k) % 7) as f64 - 3.0);
@@ -192,7 +207,7 @@ mod tests {
             let right = if i + 1 < n { x_true[i + 1] } else { 0.0 };
             d[i] = (1.0 + 2.0 * lambda) * x_true[i] - lambda * (left + right);
         }
-        solve_line(&mut d, lambda);
+        solve_line(&mut d, &Factors::new(n, lambda));
         for i in 0..n {
             assert!((d[i] - x_true[i]).abs() < 1e-12);
         }
