@@ -166,7 +166,7 @@ impl Factors {
     fn new(len: usize, lambda: f64, kappa: f64) -> Self {
         let bdiag = diag_block(lambda, kappa);
         let a = off_block(lambda);
-        let (mut minv, mut cp): (Vec<Blk>, Vec<Blk>) = (Vec::new(), Vec::new());
+        let (mut minv, mut cp) = (Vec::with_capacity(len), Vec::with_capacity(len));
         for k in 0..len {
             let m = if k == 0 { bdiag } else { blk_sub(&bdiag, &blk_mul(&a, &cp[k - 1])) };
             minv.push(blk_inv(&m));

@@ -52,7 +52,7 @@ impl Factors {
     fn new(len: usize, lambda: f64) -> Self {
         let b = 1.0 + 2.0 * lambda;
         let a = -lambda;
-        let (mut m, mut cp): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+        let (mut m, mut cp) = (Vec::with_capacity(len), Vec::with_capacity(len));
         for k in 0..len {
             m.push(if k == 0 { b } else { b - a * cp[k - 1] });
             cp.push(a / m[k]);
@@ -114,8 +114,9 @@ fn y_solve<C: Comm>(comm: &mut C, u: &mut [f64], n: usize, f: &Factors) -> Resul
         for r in 0..rows {
             for (k, j) in cols.clone().enumerate() {
                 let dprev = if r == 0 { dp_prev[k] } else { u[(r - 1) * n + j] };
-                let dval = if lo + r == 0 { u[j] } else { u[r * n + j] - f.a * dprev };
-                u[r * n + j] = dval / f.m[lo + r];
+                let idx = r * n + j;
+                let dval = if lo + r == 0 { u[idx] } else { u[idx] - f.a * dprev };
+                u[idx] = dval / f.m[lo + r];
             }
         }
         if me + 1 < active {
