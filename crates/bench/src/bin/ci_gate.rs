@@ -4,9 +4,10 @@
 //! binary, so the workflow and local verification cannot drift: adding,
 //! removing, or reordering a gate step happens here and nowhere else.
 //!
-//! Steps (each prints a PASS/FAIL line; the gate exits nonzero if any
-//! step fails, after running the independent remainder so one failure
-//! does not hide another):
+//! Steps (each prints a PASS/FAIL line with its wall seconds, so step
+//! times such as the test suite's and the soak's can be read from the
+//! gate's own log; the gate exits nonzero if any step fails, after running
+//! the independent remainder so one failure does not hide another):
 //!
 //! 1. `cargo build --release --workspace`
 //! 2. `cargo test --workspace -q` (superset of the tier-1 `cargo test -q`)
@@ -60,14 +61,30 @@
 
 use std::path::Path;
 use std::process::Command;
+use std::time::Instant;
 
 struct Step {
     name: &'static str,
     ok: bool,
+    /// Wall seconds the step took.
+    secs: f64,
+}
+
+/// Print a step's header and start its clock.
+fn begin(name: &str) -> Instant {
+    println!("\n=== ci_gate: {name} ===");
+    Instant::now()
+}
+
+/// Print a step's PASS/FAIL line with its wall seconds, and record it.
+fn finish(name: &'static str, ok: bool, t0: Instant, results: &mut Vec<Step>) {
+    let secs = t0.elapsed().as_secs_f64();
+    println!("=== ci_gate: {name}: {} ({secs:.1} s) ===", if ok { "PASS" } else { "FAIL" });
+    results.push(Step { name, ok, secs });
 }
 
 fn run(name: &'static str, mut cmd: Command, results: &mut Vec<Step>) {
-    println!("\n=== ci_gate: {name} ===");
+    let t0 = begin(name);
     let ok = match cmd.status() {
         Ok(st) => st.success(),
         Err(e) => {
@@ -75,8 +92,7 @@ fn run(name: &'static str, mut cmd: Command, results: &mut Vec<Step>) {
             false
         }
     };
-    println!("=== ci_gate: {name}: {} ===", if ok { "PASS" } else { "FAIL" });
-    results.push(Step { name, ok });
+    finish(name, ok, t0, results);
 }
 
 fn cargo(args: &[&str]) -> Command {
@@ -95,7 +111,7 @@ fn missing_keys<'k>(body: &str, keys: &[&'k str]) -> Vec<&'k str> {
 /// the trend tooling reads, *before* any diff runs — a malformed baseline
 /// must fail loudly here, not as a confusing trend-diff error.
 fn check_bench_schemas(out_dir: &std::path::Path, results: &mut Vec<Step>) {
-    println!("\n=== ci_gate: bench schema validation ===");
+    let t0 = begin("bench schema validation");
     let recovery_keys = [
         "bench",
         "seeds",
@@ -152,8 +168,7 @@ fn check_bench_schemas(out_dir: &std::path::Path, results: &mut Vec<Step>) {
             }
         }
     }
-    println!("=== ci_gate: bench schema validation: {} ===", if ok { "PASS" } else { "FAIL" });
-    results.push(Step { name: "bench schema validation", ok });
+    finish("bench schema validation", ok, t0, results);
 }
 
 /// Parse `(name, ns_per_op)` pairs out of a `BENCH_message_path.json` body
@@ -217,7 +232,7 @@ fn leading_number(s: &str) -> Option<f64> {
 /// committed baseline but missing from the fresh run fails the gate — a
 /// silently dropped benchmark is a regression in coverage, not noise.
 fn check_message_path_ratchet(out_dir: &std::path::Path, results: &mut Vec<Step>) {
-    println!("\n=== ci_gate: message_path ratchet ===");
+    let t0 = begin("message_path ratchet");
     let global_override = ratchet_override();
     let fresh_path = out_dir.join("BENCH_message_path.json");
     let mut ok = true;
@@ -261,8 +276,7 @@ fn check_message_path_ratchet(out_dir: &std::path::Path, results: &mut Vec<Step>
             ok = false;
         }
     }
-    println!("=== ci_gate: message_path ratchet: {} ===", if ok { "PASS" } else { "FAIL" });
-    results.push(Step { name: "message_path ratchet", ok });
+    finish("message_path ratchet", ok, t0, results);
 }
 
 /// `wall_ms` of the `kernel` row at `nranks` in a `BENCH_scaling.json` body.
@@ -276,7 +290,7 @@ fn scaling_wall_ms(body: &str, kernel: &str, nranks: usize) -> Option<f64> {
 /// committed `BENCH_scaling.json` entry; a missing entry on either side
 /// fails the gate.
 fn check_scaling_ratchet(out_dir: &std::path::Path, results: &mut Vec<Step>) {
-    println!("\n=== ci_gate: scaling ratchet ===");
+    let t0 = begin("scaling ratchet");
     let factor = ratchet_override().unwrap_or(NOISY_FACTOR);
     let cg256 = |path: &std::path::Path| {
         std::fs::read_to_string(path).ok().and_then(|body| scaling_wall_ms(&body, "cg", 256))
@@ -301,8 +315,7 @@ fn check_scaling_ratchet(out_dir: &std::path::Path, results: &mut Vec<Step>) {
             false
         }
     };
-    println!("=== ci_gate: scaling ratchet: {} ===", if ok { "PASS" } else { "FAIL" });
-    results.push(Step { name: "scaling ratchet", ok });
+    finish("scaling ratchet", ok, t0, results);
 }
 
 /// Lines of `src` before its `#[cfg(test)]` + `mod tests` pair (all of
@@ -358,7 +371,7 @@ fn nontest_lines_per_crate() -> std::io::Result<Vec<(String, usize)>> {
 /// The non-test line count, printed as one artifact line per crate and one
 /// for the total. Informational: it fails only on an unreadable file.
 fn count_nontest_lines(results: &mut Vec<Step>) {
-    println!("\n=== ci_gate: non-test line count ===");
+    let t0 = begin("non-test line count");
     let ok = match nontest_lines_per_crate() {
         Ok(per_crate) => {
             for (name, n) in &per_crate {
@@ -373,8 +386,7 @@ fn count_nontest_lines(results: &mut Vec<Step>) {
             false
         }
     };
-    println!("=== ci_gate: non-test line count: {} ===", if ok { "PASS" } else { "FAIL" });
-    results.push(Step { name: "non-test line count", ok });
+    finish("non-test line count", ok, t0, results);
 }
 
 fn main() {
@@ -489,7 +501,7 @@ fn main() {
     println!("\n=== ci_gate summary ===");
     let mut failed = 0;
     for s in &results {
-        println!("  {} {}", if s.ok { "PASS" } else { "FAIL" }, s.name);
+        println!("  {} {} ({:.1} s)", if s.ok { "PASS" } else { "FAIL" }, s.name, s.secs);
         if !s.ok {
             failed += 1;
         }

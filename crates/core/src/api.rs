@@ -11,7 +11,7 @@ use crate::mode::Mode;
 use crate::registries::{EarlyRegistry, ReplayLog, WasEarlyRegistry};
 use crate::requests::C3ReqTable;
 use mpisim::{MpiError, RankCtx};
-use statesave::{CkptHeap, CkptStore, VariableRegistry};
+use statesave::CkptStore;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -76,7 +76,10 @@ impl C3Error {
 /// Regardless of policy, every process also starts a checkpoint at its next
 /// pragma once it learns (via a Checkpoint-Initiated message) that another
 /// process has started one — that is the protocol's coordination, not the
-/// policy's.
+/// policy's. A checkpoint joined that way counts for the policy: a pragma
+/// the policy names forces no second checkpoint when one has started since
+/// the policy's previous pragma, just as [`CkptPolicy::Timer`] measures
+/// from the last checkpoint started, joined ones included.
 #[derive(Clone, Debug)]
 pub enum CkptPolicy {
     /// Never initiate (participate only when others initiate).
@@ -93,11 +96,26 @@ pub enum CkptPolicy {
 }
 
 impl CkptPolicy {
-    pub(crate) fn wants(&self, pragma_count: u64, since_last_ckpt_ns: u64) -> bool {
+    /// Does the policy force a checkpoint at pragma `pragma_count`, when
+    /// this rank's last checkpoint started at pragma `last_ckpt_pragma`
+    /// (0 for none) and `since_last_ckpt_ns` of virtual time ago?
+    pub(crate) fn wants(
+        &self,
+        pragma_count: u64,
+        last_ckpt_pragma: u64,
+        since_last_ckpt_ns: u64,
+    ) -> bool {
         match self {
             CkptPolicy::Never => false,
-            CkptPolicy::AtPragmas(v) => v.contains(&pragma_count),
-            CkptPolicy::EveryNth(n) => *n > 0 && pragma_count.is_multiple_of(*n),
+            CkptPolicy::AtPragmas(v) => {
+                let prev = v.iter().copied().filter(|&p| p < pragma_count).max().unwrap_or(0);
+                v.contains(&pragma_count) && last_ckpt_pragma <= prev
+            }
+            CkptPolicy::EveryNth(n) => {
+                *n > 0
+                    && pragma_count.is_multiple_of(*n)
+                    && pragma_count.saturating_sub(last_ckpt_pragma) >= *n
+            }
             CkptPolicy::Timer(d) => since_last_ckpt_ns as u128 >= d.as_nanos(),
         }
     }
@@ -112,7 +130,7 @@ impl CkptPolicy {
 /// self-contained *base*, the commits between write chunk-granular deltas,
 /// and a restore replays the base-plus-delta chain. Every delta-line
 /// payload is plane-compressed (`statesave::plane_compress`). The commit
-/// marker and the late-message log are unaffected — only the line sections
+/// record and the late-message log are unaffected — only the line sections
 /// change representation, so recovery semantics are bit-for-bit identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CkptMode {
@@ -209,7 +227,7 @@ pub struct C3Stats {
     /// late log at commit). Under [`CkptMode::Incremental`] this counts the
     /// delta representation actually written, so it reflects the saving.
     pub ckpt_bytes_written: u64,
-    /// Bytes written for *recovery-line state* only (the seven line
+    /// Bytes written for *recovery-line state* only (the five line
     /// sections, or their delta representation in incremental mode). This
     /// is [`C3Stats::ckpt_bytes_written`] minus the commit-time late log,
     /// which is identical across [`CkptMode`]s — the number that isolates
@@ -279,10 +297,6 @@ pub struct C3Ctx<'a> {
     pub(crate) comms: crate::comms::CommTable,
     /// Checkpoint store.
     pub(crate) store: CkptStore,
-    /// Checkpointable heap (saved automatically with every checkpoint).
-    pub heap: CkptHeap,
-    /// Variable-description registry (saved automatically).
-    pub vars: VariableRegistry,
     /// Pragma counter (1-based after the first call).
     pub(crate) pragma_count: u64,
     /// Committed checkpoints this run.
@@ -291,13 +305,14 @@ pub struct C3Ctx<'a> {
     pub(crate) restored_app_state: Option<Vec<u8>>,
     /// Request-id watermark at the current recovery line.
     pub(crate) line_next_req: u64,
+    /// Pragma count at the last checkpoint started, forced or joined (for
+    /// the pragma-count policies).
+    pub(crate) last_ckpt_pragma: u64,
     /// Virtual time (ns) at the last checkpoint (for the timer policy).
     pub(crate) last_ckpt_ns: u64,
     /// Wall-clock origin: context creation (for
     /// [`C3Stats::last_commit_wall_ns`]).
     pub(crate) wall_origin: Instant,
-    /// Attached buffer size (MPI_Buffer_attach state, saved/restored).
-    pub(crate) attached_buffer: Option<usize>,
     /// Statistics.
     pub(crate) stats: C3Stats,
     /// Incremental-checkpoint state (`Some` iff the effective mode is
@@ -368,20 +383,26 @@ impl<'a> C3Ctx<'a> {
     pub fn take_restored_state(&mut self) -> Option<Vec<u8>> {
         self.restored_app_state.take()
     }
+}
 
-    /// Attach a send buffer (MPI_Buffer_attach): recorded as basic MPI state
-    /// and restored with the checkpoint (Fig. 5 "Attached buffers").
-    pub fn buffer_attach(&mut self, bytes: usize) {
-        self.attached_buffer = Some(bytes);
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    /// Detach the send buffer, returning its size.
-    pub fn buffer_detach(&mut self) -> Option<usize> {
-        self.attached_buffer.take()
-    }
-
-    /// The currently attached buffer size.
-    pub fn attached_buffer(&self) -> Option<usize> {
-        self.attached_buffer
+    #[test]
+    fn a_joined_checkpoint_satisfies_the_next_policy_pragma() {
+        let every3 = CkptPolicy::EveryNth(3);
+        assert!(every3.wants(3, 0, 0));
+        assert!(!every3.wants(4, 0, 0));
+        // Forced at 3: pragma 6 forces again. Joined at 5: it does not.
+        assert!(every3.wants(6, 3, 0));
+        assert!(!every3.wants(6, 5, 0));
+        assert!(every3.wants(9, 5, 0));
+        let at = CkptPolicy::AtPragmas(vec![2, 7]);
+        assert!(at.wants(2, 0, 0));
+        assert!(at.wants(7, 2, 0));
+        assert!(!at.wants(7, 4, 0));
+        assert!(!at.wants(5, 0, 0));
+        assert!(!CkptPolicy::Never.wants(3, 0, u64::MAX));
     }
 }

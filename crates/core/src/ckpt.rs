@@ -6,23 +6,21 @@
 //! | section  | contents                                                    |
 //! |----------|-------------------------------------------------------------|
 //! | `app`    | application state from the pragma's save closure            |
-//! | `heap`   | the checkpointable heap (live objects only)                 |
-//! | `vars`   | the variable-description registry                           |
-//! | `mpi`    | rank, nranks, epoch, attached buffers,                      |
-//! |          | message counters                                            |
+//! | `mpi`    | rank, nranks, epoch, message counters                       |
 //! | `tables` | derived datatypes: handle, definition, freed flag           |
-//! | `comms`  | communicator recipes, members, wires, call counters (§4.4)  |
+//! | `comms`  | communicators: members, wires, call counters (§4.4)         |
 //! | `early`  | the Early-Message-Registry                                  |
 //!
-//! Sections written at `chkpt_CommitCheckpoint`:
+//! Written at `chkpt_CommitCheckpoint`:
 //!
-//! | section  | contents                                                    |
+//! | record   | contents                                                    |
 //! |----------|-------------------------------------------------------------|
 //! | `late`   | the Late-Message-Registry (replay log) + request table      |
-//! | `COMMIT` | the commit marker                                           |
+//! | commit   | the store's commit record, the line's durability point      |
 //!
-//! With `write_disk` off (the paper's configuration #2) the sections are
-//! fully assembled and counted but not written.
+//! Each line is one store file per rank ([`statesave::store`]). With
+//! `write_disk` off (the paper's configuration #2) the sections are fully
+//! assembled and counted but not written.
 
 use crate::api::{C3Ctx, C3Error};
 use crate::registries::{EarlyRegistry, ReplayLog};
@@ -31,17 +29,17 @@ use crate::Result;
 use mpisim::{Datatype, DatatypeHandle, TypeTable};
 use statesave::codec::{CodecError, Decoder, Encoder};
 use statesave::incremental::Delta;
-use statesave::{CkptHeap, DirtyTracker, IncrementalSaver, VariableRegistry};
+use statesave::{DirtyTracker, IncrementalSaver};
 use std::collections::BTreeMap;
 
 /// The store section holding an incremental line (base or delta). Its
 /// presence at a version marks that version as incrementally written; full
-/// checkpoints write the seven per-section files instead.
+/// checkpoints write the five line sections instead.
 const DELTA_SECTION: &str = "delta";
 
-/// The seven recovery-line sections, in write order. Incremental mode
+/// The five recovery-line sections, in write order. Incremental mode
 /// feeds exactly these (as named sections) to the dirty tracker.
-const LINE_SECTIONS: [&str; 7] = ["app", "heap", "vars", "mpi", "tables", "comms", "early"];
+const LINE_SECTIONS: [&str; 5] = ["app", "mpi", "tables", "comms", "early"];
 
 /// Per-context incremental-checkpoint state: the chunk-hash tracker plus
 /// the chain position, advanced at every `chkpt_StartCheckpoint`.
@@ -87,7 +85,7 @@ fn put_line(ctx: &mut C3Ctx<'_>, version: u64, name: &str, bytes: &[u8]) -> Resu
 
 /// Write the recovery-line sections.
 ///
-/// In [`crate::CkptMode::Full`] each section is its own store file; in
+/// In [`crate::CkptMode::Full`] each section is its own store record; in
 /// incremental mode the sections are fed through the dirty tracker and a
 /// single `delta` section (base or delta link) is written instead.
 pub(crate) fn write_line_sections(
@@ -95,15 +93,10 @@ pub(crate) fn write_line_sections(
     version: u64,
     app_state: Vec<u8>,
 ) -> Result<()> {
-    let mut heap_e = Encoder::new();
-    ctx.heap.save(&mut heap_e);
-    let mut vars_e = Encoder::new();
-    ctx.vars.save(&mut vars_e);
     let mut mpi_e = Encoder::new();
     mpi_e.u64(ctx.rank() as u64);
     mpi_e.u64(ctx.nranks() as u64);
     mpi_e.u64(ctx.epoch);
-    mpi_e.save(&ctx.attached_buffer.map(|b| b as u64));
     ctx.counters.save(&mut mpi_e);
     let mut tables_e = Encoder::new();
     save_types(&ctx.mpi.types, &mut tables_e);
@@ -112,7 +105,7 @@ pub(crate) fn write_line_sections(
     let mut early_e = Encoder::new();
     ctx.early.save(&mut early_e);
 
-    let encs = [heap_e, vars_e, mpi_e, tables_e, comms_e, early_e];
+    let encs = [mpi_e, tables_e, comms_e, early_e];
     if ctx.incr.is_some() {
         let mut sections: Vec<(&str, &[u8])> = Vec::with_capacity(LINE_SECTIONS.len());
         sections.push((LINE_SECTIONS[0], &app_state));
@@ -207,14 +200,14 @@ fn restore_delta_sections(ctx: &mut C3Ctx<'_>, version: u64) -> Result<BTreeMap<
     DirtyTracker::assemble(&chunks).map_err(C3Error::Codec)
 }
 
-/// Write the commit sections and the commit marker.
+/// Write the commit section and the commit record.
 pub(crate) fn write_commit_sections(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
     let mut e = Encoder::new();
     ctx.replay.save(&mut e);
     ctx.reqs.save(ctx.line_next_req, &mut e);
     put(ctx, version, "late", e.as_bytes())?;
-    // The torn-commit crash window: the late log is on disk, the commit
-    // marker is not. A `DuringCommit` fault kills the rank exactly here;
+    // The torn-commit crash window: the late log is in the file, the commit
+    // record is not. A `DuringCommit` fault kills the rank exactly here;
     // recovery must then come from the previous fully committed line.
     ctx.maybe_fail_during_commit()?;
     if ctx.cfg.write_disk {
@@ -228,7 +221,7 @@ pub(crate) fn write_commit_sections(ctx: &mut C3Ctx<'_>, version: u64) -> Result
 ///
 /// The representation is detected from the store, not the config: a
 /// version carrying a `delta` section restores through the chain, one
-/// carrying per-section files restores directly — so a job may switch
+/// carrying the line sections restores directly — so a job may switch
 /// [`crate::CkptMode`] across restarts and still recover.
 pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
     let rank = ctx.rank();
@@ -254,12 +247,6 @@ pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
 
     ctx.restored_app_state = Some(sec("app")?);
 
-    let heap = sec("heap")?;
-    ctx.heap = CkptHeap::load(&mut Decoder::new(&heap))?;
-
-    let vars = sec("vars")?;
-    ctx.vars = VariableRegistry::load(&mut Decoder::new(&vars))?;
-
     let mpi = sec("mpi")?;
     let mut d = Decoder::new(&mpi);
     let saved_rank = d.u64()? as usize;
@@ -271,8 +258,6 @@ pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
         )));
     }
     ctx.epoch = d.u64()?;
-    let attached: Option<u64> = d.load()?;
-    ctx.attached_buffer = attached.map(|b| b as usize);
     ctx.counters = crate::counters::Counters::load(&mut d)?;
 
     let tables = sec("tables")?;

@@ -7,13 +7,14 @@
 //! >  information and replay the necessary MPI calls to recreate the
 //! >  respective structures."
 //!
-//! That is exactly the implementation here: a communicator indirection
-//! table holds, per handle, the *recipe* of the creating call
-//! (split/dup arguments), the member list in local-rank order, the wire
-//! identifier used for message matching, and the communicator's own
-//! deterministic collective-call counter. The table is saved with every
-//! recovery line and reloaded on restart; nothing else is needed because
-//! the substrate's communicators are pure identifiers.
+//! Here the creating call's outcome is what is recorded: a communicator
+//! indirection table holds, per handle, the member list in local-rank
+//! order, the wire identifier used for message matching, and the
+//! communicator's own deterministic collective-call counter. The table is
+//! saved with every recovery line and reloaded on restart, which rebuilds
+//! every communicator from its membership without replaying the split or
+//! dup; nothing else is needed because the substrate's communicators are
+//! pure identifiers.
 //!
 //! Point-to-point traffic on a derived communicator goes through the same
 //! `stream_send`/`stream_recv_p2p` protocol paths as world traffic (the
@@ -37,44 +38,9 @@ pub struct C3Comm(pub u64);
 /// The world communicator handle.
 pub const COMM_WORLD_HANDLE: C3Comm = C3Comm(0);
 
-/// The recorded creating call of a communicator (replayed conceptually on
-/// recovery by restoring the table).
-#[derive(Clone, Debug, PartialEq)]
-pub enum CommRecipe {
-    /// The built-in world communicator.
-    World,
-    /// `comm_split(parent, color, key)` — this rank's arguments.
-    Split {
-        /// Parent handle id.
-        parent: u64,
-        /// This rank's color (`None` = undefined: not a member of any
-        /// resulting communicator).
-        color: Option<i64>,
-        /// This rank's ordering key.
-        key: i64,
-    },
-    /// `comm_dup(parent)`.
-    Dup {
-        /// Parent handle id.
-        parent: u64,
-    },
-}
-
-impl CommRecipe {
-    fn code(&self) -> u8 {
-        match self {
-            CommRecipe::World => 0,
-            CommRecipe::Split { .. } => 1,
-            CommRecipe::Dup { .. } => 2,
-        }
-    }
-}
-
 /// One communicator table entry.
 #[derive(Clone, Debug)]
 pub struct CommEntry {
-    /// How it was created.
-    pub recipe: CommRecipe,
     /// World ranks of the members, in local-rank order; `None` when this
     /// rank is not a member (it keeps the entry so handle numbering stays
     /// aligned across ranks).
@@ -104,7 +70,6 @@ impl CommTable {
         entries.insert(
             0,
             CommEntry {
-                recipe: CommRecipe::World,
                 members: Some((0..nranks).collect()),
                 wire: mpisim::COMM_WORLD.0,
                 coll_calls: 0,
@@ -147,16 +112,6 @@ impl CommTable {
         e.usize(self.entries.len());
         for (id, en) in &self.entries {
             e.u64(*id);
-            e.u8(en.recipe.code());
-            match &en.recipe {
-                CommRecipe::World => {}
-                CommRecipe::Split { parent, color, key } => {
-                    e.u64(*parent);
-                    e.save(color);
-                    e.i64(*key);
-                }
-                CommRecipe::Dup { parent } => e.u64(*parent),
-            }
             e.bool(en.members.is_some());
             if let Some(m) = &en.members {
                 e.u64_slice(&m.iter().map(|r| *r as u64).collect::<Vec<_>>());
@@ -175,12 +130,6 @@ impl CommTable {
         let mut entries = BTreeMap::new();
         for _ in 0..n {
             let id = d.u64()?;
-            let recipe = match d.u8()? {
-                0 => CommRecipe::World,
-                1 => CommRecipe::Split { parent: d.u64()?, color: d.load()?, key: d.i64()? },
-                2 => CommRecipe::Dup { parent: d.u64()? },
-                other => return Err(CodecError(format!("bad comm recipe code {other}"))),
-            };
             let members = if d.bool()? {
                 Some(d.u64_vec()?.into_iter().map(|r| r as usize).collect())
             } else {
@@ -189,7 +138,6 @@ impl CommTable {
             entries.insert(
                 id,
                 CommEntry {
-                    recipe,
                     members,
                     wire: d.u32()?,
                     coll_calls: d.u64()?,
@@ -321,7 +269,6 @@ impl<'a> C3Ctx<'a> {
             None => 0,
         };
         let handle = self.comms.insert(CommEntry {
-            recipe: CommRecipe::Split { parent: c.0, color, key },
             members: my_members.clone(),
             wire,
             coll_calls: 0,
@@ -344,7 +291,6 @@ impl<'a> C3Ctx<'a> {
             (e.wire, idx)
         };
         Ok(self.comms.insert(CommEntry {
-            recipe: CommRecipe::Dup { parent: c.0 },
             members: Some(members),
             wire: derive_wire(parent_wire, idx),
             coll_calls: 0,
@@ -414,7 +360,6 @@ mod tests {
     fn table_roundtrips_through_codec() {
         let mut t = CommTable::new(4);
         t.insert(CommEntry {
-            recipe: CommRecipe::Split { parent: 0, color: Some(1), key: -3 },
             members: Some(vec![1, 3]),
             wire: 0x1234_5678 & 0x1FFF_FFFF,
             coll_calls: 7,
@@ -422,7 +367,6 @@ mod tests {
             freed: false,
         });
         t.insert(CommEntry {
-            recipe: CommRecipe::Dup { parent: 1 },
             members: None,
             wire: 0x1000_0001,
             coll_calls: 0,
@@ -437,7 +381,6 @@ mod tests {
         assert_eq!(back.get(C3Comm(1)).unwrap().members, Some(vec![1, 3]));
         assert_eq!(back.get(C3Comm(1)).unwrap().coll_calls, 7);
         assert!(back.get(C3Comm(2)).unwrap().freed);
-        assert_eq!(back.get(C3Comm(2)).unwrap().recipe, CommRecipe::Dup { parent: 1 });
     }
 
     #[test]

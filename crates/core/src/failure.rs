@@ -44,7 +44,7 @@ pub enum FailAt {
     /// restore handshake, not just at pragma boundaries.
     Op(u64),
     /// In the middle of the rank's next checkpoint commit: after the late
-    /// log has been written but before the commit marker — the classic
+    /// log has been written but before the commit record — the classic
     /// torn-commit crash window.
     DuringCommit,
     /// While the rank is in `Restore` mode, at its `n`-th receive served

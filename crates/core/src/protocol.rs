@@ -16,7 +16,7 @@ use mpisim::{
     Status, ANY_SOURCE, ANY_TAG, COMM_CTRL, COMM_WORLD,
 };
 use statesave::codec::Encoder;
-use statesave::{CkptHeap, CkptStore, VariableRegistry};
+use statesave::CkptStore;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,15 +69,13 @@ impl<'a> C3Ctx<'a> {
             reqs: C3ReqTable::new(),
             comms: crate::comms::CommTable::new(n),
             store,
-            heap: CkptHeap::new(),
-            vars: VariableRegistry::new(),
             pragma_count: 0,
             commit_count: 0,
             restored_app_state: None,
             line_next_req: 0,
+            last_ckpt_pragma: 0,
             last_ckpt_ns: 0,
             wall_origin: Instant::now(),
-            attached_buffer: None,
             stats: Default::default(),
             incr,
             failure,
@@ -103,10 +101,10 @@ impl<'a> C3Ctx<'a> {
         )?;
         let line: u64 = vec_from_bytes::<u64>(&reduced)[0];
         // Discard newer versions even when no line survives: a dead
-        // incarnation's commit marker would vouch for this one's rewrite of
+        // incarnation's commit record would vouch for this one's rewrite of
         // its version, mixing two incarnations. One rank prunes, all wait.
         if ctx.mpi.rank() == 0 {
-            ctx.store.prune(line, false)?;
+            ctx.store.prune(line)?;
         }
         ctx.mpi.barrier(COMM_CTRL)?;
         if line == 0 {
@@ -780,7 +778,7 @@ impl<'a> C3Ctx<'a> {
     }
 
     /// Torn-commit crash window: called between writing the late log and
-    /// writing the commit marker (see `ckpt::write_commit_sections`).
+    /// writing the commit record (see `ckpt::write_commit_sections`).
     pub(crate) fn maybe_fail_during_commit(&mut self) -> Result<()> {
         if let Some(f) = self.armed_failure() {
             if matches!(f.plan.when, crate::failure::FailAt::DuringCommit) {
@@ -842,7 +840,8 @@ impl<'a> C3Ctx<'a> {
         }
         let policy_applies = self.cfg.initiator.is_none_or(|r| r == self.mpi.rank());
         let since_last = self.mpi.vtime().saturating_sub(self.last_ckpt_ns);
-        let force = policy_applies && self.cfg.policy.wants(self.pragma_count, since_last);
+        let force = policy_applies
+            && self.cfg.policy.wants(self.pragma_count, self.last_ckpt_pragma, since_last);
         if force || self.ci.any(self.epoch + 1) {
             let mut enc = Encoder::new();
             save(&mut enc);
@@ -882,6 +881,7 @@ impl<'a> C3Ctx<'a> {
             self.counters.set_expected(peer, count);
         }
         self.mode = Mode::NonDetLog;
+        self.last_ckpt_pragma = self.pragma_count;
         self.last_ckpt_ns = self.mpi.vtime();
         self.maybe_advance()
     }

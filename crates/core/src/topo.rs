@@ -2,7 +2,7 @@
 //!
 //! `MPI_Cart_create` and friends, built on the communicator table: the grid
 //! communicator is carved out of the parent with [`C3Ctx::comm_split`]
-//! (whose recipe is recorded and checkpointed), and the topology itself —
+//! (whose membership is recorded and checkpointed), and the topology itself —
 //! dimensions, periodicity, the rank↔coordinate maps — is pure arithmetic
 //! over the grid communicator's local ranks, so it needs no extra recovery
 //! machinery: the application re-derives it from data it saves like any

@@ -492,46 +492,6 @@ fn reduce_and_scan_survive_failure() {
 }
 
 #[test]
-fn heap_and_vars_restored() {
-    let st_heapvars_17 = e2e_store("heapvars");
-    let cfg = C3Config::at_pragmas(st_heapvars_17.path(), vec![2]);
-    let plan = FailurePlan { rank: 0, when: FailAt::AfterCommits { commits: 1, pragma: 4 } };
-    let rec = Job::new(2, cfg)
-        .failure(plan)
-        .run(|ctx| {
-            let mut st = LoopState::restore_or_new(ctx)?;
-            // Heap object created once at the start, mutated every iteration.
-            let obj = if st.iter == 0 && ctx.heap.live_objects() == 0 {
-                ctx.heap.alloc_init(vec![0u8; 8])
-            } else {
-                statesave::ObjId(0)
-            };
-            let me = ctx.rank();
-            while st.iter < 6 {
-                ctx.pragma(|e| st.save(e))?;
-                let cur = u64::from_le_bytes(ctx.heap.get(obj).unwrap().try_into().unwrap());
-                let next = cur.wrapping_add(st.iter + me as u64 + 1);
-                ctx.heap.get_mut(obj).unwrap().copy_from_slice(&next.to_le_bytes());
-                ctx.vars.register("iter", statesave::TypeCode::I64, st.iter.to_le_bytes().to_vec());
-                let other = ctx.allreduce_u64(next, &mpisim::ReduceOp::Sum)?;
-                st.absorb(other);
-                st.iter += 1;
-            }
-            let final_heap = u64::from_le_bytes(ctx.heap.get(obj).unwrap().try_into().unwrap());
-            Ok((st.checksum, final_heap))
-        })
-        .unwrap();
-    assert_eq!(rec.restarts, 1);
-    // Both ranks agree, and the heap evolved deterministically: sum over
-    // iters of (iter + me + 1).
-    let expected0: u64 = (0..6).map(|i| i + 1).sum();
-    let expected1: u64 = (0..6).map(|i| i + 2).sum();
-    assert_eq!(rec.handle.results[0].1, expected0);
-    assert_eq!(rec.handle.results[1].1, expected1);
-    assert_eq!(rec.handle.results[0].0, rec.handle.results[1].0);
-}
-
-#[test]
 fn two_checkpoints_recover_from_latest() {
     let st_two_base_18 = e2e_store("two-base");
     let baseline =

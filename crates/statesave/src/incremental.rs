@@ -3,10 +3,11 @@
 //! Listed by the paper as ongoing work: "we are incorporating incremental
 //! checkpointing into our system, which will permit the system to save only
 //! those data that have been modified since the last checkpoint" (§5). This
-//! module implements it for named state chunks: each chunk's content hash is
-//! compared with the hash at the previous checkpoint; unchanged chunks are
-//! recorded by reference, changed chunks by value. A restore replays the
-//! base-plus-delta chain.
+//! module implements it with [`DirtyTracker`], which slices named sections
+//! into chunks and compares each with its content at the previous
+//! checkpoint: unchanged chunks are recorded by hash reference, changed
+//! chunks by value or by a compressed XOR patch. A restore replays the
+//! base-plus-delta chain ([`IncrementalSaver::reconstruct`]).
 
 use crate::codec::{CodecError, Decoder, Encoder};
 use std::collections::BTreeMap;
@@ -66,44 +67,12 @@ impl Delta {
     }
 }
 
-/// Tracks chunk hashes across checkpoints and builds deltas.
-#[derive(Default, Debug)]
-pub struct IncrementalSaver {
-    prev_hashes: BTreeMap<String, u64>,
-}
+/// Rebuilds state from a base-to-latest chain of [`Delta`]s, as written by
+/// [`DirtyTracker::checkpoint`].
+#[derive(Debug)]
+pub struct IncrementalSaver;
 
 impl IncrementalSaver {
-    /// Fresh saver: the first checkpoint is a full one.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build the delta for the current state (`chunks`: name → bytes) and
-    /// advance the saver's notion of "previous checkpoint".
-    pub fn checkpoint(&mut self, chunks: &BTreeMap<String, Vec<u8>>) -> Delta {
-        let mut delta = Delta::default();
-        let mut new_hashes = BTreeMap::new();
-        for (name, bytes) in chunks {
-            let h = fnv1a(bytes);
-            new_hashes.insert(name.clone(), h);
-            match self.prev_hashes.get(name) {
-                Some(&ph) if ph == h => {
-                    delta.unchanged.insert(name.clone(), h);
-                }
-                _ => {
-                    delta.changed.insert(name.clone(), bytes.clone());
-                }
-            }
-        }
-        for name in self.prev_hashes.keys() {
-            if !chunks.contains_key(name) {
-                delta.removed.push(name.clone());
-            }
-        }
-        self.prev_hashes = new_hashes;
-        delta
-    }
-
     /// Reconstruct full state from a base-to-latest chain of deltas.
     /// Returns an error if an `unchanged` reference points at a chunk that
     /// is missing or whose hash disagrees (a corrupted chain).
@@ -223,13 +192,12 @@ pub const DEFAULT_CHUNK_SIZE: usize = 4096;
 
 /// Chunk-granular dirty tracking over named state *sections*.
 ///
-/// [`IncrementalSaver`] diffs whole named chunks; checkpoint sections (the
-/// protocol's `app`, `heap`, `mpi`, … buffers) are single large byte
-/// strings, so diffing them whole would mark the entire section dirty on
-/// any one-byte change. `DirtyTracker` slices each section into fixed-size
-/// chunks named `"<section>.<index>"` and hashes those, so a delta carries
-/// only the chunks that actually changed plus 8-byte references for the
-/// rest.
+/// Checkpoint sections (the protocol's `app`, `mpi`, … buffers) are single
+/// large byte strings, so diffing them whole would mark the entire section
+/// dirty on any one-byte change. `DirtyTracker` slices each section into
+/// fixed-size chunks named `"<section>.<index>"` and compares those, so a
+/// delta carries only the chunks that actually changed plus 8-byte hash
+/// references for the rest.
 ///
 /// Typical cycle, mirroring the commit path in `c3`:
 ///
@@ -432,51 +400,52 @@ mod tests {
         pairs.iter().map(|(k, v)| (k.to_string(), v.to_vec())).collect()
     }
 
+    /// Rebuild a chain back into whole sections.
+    fn rebuild(chain: &[Delta]) -> BTreeMap<String, Vec<u8>> {
+        DirtyTracker::assemble(&IncrementalSaver::reconstruct(chain).unwrap()).unwrap()
+    }
+
     #[test]
     fn first_checkpoint_is_full() {
-        let mut s = IncrementalSaver::new();
-        let d = s.checkpoint(&chunks(&[("a", b"111"), ("b", b"22")]));
+        let mut t = DirtyTracker::new();
+        let d = t.checkpoint(&[("a", b"111"), ("b", b"22")]);
         assert_eq!(d.changed.len(), 2);
         assert!(d.unchanged.is_empty());
     }
 
     #[test]
     fn unchanged_chunks_become_references() {
-        let mut s = IncrementalSaver::new();
-        let c1 = chunks(&[("grid", &[0u8; 1000]), ("step", b"1")]);
-        let d1 = s.checkpoint(&c1);
-        let c2 = chunks(&[("grid", &[0u8; 1000]), ("step", b"2")]);
-        let d2 = s.checkpoint(&c2);
+        let mut t = DirtyTracker::new();
+        let d1 = t.checkpoint(&[("grid", &[0u8; 1000]), ("step", b"1")]);
+        let d2 = t.checkpoint(&[("grid", &[0u8; 1000]), ("step", b"2")]);
         assert_eq!(d2.changed.len(), 1);
-        assert!(d2.changed.contains_key("step"));
+        assert!(d2.changed.contains_key("step.00000000"));
         assert_eq!(d2.unchanged.len(), 1);
         // Incremental payload is much smaller than the full one.
         assert!(d2.payload_bytes() < d1.payload_bytes() / 10);
         // And the chain reconstructs the exact state.
-        let state = IncrementalSaver::reconstruct(&[d1, d2]).unwrap();
-        assert_eq!(state, c2);
+        assert_eq!(rebuild(&[d1, d2]), chunks(&[("grid", &[0u8; 1000]), ("step", b"2")]));
     }
 
     #[test]
     fn removed_chunks_disappear() {
-        let mut s = IncrementalSaver::new();
-        let d1 = s.checkpoint(&chunks(&[("a", b"x"), ("b", b"y")]));
-        let d2 = s.checkpoint(&chunks(&[("a", b"x")]));
-        assert_eq!(d2.removed, vec!["b".to_string()]);
-        let state = IncrementalSaver::reconstruct(&[d1, d2]).unwrap();
-        assert_eq!(state, chunks(&[("a", b"x")]));
+        let mut t = DirtyTracker::new();
+        let d1 = t.checkpoint(&[("a", b"x"), ("b", b"y")]);
+        let d2 = t.checkpoint(&[("a", b"x")]);
+        assert_eq!(d2.removed, vec!["b.00000000".to_string()]);
+        assert_eq!(rebuild(&[d1, d2]), chunks(&[("a", b"x")]));
     }
 
     #[test]
     fn corrupted_chain_detected() {
-        let mut s = IncrementalSaver::new();
-        let d1 = s.checkpoint(&chunks(&[("a", b"x")]));
-        let mut d2 = s.checkpoint(&chunks(&[("a", b"x")]));
+        let mut t = DirtyTracker::new();
+        let d1 = t.checkpoint(&[("a", b"x")]);
+        let mut d2 = t.checkpoint(&[("a", b"x")]);
         // Corrupt: drop the base delta.
         let err = IncrementalSaver::reconstruct(std::slice::from_ref(&d2));
         assert!(err.is_err());
         // Corrupt: tamper with the referenced hash.
-        if let Some(h) = d2.unchanged.get_mut("a") {
+        if let Some(h) = d2.unchanged.get_mut("a.00000000") {
             *h ^= 1;
         }
         assert!(IncrementalSaver::reconstruct(&[d1, d2]).is_err());
@@ -593,9 +562,9 @@ mod tests {
 
     #[test]
     fn delta_codec_roundtrip() {
-        let mut s = IncrementalSaver::new();
-        let _ = s.checkpoint(&chunks(&[("a", b"1"), ("b", b"2")]));
-        let d = s.checkpoint(&chunks(&[("a", b"1"), ("c", b"3")]));
+        let mut t = DirtyTracker::new();
+        let _ = t.checkpoint(&[("a", b"1"), ("b", b"2")]);
+        let d = t.checkpoint(&[("a", b"1"), ("c", b"3")]);
         let mut e = Encoder::new();
         d.save(&mut e);
         let buf = e.finish();

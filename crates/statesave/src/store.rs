@@ -1,29 +1,48 @@
-//! Versioned on-disk checkpoint store with two-phase commit markers.
+//! Versioned on-disk checkpoint store: one append-only file per
+//! `(version, rank)`, `root/v<N>.r<R>.ckpt`, in a flat root directory.
 //!
-//! Layout under a root directory:
-//!
-//! ```text
-//! root/ckpt_v<N>/rank_<R>/<section>.bin   -- named sections
-//! root/ckpt_v<N>/rank_<R>/COMMIT          -- commit marker
-//! ```
+//! A file is a sequence of records `[name length: u8][name][payload
+//! length: u64 LE][payload]`. [`CkptStore::write_section`] appends one
+//! named section record and syncs nothing. [`CkptStore::mark_committed`] is
+//! the durability point: it `fdatasync`s the file, appends the commit
+//! record (an empty name and, as payload, the record's own offset),
+//! `fdatasync`s again and fsyncs the root directory once, so the file's
+//! directory entry survives a machine crash too — the commit-frame pattern
+//! of SQLite's write-ahead log.
 //!
 //! The protocol's checkpoint is two-phase: application/MPI state is written
-//! when the recovery line is crossed (`chkpt_StartCheckpoint`), and the
-//! late-message log plus the commit marker are written only when all late
-//! messages have been received (`chkpt_CommitCheckpoint`, Fig. 5). A version
-//! directory without `COMMIT` is an aborted checkpoint and is ignored (and
-//! garbage-collected) on recovery. The *global* recovery line is the largest
-//! version committed by **all** ranks — computed at restore time by a global
-//! reduction, exactly as in the paper's `chkpt_RestoreCheckpoint`.
+//! when the recovery line is crossed (`chkpt_StartCheckpoint`), the
+//! late-message log and the commit record only when all late messages have
+//! been received (`chkpt_CommitCheckpoint`, Fig. 5). A file whose last
+//! record is not a complete commit record is torn: an aborted checkpoint,
+//! ignored and pruned on recovery. A torn record is never read as a
+//! section. The *global* recovery line is the largest version committed by
+//! **all** ranks — a global reduction at restore time, as in the paper's
+//! `chkpt_RestoreCheckpoint`.
 
 use std::fs;
-use std::io::{Read, Write};
+use std::io::{Error, ErrorKind, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+
+/// Bytes of a record's frame: the name length and the payload length.
+const FRAME: usize = 1 + 8;
+
+/// Bytes read at a record's start: the longest frame and name, or a commit
+/// record's frame and payload.
+const HEAD: usize = FRAME + 255;
 
 /// Handle to a checkpoint root directory for one job.
 #[derive(Clone, Debug)]
 pub struct CkptStore {
     root: PathBuf,
+}
+
+/// A complete section record: its name, and its payload's offset and length.
+struct Section {
+    name: String,
+    at: u64,
+    len: u64,
 }
 
 impl CkptStore {
@@ -34,16 +53,44 @@ impl CkptStore {
         Ok(CkptStore { root })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
+    fn file(&self, version: u64, rank: usize) -> PathBuf {
+        self.root.join(format!("v{version}.r{rank}.ckpt"))
     }
 
-    fn rank_dir(&self, version: u64, rank: usize) -> PathBuf {
-        self.root.join(format!("ckpt_v{version}")).join(format!("rank_{rank}"))
+    fn append(&self, version: u64, rank: usize) -> std::io::Result<fs::File> {
+        fs::OpenOptions::new().create(true).append(true).open(self.file(version, rank))
     }
 
-    /// Write a named section for `(version, rank)`.
+    /// Walk the records of `(version, rank)`'s file, reading frames only,
+    /// until the end or a torn record. Returns the file, its complete
+    /// sections in file order, and whether it ends in a commit record.
+    fn scan(&self, version: u64, rank: usize) -> std::io::Result<(fs::File, Vec<Section>, bool)> {
+        let file = fs::File::open(self.file(version, rank))?;
+        let end = file.metadata()?.len();
+        let (mut sections, mut committed, mut pos) = (Vec::new(), false, 0);
+        let mut buf = [0u8; HEAD];
+        while pos < end {
+            let head = &mut buf[..(end - pos).min(HEAD as u64) as usize];
+            file.read_exact_at(head, pos)?;
+            let name_len = head[0] as usize;
+            let Some(len) = head.get(1 + name_len..FRAME + name_len) else { break };
+            let len = u64::from_le_bytes(len.try_into().expect("8 bytes"));
+            let at = pos + (FRAME + name_len) as u64;
+            if len > end - at {
+                break;
+            }
+            committed = name_len == 0 && at + len == end && head[FRAME..] == pos.to_le_bytes();
+            if name_len > 0 {
+                let name = String::from_utf8_lossy(&head[1..1 + name_len]).into_owned();
+                sections.push(Section { name, at, len });
+            }
+            pos = at + len;
+        }
+        Ok((file, sections, committed))
+    }
+
+    /// Append a named section (1 to 255 bytes of name) to `(version,
+    /// rank)`'s file, unsynced.
     pub fn write_section(
         &self,
         version: u64,
@@ -51,60 +98,63 @@ impl CkptStore {
         section: &str,
         bytes: &[u8],
     ) -> std::io::Result<()> {
-        let dir = self.rank_dir(version, rank);
-        fs::create_dir_all(&dir)?;
-        let mut f = fs::File::create(dir.join(format!("{section}.bin")))?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        Ok(())
+        let name_len = u8::try_from(section.len()).ok().filter(|&n| n > 0);
+        let name_len = name_len.ok_or_else(|| {
+            Error::new(ErrorKind::InvalidInput, format!("bad section name '{section}'"))
+        })?;
+        let mut frame = vec![name_len];
+        frame.extend_from_slice(section.as_bytes());
+        frame.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        let mut f = self.append(version, rank)?;
+        f.write_all(&frame)?;
+        f.write_all(bytes)
     }
 
-    /// Read a named section for `(version, rank)`.
+    /// Read the last complete section named `section` of `(version, rank)`.
     pub fn read_section(
         &self,
         version: u64,
         rank: usize,
         section: &str,
     ) -> std::io::Result<Vec<u8>> {
-        let mut f = fs::File::open(self.rank_dir(version, rank).join(format!("{section}.bin")))?;
-        let mut buf = Vec::new();
-        f.read_to_end(&mut buf)?;
+        let (file, sections, _) = self.scan(version, rank)?;
+        let s = sections.iter().rev().find(|s| s.name == section).ok_or_else(|| {
+            Error::new(ErrorKind::NotFound, format!("no section '{section}' in v{version}.r{rank}"))
+        })?;
+        let mut buf = vec![0u8; s.len as usize];
+        file.read_exact_at(&mut buf, s.at)?;
         Ok(buf)
     }
 
-    /// Does a section exist?
+    /// Does a complete section exist?
     pub fn has_section(&self, version: u64, rank: usize, section: &str) -> bool {
-        self.rank_dir(version, rank).join(format!("{section}.bin")).exists()
+        self.scan(version, rank).is_ok_and(|(_, ss, _)| ss.iter().any(|s| s.name == section))
     }
 
-    /// Total bytes of all sections for `(version, rank)` — the rank's
-    /// checkpoint size as reported in the paper's tables.
+    /// Total payload bytes of all sections for `(version, rank)`, without
+    /// the record frames — the rank's checkpoint size as reported in the
+    /// paper's tables.
     pub fn checkpoint_bytes(&self, version: u64, rank: usize) -> std::io::Result<u64> {
-        let dir = self.rank_dir(version, rank);
-        let mut total = 0;
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            if entry.path().extension().map(|e| e == "bin").unwrap_or(false) {
-                total += entry.metadata()?.len();
-            }
-        }
-        Ok(total)
+        Ok(self.scan(version, rank)?.1.iter().map(|s| s.len).sum())
     }
 
-    /// Write the commit marker for `(version, rank)` — the end of
-    /// `chkpt_CommitCheckpoint`.
+    /// Commit `(version, rank)` — the end of `chkpt_CommitCheckpoint`: sync
+    /// the sections, append the commit record, sync it, and sync the root
+    /// directory.
     pub fn mark_committed(&self, version: u64, rank: usize) -> std::io::Result<()> {
-        let dir = self.rank_dir(version, rank);
-        fs::create_dir_all(&dir)?;
-        let mut f = fs::File::create(dir.join("COMMIT"))?;
-        f.write_all(b"ok")?;
-        f.sync_all()?;
-        Ok(())
+        let mut f = self.append(version, rank)?;
+        f.sync_data()?;
+        let mut record = [0u8; FRAME + 8];
+        record[1..FRAME].copy_from_slice(&8u64.to_le_bytes());
+        record[FRAME..].copy_from_slice(&f.metadata()?.len().to_le_bytes());
+        f.write_all(&record)?;
+        f.sync_data()?;
+        fs::File::open(&self.root)?.sync_all()
     }
 
     /// Is `(version, rank)` committed?
     pub fn is_committed(&self, version: u64, rank: usize) -> bool {
-        self.rank_dir(version, rank).join("COMMIT").exists()
+        self.scan(version, rank).is_ok_and(|(_, _, committed)| committed)
     }
 
     /// The last version this rank committed, if any ("query last local saved
@@ -113,37 +163,37 @@ impl CkptStore {
         self.versions().into_iter().rev().find(|v| self.is_committed(*v, rank))
     }
 
+    /// Every line file in the root, as `(version, path)`.
+    fn files(&self) -> Vec<(u64, PathBuf)> {
+        let Ok(dir) = fs::read_dir(&self.root) else { return Vec::new() };
+        dir.filter_map(|e| {
+            let e = e.ok()?;
+            let name = e.file_name();
+            let (v, r) =
+                name.to_str()?.strip_prefix('v')?.strip_suffix(".ckpt")?.split_once(".r")?;
+            r.parse::<usize>().ok()?;
+            Some((v.parse().ok()?, e.path()))
+        })
+        .collect()
+    }
+
     /// All version numbers present in the store, ascending.
     pub fn versions(&self) -> Vec<u64> {
-        let mut vs: Vec<u64> = match fs::read_dir(&self.root) {
-            Ok(rd) => rd
-                .filter_map(|e| e.ok())
-                .filter_map(|e| {
-                    e.file_name().to_str().and_then(|n| n.strip_prefix("ckpt_v").map(String::from))
-                })
-                .filter_map(|n| n.parse().ok())
-                .collect(),
-            Err(_) => Vec::new(),
-        };
+        let mut vs: Vec<u64> = self.files().into_iter().map(|(v, _)| v).collect();
         vs.sort_unstable();
+        vs.dedup();
         vs
     }
 
-    /// Remove every version newer than `keep` (uncommitted or superseded
-    /// lines discarded on recovery) and, optionally, versions older than
-    /// `keep` (space reclamation).
-    pub fn prune(&self, keep: u64, drop_older: bool) -> std::io::Result<()> {
-        for v in self.versions() {
-            if v > keep || (drop_older && v < keep) {
-                let _ = fs::remove_dir_all(self.root.join(format!("ckpt_v{v}")));
+    /// Remove every version newer than `keep`: the uncommitted or
+    /// superseded lines discarded on recovery.
+    pub fn prune(&self, keep: u64) -> std::io::Result<()> {
+        for (v, path) in self.files() {
+            if v > keep {
+                let _ = fs::remove_file(path);
             }
         }
         Ok(())
-    }
-
-    /// Delete the whole store.
-    pub fn destroy(self) -> std::io::Result<()> {
-        fs::remove_dir_all(&self.root)
     }
 }
 
@@ -197,27 +247,24 @@ impl Drop for TempStore {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        let p = std::env::temp_dir().join(format!("c3-store-test-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&p);
-        p
-    }
-
     #[test]
     fn section_roundtrip_and_size() {
-        let store = CkptStore::new(tmp("rt")).unwrap();
+        let tmp = TempStore::new("rt");
+        let store = CkptStore::new(tmp.path()).unwrap();
         store.write_section(1, 0, "app", b"hello").unwrap();
         store.write_section(1, 0, "late", &[0u8; 100]).unwrap();
         assert_eq!(store.read_section(1, 0, "app").unwrap(), b"hello");
         assert_eq!(store.checkpoint_bytes(1, 0).unwrap(), 105);
         assert!(store.has_section(1, 0, "late"));
         assert!(!store.has_section(1, 0, "nope"));
-        store.destroy().unwrap();
+        assert!(store.read_section(1, 0, "nope").is_err());
+        assert!(store.write_section(1, 0, "", b"x").is_err(), "the empty name is the commit's");
     }
 
     #[test]
     fn commit_markers_and_last_committed() {
-        let store = CkptStore::new(tmp("commit")).unwrap();
+        let tmp = TempStore::new("commit");
+        let store = CkptStore::new(tmp.path()).unwrap();
         store.write_section(1, 0, "app", b"a").unwrap();
         store.mark_committed(1, 0).unwrap();
         store.write_section(2, 0, "app", b"b").unwrap();
@@ -226,18 +273,64 @@ mod tests {
         store.mark_committed(2, 0).unwrap();
         assert_eq!(store.last_committed(0), Some(2));
         assert_eq!(store.last_committed(1), None);
-        store.destroy().unwrap();
+        // A section appended after the commit record tears the line again.
+        store.write_section(2, 0, "late", b"c").unwrap();
+        assert_eq!(store.last_committed(0), Some(1));
+        // One regular file per (version, rank), nothing else.
+        let mut names: Vec<_> = fs::read_dir(tmp.path())
+            .unwrap()
+            .map(|e| e.unwrap())
+            .inspect(|e| assert!(e.file_type().unwrap().is_file()))
+            .map(|e| e.file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["v1.r0.ckpt", "v2.r0.ckpt"]);
     }
 
     #[test]
     fn prune_discards_newer_uncommitted() {
-        let store = CkptStore::new(tmp("prune")).unwrap();
+        let tmp = TempStore::new("prune");
+        let store = CkptStore::new(tmp.path()).unwrap();
         for v in 1..=3 {
             store.write_section(v, 0, "app", b"x").unwrap();
         }
         store.mark_committed(1, 0).unwrap();
-        store.prune(1, false).unwrap();
+        store.prune(1).unwrap();
         assert_eq!(store.versions(), vec![1]);
-        store.destroy().unwrap();
+    }
+
+    /// Cut a committed file at every byte offset inside its last section
+    /// record and its commit record: the line is never committed, no
+    /// partial record is ever read back, and `prune` removes the file.
+    #[test]
+    fn a_file_cut_inside_its_tail_is_torn() {
+        let tmp = TempStore::new("cut");
+        let store = CkptStore::new(tmp.path()).unwrap();
+        store.write_section(1, 0, "app", b"older line").unwrap();
+        store.mark_committed(1, 0).unwrap();
+        let app: Vec<u8> = (0..40u8).collect();
+        let late = b"late log".to_vec();
+        store.write_section(2, 0, "app", &app).unwrap();
+        store.write_section(2, 0, "late", &late).unwrap();
+        store.mark_committed(2, 0).unwrap();
+        let path = store.file(2, 0);
+        let whole = fs::read(&path).unwrap();
+        let late_start = FRAME + 3 + app.len();
+        assert_eq!(whole.len(), late_start + FRAME + 4 + late.len() + FRAME + 8);
+        assert!(store.is_committed(2, 0));
+
+        for cut in late_start..whole.len() {
+            fs::write(&path, &whole[..cut]).unwrap();
+            assert!(!store.is_committed(2, 0), "cut at {cut} reads as committed");
+            assert_eq!(store.last_committed(0), Some(1), "cut at {cut}");
+            assert_eq!(store.read_section(2, 0, "app").unwrap(), app, "cut at {cut}");
+            match store.read_section(2, 0, "late") {
+                Ok(bytes) => assert_eq!(bytes, late, "cut at {cut} read a partial record"),
+                Err(e) => assert_eq!(e.kind(), ErrorKind::NotFound, "cut at {cut}"),
+            }
+            store.prune(1).unwrap();
+            assert!(!path.exists(), "prune kept the torn file cut at {cut}");
+            assert_eq!(store.versions(), vec![1]);
+        }
     }
 }

@@ -10,8 +10,8 @@
 //!   application-level checkpoint-recovery protocol;
 //! * [`mpisim`] — the message-passing substrate with MPI matching
 //!   semantics;
-//! * [`statesave`] — application-level state saving (codec, registries,
-//!   checkpoint store, SLC baseline, incremental checkpointing);
+//! * [`statesave`] — application-level state saving (codec, checkpoint
+//!   store, incremental checkpointing);
 //! * [`npb`] — the benchmark applications of the paper's evaluation.
 //!
 //! Start with `examples/quickstart.rs`, `README.md` for the overview, and

@@ -164,7 +164,7 @@ fn cg_incremental_recovery_matches_full() {
 // ====================================================================
 
 /// Death in the torn-commit window *inside a delta chain* (late log on
-/// disk, no commit marker): the uncommitted delta must be discarded and
+/// disk, no commit record): the uncommitted delta must be discarded and
 /// recovery must come from the last complete chain prefix, then the job
 /// still converges to the failure-free result.
 #[test]
@@ -198,7 +198,7 @@ fn torn_delta_chain_falls_back_to_last_complete_prefix() {
     // every_n = 4, a commit per pragma: v1 is a base, v2.. are deltas. The
     // first fault kills rank 1 after two commits (line 2, mid-chain); the
     // second incarnation arms `DuringCommit`, so rank 1 dies with delta v3's
-    // late log written but no commit marker — a torn chain tail.
+    // late log written but no commit record — a torn chain tail.
     let store = TempStore::new("torn-chain");
     let plan = c3::ChaosPlan {
         faults: vec![
@@ -218,7 +218,7 @@ fn torn_delta_chain_falls_back_to_last_complete_prefix() {
 
 /// A restart that finds no line committed on every rank starts from
 /// scratch, and must still discard the versions the dead incarnation left
-/// behind: a commit marker surviving from it would vouch for that version
+/// behind: a commit record surviving from it would vouch for that version
 /// once the new incarnation rewrites part of it, so a later restart could
 /// restore a line mixing two incarnations (seen as HPL chaos plans ending
 /// in `SCHED_DEADLOCK`).
@@ -241,20 +241,26 @@ fn restart_from_scratch_discards_the_dead_incarnations_versions() {
         Ok(acc)
     }
 
-    // A finished job commits v1 on both ranks; removing rank 1's marker
-    // leaves the store as a death in rank 1's torn-commit window would.
+    // A finished job commits v1 on both ranks. Cutting rank 1's v1 file
+    // just before its commit record (the last 17 bytes: an empty name's
+    // length byte, the payload length and the record's own offset) leaves
+    // the store as a death in rank 1's torn-commit window would.
     let store = TempStore::new("stale-after-scratch");
     let cfg = C3Config::at_pragmas(store.path(), vec![2]);
     let first = Job::new(2, cfg.clone()).run(app).unwrap();
-    std::fs::remove_file(store.path().join("ckpt_v1/rank_1/COMMIT")).unwrap();
+    let torn =
+        std::fs::OpenOptions::new().write(true).open(store.path().join("v1.r1.ckpt")).unwrap();
+    torn.set_len(torn.metadata().unwrap().len() - 17).unwrap();
+    assert_eq!(CkptStore::new(store.path()).unwrap().last_committed(1), None);
 
-    // The restart agrees on line 0. Each rank looks for v1 before its first
-    // send, so before any rank of this incarnation can write v1 again.
-    let v1 = store.path().join("ckpt_v1");
+    // The restart agrees on line 0. Each rank looks for a v1 file before its
+    // first send, so before any rank of this incarnation can write v1 again.
+    let root = store.path();
     let rec = Job::new(2, cfg)
         .restore()
         .run(|ctx| {
-            let stale = v1.exists();
+            let stale = std::fs::read_dir(root)?
+                .any(|e| e.is_ok_and(|e| e.file_name().to_string_lossy().starts_with("v1.")));
             Ok((stale, app(ctx)?))
         })
         .unwrap();
@@ -266,8 +272,8 @@ fn restart_from_scratch_discards_the_dead_incarnations_versions() {
 
 /// The store — not the config — decides how a line is restored: a job may
 /// write a delta chain, die, and be restarted under `CkptMode::Full` (or
-/// vice versa) and recovery still works. This is what makes the env-knob
-/// override safe to flip between incarnations.
+/// vice versa) and recovery still works, so `C3Config::ckpt_mode` may
+/// differ between incarnations.
 #[test]
 fn mode_switch_across_restart_restores_cleanly() {
     fn app(ctx: &mut C3Ctx<'_>) -> Result<u64, C3Error> {
@@ -365,13 +371,13 @@ fn mg_deltas_write_fewer_bytes_than_full() {
 // The bytes themselves: pinned per version, rank and section
 // ====================================================================
 
-/// Every section a version can hold: the seven line sections of a full
+/// Every section a version can hold: the five line sections of a full
 /// checkpoint, the single `delta` section of an incremental one, and the
 /// commit-time `late` log.
-const SECTIONS: [&str; 9] =
-    ["app", "heap", "vars", "mpi", "tables", "comms", "early", "delta", "late"];
+const SECTIONS: [&str; 7] = ["app", "mpi", "tables", "comms", "early", "delta", "late"];
 
-/// Run CG on 4 ranks on one worker, checkpointing every 3rd pragma, and
+/// Run CG on 4 ranks on one worker, checkpointing every 3rd pragma, check
+/// that the store root holds exactly one file per version and rank, and
 /// return an FNV-1a digest over (version, rank, section, bytes) of every
 /// committed section left in the store, the number of those sections, and
 /// the job's total `ckpt_line_bytes`.
@@ -389,6 +395,21 @@ fn cg_ckpt_digest(tag: &str, mode: CkptMode) -> (u64, usize, u64) {
     let line_bytes = rec.handle.results.iter().sum();
 
     let ckpts = CkptStore::new(store.path()).unwrap();
+    // The root holds one regular file per version and rank, nothing else.
+    let mut files: Vec<String> = std::fs::read_dir(store.path())
+        .unwrap()
+        .map(|e| e.unwrap())
+        .inspect(|e| assert!(e.file_type().unwrap().is_file(), "{:?} is not a file", e.path()))
+        .map(|e| e.file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    let mut want: Vec<String> = ckpts
+        .versions()
+        .into_iter()
+        .flat_map(|v| (0..4).map(move |r| format!("v{v}.r{r}.ckpt")))
+        .collect();
+    want.sort();
+    assert_eq!(files, want);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut feed = |bytes: &[u8]| {
         for &b in bytes {
@@ -425,6 +446,6 @@ fn cg_ckpt_digest(tag: &str, mode: CkptMode) -> (u64, usize, u64) {
 fn cg_checkpoint_bytes_are_pinned() {
     let full = cg_ckpt_digest("pin-full", CkptMode::Full);
     let incr = cg_ckpt_digest("pin-incr", CkptMode::Incremental { every_n: 2 });
-    assert_eq!(full, (8_300_252_587_676_529_885, 64, 7232));
-    assert_eq!(incr, (17_901_873_557_045_831_320, 16, 6963));
+    assert_eq!(full, (8_978_583_401_610_361_589, 48, 6896));
+    assert_eq!(incr, (12_294_505_858_921_983_100, 16, 6407));
 }

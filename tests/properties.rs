@@ -8,7 +8,7 @@ use c3::registries::{EarlyRegistry, ReplayLog, StreamKind, StreamSig, WasEarlyRe
 use c3::Mode;
 use proptest::prelude::*;
 use statesave::codec::{Decoder, Encoder};
-use statesave::{CkptHeap, IncrementalSaver, VariableRegistry};
+use statesave::{DirtyTracker, IncrementalSaver};
 use std::collections::BTreeMap;
 
 fn any_mode() -> impl Strategy<Value = Mode> {
@@ -231,67 +231,6 @@ proptest! {
         prop_assert_eq!(early2.entries(), early.entries());
     }
 
-    /// The checkpointable heap: alloc/mutate/free sequences roundtrip
-    /// through save/load with stable object ids.
-    #[test]
-    fn heap_roundtrip(ops in proptest::collection::vec((0u8..3, any::<u8>()), 1..60)) {
-        let mut heap = CkptHeap::new();
-        let mut ids = Vec::new();
-        for (op, val) in &ops {
-            match op {
-                0 => ids.push(heap.alloc_init(vec![*val; (*val as usize % 16) + 1])),
-                1 => {
-                    if let Some(id) = ids.last() {
-                        if let Some(b) = heap.get_mut(*id) {
-                            b[0] = b[0].wrapping_add(*val);
-                        }
-                    }
-                }
-                _ => {
-                    if ids.len() > 1 {
-                        let id = ids.remove(0);
-                        heap.free(id);
-                    }
-                }
-            }
-        }
-        let mut e = Encoder::new();
-        heap.save(&mut e);
-        let buf = e.finish();
-        let restored = CkptHeap::load(&mut Decoder::new(&buf)).unwrap();
-        prop_assert_eq!(restored.live_objects(), heap.live_objects());
-        prop_assert_eq!(restored.live_bytes(), heap.live_bytes());
-        for id in &ids {
-            prop_assert_eq!(restored.get(*id), heap.get(*id));
-        }
-        // Ids allocated after a restore must not collide with live ids.
-        let mut restored = restored;
-        let fresh = restored.alloc_init(vec![1, 2, 3]);
-        prop_assert!(ids.iter().all(|i| *i != fresh));
-    }
-
-    /// The variable registry (precompiler stand-in) roundtrips.
-    #[test]
-    fn variable_registry_roundtrip(
-        vars in proptest::collection::vec(("[a-z]{1,8}", proptest::collection::vec(any::<u8>(), 0..16)), 0..20),
-    ) {
-        let mut reg = VariableRegistry::new();
-        for (name, bytes) in &vars {
-            reg.register(name, statesave::TypeCode::Bytes, bytes.clone());
-        }
-        let mut e = Encoder::new();
-        reg.save(&mut e);
-        let buf = e.finish();
-        let back = VariableRegistry::load(&mut Decoder::new(&buf)).unwrap();
-        prop_assert_eq!(back.len(), reg.len());
-        for (name, bytes) in &vars {
-            // Later registrations of the same name overwrite earlier ones;
-            // compare against the registry we actually built.
-            prop_assert_eq!(back.get(name).map(|v| &v.value), reg.get(name).map(|v| &v.value));
-            let _ = bytes;
-        }
-    }
-
     /// Incremental checkpointing (§8 future work, implemented here):
     /// reconstructing from any delta chain equals the full state at the last
     /// checkpoint, and unchanged chunks are not re-stored.
@@ -302,35 +241,32 @@ proptest! {
             1..8,
         ),
     ) {
-        let mut saver = IncrementalSaver::new();
+        const CHUNK: usize = 4;
+        let mut tracker = DirtyTracker::with_chunk_size(CHUNK);
         let mut chain = Vec::new();
         let mut state: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let checkpoint = |tracker: &mut DirtyTracker, state: &BTreeMap<String, Vec<u8>>| {
+            let sections: Vec<(&str, &[u8])> =
+                state.iter().map(|(k, v)| (k.as_str(), v.as_slice())).collect();
+            tracker.checkpoint(&sections)
+        };
         for step in &steps {
             for (k, v) in step {
                 state.insert(k.clone(), v.clone());
             }
-            chain.push(saver.checkpoint(&state));
+            chain.push(checkpoint(&mut tracker, &state));
         }
-        let rebuilt = IncrementalSaver::reconstruct(&chain).unwrap();
-        prop_assert_eq!(rebuilt, state);
+        let rebuilt = DirtyTracker::assemble(&IncrementalSaver::reconstruct(&chain).unwrap()).unwrap();
+        prop_assert_eq!(&rebuilt, &state);
         // A checkpoint with no changes re-stores no chunk *data* — only the
-        // per-chunk hash metadata travels.
-        let last = chain_last_state(&steps);
-        let empty_delta = saver.checkpoint(&last);
-        prop_assert!(empty_delta.changed.is_empty());
-        let meta: usize = last.keys().map(|k| k.len() + 8).sum();
+        // per-chunk hash metadata travels: one reference per chunk, named
+        // `<section>.<8-digit index>`.
+        let empty_delta = checkpoint(&mut tracker, &state);
+        prop_assert!(empty_delta.changed.is_empty() && empty_delta.patched.is_empty());
+        let meta: usize =
+            state.iter().map(|(k, v)| v.len().div_ceil(CHUNK).max(1) * (k.len() + 9 + 8)).sum();
         prop_assert_eq!(empty_delta.payload_bytes(), meta);
     }
-}
-
-fn chain_last_state(steps: &[BTreeMap<String, Vec<u8>>]) -> BTreeMap<String, Vec<u8>> {
-    let mut state = BTreeMap::new();
-    for step in steps {
-        for (k, v) in step {
-            state.insert(k.clone(), v.clone());
-        }
-    }
-    state
 }
 
 /// The signature-indexed mailbox must be observationally identical to the

@@ -109,45 +109,6 @@ fn figure2_classifications_are_exact() {
     assert_eq!((p_epoch, q_epoch, r_epoch), (1, 1, 1));
 }
 
-/// Fig. 5 "Attached buffers": MPI_Buffer_attach state is part of the basic
-/// MPI state saved at the line and restored on recovery.
-#[test]
-fn attached_buffer_survives_recovery() {
-    fn app(ctx: &mut C3Ctx<'_>) -> Result<u64, C3Error> {
-        let restored = ctx.take_restored_state();
-        let mut iter = match &restored {
-            Some(b) => Decoder::new(b).u64()?,
-            None => {
-                ctx.buffer_attach(64 << 10);
-                0
-            }
-        };
-        if restored.is_some() {
-            // The buffer registration must have come back with the line.
-            assert_eq!(ctx.attached_buffer(), Some(64 << 10), "buffer lost in recovery");
-        }
-        let me = ctx.rank();
-        let n = ctx.nranks();
-        let mut acc = 0u64;
-        while iter < 6 {
-            ctx.pragma(|e: &mut Encoder| e.u64(iter))?;
-            ctx.send((me + 1) % n, 1, &[iter])?;
-            let (v, _) = ctx.recv::<u64>(((me + n - 1) % n) as i32, 1)?;
-            acc = acc.wrapping_add(v[0]);
-            iter += 1;
-        }
-        let detached = ctx.buffer_detach();
-        assert_eq!(detached, Some(64 << 10));
-        Ok(acc)
-    }
-
-    let store = TempStore::new("buf");
-    let cfg = C3Config::at_pragmas(store.path(), vec![3]);
-    let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 5 } };
-    let rec = c3::Job::new(2, cfg).failure(plan).run(app).unwrap();
-    assert_eq!(rec.restarts, 1);
-}
-
 /// §4.5: "the protocol described here can be initiated by any process" —
 /// every rank applies an EveryNth policy, producing several overlapping
 /// initiation attempts per round; all rounds must commit, and recovery from
