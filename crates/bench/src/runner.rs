@@ -127,6 +127,20 @@ mod tests {
         assert!(sizes.iter().all(|s| *s > 0), "sizes: {sizes:?}");
     }
 
+    /// The tables run several fresh jobs on one store before reading its
+    /// sizes: each job's line replaces the last, so the sizes are one job's.
+    #[test]
+    fn checkpoint_sizes_of_repeated_jobs_are_one_jobs() {
+        let spec = JobSpec::new(2);
+        let k = Kernel::Sp(npb::sp::SpConfig { n: 32, steps: 6, lambda: 0.4 });
+        let store = TempStore::new("runner-reps");
+        let cfg = C3Config::at_pragmas(store.path(), vec![2]);
+        run_c3(&spec, &cfg, k);
+        let once = checkpoint_sizes(store.path(), 2);
+        run_c3(&spec, &cfg, k);
+        assert_eq!(checkpoint_sizes(store.path(), 2), once);
+    }
+
     #[test]
     fn best_of_picks_minimum() {
         let mut calls = 0;

@@ -14,7 +14,8 @@
 //!   rank) in a flat root, each section a length-prefixed record. Sections
 //!   are not synced when written; a commit syncs the file's data, appends a
 //!   commit record, syncs the data again and syncs the root directory once.
-//!   A file without a complete trailing commit record is a torn line. This
+//!   A file without a complete trailing commit record is a torn line, and a
+//!   section written to a committed or torn file starts it afresh. This
 //!   supports the protocol's two-phase save (state at the recovery line,
 //!   late-message log and commit record at commit);
 //! * [`incremental`] — incremental checkpointing (listed as ongoing work in

@@ -3,7 +3,10 @@
 //!
 //! A file is a sequence of records `[name length: u8][name][payload
 //! length: u64 LE][payload]`. [`CkptStore::write_section`] appends one
-//! named section record and syncs nothing. [`CkptStore::mark_committed`] is
+//! named section record and syncs nothing; written to a file that is
+//! already committed or torn (a store reused by a fresh job, or a dead
+//! incarnation's leftover), it starts the file afresh, so a file only ever
+//! holds one line. [`CkptStore::mark_committed`] is
 //! the durability point: it `fdatasync`s the file, appends the commit
 //! record (an empty name and, as payload, the record's own offset),
 //! `fdatasync`s again and fsyncs the root directory once, so the file's
@@ -45,6 +48,15 @@ struct Section {
     len: u64,
 }
 
+/// How a line file ends: in a complete section record (or empty), so more
+/// sections may follow; in a complete commit record; or cut short.
+#[derive(PartialEq)]
+enum Tail {
+    Open,
+    Committed,
+    Torn,
+}
+
 impl CkptStore {
     /// Open (creating if needed) a store rooted at `root`.
     pub fn new(root: impl Into<PathBuf>) -> std::io::Result<Self> {
@@ -63,34 +75,36 @@ impl CkptStore {
 
     /// Walk the records of `(version, rank)`'s file, reading frames only,
     /// until the end or a torn record. Returns the file, its complete
-    /// sections in file order, and whether it ends in a commit record.
-    fn scan(&self, version: u64, rank: usize) -> std::io::Result<(fs::File, Vec<Section>, bool)> {
+    /// sections in file order, and how it ends.
+    fn scan(&self, version: u64, rank: usize) -> std::io::Result<(fs::File, Vec<Section>, Tail)> {
         let file = fs::File::open(self.file(version, rank))?;
         let end = file.metadata()?.len();
-        let (mut sections, mut committed, mut pos) = (Vec::new(), false, 0);
+        let (mut sections, mut tail, mut pos) = (Vec::new(), Tail::Open, 0);
         let mut buf = [0u8; HEAD];
         while pos < end {
             let head = &mut buf[..(end - pos).min(HEAD as u64) as usize];
             file.read_exact_at(head, pos)?;
             let name_len = head[0] as usize;
-            let Some(len) = head.get(1 + name_len..FRAME + name_len) else { break };
-            let len = u64::from_le_bytes(len.try_into().expect("8 bytes"));
+            let len = head.get(1 + name_len..FRAME + name_len);
+            let len = len.map(|l| u64::from_le_bytes(l.try_into().expect("8 bytes")));
             let at = pos + (FRAME + name_len) as u64;
-            if len > end - at {
-                break;
-            }
-            committed = name_len == 0 && at + len == end && head[FRAME..] == pos.to_le_bytes();
+            let Some(len) = len.filter(|&len| len <= end - at) else {
+                return Ok((file, sections, Tail::Torn));
+            };
+            let commit = name_len == 0 && at + len == end && head[FRAME..] == pos.to_le_bytes();
+            tail = if commit { Tail::Committed } else { Tail::Open };
             if name_len > 0 {
                 let name = String::from_utf8_lossy(&head[1..1 + name_len]).into_owned();
                 sections.push(Section { name, at, len });
             }
             pos = at + len;
         }
-        Ok((file, sections, committed))
+        Ok((file, sections, tail))
     }
 
     /// Append a named section (1 to 255 bytes of name) to `(version,
-    /// rank)`'s file, unsynced.
+    /// rank)`'s file, unsynced. A file that is committed or torn is cut to
+    /// nothing first: the section opens a new line.
     pub fn write_section(
         &self,
         version: u64,
@@ -106,6 +120,9 @@ impl CkptStore {
         frame.extend_from_slice(section.as_bytes());
         frame.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
         let mut f = self.append(version, rank)?;
+        if self.scan(version, rank)?.2 != Tail::Open {
+            f.set_len(0)?;
+        }
         f.write_all(&frame)?;
         f.write_all(bytes)
     }
@@ -131,11 +148,14 @@ impl CkptStore {
         self.scan(version, rank).is_ok_and(|(_, ss, _)| ss.iter().any(|s| s.name == section))
     }
 
-    /// Total payload bytes of all sections for `(version, rank)`, without
-    /// the record frames — the rank's checkpoint size as reported in the
-    /// paper's tables.
+    /// Total payload bytes of the sections of `(version, rank)` that
+    /// [`Self::read_section`] returns — the last of each name — without the
+    /// record frames: the rank's checkpoint size as reported in the paper's
+    /// tables.
     pub fn checkpoint_bytes(&self, version: u64, rank: usize) -> std::io::Result<u64> {
-        Ok(self.scan(version, rank)?.1.iter().map(|s| s.len).sum())
+        let sections = self.scan(version, rank)?.1;
+        let last = |i: usize| sections[i + 1..].iter().all(|s| s.name != sections[i].name);
+        Ok((0..sections.len()).filter(|&i| last(i)).map(|i| sections[i].len).sum())
     }
 
     /// Commit `(version, rank)` — the end of `chkpt_CommitCheckpoint`: sync
@@ -154,7 +174,7 @@ impl CkptStore {
 
     /// Is `(version, rank)` committed?
     pub fn is_committed(&self, version: u64, rank: usize) -> bool {
-        self.scan(version, rank).is_ok_and(|(_, _, committed)| committed)
+        self.scan(version, rank).is_ok_and(|(_, _, tail)| tail == Tail::Committed)
     }
 
     /// The last version this rank committed, if any ("query last local saved
@@ -273,9 +293,11 @@ mod tests {
         store.mark_committed(2, 0).unwrap();
         assert_eq!(store.last_committed(0), Some(2));
         assert_eq!(store.last_committed(1), None);
-        // A section appended after the commit record tears the line again.
+        // A section written after the commit record starts v2 afresh, so
+        // v2 is uncommitted again.
         store.write_section(2, 0, "late", b"c").unwrap();
         assert_eq!(store.last_committed(0), Some(1));
+        assert!(!store.has_section(2, 0, "app"));
         // One regular file per (version, rank), nothing else.
         let mut names: Vec<_> = fs::read_dir(tmp.path())
             .unwrap()
@@ -297,6 +319,54 @@ mod tests {
         store.mark_committed(1, 0).unwrap();
         store.prune(1).unwrap();
         assert_eq!(store.versions(), vec![1]);
+    }
+
+    /// A store reused by a fresh job: writing a committed line again
+    /// replaces it, so the file and its size stay one line's.
+    #[test]
+    fn rewriting_a_committed_line_replaces_it() {
+        let tmp = TempStore::new("rewrite");
+        let store = CkptStore::new(tmp.path()).unwrap();
+        let mut lens = Vec::new();
+        for run in 0..3u8 {
+            store.write_section(1, 0, "app", &[run; 10]).unwrap();
+            store.write_section(1, 0, "late", &[run; 5]).unwrap();
+            store.mark_committed(1, 0).unwrap();
+            assert_eq!(store.checkpoint_bytes(1, 0).unwrap(), 15, "run {run}");
+            assert_eq!(store.read_section(1, 0, "app").unwrap(), [run; 10]);
+            lens.push(fs::metadata(store.file(1, 0)).unwrap().len());
+        }
+        assert_eq!(lens, [lens[0]; 3]);
+    }
+
+    /// A line written over a dead incarnation's torn file starts at the
+    /// file's first byte, so the torn record is never parsed as a frame.
+    #[test]
+    fn writing_over_a_torn_file_starts_afresh() {
+        let tmp = TempStore::new("retorn");
+        let store = CkptStore::new(tmp.path()).unwrap();
+        store.write_section(1, 0, "app", &[7u8; 64]).unwrap();
+        let path = store.file(1, 0);
+        let whole = fs::read(&path).unwrap();
+        fs::write(&path, &whole[..20]).unwrap();
+        store.write_section(1, 0, "app", b"new").unwrap();
+        store.mark_committed(1, 0).unwrap();
+        assert!(store.is_committed(1, 0));
+        assert_eq!(store.read_section(1, 0, "app").unwrap(), b"new");
+        assert_eq!(store.checkpoint_bytes(1, 0).unwrap(), 3);
+    }
+
+    /// A section written twice in one line counts once in the size, at the
+    /// length `read_section` returns.
+    #[test]
+    fn checkpoint_bytes_counts_the_last_record_of_each_name() {
+        let tmp = TempStore::new("dup");
+        let store = CkptStore::new(tmp.path()).unwrap();
+        store.write_section(1, 0, "app", &[1u8; 100]).unwrap();
+        store.write_section(1, 0, "mpi", &[2u8; 7]).unwrap();
+        store.write_section(1, 0, "app", &[3u8; 10]).unwrap();
+        assert_eq!(store.read_section(1, 0, "app").unwrap(), [3u8; 10]);
+        assert_eq!(store.checkpoint_bytes(1, 0).unwrap(), 17);
     }
 
     /// Cut a committed file at every byte offset inside its last section
