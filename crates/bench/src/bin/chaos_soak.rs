@@ -25,11 +25,12 @@
 //! healthy.
 //!
 //! The sweep also crosses a **checkpoint-mode axis** — `CkptMode::Full`
-//! against `CkptMode::Incremental { every_n: 4 }` with plane-compressed
-//! deltas — so every seed validates recovery through delta chains and the
-//! harness measures what the incremental representation saves.
+//! against `CkptMode::Incremental { every_n: 4 }` — so every seed
+//! validates recovery through delta chains and the harness measures what
+//! the incremental representation saves.
 //!
-//! Emits `BENCH_recovery.json` (working directory or `$BENCH_OUT_DIR`) with
+//! Emits `BENCH_recovery.json` (into `$BENCH_OUT_DIR`, else
+//! `target/bench-out/`, so a run never overwrites the committed baseline) with
 //! per-(kernel, network, ckpt mode) restart counts, §6.5-style restart-cost
 //! percentiles (`last_commit_wall_ns` of the surviving incarnation), and
 //! checkpoint-volume percentiles (`ckpt_line_bytes` summed across ranks),
@@ -92,8 +93,8 @@ impl NetMode {
 enum ModeAxis {
     /// Every commit writes the full line sections (the seed's behavior).
     Full,
-    /// Base-plus-delta chains of length 4 with plane-compressed payloads —
-    /// the configuration the incremental-checkpointing claims are made on.
+    /// Base-plus-delta chains of length 4 — the configuration the
+    /// incremental-checkpointing claims are made on.
     Incr4,
 }
 
@@ -619,12 +620,12 @@ fn main() {
         demo_min,
         demo_ok,
     );
-    let dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| ".".into());
+    let dir = c3_bench::bench_out_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create BENCH_OUT_DIR {dir}: {e}");
+        eprintln!("cannot create {}: {e}", dir.display());
         std::process::exit(1);
     }
-    let path = std::path::Path::new(&dir).join("BENCH_recovery.json");
+    let path = dir.join("BENCH_recovery.json");
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("cannot write {}: {e}", path.display());
         std::process::exit(1);

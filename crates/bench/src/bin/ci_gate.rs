@@ -22,7 +22,8 @@
 //!    documentation must build warning-free: broken intra-doc links and
 //!    undocumented public items gate here)
 //! 7. `chaos_soak --seeds 32 --quick` (deterministic fault-injection
-//!    smoke; writes `BENCH_recovery.json` under `--out-dir`)
+//!    smoke; writes `BENCH_recovery.json` under `--out-dir`, passed as
+//!    `BENCH_OUT_DIR`; run by hand it writes to `target/bench-out/`)
 //! 8. `message_path` (fresh run under `--out-dir`, for the ratchet below)
 //! 9. `scaling --smoke` (weak-scaling smoke: cg at 256 ranks under the
 //!    event scheduler; writes `BENCH_scaling.json` under `--out-dir`)

@@ -1,7 +1,8 @@
 //! `recovery_trend` — restart-cost trend tracking across PRs.
 //!
 //! Diffs the per-kernel restart-cost percentiles of the current
-//! `BENCH_recovery.json` (written by `chaos_soak`) against a baseline copy
+//! `BENCH_recovery.json` (by default the one `chaos_soak` last wrote, in
+//! `$BENCH_OUT_DIR` or `target/bench-out/`) against a baseline copy
 //! — by default the one committed at `HEAD`, i.e. the previous PR's
 //! numbers — the way `BENCH_message_path.json` is tracked for the message
 //! path. Entries are matched on `(kernel, network, ckpt mode)`; baseline
@@ -135,7 +136,7 @@ fn ms(ns: u64) -> String {
 }
 
 fn main() {
-    let mut current = "BENCH_recovery.json".to_string();
+    let mut current = c3_bench::bench_out_dir().join("BENCH_recovery.json").display().to_string();
     let mut baseline: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {

@@ -128,10 +128,13 @@ impl CkptPolicy {
 /// checkpoint". [`CkptMode::Incremental`] implements it on the live commit
 /// path via [`statesave::DirtyTracker`]: every `every_n`-th commit writes a
 /// self-contained *base*, the commits between write chunk-granular deltas,
-/// and a restore replays the base-plus-delta chain. Every delta-line
-/// payload is plane-compressed (`statesave::plane_compress`). The commit
-/// record and the late-message log are unaffected — only the line sections
-/// change representation, so recovery semantics are bit-for-bit identical.
+/// and a restore replays the base-plus-delta chain. Chunks are addressed by
+/// (section index, chunk index); each changed chunk is compressed once, as
+/// an XOR patch or by value, and an unchanged one travels as a hash
+/// reference. A restore decodes every link in place into one buffer per
+/// section and checks every chunk against its hash. The commit record and
+/// the late-message log are unaffected — only the line sections change
+/// representation, so recovery semantics are bit-for-bit identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CkptMode {
     /// Every checkpoint is self-contained: each line section is written

@@ -21,6 +21,16 @@
 //! Each line is one store file per rank ([`statesave::store`]). With
 //! `write_disk` off (the paper's configuration #2) the sections are fully
 //! assembled and counted but not written.
+//!
+//! In [`crate::CkptMode::Incremental`] the five line sections go through
+//! the context's [`DirtyTracker`] instead, and the line is one `delta`
+//! section: the chain's base version (u64 LE) followed by the tracker's
+//! [`statesave::Delta`] as it is — chunks addressed by (section index,
+//! chunk index), each changed chunk compressed once, no second pass. A
+//! restore reads the chain from its base and applies every link in place
+//! into one buffer per section ([`Sections::apply`]), which checks every
+//! chunk against its hash; the rebuilt sections then move into the
+//! tracker, so the next checkpoint continues the chain.
 
 use crate::api::{C3Ctx, C3Error};
 use crate::registries::{EarlyRegistry, ReplayLog};
@@ -28,9 +38,7 @@ use crate::requests::C3ReqTable;
 use crate::Result;
 use mpisim::{Datatype, DatatypeHandle, TypeTable};
 use statesave::codec::{CodecError, Decoder, Encoder};
-use statesave::incremental::Delta;
-use statesave::{DirtyTracker, IncrementalSaver};
-use std::collections::BTreeMap;
+use statesave::{DirtyTracker, Sections};
 
 /// The store section holding an incremental line (base or delta). Its
 /// presence at a version marks that version as incrementally written; full
@@ -124,8 +132,8 @@ pub(crate) fn write_line_sections(
 }
 
 /// Write one incremental line: advance the chain (base every `every_n`
-/// commits, delta otherwise), encode the [`Delta`], plane-compress it, and
-/// store it behind its chain's base version as the single `delta` section.
+/// commits, delta otherwise) and store the tracker's delta as it is, behind
+/// its chain's base version, as the single `delta` section.
 fn write_delta_line(ctx: &mut C3Ctx<'_>, version: u64, sections: &[(&str, &[u8])]) -> Result<()> {
     let incr = ctx.incr.as_mut().expect("write_delta_line requires incremental mode");
     let is_base = incr.chain_len == 0 || incr.chain_len >= incr.every_n;
@@ -144,60 +152,50 @@ fn write_delta_line(ctx: &mut C3Ctx<'_>, version: u64, sections: &[(&str, &[u8])
         ctx.stats.ckpt_deltas += 1;
     }
 
-    let mut body = Encoder::new();
-    delta.save(&mut body);
-    let mut packed = Vec::new();
-    statesave::plane_compress(body.as_bytes(), &mut packed);
-    let mut e = Encoder::new();
-    e.u64(base_version);
-    e.bytes(&packed);
-    ctx.stats.ckpt_line_bytes += e.as_bytes().len() as u64;
-    put(ctx, version, DELTA_SECTION, e.as_bytes())
+    let mut bytes = Vec::with_capacity(8 + delta.as_bytes().len());
+    bytes.extend_from_slice(&base_version.to_le_bytes());
+    bytes.extend_from_slice(delta.as_bytes());
+    put_line(ctx, version, DELTA_SECTION, &bytes)
 }
 
-/// Read and decode the `delta` section of one version: (base version of
-/// its chain, the delta itself).
-fn read_delta(ctx: &C3Ctx<'_>, version: u64) -> Result<(u64, Delta)> {
-    let rank = ctx.mpi.rank();
-    let raw = ctx.store.read_section(version, rank, DELTA_SECTION).map_err(C3Error::Io)?;
-    let mut d = Decoder::new(&raw);
-    let base = d.u64()?;
-    let bytes = statesave::plane_decompress(&d.bytes()?)?;
-    let delta = Delta::load(&mut Decoder::new(&bytes))?;
-    Ok((base, delta))
+/// Read the `delta` section of one version: (base version of its chain,
+/// the section's bytes, whose link starts at offset 8).
+fn read_delta(ctx: &C3Ctx<'_>, version: u64) -> Result<(u64, Vec<u8>)> {
+    let raw = ctx.store.read_section(version, ctx.rank(), DELTA_SECTION).map_err(C3Error::Io)?;
+    let base = Decoder::new(&raw).u64()?;
+    Ok((base, raw))
 }
 
-/// Rebuild the line sections of `version` from its base-plus-delta chain,
-/// validating every link, and prime the context's dirty tracker so the
-/// next checkpoint diffs against the restored state.
+/// Rebuild the line sections of `version` by applying its base-plus-delta
+/// chain in place, every link validated ([`Sections::apply`]).
 ///
 /// The chain is read from the *committed* store, so a torn tail (death
 /// mid-delta-commit) never reaches here: the uncommitted versions were
-/// pruned back to the last complete prefix by `restore_or_fresh`. Hash
-/// validation below is defense in depth against store corruption.
-fn restore_delta_sections(ctx: &mut C3Ctx<'_>, version: u64) -> Result<BTreeMap<String, Vec<u8>>> {
+/// pruned back to the last complete prefix by `restore_or_fresh`. The
+/// base checks and per-chunk hash checks are defense in depth against
+/// store corruption.
+fn restore_delta_sections(ctx: &C3Ctx<'_>, version: u64) -> Result<(u64, Sections)> {
     let (base, last) = read_delta(ctx, version)?;
     if base > version {
         return Err(C3Error::Protocol(format!("delta at line {version} names future base {base}")));
     }
-    let mut chain = Vec::with_capacity((version - base + 1) as usize);
+    let mut sections = Sections::default();
+    let mut apply = |v: u64, raw: &[u8]| {
+        sections.apply(&raw[8..]).map_err(|CodecError(m)| {
+            C3Error::Codec(CodecError(format!("line {version}, link v{v}: {m}")))
+        })
+    };
     for v in base..version {
-        let (b, d) = read_delta(ctx, v)?;
+        let (b, raw) = read_delta(ctx, v)?;
         if b != base {
             return Err(C3Error::Protocol(format!(
                 "delta chain broken: version {v} claims base {b}, line {version} claims {base}"
             )));
         }
-        chain.push(d);
+        apply(v, &raw)?;
     }
-    chain.push(last);
-    let chunks = IncrementalSaver::reconstruct(&chain).map_err(C3Error::Codec)?;
-    if let Some(incr) = ctx.incr.as_mut() {
-        incr.tracker.prime(&chunks);
-        incr.chain_len = (version - base + 1) as u32;
-        incr.base_version = base;
-    }
-    DirtyTracker::assemble(&chunks).map_err(C3Error::Codec)
+    apply(version, &last)?;
+    Ok((base, sections))
 }
 
 /// Write the commit section and the commit record.
@@ -225,49 +223,24 @@ pub(crate) fn write_commit_sections(ctx: &mut C3Ctx<'_>, version: u64) -> Result
 /// [`crate::CkptMode`] across restarts and still recover.
 pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
     let rank = ctx.rank();
-
-    let mut sections: BTreeMap<String, Vec<u8>> =
-        if ctx.store.has_section(version, rank, DELTA_SECTION) {
-            restore_delta_sections(ctx, version)?
-        } else {
-            let mut m = BTreeMap::new();
-            for name in LINE_SECTIONS {
-                m.insert(
-                    name.to_string(),
-                    ctx.store.read_section(version, rank, name).map_err(C3Error::Io)?,
-                );
-            }
-            m
-        };
-    let mut sec = |name: &str| -> Result<Vec<u8>> {
-        sections
-            .remove(name)
-            .ok_or_else(|| C3Error::Protocol(format!("restore: line section '{name}' missing")))
-    };
-
-    ctx.restored_app_state = Some(sec("app")?);
-
-    let mpi = sec("mpi")?;
-    let mut d = Decoder::new(&mpi);
-    let saved_rank = d.u64()? as usize;
-    let saved_n = d.u64()? as usize;
-    if saved_rank != rank || saved_n != ctx.nranks() {
-        return Err(C3Error::Protocol(format!(
-            "checkpoint belongs to rank {saved_rank}/{saved_n}, this job is {rank}/{}",
-            ctx.nranks()
-        )));
+    if ctx.store.has_section(version, rank, DELTA_SECTION) {
+        let (base, sections) = restore_delta_sections(ctx, version)?;
+        load_line_sections(ctx, |name| sections.get(name))?;
+        // Prime the tracker so the next checkpoint continues the chain.
+        if let Some(incr) = ctx.incr.as_mut() {
+            incr.tracker.prime(sections);
+            incr.chain_len = (version - base + 1) as u32;
+            incr.base_version = base;
+        }
+    } else {
+        let mut sections = Vec::with_capacity(LINE_SECTIONS.len());
+        for name in LINE_SECTIONS {
+            sections.push(ctx.store.read_section(version, rank, name).map_err(C3Error::Io)?);
+        }
+        load_line_sections(ctx, |name| {
+            LINE_SECTIONS.iter().position(|n| *n == name).map(|i| &sections[i][..])
+        })?;
     }
-    ctx.epoch = d.u64()?;
-    ctx.counters = crate::counters::Counters::load(&mut d)?;
-
-    let tables = sec("tables")?;
-    load_types(&mut Decoder::new(&tables), &mut ctx.mpi.types)?;
-
-    let comms = sec("comms")?;
-    ctx.comms = crate::comms::CommTable::load(&mut Decoder::new(&comms))?;
-
-    let early = sec("early")?;
-    ctx.early = EarlyRegistry::load(&mut Decoder::new(&early))?;
 
     let late = ctx.store.read_section(version, rank, "late").map_err(C3Error::Io)?;
     let mut d = Decoder::new(&late);
@@ -277,6 +250,38 @@ pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
     ctx.reqs = C3ReqTable::load(&mut d, ctx.epoch)?;
 
     debug_assert_eq!(ctx.epoch, version, "checkpoint version equals its epoch");
+    Ok(())
+}
+
+/// Load the five line sections, found by name through `get`, into the
+/// context.
+fn load_line_sections<'s>(
+    ctx: &mut C3Ctx<'_>,
+    get: impl Fn(&str) -> Option<&'s [u8]>,
+) -> Result<()> {
+    let sec = |name: &str| {
+        get(name)
+            .ok_or_else(|| C3Error::Protocol(format!("restore: line section '{name}' missing")))
+    };
+
+    ctx.restored_app_state = Some(sec("app")?.to_vec());
+
+    let mut d = Decoder::new(sec("mpi")?);
+    let saved_rank = d.u64()? as usize;
+    let saved_n = d.u64()? as usize;
+    if saved_rank != ctx.rank() || saved_n != ctx.nranks() {
+        return Err(C3Error::Protocol(format!(
+            "checkpoint belongs to rank {saved_rank}/{saved_n}, this job is {}/{}",
+            ctx.rank(),
+            ctx.nranks()
+        )));
+    }
+    ctx.epoch = d.u64()?;
+    ctx.counters = crate::counters::Counters::load(&mut d)?;
+
+    load_types(&mut Decoder::new(sec("tables")?), &mut ctx.mpi.types)?;
+    ctx.comms = crate::comms::CommTable::load(&mut Decoder::new(sec("comms")?))?;
+    ctx.early = EarlyRegistry::load(&mut Decoder::new(sec("early")?))?;
     Ok(())
 }
 

@@ -2,68 +2,166 @@
 //!
 //! Listed by the paper as ongoing work: "we are incorporating incremental
 //! checkpointing into our system, which will permit the system to save only
-//! those data that have been modified since the last checkpoint" (§5). This
-//! module implements it with [`DirtyTracker`], which slices named sections
-//! into chunks and compares each with its content at the previous
-//! checkpoint: unchanged chunks are recorded by hash reference, changed
-//! chunks by value or by a compressed XOR patch. A restore replays the
-//! base-plus-delta chain ([`IncrementalSaver::reconstruct`]).
+//! those data that have been modified since the last checkpoint" (§5).
+//!
+//! [`DirtyTracker`] cuts named sections into chunks addressed by (section
+//! index, chunk index) and keeps the previous checkpoint as [`Sections`]:
+//! one buffer per section plus each chunk's hash. An unchanged chunk
+//! travels as a 9-byte reference carrying its stored hash. A changed chunk
+//! is hashed once and compressed once — as an XOR patch against its
+//! previous content when its length is unchanged, by value otherwise (every
+//! chunk of a base) — and copied into the buffer in place. A [`Delta`] is
+//! kept in its wire form; nothing makes a second pass over it.
+//!
+//! A restore applies a base-to-latest chain into the section buffers in
+//! place ([`Sections::apply`]), checking every decoded chunk against its
+//! hash and every reference against the chunk held, so a damaged link is an
+//! error naming the link, never a different state. The rebuilt sections
+//! move into a tracker ([`DirtyTracker::prime`]) to continue the chain.
+//!
+//! Wire format of a delta (integers little-endian):
+//!
+//! ```text
+//! [chunk size u32][section count u32]
+//! per section:           [name length u8][name][byte length u64]
+//! per section and chunk: [kind u8][hash u64], and for a patch or a value
+//!                        [payload length u32][payload]
+//! ```
+//!
+//! A payload is the chunk (or its XOR) moved into eight byte planes and
+//! run-length coded: for `f64` state the sign and exponent planes, and the
+//! XOR of values that barely moved, collapse into long runs.
 
-use crate::codec::{CodecError, Decoder, Encoder};
+use crate::codec::{CodecError, Decoder};
 use std::collections::BTreeMap;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// Default [`DirtyTracker`] chunk size: small enough that a point update to
+/// a large grid dirties one chunk, large enough that per-chunk references
+/// stay a tiny fraction of the data.
+pub const DEFAULT_CHUNK_SIZE: usize = 4096;
 
-/// One incremental checkpoint: changed chunks by value or by compressed
-/// XOR patch, unchanged chunks by hash reference, and tombstones for
-/// removed chunks.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct Delta {
-    /// Chunks whose content changed (or are new): name → bytes.
-    pub changed: BTreeMap<String, Vec<u8>>,
-    /// Chunks unchanged since the previous checkpoint: name → content hash.
-    pub unchanged: BTreeMap<String, u64>,
-    /// Names removed since the previous checkpoint.
-    pub removed: Vec<String>,
-    /// Chunks whose content changed, expressed as a patch against the
-    /// chunk's previous content: name → (encoded patch, hash of the patched
-    /// result). See `encode_patch` for the wire format. Only emitted when
-    /// the patch is strictly smaller than the raw chunk.
-    pub patched: BTreeMap<String, (Vec<u8>, u64)>,
-}
+/// Chunk kinds on the wire: unchanged (hash only), XOR patch, by value.
+const REF: u8 = 0;
+const PATCH: u8 = 1;
+const VALUE: u8 = 2;
+
+/// One link of an incremental chain as [`DirtyTracker::checkpoint`] wrote
+/// it — a base (every chunk by value) or a delta against the previous
+/// link — held in its wire form (module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Delta(Vec<u8>);
 
 impl Delta {
-    /// Bytes that must be written for this checkpoint (the paper's saving:
-    /// only modified data travels to disk).
-    pub fn payload_bytes(&self) -> usize {
-        self.changed.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>()
-            + self.unchanged.keys().map(|k| k.len() + 8).sum::<usize>()
-            + self.patched.iter().map(|(k, (p, _))| k.len() + p.len() + 8).sum::<usize>()
+    /// The wire bytes: what the store keeps and [`Sections::apply`] reads.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+/// One section: its name, its bytes, and the hash of each chunk.
+#[derive(Debug, Default)]
+struct Section {
+    name: String,
+    bytes: Vec<u8>,
+    hashes: Vec<u64>,
+}
+
+/// The sections of one checkpoint, one buffer each, with the hash of every
+/// chunk: what a chain rebuilds and what a [`DirtyTracker`] diffs against.
+#[derive(Debug, Default)]
+pub struct Sections {
+    chunk_size: usize,
+    sections: Vec<Section>,
+}
+
+impl Sections {
+    /// The bytes of the section named `name`.
+    pub fn get(&self, name: &str) -> Option<&[u8]> {
+        self.sections.iter().find(|s| s.name == name).map(|s| &s.bytes[..])
     }
 
-    /// Serialize.
-    pub fn save(&self, e: &mut Encoder) {
-        e.save(&self.changed);
-        e.save(&self.unchanged);
-        e.save(&self.removed);
-        e.save(&self.patched);
-    }
-
-    /// Deserialize.
-    pub fn load(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Delta {
-            changed: d.load()?,
-            unchanged: d.load()?,
-            removed: d.load()?,
-            patched: d.load()?,
-        })
+    /// Apply one link (a [`Delta`]'s wire bytes) in place: chunks by value
+    /// and patches are decoded into the section buffers and checked against
+    /// their hashes, references against the hash of the chunk held. A link
+    /// with another chunk size than the sections' starts them afresh, so
+    /// only a base applies. On error the sections are partly applied.
+    pub fn apply(&mut self, link: &[u8]) -> Result<(), CodecError> {
+        let mut d = Decoder::new(link);
+        let cs = d.u32()? as usize;
+        if cs == 0 {
+            return Err(CodecError("chunk size 0".into()));
+        }
+        if cs != self.chunk_size {
+            self.sections.clear();
+            self.chunk_size = cs;
+        }
+        let n = d.u32()? as usize;
+        let mut table = Vec::with_capacity(n.min(256));
+        for _ in 0..n {
+            let len = d.u8()? as usize;
+            let name = std::str::from_utf8(d.take(len)?)
+                .map_err(|e| CodecError(format!("section name: {e}")))?;
+            table.push((name, d.u64()? as usize));
+        }
+        self.sections.resize_with(n, Section::default);
+        let (coded, patch) = (&mut Vec::new(), &mut Vec::new());
+        for (i, (s, (name, len))) in self.sections.iter_mut().zip(table).enumerate() {
+            if s.name != name {
+                s.name = name.to_string();
+            }
+            let (nchunks, old_len) = (len.div_ceil(cs), s.bytes.len());
+            // A chunk record takes 9 bytes or more, and a payload byte
+            // decodes to 65 at most: bound what a damaged length allocates.
+            if nchunks > d.remaining() / 9 || len.saturating_sub(old_len) > d.remaining() * 65 {
+                return Err(CodecError(format!("section {i} is longer than the link encodes")));
+            }
+            if s.bytes.is_empty() {
+                s.bytes = vec![0; len];
+            } else {
+                s.bytes.resize(len, 0);
+            }
+            s.hashes.resize(nchunks, 0);
+            for j in 0..nchunks {
+                let lo = j * cs;
+                let clen = cs.min(len - lo);
+                let held = old_len.saturating_sub(lo).min(cs) == clen;
+                let chunk_err = |m: &str| CodecError(format!("section {i} chunk {j}: {m}"));
+                let (kind, hash) = (d.u8()?, d.u64()?);
+                if kind == REF {
+                    if !held || s.hashes[j] != hash {
+                        return Err(chunk_err("reference to a chunk the chain does not hold"));
+                    }
+                    continue;
+                }
+                let payload_len = d.u32()? as usize;
+                let payload = d.take(payload_len)?;
+                match kind {
+                    PATCH if !held => {
+                        return Err(chunk_err("patch of a chunk the chain does not hold"))
+                    }
+                    PATCH | VALUE => {}
+                    k => return Err(chunk_err(&format!("unknown chunk kind {k}"))),
+                }
+                coded.resize(clen, 0);
+                rle_decompress_into(payload, coded).map_err(|CodecError(m)| chunk_err(&m))?;
+                let dst = &mut s.bytes[lo..lo + clen];
+                if kind == PATCH {
+                    patch.resize(clen, 0);
+                    planes(coded, patch, false);
+                    dst.iter_mut().zip(&*patch).for_each(|(d, x)| *d ^= x);
+                } else {
+                    planes(coded, dst, false);
+                }
+                if chunk_hash(dst) != hash {
+                    return Err(chunk_err("hash mismatch"));
+                }
+                s.hashes[j] = hash;
+            }
+        }
+        if !d.is_exhausted() {
+            return Err(CodecError(format!("{} trailing bytes", d.remaining())));
+        }
+        Ok(())
     }
 }
 
@@ -73,148 +171,30 @@ impl Delta {
 pub struct IncrementalSaver;
 
 impl IncrementalSaver {
-    /// Reconstruct full state from a base-to-latest chain of deltas.
-    /// Returns an error if an `unchanged` reference points at a chunk that
-    /// is missing or whose hash disagrees (a corrupted chain).
-    pub fn reconstruct(chain: &[Delta]) -> Result<BTreeMap<String, Vec<u8>>, CodecError> {
-        let mut state: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-        for (i, delta) in chain.iter().enumerate() {
-            apply_delta(&mut state, delta)
-                .map_err(|CodecError(m)| CodecError(format!("delta {i}: {m}")))?;
+    /// Apply a base-to-latest chain in order ([`Sections::apply`]); an
+    /// error names the link (`link <index>: …`).
+    pub fn reconstruct(chain: &[Delta]) -> Result<Sections, CodecError> {
+        let mut sections = Sections::default();
+        for (i, link) in chain.iter().enumerate() {
+            sections
+                .apply(link.as_bytes())
+                .map_err(|CodecError(m)| CodecError(format!("link {i}: {m}")))?;
         }
-        Ok(state)
+        Ok(sections)
     }
 }
 
-/// Apply one delta to accumulated chunk state, validating every
-/// `unchanged` reference against the accumulated bytes and every patched
-/// chunk against its recorded result hash.
-fn apply_delta(state: &mut BTreeMap<String, Vec<u8>>, delta: &Delta) -> Result<(), CodecError> {
-    for name in &delta.removed {
-        state.remove(name);
-    }
-    // Unchanged references must resolve against accumulated state.
-    for (name, h) in &delta.unchanged {
-        match state.get(name) {
-            Some(bytes) if fnv1a(bytes) == *h => {}
-            Some(_) => {
-                return Err(CodecError(format!("hash mismatch for unchanged chunk '{name}'")))
-            }
-            None => return Err(CodecError(format!("unchanged chunk '{name}' missing from chain"))),
-        }
-    }
-    // Patched chunks rebuild from the accumulated previous content.
-    for (name, (patch, h)) in &delta.patched {
-        let prev = state
-            .get(name)
-            .ok_or_else(|| CodecError(format!("patched chunk '{name}' missing from chain")))?;
-        let cur = decode_patch(prev, patch)
-            .map_err(|CodecError(m)| CodecError(format!("patched chunk '{name}': {m}")))?;
-        if fnv1a(&cur) != *h {
-            return Err(CodecError(format!("hash mismatch for patched chunk '{name}'")));
-        }
-        state.insert(name.clone(), cur);
-    }
-    for (name, bytes) in &delta.changed {
-        state.insert(name.clone(), bytes.clone());
-    }
-    // Chunks present before but in no list were implicitly dropped (not
-    // referenced by this checkpoint).
-    let referenced: std::collections::BTreeSet<&String> =
-        delta.changed.keys().chain(delta.unchanged.keys()).chain(delta.patched.keys()).collect();
-    state.retain(|k, _| referenced.contains(k));
-    Ok(())
-}
-
-/// Stride of the byte-plane shuffle applied to XOR patches: one plane per
-/// byte of an `f64`, so the stable sign/exponent/high-mantissa planes of a
-/// smoothly evolving grid collapse into long zero runs.
-const SHUFFLE_STRIDE: usize = 8;
-
-/// Transpose `src` into byte planes: all bytes at offset 0 mod `stride`,
-/// then 1 mod `stride`, … Appends to `dst`.
-fn byte_shuffle(src: &[u8], stride: usize, dst: &mut Vec<u8>) {
-    for phase in 0..stride {
-        dst.extend(src.iter().skip(phase).step_by(stride));
-    }
-}
-
-/// Inverse of [`byte_shuffle`].
-fn byte_unshuffle(src: &[u8], stride: usize) -> Vec<u8> {
-    let mut out = vec![0u8; src.len()];
-    let mut k = 0;
-    for phase in 0..stride {
-        let mut i = phase;
-        while i < src.len() {
-            out[i] = src[k];
-            k += 1;
-            i += stride;
-        }
-    }
-    out
-}
-
-/// Encode `cur` as a patch against the equal-length `prev`: XOR the two,
-/// shuffle into byte planes ([`SHUFFLE_STRIDE`]), run-length compress. For
-/// floating-point state evolving smoothly (the dominant checkpoint
-/// payload), only the low mantissa bytes differ between commits, so the
-/// shuffled XOR is zero-heavy and the patch is a fraction of the chunk.
-fn encode_patch(prev: &[u8], cur: &[u8]) -> Vec<u8> {
-    debug_assert_eq!(prev.len(), cur.len());
-    let xor: Vec<u8> = prev.iter().zip(cur).map(|(a, b)| a ^ b).collect();
-    let mut shuffled = Vec::with_capacity(xor.len());
-    byte_shuffle(&xor, SHUFFLE_STRIDE, &mut shuffled);
-    let mut packed = Vec::new();
-    rle_compress(&shuffled, &mut packed);
-    packed
-}
-
-/// Inverse of [`encode_patch`]: rebuild the current chunk from its previous
-/// content and the packed patch. Errors if the patch does not decompress to
-/// exactly `prev.len()` bytes.
-fn decode_patch(prev: &[u8], packed: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let shuffled = rle_decompress(packed)?;
-    if shuffled.len() != prev.len() {
-        return Err(CodecError(format!(
-            "patch length {} does not match chunk length {}",
-            shuffled.len(),
-            prev.len()
-        )));
-    }
-    let xor = byte_unshuffle(&shuffled, SHUFFLE_STRIDE);
-    Ok(prev.iter().zip(&xor).map(|(a, b)| a ^ b).collect())
-}
-
-/// Default [`DirtyTracker`] chunk size: small enough that a point update to
-/// a large grid dirties one chunk, large enough that per-chunk hash
-/// references stay a tiny fraction of the data.
-pub const DEFAULT_CHUNK_SIZE: usize = 4096;
-
-/// Chunk-granular dirty tracking over named state *sections*.
-///
-/// Checkpoint sections (the protocol's `app`, `mpi`, … buffers) are single
-/// large byte strings, so diffing them whole would mark the entire section
-/// dirty on any one-byte change. `DirtyTracker` slices each section into
-/// fixed-size chunks named `"<section>.<index>"` and compares those, so a
-/// delta carries only the chunks that actually changed plus 8-byte hash
-/// references for the rest.
-///
-/// Typical cycle, mirroring the commit path in `c3`:
-///
-/// 1. [`DirtyTracker::reset`] + [`DirtyTracker::checkpoint`] → a
-///    self-contained *base* delta (everything dirty);
-/// 2. [`DirtyTracker::checkpoint`] on later commits → chained deltas;
-/// 3. on restore, [`IncrementalSaver::reconstruct`] the chunk map,
-///    [`DirtyTracker::assemble`] it back into sections, and
-///    [`DirtyTracker::prime`] a fresh tracker so the next delta references
-///    the restored state.
+/// Chunk-granular dirty tracking over named state *sections* (the
+/// protocol's `app`, `mpi`, … buffers), so a delta carries only the chunks
+/// that changed. The commit path in `c3` calls [`DirtyTracker::reset`]
+/// before each base, [`DirtyTracker::checkpoint`] at every commit, and on
+/// restore [`DirtyTracker::prime`]s a fresh tracker with the applied chain.
 #[derive(Debug)]
 pub struct DirtyTracker {
-    chunk_size: usize,
-    /// Previous chunk contents, kept so a changed chunk can be emitted as a
-    /// compressed XOR patch instead of by value (one in-memory copy of the
-    /// checkpoint — the paper's trade of memory for I/O volume).
-    prev_chunks: BTreeMap<String, Vec<u8>>,
+    /// The previous checkpoint, updated in place by each checkpoint.
+    prev: Sections,
+    /// One chunk's XOR with its previous content, and its byte planes.
+    scratch: [Vec<u8>; 2],
 }
 
 impl Default for DirtyTracker {
@@ -229,174 +209,272 @@ impl DirtyTracker {
         Self::with_chunk_size(DEFAULT_CHUNK_SIZE)
     }
 
-    /// Tracker with an explicit chunk size (min 1 byte).
+    /// Tracker with a chunk size of 1 byte to 1 GiB (a payload's length is a `u32`).
     pub fn with_chunk_size(chunk_size: usize) -> Self {
-        DirtyTracker { chunk_size: chunk_size.max(1), prev_chunks: BTreeMap::new() }
+        let chunk_size = chunk_size.clamp(1, 1 << 30);
+        DirtyTracker {
+            prev: Sections { chunk_size, sections: Vec::new() },
+            scratch: Default::default(),
+        }
     }
 
-    /// Forget all previous chunks: the next [`DirtyTracker::checkpoint`]
-    /// emits every chunk by value (a self-contained base).
+    /// Forget the previous checkpoint, keeping its buffers: the next
+    /// checkpoint writes every chunk by value, a self-contained base.
     pub fn reset(&mut self) {
-        self.prev_chunks.clear();
+        for s in &mut self.prev.sections {
+            s.bytes.clear();
+            s.hashes.clear();
+        }
     }
 
-    /// The chunk name for chunk `idx` of `section`. Indices are
-    /// zero-padded so lexicographic chunk order is chunk order.
-    fn chunk_name(section: &str, idx: usize) -> String {
-        format!("{section}.{idx:08}")
-    }
-
-    /// Build the delta for the current sections (name → bytes; names must
-    /// not contain `'.'`) and advance the tracker. Unchanged chunks become
-    /// hash references; a changed chunk whose length is stable becomes a
-    /// compressed XOR patch when that is strictly smaller than the raw
-    /// bytes; an empty section still contributes one empty chunk so it
-    /// survives reassembly.
+    /// Build the delta for the current sections (name → bytes; names of at
+    /// most 255 bytes) and advance the tracker. Sections are matched to the
+    /// previous checkpoint's by position. An unchanged chunk becomes a
+    /// reference, a changed chunk of unchanged length an XOR patch, any
+    /// other chunk a value.
     pub fn checkpoint(&mut self, sections: &[(&str, &[u8])]) -> Delta {
-        let mut delta = Delta::default();
-        let mut new_chunks = BTreeMap::new();
-        for (section, bytes) in sections {
-            debug_assert!(!section.contains('.'), "section name '{section}' contains '.'");
-            let nchunks = bytes.len().div_ceil(self.chunk_size).max(1);
-            for idx in 0..nchunks {
-                let lo = idx * self.chunk_size;
-                let hi = (lo + self.chunk_size).min(bytes.len());
-                let chunk = &bytes[lo..hi];
-                let name = Self::chunk_name(section, idx);
-                let h = fnv1a(chunk);
-                match self.prev_chunks.get(&name) {
-                    Some(prev) if prev[..] == chunk[..] => {
-                        delta.unchanged.insert(name.clone(), h);
-                    }
-                    Some(prev) if prev.len() == chunk.len() => {
-                        let patch = encode_patch(prev, chunk);
-                        if patch.len() + 8 < chunk.len() {
-                            delta.patched.insert(name.clone(), (patch, h));
-                        } else {
-                            delta.changed.insert(name.clone(), chunk.to_vec());
-                        }
-                    }
-                    _ => {
-                        delta.changed.insert(name.clone(), chunk.to_vec());
-                    }
+        let cs = self.prev.chunk_size;
+        let total: usize = sections.iter().map(|(_, b)| b.len()).sum();
+        let mut out = Vec::with_capacity(8 + total + total / 64 + 64 * sections.len());
+        out.extend_from_slice(&(cs as u32).to_le_bytes());
+        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        for (name, bytes) in sections {
+            out.push(u8::try_from(name.len()).expect("section name longer than 255 bytes"));
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        }
+        let DirtyTracker { prev: line, scratch: [xor, coded] } = self;
+        line.sections.resize_with(sections.len(), Section::default);
+        for (s, (name, cur)) in line.sections.iter_mut().zip(sections) {
+            if s.name != *name {
+                s.name = name.to_string();
+            }
+            let old_len = s.bytes.len();
+            s.bytes.resize(cur.len(), 0);
+            s.hashes.resize(cur.len().div_ceil(cs), 0);
+            for (j, chunk) in cur.chunks(cs).enumerate() {
+                let lo = j * cs;
+                let prev = &mut s.bytes[lo..lo + chunk.len()];
+                let held = old_len.saturating_sub(lo).min(cs) == chunk.len();
+                if held && prev == chunk {
+                    out.push(REF);
+                    out.extend_from_slice(&s.hashes[j].to_le_bytes());
+                    continue;
                 }
-                new_chunks.insert(name, chunk.to_vec());
+                let hash = chunk_hash(chunk);
+                out.push(if held { PATCH } else { VALUE });
+                out.extend_from_slice(&hash.to_le_bytes());
+                let src = if held {
+                    xor.clear();
+                    xor.extend(prev.iter().zip(chunk).map(|(a, b)| a ^ b));
+                    &xor[..]
+                } else {
+                    chunk
+                };
+                coded.resize(chunk.len(), 0);
+                planes(src, coded, true);
+                let at = out.len();
+                out.extend_from_slice(&[0; 4]);
+                rle_compress(coded, &mut out);
+                let payload_len = (out.len() - at - 4) as u32;
+                out[at..at + 4].copy_from_slice(&payload_len.to_le_bytes());
+                prev.copy_from_slice(chunk);
+                s.hashes[j] = hash;
             }
         }
-        for name in self.prev_chunks.keys() {
-            if !new_chunks.contains_key(name) {
-                delta.removed.push(name.clone());
+        Delta(out)
+    }
+
+    /// Continue a restored chain: the rebuilt sections (and their chunk
+    /// size) become the previous checkpoint, moved in, not copied.
+    pub fn prime(&mut self, restored: Sections) {
+        self.prev = restored;
+    }
+
+    /// The rebuilt sections as name → bytes. Errors on a name that appears
+    /// twice.
+    pub fn assemble(sections: &Sections) -> Result<BTreeMap<String, Vec<u8>>, CodecError> {
+        let mut out = BTreeMap::new();
+        for s in &sections.sections {
+            if out.insert(s.name.clone(), s.bytes.clone()).is_some() {
+                return Err(CodecError(format!("section '{}' appears twice", s.name)));
             }
         }
-        self.prev_chunks = new_chunks;
-        delta
-    }
-
-    /// Seed the tracker from a reconstructed chunk map (the restore path),
-    /// so the next [`DirtyTracker::checkpoint`] diffs against the restored
-    /// state instead of emitting a base.
-    pub fn prime(&mut self, chunks: &BTreeMap<String, Vec<u8>>) {
-        self.prev_chunks = chunks.clone();
-    }
-
-    /// Reassemble a reconstructed chunk map back into whole sections
-    /// (inverse of the slicing in [`DirtyTracker::checkpoint`]). Errors on
-    /// a chunk name without a `'.'` separator.
-    pub fn assemble(
-        chunks: &BTreeMap<String, Vec<u8>>,
-    ) -> Result<BTreeMap<String, Vec<u8>>, CodecError> {
-        let mut sections: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-        // BTreeMap order + zero-padded indices ⇒ chunks arrive in order.
-        for (name, bytes) in chunks {
-            let dot = name
-                .rfind('.')
-                .ok_or_else(|| CodecError(format!("chunk name '{name}' has no section prefix")))?;
-            sections.entry(name[..dot].to_string()).or_default().extend_from_slice(bytes);
-        }
-        Ok(sections)
+        Ok(out)
     }
 }
 
-/// Byte-oriented run-length compression for delta payloads.
+/// Chunk hash, a word at a time: eight lanes fold 64-bit words (rotate,
+/// xor, odd multiply — each step a bijection, so one changed word always
+/// changes the result), then the lanes, the tail and the length fold into
+/// one word and a final avalanche spreads it.
+fn chunk_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let fold = |h: u64, w: u64| (h.rotate_left(29) ^ w).wrapping_mul(K);
+    let mut lanes: [u64; 8] = std::array::from_fn(|i| i as u64 + 1);
+    let mut blocks = bytes.chunks_exact(64);
+    for block in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = fold(*lane, word_at(block, 8 * i));
+        }
+    }
+    let mut h = lanes.into_iter().fold(bytes.len() as u64, fold);
+    for tail in blocks.remainder().chunks(8) {
+        h = fold(h, tail.iter().rev().fold(0, |w, &b| w << 8 | b as u64));
+    }
+    h = (h ^ h >> 33).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ h >> 33).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ h >> 33
+}
+
+/// Move `src` into byte planes in `dst` (`to_planes`), or back: plane `p`
+/// holds the bytes at offsets ≡ `p` (mod 8) — one per byte of an `f64` —
+/// and the first `len % 8` planes hold one byte more.
+fn planes(src: &[u8], dst: &mut [u8], to_planes: bool) {
+    let len = src.len();
+    let starts: [usize; 8] = std::array::from_fn(|p| p * (len / 8) + p.min(len % 8));
+    #[cfg(target_arch = "x86_64")]
+    let done = sse2_planes(src, dst, to_planes, &starts);
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for i in done..len {
+        let plane = starts[i % 8] + i / 8;
+        if to_planes {
+            dst[plane] = src[i];
+        } else {
+            dst[i] = src[plane];
+        }
+    }
+}
+
+/// [`planes`] for the whole 64-byte blocks, each an 8×8 byte transpose in
+/// SSE2 registers (SSE2 is part of the x86_64 baseline): row `i` of block
+/// `k` is word `i` of the block on one side and the 8 bytes at
+/// `starts[i] + 8k` on the other. Returns the bytes done.
+#[cfg(target_arch = "x86_64")]
+fn sse2_planes(src: &[u8], dst: &mut [u8], to_planes: bool, starts: &[usize; 8]) -> usize {
+    use std::arch::x86_64::*;
+    let blocks = src.len() / 64;
+    assert!(dst.len() == src.len() && starts.iter().all(|&s| s + 8 * blocks <= src.len()));
+    // (load, store) offsets of row `i` of block `k`.
+    let at = |k: usize, i: usize| {
+        let (word, plane) = (64 * k + 8 * i, starts[i] + 8 * k);
+        if to_planes {
+            (word, plane)
+        } else {
+            (plane, word)
+        }
+    };
+    let (from, to) = (src.as_ptr(), dst.as_mut_ptr());
+    for k in 0..blocks {
+        // SAFETY: a word offset is at most 64 * blocks - 8 and a plane
+        // offset at most starts[i] + 8 * blocks - 8, so by the assert every
+        // 8-byte unaligned load and store is in bounds.
+        unsafe {
+            let r: [__m128i; 8] =
+                std::array::from_fn(|i| _mm_loadl_epi64(from.add(at(k, i).0).cast()));
+            let a = [0, 2, 4, 6].map(|i| _mm_unpacklo_epi8(r[i], r[i + 1]));
+            let b = [(0, 1), (2, 3)]
+                .map(|(x, y)| [_mm_unpacklo_epi16(a[x], a[y]), _mm_unpackhi_epi16(a[x], a[y])]);
+            let c = [
+                _mm_unpacklo_epi32(b[0][0], b[1][0]),
+                _mm_unpackhi_epi32(b[0][0], b[1][0]),
+                _mm_unpacklo_epi32(b[0][1], b[1][1]),
+                _mm_unpackhi_epi32(b[0][1], b[1][1]),
+            ];
+            for (i, c) in c.into_iter().enumerate() {
+                _mm_storel_epi64(to.add(at(k, 2 * i).1).cast(), c);
+                _mm_storel_epi64(to.add(at(k, 2 * i + 1).1).cast(), _mm_unpackhi_epi64(c, c));
+            }
+        }
+    }
+    64 * blocks
+}
+
+/// Byte-oriented run-length coding of one chunk's planes.
 ///
 /// Token stream: a control byte `c < 0x80` copies the next `c + 1` literal
 /// bytes; `c >= 0x80` repeats the next byte `c - 0x80 + 3` times (runs of
-/// 3–130). Worst-case expansion is 1/128; zero-heavy grid state (the common
-/// checkpoint payload) compresses by an order of magnitude. Output is
-/// appended to `dst`.
-pub fn rle_compress(src: &[u8], dst: &mut Vec<u8>) {
-    let mut i = 0;
-    let mut lit_start = 0;
+/// 3–130). Worst-case expansion is 1/128. Output is appended to `dst`.
+fn rle_compress(src: &[u8], dst: &mut Vec<u8>) {
     let flush_literals = |dst: &mut Vec<u8>, lit: &[u8]| {
         for part in lit.chunks(128) {
             dst.push((part.len() - 1) as u8);
             dst.extend_from_slice(part);
         }
     };
-    while i < src.len() {
+    let mut lit_start = 0;
+    while let Some(i) = next_run(src, lit_start) {
         let b = src[i];
-        let mut run = 1;
-        while run < 130 && i + run < src.len() && src[i + run] == b {
+        let max = 130.min(src.len() - i);
+        let mut run = 3;
+        while run + 8 <= max && word_at(src, i + run) == LO * b as u64 {
+            run += 8;
+        }
+        while run < max && src[i + run] == b {
             run += 1;
         }
-        if run >= 3 {
-            flush_literals(dst, &src[lit_start..i]);
-            dst.push(0x80 + (run - 3) as u8);
-            dst.push(b);
-            i += run;
-            lit_start = i;
-        } else {
-            i += run;
-        }
+        flush_literals(dst, &src[lit_start..i]);
+        dst.push(0x80 + (run - 3) as u8);
+        dst.push(b);
+        lit_start = i + run;
     }
     flush_literals(dst, &src[lit_start..]);
 }
 
-/// Byte-plane compression for whole delta payloads: transpose into
-/// `SHUFFLE_STRIDE` byte planes, then `rle_compress`. On encoded
-/// checkpoint state — dominated by raw `f64` chunks in base links — the
-/// transpose gathers the slowly-varying sign/exponent bytes into long runs
-/// that plain RLE cannot see through the 8-byte interleave. Appends to
-/// `dst`.
-pub fn plane_compress(src: &[u8], dst: &mut Vec<u8>) {
-    let mut shuffled = Vec::with_capacity(src.len());
-    byte_shuffle(src, SHUFFLE_STRIDE, &mut shuffled);
-    rle_compress(&shuffled, dst);
+/// The little-endian word at byte `i` of `b`.
+fn word_at(b: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(b[i..i + 8].try_into().expect("an 8-byte slice"))
 }
 
-/// Inverse of [`plane_compress`].
-pub fn plane_decompress(src: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let shuffled = rle_decompress(src)?;
-    Ok(byte_unshuffle(&shuffled, SHUFFLE_STRIDE))
-}
+/// A byte's value in every byte of a word.
+const LO: u64 = 0x0101_0101_0101_0101;
 
-/// Inverse of [`rle_compress`]. Errors on a truncated token stream.
-pub fn rle_decompress(src: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(src.len() * 2);
-    let mut i = 0;
-    while i < src.len() {
-        let c = src[i];
-        i += 1;
-        if c < 0x80 {
-            let n = c as usize + 1;
-            let lit =
-                src.get(i..i + n).ok_or_else(|| CodecError("rle: truncated literal run".into()))?;
-            out.extend_from_slice(lit);
-            i += n;
-        } else {
-            let b = *src.get(i).ok_or_else(|| CodecError("rle: truncated repeat run".into()))?;
-            i += 1;
-            out.resize(out.len() + (c - 0x80) as usize + 3, b);
+/// The first offset at or after `from` where three equal bytes start,
+/// eight offsets at a time: a byte of `(w ^ w1) | (w ^ w2)` is zero where
+/// a byte equals the next two, and the lowest zero byte is exact.
+fn next_run(src: &[u8], from: usize) -> Option<usize> {
+    let mut i = from;
+    while i + 10 <= src.len() {
+        let w = word_at(src, i);
+        let x = (w ^ word_at(src, i + 1)) | (w ^ word_at(src, i + 2));
+        let zero = x.wrapping_sub(LO) & !x & (LO << 7);
+        if zero != 0 {
+            return Some(i + zero.trailing_zeros() as usize / 8);
         }
+        i += 8;
     }
-    Ok(out)
+    (i..src.len().saturating_sub(2)).find(|&k| src[k] == src[k + 1] && src[k] == src[k + 2])
+}
+
+/// Inverse of [`rle_compress`] into `dst`, which the tokens must fill
+/// exactly.
+fn rle_decompress_into(src: &[u8], dst: &mut [u8]) -> Result<(), CodecError> {
+    let (mut i, mut o) = (0, 0);
+    while let Some(&c) = src.get(i) {
+        let literal = c < 0x80;
+        let n = if literal { c as usize + 1 } else { (c - 0x80) as usize + 3 };
+        let out = dst.get_mut(o..o + n);
+        let done = if literal {
+            src.get(i + 1..i + 1 + n).zip(out).map(|(lit, out)| out.copy_from_slice(lit))
+        } else {
+            src.get(i + 1).zip(out).map(|(&b, out)| out.fill(b))
+        };
+        done.ok_or_else(|| CodecError(format!("rle: token at {i} runs past its input or chunk")))?;
+        i += if literal { 1 + n } else { 2 };
+        o += n;
+    }
+    if o != dst.len() {
+        return Err(CodecError(format!("rle: {o} bytes for a chunk of {}", dst.len())));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn chunks(pairs: &[(&str, &[u8])]) -> BTreeMap<String, Vec<u8>> {
+    fn sections(pairs: &[(&str, &[u8])]) -> BTreeMap<String, Vec<u8>> {
         pairs.iter().map(|(k, v)| (k.to_string(), v.to_vec())).collect()
     }
 
@@ -405,50 +483,82 @@ mod tests {
         DirtyTracker::assemble(&IncrementalSaver::reconstruct(chain).unwrap()).unwrap()
     }
 
+    /// Each chunk record of a delta, in wire order: its kind and the range
+    /// of its payload in the wire bytes (empty for a reference).
+    fn records(d: &Delta) -> Vec<(u8, std::ops::Range<usize>)> {
+        let mut r = Decoder::new(d.as_bytes());
+        let cs = r.u32().unwrap() as usize;
+        let n = r.u32().unwrap();
+        let mut nchunks = 0;
+        for _ in 0..n {
+            let len = r.u8().unwrap() as usize;
+            r.take(len).unwrap();
+            nchunks += (r.u64().unwrap() as usize).div_ceil(cs);
+        }
+        (0..nchunks)
+            .map(|_| {
+                let kind = r.u8().unwrap();
+                r.u64().unwrap();
+                let len = if kind == REF { 0 } else { r.u32().unwrap() as usize };
+                let at = d.as_bytes().len() - r.remaining();
+                r.take(len).unwrap();
+                (kind, at..at + len)
+            })
+            .collect()
+    }
+
+    fn count(d: &Delta, kind: u8) -> usize {
+        records(d).iter().filter(|(k, _)| *k == kind).count()
+    }
+
+    fn f64_bytes(g: &[f64]) -> Vec<u8> {
+        g.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
     #[test]
     fn first_checkpoint_is_full() {
         let mut t = DirtyTracker::new();
         let d = t.checkpoint(&[("a", b"111"), ("b", b"22")]);
-        assert_eq!(d.changed.len(), 2);
-        assert!(d.unchanged.is_empty());
+        assert_eq!(count(&d, VALUE), 2);
+        assert_eq!(records(&d).len(), 2);
     }
 
     #[test]
     fn unchanged_chunks_become_references() {
+        let grid: Vec<u8> = (0..10_000u32).map(|i| (i * 37 % 251) as u8).collect();
         let mut t = DirtyTracker::new();
-        let d1 = t.checkpoint(&[("grid", &[0u8; 1000]), ("step", b"1")]);
-        let d2 = t.checkpoint(&[("grid", &[0u8; 1000]), ("step", b"2")]);
-        assert_eq!(d2.changed.len(), 1);
-        assert!(d2.changed.contains_key("step.00000000"));
-        assert_eq!(d2.unchanged.len(), 1);
+        let d1 = t.checkpoint(&[("grid", &grid), ("step", b"1")]);
+        let d2 = t.checkpoint(&[("grid", &grid), ("step", b"2")]);
+        assert_eq!(count(&d2, REF), 3, "the grid's three chunks");
+        assert_eq!(count(&d2, PATCH), 1, "the step chunk");
         // Incremental payload is much smaller than the full one.
-        assert!(d2.payload_bytes() < d1.payload_bytes() / 10);
+        assert!(d2.as_bytes().len() * 100 < d1.as_bytes().len());
         // And the chain reconstructs the exact state.
-        assert_eq!(rebuild(&[d1, d2]), chunks(&[("grid", &[0u8; 1000]), ("step", b"2")]));
+        assert_eq!(rebuild(&[d1, d2]), sections(&[("grid", &grid), ("step", b"2")]));
     }
 
     #[test]
-    fn removed_chunks_disappear() {
+    fn removed_sections_disappear() {
         let mut t = DirtyTracker::new();
         let d1 = t.checkpoint(&[("a", b"x"), ("b", b"y")]);
         let d2 = t.checkpoint(&[("a", b"x")]);
-        assert_eq!(d2.removed, vec!["b.00000000".to_string()]);
-        assert_eq!(rebuild(&[d1, d2]), chunks(&[("a", b"x")]));
+        assert_eq!(records(&d2).len(), 1);
+        assert_eq!(rebuild(&[d1, d2]), sections(&[("a", b"x")]));
     }
 
     #[test]
     fn corrupted_chain_detected() {
         let mut t = DirtyTracker::new();
         let d1 = t.checkpoint(&[("a", b"x")]);
-        let mut d2 = t.checkpoint(&[("a", b"x")]);
+        let d2 = t.checkpoint(&[("a", b"x")]);
         // Corrupt: drop the base delta.
-        let err = IncrementalSaver::reconstruct(std::slice::from_ref(&d2));
-        assert!(err.is_err());
-        // Corrupt: tamper with the referenced hash.
-        if let Some(h) = d2.unchanged.get_mut("a.00000000") {
-            *h ^= 1;
-        }
-        assert!(IncrementalSaver::reconstruct(&[d1, d2]).is_err());
+        let err = IncrementalSaver::reconstruct(std::slice::from_ref(&d2)).unwrap_err();
+        assert!(err.0.contains("link 0") && err.0.contains("does not hold"), "{err}");
+        // Corrupt: tamper with the referenced hash (the last wire byte).
+        let mut bad = d2.0.clone();
+        *bad.last_mut().unwrap() ^= 1;
+        let err = IncrementalSaver::reconstruct(&[d1, Delta(bad)]).unwrap_err();
+        assert!(err.0.contains("link 1"), "{err}");
     }
 
     #[test]
@@ -456,18 +566,16 @@ mod tests {
         let mut t = DirtyTracker::with_chunk_size(4);
         let big = [7u8; 20];
         let d1 = t.checkpoint(&[("grid", &big), ("step", b"1")]);
-        assert!(d1.unchanged.is_empty(), "first checkpoint is a base");
+        assert_eq!(count(&d1, VALUE), 6, "first checkpoint is a base");
         // Flip one byte inside one chunk of the big section.
         let mut big2 = big;
         big2[9] = 8;
         let d2 = t.checkpoint(&[("grid", &big2), ("step", b"2")]);
-        assert_eq!(d2.changed.len(), 2, "one grid chunk + the step section");
-        assert!(d2.changed.contains_key("grid.00000002"));
-        assert_eq!(d2.unchanged.len(), 4);
+        let kinds: Vec<u8> = records(&d2).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(kinds, [REF, REF, PATCH, REF, REF, PATCH], "grid chunk 2 and the step");
         let state = IncrementalSaver::reconstruct(&[d1, d2]).unwrap();
-        let sections = DirtyTracker::assemble(&state).unwrap();
-        assert_eq!(sections["grid"], big2.to_vec());
-        assert_eq!(sections["step"], b"2".to_vec());
+        assert_eq!(state.get("grid"), Some(&big2[..]));
+        assert_eq!(state.get("step"), Some(&b"2"[..]));
     }
 
     #[test]
@@ -475,12 +583,11 @@ mod tests {
         let mut t = DirtyTracker::with_chunk_size(4);
         let d1 = t.checkpoint(&[("s", &[1u8; 10]), ("e", b"")]);
         let d2 = t.checkpoint(&[("s", &[1u8; 3]), ("e", b"")]);
-        assert!(d2.removed.iter().any(|n| n.starts_with("s.")), "shrink tombstones tail chunks");
+        assert_eq!(records(&d2).len(), 1, "shrink drops the tail chunks");
         let d3 = t.checkpoint(&[("s", &[2u8; 11]), ("e", b"")]);
-        let state = IncrementalSaver::reconstruct(&[d1, d2, d3]).unwrap();
-        let sections = DirtyTracker::assemble(&state).unwrap();
-        assert_eq!(sections["s"], vec![2u8; 11]);
-        assert_eq!(sections["e"], Vec::<u8>::new(), "empty section survives the round trip");
+        let rebuilt = rebuild(&[d1, d2, d3]);
+        assert_eq!(rebuilt["s"], vec![2u8; 11]);
+        assert_eq!(rebuilt["e"], Vec::<u8>::new(), "empty section survives the round trip");
     }
 
     #[test]
@@ -489,13 +596,44 @@ mod tests {
         let _ = t.checkpoint(&[("s", &[1u8; 8])]);
         t.reset();
         let base = t.checkpoint(&[("s", &[1u8; 8])]);
-        assert!(base.unchanged.is_empty(), "after reset everything is dirty");
+        assert_eq!(count(&base, VALUE), 2, "after reset everything is by value");
         let state = IncrementalSaver::reconstruct(std::slice::from_ref(&base)).unwrap();
         let mut t2 = DirtyTracker::with_chunk_size(4);
-        t2.prime(&state);
+        t2.prime(state);
         let d = t2.checkpoint(&[("s", &[1u8; 8])]);
-        assert!(d.changed.is_empty(), "primed tracker sees the restored state as clean");
+        assert_eq!(count(&d, REF), 2, "primed tracker sees the restored state as clean");
         assert!(IncrementalSaver::reconstruct(&[base, d]).is_ok());
+    }
+
+    /// A tracker primed from a chain restored at any link of an
+    /// `every_n = 4` chain — the base, a middle link, the last link — emits
+    /// the same next delta, byte for byte, as the tracker that wrote the
+    /// chain and never restarted.
+    #[test]
+    fn primed_tracker_continues_the_chain_byte_for_byte() {
+        let states: Vec<Vec<u8>> = (0..5u32)
+            .map(|s| {
+                let grid: Vec<f64> =
+                    (0..700).map(|i| (i as f64 * 0.37 + s as f64 * 1e-9).sin()).collect();
+                let mut b = f64_bytes(&grid);
+                b.truncate(b.len() - s as usize * 3); // the last chunk's length moves too
+                b
+            })
+            .collect();
+        let checkpoint = |t: &mut DirtyTracker, k: usize| {
+            t.checkpoint(&[("app", &states[k]), ("mpi", &(k as u64).to_le_bytes())])
+        };
+        let mut writer = DirtyTracker::with_chunk_size(512);
+        let chain: Vec<Delta> = (0..5).map(|k| checkpoint(&mut writer, k)).collect();
+        for restored_at in [0, 1, 3] {
+            let mut t = DirtyTracker::new();
+            t.prime(IncrementalSaver::reconstruct(&chain[..=restored_at]).unwrap());
+            assert_eq!(
+                checkpoint(&mut t, restored_at + 1),
+                chain[restored_at + 1],
+                "restored at link {restored_at}"
+            );
+        }
     }
 
     #[test]
@@ -505,41 +643,61 @@ mod tests {
         // the exact bits.
         let mut t = DirtyTracker::with_chunk_size(512);
         let grid: Vec<f64> = (0..256).map(|i| 1.0 + i as f64 * 1e-3).collect();
-        let as_bytes = |g: &[f64]| g.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>();
-        let b0 = as_bytes(&grid);
+        let b0 = f64_bytes(&grid);
         let d0 = t.checkpoint(&[("grid", &b0)]);
-        let drifted: Vec<f64> = grid.iter().map(|v| v + 1e-13).collect();
-        let b1 = as_bytes(&drifted);
+        let b1 = f64_bytes(&grid.iter().map(|v| v + 1e-13).collect::<Vec<_>>());
         let d1 = t.checkpoint(&[("grid", &b1)]);
-        assert!(!d1.patched.is_empty(), "drifting chunks should be patched");
-        assert!(d1.changed.is_empty());
+        assert_eq!(count(&d1, PATCH), 4, "drifting chunks are patched");
         assert!(
-            d1.payload_bytes() < d0.payload_bytes() / 2,
+            d1.as_bytes().len() * 2 < d0.as_bytes().len(),
             "patch delta {} should be well under half the base {}",
-            d1.payload_bytes(),
-            d0.payload_bytes()
+            d1.as_bytes().len(),
+            d0.as_bytes().len()
         );
-        let state = IncrementalSaver::reconstruct(&[d0, d1]).unwrap();
-        let sections = DirtyTracker::assemble(&state).unwrap();
-        assert_eq!(sections["grid"], b1, "patched chain restores bit-for-bit");
+        assert_eq!(rebuild(&[d0, d1])["grid"], b1, "patched chain restores bit for bit");
+    }
+
+    /// Flip one payload byte of a chunk of `kind` in link `at` of a three-
+    /// link chain; the rebuild must fail naming that link.
+    fn flip_payload_byte(kind: u8, at: usize) {
+        let mut t = DirtyTracker::with_chunk_size(512);
+        let mut grid: Vec<f64> = (0..256).map(|i| 1.0 + i as f64 / 7.0).collect();
+        let mut chain = Vec::new();
+        for _ in 0..3 {
+            chain.push(t.checkpoint(&[("grid", &f64_bytes(&grid))]));
+            grid.iter_mut().step_by(3).for_each(|v| *v *= 1.000_001);
+        }
+        assert!(IncrementalSaver::reconstruct(&chain).is_ok());
+        let (_, payload) = records(&chain[at]).into_iter().find(|(k, _)| *k == kind).unwrap();
+        chain[at].0[payload.start + payload.len() / 2] ^= 0x10;
+        let err = IncrementalSaver::reconstruct(&chain).unwrap_err();
+        assert!(err.0.starts_with(&format!("link {at}: ")), "{err}");
     }
 
     #[test]
-    fn tampered_patch_detected() {
-        let mut t = DirtyTracker::with_chunk_size(512);
-        let b0: Vec<u8> = (0..256u32).flat_map(|i| (i as f64).to_le_bytes()).collect();
-        let mut b1 = b0.clone();
-        b1[3] ^= 1;
-        let d0 = t.checkpoint(&[("g", &b0)]);
-        let mut d1 = t.checkpoint(&[("g", &b1)]);
-        assert!(!d1.patched.is_empty());
-        if let Some((_, h)) = d1.patched.values_mut().next() {
-            *h ^= 1;
+    fn damaged_value_chunk_in_the_base_is_an_error() {
+        flip_payload_byte(VALUE, 0);
+    }
+
+    #[test]
+    fn damaged_patch_in_a_middle_link_is_an_error() {
+        flip_payload_byte(PATCH, 1);
+    }
+
+    #[test]
+    fn planes_round_trip_every_length() {
+        let src: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
+        for len in 0..src.len() {
+            let (mut p, mut back) = (vec![0u8; len], vec![0u8; len]);
+            planes(&src[..len], &mut p, true);
+            let mut want = Vec::new();
+            for phase in 0..8 {
+                want.extend(src[..len].iter().skip(phase).step_by(8));
+            }
+            assert_eq!(p, want, "len {len}");
+            planes(&p, &mut back, false);
+            assert_eq!(back, &src[..len]);
         }
-        let err = IncrementalSaver::reconstruct(&[d0.clone(), d1]);
-        assert!(err.is_err(), "tampered patch hash must fail the chain");
-        let state = IncrementalSaver::reconstruct(&[d0]).unwrap();
-        assert_eq!(DirtyTracker::assemble(&state).unwrap()["g"], b0);
     }
 
     #[test]
@@ -551,24 +709,29 @@ mod tests {
         for src in [&zeros, &mixed, &Vec::new(), &vec![5u8; 2]] {
             let mut packed = Vec::new();
             rle_compress(src, &mut packed);
-            assert_eq!(&rle_decompress(&packed).unwrap(), src);
+            let mut back = vec![0u8; src.len()];
+            rle_decompress_into(&packed, &mut back).unwrap();
+            assert_eq!(&back, src);
         }
         let mut packed = Vec::new();
         rle_compress(&zeros, &mut packed);
         assert!(packed.len() < zeros.len() / 10, "zero-heavy data compresses well");
-        assert!(rle_decompress(&[0x85]).is_err(), "truncated repeat run detected");
-        assert!(rle_decompress(&[0x05, 1, 2]).is_err(), "truncated literal run detected");
+        let mut out = [0u8; 8];
+        assert!(rle_decompress_into(&[0x85], &mut out).is_err(), "truncated repeat run");
+        assert!(rle_decompress_into(&[0x05, 1, 2], &mut out).is_err(), "truncated literal run");
+        assert!(rle_decompress_into(&[0x86, 0], &mut out).is_err(), "run past the chunk");
+        assert!(rle_decompress_into(&[0x80, 0], &mut out).is_err(), "chunk not filled");
     }
 
     #[test]
-    fn delta_codec_roundtrip() {
-        let mut t = DirtyTracker::new();
-        let _ = t.checkpoint(&[("a", b"1"), ("b", b"2")]);
-        let d = t.checkpoint(&[("a", b"1"), ("c", b"3")]);
-        let mut e = Encoder::new();
-        d.save(&mut e);
-        let buf = e.finish();
-        let d2 = Delta::load(&mut Decoder::new(&buf)).unwrap();
-        assert_eq!(d, d2);
+    fn one_changed_word_changes_the_hash() {
+        let base: Vec<u8> = (0..100u8).collect();
+        let h = chunk_hash(&base);
+        for i in 0..base.len() {
+            let mut b = base.clone();
+            b[i] ^= 0x80;
+            assert_ne!(chunk_hash(&b), h, "byte {i}");
+        }
+        assert_ne!(chunk_hash(&base[..99]), h, "the length is hashed");
     }
 }

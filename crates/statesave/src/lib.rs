@@ -28,8 +28,5 @@ pub mod incremental;
 pub mod store;
 
 pub use codec::{Decoder, Encoder, Saveable};
-pub use incremental::{
-    plane_compress, plane_decompress, rle_compress, rle_decompress, Delta, DirtyTracker,
-    IncrementalSaver, DEFAULT_CHUNK_SIZE,
-};
+pub use incremental::{Delta, DirtyTracker, IncrementalSaver, Sections, DEFAULT_CHUNK_SIZE};
 pub use store::{CkptStore, TempStore};

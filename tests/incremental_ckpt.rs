@@ -447,5 +447,5 @@ fn cg_checkpoint_bytes_are_pinned() {
     let full = cg_ckpt_digest("pin-full", CkptMode::Full);
     let incr = cg_ckpt_digest("pin-incr", CkptMode::Incremental { every_n: 2 });
     assert_eq!(full, (8_978_583_401_610_361_589, 48, 6896));
-    assert_eq!(incr, (12_294_505_858_921_983_100, 16, 6407));
+    assert_eq!(incr, (3_948_096_820_686_727_879, 16, 5935));
 }

@@ -259,13 +259,13 @@ proptest! {
         let rebuilt = DirtyTracker::assemble(&IncrementalSaver::reconstruct(&chain).unwrap()).unwrap();
         prop_assert_eq!(&rebuilt, &state);
         // A checkpoint with no changes re-stores no chunk *data* — only the
-        // per-chunk hash metadata travels: one reference per chunk, named
-        // `<section>.<8-digit index>`.
+        // header (chunk size, section count), the section table (name
+        // length, name, byte length) and one 9-byte reference (kind, hash)
+        // per chunk.
         let empty_delta = checkpoint(&mut tracker, &state);
-        prop_assert!(empty_delta.changed.is_empty() && empty_delta.patched.is_empty());
-        let meta: usize =
-            state.iter().map(|(k, v)| v.len().div_ceil(CHUNK).max(1) * (k.len() + 9 + 8)).sum();
-        prop_assert_eq!(empty_delta.payload_bytes(), meta);
+        let table: usize = state.keys().map(|k| 1 + k.len() + 8).sum();
+        let refs: usize = state.values().map(|v| v.len().div_ceil(CHUNK) * 9).sum();
+        prop_assert_eq!(empty_delta.as_bytes().len(), 8 + table + refs);
     }
 }
 
