@@ -519,4 +519,45 @@ mod tests {
         });
         assert_eq!(turn.load(Ordering::SeqCst), HANDOFFS);
     }
+
+    /// The serial reference schedule, pinned. On one worker, four ranks pass
+    /// a token around a ring; the holder also wakes the rank two ahead, so
+    /// parked, queued and already-runnable ranks all take wakes. The order in
+    /// which the worker resumes ranks is hard-coded: a ready-queue change
+    /// that reorders `workers: 1` (a run-next slot, a LIFO pop) fails here.
+    #[test]
+    fn serial_schedule_resume_order_is_pinned() {
+        const N: usize = 4;
+        const PASSES: u64 = 12;
+        let s = Sched::new(SchedMode::EventDriven { workers: 1 }, N);
+        let token = AtomicU64::new(0);
+        let resumed = Mutex::new(Vec::new());
+        s.run_tasks(&|rank| {
+            resumed.lock().push(rank);
+            loop {
+                let seen = s.epoch(rank);
+                let t = token.load(Ordering::SeqCst);
+                if t >= PASSES {
+                    break;
+                }
+                if t % N as u64 == rank as u64 {
+                    token.store(t + 1, Ordering::SeqCst);
+                    s.wake((rank + 1) % N);
+                    s.wake((rank + 2) % N);
+                } else {
+                    // One worker: nothing can move the epoch before the
+                    // park, so an unchanged epoch means a real switch out.
+                    let switches = s.epoch(rank) == seen;
+                    assert_eq!(s.park(rank, seen), Parked::Ran);
+                    if switches {
+                        resumed.lock().push(rank);
+                    }
+                }
+            }
+            s.rank_exit();
+            s.wake((rank + 1) % N);
+        });
+        assert_eq!(token.load(Ordering::SeqCst), PASSES);
+        assert_eq!(*resumed.lock(), [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2]);
+    }
 }
