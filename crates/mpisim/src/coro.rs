@@ -1,8 +1,9 @@
 //! Stackful coroutines: the execution vehicle of ranks.
 //!
 //! A rank runs on its own pooled, guard-paged `mmap` stack and is resumed
-//! by whichever worker thread pops it from the ready queue; parking is one
-//! [`switch`] back to that worker — a few loads and stores, no futex.
+//! by whichever worker thread pops it from a ready queue (its home
+//! worker's, or stolen by an idle one); parking is one [`switch`] back to
+//! that worker — a few loads and stores, no futex.
 //!
 //! # Invariants (each one is what makes a stack switch sound)
 //!

@@ -20,15 +20,24 @@
 //!
 //! # Parking and waking
 //!
-//! Each rank is a stackful coroutine (`coro.rs`) on a pooled 1 MiB
-//! stack; `workers` OS threads, scoped to the launch, pop runnable ranks
-//! from one FIFO ready queue and switch into them. A blocked rank *parks*:
-//! it switches back to its worker, which picks the next runnable rank. A
-//! parked rank costs no CPU and no OS thread until an event that can change
-//! its condition *wakes* it (a mailbox delivery, a withhold, a credit grant,
-//! rank completion, poison) and puts it back on the queue. The scheduler
-//! does work proportional to messages, which is what makes the
+//! Each rank is a stackful coroutine (`coro.rs`) on a pooled 1 MiB stack,
+//! run by `W = min(workers, nranks)` OS threads scoped to the launch. A
+//! blocked rank *parks*: it switches back to its worker, which picks the
+//! next runnable rank. A parked rank costs no CPU and no OS thread until an
+//! event that can change its condition *wakes* it (a mailbox delivery, a
+//! withhold, a credit grant, rank completion, poison) and queues it again.
+//! The scheduler does work proportional to messages, which is what makes the
 //! weak-scaling bench (`bench/src/bin/scaling.rs`) possible.
+//!
+//! Every worker owns a FIFO of runnable ranks. Rank `r` has the fixed *home*
+//! worker `r * W / nranks`, so contiguous ranks share one: halo neighbours
+//! and the low levels of the binomial collective trees stay on one core. A
+//! wake, or the re-queue of a rank woken while it switched out, pushes to
+//! the back of the rank's home FIFO. A worker pops the front of its own FIFO
+//! first; when that is empty it *steals* the oldest rank of another worker's
+//! FIFO. On `workers: 1` there is one FIFO, pushed at the back and popped at
+//! the front: the serial reference schedule, pinned by a unit test. No lock
+//! is global: a push or pop takes one queue's mutex.
 //!
 //! The wake protocol is lost-wakeup-free by construction: a waiter samples
 //! its epoch *before* re-checking its condition and commits to waiting only
@@ -40,19 +49,34 @@
 //! its own mutex. `park` commits (`Running → Parking`) and switches out;
 //! only once the switch has completed does the worker turn `Parking →
 //! Parked`. A wake that arrives during the switch marks the rank `Woken`
-//! and the *worker* re-queues it after the switch — so no two workers ever
-//! enter one stack. An idle worker spin-yields a bounded number of times on
-//! the queue length before it sleeps, which keeps tight request/reply
-//! handoffs futex-free.
+//! and the *worker* re-queues it after the switch — so a rank is in at most
+//! one queue and no two workers ever enter one stack, stealing or not.
+//!
+//! An idle worker spin-yields a bounded number of times over every queue's
+//! length before it sleeps, which keeps tight request/reply handoffs
+//! futex-free. The sleep check is Dekker-ordered, so no wakeup of a worker
+//! is lost either: a sleeper counts itself in `sleepers` and *then* scans
+//! every queue's length; a pusher raises its queue's length and *then*
+//! reads `sleepers`. All four accesses are sequentially consistent, so
+//! either the sleeper's scan sees the rank or the pusher sees the sleeper
+//! and notifies it. The sleeper counts, scans and waits under the sleep
+//! mutex, which the pusher takes to notify, so the notify cannot fall
+//! between the scan and the wait.
 //!
 //! # Exact quiescence detection
 //!
-//! Committed-blocked ranks are counted; the rank whose park would make
-//! *every* live rank blocked does not park — the scheduler reports global
-//! quiescence instead and the network runs a deterministic deadlock
-//! detective (flush withheld envelopes, re-check, then prove a send cycle or
-//! poison with a diagnosable verdict). No wall-clock window is involved, so
-//! deadlock verdicts do not depend on machine load.
+//! One atomic word holds `live << 32 | blocked`: ranks not yet exited and
+//! committed-blocked ranks. The rank whose park would make *every* live
+//! rank blocked does not park — its compare-and-swap refuses `blocked + 1 ==
+//! live`, and the scheduler reports global quiescence instead, so the
+//! network runs a deterministic deadlock detective (flush withheld
+//! envelopes, re-check, then prove a send cycle or poison with a diagnosable
+//! verdict). A wake un-counts a committed-blocked rank with one `fetch_sub`,
+//! and an exiting rank drops `live` with another. Every update is a
+//! read-modify-write of the one word, so the two counts move through one
+//! order of values and two ranks can never both believe the other is still
+//! runnable. No wall-clock window is involved, so deadlock verdicts do not
+//! depend on machine load.
 
 use crate::coro::{self, Sp, Stack};
 use crate::Rank;
@@ -61,9 +85,12 @@ use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-/// Bounded idle spin of a worker (each one `yield_now` + a queue-length
-/// load) before it sleeps on the ready-queue condvar.
+/// Bounded idle spin of a worker (each one `yield_now` plus a scan of the
+/// queue lengths) before it sleeps.
 const IDLE_SPIN: u32 = 64;
+
+/// One live rank in the quiescence word; the low 32 bits count blocked ranks.
+const LIVE: u64 = 1 << 32;
 
 /// How ranks of a job are scheduled onto OS threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,7 +122,7 @@ pub(crate) enum Parked {
 }
 
 /// Where a rank coroutine is in its life. `Parking` and `Parked` are the
-/// committed-blocked states counted in [`Counts::blocked`].
+/// committed-blocked states counted in [`Sched::quiet`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
     /// On a worker.
@@ -123,7 +150,7 @@ struct Task {
     /// The suspended coroutine's stack pointer.
     sp: UnsafeCell<Sp>,
     /// The save slot of the worker running this rank.
-    home: UnsafeCell<*mut Sp>,
+    worker: UnsafeCell<*mut Sp>,
     /// Mapped at first resume, recycled at `Done`.
     stack: UnsafeCell<Option<Stack>>,
 }
@@ -131,43 +158,40 @@ struct Task {
 // SAFETY: the `UnsafeCell` fields are touched only by the worker that owns
 // the rank's execution — between popping it (`Woken → Running` under `st`)
 // and observing its switch out (under `st` again) — and by the coroutine
-// itself while it runs on that worker. The `st` transitions and the ready
-// queue mutex order every hand-off between workers; `on_cpu` checks it.
+// itself while it runs on that worker. The `st` transitions and the queue
+// mutexes order every hand-off between workers; `on_cpu` checks it.
 // The raw pointers name a stack and a worker slot, neither tied to the
 // thread that created the `Task`.
 unsafe impl Sync for Task {}
 // SAFETY: as for `Sync`.
 unsafe impl Send for Task {}
 
-/// Blocked/live accounting for quiescence detection. One mutex makes the
-/// "last unblocked rank" determination exact: two ranks can never both
-/// believe the other is still runnable.
-struct Counts {
-    blocked: usize,
-    live: usize,
+/// One worker's FIFO of runnable ranks. `len` mirrors the deque so idle
+/// workers can scan every queue without its lock.
+#[derive(Default)]
+struct Queue {
+    ranks: Mutex<VecDeque<Rank>>,
+    len: AtomicUsize,
 }
 
-/// The FIFO of runnable ranks. `len` mirrors the deque so idle workers can
-/// spin without the lock; `sleepers` lets `push` skip the notify syscall.
+/// The runnable ranks, one FIFO per worker, and the sleep of idle workers.
 struct Ready {
-    q: Mutex<ReadyQ>,
+    queues: Vec<Queue>,
+    /// Idle workers wait on `cv` under `idle`; `sleepers` counts them so a
+    /// push skips the lock and the notify syscall when none sleeps.
+    idle: Mutex<()>,
     cv: Condvar,
-    len: AtomicUsize,
+    sleepers: AtomicUsize,
     /// Ranks not yet `Done`; workers exit when it reaches zero.
     remaining: AtomicUsize,
 }
 
-struct ReadyQ {
-    ranks: VecDeque<Rank>,
-    sleepers: usize,
-}
-
-/// The job's scheduler: the rank coroutines, the ready queue, and the
+/// The job's scheduler: the rank coroutines, the ready queues, and the
 /// quiescence accounting.
 pub(crate) struct Sched {
-    workers: usize,
     tasks: Vec<Task>,
-    counts: Mutex<Counts>,
+    /// `live << 32 | blocked`, see "Exact quiescence detection".
+    quiet: AtomicU64,
     ready: Ready,
 }
 
@@ -179,26 +203,30 @@ impl Sched {
         } else {
             workers
         };
-        Sched {
-            workers,
+        let sched = Sched {
             tasks: (0..nranks)
                 .map(|_| Task {
                     epoch: AtomicU64::new(0),
                     st: Mutex::new(State::Woken),
                     on_cpu: AtomicBool::new(false),
                     sp: UnsafeCell::new(std::ptr::null_mut()),
-                    home: UnsafeCell::new(std::ptr::null_mut()),
+                    worker: UnsafeCell::new(std::ptr::null_mut()),
                     stack: UnsafeCell::new(None),
                 })
                 .collect(),
-            counts: Mutex::new(Counts { blocked: 0, live: nranks }),
+            quiet: AtomicU64::new(nranks as u64 * LIVE),
             ready: Ready {
-                q: Mutex::new(ReadyQ { ranks: (0..nranks).collect(), sleepers: 0 }),
+                queues: (0..workers.min(nranks).max(1)).map(|_| Queue::default()).collect(),
+                idle: Mutex::new(()),
                 cv: Condvar::new(),
-                len: AtomicUsize::new(nranks),
+                sleepers: AtomicUsize::new(0),
                 remaining: AtomicUsize::new(nranks),
             },
+        };
+        for rank in 0..nranks {
+            sched.push(rank);
         }
+        sched
     }
 
     /// Run `body(rank)` for every rank as coroutines on the worker pool and
@@ -208,10 +236,11 @@ impl Sched {
         let boots: Vec<Boot> =
             (0..self.tasks.len()).map(|rank| Boot { sched: self, body, rank }).collect();
         std::thread::scope(|s| {
-            for _ in 1..self.workers.min(self.tasks.len()) {
-                s.spawn(|| self.work(&boots));
+            for me in 1..self.ready.queues.len() {
+                let boots = &boots;
+                s.spawn(move || self.work(boots, me));
             }
-            self.work(&boots);
+            self.work(&boots, 0);
         });
     }
 
@@ -231,11 +260,11 @@ impl Sched {
         let prev = *st;
         if matches!(prev, State::Parking | State::Parked) {
             *st = State::Woken;
-            self.counts.lock().blocked -= 1;
+            self.quiet.fetch_sub(1, Ordering::AcqRel);
         }
         drop(st);
         if prev == State::Parked {
-            self.ready.push(rank);
+            self.push(rank);
         }
     }
 
@@ -261,24 +290,23 @@ impl Sched {
             if t.epoch.load(Ordering::Acquire) != seen {
                 return Parked::Ran;
             }
-            let mut c = self.counts.lock();
-            c.blocked += 1;
-            if c.blocked == c.live {
-                c.blocked -= 1;
+            let counted = self.quiet.fetch_update(Ordering::AcqRel, Ordering::Acquire, |q| {
+                (q % LIVE + 1 != q / LIVE).then_some(q + 1)
+            });
+            if counted.is_err() {
                 return Parked::Quiescent;
             }
-            drop(c);
             // Commit: from here a waker bumps the epoch and un-counts the
             // rank under `st`; the worker re-queues it once we are off the
             // stack (`Woken`) or a later wake queues it (`Parked`).
             *st = State::Parking;
         }
         // SAFETY: we run on this rank's coroutine (`on_cpu`), holding no
-        // lock; `home` is the save slot of the worker that resumed us, which
+        // lock; `worker` is the save slot of the worker that resumed us, which
         // stays suspended in `work` until we switch back. Our own context is
         // resumed only after that worker has seen `Parking` turn into a
         // queue entry.
-        unsafe { coro::switch(t.sp.get(), **t.home.get()) };
+        unsafe { coro::switch(t.sp.get(), **t.worker.get()) };
         Parked::Ran
     }
 
@@ -293,16 +321,22 @@ impl Sched {
     /// ranks are all committed-blocked — the exiting rank was their last
     /// possible waker, so the caller must run the deadlock detective.
     pub(crate) fn rank_exit(&self) -> bool {
-        let mut c = self.counts.lock();
-        c.live -= 1;
-        c.live > 0 && c.blocked == c.live
+        let q = self.quiet.fetch_sub(LIVE, Ordering::AcqRel) - LIVE;
+        let live = q / LIVE;
+        live > 0 && q % LIVE == live
     }
 
-    /// A worker: resume runnable ranks until every rank is `Done`.
-    fn work(&self, boots: &[Boot<'_>]) {
+    /// Queue a runnable rank at the back of its home worker's FIFO.
+    fn push(&self, rank: Rank) {
+        let home = rank * self.ready.queues.len() / self.tasks.len();
+        self.ready.push(home, rank);
+    }
+
+    /// Worker `me`: resume runnable ranks until every rank is `Done`.
+    fn work(&self, boots: &[Boot<'_>], me: usize) {
         let mut saved: Sp = std::ptr::null_mut();
         let slot: *mut Sp = &mut saved;
-        while let Some(rank) = self.ready.pop() {
+        while let Some(rank) = self.ready.pop(me) {
             let t = &self.tasks[rank];
             *t.st.lock() = State::Running;
             assert!(!t.on_cpu.swap(true, Ordering::Acquire), "rank {rank}'s stack entered twice");
@@ -315,7 +349,7 @@ impl Sched {
                     let boot = &boots[rank] as *const Boot<'_> as *mut u8;
                     *t.sp.get() = stack.insert(Stack::take()).prepare(rank_main, boot);
                 }
-                *t.home.get() = slot;
+                *t.worker.get() = slot;
                 coro::switch(slot, *t.sp.get());
             }
             t.on_cpu.store(false, Ordering::Release);
@@ -324,7 +358,7 @@ impl Sched {
                 State::Parking => *st = State::Parked,
                 State::Woken => {
                     drop(st);
-                    self.ready.push(rank);
+                    self.push(rank);
                 }
                 State::Done => {
                     drop(st);
@@ -358,47 +392,72 @@ extern "C" fn rank_main(arg: *mut u8) -> ! {
     *t.st.lock() = State::Done;
     // SAFETY: as in `park`; a `Done` context is never resumed, and its
     // stack is recycled only after this switch completed.
-    unsafe { coro::switch(t.sp.get(), **t.home.get()) };
+    unsafe { coro::switch(t.sp.get(), **t.worker.get()) };
     unreachable!("a finished rank coroutine was resumed");
 }
 
 impl Ready {
-    fn push(&self, rank: Rank) {
-        let mut q = self.q.lock();
-        q.ranks.push_back(rank);
-        self.len.fetch_add(1, Ordering::Release);
-        if q.sleepers > 0 {
+    /// Push `rank` at the back of worker `w`'s FIFO and wake a sleeping
+    /// worker if there is one; any worker may run it.
+    fn push(&self, w: usize, rank: Rank) {
+        let q = &self.queues[w];
+        let mut ranks = q.ranks.lock();
+        ranks.push_back(rank);
+        q.len.fetch_add(1, Ordering::SeqCst);
+        drop(ranks);
+        // Dekker with the sleeper in `pop`: length up, then `sleepers` read.
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _idle = self.idle.lock();
             self.cv.notify_one();
         }
     }
 
-    /// The next runnable rank, or `None` once every rank is `Done`.
-    fn pop(&self) -> Option<Rank> {
-        for _ in 0..IDLE_SPIN {
-            if self.len.load(Ordering::Acquire) > 0 || self.remaining.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        let mut q = self.q.lock();
+    /// The next rank for worker `me`, or `None` once every rank is `Done`.
+    fn pop(&self, me: usize) -> Option<Rank> {
+        let mut spins = 0;
         loop {
-            if let Some(rank) = q.ranks.pop_front() {
-                self.len.fetch_sub(1, Ordering::Relaxed);
+            if let Some(rank) = self.take(me) {
                 return Some(rank);
             }
             if self.remaining.load(Ordering::Acquire) == 0 {
                 return None;
             }
-            q.sleepers += 1;
-            self.cv.wait(&mut q);
-            q.sleepers -= 1;
+            if spins < IDLE_SPIN {
+                spins += 1;
+                std::thread::yield_now();
+                continue;
+            }
+            let mut idle = self.idle.lock();
+            // Dekker with `push`: `sleepers` up, then every length read.
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            if self.remaining.load(Ordering::Acquire) > 0
+                && self.queues.iter().all(|q| q.len.load(Ordering::SeqCst) == 0)
+            {
+                self.cv.wait(&mut idle);
+            }
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
         }
+    }
+
+    /// The front of worker `me`'s own FIFO, else the oldest rank stolen from
+    /// another worker's, scanning from `me + 1` on.
+    fn take(&self, me: usize) -> Option<Rank> {
+        let n = self.queues.len();
+        (me..me + n).find_map(|w| {
+            let q = &self.queues[w % n];
+            if q.len.load(Ordering::Acquire) == 0 {
+                return None;
+            }
+            let rank = q.ranks.lock().pop_front()?;
+            q.len.fetch_sub(1, Ordering::Relaxed);
+            Some(rank)
+        })
     }
 
     /// A rank reached `Done`; the last one releases every idle worker.
     fn finish_one(&self) {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _q = self.q.lock();
+            let _idle = self.idle.lock();
             self.cv.notify_all();
         }
     }
@@ -408,6 +467,7 @@ impl Ready {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn wake_before_park_is_not_lost() {
@@ -518,6 +578,65 @@ mod tests {
             s.wake(peer);
         });
         assert_eq!(turn.load(Ordering::SeqCst), HANDOFFS);
+    }
+
+    /// The same race across homes: on two workers, ranks 0 and 1 live on
+    /// worker 0 and ranks 2 and 3 on worker 1, and the pairs (0, 2) and
+    /// (1, 3) each hand a token back and forth. Every wake crosses homes, so
+    /// it lands from the foreign worker, often while the woken rank is still
+    /// switching out, and either worker may steal it.
+    #[test]
+    fn cross_home_handoffs_never_enter_a_stack_twice() {
+        const HANDOFFS: u64 = 50_000;
+        let s = Sched::new(SchedMode::EventDriven { workers: 2 }, 4);
+        assert_eq!(*s.ready.queues[0].ranks.lock(), [0, 1]);
+        let turns = [AtomicU64::new(0), AtomicU64::new(0)];
+        s.run_tasks(&|rank| {
+            let (peer, turn) = ((rank + 2) % 4, &turns[rank % 2]);
+            loop {
+                let seen = s.epoch(rank);
+                let t = turn.load(Ordering::SeqCst);
+                if t >= HANDOFFS {
+                    break;
+                }
+                if t % 2 == (rank / 2) as u64 {
+                    turn.store(t + 1, Ordering::SeqCst);
+                    s.wake(peer);
+                } else {
+                    assert_eq!(s.park(rank, seen), Parked::Ran, "the peer always wakes us");
+                }
+            }
+            s.rank_exit();
+            s.wake(peer);
+        });
+        assert!(turns.iter().all(|t| t.load(Ordering::SeqCst) == HANDOFFS));
+    }
+
+    /// An idle worker steals from a busy home. On two workers, ranks 0 and 1
+    /// share home 0 and each spins, without parking, until the other has
+    /// started; ranks 2 and 3 on worker 1 exit at once. The spinners meet
+    /// only if worker 1 steals one of them while worker 0 runs the other.
+    #[test]
+    fn an_idle_worker_steals_from_a_busy_home() {
+        let s = Sched::new(SchedMode::EventDriven { workers: 2 }, 4);
+        assert_eq!(*s.ready.queues[0].ranks.lock(), [0, 1]);
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let stuck = AtomicBool::new(false);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        s.run_tasks(&|rank| {
+            if rank < 2 {
+                started[rank].store(true, Ordering::SeqCst);
+                while !started[1 - rank].load(Ordering::SeqCst) {
+                    if Instant::now() > deadline {
+                        stuck.store(true, Ordering::SeqCst);
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+            }
+            s.rank_exit();
+        });
+        assert!(!stuck.load(Ordering::SeqCst), "no idle worker stole from home 0 in 30 s");
     }
 
     /// The serial reference schedule, pinned. On one worker, four ranks pass
