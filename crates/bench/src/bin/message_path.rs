@@ -2,9 +2,10 @@
 //!
 //! Times the substrate's hot scenarios (ping-pong, fan-out, mailbox claims
 //! at depth) with plain wall-clock timing, prints a comparison table, and
-//! emits `BENCH_message_path.json` (in the working directory, or under
-//! `$BENCH_OUT_DIR`) so successive PRs accumulate a perf record for the
-//! hottest path in the system. `ci_gate` ratchets a fresh run against it.
+//! emits `BENCH_message_path.json` into `$BENCH_OUT_DIR`, else
+//! `target/bench-out/`, never over the committed baseline at the repo root.
+//! `ci_gate` ratchets a fresh run against that baseline; a deliberate
+//! rebaseline runs with `BENCH_OUT_DIR=.` from the repo root.
 
 use c3_bench::{Align, Table};
 use mpisim::{launch, Envelope, JobSpec, Mailbox, Payload, ANY_SOURCE, ANY_TAG, COMM_WORLD};
@@ -163,12 +164,12 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| ".".into());
+    let dir = c3_bench::bench_out_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create BENCH_OUT_DIR {dir}: {e}");
+        eprintln!("cannot create {}: {e}", dir.display());
         std::process::exit(1);
     }
-    let path = std::path::Path::new(&dir).join("BENCH_message_path.json");
+    let path = dir.join("BENCH_message_path.json");
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("cannot write {}: {e}", path.display());
         std::process::exit(1);

@@ -5,8 +5,9 @@
 //! thread each, so one process can simulate 4096 ranks.
 //! This bench pins that claim: NPB kernels at weak-scaling problem sizes
 //! (per-rank work constant) from 64 to 4096 ranks on the Lemieux cluster
-//! model, emitting `BENCH_scaling.json` (working directory, or under
-//! `$BENCH_OUT_DIR`) so successive PRs accumulate the trajectory.
+//! model, emitting `BENCH_scaling.json` into `$BENCH_OUT_DIR`, else
+//! `target/bench-out/`, never over the committed baseline at the repo root
+//! (a deliberate rebaseline runs with `BENCH_OUT_DIR=.` from there).
 //!
 //! Kernels:
 //! * `cg` — conjugate gradient, `n = 32 × nranks` rows (32 per rank):
@@ -152,12 +153,12 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| ".".into());
+    let dir = c3_bench::bench_out_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create BENCH_OUT_DIR {dir}: {e}");
+        eprintln!("cannot create {}: {e}", dir.display());
         std::process::exit(1);
     }
-    let path = std::path::Path::new(&dir).join("BENCH_scaling.json");
+    let path = dir.join("BENCH_scaling.json");
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("cannot write {}: {e}", path.display());
         std::process::exit(1);

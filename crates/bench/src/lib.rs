@@ -23,9 +23,10 @@ pub mod tables;
 
 pub use report::{Align, Table};
 
-/// Where `chaos_soak` writes `BENCH_recovery.json` and `recovery_trend`
-/// reads it by default: `$BENCH_OUT_DIR`, else `target/bench-out` under
-/// the working directory — never the committed baseline at the repo root.
+/// Where `chaos_soak`, `message_path` and `scaling` write their
+/// `BENCH_*.json` and `recovery_trend` reads `BENCH_recovery.json` by
+/// default: `$BENCH_OUT_DIR`, else `target/bench-out` under the working
+/// directory — never the committed baselines at the repo root.
 pub fn bench_out_dir() -> std::path::PathBuf {
     std::env::var_os("BENCH_OUT_DIR").map_or_else(|| "target/bench-out".into(), Into::into)
 }
