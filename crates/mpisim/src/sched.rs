@@ -36,8 +36,9 @@
 //! the back of the rank's home FIFO. A worker pops the front of its own FIFO
 //! first; when that is empty it *steals* the oldest rank of another worker's
 //! FIFO. On `workers: 1` there is one FIFO, pushed at the back and popped at
-//! the front: the serial reference schedule, pinned by a unit test. No lock
-//! is global: a push or pop takes one queue's mutex.
+//! the front: the serial reference schedule, pinned by a unit test. A push
+//! or pop takes one queue's mutex; the one shared mutex is the sleep mutex,
+//! taken only to sleep or to notify a sleeping worker.
 //!
 //! The wake protocol is lost-wakeup-free by construction: a waiter samples
 //! its epoch *before* re-checking its condition and commits to waiting only
