@@ -1,17 +1,24 @@
 //! `message_path` — records the message-substrate perf trajectory.
 //!
 //! Times the substrate's hot scenarios (ping-pong, fan-out, mailbox claims
-//! at depth) with plain wall-clock timing, prints a comparison table, and
-//! emits `BENCH_message_path.json` into `$BENCH_OUT_DIR`, else
-//! `target/bench-out/`, never over the committed baseline at the repo root.
-//! `ci_gate` ratchets a fresh run against that baseline; a deliberate
-//! rebaseline runs with `BENCH_OUT_DIR=.` from the repo root.
+//! at depth) and the C³ layer's passive ping-pong with plain wall-clock
+//! timing, prints a comparison table, and emits `BENCH_message_path.json`
+//! into `$BENCH_OUT_DIR`, else `target/bench-out/`, never over the
+//! committed baseline at the repo root. `ci_gate` ratchets a fresh run
+//! against that baseline; a deliberate rebaseline runs with
+//! `BENCH_OUT_DIR=.` from the repo root.
 
+use c3::{C3Config, Job};
 use c3_bench::{Align, Table};
 use mpisim::{launch, Envelope, JobSpec, Mailbox, Payload, ANY_SOURCE, ANY_TAG, COMM_WORLD};
+use statesave::TempStore;
 use std::time::Instant;
 
 const MSG: usize = 65_536;
+/// The C³ ping-pong's message: small, so the row is the protocol's fixed
+/// per-message cost (control probe, piggyback, arrival classification,
+/// counters) over the substrate's, not a copy of a large payload.
+const C3_MSG: usize = 8;
 const ROUNDS: usize = 256;
 const REPS: usize = 5;
 
@@ -50,6 +57,30 @@ fn ping_pong(zero_copy: bool) -> f64 {
             Ok(buf.len())
         })
         .unwrap();
+    })
+}
+
+/// Ranks 0 and 1 bounce a [`C3_MSG`]-byte message through the C³ layer
+/// with checkpointing off (`CkptPolicy::Never`).
+fn c3_ping_pong() -> f64 {
+    let store = TempStore::new("message_path");
+    let job = Job::new(2, C3Config::passive(store.path()));
+    time_per_op(2 * ROUNDS as u64, || {
+        job.run(|ctx| {
+            let peer = 1 - ctx.rank();
+            let mut buf = vec![1u8; C3_MSG];
+            for _ in 0..ROUNDS {
+                if ctx.rank() == 0 {
+                    ctx.send_bytes(peer, 1, &buf)?;
+                    buf = ctx.recv_bytes(peer as i32, 1)?.0;
+                } else {
+                    buf = ctx.recv_bytes(peer as i32, 1)?.0;
+                    ctx.send_bytes(peer, 1, &buf)?;
+                }
+            }
+            Ok(buf.len())
+        })
+        .expect("passive C3 ping-pong completes");
     })
 }
 
@@ -116,6 +147,11 @@ fn main() {
     let rows = vec![
         Row { name: "ping_pong/copying", ns_per_op: ping_pong(false), bytes_per_op: MSG as u64 },
         Row { name: "ping_pong/zero_copy", ns_per_op: ping_pong(true), bytes_per_op: MSG as u64 },
+        Row {
+            name: "c3_ping_pong/passive",
+            ns_per_op: c3_ping_pong(),
+            bytes_per_op: C3_MSG as u64,
+        },
         Row {
             name: "fan_out/copy_per_destination",
             ns_per_op: fan_out(false),

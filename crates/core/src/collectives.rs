@@ -21,13 +21,14 @@ use crate::registries::StreamKind;
 use crate::Result;
 use mpisim::collective::{self, Streams};
 use mpisim::{BasicType, Payload, ReduceOp};
+use std::sync::Arc;
 
 /// A communicator's members (world ranks, in local-rank order) as
 /// protocol-wrapped collective streams on its wire id.
 struct Group<'g, 'a> {
     ctx: &'g mut C3Ctx<'a>,
     comm: C3Comm,
-    members: Vec<usize>,
+    members: Arc<[usize]>,
     me: usize,
     wire: u32,
     call: u64,

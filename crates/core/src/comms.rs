@@ -29,6 +29,7 @@ use crate::Result;
 use mpisim::Status;
 use statesave::codec::{CodecError, Decoder, Encoder};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A communicator handle (index into the indirection table). Handle 0 is
 /// always the world communicator.
@@ -43,8 +44,9 @@ pub const COMM_WORLD_HANDLE: C3Comm = C3Comm(0);
 pub struct CommEntry {
     /// World ranks of the members, in local-rank order; `None` when this
     /// rank is not a member (it keeps the entry so handle numbering stays
-    /// aligned across ranks).
-    pub members: Option<Vec<usize>>,
+    /// aligned across ranks). Shared, so a collective's view of the group
+    /// costs a reference count, not a copy.
+    pub members: Option<Arc<[usize]>>,
     /// Wire communicator id used for matching.
     pub wire: u32,
     /// Deterministic collective-call counter for this communicator.
@@ -178,7 +180,7 @@ impl<'a> C3Ctx<'a> {
             .ok_or_else(|| C3Error::Protocol(format!("unknown communicator handle {c:?}")))
     }
 
-    pub(crate) fn comm_members(&self, c: C3Comm) -> Result<Vec<usize>> {
+    pub(crate) fn comm_members(&self, c: C3Comm) -> Result<Arc<[usize]>> {
         let e = self.comm_entry(c)?;
         if e.freed {
             return Err(C3Error::Protocol(format!("communicator {c:?} was freed")));
@@ -259,7 +261,7 @@ impl<'a> C3Ctx<'a> {
                 .map(|(_, k, local)| (*k, *local))
                 .collect();
             class.sort();
-            class.into_iter().map(|(_, local)| members[local]).collect::<Vec<usize>>()
+            class.into_iter().map(|(_, local)| members[local]).collect::<Arc<[usize]>>()
         });
 
         // The wire must differ per color class, or two classes would share a
@@ -360,7 +362,7 @@ mod tests {
     fn table_roundtrips_through_codec() {
         let mut t = CommTable::new(4);
         t.insert(CommEntry {
-            members: Some(vec![1, 3]),
+            members: Some(Arc::from([1, 3])),
             wire: 0x1234_5678 & 0x1FFF_FFFF,
             coll_calls: 7,
             children: 2,
@@ -378,7 +380,7 @@ mod tests {
         let buf = e.finish();
         let back = CommTable::load(&mut Decoder::new(&buf)).unwrap();
         assert_eq!(back.len(), t.len());
-        assert_eq!(back.get(C3Comm(1)).unwrap().members, Some(vec![1, 3]));
+        assert_eq!(back.get(C3Comm(1)).unwrap().members.as_deref(), Some(&[1, 3][..]));
         assert_eq!(back.get(C3Comm(1)).unwrap().coll_calls, 7);
         assert!(back.get(C3Comm(2)).unwrap().freed);
     }

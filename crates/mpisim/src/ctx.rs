@@ -8,7 +8,7 @@ use crate::network::Network;
 use crate::payload::Payload;
 use crate::pod::{self, Pod};
 use crate::request::{ReqId, RequestTable, Status};
-use crate::{CommId, Rank, Tag, COMM_WORLD};
+use crate::{CommId, Fx, Rank, Tag, COMM_WORLD};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -25,7 +25,7 @@ pub struct RankCtx {
     send_seq: Vec<u64>,
     /// Per-communicator collective call counters (collectives match by call
     /// order on the communicator, as in MPI).
-    pub(crate) coll_seq: HashMap<CommId, u64>,
+    pub(crate) coll_seq: HashMap<CommId, u64, Fx>,
     /// Virtual clock in nanoseconds under the cluster model.
     vclock: u64,
     /// Monotone *operation clock*: ticks once at the initiation of every
@@ -40,6 +40,9 @@ pub struct RankCtx {
     /// op clock reaches this value (fault injection *inside* collectives and
     /// protocol-layer traffic, not just at application pragmas).
     fail_at_op: Option<u64>,
+    /// Messages and payload bytes this rank sent; `launch` sums them per job.
+    pub(crate) msgs_sent: u64,
+    pub(crate) bytes_sent: u64,
 }
 
 impl RankCtx {
@@ -52,7 +55,9 @@ impl RankCtx {
             reqs: RequestTable::new(),
             types: TypeTable::new(),
             send_seq: vec![0; nranks],
-            coll_seq: HashMap::new(),
+            coll_seq: HashMap::default(),
+            msgs_sent: 0,
+            bytes_sent: 0,
             vclock: 0,
             op_clock: 0,
             fail_at_op: None,
@@ -196,6 +201,8 @@ impl RankCtx {
         self.vclock += self.net.cluster().send_overhead_ns;
         let seq = self.send_seq[dst];
         self.send_seq[dst] += 1;
+        self.msgs_sent += 1;
+        self.bytes_sent += payload.len() as u64;
         // Under a bounded mailbox this may park the rank until `dst` drains
         // a slot (standard-mode send semantics with finite buffering); it
         // returns `Aborted` if the job is poisoned while parked.

@@ -125,3 +125,45 @@ impl CommId {
         self.0 & 0x8000_0000 != 0 || self == COMM_CTRL
     }
 }
+
+/// rustc's Fx hash (multiply-rotate) for maps with program-made integer
+/// keys, which need no SipHash defence against chosen collisions.
+#[derive(Default)]
+pub(crate) struct FxHasher(u64);
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(i.into());
+    }
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The hasher of the substrate's `HashMap`s and `HashSet`s.
+pub(crate) type Fx = std::hash::BuildHasherDefault<FxHasher>;
+
+/// `T` alone on its own pair of 64-byte cache lines (the adjacent-line
+/// prefetcher fetches pairs), so writes to a neighbour never invalidate it.
+#[derive(Default)]
+#[repr(align(128))]
+pub(crate) struct CachePadded<T>(pub(crate) T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}

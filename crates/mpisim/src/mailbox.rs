@@ -18,12 +18,19 @@
 //! mutex, and [`Mailbox::lock`] hands that same lock to the request
 //! engine's posted-order scan, so no delivery can land mid-pass. Together
 //! with the posted-order scan this reproduces MPI's matching rules.
+//!
+//! An atomic counts the queued [`COMM_CTRL`] envelopes, written under the
+//! lock and read without it: a protocol layer's poll of its control plane
+//! ([`Mailbox::try_claim`]) costs one load while none is queued. A zero that
+//! races a delivery is a message not yet arrived; the delivery's wake orders
+//! the increment before the rank's next poll.
 
 use crate::envelope::{Envelope, Signature};
 use crate::network::Backpressure;
-use crate::{CommId, Rank, Tag, ANY_SOURCE, ANY_TAG};
+use crate::{CommId, Fx, Rank, Tag, ANY_SOURCE, ANY_TAG, COMM_CTRL};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Emptied per-signature queues retained (capacity and all) instead of
@@ -46,7 +53,7 @@ struct Stamped {
 #[derive(Debug, Default)]
 struct Shelves {
     /// Per-signature FIFO queues (possibly empty-but-retained).
-    queues: HashMap<Signature, VecDeque<Stamped>>,
+    queues: HashMap<Signature, VecDeque<Stamped>, Fx>,
     /// Arrival stamp of each live queue's front envelope → its signature.
     /// Iterating this in key order visits queue heads oldest-first.
     fronts: BTreeMap<u64, Signature>,
@@ -132,6 +139,8 @@ impl Shelves {
 #[derive(Default)]
 pub struct Mailbox {
     inner: Mutex<Shelves>,
+    /// Queued `COMM_CTRL` envelopes; publishes nothing, so `Relaxed`.
+    ctrl: AtomicUsize,
     /// Under bounded-mailbox backpressure: the job's credit ledger and this
     /// mailbox's rank, so claiming an application envelope returns its
     /// delivery credit and wakes parked senders.
@@ -160,8 +169,12 @@ impl Mailbox {
         Mailbox { credit: Some((bp, rank)), ..Self::default() }
     }
 
-    /// Return the delivery credit of a claimed application envelope.
-    fn release_credit(&self, env: &Envelope) {
+    /// Under the lock: un-count a claimed control envelope, or return the
+    /// delivery credit of a claimed application envelope.
+    fn claimed(&self, env: &Envelope) {
+        if env.comm == COMM_CTRL {
+            self.ctrl.fetch_sub(1, Ordering::Relaxed);
+        }
         if let Some((bp, rank)) = &self.credit {
             if !env.comm.is_internal() {
                 bp.release(*rank);
@@ -171,7 +184,7 @@ impl Mailbox {
 
     /// Deliver an envelope (called by the network from any thread).
     pub fn deliver(&self, env: Envelope) {
-        self.inner.lock().push(env);
+        self.deliver_batch([env]);
     }
 
     /// Deliver a batch of envelopes to this mailbox under one lock
@@ -182,16 +195,21 @@ impl Mailbox {
         let mut sh = self.inner.lock();
         let before = sh.len;
         for env in envs {
+            if env.comm == COMM_CTRL {
+                self.ctrl.fetch_add(1, Ordering::Relaxed);
+            }
             sh.push(env);
         }
         sh.len - before
     }
 
     /// Claim the first arrived envelope matching `(src, tag, comm)`, if any.
+    /// On `COMM_CTRL` with no control envelope queued, this takes no lock.
     pub fn try_claim(&self, src: i32, tag: Tag, comm: CommId) -> Option<Envelope> {
-        let env = self.inner.lock().claim(src, tag, comm)?;
-        self.release_credit(&env);
-        Some(env)
+        if comm == COMM_CTRL && self.ctrl.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        self.lock().claim(src, tag, comm)
     }
 
     /// Peek (do not claim) the first arrived envelope matching
@@ -229,6 +247,7 @@ impl Mailbox {
         sh.fronts.clear();
         sh.idle_queues = 0;
         sh.len = 0;
+        self.ctrl.store(0, Ordering::Relaxed);
     }
 }
 
@@ -245,7 +264,7 @@ impl MailboxGuard<'_> {
     /// nesting of the two).
     pub fn claim(&mut self, src: i32, tag: Tag, comm: CommId) -> Option<Envelope> {
         let env = self.inner.claim(src, tag, comm)?;
-        self.owner.release_credit(&env);
+        self.owner.claimed(&env);
         Some(env)
     }
 
@@ -418,6 +437,50 @@ mod tests {
             RETAINED_EMPTY_QUEUES,
             "emptied queues beyond the retention bound must be freed"
         );
+    }
+
+    fn ctrl(src: usize, seq: u64) -> Envelope {
+        Envelope { comm: COMM_CTRL, ..env(src, 3, seq) }
+    }
+
+    #[test]
+    fn control_count_is_exact_across_deliveries_claims_and_clear() {
+        // Unbounded, and bounded (the claim paths also return credits).
+        let net = crate::Network::new(&crate::JobSpec::new(1).mailbox_capacity(2));
+        for mb in [&Mailbox::new(), net.mailbox(0)] {
+            let count = || mb.ctrl.load(Ordering::Relaxed);
+            mb.deliver(ctrl(1, 0));
+            assert_eq!(count(), 1);
+            assert_eq!(mb.deliver_batch([ctrl(2, 0), env(1, 5, 0), ctrl(1, 1)]), 3);
+            assert_eq!(count(), 3);
+            assert_eq!(mb.try_claim(ANY_SOURCE, ANY_TAG, COMM_CTRL).unwrap().src, 1);
+            assert_eq!(count(), 2);
+            assert_eq!(mb.lock().claim(2, ANY_TAG, COMM_CTRL).unwrap().src, 2);
+            assert_eq!(count(), 1);
+            // Application traffic leaves the count alone.
+            assert_eq!(mb.try_claim(1, 5, COMM_WORLD).unwrap().comm, COMM_WORLD);
+            mb.deliver(env(1, 5, 1));
+            assert_eq!(count(), 1);
+            mb.clear();
+            assert_eq!(count(), 0);
+            assert!(mb.try_claim(ANY_SOURCE, ANY_TAG, COMM_CTRL).is_none());
+            mb.deliver(ctrl(1, 2));
+            assert_eq!(mb.lock().claim(ANY_SOURCE, ANY_TAG, COMM_CTRL).unwrap().seq, 2);
+            assert_eq!(count(), 0);
+            assert!(mb.is_empty());
+        }
+    }
+
+    #[test]
+    fn control_envelope_after_a_zero_count_probe_is_claimed_by_the_next_probe() {
+        let mb = Mailbox::new();
+        mb.deliver(env(1, 5, 0));
+        assert!(mb.try_claim(ANY_SOURCE, ANY_TAG, COMM_CTRL).is_none());
+        mb.deliver(ctrl(2, 7));
+        let got = mb.try_claim(ANY_SOURCE, ANY_TAG, COMM_CTRL).unwrap();
+        assert_eq!((got.src, got.seq), (2, 7));
+        assert!(mb.try_claim(ANY_SOURCE, ANY_TAG, COMM_CTRL).is_none());
+        assert_eq!(mb.len(), 1, "the application envelope stays queued");
     }
 
     #[test]

@@ -8,14 +8,17 @@
 //! a reordering model) → `deliver`, the only caller of
 //! [`Mailbox::deliver_batch`] (duplicate filter, one mailbox lock, one
 //! wake). [`Network::nudge`] drains withheld envelopes through the same
-//! stages. The credit ledger of a bounded mailbox is one lock for the job.
+//! stages and returns how many it delivered: at proven quiescence only the
+//! deadlock detective can deliver, so its own flush's count tells it whether
+//! anything moved. The credit ledger of a bounded mailbox is one lock for
+//! the job.
 
 use crate::envelope::Envelope;
 use crate::error::MpiError;
 use crate::mailbox::Mailbox;
 use crate::sched::{Parked, Sched};
 use crate::world::JobSpec;
-use crate::Rank;
+use crate::{CachePadded, Fx, Rank};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -248,7 +251,7 @@ enum Fate {
 #[derive(Default)]
 struct DedupWindow {
     next: u64,
-    ahead: std::collections::HashSet<u64>,
+    ahead: std::collections::HashSet<u64, Fx>,
 }
 
 impl DedupWindow {
@@ -450,7 +453,8 @@ fn mix64(mut x: u64) -> u64 {
 
 /// The shared fabric connecting all ranks of a job.
 pub struct Network {
-    mailboxes: Vec<Mailbox>,
+    /// Padded: senders and the owner write them from any worker.
+    mailboxes: Vec<CachePadded<Mailbox>>,
     cluster: ClusterModel,
     model: NetModel,
     /// Per-destination reordering stages; empty under [`ReorderModel::None`].
@@ -466,15 +470,9 @@ pub struct Network {
     backpressure: Option<Arc<Backpressure>>,
     /// The job's rank scheduler: parks and wakes blocked ranks.
     sched: Arc<Sched>,
-    /// Bumped on every actual mailbox delivery; the deadlock detective
-    /// compares it across its flush to answer "did anything move?".
-    progress: AtomicU64,
-    poisoned: AtomicBool,
+    /// Read by every operation; padded away from the counters below.
+    poisoned: CachePadded<AtomicBool>,
     poison_reason: Mutex<Option<String>>,
-    /// Total application messages injected (diagnostics).
-    pub msgs_sent: AtomicU64,
-    /// Total application bytes injected (diagnostics).
-    pub bytes_sent: AtomicU64,
     /// Messages the fault model dropped and later retransmitted.
     pub msgs_dropped: AtomicU64,
     /// Messages the fault model injected twice.
@@ -515,11 +513,12 @@ impl Network {
         let backpressure = model
             .mailbox_capacity
             .map(|cap| Arc::new(Backpressure::new(nranks, cap, Arc::clone(&sched))));
-        let mailboxes: Vec<Mailbox> = (0..nranks)
+        let mailboxes = (0..nranks)
             .map(|dst| match &backpressure {
                 Some(bp) => Mailbox::with_credit(Arc::clone(bp), dst),
                 None => Mailbox::new(),
             })
+            .map(CachePadded)
             .collect();
         Network {
             mailboxes,
@@ -530,11 +529,8 @@ impl Network {
             dedup_state,
             backpressure,
             sched,
-            progress: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
+            poisoned: CachePadded(AtomicBool::new(false)),
             poison_reason: Mutex::new(None),
-            msgs_sent: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
             msgs_dropped: AtomicU64::new(0),
             msgs_duplicated: AtomicU64::new(0),
             dups_suppressed: AtomicU64::new(0),
@@ -618,7 +614,8 @@ impl Network {
     /// rank is committed-blocked and the caller's park (or rank exit) was
     /// the last runnable step. In a closed world the only remaining message
     /// sources are the fault/reorder holding buffers — flush them, and if
-    /// anything moved return (the deliveries woke their receivers).
+    /// anything moved return (the deliveries woke their receivers). No rank
+    /// runs while the detective does, so only its own flush can deliver.
     /// Otherwise the job is wedged; diagnose deterministically: a proven
     /// send cycle, else a sender parked on credits with nothing in flight,
     /// else a generic missing-send deadlock. No wall clock is involved, so
@@ -627,9 +624,7 @@ impl Network {
         if self.is_poisoned() {
             return; // the poison wake is already propagating
         }
-        let before = self.progress.load(Ordering::Relaxed);
-        self.flush_reorder();
-        if self.progress.load(Ordering::Relaxed) != before {
+        if self.flush_reorder() > 0 {
             return; // something was in flight after all; its wakes resume the job
         }
         let reason = self.backpressure.as_ref().and_then(|bp| bp.stall_reason());
@@ -696,8 +691,6 @@ impl Network {
     /// head-of-line behind a withheld same-signature predecessor) or pass
     /// it on — after the retransmissions that came due with this injection.
     fn inject(&self, env: Envelope) {
-        self.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(env.payload.len() as u64, Ordering::Relaxed);
         let dst = env.dst;
         if !self.model.has_faults() {
             self.reorder(dst, std::iter::once(env));
@@ -765,11 +758,10 @@ impl Network {
     /// Reorder stage: for each envelope in turn, flush held same-signature
     /// predecessors, then hold it or pass it on together with a random half
     /// of the held ones. A pass-through when the network has no reordering
-    /// model.
-    fn reorder(&self, dst: Rank, batch: impl IntoIterator<Item = Envelope>) {
+    /// model. Returns how many envelopes it delivered.
+    fn reorder(&self, dst: Rank, batch: impl IntoIterator<Item = Envelope>) -> usize {
         let ReorderModel::Random { hold_permille, max_held } = self.model.reorder else {
-            self.deliver(dst, batch);
-            return;
+            return self.deliver(dst, batch);
         };
         // Deliveries happen while the reorder lock is held: releasing first
         // would let a concurrent sender overtake an envelope already removed
@@ -801,18 +793,19 @@ impl Network {
                 }
             }
         }
-        self.deliver(dst, out);
+        self.deliver(dst, out)
     }
 
     /// Delivery: `batch` (already in delivery order) enters `dst`'s mailbox
     /// under one lock acquisition, minus duplicate copies by
     /// `(source, seq)` when the duplication fault is active, and `dst` is
     /// woken **once**. Arrival stamps follow batch order, so the result is
-    /// bit-identical to delivering one at a time.
-    fn deliver(&self, dst: Rank, batch: impl IntoIterator<Item = Envelope>) {
+    /// bit-identical to delivering one at a time. Returns how many
+    /// envelopes entered the mailbox.
+    fn deliver(&self, dst: Rank, batch: impl IntoIterator<Item = Envelope>) -> usize {
         let mut batch = batch.into_iter().peekable();
         if batch.peek().is_none() {
-            return;
+            return 0;
         }
         let mut windows = self.dedup_state.as_ref().map(|d| d[dst].lock());
         let delivered = self.mailboxes[dst].deliver_batch(batch.filter(|env| {
@@ -824,34 +817,34 @@ impl Network {
         }));
         drop(windows);
         if delivered > 0 {
-            // Progress before wake: a woken rank must observe both the
-            // message and the moved counter.
-            self.progress.fetch_add(delivered as u64, Ordering::Relaxed);
             self.sched.wake(dst);
         }
+        delivered
     }
 
     /// Flush envelopes withheld by the fault and reordering models for
     /// `dst`: the retransmit queue through the reorder stage, then
     /// everything held there. Called by a rank's blocked wait loops so that
     /// withheld messages are eventually delivered even if no further
-    /// traffic arrives (models "in flight, but not lost").
-    pub fn nudge(&self, dst: Rank) {
+    /// traffic arrives (models "in flight, but not lost"). Returns how
+    /// many envelopes it delivered.
+    pub fn nudge(&self, dst: Rank) -> usize {
+        let mut delivered = 0;
         if self.model.has_faults() {
             let mut fs = self.fault_state[dst].lock();
-            self.reorder(dst, fs.delayed.drain(..).map(|(e, _)| e));
+            delivered += self.reorder(dst, fs.delayed.drain(..).map(|(e, _)| e));
         }
         if let Some(st) = self.reorder_state.get(dst) {
-            self.deliver(dst, st.lock().held.drain(..));
+            delivered += self.deliver(dst, st.lock().held.drain(..));
         }
+        delivered
     }
 
     /// Flush every withheld envelope (used at teardown / quiescence points
-    /// so no message is lost to the retransmit or reorder buffers).
-    pub fn flush_reorder(&self) {
-        for dst in 0..self.mailboxes.len() {
-            self.nudge(dst);
-        }
+    /// so no message is lost to the retransmit or reorder buffers). Returns
+    /// how many envelopes it delivered.
+    pub fn flush_reorder(&self) -> usize {
+        (0..self.mailboxes.len()).map(|dst| self.nudge(dst)).sum()
     }
 
     /// Poison the job: every blocked/future operation returns `Aborted`.

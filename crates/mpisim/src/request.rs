@@ -9,8 +9,8 @@
 
 use crate::envelope::Envelope;
 use crate::mailbox::Mailbox;
-use crate::{CommId, Rank, Tag};
-use std::collections::VecDeque;
+use crate::{CommId, Fx, Rank, Tag};
+use std::collections::{HashMap, VecDeque};
 
 /// Identifier of a request in a rank's request table.
 ///
@@ -46,7 +46,7 @@ pub(crate) enum ReqState {
 /// Rank-local request table with posted-order matching.
 #[derive(Debug, Default)]
 pub(crate) struct RequestTable {
-    slots: std::collections::HashMap<u64, ReqState>,
+    slots: HashMap<u64, ReqState, Fx>,
     /// Pending receive ids in posted order.
     posted: VecDeque<u64>,
     next: u64,

@@ -80,7 +80,7 @@
 //! depend on machine load.
 
 use crate::coro::{self, Sp, Stack};
-use crate::Rank;
+use crate::{CachePadded, Rank};
 use parking_lot::{Condvar, Mutex};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -177,22 +177,23 @@ struct Queue {
 
 /// The runnable ranks, one FIFO per worker, and the sleep of idle workers.
 struct Ready {
-    queues: Vec<Queue>,
+    queues: Vec<CachePadded<Queue>>,
     /// Idle workers wait on `cv` under `idle`; `sleepers` counts them so a
     /// push skips the lock and the notify syscall when none sleeps.
     idle: Mutex<()>,
     cv: Condvar,
-    sleepers: AtomicUsize,
+    sleepers: CachePadded<AtomicUsize>,
     /// Ranks not yet `Done`; workers exit when it reaches zero.
-    remaining: AtomicUsize,
+    remaining: CachePadded<AtomicUsize>,
 }
 
 /// The job's scheduler: the rank coroutines, the ready queues, and the
 /// quiescence accounting.
 pub(crate) struct Sched {
-    tasks: Vec<Task>,
+    /// Padded: a rank's wakers and its worker may be on different cores.
+    tasks: Vec<CachePadded<Task>>,
     /// `live << 32 | blocked`, see "Exact quiescence detection".
-    quiet: AtomicU64,
+    quiet: CachePadded<AtomicU64>,
     ready: Ready,
 }
 
@@ -214,14 +215,15 @@ impl Sched {
                     worker: UnsafeCell::new(std::ptr::null_mut()),
                     stack: UnsafeCell::new(None),
                 })
+                .map(CachePadded)
                 .collect(),
-            quiet: AtomicU64::new(nranks as u64 * LIVE),
+            quiet: CachePadded(AtomicU64::new(nranks as u64 * LIVE)),
             ready: Ready {
-                queues: (0..workers.min(nranks).max(1)).map(|_| Queue::default()).collect(),
+                queues: (0..workers.min(nranks).max(1)).map(|_| CachePadded::default()).collect(),
                 idle: Mutex::new(()),
                 cv: Condvar::new(),
-                sleepers: AtomicUsize::new(0),
-                remaining: AtomicUsize::new(nranks),
+                sleepers: CachePadded(AtomicUsize::new(0)),
+                remaining: CachePadded(AtomicUsize::new(nranks)),
             },
         };
         for rank in 0..nranks {

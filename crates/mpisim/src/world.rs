@@ -8,7 +8,6 @@ use crate::sched::SchedMode;
 use crate::Rank;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Everything needed to launch a job.
@@ -142,7 +141,7 @@ where
     let f = &f;
 
     enum Outcome<T> {
-        Ok(T, u64),
+        Ok(T, u64, u64, u64), // result, final vclock, messages and bytes sent
         Err(MpiError),
         Panic,
     }
@@ -153,7 +152,7 @@ where
     let run_rank = |rank: Rank| {
         let mut ctx = RankCtx::new(rank, Arc::clone(&net));
         let outcome = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
-            Ok(Ok(v)) => Outcome::Ok(v, ctx.vtime()),
+            Ok(Ok(v)) => Outcome::Ok(v, ctx.vtime(), ctx.msgs_sent, ctx.bytes_sent),
             Ok(Err(e)) => {
                 if e != MpiError::Aborted {
                     net.poison(&format!("rank {rank} failed: {e}"));
@@ -198,21 +197,19 @@ where
     }
     let mut results = Vec::with_capacity(spec.nranks);
     let mut vtimes = Vec::with_capacity(spec.nranks);
+    let (mut msgs_sent, mut bytes_sent) = (0, 0);
     for o in outcomes {
         match o {
-            Outcome::Ok(v, vt) => {
+            Outcome::Ok(v, vt, msgs, bytes) => {
                 results.push(v);
                 vtimes.push(vt);
+                msgs_sent += msgs;
+                bytes_sent += bytes;
             }
             _ => unreachable!("error cases handled above"),
         }
     }
-    Ok(JobHandle {
-        results,
-        vtimes,
-        msgs_sent: net.msgs_sent.load(Ordering::Relaxed),
-        bytes_sent: net.bytes_sent.load(Ordering::Relaxed),
-    })
+    Ok(JobHandle { results, vtimes, msgs_sent, bytes_sent })
 }
 
 #[cfg(test)]
@@ -221,6 +218,7 @@ mod tests {
     use crate::op::ReduceOp;
     use crate::pod::{bytes_of, vec_from_bytes};
     use crate::{BasicType, ANY_SOURCE, ANY_TAG, COMM_WORLD};
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn ring_pass() {
@@ -238,6 +236,32 @@ mod tests {
         .unwrap();
         assert_eq!(out.results, vec![3, 0, 1, 2]);
         assert_eq!(out.msgs_sent, 4);
+    }
+
+    #[test]
+    fn job_totals_do_not_depend_on_the_worker_count() {
+        let totals = |workers| {
+            let spec = JobSpec::new(8).sched(SchedMode::EventDriven { workers });
+            let out = launch(&spec, |ctx| {
+                let (me, n) = (ctx.rank(), ctx.nranks());
+                ctx.send((me + 1) % n, 1, &vec![me as u8; me + 1])?;
+                ctx.recv::<u8>(((me + n - 1) % n) as i32, 1)?;
+                let sum = ctx.allreduce(
+                    COMM_WORLD,
+                    bytes_of(&[me as u64]),
+                    BasicType::U64,
+                    &ReduceOp::Sum,
+                )?;
+                Ok(vec_from_bytes::<u64>(&sum)[0])
+            })
+            .unwrap();
+            assert_eq!(out.results, vec![28; 8]);
+            (out.msgs_sent, out.bytes_sent)
+        };
+        let serial = totals(1);
+        assert!(serial.0 > 8 && serial.1 > 36, "ring plus allreduce traffic: {serial:?}");
+        assert_eq!(totals(2), serial);
+        assert_eq!(totals(4), serial);
     }
 
     #[test]
