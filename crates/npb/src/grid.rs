@@ -5,6 +5,11 @@
 //! boundaries make coarsening geometrically exact for power-of-two grids —
 //! the coarse grid is every second point with uniform spacing `2h` — which
 //! is also what the real NAS MG benchmark does (its 3D grid is periodic).
+//!
+//! The operator, residual, smoother and transfer helpers write into arrays
+//! the caller passes in, and the smoother updates in place, so a V-cycle
+//! over preallocated levels allocates nothing. Only the coarse solve,
+//! [`gather_solve_bcast`], builds its (coarsest-level sized) vectors.
 
 use crate::backend::Comm;
 use mpisim::MpiError;
@@ -43,19 +48,37 @@ pub fn apply_helmholtz<C: Comm>(
     u: &[f64],
     h2: f64,
     tag: i32,
-) -> Result<Vec<f64>, MpiError> {
+    out: &mut [f64],
+) -> Result<(), MpiError> {
     let (l, r) = halo_ring(comm, u, tag)?;
     let nl = u.len();
-    let mut out = vec![0.0; nl];
     for i in 0..nl {
         let left = if i == 0 { l } else { u[i - 1] };
         let right = if i + 1 == nl { r } else { u[i + 1] };
         out[i] = (2.0 * u[i] - left - right) / h2 + SIGMA * u[i];
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Weighted-Jacobi sweeps on `A u = f` (ω = 2/3, the 1D smoothing optimum).
+/// `out = f - A u`: the residual of `u`.
+pub fn residual<C: Comm>(
+    comm: &mut C,
+    u: &[f64],
+    f: &[f64],
+    h2: f64,
+    tag: i32,
+    out: &mut [f64],
+) -> Result<(), MpiError> {
+    apply_helmholtz(comm, u, h2, tag, out)?;
+    for (o, fv) in out.iter_mut().zip(f) {
+        *o = fv - *o;
+    }
+    Ok(())
+}
+
+/// Weighted-Jacobi sweeps on `A u = f` (ω = 2/3, the 1D smoothing optimum),
+/// in place: each point reads its left neighbour's value from before the
+/// sweep, kept in one scalar, and its right neighbour's, not yet updated.
 pub fn jacobi<C: Comm>(
     comm: &mut C,
     u: &mut [f64],
@@ -67,32 +90,36 @@ pub fn jacobi<C: Comm>(
     let omega = 2.0 / 3.0;
     let diag = 2.0 / h2 + SIGMA;
     for s in 0..sweeps {
-        let (l, r) = halo_ring(comm, u, tag + 2 * s as i32)?;
-        let old = u.to_vec();
+        let (mut left, r) = halo_ring(comm, u, tag + 2 * s as i32)?;
         let nl = u.len();
         for i in 0..nl {
-            let left = if i == 0 { l } else { old[i - 1] };
-            let right = if i + 1 == nl { r } else { old[i + 1] };
-            u[i] = (1.0 - omega) * old[i] + omega * ((left + right) / h2 + f[i]) / diag;
+            let old = u[i];
+            let right = if i + 1 == nl { r } else { u[i + 1] };
+            u[i] = (1.0 - omega) * old + omega * ((left + right) / h2 + f[i]) / diag;
+            left = old;
         }
     }
     Ok(())
 }
 
-/// Full-weighting restriction onto the local odd points (coarse point `i`
-/// sits at fine point `2i+1`; globally consistent because every rank's share
-/// is even wherever this is called).
-pub fn restrict_fw<C: Comm>(comm: &mut C, res: &[f64], tag: i32) -> Result<Vec<f64>, MpiError> {
+/// Full-weighting restriction of `res` onto the local odd points, into
+/// `coarse` (coarse point `i` sits at fine point `2i+1`; globally consistent
+/// because every rank's share is even wherever this is called).
+pub fn restrict_fw<C: Comm>(
+    comm: &mut C,
+    res: &[f64],
+    tag: i32,
+    coarse: &mut [f64],
+) -> Result<(), MpiError> {
     let (_, rr) = halo_ring(comm, res, tag)?;
-    let half = res.len() / 2;
-    let mut coarse = vec![0.0; half];
+    debug_assert_eq!(coarse.len(), res.len() / 2);
     for (i, c) in coarse.iter_mut().enumerate() {
         let fi = 2 * i + 1;
         let left = res[fi - 1];
         let right = if fi + 1 == res.len() { rr } else { res[fi + 1] };
         *c = 0.25 * left + 0.5 * res[fi] + 0.25 * right;
     }
-    Ok(coarse)
+    Ok(())
 }
 
 /// Linear prolongation of a coarse correction added into `fine`. Odd fine
@@ -239,7 +266,8 @@ mod tests {
             let n = 16;
             let v: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 5.0).collect();
             let w: Vec<f64> = (0..n / 2).map(|i| ((i * 5 + 1) % 7) as f64 - 3.0).collect();
-            let rv = restrict_fw(ctx, &v, 50)?;
+            let mut rv = vec![0.0; n / 2];
+            restrict_fw(ctx, &v, 50, &mut rv)?;
             let mut pw = vec![0.0; n];
             prolong_add(ctx, &w, &mut pw, 52)?;
             let lhs: f64 = rv.iter().zip(&w).map(|(a, b)| a * b).sum();
@@ -257,7 +285,8 @@ mod tests {
             let n = 8;
             let h2 = h2_of(n);
             let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).cos()).collect();
-            let f = apply_helmholtz(ctx, &x_true, h2, 60)?;
+            let mut f = vec![0.0; n];
+            apply_helmholtz(ctx, &x_true, h2, 60, &mut f)?;
             let mut u = vec![0.0; n];
             jacobi(ctx, &mut u, &f, h2, 6000, 62)?;
             let err: f64 =

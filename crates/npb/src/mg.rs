@@ -10,7 +10,7 @@
 //! here too.
 
 use crate::backend::{Comm, Op};
-use crate::grid::{apply_helmholtz, gather_solve_bcast, h2_of, jacobi, prolong_add, restrict_fw};
+use crate::grid::{gather_solve_bcast, h2_of, jacobi, prolong_add, residual, restrict_fw};
 use mpisim::MpiError;
 use statesave::codec::{Decoder, Encoder};
 
@@ -50,10 +50,8 @@ fn vcycle<C: Comm>(
     if lvl.n <= COARSEST {
         // Solve the *residual* equation exactly so the bottom-out is correct
         // even when `u` is non-zero (e.g. a tiny top-level grid).
-        let res = {
-            let au = apply_helmholtz(comm, u, lvl.h2, 300)?;
-            f.iter().zip(&au).map(|(fv, av)| fv - av).collect::<Vec<f64>>()
-        };
+        let mut res = vec![0.0; u.len()];
+        residual(comm, u, f, lvl.h2, 300, &mut res)?;
         let e = gather_solve_bcast(comm, &res, lvl.n, lvl.h2)?;
         for (ui, ei) in u.iter_mut().zip(&e) {
             *ui += ei;
@@ -61,11 +59,10 @@ fn vcycle<C: Comm>(
         return Ok(());
     }
     jacobi(comm, u, f, lvl.h2, smooth_sweeps, 200)?;
-    let res = {
-        let au = apply_helmholtz(comm, u, lvl.h2, 310)?;
-        f.iter().zip(&au).map(|(fv, av)| fv - av).collect::<Vec<f64>>()
-    };
-    let coarse_f = restrict_fw(comm, &res, 400)?;
+    let mut res = vec![0.0; u.len()];
+    residual(comm, u, f, lvl.h2, 310, &mut res)?;
+    let mut coarse_f = vec![0.0; u.len() / 2];
+    restrict_fw(comm, &res, 400, &mut coarse_f)?;
     let mut coarse_u = vec![0.0; coarse_f.len()];
     let coarse_lvl = Level { n: lvl.n / 2, h2: h2_of(lvl.n / 2) };
     vcycle(comm, &mut coarse_u, &coarse_f, coarse_lvl, smooth_sweeps)?;
@@ -124,10 +121,8 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &MgConfig) -> Result<f64, MpiError> {
         comm.pragma(&mut |e| st.save(e))?;
     }
 
-    let res = {
-        let au = apply_helmholtz(comm, &st.u, lvl.h2, 320)?;
-        f.iter().zip(&au).map(|(fv, av)| fv - av).collect::<Vec<f64>>()
-    };
+    let mut res = vec![0.0; share];
+    residual(comm, &st.u, &f, lvl.h2, 320, &mut res)?;
     let local: f64 = res.iter().map(|x| x * x).sum();
     let norm = comm.allreduce_f64(local, Op::Sum)?;
     Ok((norm / n as f64).sqrt())

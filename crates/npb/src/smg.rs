@@ -26,7 +26,9 @@
 //! rewriting them.
 
 use crate::backend::{Comm, Op};
-use crate::grid::{apply_helmholtz, gather_solve_bcast, h2_of, jacobi, prolong_add, restrict_fw};
+use crate::grid::{
+    apply_helmholtz, gather_solve_bcast, h2_of, jacobi, prolong_add, residual, restrict_fw,
+};
 use mpisim::MpiError;
 use statesave::codec::{CodecError, Decoder, Encoder};
 
@@ -180,31 +182,34 @@ type PragmaFn<'a, C> =
 /// position restored from a checkpoint (with `vf[0..=start_lvl]` and
 /// `vu[0..start_lvl]` already holding this cycle's data). `pragma` fires at
 /// the top of every descent level (the paper's `hypre_SMGSolve` pragma).
+/// The preconditioned residual is left in `vu[0]`. `scratch` (a level-0
+/// share) holds each level's residual between its computation and its
+/// restriction, which no pragma separates, so it is never saved.
 fn vcycle<C: Comm>(
     comm: &mut C,
-    n_global: usize,
     smooth: usize,
     start_lvl: usize,
     vf: &mut [Vec<f64>],
     vu: &mut [Vec<f64>],
+    scratch: &mut [f64],
     pragma: &mut PragmaFn<'_, C>,
-) -> Result<Vec<f64>, MpiError> {
-    let sizes = level_sizes(n_global);
-    let levels = sizes.len();
-    debug_assert_eq!(vf.len(), levels);
+) -> Result<(), MpiError> {
+    let levels = vf.len();
+    // Every rank holds an equal share of each level's global points.
+    let p = comm.nranks();
 
-    // Descend: smooth, compute residual, restrict. Arrays beyond the
-    // current level keep the previous cycle's bytes until overwritten.
+    // Descend: smooth, compute residual, restrict into the next level's
+    // RHS. Arrays beyond the current level keep the previous cycle's bytes
+    // until overwritten.
     for lvl in start_lvl..levels {
         pragma(comm, lvl, vf, vu)?;
-        let nl = sizes[lvl];
+        let (nl, tag) = (vf[lvl].len() * p, 20 * lvl as i32);
         if lvl + 1 < levels {
+            let res = &mut scratch[..vf[lvl].len()];
             vu[lvl].fill(0.0);
-            jacobi(comm, &mut vu[lvl], &vf[lvl], h2_of(nl), smooth, 300 + 20 * lvl as i32)?;
-            let au = apply_helmholtz(comm, &vu[lvl], h2_of(nl), 400 + 20 * lvl as i32)?;
-            let res: Vec<f64> = vf[lvl].iter().zip(&au).map(|(f, a)| f - a).collect();
-            let coarse = restrict_fw(comm, &res, 500 + 20 * lvl as i32)?;
-            vf[lvl + 1].copy_from_slice(&coarse);
+            jacobi(comm, &mut vu[lvl], &vf[lvl], h2_of(nl), smooth, 300 + tag)?;
+            residual(comm, &vu[lvl], &vf[lvl], h2_of(nl), 400 + tag, res)?;
+            restrict_fw(comm, res, 500 + tag, &mut vf[lvl + 1])?;
         } else {
             // Coarsest level: exact gather-solve-broadcast (hypre-style),
             // identical for every rank count.
@@ -213,26 +218,29 @@ fn vcycle<C: Comm>(
         }
     }
 
-    // Ascend: prolong and post-smooth in place (no pragmas; the paper's SMG
-    // pragma is in the descent loop).
-    let mut correction = vu[levels - 1].clone();
+    // Ascend: prolong each level's correction into the next finer one and
+    // post-smooth in place (no pragmas; the paper's SMG pragma is in the
+    // descent loop).
     for lvl in (0..levels - 1).rev() {
-        prolong_add(comm, &correction, &mut vu[lvl], 700 + 20 * lvl as i32)?;
-        jacobi(comm, &mut vu[lvl], &vf[lvl], h2_of(sizes[lvl]), smooth, 800 + 20 * lvl as i32)?;
-        correction.clone_from(&vu[lvl]);
+        let (fine, coarse) = vu.split_at_mut(lvl + 1);
+        let tag = 20 * lvl as i32;
+        prolong_add(comm, &coarse[0], &mut fine[lvl], 700 + tag)?;
+        jacobi(comm, &mut vu[lvl], &vf[lvl], h2_of(vf[lvl].len() * p), smooth, 800 + tag)?;
     }
-    Ok(correction)
+    Ok(())
 }
 
-/// Finish one PCG iteration given the preconditioned residual `z`. The
-/// level hierarchy is left as the finished cycle wrote it — stale data,
-/// exactly like hypre's heap between preconditioner applications.
-fn finish_iteration<C: Comm>(comm: &mut C, st: &mut SmgState, z: Vec<f64>) -> Result<(), MpiError> {
-    let local_rz: f64 = st.r.iter().zip(&z).map(|(a, b)| a * b).sum();
+/// Finish one PCG iteration given the preconditioned residual `z`, which
+/// the V-cycle left in `vu[0]`. The level hierarchy is left as the finished
+/// cycle wrote it — stale data, exactly like hypre's heap between
+/// preconditioner applications.
+fn finish_iteration<C: Comm>(comm: &mut C, st: &mut SmgState) -> Result<(), MpiError> {
+    let z = &st.vu[0];
+    let local_rz: f64 = st.r.iter().zip(z).map(|(a, b)| a * b).sum();
     let rho_new = comm.allreduce_f64(local_rz, Op::Sum)?;
     let beta = rho_new / st.rho;
-    for i in 0..st.pdir.len() {
-        st.pdir[i] = z[i] + beta * st.pdir[i];
+    for (p, zi) in st.pdir.iter_mut().zip(z) {
+        *p = zi + beta * *p;
     }
     st.rho = rho_new;
     st.iter += 1;
@@ -246,13 +254,13 @@ fn finish_iteration<C: Comm>(comm: &mut C, st: &mut SmgState, z: Vec<f64>) -> Re
 /// mutates the level hierarchy.
 fn precondition<C: Comm>(
     comm: &mut C,
-    n: usize,
     smooth: usize,
     st: &mut SmgState,
-) -> Result<Vec<f64>, MpiError> {
+    scratch: &mut [f64],
+) -> Result<(), MpiError> {
     let SmgState { phase, iter, rho, x, r, pdir, rhs, lvl, vf, vu } = st;
     let (head, tail) = ((*phase, *iter, *rho), (&x[..], &r[..], &pdir[..], &rhs[..]));
-    vcycle(comm, n, smooth, *lvl, vf, vu, &mut |c, at, f, u| {
+    vcycle(comm, smooth, *lvl, vf, vu, scratch, &mut |c, at, f, u| {
         c.pragma(&mut |e| save_parts(head, tail, at, f, u, e)).map(|_| ())
     })
 }
@@ -272,6 +280,9 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &SmgConfig) -> Result<f64, MpiError> {
         Some(b) => SmgState::load(&b)?,
         None => SmgState::fresh(),
     };
+    // PCG's `A·p`, then each V-cycle level's residual: dead at every
+    // pragma, so allocated once per incarnation and never saved.
+    let mut scratch = vec![0.0; nl];
 
     // --- main, pragma #1: before setup ---
     if st.phase == Phase::PreSetup {
@@ -300,13 +311,11 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &SmgConfig) -> Result<f64, MpiError> {
         comm.pragma(&mut |e| st.save(e))?;
         st.vf[0].copy_from_slice(&st.r);
         st.lvl = 0;
-        let z = {
-            let SmgState { vf, vu, .. } = &mut st;
-            vcycle(comm, n, cfg.smooth, 0, vf, vu, &mut |_c, _l, _f, _u| Ok(()))?
-        };
-        let local: f64 = st.r.iter().zip(&z).map(|(a, b)| a * b).sum();
+        let SmgState { vf, vu, .. } = &mut st;
+        vcycle(comm, cfg.smooth, 0, vf, vu, &mut scratch, &mut |_c, _l, _f, _u| Ok(()))?;
+        let local: f64 = st.r.iter().zip(&st.vu[0]).map(|(a, b)| a * b).sum();
         st.rho = comm.allreduce_f64(local, Op::Sum)?;
-        st.pdir = z;
+        st.pdir = st.vu[0].clone();
         st.phase = Phase::Solve;
     }
 
@@ -317,8 +326,8 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &SmgConfig) -> Result<f64, MpiError> {
         // preconditioner from the saved descent position. A further
         // checkpoint inside the resumed V-cycle is again possible.
         if st.phase == Phase::SolveInVcycle {
-            let z = precondition(comm, n, cfg.smooth, &mut st)?;
-            finish_iteration(comm, &mut st, z)?;
+            precondition(comm, cfg.smooth, &mut st, &mut scratch)?;
+            finish_iteration(comm, &mut st)?;
             continue;
         }
         if st.iter >= cfg.iters {
@@ -327,8 +336,9 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &SmgConfig) -> Result<f64, MpiError> {
         }
         // §6.3: pragma at the top of the while-i loop in hypre_PCGSolve.
         comm.pragma(&mut |e| st.save(e))?;
-        let ap = apply_helmholtz(comm, &st.pdir, h2, 100)?;
-        let local_pap: f64 = st.pdir.iter().zip(&ap).map(|(a, b)| a * b).sum();
+        apply_helmholtz(comm, &st.pdir, h2, 100, &mut scratch)?;
+        let ap = &scratch;
+        let local_pap: f64 = st.pdir.iter().zip(ap).map(|(a, b)| a * b).sum();
         let pap = comm.allreduce_f64(local_pap, Op::Sum)?;
         if !pap.is_finite() || pap.abs() < 1e-290 {
             // The solve converged to machine zero; continuing would divide
@@ -347,8 +357,8 @@ pub fn run<C: Comm>(comm: &mut C, cfg: &SmgConfig) -> Result<f64, MpiError> {
         st.phase = Phase::SolveInVcycle;
         st.vf[0].copy_from_slice(&st.r);
         st.lvl = 0;
-        let z = precondition(comm, n, cfg.smooth, &mut st)?;
-        finish_iteration(comm, &mut st, z)?;
+        precondition(comm, cfg.smooth, &mut st, &mut scratch)?;
+        finish_iteration(comm, &mut st)?;
     }
 
     // --- main, pragmas #6 and #7: after the solve ---
@@ -412,8 +422,10 @@ mod tests {
             let mut vf: Vec<Vec<f64>> = sizes.iter().map(|&s| vec![0.0; s]).collect();
             let mut vu = vf.clone();
             vf[0].copy_from_slice(&f);
-            let z = vcycle(ctx, n, 2, 0, &mut vf, &mut vu, &mut |_c, _l, _f, _u| Ok(()))?;
-            let az = apply_helmholtz(ctx, &z, h2_of(n), 900)?;
+            let mut scratch = vec![0.0; n];
+            vcycle(ctx, 2, 0, &mut vf, &mut vu, &mut scratch, &mut |_c, _l, _f, _u| Ok(()))?;
+            let mut az = vec![0.0; n];
+            apply_helmholtz(ctx, &vu[0], h2_of(n), 900, &mut az)?;
             let res: f64 = f.iter().zip(&az).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
             let f0: f64 = f.iter().map(|v| v * v).sum::<f64>().sqrt();
             Ok(res / f0)
