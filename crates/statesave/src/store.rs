@@ -3,15 +3,20 @@
 //!
 //! A file is a sequence of records `[name length: u8][name][payload
 //! length: u64 LE][payload]`. [`CkptStore::write_section`] appends one
-//! named section record and syncs nothing; written to a file that is
+//! named section record and waits for no sync; written to a file that is
 //! already committed or torn (a store reused by a fresh job, or a dead
 //! incarnation's leftover), it starts the file afresh, so a file only ever
-//! holds one line. [`CkptStore::mark_committed`] is
-//! the durability point: it `fdatasync`s the file, appends the commit
-//! record (an empty name and, as payload, the record's own offset),
-//! `fdatasync`s again and fsyncs the root directory once, so the file's
-//! directory entry survives a machine crash too — the commit-frame pattern
-//! of SQLite's write-ahead log.
+//! holds one line. After the append it asks the kernel to start writing
+//! the file back (`sync_file_range(2)` with `SYNC_FILE_RANGE_WRITE`, the
+//! call behind RocksDB's `bytes_per_sync`), so the device writes the line
+//! while the rank computes on. That is only a hint and changes no
+//! guarantee. [`CkptStore::mark_committed`] is the durability point: it
+//! `fdatasync`s the file, appends the commit record (an empty name and, as
+//! payload, the record's own offset), `fdatasync`s again and fsyncs the
+//! root directory once, so the file's directory entry survives a machine
+//! crash too — the commit-frame pattern of SQLite's write-ahead log. With
+//! writeback begun at section write, the first `fdatasync` mostly waits
+//! for a flush that is already under way.
 //!
 //! The protocol's checkpoint is two-phase: application/MPI state is written
 //! when the recovery line is crossed (`chkpt_StartCheckpoint`), the
@@ -25,6 +30,7 @@
 
 use std::fs;
 use std::io::{Error, ErrorKind, Write};
+use std::os::fd::AsRawFd;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -69,8 +75,9 @@ impl CkptStore {
         self.root.join(format!("v{version}.r{rank}.ckpt"))
     }
 
+    /// Open `(version, rank)`'s file to read and append, creating it.
     fn append(&self, version: u64, rank: usize) -> std::io::Result<fs::File> {
-        fs::OpenOptions::new().create(true).append(true).open(self.file(version, rank))
+        fs::OpenOptions::new().create(true).read(true).append(true).open(self.file(version, rank))
     }
 
     /// Walk the records of `(version, rank)`'s file, reading frames only,
@@ -78,33 +85,14 @@ impl CkptStore {
     /// sections in file order, and how it ends.
     fn scan(&self, version: u64, rank: usize) -> std::io::Result<(fs::File, Vec<Section>, Tail)> {
         let file = fs::File::open(self.file(version, rank))?;
-        let end = file.metadata()?.len();
-        let (mut sections, mut tail, mut pos) = (Vec::new(), Tail::Open, 0);
-        let mut buf = [0u8; HEAD];
-        while pos < end {
-            let head = &mut buf[..(end - pos).min(HEAD as u64) as usize];
-            file.read_exact_at(head, pos)?;
-            let name_len = head[0] as usize;
-            let len = head.get(1 + name_len..FRAME + name_len);
-            let len = len.map(|l| u64::from_le_bytes(l.try_into().expect("8 bytes")));
-            let at = pos + (FRAME + name_len) as u64;
-            let Some(len) = len.filter(|&len| len <= end - at) else {
-                return Ok((file, sections, Tail::Torn));
-            };
-            let commit = name_len == 0 && at + len == end && head[FRAME..] == pos.to_le_bytes();
-            tail = if commit { Tail::Committed } else { Tail::Open };
-            if name_len > 0 {
-                let name = String::from_utf8_lossy(&head[1..1 + name_len]).into_owned();
-                sections.push(Section { name, at, len });
-            }
-            pos = at + len;
-        }
+        let (sections, tail) = scan_file(&file)?;
         Ok((file, sections, tail))
     }
 
     /// Append a named section (1 to 255 bytes of name) to `(version,
-    /// rank)`'s file, unsynced. A file that is committed or torn is cut to
-    /// nothing first: the section opens a new line.
+    /// rank)`'s file and start its writeback, waiting for no sync. A file
+    /// that is committed or torn is cut to nothing first: the section opens
+    /// a new line.
     pub fn write_section(
         &self,
         version: u64,
@@ -120,11 +108,13 @@ impl CkptStore {
         frame.extend_from_slice(section.as_bytes());
         frame.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
         let mut f = self.append(version, rank)?;
-        if self.scan(version, rank)?.2 != Tail::Open {
+        if scan_file(&f)?.1 != Tail::Open {
             f.set_len(0)?;
         }
         f.write_all(&frame)?;
-        f.write_all(bytes)
+        f.write_all(bytes)?;
+        start_writeback(&f);
+        Ok(())
     }
 
     /// Read the last complete section named `section` of `(version, rank)`.
@@ -215,6 +205,50 @@ impl CkptStore {
         }
         Ok(())
     }
+}
+
+/// Walk the records of an open line file, reading frames only, until the
+/// end or a torn record. Returns its complete sections in file order, and
+/// how it ends.
+fn scan_file(file: &fs::File) -> std::io::Result<(Vec<Section>, Tail)> {
+    let end = file.metadata()?.len();
+    let (mut sections, mut tail, mut pos) = (Vec::new(), Tail::Open, 0);
+    let mut buf = [0u8; HEAD];
+    while pos < end {
+        let head = &mut buf[..(end - pos).min(HEAD as u64) as usize];
+        file.read_exact_at(head, pos)?;
+        let name_len = head[0] as usize;
+        let len = head.get(1 + name_len..FRAME + name_len);
+        let len = len.map(|l| u64::from_le_bytes(l.try_into().expect("8 bytes")));
+        let at = pos + (FRAME + name_len) as u64;
+        let Some(len) = len.filter(|&len| len <= end - at) else {
+            return Ok((sections, Tail::Torn));
+        };
+        let commit = name_len == 0 && at + len == end && head[FRAME..] == pos.to_le_bytes();
+        tail = if commit { Tail::Committed } else { Tail::Open };
+        if name_len > 0 {
+            let name = String::from_utf8_lossy(&head[1..1 + name_len]).into_owned();
+            sections.push(Section { name, at, len });
+        }
+        pos = at + len;
+    }
+    Ok((sections, tail))
+}
+
+/// Ask the kernel to start writing `file`'s dirty pages to the device now,
+/// without waiting for them: `sync_file_range(2)` over the whole file with
+/// `SYNC_FILE_RANGE_WRITE`. It is only a hint. A file system without
+/// writeback makes it a no-op, and its result is ignored: an I/O error on
+/// these pages still surfaces at the commit's `fdatasync`, which remains
+/// the durability point.
+fn start_writeback(file: &fs::File) {
+    extern "C" {
+        fn sync_file_range(fd: i32, offset: i64, nbytes: i64, flags: u32) -> i32;
+    }
+    const SYNC_FILE_RANGE_WRITE: u32 = 2;
+    // SAFETY: the descriptor stays open for the call, which touches no
+    // memory of this process.
+    unsafe { sync_file_range(file.as_raw_fd(), 0, 0, SYNC_FILE_RANGE_WRITE) };
 }
 
 /// A uniquely named store root under the system temp dir, removed on drop —
