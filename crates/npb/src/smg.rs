@@ -18,12 +18,18 @@
 //!
 //! Like hypre, the solver preallocates its level hierarchy once (`vf`/`vu`,
 //! one RHS and one correction array per ladder level) and the V-cycle writes
-//! into those arrays in place. The checkpoint therefore always dumps the
-//! same fixed memory regions — levels the current descent has not reached
-//! yet simply still hold the previous cycle's values, exactly as the C
-//! original's heap would. A layout that is identical at every pragma site is
-//! also what lets incremental checkpointing patch chunks instead of
-//! rewriting them.
+//! into those arrays in place: it smooths `vu[lvl]` in place, computes the
+//! residual into one scratch array, restricts it straight into `vf[lvl + 1]`
+//! and leaves the preconditioned residual `z` in `vu[0]`. The scratch array
+//! also holds PCG's `A·p`; it is allocated once per incarnation and never
+//! saved, since no pragma falls while it is live. So a PCG iteration
+//! allocates no level-sized array (`tests/smg_allocs.rs` pins that).
+//!
+//! Because the hierarchy is fixed, the checkpoint always dumps the same
+//! memory regions — levels the current descent has not reached yet simply
+//! still hold the previous cycle's values, exactly as the C original's heap
+//! would. A layout that is identical at every pragma site is also what lets
+//! incremental checkpointing patch chunks instead of rewriting them.
 
 use crate::backend::{Comm, Op};
 use crate::grid::{

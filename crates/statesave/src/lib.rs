@@ -11,9 +11,10 @@
 //!   binary, irrespective of the data's type") with a [`codec::Saveable`]
 //!   trait applications implement for their state structs;
 //! * [`store`] — the checkpoint store: one append-only file per (version,
-//!   rank) in a flat root, each section a length-prefixed record. Sections
-//!   are not synced when written; a commit syncs the file's data, appends a
-//!   commit record, syncs the data again and syncs the root directory once.
+//!   rank) in a flat root, each section a length-prefixed record. A section
+//!   write waits for no sync but starts the file's writeback; a commit
+//!   syncs the file's data, appends a commit record, syncs the data again
+//!   and syncs the root directory once.
 //!   A file without a complete trailing commit record is a torn line, and a
 //!   section written to a committed or torn file starts it afresh. This
 //!   supports the protocol's two-phase save (state at the recovery line,
