@@ -176,6 +176,22 @@ fn concurrent_initiators_commit_and_recover() {
     assert_eq!(rec.handle.results, baseline.results);
 }
 
+/// Spin (boundedly) until every rank's *local* commit count reached 1, via
+/// an allreduce-min: all ranks observe the same folded value each round, so
+/// they exit after the same number of collective calls. This pins "the line
+/// is committed on every node" *before* a death, making the recovery source
+/// — and hence the replay-log contents — deterministic. Under a passive
+/// config, or in an incarnation that commits nothing, the min stays 0 and
+/// the loop just runs its bound.
+fn commit_barrier(ctx: &mut C3Ctx<'_>) -> Result<(), C3Error> {
+    for _ in 0..200 {
+        if ctx.allreduce_u64(ctx.commits(), &mpisim::ReduceOp::Min)? >= 1 {
+            break;
+        }
+    }
+    Ok(())
+}
+
 /// Failure *during recovery*: after a first death and restart, a second
 /// rank dies mid-replay — at the very instant it is consuming a logged late
 /// message — while its peers are themselves still working through their
@@ -190,22 +206,6 @@ fn concurrent_initiators_commit_and_recover() {
 #[test]
 fn second_failure_during_replay_converges() {
     const ITERS: u64 = 8;
-
-    /// Spin (boundedly) until every rank's *local* commit count reached 1,
-    /// via an allreduce-min: all ranks observe the same folded value each
-    /// round, so they exit after the same number of collective calls. This
-    /// pins "the line is committed on every node" *before* the first death,
-    /// making the recovery source — and hence the replay-log contents the
-    /// second fault depends on — deterministic. Under a passive config the
-    /// min stays 0 and the loop just runs its bound.
-    fn commit_barrier(ctx: &mut C3Ctx<'_>) -> Result<(), C3Error> {
-        for _ in 0..200 {
-            if ctx.allreduce_u64(ctx.commits(), &mpisim::ReduceOp::Min)? >= 1 {
-                break;
-            }
-        }
-        Ok(())
-    }
 
     fn app(ctx: &mut C3Ctx<'_>) -> Result<u64, C3Error> {
         let (mut iter, mut acc, mut ack_done) = match ctx.take_restored_state() {
@@ -291,6 +291,90 @@ fn second_failure_during_replay_converges() {
         rec.handle.results, baseline.results,
         "triple-incarnation run diverged from the failure-free baseline"
     );
+}
+
+/// A request that crosses the recovery line and is completed by a late
+/// message (§4.1). P posts an `irecv` before its checkpoint; Q's DATA, sent
+/// before Q's checkpoint, completes it after P's; P dies once the line has
+/// committed on every node. The restored request table revives the request
+/// with no substrate receive behind it, and P's `wait` on the same id is
+/// served from the replay log: the log is consulted before anything posts a
+/// receive, so no mark of the completing message's class is needed to keep
+/// the message off the substrate.
+///
+/// Q's ACK orders Q's first pragma strictly before P's checkpoint, and P's
+/// GO orders DATA strictly after it, so DATA is Late on every schedule.
+#[test]
+fn pre_line_irecv_completed_late_is_served_from_the_log_after_a_post_commit_death() {
+    const ITERS: u64 = 4;
+    const NONE: u64 = u64::MAX;
+
+    /// Per rank: the checksum, and how many receives the pre-line request's
+    /// `wait` took from the replay log in the final incarnation.
+    fn app(ctx: &mut C3Ctx<'_>) -> Result<(u64, u64), C3Error> {
+        // The pending request's id travels with the application state, as
+        // the paper's precompiler would save the `MPI_Request` variable.
+        let (mut iter, mut acc, mut pending) = match ctx.take_restored_state() {
+            Some(b) => {
+                let mut d = Decoder::new(&b);
+                (d.u64()?, d.u64()?, d.u64()?)
+            }
+            None => (0, 0, NONE),
+        };
+        let mut via_log = 0;
+        while iter < ITERS {
+            if iter == 2 {
+                commit_barrier(ctx)?;
+            }
+            let me = ctx.rank();
+            if me == 0 && iter == 0 && pending == NONE {
+                pending = ctx.irecv(1, 5)?.0; // allocated in epoch 0
+                let _ = ctx.recv::<u64>(1, 7)?; // ACK
+            }
+            ctx.pragma(|e: &mut Encoder| {
+                e.u64(iter);
+                e.u64(acc);
+                e.u64(pending);
+            })?;
+            if iter == 0 {
+                if me == 0 {
+                    ctx.send(1, 9, &[1u64])?; // GO (early at Q)
+                    let before = ctx.stats().replayed_recvs;
+                    let (_, data) = ctx.wait(c3::requests::C3Req(pending))?; // DATA (late)
+                    via_log = ctx.stats().replayed_recvs - before;
+                    acc =
+                        acc.wrapping_mul(31).wrapping_add(mpisim::vec_from_bytes::<u64>(&data)[0]);
+                    pending = NONE;
+                } else {
+                    ctx.send(0, 7, &[0u64])?; // ACK
+                    let _ = ctx.recv::<u64>(0, 9)?; // GO
+                    ctx.send(0, 5, &[42u64])?; // DATA
+                }
+            }
+            let peer = 1 - me;
+            ctx.send(peer, 1, &[iter * 10 + me as u64])?;
+            let (v, _) = ctx.recv::<u64>(peer as i32, 1)?;
+            acc = acc.wrapping_mul(31).wrapping_add(v[0]);
+            iter += 1;
+        }
+        Ok((acc, via_log))
+    }
+
+    let base_store = TempStore::new("late-irecv-base");
+    let baseline = c3::Job::new(2, C3Config::passive(base_store.path())).run(app).unwrap();
+
+    let store = TempStore::new("late-irecv");
+    // P initiates at its first pragma and dies at its third, which follows
+    // the commit barrier.
+    let cfg = C3Config::at_pragmas(store.path(), vec![1]);
+    let plan = FailurePlan { rank: 0, when: FailAt::AfterCommits { commits: 1, pragma: 3 } };
+    let rec = c3::Job::new(2, cfg).failure(plan).run(app).unwrap();
+    assert_eq!(rec.restarts, 1);
+    assert_eq!(rec.lines, vec![1], "the death must follow the line's global commit");
+    // `stats().replayed_recvs` grew by one across P's `wait`.
+    assert_eq!(rec.handle.results[0].1, 1, "the restored request was not served from the log");
+    let acc_of = |r: &[(u64, u64)]| r.iter().map(|(a, _)| *a).collect::<Vec<_>>();
+    assert_eq!(acc_of(&rec.handle.results), acc_of(&baseline.results));
 }
 
 /// §4.1 under recovery, on a task farm: the master posts one `irecv` per
