@@ -121,7 +121,6 @@ struct RunOutcome {
     /// Per-rank result bits (bit-exact comparison basis).
     bits: Vec<u64>,
     restarts: u32,
-    fired: u32,
     /// Wall ns from final-incarnation start to its last checkpoint commit,
     /// max across ranks (0 when the surviving incarnation never committed).
     wall_ns: u64,
@@ -179,7 +178,6 @@ impl Row {
         Ok(RunOutcome {
             bits: rec.handle.results.iter().map(|(r, _, _)| r.to_bits()).collect(),
             restarts: rec.restarts,
-            fired: rec.faults_fired,
             wall_ns: rec.handle.results.iter().map(|(_, w, _)| *w).max().unwrap_or(0),
             ckpt_bytes: rec.handle.results.iter().map(|(_, _, b)| *b).sum(),
         })
@@ -480,7 +478,7 @@ fn main() {
                                 diverged += 1;
                                 failing.push(r);
                             }
-                            fired += run.fired as u64;
+                            fired += run.restarts as u64;
                             max_restarts = max_restarts.max(run.restarts);
                             let slot = run.restarts as usize;
                             if hist.len() <= slot {

@@ -13,8 +13,6 @@ use crate::requests::C3ReqTable;
 use mpisim::{MpiError, RankCtx};
 use statesave::CkptStore;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Errors surfaced to instrumented applications.
@@ -251,28 +249,6 @@ pub struct C3Stats {
     pub last_commit_wall_ns: u64,
 }
 
-/// The currently *armed* fault of a chaos plan (see [`crate::failure`]).
-///
-/// The chaos driver arms exactly one fault per job incarnation; each fault
-/// fires at most once and the driver then arms the next fault of the plan on
-/// the following restart — so the same rank can be killed again on a later
-/// incarnation (multi-failure recovery), unlike the seed's one-shot
-/// `fired`-for-the-whole-job-lifetime trigger.
-#[derive(Debug)]
-pub struct FailureTrigger {
-    /// The armed fault: which rank dies, and at which protocol instant.
-    pub plan: crate::failure::FailurePlan,
-    /// Set once this fault has fired (at most once per armed incarnation).
-    pub fired: AtomicBool,
-}
-
-impl FailureTrigger {
-    /// Arm a fault.
-    pub fn new(plan: crate::failure::FailurePlan) -> Self {
-        FailureTrigger { plan, fired: AtomicBool::new(false) }
-    }
-}
-
 /// The per-rank co-ordination layer: the paper's protocol state plus the
 /// state-saving substrate, wrapped around a substrate rank handle.
 pub struct C3Ctx<'a> {
@@ -302,8 +278,6 @@ pub struct C3Ctx<'a> {
     pub(crate) store: CkptStore,
     /// Pragma counter (1-based after the first call).
     pub(crate) pragma_count: u64,
-    /// Committed checkpoints this run.
-    pub(crate) commit_count: u64,
     /// App state restored from a checkpoint, consumed by the app at startup.
     pub(crate) restored_app_state: Option<Vec<u8>>,
     /// Request-id watermark at the current recovery line.
@@ -321,8 +295,9 @@ pub struct C3Ctx<'a> {
     /// Incremental-checkpoint state (`Some` iff the effective mode is
     /// [`CkptMode::Incremental`]): dirty tracker + chain position.
     pub(crate) incr: Option<crate::ckpt::IncrCkpt>,
-    /// Optional fault injection.
-    pub(crate) failure: Option<Arc<FailureTrigger>>,
+    /// This incarnation's armed fault ([`crate::failure`]), if it names this
+    /// rank and has not fired.
+    pub(crate) failure: Option<crate::failure::FailurePlan>,
 }
 
 impl<'a> C3Ctx<'a> {
@@ -353,7 +328,7 @@ impl<'a> C3Ctx<'a> {
     /// Checkpoints committed so far in this run.
     #[inline]
     pub fn commits(&self) -> u64 {
-        self.commit_count
+        self.stats.ckpts_committed
     }
 
     /// Protocol statistics so far.

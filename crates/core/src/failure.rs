@@ -136,14 +136,6 @@ impl NetFault {
         };
         base
     }
-
-    /// True when this entry perturbs nothing (candidate for removal).
-    pub fn is_noop(&self) -> bool {
-        self.drop_permille == 0
-            && self.dup_permille == 0
-            && !self.reorder
-            && self.mailbox_capacity.is_none()
-    }
 }
 
 impl std::fmt::Display for NetFault {
@@ -672,8 +664,7 @@ mod tests {
             none.apply_to(NetModel::reliable().mailbox_capacity(4)).mailbox_capacity,
             Some(4)
         );
-        assert!(none.is_noop());
-        assert!(!nf.is_noop());
+        assert_ne!(nf, NetFault::none());
         assert_eq!(nf.to_string(), "net{drop:0‰,dup:0‰,cap:8}");
     }
 
@@ -699,12 +690,9 @@ mod tests {
             NetFault { drop_permille: 0, dup_permille: 0, reorder: false, mailbox_capacity: None }
                 .apply_to(base);
         assert_eq!(merged.reorder, ReorderModel::Random { hold_permille: 700, max_held: 8 });
-        assert!(NetFault {
-            drop_permille: 0,
-            dup_permille: 0,
-            reorder: false,
-            mailbox_capacity: None
-        }
-        .is_noop());
+        assert_eq!(
+            NetFault { drop_permille: 0, dup_permille: 0, reorder: false, mailbox_capacity: None },
+            NetFault::none()
+        );
     }
 }

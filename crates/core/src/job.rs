@@ -28,13 +28,10 @@
 //! fail-stop schedule together — and [`crate::failure::shrink_plan`]
 //! minimizes over both.
 
-use crate::api::{C3Config, C3Ctx, C3Error, FailureTrigger};
+use crate::api::{C3Config, C3Ctx, C3Error};
 use crate::failure::{ChaosPlan, FailurePlan};
-use mpisim::{
-    ClusterModel, JobError, JobHandle, JobSpec, NetModel, SchedMode, INJECTED_FAULT_MARKER,
-};
+use mpisim::{JobError, JobHandle, JobSpec, NetModel, SchedMode, INJECTED_FAULT_MARKER};
 use statesave::CkptStore;
-use std::sync::Arc;
 
 /// The outcome of a job that survived zero or more injected failures.
 #[derive(Debug)]
@@ -42,11 +39,9 @@ pub struct RecoveredJob<T> {
     /// The completed job (per-rank results and statistics). Also reachable
     /// directly: `RecoveredJob` derefs to [`JobHandle`].
     pub handle: JobHandle<T>,
-    /// How many times the job was restarted from a recovery line.
+    /// How many times the job was restarted from a recovery line: one per
+    /// fault of the plan that fired.
     pub restarts: u32,
-    /// How many faults of the plan actually fired (= restarts; kept
-    /// separately so callers can compare against the plan length).
-    pub faults_fired: u32,
     /// The globally committed recovery line observed at each restart, in
     /// order — non-decreasing by the forward-progress invariant.
     pub lines: Vec<u64>,
@@ -63,62 +58,31 @@ impl<T> std::ops::Deref for RecoveredJob<T> {
 /// restore mode, and fault plan. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct Job {
-    nranks: usize,
+    /// The substrate spec, before the chaos plan's network faults merge in.
+    spec: JobSpec,
     cfg: C3Config,
-    cluster: ClusterModel,
-    net: NetModel,
-    sched: SchedMode,
     chaos: ChaosPlan,
     restore: bool,
 }
 
 impl Job {
-    /// A job of `nranks` ranks on the ideal, reliable network, fresh start,
-    /// no fault injection.
+    /// A job of `nranks` ranks on [`JobSpec::new`]'s ideal, reliable
+    /// network, fresh start, no fault injection.
     pub fn new(nranks: usize, cfg: C3Config) -> Self {
-        Job {
-            nranks,
-            cfg,
-            cluster: ClusterModel::ideal(),
-            net: NetModel::reliable(),
-            sched: SchedMode::default(),
-            chaos: ChaosPlan::none(),
-            restore: false,
-        }
+        Self::from_spec(&JobSpec::new(nranks), cfg)
     }
 
     /// Build from an existing substrate [`JobSpec`] (topology + cluster +
     /// network model + scheduler). Used by harnesses that share one spec
     /// between raw-substrate baselines and protocol runs.
     pub fn from_spec(spec: &JobSpec, cfg: C3Config) -> Self {
-        Job {
-            nranks: spec.nranks,
-            cfg,
-            cluster: spec.cluster,
-            net: spec.net,
-            sched: spec.sched,
-            chaos: ChaosPlan::none(),
-            restore: false,
-        }
-    }
-
-    /// Set the interconnect timing model.
-    pub fn cluster(mut self, c: ClusterModel) -> Self {
-        self.cluster = c;
-        self
+        Job { spec: spec.clone(), cfg, chaos: ChaosPlan::none(), restore: false }
     }
 
     /// Set the network fault-and-delivery model (reordering, drop,
     /// duplication, seed).
     pub fn network(mut self, n: NetModel) -> Self {
-        self.net = n;
-        self
-    }
-
-    /// Select the checkpoint representation ([`crate::CkptMode`]): full
-    /// sections every commit, or base-plus-delta chains.
-    pub fn ckpt_mode(mut self, m: crate::CkptMode) -> Self {
-        self.cfg.ckpt_mode = m;
+        self.spec.net = n;
         self
     }
 
@@ -126,7 +90,7 @@ impl Job {
     /// default; `workers: 1` is the serial reference schedule the
     /// equivalence suites compare against).
     pub fn sched(mut self, s: SchedMode) -> Self {
-        self.sched = s;
+        self.spec.sched = s;
         self
     }
 
@@ -160,20 +124,15 @@ impl Job {
     /// model with the chaos plan's network-fault entries merged in.
     pub fn effective_net(&self) -> NetModel {
         match self.chaos.net {
-            Some(nf) => nf.apply_to(self.net),
-            None => self.net,
+            Some(nf) => nf.apply_to(self.spec.net),
+            None => self.spec.net,
         }
     }
 
     /// The substrate spec this job launches with (shared with raw-substrate
     /// baseline runs so both sides see the identical network).
     pub fn spec(&self) -> JobSpec {
-        JobSpec {
-            nranks: self.nranks,
-            cluster: self.cluster,
-            net: self.effective_net(),
-            sched: self.sched,
-        }
+        JobSpec { net: self.effective_net(), ..self.spec.clone() }
     }
 
     /// One incarnation: launch, wrap every rank in the co-ordination layer
@@ -181,7 +140,7 @@ impl Job {
     fn attempt<T, F>(
         &self,
         spec: &JobSpec,
-        failure: Option<Arc<FailureTrigger>>,
+        failure: Option<FailurePlan>,
         restore: bool,
         app: &F,
     ) -> Result<JobHandle<T>, JobError>
@@ -192,9 +151,9 @@ impl Job {
         let cfg = &self.cfg;
         mpisim::launch(spec, |mpi| {
             let mut ctx = if restore {
-                C3Ctx::restore_or_fresh(mpi, cfg.clone(), failure.clone())
+                C3Ctx::restore_or_fresh(mpi, cfg.clone(), failure)
             } else {
-                C3Ctx::fresh(mpi, cfg.clone(), failure.clone())
+                C3Ctx::fresh(mpi, cfg.clone(), failure)
             }
             .map_err(|e| e.into_mpi())?;
             app(&mut ctx).map_err(|e| e.into_mpi())
@@ -207,7 +166,7 @@ impl Job {
             Ok(s) => s,
             Err(_) => return 0,
         };
-        (0..self.nranks).map(|r| store.last_committed(r).unwrap_or(0)).min().unwrap_or(0)
+        (0..self.spec.nranks).map(|r| store.last_committed(r).unwrap_or(0)).min().unwrap_or(0)
     }
 
     /// Run the job to completion, restarting from the last committed
@@ -226,20 +185,11 @@ impl Job {
         let spec = self.spec();
         let mut restarts = 0u32;
         let mut restore = self.restore;
-        let mut fault_idx = 0usize;
         let mut lines = Vec::new();
         loop {
-            let trigger =
-                self.chaos.faults.get(fault_idx).map(|f| Arc::new(FailureTrigger::new(*f)));
-            match self.attempt(&spec, trigger, restore, &app) {
-                Ok(handle) => {
-                    return Ok(RecoveredJob {
-                        handle,
-                        restarts,
-                        faults_fired: fault_idx as u32,
-                        lines,
-                    })
-                }
+            let fault = self.chaos.faults.get(restarts as usize).copied();
+            match self.attempt(&spec, fault, restore, &app) {
+                Ok(handle) => return Ok(RecoveredJob { handle, restarts, lines }),
                 Err(JobError::Aborted { reason }) => {
                     // Only a death we injected ourselves justifies a restart.
                     if !reason.contains(INJECTED_FAULT_MARKER) {
@@ -248,7 +198,7 @@ impl Job {
                     // Forward-progress invariants surface as errors, not
                     // panics, so a soak harness can record and shrink exactly
                     // this failure class instead of losing the whole sweep.
-                    if fault_idx >= self.chaos.faults.len() {
+                    if fault.is_none() {
                         return Err(JobError::Aborted {
                             reason: format!(
                                 "chaos driver invariant violated: abort marked as injected \
@@ -266,7 +216,6 @@ impl Job {
                         });
                     }
                     lines.push(line);
-                    fault_idx += 1;
                     restarts += 1;
                     restore = true;
                 }

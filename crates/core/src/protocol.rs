@@ -2,10 +2,11 @@
 //! non-blocking requests, the checkpoint pragma, and the
 //! start / commit / restore checkpoint functions.
 
-use crate::api::{C3Config, C3Ctx, C3Error, FailureTrigger};
+use crate::api::{C3Config, C3Ctx, C3Error};
 use crate::ckpt;
 use crate::control::{CiMsg, CiTracker, TAG_CI};
 use crate::counters::Counters;
+use crate::failure::{FailAt, FailurePlan};
 use crate::mode::Mode;
 use crate::piggyback::{self, MsgClass, PigData};
 use crate::registries::{EarlyRegistry, ReplayLog, StreamKind, StreamSig, WasEarlyRegistry};
@@ -17,8 +18,6 @@ use mpisim::{
 };
 use statesave::codec::Encoder;
 use statesave::CkptStore;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Transport mapping of a logical stream: p2p streams use the application
@@ -32,21 +31,19 @@ pub(crate) fn transport(comm: u32, kind: StreamKind) -> (CommId, i32) {
 }
 
 impl<'a> C3Ctx<'a> {
-    /// Build a fresh (epoch-0) co-ordination layer around a rank.
+    /// Build a fresh (epoch-0) co-ordination layer around a rank, armed with
+    /// `failure` if that fault names this rank.
     pub fn fresh(
         mpi: &'a mut RankCtx,
         cfg: C3Config,
-        failure: Option<Arc<FailureTrigger>>,
+        failure: Option<FailurePlan>,
     ) -> Result<Self> {
+        let failure = failure.filter(|f| f.rank == mpi.rank());
         // Op-indexed faults are delegated to the substrate's watchdog so
         // they can land inside collectives, the control plane, and the
         // restore handshake — places the protocol layer never sees.
-        if let Some(f) = &failure {
-            if f.plan.rank == mpi.rank() {
-                if let crate::failure::FailAt::Op(n) = f.plan.when {
-                    mpi.set_fail_at_op(Some(n));
-                }
-            }
+        if let Some(FailurePlan { when: FailAt::Op(n), .. }) = failure {
+            mpi.set_fail_at_op(Some(n));
         }
         let incr = match cfg.ckpt_mode {
             crate::api::CkptMode::Incremental { every_n } => {
@@ -70,7 +67,6 @@ impl<'a> C3Ctx<'a> {
             comms: crate::comms::CommTable::new(n),
             store,
             pragma_count: 0,
-            commit_count: 0,
             restored_app_state: None,
             line_next_req: 0,
             last_ckpt_pragma: 0,
@@ -89,7 +85,7 @@ impl<'a> C3Ctx<'a> {
     pub fn restore_or_fresh(
         mpi: &'a mut RankCtx,
         cfg: C3Config,
-        failure: Option<Arc<FailureTrigger>>,
+        failure: Option<FailurePlan>,
     ) -> Result<Self> {
         let mut ctx = Self::fresh(mpi, cfg, failure)?;
         let local = ctx.store.last_committed(ctx.mpi.rank()).unwrap_or(0);
@@ -406,7 +402,6 @@ impl<'a> C3Ctx<'a> {
             let during_nondet = self.mode == Mode::NonDetLog;
             let e = self.reqs.get_mut(r).expect("completing a known request");
             e.completed = true;
-            e.completed_class = Some(class);
             e.completed_during_log = during_nondet;
         }
         self.apply_arrival(class, logging, sig, wildcard, data)
@@ -757,20 +752,10 @@ impl<'a> C3Ctx<'a> {
     // Fault injection hooks (the chaos engine's protocol-layer instants)
     // ==================================================================
 
-    /// The armed fault, if it targets this rank and has not fired yet.
-    fn armed_failure(&self) -> Option<Arc<FailureTrigger>> {
-        match &self.failure {
-            Some(f) if f.plan.rank == self.mpi.rank() && !f.fired.load(Ordering::SeqCst) => {
-                Some(Arc::clone(f))
-            }
-            _ => None,
-        }
-    }
-
-    /// Fire the armed fault: mark it, poison the job with the injected
+    /// Fire the armed fault: disarm it, poison the job with the injected
     /// marker, and surface `Aborted` to the application.
-    fn fire_failure<T>(&mut self, f: &FailureTrigger, what: &str) -> Result<T> {
-        f.fired.store(true, Ordering::SeqCst);
+    fn fire_failure<T>(&mut self, what: &str) -> Result<T> {
+        self.failure = None;
         let reason =
             format!("{} at rank {} ({what})", mpisim::INJECTED_FAULT_MARKER, self.mpi.rank());
         self.mpi.fail_stop(&reason);
@@ -780,10 +765,8 @@ impl<'a> C3Ctx<'a> {
     /// Torn-commit crash window: called between writing the late log and
     /// writing the commit record (see `ckpt::write_commit_sections`).
     pub(crate) fn maybe_fail_during_commit(&mut self) -> Result<()> {
-        if let Some(f) = self.armed_failure() {
-            if matches!(f.plan.when, crate::failure::FailAt::DuringCommit) {
-                return self.fire_failure(&f, &format!("mid-commit of line {}", self.epoch));
-            }
+        if let Some(FailurePlan { when: FailAt::DuringCommit, .. }) = self.failure {
+            return self.fire_failure(&format!("mid-commit of line {}", self.epoch));
         }
         Ok(())
     }
@@ -794,14 +777,10 @@ impl<'a> C3Ctx<'a> {
     /// themselves still be replaying.
     fn note_replayed(&mut self) -> Result<()> {
         self.stats.replayed_recvs += 1;
-        if let Some(f) = self.armed_failure() {
-            if let crate::failure::FailAt::DuringRestore { nth_replay } = f.plan.when {
-                if self.stats.replayed_recvs >= nth_replay.max(1) {
-                    return self.fire_failure(
-                        &f,
-                        &format!("replay {} during restore", self.stats.replayed_recvs),
-                    );
-                }
+        if let Some(FailurePlan { when: FailAt::DuringRestore { nth_replay }, .. }) = self.failure {
+            if self.stats.replayed_recvs >= nth_replay.max(1) {
+                return self
+                    .fire_failure(&format!("replay {} during restore", self.stats.replayed_recvs));
             }
         }
         self.check_restore_done();
@@ -819,19 +798,18 @@ impl<'a> C3Ctx<'a> {
     /// only when a checkpoint is actually taken.
     pub fn pragma<F: FnOnce(&mut Encoder)>(&mut self, save: F) -> Result<bool> {
         self.pragma_count += 1;
-        if let Some(f) = self.armed_failure() {
-            let hit = match f.plan.when {
-                crate::failure::FailAt::Pragma(p) => self.pragma_count >= p,
-                crate::failure::FailAt::AfterCommits { commits, pragma } => {
-                    self.commit_count >= commits && self.pragma_count >= pragma
+        if let Some(f) = self.failure {
+            let commits = self.stats.ckpts_committed;
+            let hit = match f.when {
+                FailAt::Pragma(p) => self.pragma_count >= p,
+                FailAt::AfterCommits { commits: c, pragma } => {
+                    commits >= c && self.pragma_count >= pragma
                 }
                 _ => false,
             };
             if hit {
-                return self.fire_failure(
-                    &f,
-                    &format!("pragma {}, {} commits", self.pragma_count, self.commit_count),
-                );
+                return self
+                    .fire_failure(&format!("pragma {}, {commits} commits", self.pragma_count));
             }
         }
         self.drain_control()?;
@@ -893,7 +871,6 @@ impl<'a> C3Ctx<'a> {
         ckpt::write_commit_sections(self, self.epoch)?;
         self.replay = ReplayLog::new();
         self.reqs.purge_deferred();
-        self.commit_count += 1;
         self.stats.ckpts_committed += 1;
         self.stats.last_commit_wall_ns = self.wall_origin.elapsed().as_nanos() as u64;
         self.mode = Mode::Run;

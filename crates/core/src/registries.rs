@@ -164,11 +164,6 @@ impl ReplayLog {
         self.entries.iter().any(|e| e.data.is_some())
     }
 
-    /// Total logged payload bytes (reported by the logging ablation bench).
-    pub fn data_bytes(&self) -> usize {
-        self.entries.iter().filter_map(|e| e.data.as_ref().map(|d| d.len())).sum()
-    }
-
     /// Find and remove the first entry matching a p2p receive request.
     /// Returns the entry (late data or wild-card signature to force).
     pub fn take_p2p_match(&mut self, src: i32, tag: i32, comm: u32) -> Option<ReplayEntry> {
@@ -185,11 +180,6 @@ impl ReplayLog {
                 && e.data.is_some()
         })?;
         self.entries.remove(idx).and_then(|e| e.data)
-    }
-
-    /// Drop all remaining wild-card signature entries (recovery complete).
-    pub fn drop_wildcard_sigs(&mut self) {
-        self.entries.retain(|e| e.data.is_some());
     }
 
     /// Serialize.
@@ -348,7 +338,6 @@ mod tests {
         log.push_late(p2p(1, 0, 5), vec![2]);
         assert_eq!(log.len(), 3);
         assert!(log.has_data());
-        assert_eq!(log.data_bytes(), 2);
         // A wildcard receive takes the earliest matching entry: the first
         // late message from 1.
         let e = log.take_p2p_match(ANY_SOURCE, ANY_TAG, 0).unwrap();
@@ -370,16 +359,6 @@ mod tests {
         assert!(log.take_coll_match(0, 11, 2).is_none());
         assert!(log.take_coll_match(0, 12, 3).is_none());
         assert_eq!(log.take_coll_match(0, 11, 3).unwrap(), vec![9, 9]);
-    }
-
-    #[test]
-    fn drop_wildcards_keeps_data() {
-        let mut log = ReplayLog::new();
-        log.push_wildcard_sig(p2p(1, 0, 1));
-        log.push_late(p2p(2, 0, 1), vec![5]);
-        log.drop_wildcard_sigs();
-        assert_eq!(log.len(), 1);
-        assert!(log.has_data());
     }
 
     #[test]

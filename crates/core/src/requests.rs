@@ -13,8 +13,13 @@
 //! counter of unsuccessful `test` calls (recorded while in `NonDet-Log`,
 //! replayed on recovery with the final `test` substituted by a `wait`), and
 //! an ordered log of `wait_any`/`wait_some` completion indices.
+//!
+//! The paper also marks "the type of message matching the posted request",
+//! so that a receive a late message completed is not re-posted on
+//! recovery. Here no such mark is kept: a restored receive has no substrate
+//! request until it completes, and completion asks the replay log before it
+//! posts one, so a receive the log serves never reaches the substrate.
 
-use crate::piggyback::MsgClass;
 use statesave::codec::{CodecError, Decoder, Encoder, Saveable};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -62,40 +67,18 @@ pub struct ReqEntry {
     /// the table is saved — "we delay any deallocation of request table
     /// entries until after the request table has been saved").
     pub completed: bool,
-    /// Classification of the message that completed this request, if it has
-    /// completed ("we mark the type of message matching the posted request
-    /// during each completed Test or Wait call").
-    pub completed_class: Option<MsgClass>,
-    /// Completion happened during a logging mode (needed for test replay).
+    /// Completion happened during NonDet-Log: a replayed `test` that
+    /// originally succeeded becomes a `wait`.
     pub completed_during_log: bool,
     /// Entry kept only for the pending table save; free after saving.
     pub dealloc_deferred: bool,
 }
 
-/// Replay metadata for one request, as saved in the checkpoint.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SavedReqMeta {
-    /// Operation type (0 = send, 1 = recv on the wire).
-    pub kind: C3ReqKind,
-    /// Source / destination spec.
-    pub src: i32,
-    /// Tag spec.
-    pub tag: i32,
-    /// Communicator.
-    pub comm: u32,
-    /// Allocation epoch.
-    pub epoch_allocated: u64,
-    /// Unsuccessful tests to replay.
-    pub test_fails: u64,
-    /// Did the request complete while logging? (controls the Test→Wait
-    /// substitution).
-    pub completed_during_log: bool,
-    /// Was it completed by a late message? (data comes from the log; the
-    /// underlying receive must *not* be re-posted).
-    pub completed_by_late: bool,
-}
-
-impl Saveable for SavedReqMeta {
+/// The saved image of an entry is what re-execution needs: the operation,
+/// its parameters, the allocation epoch and the replay state. A loaded
+/// entry has no substrate request (receives post lazily), and a send is
+/// complete from its initiation.
+impl Saveable for ReqEntry {
     fn save(&self, e: &mut Encoder) {
         e.u8(match self.kind {
             C3ReqKind::Send => 0,
@@ -107,7 +90,6 @@ impl Saveable for SavedReqMeta {
         e.u64(self.epoch_allocated);
         e.u64(self.test_fails);
         e.bool(self.completed_during_log);
-        e.bool(self.completed_by_late);
     }
     fn load(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let kind = match d.u8()? {
@@ -115,15 +97,17 @@ impl Saveable for SavedReqMeta {
             1 => C3ReqKind::Recv,
             k => return Err(CodecError(format!("bad req kind {k}"))),
         };
-        Ok(SavedReqMeta {
+        Ok(ReqEntry {
             kind,
             src: d.i32()?,
             tag: d.i32()?,
             comm: d.u32()?,
             epoch_allocated: d.u64()?,
+            mpi: None,
             test_fails: d.u64()?,
+            completed: kind == C3ReqKind::Send,
             completed_during_log: d.bool()?,
-            completed_by_late: d.bool()?,
+            dealloc_deferred: false,
         })
     }
 }
@@ -168,9 +152,10 @@ pub struct C3ReqTable {
     next: u64,
     /// Ordered log of `wait_any`/`wait_some` outcomes (NonDet-Log only).
     pub nondet_events: VecDeque<NondetEvent>,
-    /// Replay metadata for requests that re-execution will re-allocate
-    /// (restored from a checkpoint; keyed by request id).
-    pub replay: HashMap<u64, SavedReqMeta>,
+    /// Saved entries of requests that re-execution will re-allocate
+    /// (restored from a checkpoint; keyed by request id), read for their
+    /// `test` replay state.
+    pub replay: HashMap<u64, ReqEntry>,
 }
 
 impl C3ReqTable {
@@ -203,7 +188,6 @@ impl C3ReqTable {
                 mpi,
                 test_fails: 0,
                 completed: false,
-                completed_class: None,
                 completed_during_log: false,
                 dealloc_deferred: false,
             },
@@ -253,33 +237,14 @@ impl C3ReqTable {
     }
 
     /// Serialize the table image at commit time: every entry (deferred ones
-    /// included) with its replay metadata, the id watermark at the recovery
-    /// line, and the nondeterminism log.
+    /// included), the id watermark at the recovery line, and the
+    /// nondeterminism log.
     pub fn save(&self, line_next: u64, e: &mut Encoder) {
         e.u64(line_next);
-        let items: Vec<(u64, SavedReqMeta)> = self
-            .entries
-            .iter()
-            .map(|(id, en)| {
-                (
-                    *id,
-                    SavedReqMeta {
-                        kind: en.kind,
-                        src: en.src,
-                        tag: en.tag,
-                        comm: en.comm,
-                        epoch_allocated: en.epoch_allocated,
-                        test_fails: en.test_fails,
-                        completed_during_log: en.completed_during_log,
-                        completed_by_late: en.completed_class == Some(MsgClass::Late),
-                    },
-                )
-            })
-            .collect();
-        e.u64(items.len() as u64);
-        for (id, meta) in &items {
+        e.u64(self.entries.len() as u64);
+        for (id, en) in &self.entries {
             e.u64(*id);
-            meta.save(e);
+            en.save(e);
         }
         let events: Vec<NondetEvent> = self.nondet_events.iter().cloned().collect();
         e.save(&events);
@@ -287,43 +252,24 @@ impl C3ReqTable {
 
     /// Rebuild from a checkpoint: the id counter is rolled back to the
     /// recovery line, pre-line entries become live again, and post-line
-    /// entries become replay metadata for re-execution.
+    /// entries become replay state for re-execution.
     pub fn load(d: &mut Decoder<'_>, line_epoch: u64) -> Result<Self, CodecError> {
         let line_next = d.u64()?;
         let n = d.u64()? as usize;
         let mut table = C3ReqTable { next: line_next, ..Default::default() };
         for _ in 0..n {
             let id = d.u64()?;
-            let meta = SavedReqMeta::load(d)?;
-            if meta.epoch_allocated < line_epoch {
+            let entry = ReqEntry::load(d)?;
+            if entry.epoch_allocated < line_epoch {
                 // Crossed the recovery line: live again, with no substrate
                 // request yet. A receive a late message completed is served
                 // from the replay log.
-                table.entries.insert(
-                    id,
-                    ReqEntry {
-                        kind: meta.kind,
-                        src: meta.src,
-                        tag: meta.tag,
-                        comm: meta.comm,
-                        epoch_allocated: meta.epoch_allocated,
-                        mpi: None,
-                        test_fails: meta.test_fails,
-                        completed: meta.kind == C3ReqKind::Send,
-                        completed_class: if meta.completed_by_late {
-                            Some(MsgClass::Late)
-                        } else {
-                            None
-                        },
-                        completed_during_log: meta.completed_during_log,
-                        dealloc_deferred: false,
-                    },
-                );
+                table.entries.insert(id, entry);
             } else {
                 // Allocated after the line: deleted from the table ("roll
-                // the contents of the request table back"), kept as replay
-                // metadata for the deterministic re-allocation.
-                table.replay.insert(id, meta);
+                // the contents of the request table back"), kept for the
+                // deterministic re-allocation.
+                table.replay.insert(id, entry);
             }
         }
         let events: Vec<NondetEvent> = d.load()?;
@@ -377,9 +323,9 @@ mod tests {
     #[test]
     fn save_load_splits_pre_and_post_line() {
         let mut t = C3ReqTable::new();
-        // Pre-line pending receive, completed by a late message.
+        // Pre-line receive, completed while logging.
         let a = recv_entry(&mut t, 3);
-        t.get_mut(a).unwrap().completed_class = Some(MsgClass::Late);
+        t.get_mut(a).unwrap().completed = true;
         t.get_mut(a).unwrap().completed_during_log = true;
         // Pre-line pending receive, still open.
         let b = recv_entry(&mut t, 3);
@@ -392,12 +338,13 @@ mod tests {
         t.save(line_next, &mut e);
         let buf = e.finish();
         let t2 = C3ReqTable::load(&mut Decoder::new(&buf), 4).unwrap();
-        // a and b are live entries; a keeps its late completion, b is still
-        // open with no substrate request. c is replay metadata.
-        assert_eq!(t2.get(a).unwrap().completed_class, Some(MsgClass::Late));
+        // a and b are live entries with no substrate request, to be
+        // completed again by re-execution; a keeps its replay state. c is
+        // replay state only.
+        let a2 = t2.get(a).unwrap();
+        assert!(a2.completed_during_log && !a2.completed && a2.mpi.is_none());
         let b2 = t2.get(b).unwrap();
-        assert_eq!(b2.completed_class, None);
-        assert!(b2.mpi.is_none());
+        assert!(!b2.completed_during_log && !b2.completed && b2.mpi.is_none());
         assert!(t2.get(c).is_none());
         assert_eq!(t2.replay.get(&c.0).unwrap().test_fails, 7);
         // The id counter resumed at the line: re-execution re-creates c with

@@ -462,7 +462,7 @@ fn chaos_plans_under_tight_mailboxes_stay_bit_identical() {
             .chaos(plan.clone())
             .run(|ctx| ring(ctx, ITERS))
             .unwrap_or_else(|e| panic!("seed {seed} plan {plan} under tight mailboxes: {e}"));
-        fired += rec.faults_fired;
+        fired += rec.restarts;
         assert_eq!(
             rec.handle.results, baseline.handle.results,
             "seed {seed} plan {plan} diverged under tight mailboxes"

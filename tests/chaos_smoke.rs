@@ -92,10 +92,10 @@ fn chaos_sweep_ring_32_seeds_times_3_networks() {
                 rec.restarts
             );
             assert!(
-                rec.faults_fired as usize <= plan.len(),
+                rec.restarts as usize <= plan.len(),
                 "seed {seed}: more faults fired than planned"
             );
-            fired_total += rec.faults_fired;
+            fired_total += rec.restarts;
             max_restarts = max_restarts.max(rec.restarts);
         }
     }

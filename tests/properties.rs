@@ -226,8 +226,7 @@ proptest! {
         let mut d = Decoder::new(&buf);
         let log2 = ReplayLog::load(&mut d).unwrap();
         let early2 = EarlyRegistry::load(&mut d).unwrap();
-        prop_assert_eq!(log2.len(), log.len());
-        prop_assert_eq!(log2.data_bytes(), log.data_bytes());
+        prop_assert_eq!(&log2, &log);
         prop_assert_eq!(early2.entries(), early.entries());
     }
 
