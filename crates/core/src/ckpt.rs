@@ -6,7 +6,7 @@
 //! | section  | contents                                                    |
 //! |----------|-------------------------------------------------------------|
 //! | `app`    | application state from the pragma's save closure            |
-//! | `mpi`    | rank, nranks, epoch, message counters                       |
+//! | `mpi`    | rank, nranks, received counts (the epoch is the version)    |
 //! | `tables` | derived datatypes: handle, definition, freed flag           |
 //! | `comms`  | communicators: members, wires, call counters (§4.4)         |
 //! | `early`  | the Early-Message-Registry                                  |
@@ -104,7 +104,6 @@ pub(crate) fn write_line_sections(
     let mut mpi_e = Encoder::new();
     mpi_e.u64(ctx.rank() as u64);
     mpi_e.u64(ctx.nranks() as u64);
-    mpi_e.u64(ctx.epoch);
     ctx.counters.save(&mut mpi_e);
     let mut tables_e = Encoder::new();
     save_types(&ctx.mpi.types, &mut tables_e);
@@ -223,6 +222,7 @@ pub(crate) fn write_commit_sections(ctx: &mut C3Ctx<'_>, version: u64) -> Result
 /// [`crate::CkptMode`] across restarts and still recover.
 pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
     let rank = ctx.rank();
+    ctx.epoch = version;
     if ctx.store.has_section(version, rank, DELTA_SECTION) {
         let (base, sections) = restore_delta_sections(ctx, version)?;
         load_line_sections(ctx, |name| sections.get(name))?;
@@ -247,9 +247,7 @@ pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
     ctx.replay = ReplayLog::load(&mut d)?;
     // Receives are re-posted lazily at completion time (see
     // `C3Ctx::posted` in `protocol.rs`).
-    ctx.reqs = C3ReqTable::load(&mut d, ctx.epoch)?;
-
-    debug_assert_eq!(ctx.epoch, version, "checkpoint version equals its epoch");
+    ctx.reqs = C3ReqTable::load(&mut d, version)?;
     Ok(())
 }
 
@@ -276,7 +274,6 @@ fn load_line_sections<'s>(
             ctx.nranks()
         )));
     }
-    ctx.epoch = d.u64()?;
     ctx.counters = crate::counters::Counters::load(&mut d)?;
 
     load_types(&mut Decoder::new(sec("tables")?), &mut ctx.mpi.types)?;

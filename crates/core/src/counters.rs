@@ -102,31 +102,20 @@ impl Counters {
         })
     }
 
-    /// Serialize (written with the checkpoint's MPI state; the restored
-    /// `received` counts carry the early messages that will not be re-sent).
+    /// Serialize for the recovery line, which saves them right after the
+    /// Fig. 5 shuffle: only `received` can be non-zero there, and it carries
+    /// the early messages that will not be re-sent.
     pub fn save(&self, e: &mut Encoder) {
-        e.u64_slice(&self.sent);
+        debug_assert!(self.sent.iter().chain(&self.early_received).all(|&c| c == 0));
         e.u64_slice(&self.received);
-        e.u64_slice(&self.early_received);
     }
 
     /// Deserialize; late bookkeeping restarts clean (the restored line was
     /// fully committed).
     pub fn load(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let sent = d.u64_vec()?;
         let received = d.u64_vec()?;
-        let early_received = d.u64_vec()?;
-        let n = sent.len();
-        if received.len() != n || early_received.len() != n {
-            return Err(CodecError("counter lengths disagree".into()));
-        }
-        Ok(Counters {
-            sent,
-            received,
-            early_received,
-            late_received: vec![0; n],
-            late_expected: vec![None; n],
-        })
+        let n = received.len();
+        Ok(Counters { received, ..Counters::new(n) })
     }
 }
 
@@ -174,13 +163,15 @@ mod tests {
         c.sent = vec![7, 8];
         c.received = vec![1, 2];
         c.early_received = vec![0, 5];
+        // A line saves the counters right after the shuffle.
+        c.start_checkpoint();
         let mut e = Encoder::new();
         c.save(&mut e);
         let buf = e.finish();
         let c2 = Counters::load(&mut Decoder::new(&buf)).unwrap();
-        assert_eq!(c2.sent, vec![7, 8]);
-        assert_eq!(c2.received, vec![1, 2]);
-        assert_eq!(c2.early_received, vec![0, 5]);
+        assert_eq!(c2.sent, vec![0, 0]);
+        assert_eq!(c2.received, vec![0, 5]);
+        assert_eq!(c2.early_received, vec![0, 0]);
         assert_eq!(c2.late_received, vec![0, 0]);
     }
 }

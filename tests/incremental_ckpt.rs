@@ -446,6 +446,6 @@ fn cg_ckpt_digest(tag: &str, mode: CkptMode) -> (u64, usize, u64) {
 fn cg_checkpoint_bytes_are_pinned() {
     let full = cg_ckpt_digest("pin-full", CkptMode::Full);
     let incr = cg_ckpt_digest("pin-incr", CkptMode::Incremental { every_n: 2 });
-    assert_eq!(full, (8_978_583_401_610_361_589, 48, 6896));
-    assert_eq!(incr, (3_948_096_820_686_727_879, 16, 5935));
+    assert_eq!(full, (7_790_371_992_205_464_101, 48, 6192));
+    assert_eq!(incr, (4_796_170_134_591_443_860, 16, 5851));
 }
