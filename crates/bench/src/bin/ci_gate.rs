@@ -34,11 +34,10 @@
 //!     reads
 //! 11. message-path ratchet: each fresh `ns_per_op` must stay within a
 //!     per-entry tolerance factor of the committed baseline (2× for the
-//!     stable µs-scale scenarios, 3× for the noise-prone ns-scale ones;
-//!     `C3_PERF_RATCHET_FACTOR` overrides all of them), and every committed
-//!     scenario must be present in the fresh run
+//!     stable µs-scale scenarios, 3× for the noise-prone ns-scale ones),
+//!     and every committed scenario must be present in the fresh run
 //! 12. scaling ratchet: the fresh `scaling --smoke` cg@256 `wall_ms` must
-//!     stay within the ns-scale tolerance (3×, same override) of the
+//!     stay within the ns-scale tolerance (3×) of the
 //!     committed `BENCH_scaling.json` entry; a missing entry fails
 //! 13. `recovery_trend` — restart-cost percentiles and checkpoint volumes
 //!     vs the copy committed at `HEAD` (informational report; parse
@@ -212,11 +211,6 @@ fn ratchet_factor_for(name: &str) -> f64 {
 /// scenarios and the tens-of-ms scaling smoke.
 const NOISY_FACTOR: f64 = 3.0;
 
-/// `C3_PERF_RATCHET_FACTOR`, the escape hatch over every ratchet factor.
-fn ratchet_override() -> Option<f64> {
-    std::env::var("C3_PERF_RATCHET_FACTOR").ok().and_then(|v| v.parse::<f64>().ok())
-}
-
 /// The leading decimal number of `s`, if any.
 fn leading_number(s: &str) -> Option<f64> {
     let num: String = s.chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
@@ -227,14 +221,12 @@ fn leading_number(s: &str) -> Option<f64> {
 /// `BENCH_message_path.json` must still exist in the fresh run and must
 /// not exceed `committed × factor` ns/op, with the factor chosen
 /// per entry ([`ratchet_factor_for`]) so the stable µs-scale scenarios are
-/// held to a tighter budget than the noise-prone ns-scale ones.
-/// `C3_PERF_RATCHET_FACTOR` overrides every per-entry factor (an escape
-/// hatch for exceptionally noisy runners). A scenario present in the
-/// committed baseline but missing from the fresh run fails the gate — a
-/// silently dropped benchmark is a regression in coverage, not noise.
+/// held to a tighter budget than the noise-prone ns-scale ones. A
+/// scenario present in the committed baseline but missing from the fresh
+/// run fails the gate — a silently dropped benchmark is a regression in
+/// coverage, not noise.
 fn check_message_path_ratchet(out_dir: &std::path::Path, results: &mut Vec<Step>) {
     let t0 = begin("message_path ratchet");
-    let global_override = ratchet_override();
     let fresh_path = out_dir.join("BENCH_message_path.json");
     let mut ok = true;
     match (std::fs::read_to_string("BENCH_message_path.json"), std::fs::read_to_string(&fresh_path))
@@ -247,7 +239,7 @@ fn check_message_path_ratchet(out_dir: &std::path::Path, results: &mut Vec<Step>
                 ok = false;
             }
             for (name, base_ns) in &baseline {
-                let factor = global_override.unwrap_or_else(|| ratchet_factor_for(name));
+                let factor = ratchet_factor_for(name);
                 match current.iter().find(|(n, _)| n == name) {
                     Some((_, cur_ns)) => {
                         let ratio = cur_ns / base_ns;
@@ -287,12 +279,11 @@ fn scaling_wall_ms(body: &str, kernel: &str, nranks: usize) -> Option<f64> {
 }
 
 /// The scaling ratchet: the fresh `scaling --smoke` cg@256 wall time must
-/// stay within [`NOISY_FACTOR`] (or `C3_PERF_RATCHET_FACTOR`) of the
-/// committed `BENCH_scaling.json` entry; a missing entry on either side
-/// fails the gate.
+/// stay within [`NOISY_FACTOR`] of the committed `BENCH_scaling.json`
+/// entry; a missing entry on either side fails the gate.
 fn check_scaling_ratchet(out_dir: &std::path::Path, results: &mut Vec<Step>) {
     let t0 = begin("scaling ratchet");
-    let factor = ratchet_override().unwrap_or(NOISY_FACTOR);
+    let factor = NOISY_FACTOR;
     let cg256 = |path: &std::path::Path| {
         std::fs::read_to_string(path).ok().and_then(|body| scaling_wall_ms(&body, "cg", 256))
     };
