@@ -278,13 +278,10 @@ fn kernels(quick: bool) -> Vec<Row> {
 
 fn chaos_cfg(store: &TempStore, mode: ModeAxis, every: u64) -> C3Config {
     mode.apply(C3Config {
-        store_root: store.path().to_path_buf(),
-        write_disk: true,
         // Every rank applies the policy: concurrent initiations exercise
         // the §4.5 "any process may initiate" interleavings under fire.
         policy: CkptPolicy::EveryNth(every),
-        initiator: None,
-        ckpt_mode: c3::CkptMode::Full,
+        ..C3Config::passive(store.path())
     })
 }
 

@@ -182,11 +182,9 @@ impl C3Config {
     /// Rank 0 initiates at the given pragma counts; data goes to disk.
     pub fn at_pragmas(store_root: impl Into<PathBuf>, pragmas: Vec<u64>) -> Self {
         C3Config {
-            store_root: store_root.into(),
-            write_disk: true,
             policy: CkptPolicy::AtPragmas(pragmas),
             initiator: Some(0),
-            ckpt_mode: CkptMode::Full,
+            ..C3Config::passive(store_root)
         }
     }
 

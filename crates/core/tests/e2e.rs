@@ -552,11 +552,9 @@ fn timer_policy_triggers_and_idles() {
     // Long timer: no checkpoint ever starts.
     let st_timer_idle_22 = e2e_store("timer-idle");
     let cfg_idle = C3Config {
-        store_root: st_timer_idle_22.path().to_path_buf(),
-        write_disk: true,
         policy: CkptPolicy::Timer(Duration::from_secs(3600)),
         initiator: Some(0),
-        ckpt_mode: c3::CkptMode::Full,
+        ..C3Config::passive(st_timer_idle_22.path())
     };
     let out = Job::new(2, cfg_idle)
         .run(|ctx| {
@@ -570,11 +568,9 @@ fn timer_policy_triggers_and_idles() {
     // once the round commits; at least one round must complete.
     let st_timer_hot_23 = e2e_store("timer-hot");
     let cfg_hot = C3Config {
-        store_root: st_timer_hot_23.path().to_path_buf(),
-        write_disk: true,
         policy: CkptPolicy::Timer(Duration::ZERO),
         initiator: Some(0),
-        ckpt_mode: c3::CkptMode::Full,
+        ..C3Config::passive(st_timer_hot_23.path())
     };
     let st_timer_base_24 = e2e_store("timer-base");
     let baseline = Job::new(2, C3Config::passive(st_timer_base_24.path()))
@@ -629,11 +625,9 @@ fn virtual_time_timer_trace_is_bit_for_bit_reproducible() {
     let run = |tag: &str| {
         let st_tag_25 = e2e_store(tag);
         let cfg = C3Config {
-            store_root: st_tag_25.path().to_path_buf(),
-            write_disk: true,
             policy: CkptPolicy::Timer(Duration::from_millis(1)),
             initiator: Some(0),
-            ckpt_mode: c3::CkptMode::Full,
+            ..C3Config::passive(st_tag_25.path())
         };
         Job::new(3, cfg).run(|ctx| token_app(ctx, 24)).unwrap()
     };

@@ -114,11 +114,9 @@ fn main() {
 
     println!("== periodic checkpoints (every 10th pragma), rank 3 fails at step 25 ==");
     let cfg = C3Config {
-        store_root: store.clone(),
-        write_disk: true,
         policy: CkptPolicy::EveryNth(10),
         initiator: Some(0),
-        ckpt_mode: c3::CkptMode::Full,
+        ..C3Config::passive(&store)
     };
     let plan = FailurePlan { rank: 3, when: FailAt::AfterCommits { commits: 1, pragma: 25 } };
     let rec = c3::Job::new(4, cfg).failure(plan).run(heat_app).unwrap();

@@ -156,11 +156,9 @@ fn main() {
 
     println!("== checkpoint every 15 steps; rank 1 dies at step 35 ==");
     let cfg = C3Config {
-        store_root: store.clone(),
-        write_disk: true,
         policy: CkptPolicy::EveryNth(15),
         initiator: Some(0),
-        ckpt_mode: c3::CkptMode::Full,
+        ..C3Config::passive(&store)
     };
     let plan = FailurePlan { rank: 1, when: FailAt::AfterCommits { commits: 1, pragma: 35 } };
     let rec = c3::Job::new(4, cfg).failure(plan).run(md_app).unwrap();

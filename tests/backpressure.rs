@@ -160,11 +160,9 @@ fn send_cycle_deadlock_fires_the_watchdog_with_a_useful_report() {
 /// rounds via the Checkpoint-Initiated control flow.
 fn rank1_initiates(store: &TempStore) -> C3Config {
     C3Config {
-        store_root: store.path().to_path_buf(),
-        write_disk: true,
         policy: CkptPolicy::EveryNth(1),
         initiator: Some(1),
-        ckpt_mode: c3::CkptMode::Full,
+        ..C3Config::passive(store.path())
     }
 }
 
@@ -441,13 +439,7 @@ fn chaos_plans_under_tight_mailboxes_stay_bit_identical() {
     }
 
     fn chaos_cfg(store: &TempStore) -> C3Config {
-        C3Config {
-            store_root: store.path().to_path_buf(),
-            write_disk: true,
-            policy: CkptPolicy::EveryNth(3),
-            initiator: None,
-            ckpt_mode: c3::CkptMode::Full,
-        }
+        C3Config { policy: CkptPolicy::EveryNth(3), ..C3Config::passive(store.path()) }
     }
     let base_store = TempStore::new("bp-chaos-base");
     let baseline = Job::new(NRANKS, chaos_cfg(&base_store)).run(|ctx| ring(ctx, ITERS)).unwrap();

@@ -75,11 +75,8 @@ fn chaos_sweep_ring_32_seeds_times_3_networks() {
         for net in networks(seed) {
             let store = TempStore::new("chaos-ring");
             let cfg = C3Config {
-                store_root: store.path().to_path_buf(),
-                write_disk: true,
-                policy: CkptPolicy::EveryNth(3),
-                initiator: None, // concurrent initiators: more interleavings
-                ckpt_mode: c3::CkptMode::Full,
+                policy: CkptPolicy::EveryNth(3), // on every rank: more interleavings
+                ..C3Config::passive(store.path())
             };
             let rec = Job::new(NRANKS, cfg)
                 .network(net)

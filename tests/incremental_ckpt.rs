@@ -19,21 +19,18 @@ use util::TempStore;
 
 fn incr_cfg(store: &TempStore, nth: u64, every_n: u32) -> C3Config {
     C3Config {
-        store_root: store.path().to_path_buf(),
-        write_disk: true,
         policy: CkptPolicy::EveryNth(nth),
         initiator: Some(0),
         ckpt_mode: CkptMode::Incremental { every_n },
+        ..C3Config::passive(store.path())
     }
 }
 
 fn full_cfg(store: &TempStore, nth: u64) -> C3Config {
     C3Config {
-        store_root: store.path().to_path_buf(),
-        write_disk: true,
         policy: CkptPolicy::EveryNth(nth),
         initiator: Some(0),
-        ckpt_mode: CkptMode::Full,
+        ..C3Config::passive(store.path())
     }
 }
 

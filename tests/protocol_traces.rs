@@ -143,11 +143,8 @@ fn concurrent_initiators_commit_and_recover() {
 
     let store = TempStore::new("multi-fail");
     let cfg = C3Config {
-        store_root: store.path().to_path_buf(),
-        write_disk: true,
-        policy: CkptPolicy::EveryNth(5),
-        initiator: None, // every rank initiates
-        ckpt_mode: c3::CkptMode::Full,
+        policy: CkptPolicy::EveryNth(5), // every rank initiates
+        ..C3Config::passive(store.path())
     };
     let sanity = c3::Job::new(4, cfg)
         .run(|ctx| {
@@ -163,13 +160,7 @@ fn concurrent_initiators_commit_and_recover() {
     assert_eq!(sanity.results.iter().map(|(r, _)| *r).collect::<Vec<_>>(), baseline.results);
 
     let store2 = TempStore::new("multi-fail2");
-    let cfg2 = C3Config {
-        store_root: store2.path().to_path_buf(),
-        write_disk: true,
-        policy: CkptPolicy::EveryNth(5),
-        initiator: None,
-        ckpt_mode: c3::CkptMode::Full,
-    };
+    let cfg2 = C3Config { policy: CkptPolicy::EveryNth(5), ..C3Config::passive(store2.path()) };
     let plan = FailurePlan { rank: 3, when: FailAt::AfterCommits { commits: 2, pragma: 14 } };
     let rec = c3::Job::new(4, cfg2).failure(plan).run(app).unwrap();
     assert!(rec.restarts >= 1);

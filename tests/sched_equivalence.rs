@@ -72,13 +72,7 @@ fn ring(ctx: &mut C3Ctx<'_>, iters: u64) -> Result<(u64, u64), C3Error> {
 }
 
 fn chaos_cfg(store: &TempStore) -> C3Config {
-    C3Config {
-        store_root: store.path().to_path_buf(),
-        write_disk: true,
-        policy: CkptPolicy::EveryNth(3),
-        initiator: None,
-        ckpt_mode: c3::CkptMode::Full,
-    }
+    C3Config { policy: CkptPolicy::EveryNth(3), ..C3Config::passive(store.path()) }
 }
 
 /// One protocol run of the ring under `sched`, with an optional seeded
