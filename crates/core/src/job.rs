@@ -15,14 +15,16 @@
 //! assert_eq!(rec.results, baseline);
 //! ```
 //!
-//! A plain run is a `Job` with no chaos plan; a restart-cost run is
-//! [`Job::restore`]; a single fail-stop fault is [`Job::failure`].
+//! A `Job` is a substrate [`JobSpec`] plus the protocol config, restore
+//! mode and fault plan. A plain run has no chaos plan; a restart-cost run
+//! is [`Job::restore`]; a single fail-stop fault is [`Job::failure`].
 //!
 //! The builder owns the restart/chaos orchestration: it arms the plan's
-//! faults one incarnation at a time, restarts from the last committed
-//! recovery line after each injected death, and asserts forward progress
-//! (every restart consumes one fault of the budget and the committed line
-//! never regresses). Network-fault entries of the plan
+//! faults one incarnation at a time (each rank's context keeps the fault
+//! only if it names that rank), restarts from the last committed recovery
+//! line after each injected death, and asserts forward progress (every
+//! restart consumes one fault of the budget and the committed line never
+//! regresses). Network-fault entries of the plan
 //! ([`crate::failure::NetFault`]) are merged into the job's [`NetModel`]
 //! before launch, so a seed-derived plan perturbs the network and the
 //! fail-stop schedule together — and [`crate::failure::shrink_plan`]

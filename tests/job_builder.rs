@@ -1,10 +1,11 @@
-//! `c3::Job` builder: the substrate spec a job launches with reflects the
-//! chaos plan's network faults merged into the builder's network model.
+//! `c3::Job` builder: the substrate spec a job launches with is the spec it
+//! was built from, with the chaos plan's network faults merged into its
+//! network model.
 
 mod util;
 
 use c3::{C3Config, ChaosPlan, FailAt, FailurePlan, Job};
-use mpisim::NetModel;
+use mpisim::{ClusterModel, JobSpec, NetModel, SchedMode};
 use util::TempStore;
 
 const NRANKS: usize = 3;
@@ -28,4 +29,19 @@ fn spec_reflects_merged_network_faults() {
     assert_eq!(spec.net.dup_permille, 10);
     assert_eq!(spec.net.seed, 7);
     assert!(matches!(spec.net.reorder, mpisim::ReorderModel::Random { .. }));
+}
+
+#[test]
+fn spec_without_net_faults_is_the_spec_it_was_built_from() {
+    let store = TempStore::new("rt-spec-same");
+    let spec = JobSpec::new(NRANKS)
+        .cluster(ClusterModel::lemieux())
+        .net(NetModel::reorder(5).drop_rate(30).mailbox_capacity(6))
+        .sched(SchedMode::EventDriven { workers: 1 });
+    let plan = ChaosPlan::new(vec![FailurePlan { rank: 1, when: FailAt::Pragma(3) }]);
+    let got = Job::from_spec(&spec, C3Config::passive(store.path())).chaos(plan).spec();
+    assert_eq!(got.nranks, spec.nranks);
+    assert_eq!(got.cluster, spec.cluster);
+    assert_eq!(got.sched, spec.sched);
+    assert_eq!(got.net, spec.net);
 }
