@@ -5,10 +5,8 @@
 //! precompiler emits code against exactly this kind of interface; here the
 //! application calls it directly.
 
-use crate::control::CiTracker;
-use crate::counters::Counters;
+use crate::machine::Protocol;
 use crate::mode::Mode;
-use crate::registries::{EarlyRegistry, ReplayLog, WasEarlyRegistry};
 use crate::requests::C3ReqTable;
 use mpisim::{MpiError, RankCtx};
 use statesave::CkptStore;
@@ -91,32 +89,6 @@ pub enum CkptPolicy {
     /// passed since the last checkpoint — the paper's "timer expired"
     /// trigger, reproducible bit for bit.
     Timer(Duration),
-}
-
-impl CkptPolicy {
-    /// Does the policy force a checkpoint at pragma `pragma_count`, when
-    /// this rank's last checkpoint started at pragma `last_ckpt_pragma`
-    /// (0 for none) and `since_last_ckpt_ns` of virtual time ago?
-    pub(crate) fn wants(
-        &self,
-        pragma_count: u64,
-        last_ckpt_pragma: u64,
-        since_last_ckpt_ns: u64,
-    ) -> bool {
-        match self {
-            CkptPolicy::Never => false,
-            CkptPolicy::AtPragmas(v) => {
-                let prev = v.iter().copied().filter(|&p| p < pragma_count).max().unwrap_or(0);
-                v.contains(&pragma_count) && last_ckpt_pragma <= prev
-            }
-            CkptPolicy::EveryNth(n) => {
-                *n > 0
-                    && pragma_count.is_multiple_of(*n)
-                    && pragma_count.saturating_sub(last_ckpt_pragma) >= *n
-            }
-            CkptPolicy::Timer(d) => since_last_ckpt_ns as u128 >= d.as_nanos(),
-        }
-    }
 }
 
 /// How the recovery-line sections are written to the checkpoint store.
@@ -254,37 +226,19 @@ pub struct C3Ctx<'a> {
     pub(crate) mpi: &'a mut RankCtx,
     /// Job configuration.
     pub(crate) cfg: C3Config,
-    /// Current epoch (starts at 0; checkpoint `v` begins epoch `v`).
-    pub(crate) epoch: u64,
-    /// Current protocol mode.
-    pub(crate) mode: Mode,
-    /// Message counters and commit condition.
-    pub(crate) counters: Counters,
-    /// Checkpoint-Initiated messages filed by round.
-    pub(crate) ci: CiTracker,
-    /// Late-Message-Registry (logging) / replay source (recovery).
-    pub(crate) replay: ReplayLog,
-    /// Early-Message-Registry.
-    pub(crate) early: EarlyRegistry,
-    /// Was-Early-Registry (recovery only).
-    pub(crate) was_early: WasEarlyRegistry,
+    /// The protocol core: epoch, mode, counters, registries and the
+    /// pragma-policy bookkeeping ([`crate::machine`]).
+    pub(crate) proto: Protocol,
     /// Request indirection table.
     pub(crate) reqs: C3ReqTable,
     /// Communicator indirection table (§4.4 extension).
     pub(crate) comms: crate::comms::CommTable,
     /// Checkpoint store.
     pub(crate) store: CkptStore,
-    /// Pragma counter (1-based after the first call).
-    pub(crate) pragma_count: u64,
     /// App state restored from a checkpoint, consumed by the app at startup.
     pub(crate) restored_app_state: Option<Vec<u8>>,
     /// Request-id watermark at the current recovery line.
     pub(crate) line_next_req: u64,
-    /// Pragma count at the last checkpoint started, forced or joined (for
-    /// the pragma-count policies).
-    pub(crate) last_ckpt_pragma: u64,
-    /// Virtual time (ns) at the last checkpoint (for the timer policy).
-    pub(crate) last_ckpt_ns: u64,
     /// Wall-clock origin: context creation (for
     /// [`C3Stats::last_commit_wall_ns`]).
     pub(crate) wall_origin: Instant,
@@ -314,13 +268,13 @@ impl<'a> C3Ctx<'a> {
     /// Current epoch.
     #[inline]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.proto.epoch()
     }
 
     /// Current protocol mode.
     #[inline]
     pub fn mode(&self) -> Mode {
-        self.mode
+        self.proto.mode()
     }
 
     /// Checkpoints committed so far in this run.
@@ -358,27 +312,5 @@ impl<'a> C3Ctx<'a> {
     /// ```
     pub fn take_restored_state(&mut self) -> Option<Vec<u8>> {
         self.restored_app_state.take()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_joined_checkpoint_satisfies_the_next_policy_pragma() {
-        let every3 = CkptPolicy::EveryNth(3);
-        assert!(every3.wants(3, 0, 0));
-        assert!(!every3.wants(4, 0, 0));
-        // Forced at 3: pragma 6 forces again. Joined at 5: it does not.
-        assert!(every3.wants(6, 3, 0));
-        assert!(!every3.wants(6, 5, 0));
-        assert!(every3.wants(9, 5, 0));
-        let at = CkptPolicy::AtPragmas(vec![2, 7]);
-        assert!(at.wants(2, 0, 0));
-        assert!(at.wants(7, 2, 0));
-        assert!(!at.wants(7, 4, 0));
-        assert!(!at.wants(5, 0, 0));
-        assert!(!CkptPolicy::Never.wants(3, 0, u64::MAX));
     }
 }

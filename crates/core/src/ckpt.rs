@@ -33,6 +33,7 @@
 //! tracker, so the next checkpoint continues the chain.
 
 use crate::api::{C3Ctx, C3Error};
+use crate::counters::Counters;
 use crate::registries::{EarlyRegistry, ReplayLog};
 use crate::requests::C3ReqTable;
 use crate::Result;
@@ -104,13 +105,13 @@ pub(crate) fn write_line_sections(
     let mut mpi_e = Encoder::new();
     mpi_e.u64(ctx.rank() as u64);
     mpi_e.u64(ctx.nranks() as u64);
-    ctx.counters.save(&mut mpi_e);
+    ctx.proto.counters().save(&mut mpi_e);
     let mut tables_e = Encoder::new();
     save_types(&ctx.mpi.types, &mut tables_e);
     let mut comms_e = Encoder::new();
     ctx.comms.save(&mut comms_e);
     let mut early_e = Encoder::new();
-    ctx.early.save(&mut early_e);
+    ctx.proto.early().save(&mut early_e);
 
     let encs = [mpi_e, tables_e, comms_e, early_e];
     if ctx.incr.is_some() {
@@ -200,7 +201,7 @@ fn restore_delta_sections(ctx: &C3Ctx<'_>, version: u64) -> Result<(u64, Section
 /// Write the commit section and the commit record.
 pub(crate) fn write_commit_sections(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
     let mut e = Encoder::new();
-    ctx.replay.save(&mut e);
+    ctx.proto.replay_log().save(&mut e);
     ctx.reqs.save(ctx.line_next_req, &mut e);
     put(ctx, version, "late", e.as_bytes())?;
     // The torn-commit crash window: the late log is in the file, the commit
@@ -214,24 +215,29 @@ pub(crate) fn write_commit_sections(ctx: &mut C3Ctx<'_>, version: u64) -> Result
 }
 
 /// Reload the recovery line `version` into a freshly constructed context
-/// (`chkpt_RestoreCheckpoint`'s load half).
+/// (`chkpt_RestoreCheckpoint`'s load half), and return the protocol
+/// core's part of it: the counters, the Early-Message-Registry and the
+/// replay log.
 ///
 /// The representation is detected from the store, not the config: a
 /// version carrying a `delta` section restores through the chain, one
 /// carrying the line sections restores directly — so a job may switch
 /// [`crate::CkptMode`] across restarts and still recover.
-pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
+pub(crate) fn restore_line(
+    ctx: &mut C3Ctx<'_>,
+    version: u64,
+) -> Result<(Counters, EarlyRegistry, ReplayLog)> {
     let rank = ctx.rank();
-    ctx.epoch = version;
-    if ctx.store.has_section(version, rank, DELTA_SECTION) {
+    let (counters, early) = if ctx.store.has_section(version, rank, DELTA_SECTION) {
         let (base, sections) = restore_delta_sections(ctx, version)?;
-        load_line_sections(ctx, |name| sections.get(name))?;
+        let line = load_line_sections(ctx, |name| sections.get(name))?;
         // Prime the tracker so the next checkpoint continues the chain.
         if let Some(incr) = ctx.incr.as_mut() {
             incr.tracker.prime(sections);
             incr.chain_len = (version - base + 1) as u32;
             incr.base_version = base;
         }
+        line
     } else {
         let mut sections = Vec::with_capacity(LINE_SECTIONS.len());
         for name in LINE_SECTIONS {
@@ -239,24 +245,24 @@ pub(crate) fn restore_line(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
         }
         load_line_sections(ctx, |name| {
             LINE_SECTIONS.iter().position(|n| *n == name).map(|i| &sections[i][..])
-        })?;
-    }
+        })?
+    };
 
     let late = ctx.store.read_section(version, rank, "late").map_err(C3Error::Io)?;
     let mut d = Decoder::new(&late);
-    ctx.replay = ReplayLog::load(&mut d)?;
+    let replay = ReplayLog::load(&mut d)?;
     // Receives are re-posted lazily at completion time (see
     // `C3Ctx::posted` in `protocol.rs`).
     ctx.reqs = C3ReqTable::load(&mut d, version)?;
-    Ok(())
+    Ok((counters, early, replay))
 }
 
 /// Load the five line sections, found by name through `get`, into the
-/// context.
+/// context; return the counters and the Early-Message-Registry.
 fn load_line_sections<'s>(
     ctx: &mut C3Ctx<'_>,
     get: impl Fn(&str) -> Option<&'s [u8]>,
-) -> Result<()> {
+) -> Result<(Counters, EarlyRegistry)> {
     let sec = |name: &str| {
         get(name)
             .ok_or_else(|| C3Error::Protocol(format!("restore: line section '{name}' missing")))
@@ -274,12 +280,11 @@ fn load_line_sections<'s>(
             ctx.nranks()
         )));
     }
-    ctx.counters = crate::counters::Counters::load(&mut d)?;
+    let counters = Counters::load(&mut d)?;
 
     load_types(&mut Decoder::new(sec("tables")?), &mut ctx.mpi.types)?;
     ctx.comms = crate::comms::CommTable::load(&mut Decoder::new(sec("comms")?))?;
-    ctx.early = EarlyRegistry::load(&mut Decoder::new(sec("early")?))?;
-    Ok(())
+    Ok((counters, EarlyRegistry::load(&mut Decoder::new(sec("early")?))?))
 }
 
 /// Write the `tables` section (§4.2, Fig. 5): every retained derived type

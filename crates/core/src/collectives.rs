@@ -5,7 +5,7 @@
 //! operation." The collectives — topology, fold order, framing — are
 //! [`mpisim::collective`]'s, written once over its `Streams` trait. This
 //! module only supplies the streams: a `Group` whose sends and receives
-//! are `stream_send_payload` / `stream_recv_coll`, which apply the full
+//! are `stream_send` / `stream_recv_coll`, which apply the full
 //! protocol (piggyback classification, counters, late-data logging, early
 //! recording, and in recovery replay and suppression). Since the argument
 //! holds hop by hop, any topology will do: a bcast relays down a tree and
@@ -52,7 +52,7 @@ impl Streams for Group<'_, '_> {
 
     fn send(&mut self, to: usize, data: Payload) -> Result<()> {
         let kind = StreamKind::Coll { call: self.call };
-        self.ctx.stream_send_payload(self.members[to], self.wire, kind, data)
+        self.ctx.stream_send(self.members[to], self.wire, kind, data)
     }
 
     fn recv(&mut self, from: usize) -> Result<Payload> {

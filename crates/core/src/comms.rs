@@ -329,7 +329,7 @@ impl<'a> C3Ctx<'a> {
         let world_dst = *members
             .get(dst)
             .ok_or_else(|| C3Error::Protocol(format!("no local rank {dst} in {c:?}")))?;
-        self.stream_send(world_dst, wire, StreamKind::P2p { tag }, payload)
+        self.stream_send(world_dst, wire, StreamKind::P2p { tag }, payload.into())
     }
 
     /// Blocking receive from local rank `src` of `c` (wildcards allowed).

@@ -1,4 +1,4 @@
-//! Per-peer message counters and the local commit condition (§3.1).
+//! Per-peer message counters (§3.1).
 //!
 //! Each process maintains `Sent-Count[Q]` (messages sent to Q this epoch,
 //! counting every logical stream, collective streams included) plus
@@ -14,14 +14,14 @@
 //!
 //! The process can commit when, for every peer Q, a `Checkpoint-Initiated`
 //! message has supplied Q's `Sent-Count[me]` for the previous epoch and
-//! `Late-Received[Q]` has reached it. The decision is entirely local — the
-//! paper's scalability improvement over the earlier initiator-based design
-//! (§4.5).
+//! `Late-Received[Q]` has reached it ([`crate::machine::Protocol::advance`]).
+//! The decision is entirely local — the paper's scalability improvement
+//! over the earlier initiator-based design (§4.5).
 
 use statesave::codec::{CodecError, Decoder, Encoder};
 
 /// Per-peer counters for one process.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Counters {
     /// Messages (logical streams) sent to each peer in the current epoch.
     pub sent: Vec<u64>,
@@ -32,9 +32,6 @@ pub struct Counters {
     /// Previous-epoch messages received from each peer (pre-checkpoint
     /// intra + post-checkpoint late).
     pub late_received: Vec<u64>,
-    /// Peers' sent-counts from their Checkpoint-Initiated messages for the
-    /// line being committed (`None` until the CI arrives).
-    pub late_expected: Vec<Option<u64>>,
 }
 
 impl Counters {
@@ -45,7 +42,6 @@ impl Counters {
             received: vec![0; n],
             early_received: vec![0; n],
             late_received: vec![0; n],
-            late_expected: vec![None; n],
         }
     }
 
@@ -63,43 +59,7 @@ impl Counters {
         for e in &mut self.early_received {
             *e = 0;
         }
-        self.late_expected = vec![None; n];
         ci
-    }
-
-    /// Record a peer's Checkpoint-Initiated sent-count for the line being
-    /// committed.
-    pub fn set_expected(&mut self, peer: usize, count: u64) {
-        self.late_expected[peer] = Some(count);
-    }
-
-    /// Has every peer's CI arrived?
-    pub fn all_ci_received(&self, me: usize) -> bool {
-        self.late_expected.iter().enumerate().all(|(q, v)| q == me || v.is_some())
-    }
-
-    /// The local commit condition: all CIs present and every promised late
-    /// message received.
-    pub fn all_late_received(&self, me: usize) -> bool {
-        self.late_expected.iter().enumerate().all(|(q, v)| {
-            if q == me {
-                return true;
-            }
-            match v {
-                Some(exp) => self.late_received[q] >= *exp,
-                None => false,
-            }
-        })
-    }
-
-    /// Invariant check: a process can never receive more late messages from
-    /// a peer than that peer's CI promised. Violation means an
-    /// epoch-accounting bug.
-    pub fn late_overrun(&self, me: usize) -> Option<usize> {
-        self.late_expected.iter().enumerate().find_map(|(q, v)| match v {
-            Some(exp) if q != me && self.late_received[q] > *exp => Some(q),
-            _ => None,
-        })
     }
 
     /// Serialize for the recovery line, which saves them right after the
@@ -135,26 +95,6 @@ mod tests {
         assert_eq!(c.late_received, vec![1, 0, 4]);
         assert_eq!(c.received, vec![0, 0, 3]);
         assert_eq!(c.early_received, vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn commit_condition_requires_all_cis_and_counts() {
-        let mut c = Counters::new(3);
-        let me = 0;
-        c.received = vec![0, 2, 1];
-        c.start_checkpoint();
-        assert!(!c.all_ci_received(me));
-        assert!(!c.all_late_received(me));
-        // Peer 1 sent 3 messages in the old epoch; we saw 2 before the line.
-        c.set_expected(1, 3);
-        c.set_expected(2, 1);
-        assert!(c.all_ci_received(me));
-        assert!(!c.all_late_received(me), "one late message from peer 1 still missing");
-        c.late_received[1] += 1;
-        assert!(c.all_late_received(me));
-        assert!(c.late_overrun(me).is_none());
-        c.late_received[2] += 1;
-        assert_eq!(c.late_overrun(me), Some(2));
     }
 
     #[test]

@@ -35,6 +35,9 @@
 //!   applied per stream (§4.3) — `MPI_Reduce` is performed as a gather
 //!   plus root-side fold exactly as in the paper.
 //!
+//! Every decision above is made by one pure state machine with no I/O,
+//! [`machine::Protocol`]; [`C3Ctx`] is its shell ([`protocol`], [`ckpt`]).
+//!
 //! State saving (paper §5) is delegated to the `statesave` crate; the
 //! fail-stop fault model and whole-job restart live in [`failure`].
 
@@ -44,10 +47,10 @@ pub mod api;
 pub mod ckpt;
 pub mod collectives;
 pub mod comms;
-pub mod control;
 pub mod counters;
 pub mod failure;
 pub mod job;
+pub mod machine;
 pub mod mode;
 pub mod piggyback;
 pub mod protocol;

@@ -38,7 +38,9 @@ impl Mode {
         self == Mode::NonDetLog
     }
 
-    /// Is `self -> next` a legal transition of Figure 3?
+    /// Is `self -> next` a legal transition of Figure 3? (Restore is
+    /// entered by construction, not by a transition: see
+    /// [`crate::machine::Protocol::restore`].)
     pub fn can_transition(self, next: Mode) -> bool {
         use Mode::*;
         matches!(
@@ -55,27 +57,6 @@ impl Mode {
             // Recovery completes.
             | (Restore, Run)
         )
-    }
-
-    /// Stable code for checkpoint encoding.
-    pub fn code(self) -> u8 {
-        match self {
-            Mode::Run => 0,
-            Mode::NonDetLog => 1,
-            Mode::RecvOnlyLog => 2,
-            Mode::Restore => 3,
-        }
-    }
-
-    /// Inverse of [`Mode::code`].
-    pub fn from_code(c: u8) -> Option<Mode> {
-        Some(match c {
-            0 => Mode::Run,
-            1 => Mode::NonDetLog,
-            2 => Mode::RecvOnlyLog,
-            3 => Mode::Restore,
-            _ => return None,
-        })
     }
 }
 
@@ -108,13 +89,5 @@ mod tests {
         assert!(!Mode::Run.is_logging());
         assert!(Mode::NonDetLog.nondet_logging());
         assert!(!Mode::RecvOnlyLog.nondet_logging());
-    }
-
-    #[test]
-    fn code_roundtrip() {
-        for m in [Mode::Run, Mode::NonDetLog, Mode::RecvOnlyLog, Mode::Restore] {
-            assert_eq!(Mode::from_code(m.code()), Some(m));
-        }
-        assert_eq!(Mode::from_code(9), None);
     }
 }

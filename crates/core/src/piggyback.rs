@@ -12,7 +12,6 @@
 //! implementation separates the implementation of piggybacking from the rest
 //! of the protocol", §4.5): the protocol talks in terms of [`PigData`] and
 //! [`MsgClass`]; how those are squeezed onto the wire is encapsulated here.
-//! A full (epoch-integer) encoding is provided for the ablation benchmark.
 
 use crate::mode::Mode;
 
@@ -75,16 +74,6 @@ pub fn classify(receiver_epoch: u64, sender_color: u8) -> MsgClass {
     }
 }
 
-/// Classify + recover the sender's absolute epoch (receiver-relative).
-#[inline]
-pub fn sender_epoch(receiver_epoch: u64, sender_color: u8) -> u64 {
-    match classify(receiver_epoch, sender_color) {
-        MsgClass::IntraEpoch => receiver_epoch,
-        MsgClass::Early => receiver_epoch + 1,
-        MsgClass::Late => receiver_epoch.saturating_sub(1),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,16 +94,13 @@ mod tests {
             if re > 0 {
                 let c = ((re - 1) % 3) as u8;
                 assert_eq!(classify(re, c), MsgClass::Late);
-                assert_eq!(sender_epoch(re, c), re - 1);
             }
             // Same epoch: intra.
             let c = (re % 3) as u8;
             assert_eq!(classify(re, c), MsgClass::IntraEpoch);
-            assert_eq!(sender_epoch(re, c), re);
             // Sender one ahead: early.
             let c = ((re + 1) % 3) as u8;
             assert_eq!(classify(re, c), MsgClass::Early);
-            assert_eq!(sender_epoch(re, c), re + 1);
         }
     }
 

@@ -1,15 +1,15 @@
-//! The protocol actions (Figures 4 and 5): wrapped sends/receives,
-//! non-blocking requests, the checkpoint pragma, and the
-//! start / commit / restore checkpoint functions.
+//! The wrapped MPI operations (Figures 4 and 5): sends and receives,
+//! non-blocking requests, the checkpoint pragma, and the I/O of the
+//! start / commit / restore checkpoint functions. Every protocol decision
+//! is [`crate::machine`]'s; this shell feeds it the events and carries its
+//! decisions out against the substrate, the store and the request table.
 
 use crate::api::{C3Config, C3Ctx, C3Error};
 use crate::ckpt;
-use crate::control::{CiMsg, CiTracker, TAG_CI};
-use crate::counters::Counters;
 use crate::failure::{FailAt, FailurePlan};
+use crate::machine::{Arrival, CiMsg, Next, Outgoing, Protocol, TAG_CI};
 use crate::mode::Mode;
-use crate::piggyback::{self, MsgClass, PigData};
-use crate::registries::{EarlyRegistry, ReplayLog, StreamKind, StreamSig, WasEarlyRegistry};
+use crate::registries::{EarlyRegistry, StreamKind, StreamSig, WasEarlyRegistry};
 use crate::requests::{C3Req, C3ReqKind, C3ReqTable, NondetEvent};
 use crate::Result;
 use mpisim::{
@@ -54,23 +54,14 @@ impl<'a> C3Ctx<'a> {
         let n = mpi.nranks();
         let store = CkptStore::new(&cfg.store_root)?;
         Ok(C3Ctx {
+            proto: Protocol::new(mpi.rank(), n),
             mpi,
             cfg,
-            epoch: 0,
-            mode: Mode::Run,
-            counters: Counters::new(n),
-            ci: CiTracker::new(),
-            replay: ReplayLog::new(),
-            early: EarlyRegistry::new(),
-            was_early: WasEarlyRegistry::new(),
             reqs: C3ReqTable::new(),
             comms: crate::comms::CommTable::new(n),
             store,
-            pragma_count: 0,
             restored_app_state: None,
             line_next_req: 0,
-            last_ckpt_pragma: 0,
-            last_ckpt_ns: 0,
             wall_origin: Instant::now(),
             stats: Default::default(),
             incr,
@@ -106,37 +97,60 @@ impl<'a> C3Ctx<'a> {
         if line == 0 {
             return Ok(ctx); // nothing committed anywhere: restart from scratch
         }
-        ckpt::restore_line(&mut ctx, line)?;
-        ctx.exchange_early_registries()?;
-        ctx.mode = Mode::Restore;
-        ctx.check_restore_done();
+        let (counters, early, replay) = ckpt::restore_line(&mut ctx, line)?;
+        let was_early = ctx.exchange_early_registries(&early)?;
+        let (proto, next) = Protocol::restore(ctx.rank(), line, counters, replay, was_early);
+        ctx.proto = proto;
+        ctx.carry_out(next)?;
         Ok(ctx)
     }
 
     /// Distribute the restored Early-Message-Registry entries to their
     /// original senders; build the local Was-Early-Registry from what the
-    /// peers send back (Fig. 5, `chkpt_RestoreCheckpoint`).
-    fn exchange_early_registries(&mut self) -> Result<()> {
-        let n = self.nranks();
-        let mut parts: Vec<Vec<u8>> = Vec::with_capacity(n);
-        for q in 0..n {
-            let sigs = self.early.entries_from(q);
-            let mut e = Encoder::new();
-            e.save(&sigs);
-            parts.push(e.finish());
-        }
+    /// peers send back (Fig. 5, `chkpt_RestoreCheckpoint`). The restored
+    /// registry's job is then done: it was reset at the line.
+    fn exchange_early_registries(&mut self, early: &EarlyRegistry) -> Result<WasEarlyRegistry> {
+        let parts: Vec<Vec<u8>> = (0..self.nranks())
+            .map(|q| {
+                let mut e = Encoder::new();
+                e.save(&early.entries_from(q));
+                e.finish()
+            })
+            .collect();
         let replies = self.mpi.alltoall(COMM_CTRL, &parts)?;
+        let mut was_early = WasEarlyRegistry::new();
         for bytes in replies {
             let mut d = statesave::Decoder::new(&bytes);
             let sigs: Vec<StreamSig> = d.load()?;
             for s in sigs {
                 debug_assert_eq!(s.src, self.mpi.rank(), "was-early entry routed to wrong sender");
-                self.was_early.add(s);
+                was_early.add(s);
             }
         }
-        // The restored registry's job is done; it was re-initialized at the
-        // line ("Reset Early-Message-Registry").
-        self.early.clear();
+        Ok(was_early)
+    }
+
+    /// Carry out a follow-up decision of the protocol core.
+    fn carry_out(&mut self, next: Next) -> Result<()> {
+        match next {
+            Next::Continue => {}
+            Next::Commit => {
+                // `chkpt_CommitCheckpoint` (Fig. 5): write the
+                // Late-Message-Registry and request table, mark the version
+                // committed.
+                ckpt::write_commit_sections(self, self.epoch())?;
+                self.proto.committed();
+                self.reqs.purge_deferred();
+                self.stats.ckpts_committed += 1;
+                self.stats.last_commit_wall_ns = self.wall_origin.elapsed().as_nanos() as u64;
+            }
+            Next::RestoreDone => {
+                // Request replay metadata no longer matters: nothing that
+                // remains can affect any saved state.
+                self.reqs.replay.clear();
+                self.reqs.nondet_events.clear();
+            }
+        }
         Ok(())
     }
 
@@ -144,137 +158,26 @@ impl<'a> C3Ctx<'a> {
     // Control plane
     // ==================================================================
 
-    /// "Check for control messages": drain Checkpoint-Initiated messages and
-    /// apply mode transitions. Called at every wrapped operation and pragma.
+    /// "Check for control messages": hand every Checkpoint-Initiated
+    /// message to the core, then let it apply the mode transitions. Called
+    /// at every wrapped operation and pragma.
     pub(crate) fn drain_control(&mut self) -> Result<()> {
         while let Some((bytes, st)) = self.mpi.try_recv_bytes(ANY_SOURCE, TAG_CI, COMM_CTRL)? {
-            let msg = CiMsg::decode(&bytes)?;
-            if msg.new_epoch == self.epoch && self.mode.is_logging() {
-                // CI for the round we are committing: record the peer's
-                // sent-count for the late-message condition.
-                self.counters.set_expected(st.src, msg.sent_count);
-            } else if msg.new_epoch > self.epoch {
-                // CI for a round we have not started yet (triggers a
-                // checkpoint at our next pragma).
-                self.ci.record(st.src, msg);
-            }
-            // Stale CI (round already committed): ignore.
+            self.proto.ci_arrived(st.src, CiMsg::decode(&bytes)?);
         }
-        self.maybe_advance()
-    }
-
-    /// Apply the NonDet-Log → RecvOnly-Log → Run transitions when their
-    /// conditions hold (Fig. 3). Commit is local: all CIs present and all
-    /// promised late messages received.
-    pub(crate) fn maybe_advance(&mut self) -> Result<()> {
-        let me = self.mpi.rank();
-        if self.mode == Mode::NonDetLog && self.counters.all_ci_received(me) {
-            self.mode = Mode::RecvOnlyLog;
-        }
-        if self.mode == Mode::RecvOnlyLog && self.counters.all_late_received(me) {
-            self.commit_checkpoint()?;
-        }
-        debug_assert!(
-            self.counters.late_overrun(me).is_none(),
-            "rank {me}: received more late messages than a peer's CI promised"
-        );
-        Ok(())
-    }
-
-    /// Restore → Run when the replay log holds no more late data and every
-    /// early send has been suppressed ("Late-Message-Registry is empty and
-    /// Was-Early-Registry is empty").
-    pub(crate) fn check_restore_done(&mut self) {
-        if self.mode == Mode::Restore && !self.replay.has_data() && self.was_early.is_empty() {
-            // Leftover wild-card forcing entries and request replay metadata
-            // no longer matter: nothing that remains can affect any saved
-            // state.
-            self.replay = ReplayLog::new();
-            self.reqs.replay.clear();
-            self.reqs.nondet_events.clear();
-            self.mode = Mode::Run;
-        }
-    }
-
-    // ==================================================================
-    // Arrival classification (the receive side of Fig. 4)
-    // ==================================================================
-
-    /// Classify an arrived message by its piggybacked bits.
-    ///
-    /// Public (together with [`C3Ctx::apply_arrival`]) as the protocol's
-    /// verification seam: property tests drive arbitrary piggyback bytes
-    /// through the real classification and arrival effects against a
-    /// reference model. Applications never need to call it.
-    pub fn classify(&self, piggyback: u8) -> (MsgClass, bool) {
-        let (color, logging) = piggyback::decode(piggyback);
-        (piggyback::classify(self.epoch, color), logging)
-    }
-
-    /// Apply the protocol effects of receiving a message: counters, logging,
-    /// early recording, and mode transitions. Public as a verification seam
-    /// (see [`C3Ctx::classify`]); wrapped operations call it internally.
-    pub fn apply_arrival(
-        &mut self,
-        class: MsgClass,
-        sender_logging: bool,
-        sig: StreamSig,
-        wildcard: bool,
-        data: &[u8],
-    ) -> Result<()> {
-        match class {
-            MsgClass::Late => {
-                self.counters.late_received[sig.src] += 1;
-                self.stats.late_logged += 1;
-                self.stats.late_bytes += data.len() as u64;
-                self.replay.push_late(sig, data.to_vec());
-            }
-            MsgClass::IntraEpoch => {
-                self.counters.received[sig.src] += 1;
-                if self.mode == Mode::NonDetLog {
-                    if !sender_logging {
-                        // The sender knows every process has started its
-                        // checkpoint; we must stop logging nondeterminism
-                        // too (the causality argument of §3.1).
-                        self.mode = Mode::RecvOnlyLog;
-                    } else if wildcard {
-                        self.stats.wildcard_sigs_logged += 1;
-                        self.replay.push_wildcard_sig(sig);
-                    }
-                }
-            }
-            MsgClass::Early => {
-                self.counters.early_received[sig.src] += 1;
-                self.stats.early_recorded += 1;
-                self.early.push(sig);
-            }
-        }
-        self.maybe_advance()
+        let next = self.proto.advance();
+        self.carry_out(next)
     }
 
     // ==================================================================
     // Logical stream primitives (shared by p2p and collectives)
     // ==================================================================
 
-    /// Protocol-wrapped send of one logical stream (`chkpt_MPI_Send`).
-    /// Copies `payload` once into a fresh buffer; use
-    /// [`C3Ctx::stream_send_payload`] (or build the payload once and clone
-    /// it) when the same bytes fan out to several destinations.
+    /// Protocol-wrapped send of one logical stream (`chkpt_MPI_Send`): the
+    /// core stamps or suppresses it. The payload transfers (or shares) its
+    /// buffer without copying, so build it once and clone it when the same
+    /// bytes fan out to several destinations.
     pub(crate) fn stream_send(
-        &mut self,
-        dst: usize,
-        comm: u32,
-        kind: StreamKind,
-        payload: &[u8],
-    ) -> Result<()> {
-        self.stream_send_payload(dst, comm, kind, Payload::from(payload))
-    }
-
-    /// Protocol-wrapped zero-copy send of one logical stream: the payload
-    /// transfers (or shares) its buffer without copying. All protocol
-    /// bookkeeping — suppression during restore, piggyback stamping,
-    /// counters — is identical to [`C3Ctx::stream_send`].
-    pub(crate) fn stream_send_payload(
         &mut self,
         dst: usize,
         comm: u32,
@@ -282,24 +185,18 @@ impl<'a> C3Ctx<'a> {
         payload: Payload,
     ) -> Result<()> {
         self.drain_control()?;
-        if self.mode == Mode::Restore {
-            let sig = StreamSig { src: self.mpi.rank(), dst, comm, kind };
-            if self.was_early.try_suppress(&sig) {
-                // The receiver consumed this message before the failure, so
-                // its restored `received` baseline includes it; the sent
-                // count must match even though nothing travels.
-                self.counters.sent[dst] += 1;
+        match self.proto.send(&StreamSig { src: self.mpi.rank(), dst, comm, kind }) {
+            Outgoing::Stamp(pig) => {
+                let (mcomm, mtag) = transport(comm, kind);
+                self.mpi.send_payload(dst, mtag, mcomm, pig, payload)?;
+                self.stats.msgs_sent += 1;
+                Ok(())
+            }
+            Outgoing::Suppress(next) => {
                 self.stats.suppressed_sends += 1;
-                self.check_restore_done();
-                return Ok(());
+                self.carry_out(next)
             }
         }
-        let pig = piggyback::encode(PigData::of(self.epoch, self.mode));
-        let (mcomm, mtag) = transport(comm, kind);
-        self.mpi.send_payload(dst, mtag, mcomm, pig, payload)?;
-        self.counters.sent[dst] += 1;
-        self.stats.msgs_sent += 1;
-        Ok(())
     }
 
     /// Protocol-wrapped blocking p2p receive (`chkpt_MPI_Recv`), wildcards
@@ -324,11 +221,10 @@ impl<'a> C3Ctx<'a> {
     /// instance `call`).
     pub(crate) fn stream_recv_coll(&mut self, src: usize, comm: u32, call: u64) -> Result<Vec<u8>> {
         self.drain_control()?;
-        if self.mode == Mode::Restore {
-            if let Some(data) = self.replay.take_coll_match(comm, call, src) {
-                self.note_replayed()?;
-                return Ok(data);
-            }
+        if let Some((data, next)) = self.proto.replay_coll(comm, call, src) {
+            self.note_replayed()?;
+            self.carry_out(next)?;
+            return Ok(data);
         }
         let kind = StreamKind::Coll { call };
         let (mcomm, mtag) = transport(comm, kind);
@@ -338,19 +234,15 @@ impl<'a> C3Ctx<'a> {
         Ok(bytes)
     }
 
-    /// The replay source of a p2p receive: in `Restore`, consume the first
-    /// replay-log entry matching `(src, tag, comm)`. Late data completes the
-    /// receive from the log ("the data for that receive is received from
-    /// this registry"); an intra-epoch wild-card signature forces the
-    /// receive onto the logged source ("fill in any wild-cards to force
-    /// intra-epoch messages to be received in the order they were received
-    /// prior to failure"), which blocks until that source re-sends. `None`
-    /// outside `Restore` or without a match: the receive goes live.
+    /// The replay source of a p2p receive, as the core serves it. Late
+    /// data completes the receive from the log ("the data for that receive
+    /// is received from this registry"); an intra-epoch wild-card signature
+    /// forces the receive onto the logged source ("fill in any wild-cards
+    /// to force intra-epoch messages to be received in the order they were
+    /// received prior to failure"), which blocks until that source
+    /// re-sends. `None`: the receive goes live.
     fn replayed(&mut self, src: i32, tag: i32, comm: u32) -> Result<Option<(Vec<u8>, Status)>> {
-        if self.mode != Mode::Restore {
-            return Ok(None);
-        }
-        let Some(entry) = self.replay.take_p2p_match(src, tag, comm) else {
+        let Some((entry, next)) = self.proto.replay_p2p(src, tag, comm) else {
             return Ok(None);
         };
         let StreamKind::P2p { tag: forced_tag } = entry.sig.kind else {
@@ -359,6 +251,7 @@ impl<'a> C3Ctx<'a> {
         match entry.data {
             Some(data) => {
                 self.note_replayed()?;
+                self.carry_out(next)?;
                 // Intra-epoch by construction on the restored run.
                 let st =
                     Status { src: entry.sig.src, tag: forced_tag, bytes: data.len(), piggyback: 0 };
@@ -373,14 +266,9 @@ impl<'a> C3Ctx<'a> {
         }
     }
 
-    /// Account one live arrival. In `Restore` every message is intra-epoch,
-    /// so it is only counted. The Restore → Run condition (no late data
-    /// left, no early send left to suppress) cannot change here — it is
-    /// checked where it can, when log data is consumed or a send
-    /// suppressed. Otherwise the arrival is classified by its piggyback
-    /// and its protocol effects applied; `req`, the request it completes,
-    /// is marked first, because a commit those effects trigger saves the
-    /// request table.
+    /// Account one live arrival: hand it to the core and count what it
+    /// was. `req`, the request it completes, is marked first, because a
+    /// commit the arrival triggers saves the request table.
     fn arrived(
         &mut self,
         sig: StreamSig,
@@ -389,22 +277,22 @@ impl<'a> C3Ctx<'a> {
         data: &[u8],
         req: Option<C3Req>,
     ) -> Result<()> {
-        if self.mode == Mode::Restore {
-            self.counters.received[sig.src] += 1;
-            debug_assert!(
-                self.replay.has_data() || !self.was_early.is_empty(),
-                "Restore outlived its exit condition"
-            );
-            return Ok(());
-        }
-        let (class, logging) = self.classify(piggyback);
         if let Some(r) = req {
-            let during_nondet = self.mode == Mode::NonDetLog;
-            let e = self.reqs.get_mut(r).expect("completing a known request");
-            e.completed = true;
-            e.completed_during_log = during_nondet;
+            let during_nondet = self.mode() == Mode::NonDetLog;
+            self.reqs.get_mut(r).expect("completing a known request").completed_during_log =
+                during_nondet;
         }
-        self.apply_arrival(class, logging, sig, wildcard, data)
+        let (arrival, next) = self.proto.arrive(sig, piggyback, wildcard, data);
+        match arrival {
+            Arrival::Intra => {}
+            Arrival::WildcardLogged => self.stats.wildcard_sigs_logged += 1,
+            Arrival::Late => {
+                self.stats.late_logged += 1;
+                self.stats.late_bytes += data.len() as u64;
+            }
+            Arrival::Early => self.stats.early_recorded += 1,
+        }
+        self.carry_out(next)
     }
 
     /// The stream signature of a received p2p message.
@@ -418,7 +306,7 @@ impl<'a> C3Ctx<'a> {
 
     /// Blocking send of raw bytes on the world communicator.
     pub fn send_bytes(&mut self, dst: usize, tag: i32, payload: &[u8]) -> Result<()> {
-        self.stream_send(dst, COMM_WORLD.0, StreamKind::P2p { tag }, payload)
+        self.stream_send(dst, COMM_WORLD.0, StreamKind::P2p { tag }, payload.into())
     }
 
     /// Blocking send of a typed slice.
@@ -503,8 +391,8 @@ impl<'a> C3Ctx<'a> {
     /// Non-blocking send. Buffered: completes at initiation, but must be
     /// collected with `test`/`wait`.
     pub fn isend_bytes(&mut self, dst: usize, tag: i32, payload: &[u8]) -> Result<C3Req> {
-        self.stream_send(dst, COMM_WORLD.0, StreamKind::P2p { tag }, payload)?;
-        Ok(self.reqs.alloc(C3ReqKind::Send, dst as i32, tag, COMM_WORLD.0, self.epoch, None))
+        self.stream_send(dst, COMM_WORLD.0, StreamKind::P2p { tag }, payload.into())?;
+        Ok(self.reqs.alloc(C3ReqKind::Send, dst as i32, tag, COMM_WORLD.0, self.epoch(), None))
     }
 
     /// Non-blocking typed send.
@@ -517,12 +405,12 @@ impl<'a> C3Ctx<'a> {
     /// replayed-from-log messages never leave a stale posted receive behind.
     pub fn irecv(&mut self, src: i32, tag: i32) -> Result<C3Req> {
         self.drain_control()?;
-        let mpi = if self.mode == Mode::Restore {
+        let mpi = if self.mode() == Mode::Restore {
             None
         } else {
             Some(self.mpi.irecv_bytes(src, tag, COMM_WORLD).map_err(C3Error::Mpi)?)
         };
-        Ok(self.reqs.alloc(C3ReqKind::Recv, src, tag, COMM_WORLD.0, self.epoch, mpi))
+        Ok(self.reqs.alloc(C3ReqKind::Recv, src, tag, COMM_WORLD.0, self.epoch(), mpi))
     }
 
     /// Test a request without blocking. Unsuccessful tests are counted while
@@ -530,7 +418,7 @@ impl<'a> C3Ctx<'a> {
     /// successful test substituted by a wait (§4.1).
     pub fn test(&mut self, r: C3Req) -> Result<Option<(Status, Vec<u8>)>> {
         self.drain_control()?;
-        let block = if self.mode == Mode::Restore {
+        let block = if self.mode() == Mode::Restore {
             match self.replay_test(r) {
                 // "If the counter is not zero, the counter is decremented and
                 // the call returns without attempting to complete the
@@ -546,7 +434,7 @@ impl<'a> C3Ctx<'a> {
             false
         };
         let done = self.complete(r, block)?;
-        if done.is_none() && self.mode == Mode::NonDetLog {
+        if done.is_none() && self.mode() == Mode::NonDetLog {
             if let Some(e) = self.reqs.get_mut(r) {
                 e.test_fails += 1;
             }
@@ -565,7 +453,7 @@ impl<'a> C3Ctx<'a> {
     /// recovery (§4.1 "log the index or indices of MPI_Wait_any").
     pub fn wait_any(&mut self, list: &[C3Req]) -> Result<(usize, Status, Vec<u8>)> {
         self.drain_control()?;
-        let log = self.mode == Mode::NonDetLog;
+        let log = self.mode() == Mode::NonDetLog;
         self.complete_any(list, log)
     }
 
@@ -573,7 +461,7 @@ impl<'a> C3Ctx<'a> {
     /// completed `(index, status, payload)` triples.
     pub fn wait_some(&mut self, list: &[C3Req]) -> Result<Vec<(usize, Status, Vec<u8>)>> {
         self.drain_control()?;
-        let restoring = self.mode == Mode::Restore;
+        let restoring = self.mode() == Mode::Restore;
         if restoring {
             if let Some(NondetEvent::WaitSome(indices)) = self.reqs.nondet_events.front().cloned() {
                 self.reqs.nondet_events.pop_front();
@@ -603,7 +491,7 @@ impl<'a> C3Ctx<'a> {
         }
         // Unlike `wait_any`'s single index, the set is known only after its
         // arrivals took effect, so it is logged if logging outlived them.
-        if self.mode == Mode::NonDetLog {
+        if self.mode() == Mode::NonDetLog {
             self.reqs
                 .nondet_events
                 .push_back(NondetEvent::WaitSome(out.iter().map(|(i, _, _)| *i as u32).collect()));
@@ -629,7 +517,7 @@ impl<'a> C3Ctx<'a> {
         if list.is_empty() {
             return Err(C3Error::Protocol("wait_any on empty request list".into()));
         }
-        if self.mode == Mode::Restore {
+        if self.mode() == Mode::Restore {
             if let Some(&NondetEvent::WaitAny(i)) = self.reqs.nondet_events.front() {
                 self.reqs.nondet_events.pop_front();
                 let i = i as usize;
@@ -696,7 +584,7 @@ impl<'a> C3Ctx<'a> {
             debug_assert!(
                 kind == C3ReqKind::Send || self.reqs.get(r).is_some_and(|e| e.mpi.is_none())
             );
-            self.reqs.release(r, self.mode.is_logging());
+            self.reqs.release(r, self.mode().is_logging());
         }
         Ok(done)
     }
@@ -706,7 +594,7 @@ impl<'a> C3Ctx<'a> {
         let e = self.reqs.get(r).expect("completing a known request");
         let (wildcard, comm) = (e.src == ANY_SOURCE || e.tag == ANY_TAG, e.comm);
         self.arrived(self.p2p_sig(&st, comm), st.piggyback, wildcard, &payload, Some(r))?;
-        self.reqs.release(r, self.mode.is_logging());
+        self.reqs.release(r, self.mode().is_logging());
         Ok((st, payload))
     }
 
@@ -720,8 +608,8 @@ impl<'a> C3Ctx<'a> {
         if let Some(m) = e.mpi {
             return Ok(m);
         }
-        if e.kind != C3ReqKind::Recv || e.completed {
-            return Err(C3Error::Protocol(format!("request {r:?} was already collected")));
+        if e.kind != C3ReqKind::Recv {
+            return Err(C3Error::Protocol(format!("send request {r:?} has no receive to post")));
         }
         let m = self.mpi.irecv_bytes(e.src, e.tag, CommId(e.comm)).map_err(C3Error::Mpi)?;
         self.reqs.get_mut(r).expect("known request").mpi = Some(m);
@@ -766,15 +654,14 @@ impl<'a> C3Ctx<'a> {
     /// writing the commit record (see `ckpt::write_commit_sections`).
     pub(crate) fn maybe_fail_during_commit(&mut self) -> Result<()> {
         if let Some(FailurePlan { when: FailAt::DuringCommit, .. }) = self.failure {
-            return self.fire_failure(&format!("mid-commit of line {}", self.epoch));
+            return self.fire_failure(&format!("mid-commit of line {}", self.epoch()));
         }
         Ok(())
     }
 
-    /// Count one receive served from the replay log and leave `Restore` if
-    /// that was the last late data; a `DuringRestore` fault kills the rank
-    /// at its n-th replayed receive — mid-recovery, while peers may
-    /// themselves still be replaying.
+    /// Count one receive served from the replay log; a `DuringRestore`
+    /// fault kills the rank at its n-th replayed receive — mid-recovery,
+    /// while peers may themselves still be replaying.
     fn note_replayed(&mut self) -> Result<()> {
         self.stats.replayed_recvs += 1;
         if let Some(FailurePlan { when: FailAt::DuringRestore { nth_replay }, .. }) = self.failure {
@@ -783,7 +670,6 @@ impl<'a> C3Ctx<'a> {
                     .fire_failure(&format!("replay {} during restore", self.stats.replayed_recvs));
             }
         }
-        self.check_restore_done();
         Ok(())
     }
 
@@ -797,83 +683,41 @@ impl<'a> C3Ctx<'a> {
     /// The closure produces the application state to save; it is invoked
     /// only when a checkpoint is actually taken.
     pub fn pragma<F: FnOnce(&mut Encoder)>(&mut self, save: F) -> Result<bool> {
-        self.pragma_count += 1;
         if let Some(f) = self.failure {
-            let commits = self.stats.ckpts_committed;
+            let (pragma, commits) = (self.proto.pragmas() + 1, self.stats.ckpts_committed);
             let hit = match f.when {
-                FailAt::Pragma(p) => self.pragma_count >= p,
-                FailAt::AfterCommits { commits: c, pragma } => {
-                    commits >= c && self.pragma_count >= pragma
-                }
+                FailAt::Pragma(p) => pragma >= p,
+                FailAt::AfterCommits { commits: c, pragma: p } => commits >= c && pragma >= p,
                 _ => false,
             };
             if hit {
-                return self
-                    .fire_failure(&format!("pragma {}, {commits} commits", self.pragma_count));
+                return self.fire_failure(&format!("pragma {pragma}, {commits} commits"));
             }
         }
         self.drain_control()?;
-        if self.mode != Mode::Run {
+        let me = self.mpi.rank();
+        let policy = self.cfg.initiator.is_none_or(|r| r == me).then_some(&self.cfg.policy);
+        let Some(ci_counts) = self.proto.pragma(policy, self.mpi.vtime()) else {
             return Ok(false);
-        }
-        let policy_applies = self.cfg.initiator.is_none_or(|r| r == self.mpi.rank());
-        let since_last = self.mpi.vtime().saturating_sub(self.last_ckpt_ns);
-        let force = policy_applies
-            && self.cfg.policy.wants(self.pragma_count, self.last_ckpt_pragma, since_last);
-        if force || self.ci.any(self.epoch + 1) {
-            let mut enc = Encoder::new();
-            save(&mut enc);
-            self.start_checkpoint(enc.finish())?;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// `chkpt_StartCheckpoint` (Fig. 5).
-    pub(crate) fn start_checkpoint(&mut self, app_state: Vec<u8>) -> Result<()> {
-        debug_assert_eq!(self.mode, Mode::Run, "checkpoints start from Run");
-        // Advance Epoch.
-        self.epoch += 1;
+        };
+        let mut enc = Encoder::new();
+        save(&mut enc);
+        // `chkpt_StartCheckpoint` (Fig. 5), after the core advanced the
+        // epoch and shuffled the counters: save application state, basic
+        // MPI state, the datatype table and the Early-Message-Registry, then
+        // send Checkpoint-Initiated to every node Q with Sent-Count[Q].
         self.stats.ckpts_started += 1;
-        let version = self.epoch;
-        // Prepare counters (returns the sent-counts for the CI messages).
-        let ci_counts = self.counters.start_checkpoint();
+        let version = self.epoch();
         self.line_next_req = self.reqs.next_id();
         self.reqs.reset_period();
-        // Save application state, basic MPI state, the datatype table, and
-        // the Early-Message-Registry.
-        ckpt::write_line_sections(self, version, app_state)?;
-        self.early.clear();
-        // Send Checkpoint-Initiated to every node Q with Sent-Count[Q].
-        let me = self.mpi.rank();
-        for (q, count) in ci_counts.iter().enumerate() {
-            if q == me {
-                continue;
-            }
-            let payload = CiMsg { new_epoch: self.epoch, sent_count: *count }.encode();
+        ckpt::write_line_sections(self, version, enc.finish())?;
+        for (q, count) in ci_counts.into_iter().enumerate().filter(|&(q, _)| q != me) {
+            let payload = CiMsg { new_epoch: version, sent_count: count }.encode();
             self.mpi.send_bytes(q, TAG_CI, COMM_CTRL, 0, &payload)?;
             self.stats.ci_sent += 1;
         }
-        // Apply CIs already received for this round.
-        for (peer, count) in self.ci.take_round(self.epoch) {
-            self.counters.set_expected(peer, count);
-        }
-        self.mode = Mode::NonDetLog;
-        self.last_ckpt_pragma = self.pragma_count;
-        self.last_ckpt_ns = self.mpi.vtime();
-        self.maybe_advance()
-    }
-
-    /// `chkpt_CommitCheckpoint` (Fig. 5): write the Late-Message-Registry
-    /// and request table, mark the version committed.
-    pub(crate) fn commit_checkpoint(&mut self) -> Result<()> {
-        debug_assert_eq!(self.mode, Mode::RecvOnlyLog, "commit happens from RecvOnly-Log");
-        ckpt::write_commit_sections(self, self.epoch)?;
-        self.replay = ReplayLog::new();
-        self.reqs.purge_deferred();
-        self.stats.ckpts_committed += 1;
-        self.stats.last_commit_wall_ns = self.wall_origin.elapsed().as_nanos() as u64;
-        self.mode = Mode::Run;
-        Ok(())
+        let next = self.proto.line_written(self.mpi.vtime());
+        self.carry_out(next)?;
+        Ok(true)
     }
 }

@@ -91,7 +91,7 @@ impl StreamSig {
 }
 
 /// One entry of the replay log.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ReplayEntry {
     /// The stream the entry describes.
     pub sig: StreamSig,
@@ -126,7 +126,7 @@ impl Saveable for ReplayEntry {
 
 /// The `Late-Message-Registry`: ordered log of late-message data and
 /// intra-epoch wild-card signatures.
-#[derive(Default, Debug, Clone, PartialEq, Eq)]
+#[derive(Default, Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ReplayLog {
     entries: std::collections::VecDeque<ReplayEntry>,
 }
@@ -145,16 +145,6 @@ impl ReplayLog {
     /// Append an intra-epoch wild-card receive's signature (NonDet-Log).
     pub fn push_wildcard_sig(&mut self, sig: StreamSig) {
         self.entries.push_back(ReplayEntry { sig, data: None });
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Do any entries still hold late *data*? (The Restore→Run condition
@@ -203,7 +193,7 @@ impl ReplayLog {
 
 /// The `Early-Message-Registry`: signatures of early messages received, in
 /// receive order.
-#[derive(Default, Debug, Clone, PartialEq, Eq)]
+#[derive(Default, Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EarlyRegistry {
     entries: Vec<StreamSig>,
 }
@@ -217,16 +207,6 @@ impl EarlyRegistry {
     /// Record one early message.
     pub fn push(&mut self, sig: StreamSig) {
         self.entries.push(sig);
-    }
-
-    /// Number of recorded early messages.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the registry empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Reset (after the registry is saved with the checkpoint).
@@ -258,10 +238,9 @@ impl EarlyRegistry {
 
 /// The `Was-Early-Registry`: a multiset of stream signatures whose matching
 /// sends must be suppressed during recovery.
-#[derive(Default, Debug, Clone)]
+#[derive(Default, Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WasEarlyRegistry {
-    counts: std::collections::HashMap<StreamSig, u32>,
-    total: usize,
+    counts: std::collections::BTreeMap<StreamSig, u32>,
 }
 
 impl WasEarlyRegistry {
@@ -273,17 +252,16 @@ impl WasEarlyRegistry {
     /// Add one suppression obligation.
     pub fn add(&mut self, sig: StreamSig) {
         *self.counts.entry(sig).or_insert(0) += 1;
-        self.total += 1;
     }
 
     /// Total outstanding suppressions.
     pub fn len(&self) -> usize {
-        self.total
+        self.counts.values().map(|&c| c as usize).sum()
     }
 
     /// Is the registry empty? (Part of the Restore→Run condition.)
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.counts.is_empty()
     }
 
     /// If a send with this signature must be suppressed, consume one
@@ -295,7 +273,6 @@ impl WasEarlyRegistry {
                 if *c == 0 {
                     self.counts.remove(sig);
                 }
-                self.total -= 1;
                 true
             }
             _ => false,
@@ -336,7 +313,7 @@ mod tests {
         log.push_late(p2p(1, 0, 5), vec![1]);
         log.push_wildcard_sig(p2p(2, 0, 5));
         log.push_late(p2p(1, 0, 5), vec![2]);
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.entries.len(), 3);
         assert!(log.has_data());
         // A wildcard receive takes the earliest matching entry: the first
         // late message from 1.
@@ -349,7 +326,7 @@ mod tests {
         // A specific receive from 1 takes the remaining data entry.
         let e = log.take_p2p_match(1, 5, 0).unwrap();
         assert_eq!(e.data, Some(vec![2]));
-        assert!(log.is_empty());
+        assert!(log.entries.is_empty());
     }
 
     #[test]

@@ -63,14 +63,12 @@ pub struct ReqEntry {
     pub mpi: Option<mpisim::ReqId>,
     /// Unsuccessful `test` calls recorded while in `NonDet-Log`.
     pub test_fails: u64,
-    /// Completed during the current checkpoint period (entry retained until
-    /// the table is saved — "we delay any deallocation of request table
-    /// entries until after the request table has been saved").
-    pub completed: bool,
     /// Completion happened during NonDet-Log: a replayed `test` that
     /// originally succeeded becomes a `wait`.
     pub completed_during_log: bool,
-    /// Entry kept only for the pending table save; free after saving.
+    /// Collected during the current checkpoint period, and kept only for
+    /// the pending table save ("we delay any deallocation of request table
+    /// entries until after the request table has been saved").
     pub dealloc_deferred: bool,
 }
 
@@ -105,7 +103,6 @@ impl Saveable for ReqEntry {
             epoch_allocated: d.u64()?,
             mpi: None,
             test_fails: d.u64()?,
-            completed: kind == C3ReqKind::Send,
             completed_during_log: d.bool()?,
             dealloc_deferred: false,
         })
@@ -187,7 +184,6 @@ impl C3ReqTable {
                 epoch_allocated: epoch,
                 mpi,
                 test_fails: 0,
-                completed: false,
                 completed_during_log: false,
                 dealloc_deferred: false,
             },
@@ -195,14 +191,16 @@ impl C3ReqTable {
         C3Req(id)
     }
 
-    /// Borrow an entry.
+    /// Borrow an entry the application has not collected yet. An entry
+    /// kept only for the table save is gone for the application, in every
+    /// mode.
     pub fn get(&self, r: C3Req) -> Option<&ReqEntry> {
-        self.entries.get(&r.0)
+        self.entries.get(&r.0).filter(|e| !e.dealloc_deferred)
     }
 
-    /// Mutably borrow an entry.
+    /// Mutably borrow an entry, as [`C3ReqTable::get`].
     pub fn get_mut(&mut self, r: C3Req) -> Option<&mut ReqEntry> {
-        self.entries.get_mut(&r.0)
+        self.entries.get_mut(&r.0).filter(|e| !e.dealloc_deferred)
     }
 
     /// Remove an entry after the application collects it. If a checkpoint
@@ -215,16 +213,6 @@ impl C3ReqTable {
         } else {
             self.entries.remove(&r.0);
         }
-    }
-
-    /// Live entry count (diagnostics).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries exist.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Reset per-checkpoint-period nondeterminism bookkeeping (start of a
@@ -312,12 +300,13 @@ mod tests {
         let mut t = C3ReqTable::new();
         let a = recv_entry(&mut t, 0);
         t.release(a, true);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.entries.len(), 1);
+        assert!(t.get(a).is_none(), "a collected entry is gone for the application");
         t.purge_deferred();
-        assert_eq!(t.len(), 0);
+        assert_eq!(t.entries.len(), 0);
         let b = recv_entry(&mut t, 0);
         t.release(b, false);
-        assert_eq!(t.len(), 0);
+        assert_eq!(t.entries.len(), 0);
     }
 
     #[test]
@@ -325,7 +314,6 @@ mod tests {
         let mut t = C3ReqTable::new();
         // Pre-line receive, completed while logging.
         let a = recv_entry(&mut t, 3);
-        t.get_mut(a).unwrap().completed = true;
         t.get_mut(a).unwrap().completed_during_log = true;
         // Pre-line pending receive, still open.
         let b = recv_entry(&mut t, 3);
@@ -342,9 +330,9 @@ mod tests {
         // completed again by re-execution; a keeps its replay state. c is
         // replay state only.
         let a2 = t2.get(a).unwrap();
-        assert!(a2.completed_during_log && !a2.completed && a2.mpi.is_none());
+        assert!(a2.completed_during_log && a2.mpi.is_none());
         let b2 = t2.get(b).unwrap();
-        assert!(!b2.completed_during_log && !b2.completed && b2.mpi.is_none());
+        assert!(!b2.completed_during_log && b2.mpi.is_none());
         assert!(t2.get(c).is_none());
         assert_eq!(t2.replay.get(&c.0).unwrap().test_fails, 7);
         // The id counter resumed at the line: re-execution re-creates c with

@@ -6,7 +6,7 @@
 //!   *after* — so rank 1's sends at the checkpoint iteration are **late**
 //!   (logged, replayed) and rank 0's are **early** (recorded, suppressed).
 
-use c3::{C3Config, C3Ctx, C3Error, FailAt, FailurePlan, Job};
+use c3::{C3Config, C3Ctx, C3Error, FailAt, FailurePlan, Job, Mode};
 use mpisim::{NetModel, ANY_SOURCE, ANY_TAG};
 use statesave::codec::{Decoder, Encoder};
 use statesave::TempStore;
@@ -267,6 +267,44 @@ fn completed_send_status_is_the_same_after_recovery() {
     assert!(replayed >= 1 && suppressed >= 1, "rank 0 never completed a send in Restore");
     let results: Vec<u64> = rec.handle.results.iter().map(|(r, _, _)| *r).collect();
     assert_eq!(results, baseline.results, "a completed send's status changed in recovery");
+}
+
+/// A collected request is gone for the application in every mode: a
+/// second `wait` on a completed `isend` fails with `C3Error::Protocol` in
+/// `Run`, and also in `NonDet-Log`, where the table keeps the entry only
+/// for its save at commit. Rank 1 receives rank 0's third message before
+/// it reaches its pragma, so rank 0 is still in `NonDet-Log` when it
+/// waits twice.
+#[test]
+fn a_collected_request_cannot_be_waited_twice_in_any_mode() {
+    let store = e2e_store("double-wait");
+    let cfg = C3Config::at_pragmas(store.path(), vec![1]);
+    let out = Job::new(2, cfg)
+        .run(|ctx| {
+            if ctx.rank() == 1 {
+                for tag in [1, 2, 3] {
+                    ctx.recv::<u64>(0, tag)?;
+                }
+                assert!(ctx.pragma(|e| e.u64(1))?, "rank 1 joins round 1");
+                ctx.send(0, 4, &[0u64])?;
+                return Ok(vec![]);
+            }
+            let mut refused = Vec::new();
+            for tag in [1, 2] {
+                if tag == 2 {
+                    assert!(ctx.pragma(|e| e.u64(0))?, "rank 0 initiates at pragma 1");
+                }
+                let r = ctx.isend(1, tag, &[0u64])?;
+                ctx.wait(r)?;
+                let again = ctx.wait(r);
+                refused.push((ctx.mode(), matches!(again, Err(C3Error::Protocol(_)))));
+            }
+            ctx.send(1, 3, &[0u64])?;
+            ctx.recv::<u64>(1, 4)?;
+            Ok(refused)
+        })
+        .unwrap();
+    assert_eq!(out.handle.results[0], vec![(Mode::Run, true), (Mode::NonDetLog, true)]);
 }
 
 /// Wild-card receives with nondeterministic arrival order: the logged
