@@ -454,8 +454,12 @@ fn main() {
     let mut json_kernels = Vec::new();
     let mut total_diverged = 0usize;
     let mut failing: Vec<&Record> = Vec::new();
+    // The number the incremental mode is judged on: its checkpoint volume
+    // against the full mode's, per (kernel, network).
+    let mut volume_ratios = Vec::new();
     for (kidx, k) in kset.iter().enumerate() {
         for net in NetMode::ALL {
+            let mut bytes_p50 = [0u64; ModeAxis::ALL.len()];
             for mode in ModeAxis::ALL {
                 let mine: Vec<&Record> = records
                     .iter()
@@ -503,6 +507,7 @@ fn main() {
                     percentile(&volumes, 0.90),
                     percentile(&volumes, 0.99),
                 );
+                bytes_p50[mode as usize] = b50;
                 table.row(vec![
                     k.name.to_string(),
                     net.name().to_string(),
@@ -542,9 +547,21 @@ fn main() {
                     volumes.last().copied().unwrap_or(0),
                 ));
             }
+            let [full, incr] = bytes_p50;
+            if full > 0 && incr > 0 {
+                volume_ratios.push(format!(
+                    "ckpt volume {} [{}]: incr4/full = {:.3}",
+                    k.name,
+                    net.name(),
+                    incr as f64 / full as f64
+                ));
+            }
         }
     }
     table.print();
+    for line in &volume_ratios {
+        println!("{line}");
+    }
 
     // Shrink every failing seed to a minimal reproduction by re-running
     // (over the network-fault component too).

@@ -39,10 +39,7 @@
 //! 12. scaling ratchet: the fresh `scaling --smoke` cg@256 `wall_ms` must
 //!     stay within the ns-scale tolerance (3×) of the
 //!     committed `BENCH_scaling.json` entry; a missing entry fails
-//! 13. `recovery_trend` — restart-cost percentiles and checkpoint volumes
-//!     vs the copy committed at `HEAD` (informational report; parse
-//!     failures gate, noise does not)
-//! 14. non-test line count — prints `[ARTIFACT][c3-loc] nontest_lines=N`
+//! 13. non-test line count — prints `[ARTIFACT][c3-loc] nontest_lines=N`
 //!     over `src/` and `crates/*/src` minus `crates/compat`, each file cut
 //!     at its `#[cfg(test)] mod tests`, after one
 //!     `[ARTIFACT][c3-loc] crate=<package> nontest_lines=N` line per crate
@@ -172,7 +169,7 @@ fn check_bench_schemas(out_dir: &std::path::Path, results: &mut Vec<Step>) {
 }
 
 /// Parse `(name, ns_per_op)` pairs out of a `BENCH_message_path.json` body
-/// (hand-rolled scanner, same idiom as `recovery_trend`).
+/// (hand-rolled scanner).
 fn parse_message_path(body: &str) -> Vec<(String, f64)> {
     let mut rows = Vec::new();
     let mut rest = body;
@@ -404,7 +401,6 @@ fn main() {
         eprintln!("cannot create {out_dir}: {e}");
         std::process::exit(2);
     }
-    let fresh_recovery = std::path::Path::new(&out_dir).join("BENCH_recovery.json");
 
     let mut results = Vec::new();
     if !skip_build {
@@ -472,22 +468,6 @@ fn main() {
     check_bench_schemas(out_dir_path, &mut results);
     check_message_path_ratchet(out_dir_path, &mut results);
     check_scaling_ratchet(out_dir_path, &mut results);
-    run(
-        "recovery_trend vs HEAD",
-        cargo(&[
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            "c3-bench",
-            "--bin",
-            "recovery_trend",
-            "--",
-            "--current",
-            &fresh_recovery.to_string_lossy(),
-        ]),
-        &mut results,
-    );
     count_nontest_lines(&mut results);
 
     println!("\n=== ci_gate summary ===");

@@ -8,7 +8,6 @@
 //! | `tables <1-7>`   | the paper's Tables 1–7 (§6), generated in [`tables`]        |
 //! | `scaling`        | weak scaling of CG and EP from 64 to 4096 ranks             |
 //! | `chaos_soak`     | seed-sweep fault-injection soak with plan shrinking         |
-//! | `recovery_trend` | restart-cost percentiles vs the committed `BENCH_recovery`  |
 //! | `message_path`   | substrate and protocol hot paths, per operation             |
 //! | `ci_gate`        | the repository's full check                                 |
 //!
@@ -24,9 +23,8 @@ pub mod tables;
 pub use report::{Align, Table};
 
 /// Where `chaos_soak`, `message_path` and `scaling` write their
-/// `BENCH_*.json` and `recovery_trend` reads `BENCH_recovery.json` by
-/// default: `$BENCH_OUT_DIR`, else `target/bench-out` under the working
-/// directory — never the committed baselines at the repo root.
+/// `BENCH_*.json`: `$BENCH_OUT_DIR`, else `target/bench-out` under the
+/// working directory — never the committed baselines at the repo root.
 pub fn bench_out_dir() -> std::path::PathBuf {
     std::env::var_os("BENCH_OUT_DIR").map_or_else(|| "target/bench-out".into(), Into::into)
 }
