@@ -19,9 +19,8 @@
 //!
 //! Any divergent seed is greedily shrunk (`c3::shrink_plan`) to a minimal
 //! reproduction — over the network-fault component as well as the
-//! fail-stop schedule — by re-running candidate plans; a synthetic
-//! known-bad oracle demonstrates the shrinker on every invocation so the
-//! reduction machinery itself stays exercised while the protocol is
+//! fail-stop schedule — by re-running candidate plans. The shrinker's own
+//! unit tests (`c3::failure`) keep it exercised while the protocol is
 //! healthy.
 //!
 //! The sweep also crosses a **checkpoint-mode axis** — `CkptMode::Full`
@@ -40,10 +39,7 @@
 //! chaos_soak [--seeds N] [--base-seed S] [--quick] [--jobs J] [--kernels cg,ft,...]
 //! ```
 
-use c3::{
-    shrink_plan, C3Config, C3Error, ChaosPlan, ChaosSpace, CkptPolicy, FailAt, FailurePlan, Job,
-    NetFault,
-};
+use c3::{shrink_plan, C3Config, C3Error, ChaosPlan, ChaosSpace, CkptPolicy, Job};
 use c3_bench::{Align, Table};
 use mpisim::{JobSpec, NetModel};
 use npb::{bt, cg, ep, ft, hpl, is, lu, mg, smg, sp, Kernel};
@@ -347,30 +343,6 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-/// Demonstrate the shrinker on a deliberately-seeded known-bad plan: the
-/// synthetic oracle "fails" iff the plan holds an op fault at op ≥ 10, so
-/// the minimal reproduction is the single fault `rank0@op(10)`. This runs
-/// on every invocation — the reduction machinery is exercised even while
-/// the protocol itself has no divergences to shrink.
-fn shrink_demo() -> (ChaosPlan, ChaosPlan, bool) {
-    let bad = ChaosPlan::new(vec![
-        FailurePlan { rank: 1, when: FailAt::Pragma(7) },
-        FailurePlan { rank: 3, when: FailAt::Op(123) },
-        FailurePlan { rank: 2, when: FailAt::DuringRestore { nth_replay: 3 } },
-    ])
-    .with_net(NetFault {
-        drop_permille: 30,
-        dup_permille: 20,
-        reorder: true,
-        mailbox_capacity: None,
-    });
-    let oracle =
-        |p: &ChaosPlan| p.faults.iter().any(|f| matches!(f.when, FailAt::Op(n) if n >= 10));
-    let min = shrink_plan(&bad, oracle);
-    let ok = min == ChaosPlan::single(FailurePlan { rank: 0, when: FailAt::Op(10) });
-    (bad, min, ok)
-}
-
 fn main() {
     let args = parse_args();
     let mut kset = kernels(args.quick);
@@ -608,29 +580,16 @@ fn main() {
         ));
     }
 
-    // The standing shrinker demonstration.
-    let (demo_bad, demo_min, demo_ok) = shrink_demo();
-    println!(
-        "\nshrinker demo: {} → {} ({})",
-        demo_bad,
-        demo_min,
-        if demo_ok { "minimal, as expected" } else { "UNEXPECTED RESULT" }
-    );
-
     let json = format!(
         "{{\n  \"bench\": \"chaos_soak\",\n  \"seeds\": {},\n  \"base_seed\": {},\n  \
          \"quick\": {},\n  \"divergences\": {},\n  \"kernels\": [\n{}\n  ],\n  \
-         \"failing_shrunk\": [\n{}\n  ],\n  \"shrink_demo\": {{\"original\": \"{}\", \
-         \"shrunk\": \"{}\", \"minimal\": {}}}\n}}\n",
+         \"failing_shrunk\": [\n{}\n  ]\n}}\n",
         args.seeds,
         args.base_seed,
         args.quick,
         total_diverged,
         json_kernels.join(",\n"),
         shrunk_json.join(",\n"),
-        demo_bad,
-        demo_min,
-        demo_ok,
     );
     let dir = c3_bench::bench_out_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -644,7 +603,7 @@ fn main() {
     }
     println!("wrote {}", path.display());
 
-    if total_diverged > 0 || !demo_ok {
+    if total_diverged > 0 {
         std::process::exit(1);
     }
 }

@@ -21,8 +21,15 @@ pub struct Timed {
     pub results: Vec<f64>,
     /// Virtual-time makespan (cluster-model time, ns).
     pub makespan_ns: u64,
-    /// Aggregated C³ statistics (zero for original runs).
-    pub stats: C3Stats,
+    /// Per-rank C³ statistics (empty for original runs).
+    pub stats: Vec<C3Stats>,
+}
+
+impl Timed {
+    /// One C³ statistic summed over the ranks.
+    pub fn total(&self, field: impl Fn(&C3Stats) -> u64) -> u64 {
+        self.stats.iter().map(field).sum()
+    }
 }
 
 /// Run the original (un-instrumented) application.
@@ -31,7 +38,7 @@ pub fn run_original(spec: &JobSpec, kernel: Kernel) -> Timed {
     let h = mpisim::launch(spec, move |ctx| kernel.run(ctx))
         .unwrap_or_else(|e| panic!("original {} failed: {e}", kernel.name()));
     let makespan_ns = h.makespan_ns();
-    Timed { wall: t0.elapsed(), results: h.results, makespan_ns, stats: C3Stats::default() }
+    Timed { wall: t0.elapsed(), results: h.results, makespan_ns, stats: Vec::new() }
 }
 
 /// Run under the C³ layer with the given configuration.
@@ -45,24 +52,8 @@ pub fn run_c3(spec: &JobSpec, cfg: &C3Config, kernel: Kernel) -> Timed {
         .unwrap_or_else(|e| panic!("C³ {} failed: {e}", kernel.name()));
     let wall = t0.elapsed();
     let makespan_ns = h.makespan_ns();
-    let mut agg = C3Stats::default();
-    let mut results = Vec::with_capacity(h.results.len());
-    for (r, s) in &h.results {
-        results.push(*r);
-        agg.msgs_sent += s.msgs_sent;
-        agg.late_logged += s.late_logged;
-        agg.late_bytes += s.late_bytes;
-        agg.wildcard_sigs_logged += s.wildcard_sigs_logged;
-        agg.early_recorded += s.early_recorded;
-        agg.suppressed_sends += s.suppressed_sends;
-        agg.ci_sent += s.ci_sent;
-        agg.ckpts_started += s.ckpts_started;
-        agg.ckpts_committed += s.ckpts_committed;
-        agg.ckpt_bytes_written += s.ckpt_bytes_written;
-        agg.replayed_recvs += s.replayed_recvs;
-        agg.last_commit_wall_ns = agg.last_commit_wall_ns.max(s.last_commit_wall_ns);
-    }
-    Timed { wall, results, makespan_ns, stats: agg }
+    let (results, stats) = h.handle.results.into_iter().unzip();
+    Timed { wall, results, makespan_ns, stats }
 }
 
 /// Wall time of the best of `reps` runs of `f` (minimum damps scheduler
@@ -111,8 +102,8 @@ mod tests {
         let cfg = C3Config::passive(store.path());
         let c3r = run_c3(&spec, &cfg, k);
         assert_same_results("cg", &orig.results, &c3r.results);
-        assert_eq!(c3r.stats.ckpts_committed, 0);
-        assert!(c3r.stats.msgs_sent > 0);
+        assert_eq!(c3r.total(|s| s.ckpts_committed), 0);
+        assert!(c3r.total(|s| s.msgs_sent) > 0);
     }
 
     #[test]
@@ -122,7 +113,10 @@ mod tests {
         let store = TempStore::new("runner-sizes");
         let cfg = C3Config::at_pragmas(store.path(), vec![2]);
         let t = run_c3(&spec, &cfg, k);
-        assert_eq!(t.stats.ckpts_committed, 2);
+        let committed = t.total(|s| s.ckpts_committed);
+        assert_eq!(committed, 2);
+        assert!(t.total(|s| s.ckpt_line_bytes) > 0);
+        assert_eq!(t.total(|s| s.ckpt_bases), committed);
         let sizes = checkpoint_sizes(store.path(), 2);
         assert!(sizes.iter().all(|s| *s > 0), "sizes: {sizes:?}");
     }
@@ -150,7 +144,7 @@ mod tests {
                 wall: Duration::from_millis(100 - calls * 10),
                 results: vec![],
                 makespan_ns: 0,
-                stats: C3Stats::default(),
+                stats: Vec::new(),
             }
         });
         assert_eq!(t.wall, Duration::from_millis(70));

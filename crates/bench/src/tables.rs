@@ -138,7 +138,7 @@ pub fn sizes_table() -> Table {
         let orig = run_original(&spec, kernel);
         let c3r = run_c3(&spec, &cfg, kernel);
         assert_same_results(name, &orig.results, &c3r.results);
-        assert!(c3r.stats.ckpts_committed >= 1, "{name}: no checkpoint committed");
+        assert!(c3r.total(|s| s.ckpts_committed) >= 1, "{name}: no checkpoint committed");
 
         let measured = checkpoint_sizes(store.path(), 1)[0];
         let c3_mb_v = measured + C3_ARENA;
@@ -240,13 +240,13 @@ pub fn with_ckpt_table(
 
         // Configuration #2: one checkpoint, nothing written to disk.
         let r2 = best_c3(&spec, kernel, |p| C3Config::at_pragmas(p, vec![pragma]).no_disk());
-        assert!(r2.stats.ckpts_committed >= 1, "{}: cfg#2 never committed", kernel.name());
+        assert!(r2.total(|s| s.ckpts_committed) >= 1, "{}: cfg#2 never committed", kernel.name());
 
         // Configuration #3: one checkpoint to local disk.
         let store3 = TempStore::new(kernel.name());
         let cfg3 = C3Config::at_pragmas(store3.path(), vec![pragma]);
         let r3 = best_of(REPS, || run_c3(&spec, &cfg3, kernel));
-        assert!(r3.stats.ckpts_committed >= 1, "{}: cfg#3 never committed", kernel.name());
+        assert!(r3.total(|s| s.ckpts_committed) >= 1, "{}: cfg#3 never committed", kernel.name());
         assert_same_results(kernel.name(), &r1.results, &r3.results);
 
         let sizes = checkpoint_sizes(store3.path(), procs);
@@ -254,7 +254,7 @@ pub fn with_ckpt_table(
         let cost = r3.wall.as_secs_f64() - r1.wall.as_secs_f64();
         // CI control messages per checkpoint round: the §4.5 scalability
         // measure (grows linearly in P, no initiator bottleneck).
-        let ci = r3.stats.ci_sent;
+        let ci = r3.total(|s| s.ci_sent);
 
         let p = paper_rows.iter().find(|r| r.code.starts_with(kernel.name()));
         t.row(vec![
@@ -302,8 +302,9 @@ pub fn restart_table(
         let store = TempStore::new(kernel.name());
         let cfg = C3Config::at_pragmas(store.path(), vec![mid_pragma(&kernel)]);
         let r1 = run_c3(&spec, &cfg, kernel);
-        assert!(r1.stats.ckpts_committed >= 1, "{}: no commit", kernel.name());
-        let after_ckpt = r1.wall.as_secs_f64() - r1.stats.last_commit_wall_ns as f64 / 1e9;
+        assert!(r1.total(|s| s.ckpts_committed) >= 1, "{}: no commit", kernel.name());
+        let last_commit_ns = r1.stats.iter().map(|s| s.last_commit_wall_ns).max().unwrap_or(0);
+        let after_ckpt = r1.wall.as_secs_f64() - last_commit_ns as f64 / 1e9;
 
         // Run 2: restart from the stored checkpoint, run to the end.
         let t0 = std::time::Instant::now();

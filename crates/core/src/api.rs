@@ -237,8 +237,6 @@ pub struct C3Ctx<'a> {
     pub(crate) store: CkptStore,
     /// App state restored from a checkpoint, consumed by the app at startup.
     pub(crate) restored_app_state: Option<Vec<u8>>,
-    /// Request-id watermark at the current recovery line.
-    pub(crate) line_next_req: u64,
     /// Wall-clock origin: context creation (for
     /// [`C3Stats::last_commit_wall_ns`]).
     pub(crate) wall_origin: Instant,

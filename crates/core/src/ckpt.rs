@@ -202,7 +202,7 @@ fn restore_delta_sections(ctx: &C3Ctx<'_>, version: u64) -> Result<(u64, Section
 pub(crate) fn write_commit_sections(ctx: &mut C3Ctx<'_>, version: u64) -> Result<()> {
     let mut e = Encoder::new();
     ctx.proto.replay_log().save(&mut e);
-    ctx.reqs.save(ctx.line_next_req, &mut e);
+    ctx.reqs.save(&mut e);
     put(ctx, version, "late", e.as_bytes())?;
     // The torn-commit crash window: the late log is in the file, the commit
     // record is not. A `DuringCommit` fault kills the rank exactly here;

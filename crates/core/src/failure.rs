@@ -462,12 +462,18 @@ mod tests {
     fn shrinker_reduces_a_known_bad_plan_to_its_minimal_core() {
         // Synthetic oracle: the plan "fails" iff it contains an op fault
         // with op >= 10. The minimal reproduction is a single rank-0 fault
-        // at exactly op 10.
+        // at exactly op 10, without the irrelevant network component.
         let bad = ChaosPlan::new(vec![
             FailurePlan { rank: 1, when: FailAt::Pragma(7) },
             FailurePlan { rank: 3, when: FailAt::Op(123) },
             FailurePlan { rank: 2, when: FailAt::DuringRestore { nth_replay: 3 } },
-        ]);
+        ])
+        .with_net(NetFault {
+            drop_permille: 30,
+            dup_permille: 20,
+            reorder: true,
+            mailbox_capacity: None,
+        });
         let fails =
             |p: &ChaosPlan| p.faults.iter().any(|f| matches!(f.when, FailAt::Op(n) if n >= 10));
         assert!(fails(&bad));

@@ -61,7 +61,6 @@ impl<'a> C3Ctx<'a> {
             comms: crate::comms::CommTable::new(n),
             store,
             restored_app_state: None,
-            line_next_req: 0,
             wall_origin: Instant::now(),
             stats: Default::default(),
             incr,
@@ -499,15 +498,6 @@ impl<'a> C3Ctx<'a> {
         Ok(out)
     }
 
-    /// Wait for all requests, in order.
-    pub fn wait_all(&mut self, list: &[C3Req]) -> Result<Vec<(Status, Vec<u8>)>> {
-        let mut out = Vec::with_capacity(list.len());
-        for r in list {
-            out.push(self.wait(*r)?);
-        }
-        Ok(out)
-    }
-
     /// Complete one request of `list`: in `Restore` the logged index first;
     /// then, in index order, a send or a receive the replay log serves;
     /// then whichever posted receive the substrate completes first. With
@@ -540,7 +530,7 @@ impl<'a> C3Ctx<'a> {
         if log {
             self.reqs.nondet_events.push_back(NondetEvent::WaitAny(i as u32));
         }
-        let (st, data) = self.finish_live(list[i], st, payload.unwrap_or_default())?;
+        let (st, data) = self.finish_live(list[i], st, payload.into_vec())?;
         Ok((i, st, data))
     }
 
@@ -554,12 +544,12 @@ impl<'a> C3Ctx<'a> {
         }
         let mreq = self.posted(r)?;
         let done = if block {
-            Some(self.mpi.wait_payload(mreq).map_err(C3Error::Mpi)?)
+            Some(self.mpi.wait(mreq).map_err(C3Error::Mpi)?)
         } else {
             self.mpi.test(mreq).map_err(C3Error::Mpi)?
         };
         match done {
-            Some((st, payload)) => self.finish_live(r, st, payload.unwrap_or_default()).map(Some),
+            Some((st, payload)) => self.finish_live(r, st, payload.into_vec()).map(Some),
             None => Ok(None),
         }
     }
@@ -708,7 +698,6 @@ impl<'a> C3Ctx<'a> {
         // send Checkpoint-Initiated to every node Q with Sent-Count[Q].
         self.stats.ckpts_started += 1;
         let version = self.epoch();
-        self.line_next_req = self.reqs.next_id();
         self.reqs.reset_period();
         ckpt::write_line_sections(self, version, enc.finish())?;
         for (q, count) in ci_counts.into_iter().enumerate().filter(|&(q, _)| q != me) {

@@ -147,6 +147,9 @@ impl Saveable for NondetEvent {
 pub struct C3ReqTable {
     entries: BTreeMap<u64, ReqEntry>,
     next: u64,
+    /// `next` when the current checkpoint period started: the id watermark
+    /// at the recovery line.
+    line_next: u64,
     /// Ordered log of `wait_any`/`wait_some` outcomes (NonDet-Log only).
     pub nondet_events: VecDeque<NondetEvent>,
     /// Saved entries of requests that re-execution will re-allocate
@@ -215,9 +218,11 @@ impl C3ReqTable {
         }
     }
 
-    /// Reset per-checkpoint-period nondeterminism bookkeeping (start of a
-    /// checkpoint period: test counters and the event log).
+    /// Start a checkpoint period: record the id watermark at the recovery
+    /// line and reset the nondeterminism bookkeeping (test counters and the
+    /// event log).
     pub fn reset_period(&mut self) {
+        self.line_next = self.next;
         for e in self.entries.values_mut() {
             e.test_fails = 0;
         }
@@ -227,8 +232,8 @@ impl C3ReqTable {
     /// Serialize the table image at commit time: every entry (deferred ones
     /// included), the id watermark at the recovery line, and the
     /// nondeterminism log.
-    pub fn save(&self, line_next: u64, e: &mut Encoder) {
-        e.u64(line_next);
+    pub fn save(&self, e: &mut Encoder) {
+        e.u64(self.line_next);
         e.u64(self.entries.len() as u64);
         for (id, en) in &self.entries {
             e.u64(*id);
@@ -244,7 +249,7 @@ impl C3ReqTable {
     pub fn load(d: &mut Decoder<'_>, line_epoch: u64) -> Result<Self, CodecError> {
         let line_next = d.u64()?;
         let n = d.u64()? as usize;
-        let mut table = C3ReqTable { next: line_next, ..Default::default() };
+        let mut table = C3ReqTable { next: line_next, line_next, ..Default::default() };
         for _ in 0..n {
             let id = d.u64()?;
             let entry = ReqEntry::load(d)?;
@@ -269,12 +274,6 @@ impl C3ReqTable {
     /// (end of `chkpt_CommitCheckpoint`).
     pub fn purge_deferred(&mut self) {
         self.entries.retain(|_, e| !e.dealloc_deferred);
-    }
-
-    /// The id watermark (next id to allocate) — captured at the recovery
-    /// line for the table image.
-    pub fn next_id(&self) -> u64 {
-        self.next
     }
 }
 
@@ -317,13 +316,13 @@ mod tests {
         t.get_mut(a).unwrap().completed_during_log = true;
         // Pre-line pending receive, still open.
         let b = recv_entry(&mut t, 3);
-        let line_next = t.next_id();
+        t.reset_period();
         // Post-line receive with test failures to replay.
         let c = recv_entry(&mut t, 4);
         t.get_mut(c).unwrap().test_fails = 7;
 
         let mut e = Encoder::new();
-        t.save(line_next, &mut e);
+        t.save(&mut e);
         let buf = e.finish();
         let t2 = C3ReqTable::load(&mut Decoder::new(&buf), 4).unwrap();
         // a and b are live entries with no substrate request, to be
@@ -337,7 +336,6 @@ mod tests {
         assert_eq!(t2.replay.get(&c.0).unwrap().test_fails, 7);
         // The id counter resumed at the line: re-execution re-creates c with
         // the same id.
-        assert_eq!(t2.next_id(), line_next);
         let mut t2 = t2;
         let c2 = recv_entry(&mut t2, 4);
         assert_eq!(c2, c);
@@ -349,7 +347,7 @@ mod tests {
         t.nondet_events.push_back(NondetEvent::WaitAny(2));
         t.nondet_events.push_back(NondetEvent::WaitSome(vec![0, 3]));
         let mut e = Encoder::new();
-        t.save(0, &mut e);
+        t.save(&mut e);
         let buf = e.finish();
         let t2 = C3ReqTable::load(&mut Decoder::new(&buf), 0).unwrap();
         assert_eq!(t2.nondet_events.len(), 2);

@@ -236,8 +236,8 @@ impl RankCtx {
     /// materializing a vector.
     pub fn recv_payload(&mut self, src: i32, tag: Tag, comm: CommId) -> Result<(Payload, Status)> {
         let req = self.irecv_bytes(src, tag, comm)?;
-        let (st, payload) = self.wait_payload_view(req)?;
-        Ok((payload.expect("receive yields payload"), st))
+        let (st, payload) = self.wait(req)?;
+        Ok((payload, st))
     }
 
     /// Blocking receive of a typed vector on the world communicator.
@@ -258,19 +258,11 @@ impl RankCtx {
         // Pending posted receives have matching priority; do not steal from
         // them. Progress first so they claim what is theirs.
         self.reqs.progress(self.net.mailbox(self.rank));
-        match self.net.mailbox(self.rank).try_claim(src, tag, comm) {
-            Some(env) => {
-                self.note_arrival(&env);
-                let st = Status {
-                    src: env.src,
-                    tag: env.tag,
-                    bytes: env.payload.len(),
-                    piggyback: env.piggyback,
-                };
-                Ok(Some((env.payload.into_vec(), st)))
-            }
-            None => Ok(None),
-        }
+        let claimed = self.net.mailbox(self.rank).try_claim(src, tag, comm);
+        Ok(claimed.map(|env| {
+            let (st, payload) = self.arrived(env);
+            (payload.into_vec(), st)
+        }))
     }
 
     /// Non-destructive probe for a matching message: `(src, tag, bytes)`.
@@ -286,27 +278,8 @@ impl RankCtx {
     }
 
     // ------------------------------------------------------------------
-    // Non-blocking operations
+    // Non-blocking receives
     // ------------------------------------------------------------------
-
-    /// Initiate a non-blocking send. Buffered: the returned request is
-    /// already complete, but must still be collected with `wait`/`test`.
-    pub fn isend_bytes(
-        &mut self,
-        dst: Rank,
-        tag: Tag,
-        comm: CommId,
-        piggyback: u8,
-        payload: &[u8],
-    ) -> Result<ReqId> {
-        self.send_bytes(dst, tag, comm, piggyback, payload)?;
-        Ok(self.reqs.add_send(dst, tag, payload.len()))
-    }
-
-    /// Initiate a non-blocking typed send on the world communicator.
-    pub fn isend<T: Pod>(&mut self, dst: Rank, tag: Tag, data: &[T]) -> Result<ReqId> {
-        self.isend_bytes(dst, tag, COMM_WORLD, 0, pod::bytes_of(data))
-    }
 
     /// Post a non-blocking receive (wildcards allowed).
     pub fn irecv_bytes(&mut self, src: i32, tag: Tag, comm: CommId) -> Result<ReqId> {
@@ -320,37 +293,49 @@ impl RankCtx {
         self.irecv_bytes(src, tag, COMM_WORLD)
     }
 
-    /// Test a request for completion without blocking. On completion the
-    /// request is consumed and the payload (for receives) returned.
-    pub fn test(&mut self, req: ReqId) -> Result<Option<(Status, Option<Vec<u8>>)>> {
+    /// Test a receive for completion without blocking. On completion the
+    /// request is consumed and its payload returned.
+    pub fn test(&mut self, req: ReqId) -> Result<Option<(Status, Payload)>> {
         self.check_abort()?;
         self.reqs.progress(self.net.mailbox(self.rank));
-        match self.reqs.is_done(req) {
-            None => Err(MpiError::InvalidArg(format!("unknown request {req:?}"))),
-            Some(false) => Ok(None),
-            Some(true) => {
-                let (st, env) = self.reqs.take(req).expect("done request collectable");
-                Ok(Some(self.finish(st, env)))
-            }
-        }
+        Ok(self.reqs.take(req)?.map(|env| self.arrived(env)))
     }
 
-    /// Block until a request completes; consume it.
-    pub fn wait(&mut self, req: ReqId) -> Result<Status> {
-        self.wait_payload(req).map(|(st, _)| st)
-    }
-
-    /// Block until a request completes; consume it, returning the payload
-    /// for receives.
-    pub fn wait_payload(&mut self, req: ReqId) -> Result<(Status, Option<Vec<u8>>)> {
-        let (st, payload) = self.wait_payload_view(req)?;
-        Ok((st, payload.map(Payload::into_vec)))
-    }
-
-    /// Block until a request completes; consume it, returning the shared
-    /// payload for receives.
-    pub fn wait_payload_view(&mut self, req: ReqId) -> Result<(Status, Option<Payload>)> {
+    /// Block until a receive completes; consume it and return its payload.
+    pub fn wait(&mut self, req: ReqId) -> Result<(Status, Payload)> {
         self.tick_op()?;
+        let env = self.block_until(|reqs| reqs.take(req))?;
+        Ok(self.arrived(env))
+    }
+
+    /// Block until *any* of the given receives completes; returns its index
+    /// in `reqs` plus status and payload. Which one completes is
+    /// nondeterministic (arrival timing), which is exactly the
+    /// nondeterminism the protocol layer must log for `MPI_Waitany` (§4.1).
+    pub fn wait_any(&mut self, reqs: &[ReqId]) -> Result<(usize, Status, Payload)> {
+        if reqs.is_empty() {
+            return Err(MpiError::InvalidArg("wait_any on empty request list".into()));
+        }
+        self.tick_op()?;
+        let (i, env) = self.block_until(|table| {
+            for (i, r) in reqs.iter().enumerate() {
+                if let Some(env) = table.take(*r)? {
+                    return Ok(Some((i, env)));
+                }
+            }
+            Ok(None)
+        })?;
+        let (st, payload) = self.arrived(env);
+        Ok((i, st, payload))
+    }
+
+    /// The one place a rank blocks on a receive: match arrivals against the
+    /// posted receives, ask `done` for its result, and park on the mailbox
+    /// until the next delivery (or poison) if it has none yet.
+    fn block_until<T>(
+        &mut self,
+        mut done: impl FnMut(&mut RequestTable) -> Result<Option<T>>,
+    ) -> Result<T> {
         loop {
             // Epoch before the poison check and progress: a poison or a
             // delivery that lands after either check bumps the epoch and
@@ -358,94 +343,25 @@ impl RankCtx {
             let seen = self.net.park_epoch(self.rank);
             self.check_abort()?;
             self.reqs.progress(self.net.mailbox(self.rank));
-            match self.reqs.is_done(req) {
-                None => return Err(MpiError::InvalidArg(format!("unknown request {req:?}"))),
-                Some(true) => {
-                    let (st, env) = self.reqs.take(req).expect("done request collectable");
-                    return Ok(self.finish_view(st, env));
-                }
-                Some(false) => self.net.block_on_mailbox(self.rank, seen),
-            }
-        }
-    }
-
-    /// Block until *any* of the given requests completes; returns its index
-    /// in `reqs` plus status/payload. Completion choice is nondeterministic
-    /// (arrival timing), which is exactly the nondeterminism the protocol
-    /// layer must log for `MPI_Waitany` (§4.1).
-    pub fn wait_any(&mut self, reqs: &[ReqId]) -> Result<(usize, Status, Option<Vec<u8>>)> {
-        if reqs.is_empty() {
-            return Err(MpiError::InvalidArg("wait_any on empty request list".into()));
-        }
-        self.tick_op()?;
-        loop {
-            let seen = self.net.park_epoch(self.rank);
-            self.check_abort()?;
-            self.reqs.progress(self.net.mailbox(self.rank));
-            for (i, r) in reqs.iter().enumerate() {
-                if self.reqs.is_done(*r) == Some(true) {
-                    let (st, env) = self.reqs.take(*r).expect("done request collectable");
-                    let (st, payload) = self.finish(st, env);
-                    return Ok((i, st, payload));
-                }
+            if let Some(t) = done(&mut self.reqs)? {
+                return Ok(t);
             }
             self.net.block_on_mailbox(self.rank, seen);
         }
     }
 
-    /// Block until at least one request completes; consume and return all
-    /// currently-completed ones as `(index, status, payload)` triples.
-    pub fn wait_some(&mut self, reqs: &[ReqId]) -> Result<Vec<crate::Completion>> {
-        if reqs.is_empty() {
-            return Err(MpiError::InvalidArg("wait_some on empty request list".into()));
-        }
-        self.tick_op()?;
-        loop {
-            let seen = self.net.park_epoch(self.rank);
-            self.check_abort()?;
-            self.reqs.progress(self.net.mailbox(self.rank));
-            let mut out = Vec::new();
-            for (i, r) in reqs.iter().enumerate() {
-                if self.reqs.is_done(*r) == Some(true) {
-                    let (st, env) = self.reqs.take(*r).expect("done request collectable");
-                    let (st, payload) = self.finish(st, env);
-                    out.push((i, st, payload));
-                }
-            }
-            if !out.is_empty() {
-                return Ok(out);
-            }
-            self.net.block_on_mailbox(self.rank, seen);
-        }
-    }
-
-    /// Block until all requests complete; consume them in order.
-    pub fn wait_all(&mut self, reqs: &[ReqId]) -> Result<Vec<(Status, Option<Vec<u8>>)>> {
-        let mut out = Vec::with_capacity(reqs.len());
-        for r in reqs {
-            out.push(self.wait_payload(*r)?);
-        }
-        Ok(out)
-    }
-
-    fn finish(&mut self, st: Status, env: Option<Envelope>) -> (Status, Option<Vec<u8>>) {
-        let (st, payload) = self.finish_view(st, env);
-        (st, payload.map(Payload::into_vec))
-    }
-
-    fn finish_view(&mut self, st: Status, env: Option<Envelope>) -> (Status, Option<Payload>) {
-        match env {
-            Some(e) => {
-                self.note_arrival(&e);
-                (st, Some(e.payload))
-            }
-            None => (st, None),
-        }
-    }
-
-    fn note_arrival(&mut self, env: &Envelope) {
+    /// Take delivery of a claimed envelope: advance the virtual clock to its
+    /// arrival time and split it into status and payload.
+    fn arrived(&mut self, env: Envelope) -> (Status, Payload) {
         let arrive = env.depart_vt + self.net.cluster().transfer_ns(env.payload.len());
         self.vclock = self.vclock.max(arrive);
+        let st = Status {
+            src: env.src,
+            tag: env.tag,
+            bytes: env.payload.len(),
+            piggyback: env.piggyback,
+        };
+        (st, env.payload)
     }
 }
 

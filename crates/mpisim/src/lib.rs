@@ -15,8 +15,9 @@
 //!   with per-signature FIFO order, wildcard source/tag receives, and
 //!   **no FIFO guarantee across different signatures** (an optional
 //!   reordering model makes cross-signature reordering actually happen);
-//! * non-blocking communication with request objects, `test`/`wait`/
-//!   `wait_any`/`wait_some`/`wait_all` and posted-receive matching order;
+//! * non-blocking receives with request objects, `test`/`wait`/`wait_any`
+//!   and posted-receive matching order (sends are buffered and complete at
+//!   initiation, so they need no request);
 //! * derived datatypes (contiguous / vector / indexed / struct) with
 //!   hierarchical construction and pack/unpack of non-contiguous buffers;
 //! * collective operations (barrier, bcast, gather(v), scatter(v),
@@ -93,10 +94,6 @@ pub const ANY_SOURCE: i32 = -1;
 
 /// Wildcard tag for receive operations (`MPI_ANY_TAG`).
 pub const ANY_TAG: i32 = -2;
-
-/// One completed request of a `wait_some`/`wait_any` sweep:
-/// `(index into the request list, status, payload for receives)`.
-pub type Completion = (usize, Status, Option<Vec<u8>>);
 
 /// A communicator identifier. Identifiers with the high bit set are reserved
 /// for internal collective traffic; [`COMM_CTRL`] is reserved for a protocol

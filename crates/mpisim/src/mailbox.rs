@@ -446,7 +446,9 @@ mod tests {
     #[test]
     fn control_count_is_exact_across_deliveries_claims_and_clear() {
         // Unbounded, and bounded (the claim paths also return credits).
-        let net = crate::Network::new(&crate::JobSpec::new(1).mailbox_capacity(2));
+        let net = crate::Network::new(
+            &crate::JobSpec::new(1).net(crate::NetModel::reliable().mailbox_capacity(2)),
+        );
         for mb in [&Mailbox::new(), net.mailbox(0)] {
             let count = || mb.ctrl.load(Ordering::Relaxed);
             mb.deliver(ctrl(1, 0));

@@ -201,12 +201,6 @@ impl NetModel {
         self
     }
 
-    /// Remove the mailbox bound (back to idealized buffered sends).
-    pub fn unbounded(mut self) -> Self {
-        self.mailbox_capacity = None;
-        self
-    }
-
     /// True if any drop/duplication fault can fire.
     #[inline]
     pub fn has_faults(&self) -> bool {
@@ -1094,7 +1088,9 @@ mod tests {
 
     #[test]
     fn bounded_mailbox_parks_senders_and_preserves_order() {
-        let spec = JobSpec::new(2).mailbox_capacity(2).sched(SchedMode::EventDriven { workers: 2 });
+        let spec = JobSpec::new(2)
+            .net(NetModel::reliable().mailbox_capacity(2))
+            .sched(SchedMode::EventDriven { workers: 2 });
         let out = launch(&spec, |ctx| {
             if ctx.rank() == 0 {
                 for seq in 0..6u64 {
@@ -1149,7 +1145,7 @@ mod tests {
 
     #[test]
     fn deadlock_watchdog_catches_a_self_send_cycle() {
-        let err = launch(&JobSpec::new(1).mailbox_capacity(1), |ctx| {
+        let err = launch(&JobSpec::new(1).net(NetModel::reliable().mailbox_capacity(1)), |ctx| {
             ctx.send(0, 2, &[0u64])?;
             let second = ctx.send(0, 2, &[1u64]);
             assert_eq!(second, Err(MpiError::Aborted));
@@ -1165,7 +1161,7 @@ mod tests {
     /// from rank 0 must report only the cycle it leads into.
     #[test]
     fn deadlock_watchdog_reports_the_cycle_past_a_bystander() {
-        let err = launch(&JobSpec::new(4).mailbox_capacity(1), |ctx| {
+        let err = launch(&JobSpec::new(4).net(NetModel::reliable().mailbox_capacity(1)), |ctx| {
             let dst = match ctx.rank() {
                 0 | 3 => 1,
                 r => r + 1,
@@ -1185,7 +1181,9 @@ mod tests {
 
     #[test]
     fn poison_releases_parked_senders() {
-        let spec = JobSpec::new(2).mailbox_capacity(1).sched(SchedMode::EventDriven { workers: 2 });
+        let spec = JobSpec::new(2)
+            .net(NetModel::reliable().mailbox_capacity(1))
+            .sched(SchedMode::EventDriven { workers: 2 });
         let err = launch(&spec, |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, 7, &[0u64])?;

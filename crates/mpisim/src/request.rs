@@ -1,13 +1,14 @@
-//! Non-blocking communication requests.
+//! Non-blocking receive requests.
 //!
-//! Requests separate initiation from completion (`MPI_Isend`/`MPI_Irecv` +
+//! Requests separate initiation from completion (`MPI_Irecv` +
 //! `MPI_Test`/`MPI_Wait`). Sends in this substrate are buffered and complete
-//! at initiation; receives stay pending until a matching envelope is claimed.
-//! Pending receives are matched in *posted order* against envelopes in
-//! *arrival order*, reproducing MPI's matching rules for overlapping
-//! (wildcard) receives.
+//! at initiation, so only receives are requests: each stays pending until a
+//! matching envelope is claimed. Pending receives are matched in *posted
+//! order* against envelopes in *arrival order*, reproducing MPI's matching
+//! rules for overlapping (wildcard) receives.
 
 use crate::envelope::Envelope;
+use crate::error::{MpiError, Result};
 use crate::mailbox::Mailbox;
 use crate::{CommId, Fx, Rank, Tag};
 use std::collections::{HashMap, VecDeque};
@@ -20,10 +21,10 @@ use std::collections::{HashMap, VecDeque};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ReqId(pub u64);
 
-/// Completion information for a receive (or send) — MPI's `MPI_Status`.
+/// What a completed receive matched — MPI's `MPI_Status`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Status {
-    /// World rank of the message source (the receiver itself for sends).
+    /// World rank of the message source.
     pub src: Rank,
     /// Message tag.
     pub tag: Tag,
@@ -34,13 +35,11 @@ pub struct Status {
 }
 
 #[derive(Debug)]
-pub(crate) enum ReqState {
-    /// Buffered send, already complete.
-    SendDone { dst: Rank, tag: Tag, bytes: usize },
+enum ReqState {
     /// Posted receive, not yet matched.
-    RecvPending { src: i32, tag: Tag, comm: CommId },
+    Pending { src: i32, tag: Tag, comm: CommId },
     /// Matched receive with the claimed message.
-    RecvDone { env: Envelope },
+    Done(Envelope),
 }
 
 /// Rank-local request table with posted-order matching.
@@ -57,17 +56,10 @@ impl RequestTable {
         Self::default()
     }
 
-    pub fn add_send(&mut self, dst: Rank, tag: Tag, bytes: usize) -> ReqId {
-        let id = self.next;
-        self.next += 1;
-        self.slots.insert(id, ReqState::SendDone { dst, tag, bytes });
-        ReqId(id)
-    }
-
     pub fn add_recv(&mut self, src: i32, tag: Tag, comm: CommId) -> ReqId {
         let id = self.next;
         self.next += 1;
-        self.slots.insert(id, ReqState::RecvPending { src, tag, comm });
+        self.slots.insert(id, ReqState::Pending { src, tag, comm });
         self.posted.push_back(id);
         ReqId(id)
     }
@@ -84,7 +76,7 @@ impl RequestTable {
         let mut guard = mailbox.lock();
         self.posted.retain(|id| {
             let (src, tag, comm) = match self.slots.get(id) {
-                Some(ReqState::RecvPending { src, tag, comm }) => (*src, *tag, *comm),
+                Some(ReqState::Pending { src, tag, comm }) => (*src, *tag, *comm),
                 _ => return false, // no longer pending: drop from queue
             };
             if guard.is_empty() {
@@ -92,7 +84,7 @@ impl RequestTable {
             }
             match guard.claim(src, tag, comm) {
                 Some(env) => {
-                    self.slots.insert(*id, ReqState::RecvDone { env });
+                    self.slots.insert(*id, ReqState::Done(env));
                     false
                 }
                 None => true,
@@ -100,36 +92,16 @@ impl RequestTable {
         });
     }
 
-    /// Is the request complete? (Does not consume it.)
-    pub fn is_done(&self, id: ReqId) -> Option<bool> {
-        self.slots.get(&id.0).map(|s| !matches!(s, ReqState::RecvPending { .. }))
-    }
-
-    /// Consume a completed request, returning its status and (for receives)
-    /// the claimed payload.
-    pub fn take(&mut self, id: ReqId) -> Option<(Status, Option<Envelope>)> {
+    /// Consume a completed request and return its claimed envelope;
+    /// `Ok(None)` leaves a pending one in place.
+    pub fn take(&mut self, id: ReqId) -> Result<Option<Envelope>> {
         match self.slots.get(&id.0) {
-            Some(ReqState::RecvPending { .. }) | None => None,
-            Some(ReqState::SendDone { .. }) => {
-                if let Some(ReqState::SendDone { dst, tag, bytes }) = self.slots.remove(&id.0) {
-                    Some((Status { src: dst, tag, bytes, piggyback: 0 }, None))
-                } else {
-                    unreachable!()
-                }
-            }
-            Some(ReqState::RecvDone { .. }) => {
-                if let Some(ReqState::RecvDone { env }) = self.slots.remove(&id.0) {
-                    let st = Status {
-                        src: env.src,
-                        tag: env.tag,
-                        bytes: env.payload.len(),
-                        piggyback: env.piggyback,
-                    };
-                    Some((st, Some(env)))
-                } else {
-                    unreachable!()
-                }
-            }
+            None => Err(MpiError::InvalidArg(format!("unknown request {id:?}"))),
+            Some(ReqState::Pending { .. }) => Ok(None),
+            Some(ReqState::Done(_)) => match self.slots.remove(&id.0) {
+                Some(ReqState::Done(env)) => Ok(Some(env)),
+                _ => unreachable!("the slot was just seen done"),
+            },
         }
     }
 }
@@ -163,35 +135,25 @@ mod tests {
         // it gets the message.
         mb.deliver(env(1, 5, 0));
         rt.progress(&mb);
-        assert_eq!(rt.is_done(r_wild), Some(true));
-        assert_eq!(rt.is_done(r_spec), Some(false));
+        assert!(rt.take(r_spec).unwrap().is_none(), "posted later, still pending");
+        let first = rt.take(r_wild).unwrap().expect("posted first, matched first");
+        assert_eq!((first.seq, first.piggyback), (0, 9));
+        assert!(rt.take(r_wild).is_err(), "a taken request is gone");
         // Second message completes the specific receive.
         mb.deliver(env(1, 5, 1));
         rt.progress(&mb);
-        assert_eq!(rt.is_done(r_spec), Some(true));
-        let (st, envlp) = rt.take(r_wild).unwrap();
-        assert_eq!(st.piggyback, 9);
-        assert_eq!(envlp.unwrap().seq, 0);
-        let (_, envlp2) = rt.take(r_spec).unwrap();
-        assert_eq!(envlp2.unwrap().seq, 1);
-    }
-
-    #[test]
-    fn sends_complete_immediately() {
-        let mut rt = RequestTable::new();
-        let r = rt.add_send(3, 11, 64);
-        assert_eq!(rt.is_done(r), Some(true));
-        let (st, env) = rt.take(r).unwrap();
-        assert_eq!(st.bytes, 64);
-        assert!(env.is_none());
+        assert_eq!(rt.take(r_spec).unwrap().unwrap().seq, 1);
     }
 
     #[test]
     fn ids_never_reused() {
+        let mb = Mailbox::new();
         let mut rt = RequestTable::new();
-        let a = rt.add_send(0, 0, 0);
-        rt.take(a).unwrap();
-        let b = rt.add_send(0, 0, 0);
+        let a = rt.add_recv(0, 0, COMM_WORLD);
+        mb.deliver(env(0, 0, 0));
+        rt.progress(&mb);
+        rt.take(a).unwrap().unwrap();
+        let b = rt.add_recv(0, 0, COMM_WORLD);
         assert_ne!(a, b);
     }
 }

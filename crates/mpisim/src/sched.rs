@@ -3,11 +3,12 @@
 //! # The parking-points invariant
 //!
 //! A rank may block in exactly the places where the op clock already ticks:
-//! a posted receive being waited on (`wait`/`wait_any`/`wait_some`, and the
-//! blocking receives and collectives that lower to them) and credit
-//! acquisition under a bounded mailbox. Because the op clock is a pure
-//! function of the application's call sequence — polling calls do not tick —
-//! moving *when* a rank runs cannot move *where* it blocks. `workers: 1` is
+//! a posted receive being waited on (`wait`/`wait_any`, and the blocking
+//! receives and collectives that lower to them, all in the one loop
+//! `RankCtx::block_until`) and credit acquisition under a bounded mailbox.
+//! Because the op clock is a pure function of the application's call
+//! sequence — polling calls do not tick — moving *when* a rank runs cannot
+//! move *where* it blocks. `workers: 1` is
 //! the reference schedule (one OS thread resuming ranks in ready-queue
 //! order); `workers: nranks` runs every rank at once on preempted OS threads.
 //! That purity is the substrate's: a raw job's results and op clocks are

@@ -3,7 +3,7 @@
 
 use crate::ctx::RankCtx;
 use crate::error::MpiError;
-use crate::network::{ClusterModel, NetModel, Network, ReorderModel};
+use crate::network::{ClusterModel, NetModel, Network};
 use crate::sched::SchedMode;
 use crate::Rank;
 use parking_lot::Mutex;
@@ -43,25 +43,6 @@ impl JobSpec {
     /// Replace the whole fault-and-delivery model.
     pub fn net(mut self, n: NetModel) -> Self {
         self.net = n;
-        self
-    }
-
-    /// Set the reordering model (keeps drop/dup rates and seed).
-    pub fn reorder(mut self, r: ReorderModel) -> Self {
-        self.net.reorder = r;
-        self
-    }
-
-    /// Set the network fault seed.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.net.seed = s;
-        self
-    }
-
-    /// Bound every destination mailbox to `cap` unclaimed application
-    /// messages (keeps reorder/drop/dup settings).
-    pub fn mailbox_capacity(mut self, cap: usize) -> Self {
-        self.net = self.net.mailbox_capacity(cap);
         self
     }
 
@@ -215,9 +196,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::ReorderModel;
     use crate::op::ReduceOp;
     use crate::pod::{bytes_of, vec_from_bytes};
-    use crate::{BasicType, ANY_SOURCE, ANY_TAG, COMM_WORLD};
+    use crate::{BasicType, Tag, ANY_SOURCE, ANY_TAG, COMM_WORLD};
     use std::sync::atomic::Ordering;
 
     #[test]
@@ -284,26 +266,55 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_isend_irecv_waitall() {
+    fn irecv_matches_by_signature_not_send_order() {
         let out = launch(&JobSpec::new(2), |ctx| {
             if ctx.rank() == 0 {
                 let r1 = ctx.irecv(1, 1)?;
                 let r2 = ctx.irecv(1, 2)?;
-                let done = ctx.wait_all(&[r1, r2])?;
-                let a: Vec<f64> = vec_from_bytes(done[0].1.as_ref().unwrap());
-                let b: Vec<f64> = vec_from_bytes(done[1].1.as_ref().unwrap());
+                let (_, b) = ctx.wait(r2)?;
+                let (_, a) = ctx.wait(r1)?;
+                let (a, b): (Vec<f64>, Vec<f64>) = (vec_from_bytes(&a), vec_from_bytes(&b));
                 Ok(a[0] + b[0])
             } else {
                 // Send in reverse tag order; matching is by signature.
-                let s2 = ctx.isend(0, 2, &[2.5f64])?;
-                let s1 = ctx.isend(0, 1, &[1.25f64])?;
-                ctx.wait(s1)?;
-                ctx.wait(s2)?;
+                ctx.send(0, 2, &[2.5f64])?;
+                ctx.send(0, 1, &[1.25f64])?;
                 Ok(0.0)
             }
         })
         .unwrap();
         assert_eq!(out.results[0], 3.75);
+    }
+
+    /// A posted receive keeps its matching priority against a later poll
+    /// and a later blocking receive of the same signature, on the serial
+    /// and the threaded schedule.
+    #[test]
+    fn posted_receive_outranks_later_polls_and_blocking_receives() {
+        for workers in [1, 2] {
+            let spec = JobSpec::new(2).sched(SchedMode::EventDriven { workers });
+            launch(&spec, |ctx| {
+                if ctx.rank() == 0 {
+                    // The marker follows message 0 on a reliable network, so
+                    // message 0 sits unclaimed when the wildcard is posted.
+                    ctx.recv::<u8>(1, 8)?;
+                    let wild = ctx.irecv(ANY_SOURCE, ANY_TAG)?;
+                    assert!(ctx.try_recv_bytes(1, 5, COMM_WORLD)?.is_none());
+                    ctx.send(1, 9, &[0u8])?; // go: send message 1
+                    let (later, _) = ctx.recv::<u64>(1, 5)?;
+                    let (_, first) = ctx.wait(wild)?;
+                    assert_eq!(later, [1]);
+                    assert_eq!(vec_from_bytes::<u64>(&first), [0]);
+                } else {
+                    ctx.send(0, 5, &[0u64])?;
+                    ctx.send(0, 8, &[0u8])?;
+                    ctx.recv::<u8>(0, 9)?;
+                    ctx.send(0, 5, &[1u64])?;
+                }
+                Ok(())
+            })
+            .unwrap_or_else(|e| panic!("workers {workers}: {e}"));
+        }
     }
 
     #[test]
@@ -399,18 +410,21 @@ mod tests {
     }
 
     #[test]
-    fn wait_any_and_some() {
+    fn wait_any_then_wait() {
         launch(&JobSpec::new(2), |ctx| {
             if ctx.rank() == 0 {
                 let r1 = ctx.irecv(1, 1)?;
                 let r2 = ctx.irecv(1, 2)?;
                 let (idx, st, payload) = ctx.wait_any(&[r1, r2])?;
                 assert!(idx < 2);
-                assert_eq!(st.src, 1);
-                assert!(payload.is_some());
+                assert_eq!(
+                    (st.src, st.tag, &payload[..]),
+                    (1, idx as Tag + 1, &[idx as u8 + 1][..])
+                );
                 let rest = if idx == 0 { r2 } else { r1 };
-                let done = ctx.wait_some(&[rest])?;
-                assert_eq!(done.len(), 1);
+                let (st, _) = ctx.wait(rest)?;
+                assert_eq!(st.tag, 2 - idx as Tag);
+                assert!(ctx.wait(rest).is_err(), "a completed request is consumed");
             } else {
                 ctx.send(0, 1, &[1u8])?;
                 ctx.send(0, 2, &[2u8])?;
@@ -542,9 +556,11 @@ mod tests {
 
     #[test]
     fn reordering_job_still_correct_per_signature() {
-        let spec = JobSpec::new(2)
-            .reorder(ReorderModel::Random { hold_permille: 400, max_held: 4 })
-            .seed(99);
+        let spec = JobSpec::new(2).net(
+            NetModel::reliable()
+                .with_reorder(ReorderModel::Random { hold_permille: 400, max_held: 4 })
+                .seed(99),
+        );
         let out = launch(&spec, |ctx| {
             if ctx.rank() == 0 {
                 for i in 0..50u64 {

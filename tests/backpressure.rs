@@ -133,7 +133,7 @@ fn kernel_below_its_floor_reports_a_backpressure_deadlock() {
 /// walk must prove the deadlock and name both ranks and the bound.
 #[test]
 fn send_cycle_deadlock_fires_the_watchdog_with_a_useful_report() {
-    let spec = JobSpec::new(2).mailbox_capacity(1);
+    let spec = JobSpec::new(2).net(NetModel::reliable().mailbox_capacity(1));
     let err = mpisim::launch(&spec, |ctx| {
         let peer = 1 - ctx.rank();
         for i in 0..2u64 {
@@ -241,7 +241,9 @@ fn parked_send_across_a_checkpoint_pragma_is_logged_late() {
 fn credit_return_wakes_the_ticket_head_in_fifo_order() {
     use std::sync::atomic::Ordering;
     for round in 0..8 {
-        let spec = JobSpec::new(4).mailbox_capacity(1).sched(SchedMode::EventDriven { workers: 4 });
+        let spec = JobSpec::new(4)
+            .net(NetModel::reliable().mailbox_capacity(1))
+            .sched(SchedMode::EventDriven { workers: 4 });
         let out = mpisim::launch(&spec, |ctx| {
             let (go, payload) = (9, 5);
             if ctx.rank() == 0 {

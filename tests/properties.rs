@@ -541,7 +541,7 @@ mod arrival_classification_model {
 mod random_recovery {
     use super::*;
     use c3::{C3Config, C3Ctx, C3Error, FailAt, FailurePlan};
-    use mpisim::JobSpec;
+    use mpisim::{JobSpec, NetModel};
 
     fn ring(ctx: &mut C3Ctx<'_>, iters: u64) -> Result<u64, C3Error> {
         let mut st = match ctx.take_restored_state() {
@@ -577,7 +577,7 @@ mod random_recovery {
             seed in any::<u64>(),
         ) {
             let fail_pragma = ckpt + 1 + fail_after;
-            let spec = JobSpec::new(nranks).seed(seed);
+            let spec = JobSpec::new(nranks).net(NetModel::reliable().seed(seed));
             let baseline =
                 mpisim::launch(&spec, move |ctx| {
                     // The raw baseline runs the same logic without C³.
