@@ -11,8 +11,10 @@
 //! raw-substrate baseline.
 //!
 //! The sweep is the full cross-product *chaos seeds × network models*: an
-//! in-order reliable fabric, `ReorderModel::Random` with nonzero
-//! drop/duplication rates (the ROADMAP "chaos × reordering" item), and a
+//! in-order reliable fabric, `NetModel::reorder` with nonzero
+//! drop/duplication rates (one hold stage in `mpisim`: each envelope's
+//! drop, duplication or reorder hold is a pure hash of its seed, signature
+//! and sequence number — the ROADMAP "chaos × reordering" item), and a
 //! tight bounded-mailbox fabric (`mailbox_capacity = 2·nranks`) where
 //! senders park under backpressure — the ROADMAP "backpressure /
 //! congestion modeling" item.
@@ -53,7 +55,7 @@ use std::sync::Mutex;
 enum NetMode {
     /// In-order reliable fabric (the seed's behavior).
     Reliable,
-    /// Random cross-signature reordering plus nonzero drop/duplication.
+    /// Seeded cross-signature reordering plus nonzero drop/duplication.
     Faulty,
     /// Bounded mailboxes at the 2·nranks floor: senders park under
     /// backpressure whenever a burst outruns the receiver, exercising the

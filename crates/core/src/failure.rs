@@ -22,7 +22,7 @@
 //! The [`crate::Job`] builder owns the restart/chaos orchestration that
 //! runs these plans (see [`crate::job`]).
 
-use mpisim::{NetModel, ReorderModel};
+use mpisim::NetModel;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// When a planned failure fires.
@@ -86,8 +86,9 @@ impl std::fmt::Display for FailurePlan {
 }
 
 /// The network-fault component of a chaos plan: transport-level message
-/// drop and duplication rates plus optional random cross-signature
-/// reordering, applied for the *whole* job (every incarnation) on top of
+/// drop and duplication rates plus optional seeded cross-signature
+/// reordering (all three land in `mpisim`'s one hold stage and its fate
+/// hash), applied for the *whole* job (every incarnation) on top of
 /// the job's base network model. Like the fail-stop faults, these are part
 /// of the reproduction recipe: [`ChaosPlan::from_seed`] derives them
 /// deterministically and [`shrink_plan`] minimizes over them.
@@ -97,7 +98,7 @@ pub struct NetFault {
     pub drop_permille: u32,
     /// Message duplication probability in permille.
     pub dup_permille: u32,
-    /// Enable random cross-signature reordering (standard parameters).
+    /// Enable seeded cross-signature reordering (`NetModel::reorder`).
     pub reorder: bool,
     /// Bound every destination mailbox to this many unclaimed application
     /// messages (`mpisim::NetModel::mailbox_capacity`): senders park when
@@ -124,9 +125,7 @@ impl NetFault {
     pub fn apply_to(self, mut base: NetModel) -> NetModel {
         base.drop_permille = base.drop_permille.max(self.drop_permille.min(1000));
         base.dup_permille = base.dup_permille.max(self.dup_permille.min(1000));
-        if self.reorder && matches!(base.reorder, ReorderModel::None) {
-            base.reorder = ReorderModel::Random { hold_permille: 300, max_held: 4 };
-        }
+        base.reorder |= self.reorder;
         // Clamped to 1 like every other capacity entry point, so the model
         // a plan advertises always matches the bound the substrate enforces.
         let fault_cap = self.mailbox_capacity.map(|c| c.max(1));
@@ -682,20 +681,18 @@ mod tests {
         assert_eq!(merged.drop_permille, 25);
         assert_eq!(merged.dup_permille, 15);
         assert_eq!(merged.seed, 9, "base seed is kept");
-        assert!(matches!(merged.reorder, ReorderModel::Random { .. }));
+        assert!(merged.reorder);
         // Strictly strengthening: a weaker component never lowers the base's
         // advertised rates (and shrinking it to nothing restores the base).
         let weak =
             NetFault { drop_permille: 5, dup_permille: 0, reorder: false, mailbox_capacity: None };
         let merged = weak.apply_to(NetModel::reliable().drop_rate(15).duplicate_rate(10));
         assert_eq!((merged.drop_permille, merged.dup_permille), (15, 10));
-        // An existing reorder model is never downgraded.
-        let base = NetModel::reorder(3)
-            .with_reorder(ReorderModel::Random { hold_permille: 700, max_held: 8 });
+        // An existing reorder is never downgraded.
         let merged =
             NetFault { drop_permille: 0, dup_permille: 0, reorder: false, mailbox_capacity: None }
-                .apply_to(base);
-        assert_eq!(merged.reorder, ReorderModel::Random { hold_permille: 700, max_held: 8 });
+                .apply_to(NetModel::reorder(3));
+        assert!(merged.reorder);
         assert_eq!(
             NetFault { drop_permille: 0, dup_permille: 0, reorder: false, mailbox_capacity: None },
             NetFault::none()

@@ -47,8 +47,7 @@ pub struct Envelope {
     pub comm: CommId,
     /// Per-(src,dst) monotone sequence number, unique across tags and
     /// communicators; used to assert per-signature FIFO in tests, by the
-    /// reordering model to avoid violating it, and by the fault model's
-    /// duplicate suppression.
+    /// fault model's fate hash and by its duplicate suppression.
     pub seq: u64,
     /// Opaque piggyback byte owned by the protocol layer above the substrate
     /// (the paper's 3 piggybacked bits travel here). The substrate never

@@ -53,7 +53,7 @@ pub use datatype::{
 pub use envelope::{Envelope, Signature};
 pub use error::MpiError;
 pub use mailbox::{Mailbox, MailboxGuard};
-pub use network::{ClusterModel, NetModel, Network, ReorderModel};
+pub use network::{ClusterModel, NetModel, Network};
 pub use op::{apply_op, ReduceOp, UserOpFn};
 pub use payload::Payload;
 pub use pod::{bytes_of, bytes_of_mut, copy_to_slice, vec_from_bytes, Pod};

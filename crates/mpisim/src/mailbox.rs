@@ -1,7 +1,7 @@
 //! Per-rank mailboxes: signature-indexed arrival queues with MPI matching.
 //!
 //! Each rank owns one mailbox. Senders push envelopes (possibly through the
-//! network's reordering model); the owning rank matches them against posted
+//! network's hold stage); the owning rank matches them against posted
 //! receives. The mailbox is indexed by message [`Signature`]
 //! (`(src, tag, comm)`): each signature gets its own FIFO queue, and every
 //! arrival is stamped with a mailbox-global arrival counter.

@@ -2,16 +2,18 @@
 //! models, bounded-mailbox backpressure, and job poisoning (fail-stop
 //! propagation).
 //!
-//! Delivery is one pipeline. Each stage hands the next an ordered batch of
-//! envelopes for one destination: [`Network::send`] takes a credit, then
-//! `inject` (due retransmissions, fate) → `reorder` (a pass-through without
-//! a reordering model) → `deliver`, the only caller of
+//! Delivery is one pipeline: [`Network::send`] takes a credit, then
+//! `inject` (due holds, fate) → `deliver`, the only caller of
 //! [`Mailbox::deliver_batch`] (duplicate filter, one mailbox lock, one
-//! wake). [`Network::nudge`] drains withheld envelopes through the same
-//! stages and returns how many it delivered: at proven quiescence only the
+//! wake). The network faults have **one** hold stage: a per-destination
+//! queue of withheld envelopes, filled by one pure fate hash (a drop, or
+//! under [`NetModel::reorder`] a hold) and by head-of-line blocking behind a
+//! withheld same-signature predecessor, and emptied from its head as holds
+//! come due. [`Network::nudge`] drains the queue through `deliver` and
+//! returns how many envelopes it delivered: at proven quiescence only the
 //! deadlock detective can deliver, so its own flush's count tells it whether
-//! anything moved. The credit ledger of a bounded mailbox is one lock for
-//! the job.
+//! anything moved. Locks nest fault → dedup → mailbox → credit ledger; the
+//! credit ledger of a bounded mailbox is one lock for the job.
 
 use crate::envelope::Envelope;
 use crate::error::MpiError;
@@ -20,8 +22,6 @@ use crate::sched::{Parked, Sched};
 use crate::world::JobSpec;
 use crate::{CachePadded, Fx, Rank};
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -84,55 +84,35 @@ impl ClusterModel {
     }
 }
 
-/// Cross-signature message reordering model.
-///
-/// MPI guarantees FIFO only per signature; real networks and MPI libraries
-/// deliver messages with *different* signatures out of order. The reordering
-/// model makes that happen deterministically (seeded), while never violating
-/// per-signature FIFO: an envelope is only held back if no held envelope
-/// shares its signature, and held envelopes are flushed before any
-/// same-signature successor is delivered.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ReorderModel {
-    /// Deliver in send order.
-    None,
-    /// Hold back each envelope with probability `hold_permille`/1000, up to
-    /// `max_held` concurrently held per destination; each later delivery
-    /// flushes held envelopes with probability 1/2 each.
-    Random {
-        /// Hold-back probability in permille (0..=1000).
-        hold_permille: u32,
-        /// Maximum number of envelopes held per destination.
-        max_held: usize,
-    },
-}
-
 /// The complete fault-and-delivery model of the interconnect: cross-signature
 /// reordering plus transport-level message **drop** and **duplication**.
 ///
 /// MPI itself is reliable, so the faults model the transport *below* it and
 /// come with the recovery machinery real stacks have:
 ///
-/// * a **dropped** message is retransmitted — it is withheld for a while
-///   (head-of-line blocking any same-signature successor, as a reliable
-///   transport must) and re-injected later, so delivery timing and
-///   cross-signature order are perturbed but nothing is lost;
+/// * a **dropped** message is retransmitted, and a **reordered** one is held
+///   back: either way it waits in the destination's hold queue for a fixed
+///   number of later deliveries (head-of-line blocking any same-signature
+///   successor, as a reliable transport must) and is then injected, so
+///   delivery timing and cross-signature order are perturbed, per-signature
+///   FIFO survives and nothing is lost;
 /// * a **duplicated** message is injected twice; the receive side suppresses
 ///   the second copy by `(source, sequence)` — tolerate, not re-deliver —
 ///   so matching stays exactly-once.
 ///
-/// Both fault decisions are a *pure function* of `(seed, signature, seq)`
+/// Every fault decision is a *pure function* of `(seed, signature, seq)`
 /// (no shared RNG stream), so which messages fault is independent of thread
 /// interleaving: the same seed faults the same messages on every run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetModel {
-    /// Cross-signature reordering model.
-    pub reorder: ReorderModel,
+    /// Cross-signature reordering: hold back a seeded share of the
+    /// envelopes no other fault touches.
+    pub reorder: bool,
     /// Per-message drop (retransmit) probability in permille (0..=1000).
     pub drop_permille: u32,
     /// Per-message duplication probability in permille (0..=1000).
     pub dup_permille: u32,
-    /// Seed for the reordering RNG and the drop/duplication fate hash.
+    /// Seed of the fate hash.
     pub seed: u64,
     /// Per-destination mailbox capacity for **application** traffic
     /// (bounded-buffer backpressure). `None` models MPI's idealized
@@ -150,7 +130,7 @@ impl NetModel {
     /// A reliable, in-order network (the default).
     pub fn reliable() -> Self {
         NetModel {
-            reorder: ReorderModel::None,
+            reorder: false,
             drop_permille: 0,
             dup_permille: 0,
             seed: 1,
@@ -158,22 +138,9 @@ impl NetModel {
         }
     }
 
-    /// Seeded random cross-signature reordering with the standard parameters
-    /// (hold 30% of envelopes, at most 4 held per destination).
+    /// Seeded cross-signature reordering.
     pub fn reorder(seed: u64) -> Self {
-        NetModel {
-            reorder: ReorderModel::Random { hold_permille: 300, max_held: 4 },
-            drop_permille: 0,
-            dup_permille: 0,
-            seed,
-            mailbox_capacity: None,
-        }
-    }
-
-    /// Replace the reordering model.
-    pub fn with_reorder(mut self, r: ReorderModel) -> Self {
-        self.reorder = r;
-        self
+        NetModel { reorder: true, seed, ..NetModel::reliable() }
     }
 
     /// Set the drop (retransmit) rate in permille.
@@ -188,7 +155,7 @@ impl NetModel {
         self
     }
 
-    /// Set the seed for reordering and fault fate.
+    /// Set the seed of the fate hash.
     pub fn seed(mut self, s: u64) -> Self {
         self.seed = s;
         self
@@ -201,10 +168,10 @@ impl NetModel {
         self
     }
 
-    /// True if any drop/duplication fault can fire.
+    /// True if any reorder, drop or duplication fault can fire.
     #[inline]
     pub fn has_faults(&self) -> bool {
-        self.drop_permille > 0 || self.dup_permille > 0
+        self.reorder || self.drop_permille > 0 || self.dup_permille > 0
     }
 }
 
@@ -214,34 +181,34 @@ impl Default for NetModel {
     }
 }
 
-/// One destination's reordering stage (allocated only under
-/// [`ReorderModel::Random`]).
-struct ReorderState {
-    held: Vec<Envelope>,
-    rng: SmallRng,
-}
+/// How many subsequent deliveries to a destination a withheld envelope
+/// waits before it is injected (it is also injected by any
+/// [`Network::nudge`]/[`Network::flush`], so a blocked receiver never waits
+/// on it forever). Every hold lasts this long, so holds come due in queue
+/// order.
+const HOLD_FOR: u64 = 6;
 
-/// How many subsequent deliveries to a destination a "dropped" envelope
-/// waits before its retransmission is injected (it is also injected by any
-/// [`Network::nudge`]/[`Network::flush_reorder`], so a blocked receiver
-/// never waits on it forever).
-const RETRANSMIT_AFTER: u64 = 6;
+/// Share, in permille, of the envelopes neither dropped nor duplicated that
+/// a reordering network holds back.
+const REORDER_PERMILLE: u64 = 300;
 
-/// Cap on envelopes concurrently awaiting retransmission per destination;
-/// at the cap further drops deliver normally (a transport retries harder
+/// Cap on envelopes concurrently withheld per destination; at the cap
+/// further drops and holds deliver normally (a transport retries harder
 /// under congestion, it does not buffer unboundedly).
-const MAX_DROPPED: usize = 32;
+const MAX_HELD: usize = 32;
 
 /// What the fate hash decides for one message.
 enum Fate {
     Deliver,
+    Hold,
     Drop,
     Duplicate,
 }
 
 /// Per-source duplicate-suppression window: `next` is the lowest sequence
 /// number not yet seen from that source, `ahead` the out-of-order ones
-/// already seen above it (bounded by the reorder/retransmit window).
+/// already seen above it (bounded by the hold window). Its lock is taken
+/// inside the fault lock and held across the mailbox insert.
 #[derive(Default)]
 struct DedupWindow {
     next: u64,
@@ -264,14 +231,14 @@ impl DedupWindow {
     }
 }
 
-/// Per-destination transport-fault state (drop/duplication only; the
-/// reordering model keeps its own state).
+/// One destination's hold stage. Its lock is the outermost of the
+/// delivery path: fault → dedup → mailbox → credit ledger.
 #[derive(Default)]
 struct FaultState {
-    /// Envelopes awaiting retransmission, with the delivery tick they come
-    /// due. Same-signature successors queue here too (head-of-line), so
-    /// per-signature FIFO survives the drop. Strictly FIFO: push back, pop
-    /// front.
+    /// Withheld envelopes (dropped or held by the fate hash), each with the
+    /// delivery tick it comes due. Same-signature successors queue here too
+    /// (head-of-line), so per-signature FIFO survives. Strictly FIFO: push
+    /// back, pop front.
     delayed: VecDeque<(Envelope, u64)>,
     /// Monotone count of injections towards this destination.
     ticks: u64,
@@ -284,8 +251,8 @@ struct FaultState {
 /// Invariants:
 /// * `outstanding` (per destination `d`) counts application envelopes
 ///   granted a credit toward `d` and not yet claimed by `d` (queued in the
-///   mailbox *or* withheld in the fault/reorder stages — in-flight buffer
-///   space either way).
+///   mailbox *or* withheld in the hold stage — in-flight buffer space
+///   either way).
 /// * A credit is released exactly once, when the owning rank claims the
 ///   envelope from its mailbox ([`Backpressure::release`]).
 /// * Parked senders are granted credits strictly in `waiting` (FIFO)
@@ -451,14 +418,12 @@ pub struct Network {
     mailboxes: Vec<CachePadded<Mailbox>>,
     cluster: ClusterModel,
     model: NetModel,
-    /// Per-destination reordering stages; empty under [`ReorderModel::None`].
-    reorder_state: Vec<Mutex<ReorderState>>,
+    /// Per-destination hold stages.
     fault_state: Vec<Mutex<FaultState>>,
-    /// Per-destination duplicate filters, indexed by source rank. Taken
-    /// inside the fault and reorder locks and held across the mailbox
-    /// insert. Allocated only when the duplication fault is active: the
-    /// table is O(nranks²) and would dominate memory at 4096 ranks for jobs
-    /// that never duplicate.
+    /// Per-destination duplicate filters, indexed by source rank. Allocated
+    /// only when the duplication fault is active: the table is O(nranks²)
+    /// and would dominate memory at 4096 ranks for jobs that never
+    /// duplicate.
     dedup_state: Option<Vec<Mutex<Vec<DedupWindow>>>>,
     /// Bounded-mailbox flow control (`NetModel::mailbox_capacity`).
     backpressure: Option<Arc<Backpressure>>,
@@ -485,19 +450,6 @@ impl Network {
     pub fn new(spec: &JobSpec) -> Self {
         let (nranks, cluster, model) = (spec.nranks, spec.cluster, spec.net);
         let sched = Arc::new(Sched::new(spec.sched, nranks));
-        let reorder_state = match model.reorder {
-            ReorderModel::None => Vec::new(),
-            ReorderModel::Random { .. } => (0..nranks)
-                .map(|dst| {
-                    Mutex::new(ReorderState {
-                        held: Vec::new(),
-                        rng: SmallRng::seed_from_u64(
-                            model.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(dst as u64 + 1)),
-                        ),
-                    })
-                })
-                .collect(),
-        };
         let fault_state = (0..nranks).map(|_| Mutex::new(FaultState::default())).collect();
         let dedup_state = (model.dup_permille > 0).then(|| {
             (0..nranks)
@@ -518,7 +470,6 @@ impl Network {
             mailboxes,
             cluster,
             model,
-            reorder_state,
             fault_state,
             dedup_state,
             backpressure,
@@ -552,7 +503,7 @@ impl Network {
         &self.mailboxes[rank]
     }
 
-    /// Send an envelope through the pipeline `inject → reorder → deliver`.
+    /// Send an envelope through the pipeline `inject → deliver`.
     /// Under a bounded mailbox (`NetModel::mailbox_capacity`) application
     /// traffic first acquires a delivery credit, parking the calling rank
     /// on the destination's FIFO waitlist while the mailbox is full.
@@ -607,9 +558,9 @@ impl Network {
     /// The deadlock detective, run at proven global quiescence: every live
     /// rank is committed-blocked and the caller's park (or rank exit) was
     /// the last runnable step. In a closed world the only remaining message
-    /// sources are the fault/reorder holding buffers — flush them, and if
-    /// anything moved return (the deliveries woke their receivers). No rank
-    /// runs while the detective does, so only its own flush can deliver.
+    /// source is the hold stage — flush it, and if anything moved return
+    /// (the deliveries woke their receivers). No rank runs while the
+    /// detective does, so only its own flush can deliver.
     /// Otherwise the job is wedged; diagnose deterministically: a proven
     /// send cycle, else a sender parked on credits with nothing in flight,
     /// else a generic missing-send deadlock. No wall clock is involved, so
@@ -618,7 +569,7 @@ impl Network {
         if self.is_poisoned() {
             return; // the poison wake is already propagating
         }
-        if self.flush_reorder() > 0 {
+        if self.flush() > 0 {
             return; // something was in flight after all; its wakes resume the job
         }
         let reason = self.backpressure.as_ref().and_then(|bp| bp.stall_reason());
@@ -668,9 +619,9 @@ impl Network {
 
     /// Block `rank` until new mailbox activity is possible.
     ///
-    /// Flush envelopes the fault/reorder models withhold for this rank
-    /// first (if the flush delivers anything the rank's own epoch moves and
-    /// the park aborts), then park until a delivery, a withhold (whose
+    /// Flush envelopes the hold stage withholds for this rank first (if
+    /// the flush delivers anything the rank's own epoch moves and the park
+    /// aborts), then park until a delivery, a withhold (whose
     /// envelope the next attempt's flush then delivers), a credit event, or
     /// poison wakes the rank. A park that would leave every live rank
     /// blocked runs the deadlock detective instead of sleeping.
@@ -681,29 +632,28 @@ impl Network {
         }
     }
 
-    /// Fault stage: draw the envelope's fate, withhold it (drop, or queued
-    /// head-of-line behind a withheld same-signature predecessor) or pass
-    /// it on — after the retransmissions that came due with this injection.
+    /// Hold stage: draw the envelope's fate, withhold it (a drop or hold, or
+    /// queued head-of-line behind a withheld same-signature predecessor) or
+    /// pass it on — after the holds that came due with this injection.
     fn inject(&self, env: Envelope) {
         let dst = env.dst;
         if !self.model.has_faults() {
-            self.reorder(dst, std::iter::once(env));
+            self.deliver(dst, std::iter::once(env));
             return;
         }
-        // The fault lock is held across the later stages so a concurrent
-        // sender cannot overtake an envelope between the retransmit queue
-        // and the mailbox.
+        // The fault lock is held across delivery so a concurrent sender
+        // cannot overtake an envelope between the hold queue and the
+        // mailbox.
         let mut fs = self.fault_state[dst].lock();
         fs.ticks += 1;
         let now = fs.ticks;
-        // Due retransmissions leave strictly from the queue head: entries
-        // behind a not-yet-due head wait with it, as releasing out of queue
-        // order could break per-signature FIFO.
+        // Due holds leave strictly from the queue head: every hold lasts
+        // `HOLD_FOR` ticks, so the due entries are a prefix of the queue.
         let n_due = fs.delayed.iter().take_while(|(_, at)| *at <= now).count();
         let due: Vec<Envelope> = fs.delayed.drain(..n_due).map(|(e, _)| e).collect();
-        // Head-of-line: while a same-signature predecessor awaits
-        // retransmission, successors must queue behind it (a reliable
-        // transport cannot deliver segment n+1 before redelivering n).
+        // Head-of-line: while a same-signature predecessor is withheld,
+        // successors must queue behind it (a reliable transport cannot
+        // deliver segment n+1 before redelivering n).
         let sig = env.signature();
         let blocked = fs.delayed.iter().any(|(e, _)| e.signature() == sig);
         let fate = self.fate(&env);
@@ -714,12 +664,12 @@ impl Network {
             }
             _ => [Some(env), None],
         };
-        let dropping = matches!(fate, Fate::Drop) && fs.delayed.len() < MAX_DROPPED;
-        if dropping {
+        let holding = matches!(fate, Fate::Drop | Fate::Hold) && fs.delayed.len() < MAX_HELD;
+        if holding && matches!(fate, Fate::Drop) {
             self.msgs_dropped.fetch_add(1, Ordering::Relaxed);
         }
-        if blocked || dropping {
-            let due_at = now + RETRANSMIT_AFTER;
+        if blocked || holding {
+            let due_at = now + HOLD_FOR;
             fs.delayed.extend(copies.iter_mut().filter_map(Option::take).map(|e| (e, due_at)));
             // A withhold wakes the destination: were it already parked on
             // its mailbox, only later traffic to it or global quiescence
@@ -727,11 +677,13 @@ impl Network {
             // first and so delivers it.
             self.sched.wake(dst);
         }
-        self.reorder(dst, due.into_iter().chain(copies.into_iter().flatten()));
+        self.deliver(dst, due.into_iter().chain(copies.into_iter().flatten()));
     }
 
     /// Seed-deterministic fate of one message: a pure function of
-    /// `(seed, signature, seq)`, independent of thread interleaving.
+    /// `(seed, signature, seq)`, independent of thread interleaving. The
+    /// hash's lowest three decimal digits decide drop and duplication;
+    /// under reordering its next three decide whether the rest are held.
     fn fate(&self, env: &Envelope) -> Fate {
         let h = mix64(
             self.model.seed
@@ -744,50 +696,11 @@ impl Network {
             Fate::Drop
         } else if roll < self.model.drop_permille + self.model.dup_permille {
             Fate::Duplicate
+        } else if self.model.reorder && (h / 1000) % 1000 < REORDER_PERMILLE {
+            Fate::Hold
         } else {
             Fate::Deliver
         }
-    }
-
-    /// Reorder stage: for each envelope in turn, flush held same-signature
-    /// predecessors, then hold it or pass it on together with a random half
-    /// of the held ones. A pass-through when the network has no reordering
-    /// model. Returns how many envelopes it delivered.
-    fn reorder(&self, dst: Rank, batch: impl IntoIterator<Item = Envelope>) -> usize {
-        let ReorderModel::Random { hold_permille, max_held } = self.model.reorder else {
-            return self.deliver(dst, batch);
-        };
-        // Deliveries happen while the reorder lock is held: releasing first
-        // would let a concurrent sender overtake an envelope already removed
-        // from `held` but not yet in the mailbox, breaking per-signature FIFO.
-        let st = &mut *self.reorder_state[dst].lock();
-        let mut out = Vec::new();
-        for env in batch {
-            let sig = env.signature();
-            let mut i = 0;
-            while i < st.held.len() {
-                if st.held[i].signature() == sig {
-                    out.push(st.held.remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            if st.held.len() < max_held && st.rng.gen_range(0..1000) < hold_permille {
-                st.held.push(env);
-                self.sched.wake(dst); // as for a retransmit, see `inject`
-                continue;
-            }
-            out.push(env);
-            let mut i = 0;
-            while i < st.held.len() {
-                if st.rng.gen_bool(0.5) {
-                    out.push(st.held.remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        self.deliver(dst, out)
     }
 
     /// Delivery: `batch` (already in delivery order) enters `dst`'s mailbox
@@ -816,28 +729,22 @@ impl Network {
         delivered
     }
 
-    /// Flush envelopes withheld by the fault and reordering models for
-    /// `dst`: the retransmit queue through the reorder stage, then
-    /// everything held there. Called by a rank's blocked wait loops so that
-    /// withheld messages are eventually delivered even if no further
-    /// traffic arrives (models "in flight, but not lost"). Returns how
-    /// many envelopes it delivered.
+    /// Deliver every envelope the hold stage withholds for `dst`, due or
+    /// not. Called by a rank's blocked wait loops so that withheld messages
+    /// are eventually delivered even if no further traffic arrives (models
+    /// "in flight, but not lost"). Returns how many envelopes it delivered.
     pub fn nudge(&self, dst: Rank) -> usize {
-        let mut delivered = 0;
-        if self.model.has_faults() {
-            let mut fs = self.fault_state[dst].lock();
-            delivered += self.reorder(dst, fs.delayed.drain(..).map(|(e, _)| e));
+        if !self.model.has_faults() {
+            return 0;
         }
-        if let Some(st) = self.reorder_state.get(dst) {
-            delivered += self.deliver(dst, st.lock().held.drain(..));
-        }
-        delivered
+        let mut fs = self.fault_state[dst].lock();
+        self.deliver(dst, fs.delayed.drain(..).map(|(e, _)| e))
     }
 
     /// Flush every withheld envelope (used at teardown / quiescence points
-    /// so no message is lost to the retransmit or reorder buffers). Returns
-    /// how many envelopes it delivered.
-    pub fn flush_reorder(&self) -> usize {
+    /// so no message is lost to the hold stage). Returns how many envelopes
+    /// it delivered.
+    pub fn flush(&self) -> usize {
         (0..self.mailboxes.len()).map(|dst| self.nudge(dst)).sum()
     }
 
@@ -896,16 +803,12 @@ mod tests {
 
     #[test]
     fn reorder_preserves_per_signature_fifo() {
-        let net = test_net(
-            2,
-            NetModel::reorder(42)
-                .with_reorder(ReorderModel::Random { hold_permille: 500, max_held: 8 }),
-        );
+        let net = test_net(2, NetModel::reorder(42));
         // Send 200 messages on the SAME signature; they must arrive in order.
         for seq in 0..200 {
             net.send(env(0, 1, 7, seq)).unwrap();
         }
-        net.flush_reorder();
+        net.flush();
         let mut last = None;
         while let Some(e) = net.mailbox(1).try_claim(0, 7, COMM_WORLD) {
             if let Some(prev) = last {
@@ -918,17 +821,13 @@ mod tests {
 
     #[test]
     fn reorder_actually_reorders_across_signatures() {
-        let net = test_net(
-            2,
-            NetModel::reorder(7)
-                .with_reorder(ReorderModel::Random { hold_permille: 700, max_held: 8 }),
-        );
-        // Alternate two signatures; with high hold probability some tag-1
+        let net = test_net(2, NetModel::reorder(7));
+        // Alternate two signatures; with some envelopes held some tag-1
         // message should arrive after a later-sent tag-2 message.
         for i in 0..100u64 {
             net.send(env(0, 1, (i % 2) as Tag, i / 2)).unwrap();
         }
-        net.flush_reorder();
+        net.flush();
         let arrivals: Vec<(Tag, u64)> =
             net.mailbox(1).lock().snapshot_arrival_order().iter().map(|e| (e.tag, e.seq)).collect();
         assert_eq!(arrivals.len(), 100);
@@ -945,7 +844,7 @@ mod tests {
         for seq in 0..300 {
             net.send(env(0, 1, 7, seq)).unwrap();
         }
-        net.flush_reorder();
+        net.flush();
         assert!(
             net.msgs_dropped.load(Ordering::Relaxed) > 0,
             "30% drop rate never fired over 300 messages"
@@ -969,7 +868,7 @@ mod tests {
         for seq in 0..200 {
             net.send(env(0, 1, 9, seq)).unwrap();
         }
-        net.flush_reorder();
+        net.flush();
         let dups = net.msgs_duplicated.load(Ordering::Relaxed);
         assert!(dups > 0, "40% duplication rate never fired over 200 messages");
         assert_eq!(
@@ -1003,14 +902,14 @@ mod tests {
     }
 
     #[test]
-    fn combined_faults_with_reordering_stay_reliable() {
+    fn combined_faults_and_reordering_stay_reliable() {
         let net = test_net(2, NetModel::reorder(99).drop_rate(150).duplicate_rate(150));
         // Two interleaved signatures under drop + dup + reorder. As in the
         // real substrate, `seq` is unique per (src, dst) across tags.
         for i in 0..400u64 {
             net.send(env(0, 1, (i % 2) as Tag, i)).unwrap();
         }
-        net.flush_reorder();
+        net.flush();
         let (mut last0, mut last1, mut n) = (None, None, 0);
         while let Some(e) = net.mailbox(1).try_claim(0, crate::ANY_TAG, COMM_WORLD) {
             let last = if e.tag == 0 { &mut last0 } else { &mut last1 };
@@ -1039,7 +938,7 @@ mod tests {
                 net.nudge(dst);
             }
         }
-        net.flush_reorder();
+        net.flush();
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for d in [2, 3] {
             for e in net.mailbox(d).lock().snapshot_arrival_order() {
@@ -1053,8 +952,8 @@ mod tests {
         h
     }
 
-    /// Pins every RNG draw, fate and arrival stamp of the delivery
-    /// pipeline: any change to stage order or batching moves a digest.
+    /// Pins every fate and arrival stamp of the delivery pipeline: any
+    /// change to the fate hash, the hold stage or batching moves a digest.
     #[test]
     fn arrival_order_is_pinned_per_network_model() {
         let digests = [
@@ -1068,12 +967,40 @@ mod tests {
             digests,
             [
                 13_373_766_197_472_281_637,
-                805_918_405_169_784_325,
+                16_724_458_780_705_451_365,
                 8_528_088_831_168_406_629,
                 13_373_766_197_472_281_637,
-                15_204_555_462_558_279_685,
+                16_938_225_091_617_988_197,
             ]
         );
+    }
+
+    /// Which envelopes the hold stage withholds is a pure function of the
+    /// envelopes themselves, not of how the senders to one destination
+    /// interleave: every envelope has its own signature (so nothing queues
+    /// head-of-line) and is checked right after its own send.
+    #[test]
+    fn held_set_is_independent_of_send_interleaving() {
+        let held = |round_robin: bool| {
+            let net = test_net(4, NetModel::reorder(13));
+            let sends: Vec<(Rank, u64)> = if round_robin {
+                (0..20).flat_map(|seq| (0..3).map(move |src| (src, seq))).collect()
+            } else {
+                (0..3).flat_map(|src| (0..20).map(move |seq| (src, seq))).collect()
+            };
+            let mut held = std::collections::BTreeSet::new();
+            for (src, seq) in sends {
+                net.send(env(src, 3, (src as u64 * 20 + seq) as Tag, seq)).unwrap();
+                let arrived = net.mailbox(3).lock().snapshot_arrival_order();
+                if !arrived.iter().any(|e| e.src == src && e.seq == seq) {
+                    held.insert((src, seq));
+                }
+            }
+            held
+        };
+        let round_robin = held(true);
+        assert!(!round_robin.is_empty(), "reordering never held an envelope");
+        assert_eq!(round_robin, held(false));
     }
 
     #[test]
@@ -1235,12 +1162,6 @@ mod tests {
         })
         .unwrap();
         assert!(out.results[2], "the message was released only when rank 2 stopped running");
-    }
-
-    #[test]
-    fn reorder_hold_wakes_the_parked_receiver() {
-        let hold_all = ReorderModel::Random { hold_permille: 1000, max_held: 4 };
-        withheld_message_reaches_a_parked_receiver(NetModel::reliable().with_reorder(hold_all));
     }
 
     #[test]

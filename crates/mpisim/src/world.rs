@@ -196,7 +196,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::ReorderModel;
     use crate::op::ReduceOp;
     use crate::pod::{bytes_of, vec_from_bytes};
     use crate::{BasicType, Tag, ANY_SOURCE, ANY_TAG, COMM_WORLD};
@@ -556,11 +555,7 @@ mod tests {
 
     #[test]
     fn reordering_job_still_correct_per_signature() {
-        let spec = JobSpec::new(2).net(
-            NetModel::reliable()
-                .with_reorder(ReorderModel::Random { hold_permille: 400, max_held: 4 })
-                .seed(99),
-        );
+        let spec = JobSpec::new(2).net(NetModel::reorder(99));
         let out = launch(&spec, |ctx| {
             if ctx.rank() == 0 {
                 for i in 0..50u64 {

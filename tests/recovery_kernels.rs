@@ -114,11 +114,7 @@ fn ep_recovers() {
 /// CG under an adversarial reordering network still recovers exactly.
 #[test]
 fn cg_recovers_under_reordering() {
-    let spec = JobSpec::new(4).net(
-        NetModel::reliable()
-            .with_reorder(mpisim::ReorderModel::Random { hold_permille: 400, max_held: 6 })
-            .seed(20040613),
-    );
+    let spec = JobSpec::new(4).net(NetModel::reorder(20040613));
     let cfg = npb::cg::CgConfig { n: 96, iters: 8 };
     let baseline = mpisim::launch(&spec, move |ctx| npb::cg::run(ctx, &cfg)).unwrap();
 
@@ -136,11 +132,7 @@ fn cg_recovers_under_reordering() {
 /// FT's alltoall traffic under reordering recovers exactly.
 #[test]
 fn ft_recovers_under_reordering() {
-    let spec = JobSpec::new(4).net(
-        NetModel::reliable()
-            .with_reorder(mpisim::ReorderModel::Random { hold_permille: 300, max_held: 4 })
-            .seed(77),
-    );
+    let spec = JobSpec::new(4).net(NetModel::reorder(77));
     let cfg = npb::ft::FtConfig { n: 32, steps: 6, alpha: 1e-4 };
     let baseline = mpisim::launch(&spec, move |ctx| npb::ft::run(ctx, &cfg)).unwrap();
 

@@ -30,7 +30,8 @@
 //!   strongest chaos-side observable that is deterministic at all;
 //! * raw substrate: the results and op clocks of NPB CG, LU and BT are
 //!   bit-identical between the serial schedule and several worker-pool
-//!   widths.
+//!   widths, on the reliable network and on the reordering, dropping,
+//!   duplicating one of the `faultnet8` benchmark workload.
 
 mod util;
 
@@ -148,9 +149,10 @@ fn sweep_tight_mailboxes() {
 
 /// Raw substrate (no protocol layer): NPB CG, LU and BT results and final
 /// op clocks are bit-identical between the serial schedule and several
-/// worker-pool widths. LU and BT pipeline their sweeps in column tiles, so
-/// they hand off between ranks the most per step. CG on 6 rows splits them
-/// 2/2/1/1, so its halo comes from ranks two away as well.
+/// worker-pool widths, on a reliable and on a faulty network. LU and BT
+/// pipeline their sweeps in column tiles, so they hand off between ranks the
+/// most per step. CG on 6 rows splits them 2/2/1/1, so its halo comes from
+/// ranks two away as well.
 #[test]
 fn raw_substrate_op_clocks_match_across_schedulers_and_worker_counts() {
     type Kernel = fn(&mut mpisim::RankCtx) -> Result<f64, mpisim::MpiError>;
@@ -162,17 +164,23 @@ fn raw_substrate_op_clocks_match_across_schedulers_and_worker_counts() {
             npb::bt::run(ctx, &npb::bt::BtConfig { n: 30, steps: 3, lambda: 0.35, kappa: 0.1 })
         }),
     ];
-    for (name, kernel) in kernels {
+    // The second network is the `faultnet8` benchmark workload's (there
+    // seeded by the run's seed).
+    let nets = [NetModel::reliable(), NetModel::reorder(3).drop_rate(20).duplicate_rate(10)];
+    for (net, (name, kernel)) in nets.into_iter().flat_map(|n| kernels.map(|k| (n, k))) {
         let run = |sched: SchedMode| -> Vec<(u64, u64)> {
-            let spec = JobSpec::new(4).sched(sched);
+            let spec = JobSpec::new(4).net(net).sched(sched);
             let out = mpisim::launch(&spec, |ctx| Ok((kernel(ctx)?.to_bits(), ctx.op_clock())))
-                .unwrap_or_else(|e| panic!("{name} under {sched:?}: {e}"));
+                .unwrap_or_else(|e| panic!("{name} on {net:?} under {sched:?}: {e}"));
             out.results
         };
         let serial = run(SERIAL);
         for workers in [0, 2, 4] {
             let got = run(SchedMode::EventDriven { workers });
-            assert_eq!(got, serial, "{workers} workers diverged from workers: 1 on {name}");
+            assert_eq!(
+                got, serial,
+                "{workers} workers diverged from workers: 1 on {name}, {net:?}"
+            );
         }
     }
 }
